@@ -16,7 +16,6 @@ use std::sync::Arc;
 
 use m3d_netlist::{Benchmark, Netlist};
 use m3d_place::Placement;
-use m3d_route::RoutedDesign;
 use m3d_sta::NetModel;
 use m3d_synth::WireLoadModel;
 use m3d_tech::DesignStyle;
@@ -37,8 +36,6 @@ pub(crate) struct Artifacts {
     pub(crate) tau_ps: f64,
     /// Current placement.
     pub(crate) placement: Option<Placement>,
-    /// Current routed design.
-    pub(crate) routed: Option<RoutedDesign>,
     /// Extracted per-net RC models.
     pub(crate) models: Vec<NetModel>,
     /// WNS measured at the end of post-route optimization, ps — the

@@ -403,14 +403,15 @@ impl BuildCell {
     }
 }
 
+/// How long a coalescing waiter sleeps between cancellation checks
+/// while another thread builds the library it wants. The builder's
+/// notify wakes it at once; the slice only bounds how late it sees its
+/// own token fire.
+const BUILD_WAIT_SLICE: std::time::Duration = std::time::Duration::from_millis(15);
+
 /// Default LRU capacities: sized for the full paper reproduction (a
 /// handful of distinct libraries, a few hundred distinct flow points)
 /// with headroom, while still bounding a pathological sweep.
-/// How long a *governed* coalescing waiter sleeps between cancellation
-/// checks while another thread builds the library it wants. Ungoverned
-/// waiters block without slicing.
-const BUILD_WAIT_SLICE: std::time::Duration = std::time::Duration::from_millis(15);
-
 const DEFAULT_LIBRARY_CAPACITY: usize = 32;
 const DEFAULT_RESULT_CAPACITY: usize = 512;
 
@@ -609,28 +610,16 @@ impl ArtifactCache {
                 }
                 BuildState::Building => {
                     waited = true;
-                    // A governed caller (its stage worker installed a
-                    // CancelToken thread-locally) must never hang
-                    // behind a coalesced build: wait in bounded slices
-                    // and unwind with a typed error once cancelled.
-                    // Ungoverned callers keep the plain blocking wait.
-                    match crate::govern::current() {
-                        Some(tok) => {
-                            if tok.is_cancelled() {
-                                return Err(FlowError::Cancelled {
-                                    stage: FlowStage::Library,
-                                });
-                            }
-                            let (s, _) = cell
-                                .ready
-                                .wait_timeout(state, BUILD_WAIT_SLICE)
-                                .expect("build cell lock");
-                            state = s;
-                        }
-                        None => {
-                            state = cell.ready.wait(state).expect("build cell lock");
-                        }
-                    }
+                    // A caller whose stage attempt installed a
+                    // CancelToken must never hang behind a coalesced
+                    // build: wait in bounded slices and unwind with a
+                    // typed error once its token fires.
+                    crate::govern::check(FlowStage::Library)?;
+                    let (s, _) = cell
+                        .ready
+                        .wait_timeout(state, BUILD_WAIT_SLICE)
+                        .expect("build cell lock");
+                    state = s;
                 }
                 BuildState::Idle => {
                     *state = BuildState::Building;

@@ -39,10 +39,9 @@
 //! The cell library is deliberately *not* serialized: it is a pure,
 //! memoized function of the config (see [`crate::ArtifactCache`]), so
 //! resume re-derives it from its content key instead of storing
-//! megabytes of characterization tables. Likewise the routed design is
-//! dropped from snapshots — no stage consumes a predecessor's
-//! `routed` artifact across a stage boundary (sign-off re-routes the
-//! final netlist), so persisting it would be dead weight.
+//! megabytes of characterization tables. The routed design is not an
+//! artifact at all: no stage consumes a predecessor's routing (sign-off
+//! re-routes the final netlist), so each stage drops its own.
 
 use std::fs;
 use std::io::Write as _;
@@ -297,9 +296,7 @@ fn dec_wlm(d: &mut Dec) -> DecResult<WireLoadModel> {
     Ok(WireLoadModel::from_parts(curve, slope))
 }
 
-/// Encodes the durable subset of [`Artifacts`]. The routed design is
-/// dropped by design (module docs): no stage consumes it across a stage
-/// boundary.
+/// Encodes [`Artifacts`].
 fn enc_artifacts(e: &mut Enc, a: &Artifacts) {
     e.opt(&a.netlist, enc_netlist);
     e.opt(&a.wlm, enc_wlm);
@@ -332,7 +329,6 @@ fn dec_artifacts(d: &mut Dec) -> DecResult<Artifacts> {
         wlm,
         tau_ps,
         placement,
-        routed: None,
         models,
         wns_after_opt,
     })
@@ -969,7 +965,6 @@ mod tests {
                 wlm: Some(WireLoadModel::uniform(3.0, 0.5)),
                 tau_ps: 42.0,
                 placement: Some(placement.clone()),
-                routed: None,
                 models: vec![
                     NetModel {
                         c_wire: 1.5,

@@ -217,9 +217,8 @@ pub enum FlowError {
         /// The panic payload, rendered to a string.
         payload: String,
     },
-    /// A stage overran its wall-clock budget and was abandoned by the
-    /// watchdog (the wedged worker thread is detached; its eventual
-    /// result, if any, is discarded).
+    /// A stage overran its wall-clock budget: the attempt stopped at its
+    /// next cooperative check and its partial work was discarded.
     DeadlineExceeded {
         /// Stage that overran.
         stage: FlowStage,

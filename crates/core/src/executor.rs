@@ -42,7 +42,7 @@ use crate::faultinject::FaultPlan;
 use crate::flow::{Flow, FlowConfig, FlowResult};
 use crate::govern::{self, CancelCause, CancelToken, PointOutcome, RunGovernor};
 use crate::observe::EventKind;
-use crate::supervisor::{FlowSupervisor, StageDeadlines, SupervisorPolicy};
+use crate::supervisor::{FlowSupervisor, SupervisorPolicy};
 
 /// One point of the experiment matrix: a full flow run.
 #[derive(Debug, Clone, PartialEq)]
@@ -356,8 +356,8 @@ impl ParallelExecutor {
     /// deadlines, and graceful drain.
     ///
     /// Workers check the governor between points: on cancel or deadline
-    /// they stop popping and the in-flight point unwinds through the
-    /// supervisor's between-stage checks and watchdog; on
+    /// they stop popping and the in-flight point stops at its stage's
+    /// next [`govern::check`]; on
     /// [`RunGovernor::drain`] they finish their in-flight point and
     /// stop. Slots never started get a typed [`PointOutcome`], and a
     /// drain's unstarted remainder is persisted through the checkpoint
@@ -531,11 +531,11 @@ impl ParallelExecutor {
     /// One governed plan point: the exact cache contract of
     /// [`Flow::try_run_with_cache`] (validate → result-cache lookup →
     /// strict supervisor → result-cache store), with the governor's
-    /// token, stage budgets and fault plan threaded into the
-    /// supervisor. Governor interventions map to typed outcomes via the
-    /// point token's cause; everything else is a plain `Failed`.
+    /// point token and fault plan threaded into the supervisor.
+    /// Governor interventions map to typed outcomes via the point
+    /// token's cause; everything else is a plain `Failed`.
     fn run_governed_point(&self, gov: &RunGovernor, p: &PlanPoint) -> PointOutcome {
-        self.run_point_inner(p, &gov.point_token(), gov.stage_deadlines(), gov.faults())
+        self.run_point_inner(p, &gov.point_token(), gov.faults())
     }
 
     /// Runs one plan point under `tok` on this executor's cache —
@@ -547,14 +547,13 @@ impl ParallelExecutor {
     /// deadline on it) to get a typed [`PointOutcome::Cancelled`] /
     /// [`PointOutcome::DeadlineExceeded`] back.
     pub fn run_point(&self, p: &PlanPoint, tok: &CancelToken) -> PointOutcome {
-        self.run_point_inner(p, tok, None, &FaultPlan::new())
+        self.run_point_inner(p, tok, &FaultPlan::new())
     }
 
     fn run_point_inner(
         &self,
         p: &PlanPoint,
         tok: &CancelToken,
-        stage_deadlines: Option<&StageDeadlines>,
         faults: &FaultPlan,
     ) -> PointOutcome {
         if let Err(e) = p.config.validate() {
@@ -563,12 +562,8 @@ impl ParallelExecutor {
         if let Some(hit) = self.cache.lookup_result(p.bench, p.style, &p.config) {
             return PointOutcome::Done(Box::new(hit));
         }
-        let mut policy = SupervisorPolicy::strict();
-        if let Some(d) = stage_deadlines {
-            policy.deadlines = Some(d.clone());
-        }
         let mut sup = FlowSupervisor::new(p.bench, p.style, p.config.clone())
-            .policy(policy)
+            .policy(SupervisorPolicy::strict())
             .with_cache(Arc::clone(&self.cache))
             .with_cancel(tok.clone());
         if !faults.is_empty() {

@@ -17,14 +17,14 @@
 //! * **`Panic`** — the stage body panics; the supervisor's
 //!   `catch_unwind` containment must convert it to
 //!   [`FlowError::StagePanicked`];
-//! * **`Delay`** — the stage sleeps before running; long delays drive
-//!   the watchdog's [`FlowError::DeadlineExceeded`] path (a hang is a
-//!   delay longer than the stage budget);
-//! * **`StuckStage`** — the stage wedges forever but listens for
-//!   cooperative cancellation; the governor's watchdog must win without
-//!   abandoning a thread;
+//! * **`Delay`** — the stage sleeps before running, blind to its
+//!   cancel token: a non-cooperative stall. A delay longer than the
+//!   stage budget is reported as [`FlowError::DeadlineExceeded`] once
+//!   the sleep returns (nothing can stop a stage between checks);
+//! * **`StuckStage`** — the stage wedges forever but parks on its
+//!   cancel token, so a cancel or blown budget stops it at once;
 //! * **`SlowStage`** — the stage stalls for the duration (cancellably),
-//!   then runs normally — a degraded-but-alive worker;
+//!   then runs normally — a degraded-but-alive stage;
 //! * **`CorruptCheckpoint`** — the stage runs normally, then the newest
 //!   durable checkpoint file is bit-flipped, exercising hash-mismatch
 //!   quarantine on the next resume;
@@ -47,8 +47,9 @@ pub enum FaultKind {
     Error,
     /// The stage body panics (contained by the supervisor).
     Panic,
-    /// The stage sleeps for the duration, then runs normally. A delay
-    /// longer than the stage's deadline budget models a hang.
+    /// The stage sleeps for the duration, blind to cancellation, then
+    /// runs normally. A delay longer than the stage's budget fails the
+    /// attempt with a deadline overrun when the sleep returns.
     Delay(Duration),
     /// The stage runs normally; afterwards the newest checkpoint file is
     /// corrupted in place (detected by hash mismatch on resume).
@@ -56,9 +57,8 @@ pub enum FaultKind {
     /// The run stops at the stage entry as if the process died there.
     Kill,
     /// The stage wedges forever, but cooperatively: it parks on the
-    /// installed cancel token and returns a cancelled verdict once the
-    /// watchdog fires. Proves cancellation wins against a stuck worker
-    /// without leaking a thread.
+    /// attempt's cancel token and stops once the run is cancelled or
+    /// the stage budget passes.
     StuckStage,
     /// The stage stalls (cancellably) for the duration, then runs
     /// normally — a slow-but-alive worker that a generous budget
@@ -140,8 +140,9 @@ impl FaultPlan {
     }
 
     /// Delays the stage named `stage` by `delay` on its `invocation`-th
-    /// entry before running it normally. A delay longer than the stage's
-    /// deadline budget models a wedged stage (the watchdog abandons it).
+    /// entry before running it normally. The sleep ignores cancellation;
+    /// when it outlasts the stage's budget the attempt fails with
+    /// [`FlowError::DeadlineExceeded`] as soon as it returns.
     ///
     /// # Panics
     ///
@@ -170,11 +171,10 @@ impl FaultPlan {
     }
 
     /// Wedges the stage named `stage` forever on its `invocation`-th
-    /// entry: the worker parks on the installed cancel token and only
-    /// returns once cancelled. Under a governed run the watchdog's
-    /// cooperative cancel wins cleanly (no abandoned thread); without a
-    /// governor the stage hangs, which is the point — don't use it
-    /// ungoverned.
+    /// entry: the attempt parks on its cancel token and only returns
+    /// once the run is cancelled or the stage budget passes. With
+    /// neither a governor nor a budget the stage hangs, which is the
+    /// point — don't use it that way.
     ///
     /// # Panics
     ///

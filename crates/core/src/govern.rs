@@ -8,18 +8,20 @@
 //! without wedging a worker or tearing the caches. The pieces:
 //!
 //! * [`CancelToken`] — a shared cancellation point (atomic flag +
-//!   condvar wakeup + optional deadline) threaded through the executor's
-//!   worker loops, the supervisor's stage loop and watchdog, and the
-//!   cache's `BuildCell` condvar waits, so a cancelled waiter never
-//!   hangs behind a coalesced build or a wedged stage. Tokens form
-//!   parent/child chains: cancelling a run token cancels every point and
-//!   stage-attempt token derived from it, while a stage watchdog can
-//!   cancel its own attempt without touching the run.
+//!   condvar wakeup + optional deadline). Every deadline in the engine
+//!   lives on one token tree: run token → point token → stage-attempt
+//!   token. Cancelling a token cancels everything derived from it; a
+//!   stage budget armed on an attempt token stops that attempt alone.
+//! * [`check`] — the cooperative stop point. The supervisor installs
+//!   each attempt's token on the calling thread ([`install`]); stage
+//!   bodies call `check` between algorithm calls and the cache's
+//!   `BuildCell` wait polls it, so a cancelled or over-budget attempt
+//!   stops at its next check. No thread is ever detached.
 //! * [`RunGovernor`] — the per-run policy bundle: the run token, a
-//!   whole-run deadline, a per-point deadline, per-stage budgets, and
-//!   the drain switch. [`crate::ParallelExecutor::run_governed`]
-//!   consumes one and returns partial results — completed slots intact,
-//!   pending slots a typed [`PointOutcome`].
+//!   whole-run deadline, a per-point deadline, and the drain switch.
+//!   [`crate::ParallelExecutor::run_governed`] consumes one and returns
+//!   partial results — completed slots intact, pending slots a typed
+//!   [`PointOutcome`].
 //! * [`AdmissionQueue`] — a bounded, priority-ordered intake with
 //!   per-client quota counters and an explicit [`Backpressure`] policy
 //!   (`Reject` returns a typed error, `Block` waits for space).
@@ -49,7 +51,7 @@ use crate::codec::{
     content_hash, dec_benchmark, dec_style, enc_benchmark, enc_style, read_section, write_section,
     Dec, Enc,
 };
-use crate::error::FlowError;
+use crate::error::{FlowError, FlowStage};
 use crate::executor::{ExperimentPlan, PlanPoint};
 use crate::flow::FlowResult;
 use crate::observe::{self, EventKind, Recorder};
@@ -115,8 +117,8 @@ impl CancelToken {
     /// A child token: cancelled whenever this token is, but cancellable
     /// (and deadline-armable) on its own without affecting the parent.
     /// The executor derives one per plan point; the supervisor derives
-    /// one per stage attempt, which is what lets the watchdog abandon a
-    /// single attempt while the run carries on.
+    /// one per stage attempt and arms the stage budget on it, so a blown
+    /// budget stops that attempt while the run carries on.
     pub fn child(&self) -> CancelToken {
         CancelToken {
             inner: Arc::new(TokenInner {
@@ -228,18 +230,31 @@ impl Drop for TokenGuard {
 
 /// Installs `token` as the calling thread's current cancellation point
 /// until the returned guard drops. The supervisor installs each stage
-/// attempt's token on its worker thread, which is how deep waits — the
-/// cache's `BuildCell` coalescing wait in particular — become
-/// cancellable without threading a token through every signature.
+/// attempt's token around the stage body, which is how the stage loops
+/// and deep waits — the cache's `BuildCell` coalescing wait in
+/// particular — see it without threading a token through every
+/// signature.
 pub fn install(token: CancelToken) -> TokenGuard {
     let prev = CURRENT.with(|c| c.borrow_mut().replace(token));
     TokenGuard { prev }
 }
 
-/// The calling thread's installed token, if any. Ungoverned threads see
-/// `None` and pay nothing.
-pub fn current() -> Option<CancelToken> {
-    CURRENT.with(|c| c.borrow().clone())
+/// The cooperative stop point: `Err(Cancelled { stage })` when the
+/// calling thread's installed token is cancelled or past a deadline,
+/// `Ok` otherwise (and always `Ok` with no token installed). Reads the
+/// token in place, without cloning it. The supervisor replaces the
+/// error with the token's typed cause when the attempt returns.
+///
+/// # Errors
+///
+/// [`FlowError::Cancelled`] naming `stage` once the token has fired.
+pub fn check(stage: FlowStage) -> Result<(), FlowError> {
+    let stopped = CURRENT.with(|c| c.borrow().as_ref().is_some_and(CancelToken::is_cancelled));
+    if stopped {
+        Err(FlowError::Cancelled { stage })
+    } else {
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -297,8 +312,10 @@ impl PointOutcome {
 // ---------------------------------------------------------------------
 
 /// The policy bundle one governed run executes under: cancellation,
-/// deadline hierarchy (run > point > stage), drain, and an optional
-/// fault plan for the chaos harness.
+/// run and point deadlines, drain, and an optional fault plan for the
+/// chaos harness. Per-stage budgets stay with the supervisor
+/// ([`crate::SupervisorPolicy::deadlines`]), armed on each attempt's
+/// child of the point token.
 ///
 /// Clones share the live state (the token and the drain switch) and
 /// copy the policy, so a service thread can hold a clone and
@@ -310,7 +327,6 @@ pub struct RunGovernor {
     draining: Arc<AtomicBool>,
     run_deadline: Option<Duration>,
     point_deadline: Option<Duration>,
-    stage_deadlines: Option<crate::supervisor::StageDeadlines>,
     drain_dir: Option<std::path::PathBuf>,
     faults: crate::faultinject::FaultPlan,
 }
@@ -333,13 +349,6 @@ impl RunGovernor {
     /// start), on top of any whole-run budget.
     pub fn with_point_deadline(mut self, deadline: Duration) -> Self {
         self.point_deadline = Some(deadline);
-        self
-    }
-
-    /// Per-stage watchdog budgets for governed points (defaults to the
-    /// supervisor's own defaults otherwise).
-    pub fn with_stage_deadlines(mut self, deadlines: crate::supervisor::StageDeadlines) -> Self {
-        self.stage_deadlines = Some(deadlines);
         self
     }
 
@@ -406,10 +415,6 @@ impl RunGovernor {
             tok.arm_deadline_in(d);
         }
         tok
-    }
-
-    pub(crate) fn stage_deadlines(&self) -> Option<&crate::supervisor::StageDeadlines> {
-        self.stage_deadlines.as_ref()
     }
 
     pub(crate) fn drain_dir(&self) -> Option<&Path> {
@@ -837,12 +842,13 @@ mod tests {
     #[test]
     fn wait_cancelled_for_wakes_on_cancel() {
         let tok = CancelToken::new();
-        let waiter = tok.clone();
         let t0 = Instant::now();
-        let h = std::thread::spawn(move || waiter.wait_cancelled_for(Duration::from_secs(30)));
-        std::thread::sleep(Duration::from_millis(20));
-        tok.cancel();
-        assert!(h.join().expect("no panic"), "waiter saw the cancel");
+        std::thread::scope(|s| {
+            let h = s.spawn(|| tok.wait_cancelled_for(Duration::from_secs(30)));
+            std::thread::sleep(Duration::from_millis(20));
+            tok.cancel();
+            assert!(h.join().expect("no panic"), "waiter saw the cancel");
+        });
         assert!(
             t0.elapsed() < Duration::from_secs(5),
             "woke well before the 30 s bound"
@@ -853,26 +859,26 @@ mod tests {
 
     #[test]
     fn installed_token_is_thread_local_and_restores() {
-        assert!(current().is_none());
-        let tok = CancelToken::new();
+        let stage = FlowStage::Routing;
+        assert!(check(stage).is_ok(), "no token installed: never stops");
+        let outer = CancelToken::new();
+        outer.cancel();
         {
-            let _g = install(tok.clone());
-            assert!(current().is_some());
-            let inner = CancelToken::new();
+            let _g = install(outer.clone());
+            assert_eq!(check(stage), Err(FlowError::Cancelled { stage }));
             {
-                let _g2 = install(inner);
-                // innermost wins
-                assert!(!current().expect("installed").is_cancelled());
+                let _g2 = install(CancelToken::new());
+                assert!(check(stage).is_ok(), "innermost wins");
             }
+            assert!(
+                check(stage).is_err(),
+                "inner guard restored the outer token"
+            );
+            // Other threads never see it.
+            let other = std::thread::scope(|s| s.spawn(|| check(stage)).join());
+            assert_eq!(other.expect("no panic"), Ok(()));
         }
-        assert!(current().is_none(), "guard restored the empty slot");
-        // Other threads never see it.
-        let tok2 = CancelToken::new();
-        let _g = install(tok2);
-        let other = std::thread::spawn(|| current().is_none())
-            .join()
-            .expect("no panic");
-        assert!(other);
+        assert!(check(stage).is_ok(), "guard restored the empty slot");
     }
 
     #[test]
@@ -1046,39 +1052,39 @@ mod tests {
 
     #[test]
     fn block_policy_waits_for_space_and_drain_unblocks() {
-        let q = Arc::new(AdmissionQueue::new(1, Backpressure::Block));
+        let q = AdmissionQueue::new(1, Backpressure::Block);
         q.submit(
             1,
             Priority::Normal,
             point(Benchmark::Des, DesignStyle::TwoD),
         )
         .expect("admits");
-        // A blocked submitter admits as soon as a pop frees space.
-        let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || {
-            q2.submit(
-                2,
-                Priority::Normal,
-                point(Benchmark::Aes, DesignStyle::TwoD),
-            )
+        std::thread::scope(|s| {
+            // A blocked submitter admits as soon as a pop frees space.
+            let h = s.spawn(|| {
+                q.submit(
+                    2,
+                    Priority::Normal,
+                    point(Benchmark::Aes, DesignStyle::TwoD),
+                )
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            let popped = q.pop().expect("pops the first point");
+            assert_eq!(popped.1.bench, Benchmark::Des);
+            assert_eq!(h.join().expect("no panic"), Ok(()));
+            // A blocked submitter unblocks as Draining when the queue drains.
+            let h = s.spawn(|| {
+                q.submit(
+                    3,
+                    Priority::Normal,
+                    point(Benchmark::Fpu, DesignStyle::TwoD),
+                )
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            let remainder = q.drain();
+            assert_eq!(remainder.len(), 1, "the queued point drains out");
+            assert_eq!(h.join().expect("no panic"), Err(AdmissionError::Draining));
         });
-        std::thread::sleep(Duration::from_millis(20));
-        let popped = q.pop().expect("pops the first point");
-        assert_eq!(popped.1.bench, Benchmark::Des);
-        assert_eq!(h.join().expect("no panic"), Ok(()));
-        // A blocked submitter unblocks as Draining when the queue drains.
-        let q3 = Arc::clone(&q);
-        let h = std::thread::spawn(move || {
-            q3.submit(
-                3,
-                Priority::Normal,
-                point(Benchmark::Fpu, DesignStyle::TwoD),
-            )
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        let remainder = q.drain();
-        assert_eq!(remainder.len(), 1, "the queued point drains out");
-        assert_eq!(h.join().expect("no panic"), Err(AdmissionError::Draining));
         assert_eq!(
             q.submit(
                 4,

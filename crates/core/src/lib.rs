@@ -41,8 +41,8 @@
 //! addressed to stages by name — to test that machinery.
 //!
 //! Governance: [`govern`] layers a resource governor over the executor —
-//! a [`CancelToken`] hierarchy threaded through workers, the supervisor
-//! watchdog and cache build waits; run/point deadline budgets returning
+//! a [`CancelToken`] tree threaded through workers, stage attempts and
+//! cache build waits; run/point deadline budgets returning
 //! typed partial results ([`PointOutcome`]); a bounded [`AdmissionQueue`]
 //! with priorities, quotas and a backpressure policy; and
 //! [`RunGovernor::drain`], which finishes in-flight points and persists

@@ -69,7 +69,7 @@ pub enum StageOutcome {
     Failed,
     /// The stage worker panicked and was contained.
     Panicked,
-    /// The stage overran its deadline and was abandoned.
+    /// The stage overran its deadline budget and was stopped.
     TimedOut,
     /// The process "died" at stage entry (kill fault); never paired
     /// with a start — kills model SIGKILL, which leaves no trace.
@@ -122,9 +122,8 @@ pub enum EventKind {
     },
     /// The span's terminal event: same identity fields as the start,
     /// plus how it ended and both durations — `wall_s` as the
-    /// supervisor saw it (includes watchdog/channel overhead),
-    /// `busy_s` as measured inside the worker thread around the stage
-    /// body.
+    /// supervisor saw it (includes any injected stall), `busy_s` as
+    /// measured around the stage body alone.
     StageFinished {
         bench: Benchmark,
         style: DesignStyle,
@@ -227,15 +226,6 @@ pub enum EventKind {
     /// The drain completed; `pending` unstarted points form the
     /// persisted remainder.
     DrainFinished { pending: u64 },
-    /// A stage worker ignored its cancellation for the whole abandon
-    /// grace period and was detached — the one case where leaked work
-    /// is possible, and it is always traced.
-    StageAbandoned {
-        bench: Benchmark,
-        style: DesignStyle,
-        stage: FlowStage,
-        budget_ms: u64,
-    },
 }
 
 impl EventKind {
@@ -265,7 +255,6 @@ impl EventKind {
             EventKind::QuotaExhausted { .. } => "quota_exhausted",
             EventKind::DrainStarted => "drain_started",
             EventKind::DrainFinished { .. } => "drain_finished",
-            EventKind::StageAbandoned { .. } => "stage_abandoned",
         }
     }
 }
@@ -344,9 +333,8 @@ impl Stamps {
 }
 
 /// A process-stable small integer per OS thread (the main thread is
-/// whichever asked first). Thread *names* are not stamped: the
-/// supervisor's worker names embed flow keys, which would bloat every
-/// event line for information the span fields already carry.
+/// whichever asked first). Thread *names* are not stamped: they would
+/// bloat every event line, and the ordinal already tells threads apart.
 fn thread_ordinal() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     thread_local! {
@@ -715,17 +703,6 @@ pub fn write_event_json(buf: &mut String, ev: &Event) {
         EventKind::DrainFinished { pending } => {
             let _ = write!(buf, ",\"pending\":{pending}");
         }
-        EventKind::StageAbandoned {
-            bench,
-            style,
-            stage,
-            budget_ms,
-        } => {
-            kv_str(buf, "bench", bench.name());
-            kv_str(buf, "style", style.label());
-            kv_str(buf, "stage", stage.key());
-            let _ = write!(buf, ",\"budget_ms\":{budget_ms}");
-        }
     }
     buf.push('}');
 }
@@ -893,7 +870,6 @@ impl MetricsRegistry {
             EventKind::QuotaExhausted { .. } => "quota_exhausted",
             EventKind::DrainStarted => "drain_started",
             EventKind::DrainFinished { .. } => "drain_finished",
-            EventKind::StageAbandoned { .. } => "stage_abandoned",
         }
     }
 
@@ -1065,7 +1041,7 @@ pub struct TraceSummary {
 }
 
 /// Every event name the engine emits, for schema validation.
-const KNOWN_KINDS: [&str; 23] = [
+const KNOWN_KINDS: [&str; 22] = [
     "stage_started",
     "stage_finished",
     "retry_scheduled",
@@ -1088,7 +1064,6 @@ const KNOWN_KINDS: [&str; 23] = [
     "quota_exhausted",
     "drain_started",
     "drain_finished",
-    "stage_abandoned",
 ];
 
 /// Extracts the raw text of `"field":<value>` from a recorder-shaped
@@ -1338,12 +1313,6 @@ pub fn validate_jsonl(trace: &str) -> Result<TraceSummary, TraceError> {
             "drain_finished" => {
                 u64_field(line, "pending", lineno)?;
             }
-            "stage_abandoned" => {
-                string_field(line, "bench", lineno)?;
-                string_field(line, "style", lineno)?;
-                string_field(line, "stage", lineno)?;
-                u64_field(line, "budget_ms", lineno)?;
-            }
             _ => unreachable!("kind checked against KNOWN_KINDS"),
         }
     }
@@ -1492,19 +1461,13 @@ mod tests {
         rec.record(EventKind::QuotaExhausted { client: 7 });
         rec.record(EventKind::DrainStarted);
         rec.record(EventKind::DrainFinished { pending: 3 });
-        rec.record(EventKind::StageAbandoned {
-            bench: Benchmark::Des,
-            style: DesignStyle::TwoD,
-            stage: FlowStage::Routing,
-            budget_ms: 40,
-        });
         let mut trace = String::new();
         for ev in rec.events() {
             write_event_json(&mut trace, &ev);
             trace.push('\n');
         }
         let summary = validate_jsonl(&trace).expect("trace validates");
-        assert_eq!(summary.events, 23);
+        assert_eq!(summary.events, 22);
         assert_eq!(summary.stage_spans, 2);
         assert_eq!(summary.cache_misses, 1);
         assert_eq!(summary.checkpoints_written, 1);
@@ -1770,9 +1733,8 @@ mod tests {
     fn thread_ordinals_are_stable_and_distinct() {
         let here = super::thread_ordinal();
         assert_eq!(here, super::thread_ordinal(), "stable within a thread");
-        let other = std::thread::spawn(super::thread_ordinal)
-            .join()
-            .expect("no panic");
+        let other =
+            std::thread::scope(|s| s.spawn(super::thread_ordinal).join()).expect("no panic");
         assert_ne!(here, other, "distinct across threads");
     }
 }

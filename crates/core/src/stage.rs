@@ -23,6 +23,7 @@ use crate::flow::{
     apply_moves, default_clock_scale_at, estimate_models, try_extraction_models, FlowEnv,
     FlowResult,
 };
+use crate::govern::check;
 
 /// One step of the sign-off pipeline, operating on the shared
 /// [`FlowContext`].
@@ -176,6 +177,7 @@ impl Stage for SynthesisStage {
                 .try_place(&raw2d)?;
             WireLoadModel::from_placement(&raw2d, &prelim)
         };
+        check(FlowStage::Synthesis)?;
         let netlist = try_synthesize(raw, &env.lib, &wlm, &SynthConfig::new(env.clock_ps))?;
 
         // Per-stage delay target for load-based sizing: a share of the
@@ -193,7 +195,6 @@ impl Stage for SynthesisStage {
         art.wlm = Some(wlm);
         art.tau_ps = tau_ps;
         art.placement = None;
-        art.routed = None;
         art.models = Vec::new();
         art.wns_after_opt = 0.0;
         Ok(())
@@ -234,6 +235,7 @@ impl Stage for PlacementStage {
             .iterations(cfg.place_iterations)
             .try_place(netlist)?;
         for _ in 0..3 {
+            check(FlowStage::Placement)?;
             let est = estimate_models(netlist, &placement, &env.node, &env.stack);
             let report = try_analyze(netlist, &env.lib, &est, &timing)?;
             if report.met() {
@@ -279,6 +281,7 @@ impl Stage for PreRouteOptStage {
             .ok_or(FlowError::missing("placement", FlowStage::PreRouteOpt))?;
         let mut last_wns = f64::NEG_INFINITY;
         for pass in 0..env.opt_passes {
+            check(FlowStage::PreRouteOpt)?;
             let est = estimate_models(netlist, &placement, &env.node, &env.stack);
             let report = try_analyze(netlist, &env.lib, &est, &timing)?;
             if report.met() {
@@ -295,6 +298,7 @@ impl Stage for PreRouteOptStage {
             }
             let saved = (netlist.clone(), placement.clone());
             apply_moves(netlist, &mut placement, &env.lib, &moves);
+            check(FlowStage::PreRouteOpt)?;
             let est2 = estimate_models(netlist, &placement, &env.node, &env.stack);
             let report2 = try_analyze(netlist, &env.lib, &est2, &timing)?;
             if report2.wns < report.wns {
@@ -341,8 +345,10 @@ impl Stage for RoutingStage {
             .take()
             .ok_or(FlowError::missing("placement", FlowStage::Routing))?;
         let mut routed = router.try_route(netlist, &placement, &env.lib)?;
+        check(FlowStage::Routing)?;
         let mut models = try_extraction_models(netlist, &routed, &env.node)?;
         for _ in 0..2 {
+            check(FlowStage::Routing)?;
             let report = try_analyze(netlist, &env.lib, &models, &timing)?;
             if report.met() {
                 break;
@@ -353,10 +359,11 @@ impl Stage for RoutingStage {
             }
             apply_moves(netlist, &mut placement, &env.lib, &moves);
         }
+        check(FlowStage::Routing)?;
         routed = router.try_route(netlist, &placement, &env.lib)?;
+        check(FlowStage::Routing)?;
         models = try_extraction_models(netlist, &routed, &env.node)?;
         art.placement = Some(placement);
-        art.routed = Some(routed);
         art.models = models;
         Ok(())
     }
@@ -397,6 +404,7 @@ impl Stage for PostRouteOptStage {
             .take()
             .ok_or(FlowError::missing("placement", FlowStage::PostRouteOpt))?;
         for _ in 0..env.opt_passes {
+            check(FlowStage::PostRouteOpt)?;
             let report = try_analyze(netlist, &env.lib, &art.models, &timing)?;
             if report.met() {
                 break;
@@ -408,8 +416,11 @@ impl Stage for PostRouteOptStage {
             }
             let saved = (netlist.clone(), placement.clone());
             apply_moves(netlist, &mut placement, &env.lib, &moves);
+            check(FlowStage::PostRouteOpt)?;
             let new_routed = router.try_route(netlist, &placement, &env.lib)?;
+            check(FlowStage::PostRouteOpt)?;
             let new_models = try_extraction_models(netlist, &new_routed, &env.node)?;
+            check(FlowStage::PostRouteOpt)?;
             let report2 = try_analyze(netlist, &env.lib, &new_models, &timing)?;
             if report2.wns < report.wns {
                 *netlist = saved.0;
@@ -422,6 +433,7 @@ impl Stage for PostRouteOptStage {
 
         let recovery_batch = 500.max(netlist.instance_count() / 6);
         for _ in 0..20 {
+            check(FlowStage::PostRouteOpt)?;
             let report = try_analyze(netlist, &env.lib, &art.models, &timing)?;
             if !report.met() {
                 break;
@@ -433,12 +445,14 @@ impl Stage for PostRouteOptStage {
             }
             let saved = netlist.clone();
             apply_moves(netlist, &mut placement, &env.lib, &moves);
-            let check = try_analyze(netlist, &env.lib, &art.models, &timing)?;
-            if !check.met() {
+            check(FlowStage::PostRouteOpt)?;
+            let verified = try_analyze(netlist, &env.lib, &art.models, &timing)?;
+            if !verified.met() {
                 *netlist = saved;
                 break;
             }
         }
+        check(FlowStage::PostRouteOpt)?;
         art.wns_after_opt = try_analyze(netlist, &env.lib, &art.models, &timing)?.wns;
         art.placement = Some(placement);
         Ok(())
@@ -485,8 +499,11 @@ impl Stage for SignOffStage {
             .as_ref()
             .ok_or(FlowError::missing("placement", FlowStage::SignOff))?;
         let routed = router.try_route(netlist, placement, &env.lib)?;
+        check(FlowStage::SignOff)?;
         let models = try_extraction_models(netlist, &routed, &env.node)?;
+        check(FlowStage::SignOff)?;
         let report = try_analyze(netlist, &env.lib, &models, &timing)?;
+        check(FlowStage::SignOff)?;
         let power = try_analyze_power(
             netlist,
             &env.lib,
@@ -514,7 +531,6 @@ impl Stage for SignOffStage {
             layer_usage: LayerUsage::of(&routed),
             wlm_curve: wlm.curve().to_vec(),
         };
-        art.routed = Some(routed);
         art.models = models;
         *result = Some(res);
         Ok(())
@@ -522,13 +538,9 @@ impl Stage for SignOffStage {
 }
 
 /// The paper's pipeline as an ordered, name-addressable stage graph.
-///
-/// Stages are held behind [`std::sync::Arc`] so the supervisor's
-/// containment machinery can move a stage onto a watchdogged worker
-/// thread ([`crate::FlowSupervisor`]) while the graph keeps its handle.
 #[derive(Debug)]
 pub struct StageGraph {
-    stages: Vec<std::sync::Arc<dyn Stage>>,
+    stages: Vec<Box<dyn Stage>>,
 }
 
 impl StageGraph {
@@ -536,13 +548,13 @@ impl StageGraph {
     pub fn paper_pipeline() -> Self {
         StageGraph {
             stages: vec![
-                std::sync::Arc::new(LibraryStage),
-                std::sync::Arc::new(SynthesisStage),
-                std::sync::Arc::new(PlacementStage),
-                std::sync::Arc::new(PreRouteOptStage),
-                std::sync::Arc::new(RoutingStage),
-                std::sync::Arc::new(PostRouteOptStage),
-                std::sync::Arc::new(SignOffStage),
+                Box::new(LibraryStage),
+                Box::new(SynthesisStage),
+                Box::new(PlacementStage),
+                Box::new(PreRouteOptStage),
+                Box::new(RoutingStage),
+                Box::new(PostRouteOptStage),
+                Box::new(SignOffStage),
             ],
         }
     }
@@ -559,22 +571,6 @@ impl StageGraph {
             .iter()
             .map(|s| &**s)
             .find(|s| s.id() == id)
-            .unwrap_or_else(|| panic!("stage graph is missing stage '{}'", id.key()))
-    }
-
-    /// An owning handle to the stage implementing a pipeline position —
-    /// what the supervisor moves onto a worker thread for contained,
-    /// deadline-watched execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the graph is missing the stage, like
-    /// [`StageGraph::stage`].
-    pub fn stage_arc(&self, id: FlowStage) -> std::sync::Arc<dyn Stage> {
-        self.stages
-            .iter()
-            .find(|s| s.id() == id)
-            .cloned()
             .unwrap_or_else(|| panic!("stage graph is missing stage '{}'", id.key()))
     }
 

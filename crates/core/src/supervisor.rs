@@ -5,15 +5,18 @@
 //!
 //! The supervisor drives the [`crate::StageGraph`] — the same stages
 //! `Flow::try_run` executes — but wraps each stage attempt in a
-//! containment envelope:
+//! containment envelope, on the calling thread:
 //!
-//! * the stage body runs on a named worker thread under
-//!   `catch_unwind`, so a panic becomes [`FlowError::StagePanicked`]
-//!   and feeds the ordinary retry/degradation ladder instead of
-//!   unwinding the driver;
-//! * a watchdog bounds each attempt's wall clock
-//!   ([`StageDeadlines`]); an overrun abandons the worker and reports
-//!   [`FlowError::DeadlineExceeded`], restoring the pre-attempt state;
+//! * the stage body runs under `catch_unwind`, so a panic becomes
+//!   [`FlowError::StagePanicked`] and feeds the ordinary
+//!   retry/degradation ladder instead of unwinding the driver;
+//! * each attempt gets its own [`CancelToken`] — a child of the run
+//!   token, with the stage's [`StageDeadlines`] budget armed on it —
+//!   installed for [`govern::check`]. The stage loops check it between
+//!   algorithm calls, so a blown budget stops the attempt at its next
+//!   check and reports [`FlowError::DeadlineExceeded`]; a cancelled
+//!   run reports [`FlowError::Cancelled`]. Either way the pre-attempt
+//!   state is restored and no work is left running behind the report;
 //! * with [`FlowSupervisor::with_checkpoints`], every completed stage
 //!   writes a durable snapshot ([`crate::checkpoint`]) so a killed
 //!   process resumes at the first incomplete stage via
@@ -36,11 +39,10 @@
 //! `ClosedDegraded` with the relaxations that were needed, or `Failed`
 //! naming the stage and its typed error.
 
+use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, OnceLock};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use m3d_netlist::{Benchmark, Netlist};
@@ -51,13 +53,13 @@ use crate::artifacts::{Artifacts, FlowContext};
 use crate::cache::ArtifactCache;
 use crate::checkpoint::{CheckpointStore, Cursor, EnvKnobs, PersistedState};
 use crate::error::{FlowError, FlowStage};
-use crate::faultinject::{FaultInjector, FaultKind, FaultPlan};
+use crate::faultinject::{FaultInjector, FaultKind, FaultPlan, InjectedFault};
 use crate::flow::{FlowConfig, FlowResult};
 use crate::govern::{self, CancelToken};
 use crate::observe::{EventKind, Recorder, StageOutcome};
 use crate::stage::{Stage, StageGraph};
 
-/// Per-stage wall-clock budgets for the watchdog.
+/// Per-stage wall-clock budgets, armed on each attempt's token.
 ///
 /// The defaults are derived from the flow benchmark (`BENCH_flow.json`):
 /// a cold paper-pipeline run measures ~0.2 s at reduced scale in a
@@ -65,7 +67,7 @@ use crate::stage::{Stage, StageGraph};
 /// Paper-scale designs and debug builds cost two to three orders of
 /// magnitude more, so each stage gets minutes, proportioned by its
 /// measured share — generous enough that only a genuinely wedged stage
-/// trips the watchdog.
+/// blows its budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageDeadlines {
     budget_ms: [u64; FlowStage::ALL.len()],
@@ -124,8 +126,8 @@ pub struct SupervisorPolicy {
     /// `wns_ps >= -wns_tolerance_frac * clock_ps`. `f64::INFINITY`
     /// disables the gate entirely.
     pub wns_tolerance_frac: f64,
-    /// Per-stage wall-clock budgets; `None` disables the watchdog (the
-    /// supervisor waits on each stage forever).
+    /// Per-stage wall-clock budgets; `None` arms none (a stage then
+    /// stops only when the run token fires).
     pub deadlines: Option<StageDeadlines>,
 }
 
@@ -303,35 +305,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Prefix of the worker threads stage attempts run on; the process-wide
-/// panic hook stays silent for them (their unwinds are contained and
-/// reported as [`FlowError::StagePanicked`], so the default
-/// stderr backtrace would only be noise).
-const WORKER_PREFIX: &str = "m3d-stage-";
-
-/// The watchdog waits for the worker in slices this long, so it can
-/// observe run-level cancellation while a stage is in flight. Bounds
-/// the reaction latency of both cancel and deadline to one slice.
-const WATCHDOG_SLICE: Duration = Duration::from_millis(15);
-
-/// After cancelling an attempt's token, how long the watchdog waits for
-/// the worker to comply before detaching it (and tracing the leak as a
-/// `stage_abandoned` event). Part of the bounded-termination guarantee:
-/// a governed run returns within its deadline plus one watchdog slice
-/// plus this grace, per in-flight stage.
-const ABANDON_GRACE: Duration = Duration::from_millis(100);
-
-/// How a planted fault manifests inside the stage worker thread.
-#[derive(Debug)]
-enum WorkerFault {
-    /// Plain (non-cancellable) sleep before the stage body.
-    Delay(Duration),
-    /// Panic before the stage body.
-    Panic(String),
-    /// Park on the attempt token until cancelled ([`FaultKind::StuckStage`]).
-    Stuck,
-    /// Cancellable stall, then the normal body ([`FaultKind::SlowStage`]).
-    Slow(Duration),
+thread_local! {
+    /// Set while a stage attempt runs under `catch_unwind` on this
+    /// thread: its unwinds are contained and reported as
+    /// [`FlowError::StagePanicked`], so the process-wide panic hook
+    /// stays silent for them (the default stderr backtrace would only
+    /// be noise).
+    static CONTAINED: Cell<bool> = const { Cell::new(false) };
 }
 
 fn silence_contained_panics() {
@@ -339,10 +319,7 @@ fn silence_contained_panics() {
     INSTALLED.get_or_init(|| {
         let previous = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
-            let contained = thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with(WORKER_PREFIX));
-            if !contained {
+            if !CONTAINED.get() {
                 previous(info);
             }
         }));
@@ -422,10 +399,10 @@ impl FlowSupervisor {
     }
 
     /// Threads a cancellation point through the run: the stage loop
-    /// checks it between stages, the watchdog folds it into its wait,
-    /// and each stage attempt installs a child of it thread-locally so
-    /// deep waits (the cache's coalescing wait included) unwind with
-    /// [`FlowError::Cancelled`] instead of hanging.
+    /// checks it between stages, and each stage attempt installs a
+    /// child of it thread-locally, so the stage loops and deep waits
+    /// (the cache's coalescing wait included) stop with
+    /// [`FlowError::Cancelled`] at their next [`govern::check`].
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -875,15 +852,16 @@ impl Engine {
         Cursor::Place
     }
 
-    /// Runs one stage under the retry budget, each attempt contained on
-    /// a watchdogged worker thread. The artifact store is checkpointed
-    /// before the first attempt; every failed attempt — typed error,
-    /// panic, or deadline overrun — is recorded and the checkpoint
-    /// restored, so a retry re-enters the stage from the last good
-    /// state. A planted `Kill` fault stops the run dead with
+    /// Runs one stage under the retry budget, each attempt contained by
+    /// [`Engine::attempt`]. The environment and artifact store are
+    /// checkpointed before the first attempt; every failed attempt —
+    /// typed error, panic, deadline overrun or cancel — is recorded and
+    /// the checkpoint restored, so a retry re-enters the stage from the
+    /// last good state. A planted `Kill` fault stops the run dead with
     /// [`FlowError::Interrupted`]: no record, no snapshot.
     fn run_stage(&mut self, id: FlowStage, cx: &mut FlowContext) -> Result<(), FlowError> {
-        let stage = self.graph.stage_arc(id);
+        let stage = self.graph.stage(id);
+        let env_checkpoint = cx.env.clone();
         let checkpoint = cx.art.clone();
         let max_attempts = self.policy.max_stage_attempts.max(1);
         let mut attempt = 0;
@@ -914,16 +892,7 @@ impl Engine {
             let wall_t0 = Instant::now();
             let (outcome, busy_s) = match &fault {
                 Some(f) if f.kind == FaultKind::Error => (Err(f.error()), 0.0),
-                _ => {
-                    let wfault = fault.as_ref().and_then(|f| match &f.kind {
-                        FaultKind::Delay(d) => Some(WorkerFault::Delay(*d)),
-                        FaultKind::Panic => Some(WorkerFault::Panic(f.detail.clone())),
-                        FaultKind::StuckStage => Some(WorkerFault::Stuck),
-                        FaultKind::SlowStage(d) => Some(WorkerFault::Slow(*d)),
-                        _ => None,
-                    });
-                    self.run_contained(Arc::clone(&stage), cx, &checkpoint, wfault)
-                }
+                _ => self.attempt(stage, cx, fault.as_ref()),
             };
             let wall_s = wall_t0.elapsed().as_secs_f64();
             self.emit(|| EventKind::StageFinished {
@@ -956,7 +925,11 @@ impl Engine {
                         attempt,
                         error: Some(e.clone()),
                     });
+                    // A failed attempt — a panic included — may leave
+                    // the context half-written: rebuild it.
+                    cx.env = env_checkpoint.clone();
                     cx.art = checkpoint.clone();
+                    cx.result = None;
                     // A cancelled attempt is never retried: the
                     // governor asked the run to stop, so unwind now.
                     if matches!(e, FlowError::Cancelled { .. }) || attempt >= max_attempts {
@@ -973,212 +946,84 @@ impl Engine {
         }
     }
 
-    /// One contained stage attempt: the context moves onto a named
-    /// worker thread, the stage body runs under `catch_unwind`, and the
-    /// supervisor waits at most the stage's deadline budget for the
-    /// context to come back — in cancellable slices, so a governor's
-    /// cancel is honored mid-stage, not just at stage boundaries.
+    /// One contained stage attempt, inline on the calling thread.
     ///
-    /// Every attempt gets its own [`CancelToken`] (a child of the run
-    /// token when one exists), installed thread-locally on the worker
-    /// so deep waits — the cache's coalescing wait included — unwind
-    /// instead of hanging. On overrun or cancel the watchdog cancels
-    /// the attempt token and gives the worker one grace period to
-    /// comply: a cooperative worker joins cleanly (no leak, no event);
-    /// one that ignores its token is detached *visibly*, with a
-    /// `stage_abandoned` event — leaked work is always traced.
+    /// The attempt gets its own [`CancelToken`]: a child of the run
+    /// token (a fresh root when ungoverned) with the stage's budget
+    /// armed on it, installed for [`govern::check`]. The stage loops
+    /// check it between algorithm calls, so a cancel or a blown budget
+    /// stops the attempt at its next check, and the body runs under
+    /// `catch_unwind`, so a panic becomes [`FlowError::StagePanicked`].
+    /// An attempt that ends with its token fired fails with the token's
+    /// cause, whatever the body returned: [`FlowError::Cancelled`] when
+    /// the run (or point) token fired, [`FlowError::DeadlineExceeded`]
+    /// when the stage budget did. The caller restores the pre-attempt
+    /// state after every failure.
     ///
-    /// On a panic the context died with the worker's unwind; after any
-    /// failure the context is rebuilt from the pre-attempt environment
-    /// and artifact checkpoint, so the caller's retry semantics are
-    /// identical across all failure modes.
+    /// Planted faults act before the body: `Panic` panics, `Delay`
+    /// sleeps blind to the token (so an overrun is typed only once the
+    /// sleep returns), `StuckStage` parks on the token until it fires,
+    /// and `SlowStage` parks on it for at most its duration.
     ///
     /// The second return value is the attempt's *busy* time: seconds
-    /// measured inside the worker around the stage body. The caller
-    /// times the wall clock around this whole call; the difference is
-    /// spawn/channel/watchdog overhead (plus any injected delay).
-    /// Attempts that never report back — panics, overruns, cancels —
-    /// yield 0.
-    fn run_contained(
-        &mut self,
-        stage: Arc<dyn Stage>,
+    /// spent in the stage body (0 when the body never ran or panicked).
+    /// The caller times the wall clock around the whole call; the
+    /// difference is the injected stall plus containment overhead.
+    fn attempt(
+        &self,
+        stage: &dyn Stage,
         cx: &mut FlowContext,
-        checkpoint: &Artifacts,
-        fault: Option<WorkerFault>,
+        fault: Option<&InjectedFault>,
     ) -> (Result<(), FlowError>, f64) {
         let id = stage.id();
-        let env_snapshot = cx.env.clone();
-        let rebuild = |cx: &mut FlowContext| {
-            cx.env = env_snapshot.clone();
-            cx.art = checkpoint.clone();
-            cx.result = None;
-        };
+        let token = self
+            .cancel
+            .as_ref()
+            .map_or_else(CancelToken::new, CancelToken::child);
         let budget_ms = self.policy.deadlines.as_ref().map(|d| d.budget_ms(id));
-        // An attempt that is over before it starts — run token already
-        // cancelled, or a zero stage budget — never spawns a worker:
-        // server requests with an expired deadline must reject
-        // instantly, not after a watchdog slice (or a full stage body).
-        {
-            let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-            if cancelled || budget_ms == Some(0) {
-                let error = if cancelled {
-                    FlowError::Cancelled { stage: id }
-                } else {
-                    FlowError::DeadlineExceeded {
-                        stage: id,
-                        budget_ms: 0,
-                    }
-                };
-                return (Err(error), 0.0);
-            }
+        if let Some(b) = budget_ms {
+            token.arm_deadline_in(Duration::from_millis(b));
         }
-        // Move the context into the worker; leave a hollow shell (same
-        // run identity, no artifacts) to be overwritten on return.
-        let shell = FlowContext::new(cx.bench, cx.style, cx.config.clone(), Arc::clone(&cx.cache));
-        let owned = std::mem::replace(cx, shell);
-        let (bench, style) = (cx.bench, cx.style);
-        let (tx, rx) = mpsc::channel();
-        // The attempt's own cancellation point: the watchdog cancels it
-        // (not the run token) on overrun, so one abandoned attempt
-        // never takes the rest of the run with it.
-        let attempt_tok = match &self.cancel {
-            Some(run_tok) => run_tok.child(),
-            None => CancelToken::new(),
-        };
-        let worker_tok = attempt_tok.clone();
-        let builder = thread::Builder::new().name(format!("{WORKER_PREFIX}{}", id.key()));
-        let handle = builder
-            .spawn(move || {
-                let _guard = govern::install(worker_tok.clone());
-                let verdict = panic::catch_unwind(AssertUnwindSafe(move || {
-                    let mut cx = owned;
-                    match fault {
-                        Some(WorkerFault::Panic(message)) => panic!("{message}"),
-                        // A non-cooperative wedge: plain sleep, blind
-                        // to cancellation — exercises the watchdog's
-                        // abandon path.
-                        Some(WorkerFault::Delay(d)) => thread::sleep(d),
-                        // A cooperative wedge: parks on the attempt
-                        // token until cancelled, then unwinds cleanly —
-                        // proves cancellation wins without a leak.
-                        Some(WorkerFault::Stuck) => {
-                            worker_tok.wait_cancelled();
-                            return (cx, Err(FlowError::Cancelled { stage: id }), 0.0);
-                        }
-                        // A slow stage: cancellable stall (the guard
-                        // blocks for up to `d`), then the normal body.
-                        Some(WorkerFault::Slow(d)) if worker_tok.wait_cancelled_for(d) => {
-                            return (cx, Err(FlowError::Cancelled { stage: id }), 0.0);
-                        }
-                        Some(WorkerFault::Slow(_)) | None => {}
+        let mut busy_s = 0.0;
+        let _installed = govern::install(token.clone());
+        let outer = CONTAINED.replace(true);
+        let verdict = panic::catch_unwind(AssertUnwindSafe(|| {
+            if let Some(f) = fault {
+                match &f.kind {
+                    FaultKind::Panic => panic!("{}", f.detail),
+                    FaultKind::Delay(d) => std::thread::sleep(*d),
+                    FaultKind::StuckStage => token.wait_cancelled(),
+                    FaultKind::SlowStage(d) => {
+                        token.wait_cancelled_for(*d);
                     }
-                    let busy_t0 = Instant::now();
-                    let outcome = stage.run(&mut cx);
-                    (cx, outcome, busy_t0.elapsed().as_secs_f64())
-                }));
-                // The receiver may have given up (deadline overrun); a
-                // failed send just drops the late result.
-                let _ = tx.send(verdict);
-            })
-            .expect("spawning a stage worker thread");
-        let governed = self.cancel.is_some();
-        let received = if budget_ms.is_none() && !governed {
-            // Ungoverned and unbounded: one blocking wait, the
-            // pre-governor fast path.
-            match rx.recv() {
-                Ok(v) => v,
-                Err(_) => {
-                    let _ = handle.join();
-                    rebuild(cx);
-                    return (
-                        Err(FlowError::StagePanicked {
-                            stage: id,
-                            payload: "stage worker vanished without a result".to_string(),
-                        }),
-                        0.0,
-                    );
+                    _ => {}
                 }
             }
-        } else {
+            // A token that already fired — a cancelled run, a zero
+            // budget, or a stall that outlived either — runs no body.
+            govern::check(id)?;
             let t0 = Instant::now();
-            loop {
-                // Check before waiting (including before the first
-                // slice): a cancel or deadline that is already due
-                // aborts the attempt now, not one 15 ms slice later.
-                let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-                let blown = budget_ms.is_some_and(|b| t0.elapsed() >= Duration::from_millis(b));
-                if cancelled || blown {
-                    // Ask the attempt to stop, and give it one grace
-                    // period to comply.
-                    attempt_tok.cancel();
-                    let responded = !matches!(
-                        rx.recv_timeout(ABANDON_GRACE),
-                        Err(RecvTimeoutError::Timeout)
-                    );
-                    if responded {
-                        // Cooperative exit: clean join, no leak. The
-                        // late verdict is discarded — the attempt
-                        // failed either way and the state is rebuilt
-                        // below.
-                        let _ = handle.join();
-                    } else {
-                        // The worker ignored its token: detach it,
-                        // visibly.
-                        let abandoned_ms =
-                            budget_ms.unwrap_or_else(|| t0.elapsed().as_millis() as u64);
-                        self.emit(|| EventKind::StageAbandoned {
-                            bench,
-                            style,
-                            stage: id,
-                            budget_ms: abandoned_ms,
-                        });
-                        drop(handle);
-                    }
-                    rebuild(cx);
-                    let error = if cancelled {
-                        FlowError::Cancelled { stage: id }
-                    } else {
-                        FlowError::DeadlineExceeded {
-                            stage: id,
-                            budget_ms: budget_ms.expect("blown implies a budget"),
-                        }
-                    };
-                    return (Err(error), 0.0);
-                }
-                match rx.recv_timeout(WATCHDOG_SLICE) {
-                    Ok(v) => break v,
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        let _ = handle.join();
-                        rebuild(cx);
-                        return (
-                            Err(FlowError::StagePanicked {
-                                stage: id,
-                                payload: "stage worker vanished without a result".to_string(),
-                            }),
-                            0.0,
-                        );
-                    }
-                }
-            }
+            let outcome = stage.run(cx);
+            busy_s = t0.elapsed().as_secs_f64();
+            outcome
+        }));
+        CONTAINED.set(outer);
+        let run_stopped = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+        let outcome = match verdict {
+            Err(payload) => Err(FlowError::StagePanicked {
+                stage: id,
+                payload: panic_message(payload.as_ref()),
+            }),
+            Ok(outcome) if !token.is_cancelled() => outcome,
+            Ok(_) => match budget_ms {
+                Some(budget_ms) if !run_stopped => Err(FlowError::DeadlineExceeded {
+                    stage: id,
+                    budget_ms,
+                }),
+                _ => Err(FlowError::Cancelled { stage: id }),
+            },
         };
-        let _ = handle.join();
-        match received {
-            Ok((returned, outcome, busy_s)) => {
-                *cx = returned;
-                (outcome, busy_s)
-            }
-            Err(payload) => {
-                rebuild(cx);
-                (
-                    Err(FlowError::StagePanicked {
-                        stage: id,
-                        payload: panic_message(payload.as_ref()),
-                    }),
-                    0.0,
-                )
-            }
-        }
+        (outcome, busy_s)
     }
 
     /// Writes one durable snapshot of the current supervisor state, when
@@ -1192,13 +1037,6 @@ impl Engine {
             return;
         };
         self.seq += 1;
-        // The routed design is never consumed across a stage boundary
-        // (sign-off re-routes), so snapshots drop it.
-        fn durable(a: &Artifacts) -> Artifacts {
-            let mut a = a.clone();
-            a.routed = None;
-            a
-        }
         let state = PersistedState {
             seq: self.seq,
             bench: cx.bench,
@@ -1215,9 +1053,9 @@ impl Engine {
             }),
             relaxations: self.relaxations.clone(),
             records: self.records.clone(),
-            art: durable(&cx.art),
+            art: cx.art.clone(),
             round1_best: self.round1_best.clone(),
-            routing_ckpt: self.routing_ckpt.as_ref().map(durable),
+            routing_ckpt: self.routing_ckpt.clone(),
         };
         match store.save(&state) {
             Ok((_, bytes)) => {

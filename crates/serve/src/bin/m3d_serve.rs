@@ -116,14 +116,16 @@ fn main() {
 
     // Sinks attach to the global cache before the first request, same
     // order as paper_tables: recorder first so the disk tier's events
-    // land in the trace too.
-    if let Some(p) = &trace_path {
+    // land in the trace too. The global cache is never dropped, so the
+    // buffered trace is flushed explicitly once the server has drained.
+    let trace = trace_path.as_ref().map(|p| {
         let rec = JsonlRecorder::create(Path::new(p))
             .unwrap_or_else(|e| usage_exit(&format!("cannot create trace file '{p}': {e}")));
-        let rec: Arc<dyn Recorder> = Arc::new(rec);
-        ArtifactCache::global().set_recorder(Arc::clone(&rec));
-        cfg.recorder = Some(rec);
-    }
+        let rec = Arc::new(rec);
+        ArtifactCache::global().set_recorder(Arc::clone(&rec) as Arc<dyn Recorder>);
+        cfg.recorder = Some(Arc::clone(&rec) as Arc<dyn Recorder>);
+        rec
+    });
     if let Some(d) = &cache_dir {
         ArtifactCache::global().attach_disk(DiskStore::open(Path::new(d)));
         eprintln!("[persistent artifact store at {d}]");
@@ -163,4 +165,9 @@ fn main() {
         eprintln!("[drained; no pending work]");
     }
     server.join();
+    if let Some(rec) = &trace {
+        if let Err(e) = rec.flush() {
+            eprintln!("[trace flush failed: {e}]");
+        }
+    }
 }

@@ -6,12 +6,14 @@
 //!
 //! * **bounded termination** — a governed run whose workers are wedged
 //!   by a `StuckStage` fault still returns within the run deadline plus
-//!   watchdog slack, with every pending slot carrying a typed
+//!   scheduling slack, with every pending slot carrying a typed
 //!   [`PointOutcome`], never a hang or a panic;
-//! * **clean cancellation** — a *cooperative* wedge is cancelled
-//!   without abandoning its thread (no `StageAbandoned` in the trace),
-//!   while a non-cooperative one (a plain `Delay` sleeping through the
-//!   grace window) is detached and reported;
+//! * **one token tree, inline attempts** — stage attempts run on the
+//!   calling thread and stop at their next cooperative check: a
+//!   cooperative wedge is cancelled with every span closed, a
+//!   non-cooperative one (a plain `Delay` sleeping through its budget)
+//!   is typed `DeadlineExceeded` once the sleep returns, and every event
+//!   of a supervised run carries the caller's thread ordinal;
 //! * **cancellation purity** — cancelling a run at a random epoch and
 //!   then re-running to completion over the same memory+disk cache
 //!   yields numerics bit-identical to a never-cancelled run, with
@@ -33,11 +35,12 @@ use std::time::{Duration, Instant};
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, NodeId};
 use monolith3d::govern::load_remainder;
-use monolith3d::observe::validate_jsonl;
+use monolith3d::observe::{validate_jsonl, StageOutcome, TraceError};
 use monolith3d::{
-    AdmissionError, AdmissionQueue, ArtifactCache, Backpressure, DiskStore, EventKind,
-    ExperimentPlan, FaultPlan, FlowConfig, FlowResult, JsonlRecorder, ParallelExecutor,
-    PointOutcome, Priority, Recorder, RunGovernor, StageDeadlines, Tee, VecRecorder,
+    json_raw_field, AdmissionError, AdmissionQueue, ArtifactCache, Backpressure, CancelToken,
+    DiskStore, Disposition, EventKind, ExperimentPlan, FaultPlan, FlowConfig, FlowError,
+    FlowResult, FlowStage, FlowSupervisor, JsonlRecorder, ParallelExecutor, PointOutcome, Priority,
+    Recorder, RunGovernor, StageDeadlines, SupervisorPolicy, Tee, VecRecorder,
 };
 use proptest::prelude::*;
 
@@ -123,8 +126,8 @@ fn run_deadline_bounds_a_wedged_run() {
     let t = Instant::now();
     let report = exec.run_governed(&p, &gov);
     let elapsed = t.elapsed();
-    // Budget + one watchdog tick + cancel grace, with generous CI
-    // slack — the point is "milliseconds, not forever".
+    // Budget + one wake slice, with generous CI slack — the point is
+    // "milliseconds, not forever".
     assert!(
         elapsed < deadline + Duration::from_secs(5),
         "wedged governed run must terminate promptly, took {elapsed:?}"
@@ -146,8 +149,8 @@ fn run_deadline_bounds_a_wedged_run() {
 
 /// A run deadline of zero — the server's "request arrived already
 /// expired" shape — types every point `deadline_exceeded` before any
-/// stage work starts: no library characterizes, no 15 ms watchdog
-/// slice is waited, no worker thread is spawned for a doomed attempt.
+/// stage work starts: no library characterizes and no wake slice is
+/// waited for a doomed attempt.
 #[test]
 fn zero_run_deadline_rejects_points_before_any_work() {
     let cache = Arc::new(ArtifactCache::default());
@@ -178,9 +181,10 @@ fn zero_run_deadline_rejects_points_before_any_work() {
 }
 
 /// A cooperative wedge (`StuckStage` parks on the cancel token) is won
-/// by cancellation with a clean join: the trace carries the cancel and
-/// per-point events but no `StageAbandoned`. Explicit cancel, not
-/// deadline, so the reason string is pinned too.
+/// by cancellation: the run returns every slot typed `cancelled`, and
+/// every stage span it opened is closed — no attempt is left running
+/// behind the report. Explicit cancel, not deadline, so the reason
+/// string is pinned too.
 #[test]
 fn stuck_stage_cancels_cleanly_without_abandoning_a_thread() {
     let recorder = Arc::new(VecRecorder::new());
@@ -210,58 +214,114 @@ fn stuck_stage_cancels_cleanly_without_abandoning_a_thread() {
             .any(|e| matches!(e.kind, EventKind::PointCancelled { .. })),
         "never-started slots must be reported"
     );
-    assert!(
-        !events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::StageAbandoned { .. })),
-        "a cooperative wedge must join cleanly, not be abandoned"
+    let count = |name: &str| events.iter().filter(|e| e.kind.name() == name).count();
+    assert_eq!(
+        count("stage_started"),
+        count("stage_finished"),
+        "every opened stage span is closed when the run returns"
     );
 }
 
-/// A non-cooperative wedge — a plain `Delay` sleeping straight through
-/// the cancel and the grace window — is detached and reported as
-/// `StageAbandoned`, the typed record of the watchdog's former silent
-/// thread leak. Governed points run under the strict (fail-fast)
-/// policy, so the blown stage fails the point with a typed
-/// `DeadlineExceeded` error rather than hanging behind the sleeper.
+/// A non-cooperative wedge — a plain `Delay` sleeping through its
+/// 40 ms route budget, blind to the token — cannot be stopped between
+/// checks, and no thread is detached to hide it: the governed point
+/// waits the sleep out, then fails with the typed overrun of the route
+/// budget. The budget stops the attempt, not the point, and the trace
+/// schema knows no `stage_abandoned` kind.
 #[test]
-fn non_cooperative_wedge_is_abandoned_and_reported() {
+fn non_cooperative_delay_is_typed_deadline_exceeded_when_it_returns() {
     let recorder = Arc::new(VecRecorder::new());
     let cache = Arc::new(ArtifactCache::default());
     cache.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
-    let gov = RunGovernor::new()
-        .with_stage_deadlines(StageDeadlines::uniform(5_000).with_stage("route", 40))
-        .with_faults(FaultPlan::new().delay_stage("route", 1, Duration::from_millis(400)));
-    let exec = ParallelExecutor::new(1).with_cache(cache);
-    let mut p = ExperimentPlan::new();
-    p.push(Benchmark::Des, DesignStyle::TwoD, cfg());
-    let report = exec.run_governed(&p, &gov);
-    assert_eq!(report.count("failed"), 1, "outcomes: {:?}", report.outcomes);
+    let point = CancelToken::new();
+    let delay = Duration::from_millis(400);
+    let t = Instant::now();
+    let report = FlowSupervisor::new(Benchmark::Des, DesignStyle::TwoD, cfg())
+        .policy(SupervisorPolicy {
+            deadlines: Some(StageDeadlines::uniform(5_000).with_stage("route", 40)),
+            ..SupervisorPolicy::strict()
+        })
+        .with_cache(cache)
+        .with_cancel(point.clone())
+        .with_faults(FaultPlan::new().delay_stage("route", 1, delay))
+        .run();
+    assert!(t.elapsed() >= delay, "the blind sleep runs to the end");
+    match &report.disposition {
+        Disposition::Failed { stage, error } => {
+            assert_eq!(*stage, FlowStage::Routing);
+            assert_eq!(
+                *error,
+                FlowError::DeadlineExceeded {
+                    stage: FlowStage::Routing,
+                    budget_ms: 40
+                }
+            );
+        }
+        other => panic!("expected a failed point, got {other:?}"),
+    }
     assert!(
-        matches!(
-            report.first_error(),
-            Some(monolith3d::FlowError::DeadlineExceeded { budget_ms: 40, .. })
-        ),
-        "the blown budget surfaces as a typed error: {:?}",
-        report.first_error()
+        !point.is_cancelled(),
+        "a stage budget stops the attempt only"
     );
-    let abandoned: Vec<_> = recorder
+    let route_outcomes: Vec<_> = recorder
         .events()
         .iter()
         .filter_map(|e| match e.kind {
-            EventKind::StageAbandoned {
-                stage, budget_ms, ..
-            } => Some((stage, budget_ms)),
+            EventKind::StageFinished {
+                stage: FlowStage::Routing,
+                outcome,
+                ..
+            } => Some(outcome),
             _ => None,
         })
         .collect();
-    assert!(
-        !abandoned.is_empty(),
-        "a worker sleeping through the grace window must be reported"
-    );
-    for (stage, budget_ms) in abandoned {
-        assert_eq!(stage.key(), "route");
-        assert_eq!(budget_ms, 40);
+    assert_eq!(route_outcomes, vec![StageOutcome::TimedOut]);
+    let legacy = "{\"seq\":0,\"thread\":0,\"t_s\":0.0,\"kind\":\"stage_abandoned\",\
+                  \"bench\":\"DES\",\"style\":\"2D\",\"stage\":\"route\",\"budget_ms\":40}\n";
+    assert!(matches!(
+        validate_jsonl(legacy),
+        Err(TraceError::UnknownKind { .. })
+    ));
+}
+
+/// Stage attempts run inline: every event of a supervised run — the
+/// stage spans and the library stage's cache traffic alike — is
+/// recorded on the thread that called `run()`, so the JSONL `thread`
+/// ordinal is one value across the whole trace.
+#[test]
+fn supervised_run_records_every_event_on_the_calling_thread() {
+    let buf = SharedBuf::default();
+    let jsonl = Arc::new(JsonlRecorder::new(Box::new(buf.clone())));
+    let cache = Arc::new(ArtifactCache::default());
+    cache.set_recorder(Arc::clone(&jsonl) as Arc<dyn Recorder>);
+    // A flow-cache lookup from this thread stamps the caller's ordinal.
+    assert!(cache
+        .lookup_result(Benchmark::Des, DesignStyle::TwoD, &cfg())
+        .is_none());
+    let report = FlowSupervisor::new(Benchmark::Des, DesignStyle::TwoD, cfg())
+        .with_cache(Arc::clone(&cache))
+        .with_cancel(CancelToken::new())
+        .run();
+    assert!(report.closed(), "disposition: {:?}", report.disposition);
+    jsonl.flush().expect("trace flushes");
+    let trace = buf.contents();
+    validate_jsonl(&trace).expect("trace validates");
+    let lines: Vec<&str> = trace.lines().collect();
+    assert!(lines[0].contains("\"kind\":\"cache_miss\",\"cache\":\"flow\""));
+    let caller = json_raw_field(lines[0], "thread").expect("stamped");
+    for kind in [
+        "\"kind\":\"stage_started\"",
+        "\"kind\":\"stage_finished\"",
+        "\"kind\":\"cache_miss\",\"cache\":\"library\"",
+    ] {
+        assert!(trace.contains(kind), "trace must carry {kind}");
+    }
+    for line in &lines {
+        assert_eq!(
+            json_raw_field(line, "thread"),
+            Some(caller),
+            "recorded off the calling thread: {line}"
+        );
     }
 }
 

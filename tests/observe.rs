@@ -249,8 +249,7 @@ fn normalize(events: &[Event]) -> (Groups, CacheCounts) {
             | EventKind::AdmissionRejected { .. }
             | EventKind::QuotaExhausted { .. }
             | EventKind::DrainStarted
-            | EventKind::DrainFinished { .. }
-            | EventKind::StageAbandoned { .. } => continue,
+            | EventKind::DrainFinished { .. } => continue,
         };
         groups.entry(key).or_default().push(norm);
     }
@@ -491,7 +490,6 @@ fn metrics_registry_aggregates_exactly_the_recorded_events() {
             EventKind::QuotaExhausted { .. } => ("quota_exhausted", 1),
             EventKind::DrainStarted => ("drain_started", 1),
             EventKind::DrainFinished { .. } => ("drain_finished", 1),
-            EventKind::StageAbandoned { .. } => ("stage_abandoned", 1),
         };
         *expected.entry(key).or_insert(0) += by;
     }
