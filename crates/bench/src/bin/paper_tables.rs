@@ -10,7 +10,7 @@
 //!
 //! `--small` runs the reduced benchmark circuits (seconds); the default
 //! paper scale regenerates the full study (minutes). `--subset` selects
-//! the flow-heavy smoke subset the `flow_bench` binary times.
+//! the flow-heavy smoke subset.
 //!
 //! `--node NAME` retargets the run to any PDK in the process-node
 //! registry (`45nm`, `7nm`, `fdsoi-miv`, plus any plug-in). With

@@ -1,24 +1,20 @@
-//! Benchmark harness for the `monolith3d` toolkit.
+//! Paper-table regeneration for the `monolith3d` toolkit.
 //!
-//! Three kinds of artifacts live here:
+//! Two binaries live here:
 //!
-//! * the **`paper_tables` binary** — regenerates every table and figure
-//!   of the paper at full (`--paper`) or reduced (`--small`) benchmark
-//!   scale through the shared [`monolith3d::ArtifactCache`].
-//!   `paper_tables all` writes the complete run that `EXPERIMENTS.md`
-//!   records; `paper_tables --small --subset` runs the flow-heavy smoke
-//!   subset.
-//! * the **`flow_bench` binary** — times that smoke subset cold
-//!   (cleared cache) and warm (primed cache) and writes the comparison
-//!   to `BENCH_flow.json`.
-//! * **Criterion benches** (`cells`, `pipeline`, `flow`, `ablations`) —
-//!   performance measurements of the toolkit's engines plus the ablation
-//!   studies DESIGN.md calls out, run on reduced-scale circuits (and
-//!   through `Flow::run_uncached`, so the cache never hides the work).
+//! * **`paper_tables`** — regenerates every table and figure of the
+//!   paper at full (default) or reduced (`--small`) benchmark scale
+//!   through the shared [`monolith3d::ArtifactCache`]. `paper_tables
+//!   all` writes the complete run that `EXPERIMENTS.md` records;
+//!   `paper_tables --small --subset` runs the flow-heavy smoke subset.
+//! * **`trace_check`** — validates a JSONL event trace against the
+//!   observability schema.
+//!
+//! Timing lives in the repository benchmark (`BENCHMARK.json` and
+//! `benchmark/`), which drives these binaries from outside.
 
-use m3d_cells::CellLibrary;
-use m3d_netlist::{BenchScale, Benchmark, Netlist};
-use m3d_tech::{DesignStyle, NodeId, TechNode};
+use m3d_netlist::BenchScale;
+use m3d_tech::NodeId;
 use monolith3d::experiments as exp;
 
 /// Shared command-line parsing for the bench binaries.
@@ -165,14 +161,6 @@ pub mod cli {
     }
 }
 
-/// Builds the (library, netlist) pair the pipeline benches share.
-pub fn bench_design(bench: Benchmark) -> (CellLibrary, Netlist) {
-    let node = TechNode::n45();
-    let lib = CellLibrary::build(&node, DesignStyle::TwoD);
-    let netlist = bench.generate(&lib, BenchScale::Small);
-    (lib, netlist)
-}
-
 /// One named experiment driver of the `paper_tables` registry.
 pub type PaperDriver = (&'static str, fn(BenchScale) -> String);
 
@@ -180,8 +168,8 @@ pub type PaperDriver = (&'static str, fn(BenchScale) -> String);
 /// these with the selected [`NodeId`].
 pub type NodeDriver = (&'static str, fn(NodeId, BenchScale) -> String);
 
-/// The flow-heavy smoke subset: `paper_tables --subset` and the
-/// `flow_bench` cold/warm benchmark both run exactly these drivers.
+/// The flow-heavy smoke subset: `paper_tables --subset` runs exactly
+/// these drivers, in [`paper_drivers`] order.
 pub const SMOKE_SUBSET: [&str; 4] = ["table4", "fig3", "table16", "fig10"];
 
 /// Node-generic forms of the smoke-subset drivers. At the two paper
@@ -252,13 +240,6 @@ pub fn paper_drivers() -> Vec<PaperDriver> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_design_is_usable() {
-        let (lib, n) = bench_design(Benchmark::Aes);
-        assert!(n.instance_count() > 100);
-        n.check_consistency(&lib);
-    }
 
     #[test]
     fn parse_jobs_accepts_positive_counts() {

@@ -162,9 +162,8 @@ impl CacheStats {
     /// its earlier value (saturating, so a `clear()` between snapshots
     /// reads as zero rather than wrapping). This is what per-phase
     /// reporting must use — the raw counters are cumulative over the
-    /// process, so attributing them to the most recent phase (as
-    /// `flow_bench` once did for its warm leg) misreports every phase
-    /// after the first.
+    /// process, so attributing them to the most recent phase misreports
+    /// every phase after the first.
     pub fn delta(&self, earlier: &CacheStats) -> CacheStats {
         // Full destructuring, not field access: adding a CacheStats
         // counter without extending this subtraction (and `Display`)

@@ -309,19 +309,6 @@ impl Flow {
         cache.store_result(self.bench, self.style, &self.config, &result);
         Ok(result)
     }
-
-    /// Runs the pipeline with no memoization at all: a private, empty
-    /// cache, so every artifact (cell library included) is rebuilt.
-    /// This is what criterion benchmarks call — a cached run would
-    /// measure a hash lookup, not the flow.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any stage fails.
-    pub fn run_uncached(&self) -> FlowResult {
-        self.try_run_with_cache(&Arc::new(ArtifactCache::default()))
-            .unwrap_or_else(|e| panic!("flow failed: {e}"))
-    }
 }
 
 /// The tightest-closing clock calibration per benchmark and node (see

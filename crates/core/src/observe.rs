@@ -17,7 +17,7 @@
 //!   [`validate_jsonl`], which CI runs over every trace it records.
 //! * [`MetricsRegistry`] — aggregates events into sharded counters and
 //!   per-stage wall-time histograms, summarized as a [`RunReport`] that
-//!   the bench binaries serialize next to `BENCH_flow.json`.
+//!   `paper_tables --report` serializes.
 //! * [`Tee`] — fans one event stream out to two recorders (e.g. JSONL
 //!   trace + metrics in the same run).
 //!

@@ -61,9 +61,10 @@ use crate::stage::{Stage, StageGraph};
 
 /// Per-stage wall-clock budgets, armed on each attempt's token.
 ///
-/// The defaults are derived from the flow benchmark (`BENCH_flow.json`):
-/// a cold paper-pipeline run measures ~0.2 s at reduced scale in a
-/// release build, with routing and the optimization stages dominating.
+/// The defaults are derived from the repository benchmark's per-stage
+/// spans (`stage.*.wall_s` in `BENCHMARK.json`): a cold paper-pipeline
+/// run measures ~0.2 s at reduced scale in a release build, with
+/// routing and the optimization stages dominating.
 /// Paper-scale designs and debug builds cost two to three orders of
 /// magnitude more, so each stage gets minutes, proportioned by its
 /// measured share — generous enough that only a genuinely wedged stage

@@ -1,14 +1,13 @@
 //! A small blocking client for the m3d-serve protocol.
 //!
-//! One [`ClientStream`] is one connection — one client identity on the
-//! server's admission queue. The helpers here stay line-oriented on
-//! purpose: `serve_bench` and the robustness tests need to send
+//! One [`ClientStream`] is one unix-socket connection — one client
+//! identity on the server's admission queue. The helpers here stay
+//! line-oriented on purpose: the robustness tests need to send
 //! malformed bytes and read raw frames, so the typed conveniences are
 //! a thin layer over [`ClientStream::send_line`] /
 //! [`ClientStream::recv_line`] rather than a sealed RPC surface.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
@@ -16,14 +15,10 @@ use monolith3d::{json_raw_field, json_str_field};
 
 use crate::protocol::MAX_FRAME;
 
-enum Transport {
-    Unix(BufReader<UnixStream>, UnixStream),
-    Tcp(BufReader<TcpStream>, TcpStream),
-}
-
 /// A blocking JSONL connection to an m3d-serve instance.
 pub struct ClientStream {
-    transport: Transport,
+    reader: BufReader<UnixStream>,
+    writer: UnixStream,
     next_id: u64,
 }
 
@@ -37,31 +32,10 @@ impl ClientStream {
         let s = UnixStream::connect(path)?;
         let w = s.try_clone()?;
         Ok(ClientStream {
-            transport: Transport::Unix(BufReader::new(s), w),
+            reader: BufReader::new(s),
+            writer: w,
             next_id: 1,
         })
-    }
-
-    /// Connects over TCP, e.g. `"127.0.0.1:7333"`.
-    ///
-    /// # Errors
-    ///
-    /// Connect/clone failures, verbatim.
-    pub fn connect_tcp(addr: &str) -> io::Result<ClientStream> {
-        let s = TcpStream::connect(addr)?;
-        s.set_nodelay(true)?;
-        let w = s.try_clone()?;
-        Ok(ClientStream {
-            transport: Transport::Tcp(BufReader::new(s), w),
-            next_id: 1,
-        })
-    }
-
-    fn writer(&mut self) -> &mut dyn Write {
-        match &mut self.transport {
-            Transport::Unix(_, w) => w,
-            Transport::Tcp(_, w) => w,
-        }
     }
 
     /// Writes one frame (the newline is appended here).
@@ -70,10 +44,9 @@ impl ClientStream {
     ///
     /// Write failures, verbatim.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        let w = self.writer();
-        w.write_all(line.as_bytes())?;
-        w.write_all(b"\n")?;
-        w.flush()
+        self.writer.write_all(line.as_bytes())?;
+        self.writer.write_all(b"\n")?;
+        self.writer.flush()
     }
 
     /// Writes raw bytes with no framing — the robustness tests use
@@ -83,9 +56,8 @@ impl ClientStream {
     ///
     /// Write failures, verbatim.
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let w = self.writer();
-        w.write_all(bytes)?;
-        w.flush()
+        self.writer.write_all(bytes)?;
+        self.writer.flush()
     }
 
     /// Reads one response frame; `Ok(None)` on clean EOF (the server
@@ -96,12 +68,10 @@ impl ClientStream {
     ///
     /// Read failures, and `InvalidData` past the frame cap.
     pub fn recv_line(&mut self) -> io::Result<Option<String>> {
-        let r: &mut dyn BufRead = match &mut self.transport {
-            Transport::Unix(r, _) => r,
-            Transport::Tcp(r, _) => r,
-        };
         let mut buf = Vec::new();
-        let n = r
+        let n = self
+            .reader
+            .by_ref()
             .take(MAX_FRAME as u64 + 1024)
             .read_until(b'\n', &mut buf)?;
         if n == 0 {

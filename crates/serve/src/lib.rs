@@ -13,8 +13,8 @@
 //!
 //! - [`protocol`] — frame parsing and response rendering.
 //! - [`server`] — the accept/dispatch machinery and graceful drain.
-//! - [`client`] — a small blocking client used by `serve_bench`,
-//!   tests, and anyone scripting the server from Rust.
+//! - [`client`] — a small blocking unix-socket client used by the
+//!   tests and by anyone scripting the server from Rust.
 
 pub mod client;
 pub mod protocol;

@@ -1,13 +1,15 @@
 //! Integration tests for the m3d-serve experiment server: protocol
 //! robustness under hostile frames, cross-connection coalescing,
-//! per-client quotas, instant deadline rejection, and graceful drain
-//! with remainder persistence.
+//! served tables identical to the batch binary, per-client quotas,
+//! instant deadline rejection, and graceful drain with remainder
+//! persistence.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
+use m3d_bench::{paper_drivers, SMOKE_SUBSET};
 use m3d_serve::client::{response_error, response_ok, ClientStream};
 use m3d_serve::{Listen, Server, ServerConfig, MAX_FRAME};
 use monolith3d::{
@@ -190,6 +192,47 @@ fn identical_concurrent_runs_coalesce_to_one_library_build() {
         stats.library_builds, 1,
         "{N} identical concurrent runs must characterize one library: {stats:?}"
     );
+    server.shutdown();
+    server.join();
+}
+
+/// The server serves the same science as the batch binary: the smoke
+/// subset rendered through `table` requests, in registry order under
+/// `paper_tables`' banners, is byte-identical to the golden that pins
+/// `paper_tables --small --subset`.
+#[test]
+fn served_smoke_subset_matches_the_batch_golden() {
+    let (server, sock, _cache) = start("tables", |_| {});
+    let mut c = connect(&sock);
+    let mut out = String::new();
+    for (name, _) in paper_drivers() {
+        if !SMOKE_SUBSET.contains(&name) {
+            continue;
+        }
+        let id = c.fresh_id();
+        let resp = c
+            .request(&format!(
+                "{{\"id\":{id},\"op\":\"table\",\"name\":\"{name}\",\"scale\":\"small\"}}"
+            ))
+            .expect("table response");
+        assert!(response_ok(&resp), "table {name}: {resp}");
+        let text = json_str_field(&resp, "text").expect("table response carries text");
+        out.push_str(&format!(
+            "==================== {name} ====================\n{text}\n"
+        ));
+    }
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/paper_tables_subset_small.txt");
+    let want = std::fs::read_to_string(&golden).expect("golden snapshot");
+    // Name the first divergent line rather than dumping both documents.
+    let first_diff = out.lines().zip(want.lines()).position(|(g, w)| g != w);
+    assert!(
+        out == want,
+        "served tables drifted from {} (first differing line: {:?})",
+        golden.display(),
+        first_diff.map(|i| i + 1)
+    );
+    drop(c);
     server.shutdown();
     server.join();
 }
