@@ -312,8 +312,12 @@ impl Stage for PreRouteOptStage {
     }
 }
 
-/// Routing: global route, one load-sizing round against extracted
-/// loads, and the final re-route / re-extract.
+/// Routing: global route and extraction, then up to two load-sizing
+/// rounds against the extracted loads.
+///
+/// Load sizing only resizes cells in place, and routing depends on
+/// connectivity and positions alone, so the route and its extraction
+/// stay valid for the resized netlist: there is no re-route here.
 #[derive(Debug)]
 pub struct RoutingStage;
 
@@ -344,9 +348,9 @@ impl Stage for RoutingStage {
             .placement
             .take()
             .ok_or(FlowError::missing("placement", FlowStage::Routing))?;
-        let mut routed = router.try_route(netlist, &placement, &env.lib)?;
+        let routed = router.try_route(netlist, &placement, &env.lib)?;
         check(FlowStage::Routing)?;
-        let mut models = try_extraction_models(netlist, &routed, &env.node)?;
+        let models = try_extraction_models(netlist, &routed, &env.node)?;
         for _ in 0..2 {
             check(FlowStage::Routing)?;
             let report = try_analyze(netlist, &env.lib, &models, &timing)?;
@@ -359,10 +363,6 @@ impl Stage for RoutingStage {
             }
             apply_moves(netlist, &mut placement, &env.lib, &moves);
         }
-        check(FlowStage::Routing)?;
-        routed = router.try_route(netlist, &placement, &env.lib)?;
-        check(FlowStage::Routing)?;
-        models = try_extraction_models(netlist, &routed, &env.node)?;
         art.placement = Some(placement);
         art.models = models;
         Ok(())

@@ -4,8 +4,8 @@ use m3d_netlist::{NetDriver, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::legalize::{effective_width_nm, legalize_rows};
-use crate::spread::spread;
+use crate::legalize::legalize_rows;
+use crate::spread::{cell_areas, spread};
 use crate::Placement;
 
 /// Placement failure.
@@ -157,13 +157,8 @@ impl<'l> Placer<'l> {
         // Core sizing budgets each cell's *effective* width — footprint
         // plus any MIV keep-out-zone clearance the node's design rules
         // demand — so KOZ nodes get rows the legalizer can actually pack.
-        let cell_area_nm2: f64 = netlist
-            .inst_ids()
-            .map(|i| {
-                let c = lib.cell(netlist.inst(i).cell);
-                effective_width_nm(lib, c) as f64 * c.height_nm as f64
-            })
-            .sum();
+        let areas = cell_areas(netlist, lib);
+        let cell_area_nm2: f64 = areas.iter().sum();
         let row_height = lib.node().cell_height(lib.style());
         let n_tiers = self.tiers.as_ref().map(|(_, n)| *n).unwrap_or(1);
         let core_area = cell_area_nm2 / self.utilization / n_tiers as f64;
@@ -318,7 +313,7 @@ impl<'l> Placer<'l> {
             }
             // Spread every few iterations and at the end.
             if iter % 4 == 3 || iter + 1 == self.iterations {
-                spread(netlist, self.lib, &mut xs, &mut ys, core, self.utilization);
+                spread(&areas, &mut xs, &mut ys, core, self.utilization);
             }
         }
 

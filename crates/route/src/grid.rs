@@ -74,15 +74,22 @@ impl CongestionGrid {
         (x, y)
     }
 
-    /// Bins along the L-shaped path `a -> corner -> b`, where the corner is
-    /// `(b.x, a.y)` when `horizontal_first` else `(a.x, b.y)`.
-    pub(crate) fn l_path_bins(&self, a: Point, b: Point, horizontal_first: bool) -> Vec<usize> {
+    /// Fills `bins` with the bins along the L-shaped path
+    /// `a -> corner -> b`, where the corner is `(b.x, a.y)` when
+    /// `horizontal_first` else `(a.x, b.y)`.
+    pub(crate) fn l_path_bins(
+        &self,
+        a: Point,
+        b: Point,
+        horizontal_first: bool,
+        bins: &mut Vec<usize>,
+    ) {
         let corner = if horizontal_first {
             Point::new(b.x, a.y)
         } else {
             Point::new(a.x, b.y)
         };
-        let mut bins = Vec::new();
+        bins.clear();
         for (p, q) in [(a, corner), (corner, b)] {
             let (x0, y0) = self.bin_of(p);
             let (x1, y1) = self.bin_of(q);
@@ -97,7 +104,6 @@ impl CongestionGrid {
             }
         }
         bins.dedup();
-        bins
     }
 
     /// Worst demand/capacity ratio along a bin path for a class slot.
@@ -249,8 +255,9 @@ mod tests {
         let g = grid();
         let a = Point::new(10_000, 10_000);
         let b = Point::new(200_000, 300_000);
-        let h = g.l_path_bins(a, b, true);
-        let v = g.l_path_bins(a, b, false);
+        let (mut h, mut v) = (Vec::new(), Vec::new());
+        g.l_path_bins(a, b, true, &mut h);
+        g.l_path_bins(a, b, false, &mut v);
         assert!(h.len() > 2 && v.len() > 2);
         assert_ne!(h, v, "the two L options differ");
     }
@@ -260,7 +267,8 @@ mod tests {
         let mut g = grid();
         let a = Point::new(10_000, 10_000);
         let b = Point::new(200_000, 10_000);
-        let bins = g.l_path_bins(a, b, true);
+        let mut bins = Vec::new();
+        g.l_path_bins(a, b, true, &mut bins);
         assert_eq!(g.path_congestion(&bins, 0), 0.0);
         g.commit(&bins, 0, 5.0);
         assert!(g.path_congestion(&bins, 0) > 0.0);
@@ -287,7 +295,8 @@ mod tests {
         assert!(!clean.is_empty());
         let straight_len = clean.len();
         // Saturate the straight row between the endpoints.
-        let bins = g.l_path_bins(a, b, true);
+        let mut bins = Vec::new();
+        g.l_path_bins(a, b, true, &mut bins);
         g.commit(&bins, 0, g.capacity[0] * 5.0);
         let detour = g.maze_path(a, b, 0);
         assert!(
@@ -303,7 +312,8 @@ mod tests {
         let mut g = grid();
         let a = Point::new(10_000, 10_000);
         let b = Point::new(30_000, 10_000);
-        let bins = g.l_path_bins(a, b, true);
+        let mut bins = Vec::new();
+        g.l_path_bins(a, b, true, &mut bins);
         g.commit(&bins, 2, g.capacity[2] * 2.0);
         assert!(g.overflow_ratio() > 0.0);
     }

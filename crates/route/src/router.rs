@@ -142,6 +142,10 @@ impl<'a> Router<'a> {
 
     /// Fallible form of [`Router::route`].
     ///
+    /// Routes depend only on the netlist's connectivity and the
+    /// placement's positions; the library is not consulted, so resizing
+    /// cells in place leaves the result unchanged.
+    ///
     /// # Errors
     ///
     /// Returns [`RouteError`] when the stack is missing M1 or any net's
@@ -150,11 +154,27 @@ impl<'a> Router<'a> {
         &self,
         netlist: &Netlist,
         placement: &Placement,
-        lib: &CellLibrary,
+        _lib: &CellLibrary,
     ) -> Result<RoutedDesign, RouteError> {
-        if self.stack.by_name("M1").is_none() {
+        let Some(m1) = self.stack.by_name("M1") else {
             return Err(RouteError::MissingLayer { layer: "M1" });
-        }
+        };
+        let mut cx = NetScratch {
+            m1: m1.index,
+            mb1: self
+                .stack
+                .by_name("MB1")
+                .filter(|_| self.mb1_escape)
+                .map(|l| l.index),
+            slot_layers: [0, 1, 2].map(|slot| {
+                self.stack
+                    .layers_of(slot_class(slot))
+                    .map(|l| l.index)
+                    .collect()
+            }),
+            bins_h: Vec::new(),
+            bins_v: Vec::new(),
+        };
         let mut grid = CongestionGrid::new(placement.core, self.stack);
         let mut nets: Vec<RoutedNet> = vec![RoutedNet::default(); netlist.net_count()];
 
@@ -172,16 +192,17 @@ impl<'a> Router<'a> {
 
         for (id, hpwl) in order {
             if Some(id) == netlist.clock {
-                nets[id.0 as usize] = self.route_clock(netlist, placement, id);
+                nets[id.0 as usize] = self.route_clock(&cx, netlist, placement, id);
                 continue;
             }
             let pts = placement.net_points(netlist, id);
             if pts.len() < 2 || hpwl == 0.0 {
                 // Single-pin or zero-length: pin escape only.
-                nets[id.0 as usize] = self.pin_escape_only(pts.len());
+                nets[id.0 as usize] = self.pin_escape_only(cx.m1, pts.len());
                 continue;
             }
-            nets[id.0 as usize] = self.route_net(&pts, &mut grid, lib, netlist, id);
+            let sinks = netlist.net(id).sinks.len();
+            nets[id.0 as usize] = self.route_net(&mut cx, &pts, &mut grid, sinks, id.0 as usize);
         }
         Ok(RoutedDesign {
             nets,
@@ -190,25 +211,7 @@ impl<'a> Router<'a> {
         })
     }
 
-    /// Picks a concrete layer pair (H, V) within a class, spreading usage
-    /// round-robin by a hash of the net id.
-    fn layers_in(&self, class: MetalClass, salt: usize) -> (u16, u16) {
-        let layers: Vec<u16> = self.stack.layers_of(class).map(|l| l.index).collect();
-        debug_assert!(!layers.is_empty());
-        if layers.len() == 1 {
-            return (layers[0], layers[0]);
-        }
-        let h = layers[salt % layers.len()];
-        let v = layers[(salt + 1) % layers.len()];
-        (h, v)
-    }
-
-    fn m1_index(&self) -> u16 {
-        self.stack.by_name("M1").expect("every stack has M1").index
-    }
-
-    fn pin_escape_only(&self, pins: usize) -> RoutedNet {
-        let m1 = self.m1_index();
+    fn pin_escape_only(&self, m1: u16, pins: usize) -> RoutedNet {
         let escape = 0.5 * self.node.dimension_scale();
         let len = escape * pins as f64;
         RoutedNet {
@@ -221,17 +224,15 @@ impl<'a> Router<'a> {
 
     fn route_net(
         &self,
+        cx: &mut NetScratch,
         pts: &[Point],
         grid: &mut CongestionGrid,
-        _lib: &CellLibrary,
-        netlist: &Netlist,
-        id: NetId,
+        sinks: usize,
+        salt: usize,
     ) -> RoutedNet {
         // MST decomposition (star fallback for very high fanout).
         let edges = mst_edges(pts);
         let mut total_len = 0.0;
-        let mut segs_h = 0.0;
-        let mut segs_v = 0.0;
         let mut worst_congestion: f64 = 0.0;
         let mut chosen_slot_hist = [0usize; 3];
 
@@ -260,11 +261,12 @@ impl<'a> Router<'a> {
                 1 => [1, 2, 0],
                 _ => [2, 1, 1],
             };
-            let bins_h = grid.l_path_bins(pa, pb, true);
-            let bins_v = grid.l_path_bins(pa, pb, false);
-            let mut best = (preferred, &bins_h, f64::INFINITY);
+            grid.l_path_bins(pa, pb, true, &mut cx.bins_h);
+            grid.l_path_bins(pa, pb, false, &mut cx.bins_v);
+            let (bins_h, bins_v) = (&cx.bins_h, &cx.bins_v);
+            let mut best = (preferred, bins_h, f64::INFINITY);
             'search: for &slot in &spill {
-                for bins in [&bins_h, &bins_v] {
+                for bins in [bins_h, bins_v] {
                     let c = grid.path_congestion(bins, slot);
                     if c < best.2 {
                         best = (slot, bins, c);
@@ -293,16 +295,8 @@ impl<'a> Router<'a> {
             grid.commit(bins, slot, track_um);
             worst_congestion = worst_congestion.max(congestion);
             chosen_slot_hist[slot] += 1;
-            // Split the length between the H and V legs.
-            let dx = nm_to_um((pa.x - pb.x).abs());
-            let dy = nm_to_um((pa.y - pb.y).abs());
-            segs_h += dx * self.slot_share(slot, 0);
-            segs_v += dy * self.slot_share(slot, 0);
             total_len += len;
-            // Record per-slot lengths via the histogram below.
-            let _ = (segs_h, segs_v);
         }
-        let _ = (segs_h, segs_v);
 
         // Dominant slot carries the trunk; build segments per slot from
         // the histogram-weighted split of the detoured length.
@@ -310,7 +304,6 @@ impl<'a> Router<'a> {
         let routed_len = total_len * detour;
         let total_edges: usize = chosen_slot_hist.iter().sum();
         let mut segments: Vec<(u16, f64)> = Vec::new();
-        let salt = id.0 as usize;
         let mut trunk_class = MetalClass::Local;
         let mut best_edges = 0;
         for (slot, &slot_edges) in chosen_slot_hist.iter().enumerate() {
@@ -318,7 +311,7 @@ impl<'a> Router<'a> {
                 continue;
             }
             let share = slot_edges as f64 / total_edges.max(1) as f64;
-            let (h, v) = self.layers_in(slot_class(slot), salt);
+            let (h, v) = cx.layer_pair(slot, salt);
             let len = routed_len * share;
             segments.push((h, len * 0.5));
             if v != h {
@@ -336,34 +329,32 @@ impl<'a> Router<'a> {
         // Pin escapes on M1 (plus MB1 for folded cells: the paper measures
         // ~0.3 % of wirelength on MB1, Section 3.3).
         let pins = pts.len();
-        let m1 = self.m1_index();
         let escape = 0.4 * self.node.dimension_scale();
-        segments.push((m1, escape * pins as f64));
-        if self.mb1_escape {
-            if let Some(mb1) = self.stack.by_name("MB1") {
-                segments.push((mb1.index, 0.03 * escape * pins as f64));
-            }
+        segments.push((cx.m1, escape * pins as f64));
+        if let Some(mb1) = cx.mb1 {
+            segments.push((mb1, 0.03 * escape * pins as f64));
         }
         let wirelength_um = segments.iter().map(|(_, l)| l).sum();
 
-        let sinks = netlist.net(id).sinks.len() as u32;
         RoutedNet {
             segments,
-            via_count: 2 * edges.len() as u32 + 2 * sinks,
+            via_count: 2 * edges.len() as u32 + 2 * sinks as u32,
             wirelength_um,
             trunk_class,
         }
-    }
-
-    fn slot_share(&self, _slot: usize, _leg: usize) -> f64 {
-        1.0
     }
 
     /// Clock distribution: an H-tree estimate (total length ~
     /// 1.5·sqrt(A·N)) on the intermediate layers plus per-sink stubs. The
     /// real flow would run CTS; the estimate preserves the clock's power
     /// contribution without a full tree synthesis.
-    fn route_clock(&self, netlist: &Netlist, placement: &Placement, id: NetId) -> RoutedNet {
+    fn route_clock(
+        &self,
+        cx: &NetScratch,
+        netlist: &Netlist,
+        placement: &Placement,
+        id: NetId,
+    ) -> RoutedNet {
         let sinks = netlist.net(id).sinks.len();
         if sinks == 0 {
             return RoutedNet::default();
@@ -371,12 +362,12 @@ impl<'a> Router<'a> {
         let area_um2 = placement.footprint_um2();
         let tree_len = 1.5 * (area_um2 * sinks as f64).sqrt();
         let stub = 1.0 * self.node.dimension_scale();
-        let (h, v) = self.layers_in(MetalClass::Intermediate, 7);
-        let m1 = self.m1_index();
+        // Slot 1 holds the intermediate layers.
+        let (h, v) = cx.layer_pair(1, 7);
         let segments = vec![
             (h, tree_len * 0.5),
             (v, tree_len * 0.5),
-            (m1, stub * sinks as f64),
+            (cx.m1, stub * sinks as f64),
         ];
         RoutedNet {
             wirelength_um: segments.iter().map(|(_, l)| l).sum(),
@@ -384,6 +375,33 @@ impl<'a> Router<'a> {
             via_count: 2 * sinks as u32,
             trunk_class: MetalClass::Intermediate,
         }
+    }
+}
+
+/// Stack lookups every net of one [`Router::try_route`] call shares,
+/// plus the L-path bin buffers its edges reuse.
+struct NetScratch {
+    m1: u16,
+    /// MB1, when the stack has it and escapes onto it are allowed.
+    mb1: Option<u16>,
+    /// Layer indices of each routable class slot, in stack order.
+    slot_layers: [Vec<u16>; 3],
+    bins_h: Vec<usize>,
+    bins_v: Vec<usize>,
+}
+
+impl NetScratch {
+    /// Picks a concrete layer pair (H, V) within a class slot, spreading
+    /// usage round-robin by a hash of the net id.
+    fn layer_pair(&self, slot: usize, salt: usize) -> (u16, u16) {
+        let layers = &self.slot_layers[slot];
+        debug_assert!(!layers.is_empty());
+        if layers.len() == 1 {
+            return (layers[0], layers[0]);
+        }
+        let h = layers[salt % layers.len()];
+        let v = layers[(salt + 1) % layers.len()];
+        (h, v)
     }
 }
 

@@ -135,11 +135,6 @@ pub fn try_analyze(
         arrival[pi.0 as usize] = config.io_margin_ps;
     }
 
-    // Effective load on a net: wire plus sink pin caps.
-    let load_of = |net: m3d_netlist::NetId| -> f64 {
-        models[net.0 as usize].c_wire + netlist.net_pin_cap(net, lib)
-    };
-
     // Process instances in topological order (flops first, then combs).
     for &inst_id in &order {
         let inst = netlist.inst(inst_id);
@@ -166,20 +161,22 @@ pub fn try_analyze(
             (a.max(0.0), s)
         };
 
-        for (o, &out_net) in inst.pins[n_in..].iter().enumerate() {
-            let _ = o;
-            let load = load_of(out_net);
+        for &out_net in &inst.pins[n_in..] {
+            let out_idx = out_net.0 as usize;
+            let m = models[out_idx];
+            // A net has one driver, so each net's pin caps are summed once.
+            let pins = netlist.net_pin_cap(out_net, lib);
+            // Effective load: wire plus sink pin caps.
+            let load = m.c_wire + pins;
             let gate_delay = cell.delay.lookup(slew_in, load);
-            let m = models[out_net.0 as usize];
             // Lumped Elmore from driver through the wire into the pins.
-            let net_delay = m.r_wire * (0.5 * m.c_wire + netlist.net_pin_cap(out_net, lib));
+            let net_delay = m.r_wire * (0.5 * m.c_wire + pins);
             let launch = if seq {
                 arrival[inst.pins[1].0 as usize]
             } else {
                 arr_in
             };
             let a_out = launch + gate_delay + net_delay;
-            let out_idx = out_net.0 as usize;
             if a_out > arrival[out_idx] {
                 arrival[out_idx] = a_out;
             }
@@ -199,7 +196,7 @@ pub fn try_analyze(
             }
             // Output slew, degraded across the wire RC.
             let s_drv = cell.out_slew.lookup(slew_in, load);
-            let wire_tau = 2.2 * m.r_wire * (0.5 * m.c_wire + netlist.net_pin_cap(out_net, lib));
+            let wire_tau = 2.2 * m.r_wire * (0.5 * m.c_wire + pins);
             slew[out_idx] = (s_drv * s_drv + wire_tau * wire_tau).sqrt();
         }
     }

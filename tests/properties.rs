@@ -9,9 +9,10 @@ use m3d_geom::{LayerShape, Point, Rect};
 use m3d_netlist::{BenchScale, Benchmark, NetId, Netlist, NetlistBuilder};
 use m3d_place::Placer;
 use m3d_power::propagate_activity;
-use m3d_route::Router;
+use m3d_route::{RoutedDesign, Router};
+use m3d_sta::{analyze, plan_load_sizing, plan_power_recovery, NetModel, OptMove, TimingConfig};
 use m3d_tech::{CellLayer, DesignStyle, MetalStack, NodeId, StackKind, TechNode};
-use monolith3d::{Flow, FlowConfig, FlowError};
+use monolith3d::{extraction_models, Flow, FlowConfig, FlowError};
 use proptest::prelude::*;
 
 fn lib() -> &'static CellLibrary {
@@ -385,6 +386,78 @@ mod flow_error_display {
                 clock_ps: 1200.0,
             },
             &["not closed", "-87.3", "1200"],
+        );
+    }
+}
+
+/// Resizing cells changes neither connectivity nor positions, and the
+/// router does not read the library, so routing and extracting again
+/// after load sizing and power recovery reproduces the first route and
+/// extraction bit for bit. The routing stage relies on this to route
+/// once.
+#[test]
+fn resizing_leaves_route_and_extraction_bitwise_unchanged() {
+    let node = TechNode::n45();
+    for style in [DesignStyle::TwoD, DesignStyle::Tmi] {
+        let lib = CellLibrary::build(&node, style);
+        let stack = MetalStack::new(&node, style.default_stack());
+        let router = Router::new(&node, &stack);
+        let mut n = Benchmark::Aes.generate(&lib, BenchScale::Small);
+        let p = Placer::new(&lib).place(&n);
+        let routed = router.route(&n, &p, &lib);
+        let models = extraction_models(&n, &routed, &node);
+
+        let report = analyze(&n, &lib, &models, &TimingConfig::new(10_000.0));
+        let mut moves = plan_load_sizing(&n, &lib, &models, 30.0);
+        moves.extend(plan_power_recovery(&n, &lib, &report, 0.0, usize::MAX));
+        let cells_before: Vec<_> = n.inst_ids().map(|i| n.inst(i).cell).collect();
+        for m in moves {
+            let resized = match m {
+                OptMove::Upsize(i) => lib.upsize(n.inst(i).cell).map(|(c, _)| (i, c)),
+                OptMove::Downsize(i) => lib.downsize(n.inst(i).cell).map(|(c, _)| (i, c)),
+                OptMove::BufferNet { .. } => panic!("sizing plans only resize: {m:?}"),
+            };
+            if let Some((i, c)) = resized {
+                n.resize(i, c, &lib);
+            }
+        }
+        let cells_after: Vec<_> = n.inst_ids().map(|i| n.inst(i).cell).collect();
+        assert_ne!(cells_before, cells_after, "{style:?}: nothing resized");
+
+        let rerouted = router.route(&n, &p, &lib);
+        let remodels = extraction_models(&n, &rerouted, &node);
+        let net_bits = |r: &RoutedDesign| -> Vec<_> {
+            r.nets
+                .iter()
+                .map(|rn| {
+                    let segs: Vec<_> = rn
+                        .segments
+                        .iter()
+                        .map(|&(l, len)| (l, len.to_bits()))
+                        .collect();
+                    (
+                        segs,
+                        rn.via_count,
+                        rn.wirelength_um.to_bits(),
+                        rn.trunk_class,
+                    )
+                })
+                .collect()
+        };
+        let model_bits = |ms: &[NetModel]| -> Vec<_> {
+            ms.iter()
+                .map(|m| (m.c_wire.to_bits(), m.r_wire.to_bits()))
+                .collect()
+        };
+        assert_eq!(
+            net_bits(&routed),
+            net_bits(&rerouted),
+            "{style:?}: routes differ"
+        );
+        assert_eq!(
+            model_bits(&models),
+            model_bits(&remodels),
+            "{style:?}: models differ"
         );
     }
 }
