@@ -12,29 +12,23 @@
 //!
 //! # File format
 //!
-//! ```text
-//! ckpt-<seq>.m3d := MAGIC ("M3DCKPT1", 8 bytes)
-//!                   payload_len  (u64 LE)
-//!                   payload_hash (u64 LE, FNV-1a 64 over the payload)
-//!                   payload      (sections)
-//! section        := tag (u8) body_len (u64 LE) body_hash (u64 LE) body
-//! ```
-//!
-//! Every artifact section carries its own FNV-1a 64 content hash in
+//! `ckpt-<seq>.m3d` is the durable frame built by `codec::frame`
+//! (DESIGN.md §9) under the magic `M3DCKPT1`, with five sections:
+//! identity, supervisor cursor, artifacts, round-1 best and routing
+//! checkpoint. Every section carries its own FNV-1a 64 content hash in
 //! addition to the whole-file hash, so corruption is attributed to the
-//! artifact it hit. All integers are little-endian; `f64` values are
-//! stored as their IEEE-754 bit patterns, which is what makes a resumed
-//! run *bit-identical* to an uninterrupted one — there is no text
-//! round-trip anywhere.
+//! artifact it hit. `f64` values are stored as their IEEE-754 bit
+//! patterns, which is what makes a resumed run *bit-identical* to an
+//! uninterrupted one — there is no text round-trip anywhere.
 //!
-//! Writes go to a temp file in the same directory followed by a rename,
-//! so a crash mid-write leaves either the old set of checkpoints or the
-//! new one, never a half-written file under a checkpoint name. A file
-//! that still fails verification (truncation by the filesystem, bit rot,
-//! or the chaos harness's planted corruption) is moved to the
-//! `quarantine/` subdirectory and surfaced as
-//! [`FlowError::CorruptCheckpoint`]; resume then falls back to the next
-//! older snapshot, which simply re-runs the affected stage.
+//! Writes go through `codec::write_atomic`, so a crash mid-write leaves
+//! either the old set of checkpoints or the new one, never a
+//! half-written file under a checkpoint name. A file that still fails
+//! verification (truncation by the filesystem, bit rot, or the chaos
+//! harness's planted corruption) is moved to the `quarantine/`
+//! subdirectory and surfaced as [`FlowError::CorruptCheckpoint`];
+//! resume then falls back to the next older snapshot, which simply
+//! re-runs the affected stage.
 //!
 //! The cell library is deliberately *not* serialized: it is a pure,
 //! memoized function of the config (see [`crate::ArtifactCache`]), so
@@ -44,7 +38,6 @@
 //! re-routes the final netlist), so each stage drops its own.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -62,13 +55,12 @@ use m3d_netlist::InstId;
 use crate::artifacts::Artifacts;
 use crate::codec::{
     dec_benchmark, dec_node, dec_scale, dec_stack_kind, dec_stage, dec_style, enc_benchmark,
-    enc_node, enc_scale, enc_stack_kind, enc_stage, enc_style, read_section, write_section, Dec,
-    DecResult, DecodeError, Enc,
+    enc_node, enc_scale, enc_stack_kind, enc_stage, enc_style, flip_byte, frame, quarantine_file,
+    unframe, write_atomic, Dec, DecResult, DecodeError, Enc,
 };
 use crate::error::FlowError;
 use crate::flow::FlowConfig;
 use crate::observe::{self, EventKind, Recorder};
-use crate::store::quarantine_file;
 use crate::supervisor::{AttemptRecord, Relaxation};
 
 pub use crate::codec::content_hash;
@@ -522,8 +514,8 @@ const SEC_ROUND1_BEST: u8 = 4;
 const SEC_ROUTING_CKPT: u8 = 5;
 
 impl PersistedState {
-    /// Serializes the snapshot to the full file image (magic + hashes +
-    /// sections).
+    /// Serializes the snapshot to the full file image (the shared frame
+    /// under [`MAGIC`]).
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut identity = Enc::default();
         identity.u64(self.seq);
@@ -560,55 +552,30 @@ impl PersistedState {
         let mut rckpt = Enc::default();
         rckpt.opt(&self.routing_ckpt, enc_artifacts);
 
-        let mut payload = Vec::new();
-        write_section(&mut payload, SEC_IDENTITY, &identity.buf);
-        write_section(&mut payload, SEC_SUPERVISOR, &sup.buf);
-        write_section(&mut payload, SEC_ARTIFACTS, &art.buf);
-        write_section(&mut payload, SEC_ROUND1_BEST, &best.buf);
-        write_section(&mut payload, SEC_ROUTING_CKPT, &rckpt.buf);
-
-        let mut file = Vec::with_capacity(payload.len() + 24);
-        file.extend_from_slice(MAGIC);
-        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&content_hash(&payload).to_le_bytes());
-        file.extend_from_slice(&payload);
-        file
+        frame(
+            MAGIC,
+            &[
+                (SEC_IDENTITY, &identity.buf),
+                (SEC_SUPERVISOR, &sup.buf),
+                (SEC_ARTIFACTS, &art.buf),
+                (SEC_ROUND1_BEST, &best.buf),
+                (SEC_ROUTING_CKPT, &rckpt.buf),
+            ],
+        )
     }
 
     fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
-        if bytes.len() < 24 {
-            return Err(DecodeError(format!(
-                "file too short: {} bytes",
-                bytes.len()
-            )));
-        }
-        if &bytes[..8] != MAGIC {
-            return Err(DecodeError("bad magic".to_string()));
-        }
-        let mut head = Dec::new(&bytes[8..24]);
-        let len = head.usize()?;
-        let hash = head.u64()?;
-        let payload = &bytes[24..];
-        if payload.len() != len {
-            return Err(DecodeError(format!(
-                "payload truncated: header says {len} bytes, file carries {}",
-                payload.len()
-            )));
-        }
-        let actual = content_hash(payload);
-        if actual != hash {
-            return Err(DecodeError(format!(
-                "payload hash mismatch: stored {hash:#018x}, computed {actual:#018x}"
-            )));
-        }
-
-        let mut d = Dec::new(payload);
-        let identity = read_section(&mut d, SEC_IDENTITY)?;
-        let sup = read_section(&mut d, SEC_SUPERVISOR)?;
-        let art = read_section(&mut d, SEC_ARTIFACTS)?;
-        let best = read_section(&mut d, SEC_ROUND1_BEST)?;
-        let rckpt = read_section(&mut d, SEC_ROUTING_CKPT)?;
-        d.finish()?;
+        let [identity, sup, art, best, rckpt] = unframe(
+            bytes,
+            MAGIC,
+            [
+                SEC_IDENTITY,
+                SEC_SUPERVISOR,
+                SEC_ARTIFACTS,
+                SEC_ROUND1_BEST,
+                SEC_ROUTING_CKPT,
+            ],
+        )?;
 
         let mut di = Dec::new(identity);
         let seq = di.u64()?;
@@ -772,34 +739,26 @@ impl CheckpointStore {
         found.into_iter().map(|(_, p)| p).collect()
     }
 
-    /// Writes one snapshot durably: temp file in the same directory,
-    /// then rename, so no crash leaves a half-written file under a
-    /// checkpoint name. Returns the final path and the encoded size
-    /// (what a `checkpoint_written` trace event reports).
+    /// Writes one snapshot durably through `codec::write_atomic`, so no
+    /// crash leaves a half-written file under a checkpoint name. Returns
+    /// the final path and the encoded size (what a `checkpoint_written`
+    /// trace event reports).
     pub(crate) fn save(&self, state: &PersistedState) -> Result<(PathBuf, u64), FlowError> {
         let bytes = state.to_bytes();
         let final_path = self.path_for(state.seq);
-        let tmp_path = self.dir.join(format!(".ckpt-{:08}.tmp", state.seq));
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp_path)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp_path, &final_path)?;
-            Ok(())
-        };
-        write().map_err(|e| FlowError::CorruptCheckpoint {
+        write_atomic(&final_path, &bytes).map_err(|e| FlowError::CorruptCheckpoint {
             path: final_path.display().to_string(),
             detail: format!("checkpoint write failed: {e}"),
         })?;
         Ok((final_path, bytes.len() as u64))
     }
 
-    /// Moves a failed file into `quarantine/` via the artifact store's
-    /// shared helper (filename preserved, numeric suffix on
-    /// collision). When even the move fails the file is removed
-    /// instead, so it cannot shadow older, valid snapshots. Either
-    /// way the incident is *counted and traced* — a quarantine must
-    /// never be silent.
+    /// Moves a failed file into `quarantine/` via the shared
+    /// `codec::quarantine_file` (filename preserved, numeric suffix on
+    /// collision). When even the move fails the file is removed instead,
+    /// so it cannot shadow older, valid snapshots. Either way the
+    /// incident is *counted and traced* — a quarantine must never be
+    /// silent.
     fn quarantine(&self, path: &Path) {
         if quarantine_file(path, &self.quarantine_dir()).is_err() {
             let _ = fs::remove_file(path);
@@ -859,13 +818,7 @@ impl CheckpointStore {
     /// chaos harness's checkpoint-corruption fault.
     pub fn corrupt_newest(&self) {
         if let Some(path) = self.snapshot_paths().pop() {
-            if let Ok(mut bytes) = fs::read(&path) {
-                if bytes.len() > 24 {
-                    let mid = 24 + (bytes.len() - 24) / 2;
-                    bytes[mid] ^= 0xFF;
-                    let _ = fs::write(&path, &bytes);
-                }
-            }
+            flip_byte(&path);
         }
     }
 }
@@ -1020,6 +973,20 @@ mod tests {
             }
             other => panic!("expected Restored, got {other:?}"),
         }
+    }
+
+    /// Pins the whole snapshot file image: any change to the frame, a
+    /// section or a field codec moves this hash.
+    #[test]
+    fn snapshot_file_image_is_pinned() {
+        let dir = std::env::temp_dir().join(format!("m3d-ckpt-pin-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).expect("store opens");
+        let (path, len) = store.save(&state()).expect("saves");
+        let bytes = fs::read(&path).expect("reads back");
+        assert_eq!(bytes.len() as u64, len);
+        assert_eq!(content_hash(&bytes), 0x059a_35c0_2291_a7f5);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,18 +1,38 @@
-//! The self-verifying binary codec shared by the durable layers.
+//! The self-verifying binary codec and durable-file frame shared by the
+//! durable layers.
 //!
-//! [`crate::checkpoint`] (supervisor snapshots) and [`crate::store`]
-//! (the persistent artifact store) persist different payloads but share
-//! one wire discipline: little-endian integers, `f64` as IEEE-754 bit
-//! patterns (so round-trips are bit-exact, NaN payloads included),
-//! length-prefixed strings, and tagged sections that carry their own
-//! FNV-1a 64 content hash in addition to a whole-payload hash. This
-//! module is that shared substrate — the append-only [`Enc`] writer,
-//! the cursor-based [`Dec`] reader with typed [`DecodeError`] failure,
-//! the enum codecs with stable on-disk discriminants, and the
-//! [`write_section`]/[`read_section`] framing.
+//! [`crate::checkpoint`] (supervisor snapshots), [`crate::store`] (the
+//! persistent artifact store) and [`crate::govern`] (drained plan
+//! remainders) persist different payloads but share one wire
+//! discipline: little-endian integers, `f64` as IEEE-754 bit patterns
+//! (so round-trips are bit-exact, NaN payloads included), and
+//! length-prefixed strings, written by the append-only [`Enc`] and read
+//! by the cursor-based [`Dec`] with typed [`DecodeError`] failure.
 //!
-//! Nothing here touches the filesystem: callers own magic bytes, file
-//! layout and corruption policy (quarantine vs. typed error).
+//! They also share one file frame, built by [`frame`] and verified by
+//! [`unframe`]:
+//!
+//! ```text
+//! file    := magic (8 bytes) payload_len (u64 LE) payload_hash (u64 LE) payload
+//! payload := section*
+//! section := tag (u8) body_len (u64 LE) body_hash (u64 LE) body
+//! ```
+//!
+//! Both hashes are FNV-1a 64 ([`content_hash`]). A file verifies only if
+//! the magic matches, the payload is exactly `payload_len` bytes with
+//! nothing after it, both hashes match, and the sections carry exactly
+//! the expected tags in order. Each format differs only in its magic and
+//! its section tags.
+//!
+//! Files land through [`write_atomic`] (temp file, `sync_all`, rename),
+//! failed files are moved aside by [`quarantine_file`], and the chaos
+//! harness damages them with [`flip_byte`]. Callers own the magic, the
+//! section tags, the payload codecs and the corruption policy
+//! (quarantine and fall back, quarantine and miss, or a typed error).
+
+use std::fs;
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
 
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, NodeId, StackKind};
@@ -97,7 +117,9 @@ impl<'a> Dec<'a> {
     }
 
     pub(crate) fn take(&mut self, n: usize) -> DecResult<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        // `pos <= len` always holds, so this cannot overflow the way
+        // `pos + n` can for a length field read from a damaged file.
+        if n > self.buf.len() - self.pos {
             return Err(DecodeError(format!(
                 "payload truncated: wanted {n} bytes at offset {}, have {}",
                 self.pos,
@@ -261,12 +283,15 @@ pub(crate) fn dec_stage(d: &mut Dec) -> DecResult<FlowStage> {
 }
 
 // ---------------------------------------------------------------------
-// Section framing
+// The durable-file frame
 // ---------------------------------------------------------------------
+
+/// Bytes before the payload: magic, payload length, payload hash.
+const HEADER_LEN: usize = 24;
 
 /// Appends one tagged section: `tag (u8) body_len (u64 LE) body_hash
 /// (u64 LE, FNV-1a 64) body`.
-pub(crate) fn write_section(out: &mut Vec<u8>, tag: u8, body: &[u8]) {
+fn write_section(out: &mut Vec<u8>, tag: u8, body: &[u8]) {
     out.push(tag);
     out.extend_from_slice(&(body.len() as u64).to_le_bytes());
     out.extend_from_slice(&content_hash(body).to_le_bytes());
@@ -275,7 +300,7 @@ pub(crate) fn write_section(out: &mut Vec<u8>, tag: u8, body: &[u8]) {
 
 /// Reads the section that must come next, verifying its tag and content
 /// hash.
-pub(crate) fn read_section<'a>(d: &mut Dec<'a>, want_tag: u8) -> DecResult<&'a [u8]> {
+fn read_section<'a>(d: &mut Dec<'a>, want_tag: u8) -> DecResult<&'a [u8]> {
     let tag = d.u8()?;
     if tag != want_tag {
         return Err(DecodeError(format!(
@@ -292,6 +317,119 @@ pub(crate) fn read_section<'a>(d: &mut Dec<'a>, want_tag: u8) -> DecResult<&'a [
         )));
     }
     Ok(body)
+}
+
+/// The whole file image: `magic`, the payload length and hash, then one
+/// section per `(tag, body)` in order.
+pub(crate) fn frame(magic: &[u8; 8], sections: &[(u8, &[u8])]) -> Vec<u8> {
+    // Each section adds its tag, body length and body hash: 17 bytes.
+    let payload_len: usize = sections.iter().map(|(_, body)| 17 + body.len()).sum();
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&(payload_len as u64).to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
+    for &(tag, body) in sections {
+        write_section(&mut out, tag, body);
+    }
+    let hash = content_hash(&out[HEADER_LEN..]);
+    out[16..HEADER_LEN].copy_from_slice(&hash.to_le_bytes());
+    out
+}
+
+/// Verifies a whole file image built by [`frame`] — magic, exact length,
+/// payload hash, every section's tag and hash, no trailing bytes — and
+/// returns the section bodies, borrowed from `bytes`, in `tags` order.
+pub(crate) fn unframe<'a, const N: usize>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    tags: [u8; N],
+) -> DecResult<[&'a [u8]; N]> {
+    let mut d = Dec::new(bytes);
+    if d.take(magic.len())? != magic {
+        return Err(DecodeError(format!(
+            "bad magic: want {}",
+            String::from_utf8_lossy(magic)
+        )));
+    }
+    let len = d.usize()?;
+    let hash = d.u64()?;
+    let payload = d.take(len)?;
+    d.finish()?;
+    let actual = content_hash(payload);
+    if actual != hash {
+        return Err(DecodeError(format!(
+            "payload hash mismatch: stored {hash:#018x}, computed {actual:#018x}"
+        )));
+    }
+    let mut p = Dec::new(payload);
+    let mut bodies: [&[u8]; N] = [&[]; N];
+    for (body, tag) in bodies.iter_mut().zip(tags) {
+        *body = read_section(&mut p, tag)?;
+    }
+    p.finish()?;
+    Ok(bodies)
+}
+
+/// The pid-unique temp file [`write_atomic`] writes `path` through, in
+/// the same directory so the rename never crosses a filesystem.
+pub(crate) fn temp_path(path: &Path) -> PathBuf {
+    let name = path
+        .file_name()
+        .map(|n| n.to_string_lossy())
+        .unwrap_or_default();
+    path.with_file_name(format!(".{name}.{}.tmp", std::process::id()))
+}
+
+/// Writes `bytes` to `path` crash-only: temp file, `sync_all`, then
+/// rename, so a kill at any byte leaves the old file or the new one,
+/// never a half-written file under `path`. The temp file is removed on
+/// any error.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = temp_path(path);
+    let written = fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written
+}
+
+/// Moves `src` into `quarantine_dir` preserving its filename (a
+/// numeric suffix disambiguates collisions), creating the directory if
+/// needed, so every quarantined durable file lands with the same naming
+/// discipline.
+pub(crate) fn quarantine_file(src: &Path, quarantine_dir: &Path) -> io::Result<PathBuf> {
+    fs::create_dir_all(quarantine_dir)?;
+    let name = src
+        .file_name()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "source has no file name"))?
+        .to_string_lossy()
+        .into_owned();
+    let mut dest = quarantine_dir.join(&name);
+    let mut n = 1u32;
+    while dest.exists() && n < 1000 {
+        dest = quarantine_dir.join(format!("{name}.{n}"));
+        n += 1;
+    }
+    fs::rename(src, &dest)?;
+    Ok(dest)
+}
+
+/// Flips the middle payload byte of a framed file in place — the
+/// injected bit rot that verification must catch. Best-effort: a file
+/// that cannot be read or carries no payload is left alone.
+pub(crate) fn flip_byte(path: &Path) {
+    if let Ok(mut bytes) = fs::read(path) {
+        if bytes.len() > HEADER_LEN {
+            let mid = HEADER_LEN + (bytes.len() - HEADER_LEN) / 2;
+            bytes[mid] ^= 0xFF;
+            let _ = fs::write(path, &bytes);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -350,6 +488,94 @@ mod tests {
         bad[last] ^= 0x01;
         let mut d = Dec::new(&bad);
         assert!(read_section(&mut d, 3).is_err());
+    }
+
+    #[test]
+    fn take_rejects_a_length_that_would_overflow_the_cursor() {
+        let buf = [0u8; 32];
+        let mut d = Dec::new(&buf);
+        d.take(16).expect("in bounds");
+        assert!(d.take(usize::MAX).is_err(), "overflowing length is typed");
+        assert!(d.take(17).is_err(), "one past the end is typed");
+        assert_eq!(d.take(16).expect("the rest").len(), 16);
+    }
+
+    #[test]
+    fn frame_round_trips_and_rejects_every_kind_of_damage() {
+        const MAGIC: &[u8; 8] = b"M3DTEST1";
+        let file = frame(MAGIC, &[(1, b"key"), (2, b"artifact body")]);
+        let [key, artifact] = unframe(&file, MAGIC, [1, 2]).expect("verifies");
+        assert_eq!((key, artifact), (&b"key"[..], &b"artifact body"[..]));
+        // The bodies are borrowed from the file image, not copied.
+        assert!(file.as_ptr_range().contains(&artifact.as_ptr()));
+
+        assert!(unframe(&file, b"M3DOTHER", [1, 2]).is_err(), "magic");
+        assert!(unframe(&file, MAGIC, [2, 1]).is_err(), "tag order");
+        assert!(unframe(&file, MAGIC, [1]).is_err(), "unread section");
+        assert!(unframe(&file, MAGIC, [1, 2, 3]).is_err(), "missing section");
+        let mut trailing = file.clone();
+        trailing.push(0);
+        assert!(unframe(&trailing, MAGIC, [1, 2]).is_err(), "trailing byte");
+        for cut in 0..file.len() {
+            assert!(unframe(&file[..cut], MAGIC, [1, 2]).is_err(), "cut {cut}");
+        }
+        for pos in 0..file.len() {
+            let mut bad = file.clone();
+            bad[pos] ^= 0x01;
+            assert!(unframe(&bad, MAGIC, [1, 2]).is_err(), "flip at {pos}");
+        }
+        // A payload length near u64::MAX is a typed error, not a panic.
+        let mut huge = file.clone();
+        huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(unframe(&huge, MAGIC, [1, 2]).is_err());
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("m3d-codec-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_temp() {
+        let dir = temp_dir("atomic");
+        let path = dir.join("entry.m3d");
+        write_atomic(&path, b"old").expect("first write");
+        write_atomic(&path, b"new").expect("overwrite");
+        assert_eq!(fs::read(&path).expect("reads"), b"new");
+        // A rename onto a non-empty directory fails after the temp file
+        // is written; the temp file must not outlive the error.
+        let occupied = dir.join("occupied.m3d");
+        fs::create_dir_all(occupied.join("child")).expect("blocking dir");
+        assert!(write_atomic(&occupied, b"x").is_err());
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .expect("dir")
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, vec!["entry.m3d", "occupied.m3d"], "temp file left");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn quarantine_file_disambiguates_collisions() {
+        let root = temp_dir("qf");
+        let q = root.join("quarantine");
+        for i in 0..3 {
+            let src = root.join("entry.m3d");
+            fs::write(&src, format!("payload {i}")).expect("write");
+            quarantine_file(&src, &q).expect("quarantine");
+        }
+        let mut names: Vec<String> = fs::read_dir(&q)
+            .expect("quarantine dir")
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, vec!["entry.m3d", "entry.m3d.1", "entry.m3d.2"]);
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //!   per-client quota counters and an explicit [`Backpressure`] policy
 //!   (`Reject` returns a typed error, `Block` waits for space).
 //! * Drain persistence — [`save_remainder`] / [`load_remainder`] carry
-//!   the unstarted tail of a drained plan through the checkpoint codec,
-//!   so a later process resumes exactly the points this one never
-//!   started.
+//!   the unstarted tail of a drained plan in the shared durable frame
+//!   (DESIGN.md §9), so a later process resumes exactly the points this
+//!   one never started.
 //!
 //! **Cancellation purity.** A cancelled run publishes nothing torn: flow
 //! results enter the caches only after sign-off, and a cancelled stage
@@ -40,7 +40,6 @@ use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -48,8 +47,8 @@ use std::time::{Duration, Instant};
 
 use crate::checkpoint::{dec_config, enc_config};
 use crate::codec::{
-    content_hash, dec_benchmark, dec_style, enc_benchmark, enc_style, read_section, write_section,
-    Dec, Enc,
+    dec_benchmark, dec_style, enc_benchmark, enc_style, frame, unframe, write_atomic, Dec,
+    DecResult, DecodeError, Enc,
 };
 use crate::error::{FlowError, FlowStage};
 use crate::executor::{ExperimentPlan, PlanPoint};
@@ -707,18 +706,19 @@ const TAG_POINTS: u8 = 1;
 /// drain remainder under (inside the governor's drain directory).
 pub const REMAINDER_FILE: &str = "plan-remainder.m3d";
 
-fn corrupt(path: &Path, detail: impl Into<String>) -> FlowError {
+fn corrupt(path: &Path, detail: String) -> FlowError {
     FlowError::CorruptCheckpoint {
         path: path.display().to_string(),
-        detail: detail.into(),
+        detail,
     }
 }
 
-/// Persists the unstarted tail of a drained plan through the checkpoint
-/// codec (same section framing and content hashing as supervisor
-/// snapshots, under its own magic). Returns the encoded size in bytes.
-/// The write is tmp+fsync+rename, so a crash mid-drain leaves either
-/// the old remainder or the new one, never a torn file.
+/// Persists the unstarted tail of a drained plan in the durable frame
+/// built by `codec::frame` (DESIGN.md §9) under the magic `M3DPLAN1`,
+/// its points encoded by the checkpoint codec's config encoder. Returns
+/// the encoded size in bytes. The write goes through
+/// `codec::write_atomic`, so a crash mid-drain leaves either the old
+/// remainder or the new one, never a torn file.
 ///
 /// # Errors
 ///
@@ -731,69 +731,37 @@ pub fn save_remainder(path: &Path, points: &[PlanPoint]) -> Result<u64, FlowErro
         enc_style(&mut body, p.style);
         enc_config(&mut body, &p.config);
     }
-    let mut payload = Vec::with_capacity(body.buf.len() + 32);
-    write_section(&mut payload, TAG_POINTS, &body.buf);
-    let mut file = Vec::with_capacity(payload.len() + 24);
-    file.extend_from_slice(PLAN_MAGIC);
-    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file.extend_from_slice(&content_hash(&payload).to_le_bytes());
-    file.extend_from_slice(&payload);
-
+    let file = frame(PLAN_MAGIC, &[(TAG_POINTS, &body.buf)]);
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir).map_err(|e| corrupt(path, format!("create dir: {e}")))?;
     }
-    let tmp = path.with_extension("m3d.tmp");
-    {
-        let mut f =
-            fs::File::create(&tmp).map_err(|e| corrupt(&tmp, format!("create temp: {e}")))?;
-        f.write_all(&file)
-            .map_err(|e| corrupt(&tmp, format!("write: {e}")))?;
-        f.sync_all()
-            .map_err(|e| corrupt(&tmp, format!("sync: {e}")))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| corrupt(path, format!("rename: {e}")))?;
+    write_atomic(path, &file).map_err(|e| corrupt(path, format!("write: {e}")))?;
     Ok(file.len() as u64)
 }
 
 /// Loads a persisted plan remainder back into an [`ExperimentPlan`]
-/// (dedup still applies), verifying magic and content hashes.
+/// (dedup still applies), verifying the whole frame.
 ///
 /// # Errors
 ///
-/// [`FlowError::CorruptCheckpoint`] when the file is missing, truncated
-/// or fails verification.
+/// [`FlowError::CorruptCheckpoint`] when the file is missing, truncated,
+/// carries trailing bytes or fails verification.
 pub fn load_remainder(path: &Path) -> Result<ExperimentPlan, FlowError> {
-    let bytes = fs::read(path).map_err(|e| corrupt(path, format!("read: {e}")))?;
-    let mut d = Dec::new(&bytes);
-    let magic = d
-        .take(PLAN_MAGIC.len())
-        .map_err(|e| corrupt(path, e.0.clone()))?;
-    if magic != PLAN_MAGIC {
-        return Err(corrupt(path, "bad plan-remainder magic"));
-    }
-    let len = d.usize().map_err(|e| corrupt(path, e.0.clone()))?;
-    let hash = d.u64().map_err(|e| corrupt(path, e.0.clone()))?;
-    let payload = d.take(len).map_err(|e| corrupt(path, e.0.clone()))?;
-    let actual = content_hash(payload);
-    if actual != hash {
-        return Err(corrupt(
-            path,
-            format!("payload hash mismatch: stored {hash:#018x}, computed {actual:#018x}"),
-        ));
-    }
-    let mut pd = Dec::new(payload);
-    let body = read_section(&mut pd, TAG_POINTS).map_err(|e| corrupt(path, e.0.clone()))?;
-    let mut bd = Dec::new(body);
-    let count = bd.usize().map_err(|e| corrupt(path, e.0.clone()))?;
-    let mut plan = ExperimentPlan::new();
-    for _ in 0..count {
-        let bench = dec_benchmark(&mut bd).map_err(|e| corrupt(path, e.0.clone()))?;
-        let style = dec_style(&mut bd).map_err(|e| corrupt(path, e.0.clone()))?;
-        let config = dec_config(&mut bd).map_err(|e| corrupt(path, e.0.clone()))?;
-        plan.push(bench, style, config);
-    }
-    bd.finish().map_err(|e| corrupt(path, e.0.clone()))?;
-    Ok(plan)
+    let decode = || -> DecResult<ExperimentPlan> {
+        let bytes = fs::read(path).map_err(|e| DecodeError(format!("read: {e}")))?;
+        let [body] = unframe(&bytes, PLAN_MAGIC, [TAG_POINTS])?;
+        let mut d = Dec::new(body);
+        let count = d.usize()?;
+        let mut plan = ExperimentPlan::new();
+        for _ in 0..count {
+            let bench = dec_benchmark(&mut d)?;
+            let style = dec_style(&mut d)?;
+            plan.push(bench, style, dec_config(&mut d)?);
+        }
+        d.finish()?;
+        Ok(plan)
+    };
+    decode().map_err(|e| corrupt(path, e.0))
 }
 
 #[cfg(test)]
@@ -802,6 +770,7 @@ mod tests {
     use m3d_netlist::{BenchScale, Benchmark};
     use m3d_tech::{DesignStyle, NodeId};
 
+    use crate::codec::content_hash;
     use crate::flow::FlowConfig;
 
     fn point(bench: Benchmark, style: DesignStyle) -> PlanPoint {
@@ -1125,6 +1094,37 @@ mod tests {
             load_remainder(&path),
             Err(FlowError::CorruptCheckpoint { .. })
         ));
+        // So is a valid file with one byte appended.
+        save_remainder(&path, &points).expect("persists");
+        let mut trailing = fs::read(&path).expect("read back");
+        trailing.push(0);
+        fs::write(&path, &trailing).expect("write trailing");
+        assert!(matches!(
+            load_remainder(&path),
+            Err(FlowError::CorruptCheckpoint { .. })
+        ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Pins the whole remainder file image: any change to the frame or
+    /// the point codec moves this hash.
+    #[test]
+    fn remainder_file_image_is_pinned() {
+        let dir = std::env::temp_dir().join(format!(
+            "m3d-govern-pin-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let path = dir.join(REMAINDER_FILE);
+        let points = vec![
+            point(Benchmark::Ldpc, DesignStyle::TwoD),
+            point(Benchmark::Ldpc, DesignStyle::Tmi),
+            point(Benchmark::Des, DesignStyle::TwoD),
+        ];
+        let len = save_remainder(&path, &points).expect("persists");
+        let bytes = fs::read(&path).expect("read back");
+        assert_eq!(bytes.len() as u64, len);
+        assert_eq!(content_hash(&bytes), 0x85b6_2846_ffdf_cae6);
         let _ = fs::remove_dir_all(&dir);
     }
 

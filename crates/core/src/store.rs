@@ -14,22 +14,22 @@
 //!   `<root>/lib/<2-hex>/<16-hex>.m3d` and
 //!   `<root>/flow/<2-hex>/<16-hex>.m3d`, plus `<root>/quarantine/` and
 //!   a recency journal `<root>/index.journal`.
-//! * **Self-verification** — every entry carries the `M3DSTOR1` magic,
-//!   a whole-payload FNV hash and per-section hashes (the
-//!   [`crate::codec`] discipline shared with checkpoints), and embeds
-//!   the encoded key so a read can confirm the entry answers the
-//!   question that was asked. Every read re-verifies everything.
+//! * **Self-verification** — every entry is the durable frame built by
+//!   `codec::frame` (DESIGN.md §9) under the `M3DSTOR1` magic, with a
+//!   key section and an artifact section; embedding the encoded key
+//!   lets a read confirm the entry answers the question that was asked.
+//!   Every read re-verifies everything.
 //! * **Quarantine, never a wrong answer** — a failed verification
 //!   (torn file, flipped byte, semantic decode failure) moves the
 //!   entry into `quarantine/` *preserving its key-hash filename* for
 //!   post-mortems, counts it, emits
 //!   [`EventKind::DiskQuarantined`], and reports a miss so the caller
 //!   rebuilds. Corruption is never an error and never a hit.
-//! * **Crash-only writes** — publishes write a pid-unique temp file in
-//!   the destination shard, `sync_all`, then `rename`; a kill at any
-//!   byte leaves either the old state or the new entry, never a
-//!   half-written visible file ([`StoreFaultKind::TornStoreWrite`]
-//!   pins this in the chaos harness).
+//! * **Crash-only writes** — publishes go through `codec::write_atomic`;
+//!   a kill at any byte leaves either the old state or the new entry,
+//!   never a half-written visible file
+//!   ([`StoreFaultKind::TornStoreWrite`] pins this in the chaos
+//!   harness).
 //! * **Multi-process safety** — publishers take a per-entry `.lock`
 //!   file (`create_new`, stolen after [`LOCK_STALE`]); losers *skip*
 //!   the publish, which is sound because the flow is deterministic and
@@ -65,7 +65,8 @@ use m3d_tech::{MetalClass, TechNode};
 use crate::cache::{FlowKey, LibraryKey};
 use crate::codec::{
     content_hash, dec_benchmark, dec_node, dec_style, enc_benchmark, enc_node, enc_scale,
-    enc_stack_kind, enc_style, read_section, write_section, Dec, DecResult, DecodeError, Enc,
+    enc_stack_kind, enc_style, flip_byte, frame, quarantine_file, temp_path, unframe, write_atomic,
+    Dec, DecResult, DecodeError, Enc,
 };
 use crate::error::StoreFailure;
 use crate::faultinject::{StoreFaultKind, StoreFaultPlan};
@@ -350,14 +351,15 @@ impl DiskStore {
                 return None;
             }
         };
-        let decoded = decode_entry(&bytes).and_then(|(stored_key, artifact)| {
-            if stored_key != key_bytes {
-                return Err(DecodeError(
-                    "entry answers a different key than requested".into(),
-                ));
-            }
-            decode(artifact)
-        });
+        let decoded =
+            unframe(&bytes, MAGIC, [SEC_KEY, SEC_ARTIFACT]).and_then(|[stored_key, artifact]| {
+                if stored_key != key_bytes {
+                    return Err(DecodeError(
+                        "entry answers a different key than requested".into(),
+                    ));
+                }
+                decode(artifact)
+            });
         match decoded {
             Ok(artifact) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -401,7 +403,7 @@ impl DiskStore {
         }
     }
 
-    /// The crash-only publish: lock, temp-write, sync, rename. Returns
+    /// The crash-only publish: lock, then [`write_atomic`]. Returns
     /// `Ok(true)` when the entry became visible, `Ok(false)` when the
     /// publish was skipped (lock held by a live peer) or torn by
     /// injection.
@@ -433,36 +435,34 @@ impl DiskStore {
             // idempotent last-writer-wins outcome.
             return Ok(false);
         }
-        let bytes = encode_entry(key_bytes, artifact);
-        let tmp = shard_dir.join(format!(".{hash:016x}.{}.tmp", std::process::id()));
-        let written = write_entry_file(&tmp, &bytes, fault);
-        let outcome = match written {
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(StoreFailure::io("write store entry", &e))
-            }
-            Ok(false) => Ok(false), // torn by injection: no rename, tmp left behind
-            Ok(true) => match fs::rename(&tmp, &final_path) {
-                Err(e) => {
-                    let _ = fs::remove_file(&tmp);
-                    Err(StoreFailure::io("rename store entry", &e))
-                }
-                Ok(()) => {
-                    if fault == Some(StoreFaultKind::CorruptStoreEntry) {
-                        corrupt_one_byte(&final_path);
-                    }
-                    let mut idx = self.index.lock().expect("store index lock");
-                    idx.insert(kind, hash, bytes.len() as u64);
-                    self.journal(
-                        &mut idx,
-                        &format!("P {} {hash:016x} {}", kind.key(), bytes.len()),
-                    );
-                    Ok(true)
-                }
-            },
+        let bytes = frame(MAGIC, &[(SEC_KEY, key_bytes), (SEC_ARTIFACT, artifact)]);
+        let visible = if fault == Some(StoreFaultKind::TornStoreWrite) {
+            // A kill mid-publish: half the temp file reaches the disk and
+            // the rename never happens. The torn temp file is left behind
+            // on purpose — it is exactly what a crash leaves, and it must
+            // never become visible.
+            fs::File::create(temp_path(&final_path))
+                .and_then(|mut f| {
+                    f.write_all(&bytes[..bytes.len() / 2])?;
+                    f.sync_all()
+                })
+                .map(|()| false)
+        } else {
+            write_atomic(&final_path, &bytes).map(|()| true)
         };
+        if let Ok(true) = visible {
+            if fault == Some(StoreFaultKind::CorruptStoreEntry) {
+                flip_byte(&final_path);
+            }
+            let mut idx = self.index.lock().expect("store index lock");
+            idx.insert(kind, hash, bytes.len() as u64);
+            self.journal(
+                &mut idx,
+                &format!("P {} {hash:016x} {}", kind.key(), bytes.len()),
+            );
+        }
         let _ = fs::remove_file(&lock_path);
-        outcome
+        visible.map_err(|e| StoreFailure::io("write store entry", &e))
     }
 
     /// Evicts least-recently-used entries until the store fits its
@@ -660,27 +660,6 @@ fn scan(root: &Path) -> Index {
     idx
 }
 
-/// Moves `src` into `quarantine_dir` preserving its filename (a
-/// numeric suffix disambiguates collisions), creating the directory if
-/// needed. Shared by the store and the checkpoint layer so every
-/// quarantined durable file lands with the same naming discipline.
-pub(crate) fn quarantine_file(src: &Path, quarantine_dir: &Path) -> io::Result<PathBuf> {
-    fs::create_dir_all(quarantine_dir)?;
-    let name = src
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "source has no file name"))?
-        .to_string_lossy()
-        .into_owned();
-    let mut dest = quarantine_dir.join(&name);
-    let mut n = 1u32;
-    while dest.exists() && n < 1000 {
-        dest = quarantine_dir.join(format!("{name}.{n}"));
-        n += 1;
-    }
-    fs::rename(src, &dest)?;
-    Ok(dest)
-}
-
 /// Tries to create the `.lock` file. `Ok(true)` — acquired. `Ok(false)`
 /// — a live peer holds it. Stale locks (crashed holders) are stolen.
 fn acquire_lock(path: &Path) -> io::Result<bool> {
@@ -706,77 +685,6 @@ fn acquire_lock(path: &Path) -> io::Result<bool> {
         }
     }
     Ok(false)
-}
-
-/// Writes the entry bytes to `tmp` and syncs. Returns `Ok(false)` when
-/// a [`StoreFaultKind::TornStoreWrite`] cut the write short (the torn
-/// temp file is deliberately left behind — it is exactly what a crash
-/// leaves, and it must never become visible).
-fn write_entry_file(tmp: &Path, bytes: &[u8], fault: Option<StoreFaultKind>) -> io::Result<bool> {
-    let mut f = fs::File::create(tmp)?;
-    if fault == Some(StoreFaultKind::TornStoreWrite) {
-        f.write_all(&bytes[..bytes.len() / 2])?;
-        f.sync_all()?;
-        return Ok(false);
-    }
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    Ok(true)
-}
-
-/// Flips the last byte of the file in place — the injected bit-rot the
-/// verify-on-read path must catch.
-fn corrupt_one_byte(path: &Path) {
-    if let Ok(mut bytes) = fs::read(path) {
-        if let Some(last) = bytes.last_mut() {
-            *last ^= 0xff;
-            let _ = fs::write(path, bytes);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Entry framing
-// ---------------------------------------------------------------------
-
-/// `MAGIC || payload_len (u64 LE) || payload_hash (u64 LE) || payload`,
-/// where the payload is a KEY section followed by an ARTIFACT section
-/// (each with its own content hash).
-fn encode_entry(key_bytes: &[u8], artifact: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(key_bytes.len() + artifact.len() + 36);
-    write_section(&mut payload, SEC_KEY, key_bytes);
-    write_section(&mut payload, SEC_ARTIFACT, artifact);
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&content_hash(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
-/// Verifies magic, length, whole-payload hash and both section hashes;
-/// returns the raw `(key, artifact)` section bodies.
-fn decode_entry(bytes: &[u8]) -> DecResult<(&[u8], &[u8])> {
-    let mut d = Dec::new(bytes);
-    let magic = d.take(MAGIC.len())?;
-    if magic != MAGIC {
-        return Err(DecodeError("bad store magic".into()));
-    }
-    let len = d.usize()?;
-    let want = d.u64()?;
-    let payload = d.take(len)?;
-    d.finish()?;
-    let got = content_hash(payload);
-    if got != want {
-        return Err(DecodeError(format!(
-            "payload hash mismatch: stored {want:#018x}, computed {got:#018x}"
-        )));
-    }
-    let mut p = Dec::new(payload);
-    let key = read_section(&mut p, SEC_KEY)?;
-    let artifact = read_section(&mut p, SEC_ARTIFACT)?;
-    p.finish()?;
-    Ok((key, artifact))
 }
 
 // ---------------------------------------------------------------------
@@ -1160,6 +1068,20 @@ mod tests {
         assert_eq!(back.wlm_curve[3].to_bits(), (-0.0f64).to_bits());
     }
 
+    /// Pins the whole entry file image: any change to the frame, the key
+    /// codec or the flow-result codec moves this hash.
+    #[test]
+    fn flow_entry_file_image_is_pinned() {
+        let root = temp_root("pin");
+        let store = DiskStore::open(&root);
+        let key = flow_key();
+        store.store_flow(&key, &sample_result());
+        let path = store.entry_path(CacheKind::Flow, content_hash(&enc_flow_key(&key)));
+        let bytes = fs::read(&path).expect("entry on disk");
+        assert_eq!(content_hash(&bytes), 0x0bd9_0ffd_8d7e_f2a9);
+        let _ = fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn flow_store_round_trips_through_disk() {
         let root = temp_root("flowrt");
@@ -1348,26 +1270,6 @@ mod tests {
             "journal kept key 0 warm"
         );
         assert!(store.load_flow(&keys[1]).is_none());
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn quarantine_file_disambiguates_collisions() {
-        let root = temp_root("qf");
-        fs::create_dir_all(&root).expect("temp root");
-        let q = root.join("quarantine");
-        for i in 0..3 {
-            let src = root.join("entry.m3d");
-            fs::write(&src, format!("payload {i}")).expect("write");
-            quarantine_file(&src, &q).expect("quarantine");
-        }
-        let mut names: Vec<String> = fs::read_dir(&q)
-            .expect("quarantine dir")
-            .flatten()
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        assert_eq!(names, vec!["entry.m3d", "entry.m3d.1", "entry.m3d.2"]);
         let _ = fs::remove_dir_all(&root);
     }
 

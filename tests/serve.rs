@@ -1,8 +1,8 @@
 //! Integration tests for the m3d-serve experiment server: protocol
 //! robustness under hostile frames, cross-connection coalescing,
 //! served tables identical to the batch binary, per-client quotas,
-//! instant deadline rejection, and graceful drain with remainder
-//! persistence.
+//! instant deadline rejection, graceful drain with remainder
+//! persistence, and the TCP listener answering like the unix socket.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -318,6 +318,45 @@ fn wire_shutdown_reports_pending_and_stops_the_server() {
     assert!(response_ok(&resp), "{resp}");
     assert_eq!(json_raw_field(&resp, "pending"), Some("0"));
     assert!(server.is_draining());
+    server.join();
+}
+
+/// The TCP listener speaks the same protocol as the unix socket: a
+/// plain `TcpStream` gets byte-identical responses to the same frames.
+#[test]
+fn tcp_listener_answers_byte_identically_to_the_unix_socket() {
+    use std::io::{BufRead, BufReader, Write};
+    let (server, sock, _cache) = start("tcp", |cfg| {
+        cfg.listen.push(Listen::Tcp("127.0.0.1:0".to_string()));
+    });
+    let addr = *server.tcp_addrs().first().expect("tcp listener bound");
+    assert_ne!(
+        addr.port(),
+        0,
+        "the bound port is reported, not the requested 0"
+    );
+    let frames = ["{\"id\":3,\"op\":\"ping\"}", RUN_DES_3D];
+
+    let mut unix = connect(&sock);
+    let via_unix: Vec<String> = frames
+        .iter()
+        .map(|f| unix.request(f).expect("unix response") + "\n")
+        .collect();
+
+    let stream = std::net::TcpStream::connect(addr).expect("tcp connects");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    for (frame, want) in frames.iter().zip(&via_unix) {
+        writer
+            .write_all(format!("{frame}\n").as_bytes())
+            .expect("tcp send");
+        let mut got = String::new();
+        reader.read_line(&mut got).expect("tcp response");
+        assert!(response_ok(&got), "{frame} -> {got}");
+        assert_eq!(&got, want, "tcp and unix answers differ for {frame}");
+    }
+    drop((unix, reader, writer));
+    server.shutdown();
     server.join();
 }
 

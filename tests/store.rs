@@ -151,6 +151,29 @@ proptest! {
     }
 }
 
+/// An entry whose header claims a payload of `u64::MAX` bytes — a
+/// length field no cursor arithmetic may trust — is quarantined and
+/// reads as a miss, never a panic.
+#[test]
+fn entry_claiming_a_u64_max_payload_is_quarantined_not_a_panic() {
+    let root = temp_root("hugelen");
+    let key = flow_key();
+    let store = DiskStore::open(&root);
+    store.store_flow(&key, &sample_result(4321));
+    let path = entry_file(&root);
+    let mut forged = b"M3DSTOR1".to_vec();
+    forged.extend_from_slice(&u64::MAX.to_le_bytes());
+    forged.extend_from_slice(&0u64.to_le_bytes());
+    forged.extend_from_slice(&[0xAB; 64]);
+    fs::write(&path, &forged).expect("forged entry lands");
+
+    let before = store.counters().quarantined;
+    assert_eq!(store.load_flow(&key), None);
+    assert_eq!(store.counters().quarantined, before + 1);
+    assert!(!store.is_degraded(), "a forged entry is not an I/O failure");
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// The quarantined copy keeps the key-hash filename, so an operator can
 /// map a quarantined file back to the artifact that produced it.
 #[test]
