@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use m3d_netlist::{Benchmark, Netlist};
 use m3d_place::Placement;
+use m3d_route::LayerUsage;
 use m3d_sta::NetModel;
 use m3d_synth::WireLoadModel;
 use m3d_tech::DesignStyle;
@@ -38,6 +39,10 @@ pub(crate) struct Artifacts {
     pub(crate) placement: Option<Placement>,
     /// Extracted per-net RC models.
     pub(crate) models: Vec<NetModel>,
+    /// Wirelength (µm) and layer usage of the route `models` was
+    /// extracted from. Resizing changes no route, so sign-off reports
+    /// this summary instead of routing the final netlist again.
+    pub(crate) route: Option<(f64, LayerUsage)>,
     /// WNS measured at the end of post-route optimization, ps — the
     /// floorplan-round accept/revert signal.
     pub(crate) wns_after_opt: f64,

@@ -8,14 +8,15 @@
 //! [`FlowConfig`]), the supervisor cursor (rung, round, next stage), the
 //! effective environment knobs after any ladder relaxations, the full
 //! attempt log, and the durable design artifacts (netlist, wire-load
-//! model, placement, extracted RC models).
+//! model, placement, extracted RC models and the summary of the route
+//! they came from).
 //!
 //! # File format
 //!
 //! `ckpt-<seq>.m3d` is the durable frame built by `codec::frame`
-//! (DESIGN.md §9) under the magic `M3DCKPT1`, with five sections:
+//! (DESIGN.md §9) under the magic `M3DCKPT2`, with five sections:
 //! identity, supervisor cursor, artifacts, round-1 best and routing
-//! checkpoint. Every section carries its own FNV-1a 64 content hash in
+//! checkpoint. The last three share one artifacts codec. Every section carries its own FNV-1a 64 content hash in
 //! addition to the whole-file hash, so corruption is attributed to the
 //! artifact it hit. `f64` values are stored as their IEEE-754 bit
 //! patterns, which is what makes a resumed run *bit-identical* to an
@@ -33,9 +34,10 @@
 //! The cell library is deliberately *not* serialized: it is a pure,
 //! memoized function of the config (see [`crate::ArtifactCache`]), so
 //! resume re-derives it from its content key instead of storing
-//! megabytes of characterization tables. The routed design is not an
-//! artifact at all: no stage consumes a predecessor's routing (sign-off
-//! re-routes the final netlist), so each stage drops its own.
+//! megabytes of characterization tables. The routed design is not
+//! serialized either: each stage drops its own once extracted, and only
+//! the extracted models and the route summary (wirelength, layer usage)
+//! that sign-off reports are artifacts.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -54,9 +56,9 @@ use m3d_netlist::InstId;
 
 use crate::artifacts::Artifacts;
 use crate::codec::{
-    dec_benchmark, dec_node, dec_scale, dec_stack_kind, dec_stage, dec_style, enc_benchmark,
-    enc_node, enc_scale, enc_stack_kind, enc_stage, enc_style, flip_byte, frame, quarantine_file,
-    unframe, write_atomic, Dec, DecResult, DecodeError, Enc,
+    dec_benchmark, dec_layer_usage, dec_node, dec_scale, dec_stack_kind, dec_stage, dec_style,
+    enc_benchmark, enc_layer_usage, enc_node, enc_scale, enc_stack_kind, enc_stage, enc_style,
+    flip_byte, frame, quarantine_file, unframe, write_atomic, Dec, DecResult, DecodeError, Enc,
 };
 use crate::error::FlowError;
 use crate::flow::FlowConfig;
@@ -65,8 +67,9 @@ use crate::supervisor::{AttemptRecord, Relaxation};
 
 pub use crate::codec::content_hash;
 
-/// File magic of a checkpoint snapshot (version 1).
-const MAGIC: &[u8; 8] = b"M3DCKPT1";
+/// File magic of a checkpoint snapshot (version 2: artifacts carry the
+/// route summary, and the round-1 best is a whole artifacts snapshot).
+const MAGIC: &[u8; 8] = b"M3DCKPT2";
 
 // ---------------------------------------------------------------------
 // Struct codecs
@@ -299,6 +302,10 @@ fn enc_artifacts(e: &mut Enc, a: &Artifacts) {
         e.f64(m.c_wire);
         e.f64(m.r_wire);
     }
+    e.opt(&a.route, |e, (wirelength_um, usage)| {
+        e.f64(*wirelength_um);
+        enc_layer_usage(e, usage);
+    });
     e.f64(a.wns_after_opt);
 }
 
@@ -315,6 +322,7 @@ fn dec_artifacts(d: &mut Dec) -> DecResult<Artifacts> {
             r_wire: d.f64()?,
         });
     }
+    let route = d.opt(|d| Ok((d.f64()?, dec_layer_usage(d)?)))?;
     let wns_after_opt = d.f64()?;
     Ok(Artifacts {
         netlist,
@@ -322,6 +330,7 @@ fn dec_artifacts(d: &mut Dec) -> DecResult<Artifacts> {
         tau_ps,
         placement,
         models,
+        route,
         wns_after_opt,
     })
 }
@@ -499,9 +508,8 @@ pub(crate) struct PersistedState {
     pub(crate) records: Vec<AttemptRecord>,
     /// Working design state (durable subset).
     pub(crate) art: Artifacts,
-    /// Round-1 best netlist/placement/WNS, kept across the floorplan
-    /// round boundary.
-    pub(crate) round1_best: Option<(Netlist, Placement, f64)>,
+    /// The round-1 artifacts, kept across the floorplan round boundary.
+    pub(crate) round1_best: Option<Artifacts>,
     /// The post-routing snapshot the ladder's first rung resumes from.
     pub(crate) routing_ckpt: Option<Artifacts>,
 }
@@ -543,11 +551,7 @@ impl PersistedState {
         enc_artifacts(&mut art, &self.art);
 
         let mut best = Enc::default();
-        best.opt(&self.round1_best, |e, (n, p, w)| {
-            enc_netlist(e, n);
-            enc_placement(e, p);
-            e.f64(*w);
-        });
+        best.opt(&self.round1_best, enc_artifacts);
 
         let mut rckpt = Enc::default();
         rckpt.opt(&self.routing_ckpt, enc_artifacts);
@@ -609,12 +613,7 @@ impl PersistedState {
         da.finish()?;
 
         let mut db = Dec::new(best);
-        let round1_best = db.opt(|d| {
-            let n = dec_netlist(d)?;
-            let p = dec_placement(d)?;
-            let w = d.f64()?;
-            Ok((n, p, w))
-        })?;
+        let round1_best = db.opt(dec_artifacts)?;
         db.finish()?;
 
         let mut dr = Dec::new(rckpt);
@@ -827,6 +826,7 @@ impl CheckpointStore {
 mod tests {
     use super::*;
     use crate::error::FlowStage;
+    use m3d_route::LayerUsage;
     use m3d_tech::NodeId;
 
     fn state() -> PersistedState {
@@ -928,9 +928,42 @@ mod tests {
                         r_wire: -0.0,
                     },
                 ],
+                route: Some((
+                    812.25,
+                    LayerUsage {
+                        m1_um: 1.5,
+                        local_um: 300.0,
+                        intermediate_um: 410.75,
+                        global_um: 100.0,
+                        peak_utilization: [0.9, 0.5, -0.0],
+                        mean_utilization: [0.3, 0.2, 0.1],
+                        overflow_ratio: 0.015625,
+                    },
+                )),
                 wns_after_opt: -3.25,
             },
-            round1_best: Some((netlist, placement, -1.0)),
+            round1_best: Some(Artifacts {
+                netlist: Some(netlist),
+                placement: Some(placement),
+                models: vec![NetModel {
+                    c_wire: 2.5,
+                    r_wire: 0.125,
+                }],
+                route: Some((
+                    640.5,
+                    LayerUsage {
+                        m1_um: 0.0,
+                        local_um: 200.0,
+                        intermediate_um: 340.5,
+                        global_um: 100.0,
+                        peak_utilization: [0.8, 0.4, 0.2],
+                        mean_utilization: [0.25, 0.125, 0.0625],
+                        overflow_ratio: 0.0,
+                    },
+                )),
+                wns_after_opt: -1.0,
+                ..Artifacts::default()
+            }),
             routing_ckpt: Some(Artifacts::default()),
         }
     }
@@ -961,9 +994,25 @@ mod tests {
             back.art.wns_after_opt.to_bits(),
             s.art.wns_after_opt.to_bits()
         );
+        assert_eq!(back.art.route, s.art.route);
         // -0.0 survives as -0.0 (bit-exact, not value-equal).
         assert_eq!(back.art.models[1].r_wire.to_bits(), (-0.0f64).to_bits());
-        assert!(back.round1_best.is_some());
+        let usage = |a: &Artifacts| {
+            a.route
+                .as_ref()
+                .map(|(_, u)| u.peak_utilization[2].to_bits())
+        };
+        assert_eq!(usage(&back.art), Some((-0.0f64).to_bits()));
+        let (got, want) = (
+            back.round1_best.as_ref().expect("round-1 snapshot decodes"),
+            s.round1_best.as_ref().expect("round-1 snapshot"),
+        );
+        assert_eq!(got.netlist, want.netlist);
+        assert_eq!(got.placement, want.placement);
+        assert_eq!(got.models, want.models);
+        assert_eq!(got.route, want.route);
+        assert_eq!(got.wns_after_opt.to_bits(), want.wns_after_opt.to_bits());
+        assert!(got.wlm.is_none());
         assert!(back.routing_ckpt.is_some());
         // Errors degrade to their rendering, attribution intact.
         match &back.records[1].error {
@@ -985,7 +1034,7 @@ mod tests {
         let (path, len) = store.save(&state()).expect("saves");
         let bytes = fs::read(&path).expect("reads back");
         assert_eq!(bytes.len() as u64, len);
-        assert_eq!(content_hash(&bytes), 0x059a_35c0_2291_a7f5);
+        assert_eq!(content_hash(&bytes), 0xf262_8903_2a07_1682);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -35,6 +35,7 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use m3d_netlist::{BenchScale, Benchmark};
+use m3d_route::LayerUsage;
 use m3d_tech::{DesignStyle, NodeId, StackKind};
 
 use crate::error::FlowStage;
@@ -280,6 +281,44 @@ pub(crate) fn dec_stage(d: &mut Dec) -> DecResult<FlowStage> {
         .get(t as usize)
         .copied()
         .ok_or_else(|| DecodeError(format!("bad FlowStage tag {t}")))
+}
+
+// ---------------------------------------------------------------------
+// Struct codecs shared by store entries and checkpoints
+// ---------------------------------------------------------------------
+
+pub(crate) fn enc_layer_usage(e: &mut Enc, u: &LayerUsage) {
+    e.f64(u.m1_um);
+    e.f64(u.local_um);
+    e.f64(u.intermediate_um);
+    e.f64(u.global_um);
+    for v in u.peak_utilization {
+        e.f64(v);
+    }
+    for v in u.mean_utilization {
+        e.f64(v);
+    }
+    e.f64(u.overflow_ratio);
+}
+
+pub(crate) fn dec_layer_usage(d: &mut Dec) -> DecResult<LayerUsage> {
+    let mut u = LayerUsage {
+        m1_um: d.f64()?,
+        local_um: d.f64()?,
+        intermediate_um: d.f64()?,
+        global_um: d.f64()?,
+        peak_utilization: [0.0; 3],
+        mean_utilization: [0.0; 3],
+        overflow_ratio: 0.0,
+    };
+    for v in u.peak_utilization.iter_mut() {
+        *v = d.f64()?;
+    }
+    for v in u.mean_utilization.iter_mut() {
+        *v = d.f64()?;
+    }
+    u.overflow_ratio = d.f64()?;
+    Ok(u)
 }
 
 // ---------------------------------------------------------------------

@@ -10,10 +10,15 @@
 //! the [`crate::ArtifactCache`] key: a knob no stage consumes must not
 //! split a cache entry (`tests` below tie the two together).
 
+use m3d_cells::CellLibrary;
+use m3d_netlist::Netlist;
 use m3d_place::Placer;
 use m3d_power::{try_analyze_power, PowerConfig};
-use m3d_route::{LayerUsage, Router};
-use m3d_sta::{plan_load_sizing, plan_power_recovery, plan_timing_moves, try_analyze, StaError};
+use m3d_route::{LayerUsage, RoutedDesign, Router};
+use m3d_sta::{
+    plan_load_sizing, plan_power_recovery, plan_timing_moves, try_analyze, OptMove, StaError,
+    TimingGraph,
+};
 use m3d_synth::{try_synthesize, SynthConfig, WireLoadModel};
 use m3d_tech::{DesignStyle, MetalStack};
 
@@ -64,13 +69,35 @@ fn need_env(env: &Option<FlowEnv>, stage: FlowStage) -> Result<&FlowEnv, FlowErr
 }
 
 /// The router configured for this flow, borrowing the environment.
-fn router(env: &FlowEnv, mb1_routing: bool) -> Router<'_> {
+pub(crate) fn router(env: &FlowEnv, mb1_routing: bool) -> Router<'_> {
     let r = Router::new(&env.node, &env.stack);
     if mb1_routing {
         r
     } else {
         r.without_mb1()
     }
+}
+
+/// The route summary sign-off reports: total wirelength (µm) and layer
+/// usage.
+fn route_summary(routed: &RoutedDesign) -> (f64, LayerUsage) {
+    (routed.total_wirelength_um(), LayerUsage::of(routed))
+}
+
+/// Rebuilds `graph` when `moves` changed the netlist's topology
+/// (repeater insertion) and returns the graph it replaced, so a
+/// rollback can restore it. Resizes keep the topology and the graph.
+fn refresh_graph(
+    graph: &mut TimingGraph,
+    netlist: &Netlist,
+    lib: &CellLibrary,
+    moves: &[OptMove],
+) -> Result<Option<TimingGraph>, StaError> {
+    if !moves.iter().any(|m| matches!(m, OptMove::BufferNet { .. })) {
+        return Ok(None);
+    }
+    let fresh = TimingGraph::build(netlist, lib)?;
+    Ok(Some(std::mem::replace(graph, fresh)))
 }
 
 /// Library preparation: validated config, characterized (cached)
@@ -196,6 +223,7 @@ impl Stage for SynthesisStage {
         art.tau_ps = tau_ps;
         art.placement = None;
         art.models = Vec::new();
+        art.route = None;
         art.wns_after_opt = 0.0;
         Ok(())
     }
@@ -234,10 +262,11 @@ impl Stage for PlacementStage {
             .utilization(env.utilization)
             .iterations(cfg.place_iterations)
             .try_place(netlist)?;
+        let mut graph = TimingGraph::build(netlist, &env.lib)?;
         for _ in 0..3 {
             check(FlowStage::Placement)?;
             let est = estimate_models(netlist, &placement, &env.node, &env.stack);
-            let report = try_analyze(netlist, &env.lib, &est, &timing)?;
+            let report = graph.analyze(netlist, &env.lib, &est, &timing)?;
             if report.met() {
                 break;
             }
@@ -246,6 +275,7 @@ impl Stage for PlacementStage {
                 break;
             }
             apply_moves(netlist, &mut placement, &env.lib, &moves);
+            refresh_graph(&mut graph, netlist, &env.lib, &moves)?;
         }
         art.placement = Some(placement);
         Ok(())
@@ -254,7 +284,8 @@ impl Stage for PlacementStage {
 
 /// Pre-route optimization on placement-based estimates. Passes are
 /// accept/reject: a pass that does not improve WNS is rolled back and
-/// the loop stops.
+/// the loop stops. An accepted pass's estimates and report carry into
+/// the next pass, which would only recompute them.
 #[derive(Debug)]
 pub struct PreRouteOptStage;
 
@@ -279,11 +310,12 @@ impl Stage for PreRouteOptStage {
             .placement
             .take()
             .ok_or(FlowError::missing("placement", FlowStage::PreRouteOpt))?;
+        let mut graph = TimingGraph::build(netlist, &env.lib)?;
+        let mut est = estimate_models(netlist, &placement, &env.node, &env.stack);
+        let mut report = graph.analyze(netlist, &env.lib, &est, &timing)?;
         let mut last_wns = f64::NEG_INFINITY;
         for pass in 0..env.opt_passes {
             check(FlowStage::PreRouteOpt)?;
-            let est = estimate_models(netlist, &placement, &env.node, &env.stack);
-            let report = try_analyze(netlist, &env.lib, &est, &timing)?;
             if report.met() {
                 break;
             }
@@ -298,14 +330,19 @@ impl Stage for PreRouteOptStage {
             }
             let saved = (netlist.clone(), placement.clone());
             apply_moves(netlist, &mut placement, &env.lib, &moves);
+            // A rejected pass ends the stage, so the graph it replaced
+            // is never needed again.
+            refresh_graph(&mut graph, netlist, &env.lib, &moves)?;
             check(FlowStage::PreRouteOpt)?;
             let est2 = estimate_models(netlist, &placement, &env.node, &env.stack);
-            let report2 = try_analyze(netlist, &env.lib, &est2, &timing)?;
+            let report2 = graph.analyze(netlist, &env.lib, &est2, &timing)?;
             if report2.wns < report.wns {
                 *netlist = saved.0;
                 placement = saved.1;
                 break;
             }
+            est = est2;
+            report = report2;
         }
         art.placement = Some(placement);
         Ok(())
@@ -317,7 +354,9 @@ impl Stage for PreRouteOptStage {
 ///
 /// Load sizing only resizes cells in place, and routing depends on
 /// connectivity and positions alone, so the route and its extraction
-/// stay valid for the resized netlist: there is no re-route here.
+/// stay valid for the resized netlist: there is no re-route here. The
+/// routed design itself is dropped once extracted; only its models and
+/// summary (wirelength, layer usage) become artifacts.
 #[derive(Debug)]
 pub struct RoutingStage;
 
@@ -348,12 +387,16 @@ impl Stage for RoutingStage {
             .placement
             .take()
             .ok_or(FlowError::missing("placement", FlowStage::Routing))?;
-        let routed = router.try_route(netlist, &placement, &env.lib)?;
-        check(FlowStage::Routing)?;
-        let models = try_extraction_models(netlist, &routed, &env.node)?;
+        let (models, route) = {
+            let routed = router.try_route(netlist, &placement, &env.lib)?;
+            check(FlowStage::Routing)?;
+            let models = try_extraction_models(netlist, &routed, &env.node)?;
+            (models, route_summary(&routed))
+        };
+        let mut graph = TimingGraph::build(netlist, &env.lib)?;
         for _ in 0..2 {
             check(FlowStage::Routing)?;
-            let report = try_analyze(netlist, &env.lib, &models, &timing)?;
+            let report = graph.analyze(netlist, &env.lib, &models, &timing)?;
             if report.met() {
                 break;
             }
@@ -362,9 +405,11 @@ impl Stage for RoutingStage {
                 break;
             }
             apply_moves(netlist, &mut placement, &env.lib, &moves);
+            refresh_graph(&mut graph, netlist, &env.lib, &moves)?;
         }
         art.placement = Some(placement);
         art.models = models;
+        art.route = Some(route);
         Ok(())
     }
 }
@@ -373,6 +418,12 @@ impl Stage for RoutingStage {
 /// iso-performance power recovery: cells with slack are repeatedly
 /// downsized until nothing more fits ("with a better timing, cells are
 /// downsized", Section 4.1), verified per round.
+///
+/// The current state is timed once up front; every accepted pass and
+/// verified round then carries its report forward, since the next step
+/// would only time the same netlist against the same models again. An
+/// accepted pass also replaces the route summary. Recovery only
+/// resizes, so the last accepted route still holds at sign-off.
 #[derive(Debug)]
 pub struct PostRouteOptStage;
 
@@ -403,9 +454,10 @@ impl Stage for PostRouteOptStage {
             .placement
             .take()
             .ok_or(FlowError::missing("placement", FlowStage::PostRouteOpt))?;
+        let mut graph = TimingGraph::build(netlist, &env.lib)?;
+        let mut report = graph.analyze(netlist, &env.lib, &art.models, &timing)?;
         for _ in 0..env.opt_passes {
             check(FlowStage::PostRouteOpt)?;
-            let report = try_analyze(netlist, &env.lib, &art.models, &timing)?;
             if report.met() {
                 break;
             }
@@ -416,25 +468,32 @@ impl Stage for PostRouteOptStage {
             }
             let saved = (netlist.clone(), placement.clone());
             apply_moves(netlist, &mut placement, &env.lib, &moves);
+            let saved_graph = refresh_graph(&mut graph, netlist, &env.lib, &moves)?;
             check(FlowStage::PostRouteOpt)?;
-            let new_routed = router.try_route(netlist, &placement, &env.lib)?;
+            let (new_models, new_route) = {
+                let routed = router.try_route(netlist, &placement, &env.lib)?;
+                check(FlowStage::PostRouteOpt)?;
+                let models = try_extraction_models(netlist, &routed, &env.node)?;
+                (models, route_summary(&routed))
+            };
             check(FlowStage::PostRouteOpt)?;
-            let new_models = try_extraction_models(netlist, &new_routed, &env.node)?;
-            check(FlowStage::PostRouteOpt)?;
-            let report2 = try_analyze(netlist, &env.lib, &new_models, &timing)?;
+            let report2 = graph.analyze(netlist, &env.lib, &new_models, &timing)?;
             if report2.wns < report.wns {
                 *netlist = saved.0;
                 placement = saved.1;
+                if let Some(g) = saved_graph {
+                    graph = g;
+                }
                 break;
             }
             art.models = new_models;
-            drop(new_routed); // sign-off re-routes the final netlist
+            art.route = Some(new_route);
+            report = report2;
         }
 
         let recovery_batch = 500.max(netlist.instance_count() / 6);
         for _ in 0..20 {
             check(FlowStage::PostRouteOpt)?;
-            let report = try_analyze(netlist, &env.lib, &art.models, &timing)?;
             if !report.met() {
                 break;
             }
@@ -446,21 +505,27 @@ impl Stage for PostRouteOptStage {
             let saved = netlist.clone();
             apply_moves(netlist, &mut placement, &env.lib, &moves);
             check(FlowStage::PostRouteOpt)?;
-            let verified = try_analyze(netlist, &env.lib, &art.models, &timing)?;
+            let verified = graph.analyze(netlist, &env.lib, &art.models, &timing)?;
             if !verified.met() {
                 *netlist = saved;
                 break;
             }
+            report = verified;
         }
-        check(FlowStage::PostRouteOpt)?;
-        art.wns_after_opt = try_analyze(netlist, &env.lib, &art.models, &timing)?.wns;
+        art.wns_after_opt = report.wns;
         art.placement = Some(placement);
         Ok(())
     }
 }
 
-/// Sign-off: final route and extraction of the final netlist, timing
-/// and power analysis, result assembly into the context.
+/// Sign-off: timing and power analysis of the final netlist against
+/// the models of its last route, and result assembly into the context.
+///
+/// Sign-off does not route: the routing stage, or the last accepted
+/// post-route pass, left the models and route summary of the final
+/// placement, and power recovery only resized cells since, which
+/// changes no route. A floorplan revert restores round 1's models and
+/// summary along with its netlist.
 #[derive(Debug)]
 pub struct SignOffStage;
 
@@ -470,7 +535,7 @@ impl Stage for SignOffStage {
     }
 
     fn consumes(&self) -> &'static [&'static str] {
-        &["mb1_routing", "alpha_ff", "node_id"]
+        &["alpha_ff", "node_id"]
     }
 
     fn run(&self, cx: &mut FlowContext) -> Result<(), FlowError> {
@@ -485,7 +550,6 @@ impl Stage for SignOffStage {
         } = cx;
         let env = need_env(env, FlowStage::SignOff)?;
         let timing = env.timing();
-        let router = router(env, cfg.mb1_routing);
         let netlist = art
             .netlist
             .as_ref()
@@ -498,16 +562,16 @@ impl Stage for SignOffStage {
             .placement
             .as_ref()
             .ok_or(FlowError::missing("placement", FlowStage::SignOff))?;
-        let routed = router.try_route(netlist, placement, &env.lib)?;
-        check(FlowStage::SignOff)?;
-        let models = try_extraction_models(netlist, &routed, &env.node)?;
-        check(FlowStage::SignOff)?;
-        let report = try_analyze(netlist, &env.lib, &models, &timing)?;
+        let (wirelength_um, layer_usage) = art
+            .route
+            .clone()
+            .ok_or(FlowError::missing("route summary", FlowStage::SignOff))?;
+        let report = try_analyze(netlist, &env.lib, &art.models, &timing)?;
         check(FlowStage::SignOff)?;
         let power = try_analyze_power(
             netlist,
             &env.lib,
-            &models,
+            &art.models,
             &PowerConfig::new(env.clock_ps).with_alpha_ff(cfg.alpha_ff),
         )?;
         let stats = netlist.stats(&env.lib);
@@ -525,13 +589,12 @@ impl Stage for SignOffStage {
             cell_count: stats.cell_count,
             buffer_count: stats.buffer_count,
             utilization: placement.utilization,
-            wirelength_um: routed.total_wirelength_um(),
+            wirelength_um,
             wns_ps: report.wns,
             power,
-            layer_usage: LayerUsage::of(&routed),
+            layer_usage,
             wlm_curve: wlm.curve().to_vec(),
         };
-        art.models = models;
         *result = Some(res);
         Ok(())
     }

@@ -59,14 +59,13 @@ use std::time::Duration;
 
 use m3d_cells::{Cell, CellFunction, CellLibrary, Nldm, Pin, PinDir, SeqSpec};
 use m3d_power::PowerReport;
-use m3d_route::LayerUsage;
 use m3d_tech::{MetalClass, TechNode};
 
 use crate::cache::{FlowKey, LibraryKey};
 use crate::codec::{
-    content_hash, dec_benchmark, dec_node, dec_style, enc_benchmark, enc_node, enc_scale,
-    enc_stack_kind, enc_style, flip_byte, frame, quarantine_file, temp_path, unframe, write_atomic,
-    Dec, DecResult, DecodeError, Enc,
+    content_hash, dec_benchmark, dec_layer_usage, dec_node, dec_style, enc_benchmark,
+    enc_layer_usage, enc_node, enc_scale, enc_stack_kind, enc_style, flip_byte, frame,
+    quarantine_file, temp_path, unframe, write_atomic, Dec, DecResult, DecodeError, Enc,
 };
 use crate::error::StoreFailure;
 use crate::faultinject::{StoreFaultKind, StoreFaultPlan};
@@ -926,17 +925,7 @@ fn enc_flow_result(r: &FlowResult) -> Vec<u8> {
     e.f64(r.power.leakage_mw);
     e.f64(r.power.wire_cap_pf);
     e.f64(r.power.pin_cap_pf);
-    e.f64(r.layer_usage.m1_um);
-    e.f64(r.layer_usage.local_um);
-    e.f64(r.layer_usage.intermediate_um);
-    e.f64(r.layer_usage.global_um);
-    for v in r.layer_usage.peak_utilization {
-        e.f64(v);
-    }
-    for v in r.layer_usage.mean_utilization {
-        e.f64(v);
-    }
-    e.f64(r.layer_usage.overflow_ratio);
+    enc_layer_usage(&mut e, &r.layer_usage);
     enc_f64s(&mut e, &r.wlm_curve);
     e.buf
 }
@@ -963,22 +952,7 @@ fn dec_flow_result(bytes: &[u8]) -> DecResult<FlowResult> {
         wire_cap_pf: d.f64()?,
         pin_cap_pf: d.f64()?,
     };
-    let mut usage = LayerUsage {
-        m1_um: d.f64()?,
-        local_um: d.f64()?,
-        intermediate_um: d.f64()?,
-        global_um: d.f64()?,
-        peak_utilization: [0.0; 3],
-        mean_utilization: [0.0; 3],
-        overflow_ratio: 0.0,
-    };
-    for v in usage.peak_utilization.iter_mut() {
-        *v = d.f64()?;
-    }
-    for v in usage.mean_utilization.iter_mut() {
-        *v = d.f64()?;
-    }
-    usage.overflow_ratio = d.f64()?;
+    let layer_usage = dec_layer_usage(&mut d)?;
     let wlm_curve = dec_f64s(&mut d)?;
     d.finish()?;
     Ok(FlowResult {
@@ -995,7 +969,7 @@ fn dec_flow_result(bytes: &[u8]) -> DecResult<FlowResult> {
         wns_ps,
         hold_wns_ps,
         power,
-        layer_usage: usage,
+        layer_usage,
         wlm_curve,
     })
 }
@@ -1038,7 +1012,7 @@ mod tests {
                 wire_cap_pf: 12.0,
                 pin_cap_pf: 8.0,
             },
-            layer_usage: LayerUsage {
+            layer_usage: m3d_route::LayerUsage {
                 m1_um: 100.0,
                 local_um: 5000.0,
                 intermediate_um: 3000.0,

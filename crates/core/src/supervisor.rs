@@ -45,8 +45,7 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use m3d_netlist::{Benchmark, Netlist};
-use m3d_place::Placement;
+use m3d_netlist::Benchmark;
 use m3d_tech::DesignStyle;
 
 use crate::artifacts::{Artifacts, FlowContext};
@@ -509,25 +508,7 @@ impl FlowSupervisor {
             s.set_recorder(Arc::clone(&recorder));
         }
         let mut cx = FlowContext::new(bench, style, config, cache);
-        let mut engine = Engine {
-            policy,
-            injector,
-            graph,
-            store,
-            incidents,
-            recorder,
-            seq: 0,
-            records: Vec::new(),
-            relaxations: Vec::new(),
-            rung: 0,
-            round: 0,
-            resumed_rung: false,
-            cursor: Cursor::Synth,
-            round1_best: None,
-            routing_ckpt: None,
-            corrupt_next_save: false,
-            cancel,
-        };
+        let mut engine = Engine::new(policy, injector, graph, store, incidents, recorder, cancel);
 
         match resume {
             Some(state) => {
@@ -597,8 +578,8 @@ struct Engine {
     resumed_rung: bool,
     /// The next step of the cursor machine.
     cursor: Cursor,
-    /// Round-1 netlist/placement/WNS kept across the floorplan rounds.
-    round1_best: Option<(Netlist, Placement, f64)>,
+    /// The round-1 artifacts, kept across the floorplan rounds.
+    round1_best: Option<Artifacts>,
     /// Artifacts snapshot taken after routing — what ladder rung 1
     /// resumes from.
     routing_ckpt: Option<Artifacts>,
@@ -610,6 +591,37 @@ struct Engine {
 }
 
 impl Engine {
+    /// An engine about to enter rung 0 at synthesis.
+    fn new(
+        policy: SupervisorPolicy,
+        injector: FaultInjector,
+        graph: StageGraph,
+        store: Option<CheckpointStore>,
+        incidents: Vec<FlowError>,
+        recorder: Arc<dyn Recorder>,
+        cancel: Option<CancelToken>,
+    ) -> Self {
+        Engine {
+            policy,
+            injector,
+            graph,
+            store,
+            incidents,
+            recorder,
+            seq: 0,
+            records: Vec::new(),
+            relaxations: Vec::new(),
+            rung: 0,
+            round: 0,
+            resumed_rung: false,
+            cursor: Cursor::Synth,
+            round1_best: None,
+            routing_ckpt: None,
+            corrupt_next_save: false,
+            cancel,
+        }
+    }
+
     /// Records one event iff the resolved recorder is live — with the
     /// default null recorder this is one virtual call, no event
     /// construction.
@@ -823,12 +835,11 @@ impl Engine {
         let wns_now = cx.art.wns_after_opt;
         if self.round >= 2 {
             // Keep whichever round closed better (round 2 can fail on
-            // stubborn designs; fall back to the round-1 result).
-            if let Some((n1, p1, w1)) = self.round1_best.take() {
-                if wns_now < w1.min(0.0) {
-                    // Sign-off below re-routes and re-extracts.
-                    cx.art.netlist = Some(n1);
-                    cx.art.placement = Some(p1);
+            // stubborn designs; fall back to the round-1 result, whose
+            // models and route summary sign-off then reports).
+            if let Some(round1) = self.round1_best.take() {
+                if wns_now < round1.wns_after_opt.min(0.0) {
+                    cx.art = round1;
                 }
             }
             return Cursor::Signoff;
@@ -849,7 +860,7 @@ impl Engine {
         if (basis / env.utilization - 1.0).abs() <= 0.10 {
             return Cursor::Signoff;
         }
-        self.round1_best = Some((netlist.clone(), placement.clone(), wns_now));
+        self.round1_best = Some(cx.art.clone());
         Cursor::Place
     }
 
@@ -1091,5 +1102,167 @@ impl Engine {
             utilization,
             checkpoint_incidents: self.incidents,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use m3d_netlist::BenchScale;
+    use m3d_route::LayerUsage;
+    use m3d_sta::NetModel;
+    use m3d_tech::NodeId;
+
+    use crate::flow::try_extraction_models;
+    use crate::observe;
+    use crate::stage::router;
+
+    /// A strict engine with no faults, checkpoints or recorder.
+    fn engine() -> Engine {
+        Engine::new(
+            SupervisorPolicy::strict(),
+            FaultInjector::default(),
+            StageGraph::paper_pipeline(),
+            None,
+            Vec::new(),
+            observe::null(),
+            None,
+        )
+    }
+
+    /// Runs a small-scale flow through sign-off, keeping the engine and
+    /// the context it leaves.
+    fn close(bench: Benchmark, style: DesignStyle) -> (Engine, FlowContext, FlowResult) {
+        let config = FlowConfig::new(NodeId::N45).scale(BenchScale::Small);
+        let mut cx = FlowContext::new(bench, style, config, ArtifactCache::global());
+        let mut engine = engine();
+        engine
+            .run_stage(FlowStage::Library, &mut cx)
+            .expect("library builds");
+        let result = engine.execute_rung(&mut cx).expect("small flow closes");
+        (engine, cx, result)
+    }
+
+    fn model_bits(models: &[NetModel]) -> Vec<(u64, u64)> {
+        models
+            .iter()
+            .map(|m| (m.c_wire.to_bits(), m.r_wire.to_bits()))
+            .collect()
+    }
+
+    fn route_bits(route: &Option<(f64, LayerUsage)>) -> Option<Vec<u64>> {
+        route.as_ref().map(|(wirelength_um, u)| {
+            let mut bits = vec![
+                wirelength_um.to_bits(),
+                u.m1_um.to_bits(),
+                u.local_um.to_bits(),
+                u.intermediate_um.to_bits(),
+                u.global_um.to_bits(),
+                u.overflow_ratio.to_bits(),
+            ];
+            bits.extend(u.peak_utilization.iter().map(|v| v.to_bits()));
+            bits.extend(u.mean_utilization.iter().map(|v| v.to_bits()));
+            bits
+        })
+    }
+
+    fn assert_same_artifacts(got: &Artifacts, want: &Artifacts) {
+        assert_eq!(got.netlist, want.netlist);
+        assert_eq!(
+            got.wlm.as_ref().map(|w| w.curve().to_vec()),
+            want.wlm.as_ref().map(|w| w.curve().to_vec())
+        );
+        assert_eq!(got.tau_ps.to_bits(), want.tau_ps.to_bits());
+        assert_eq!(got.placement, want.placement);
+        assert_eq!(model_bits(&got.models), model_bits(&want.models));
+        assert_eq!(route_bits(&got.route), route_bits(&want.route));
+        assert_eq!(got.wns_after_opt.to_bits(), want.wns_after_opt.to_bits());
+    }
+
+    /// Sign-off reports the models and route summary the last route
+    /// left: they must equal a fresh route and extraction of the final
+    /// netlist and placement, bit for bit. The 2D flows take the second
+    /// floorplan round, so their final route is round 2's; the T-MI
+    /// flows close in round 1.
+    #[test]
+    fn signoff_matches_a_reroute_of_the_final_design() {
+        for bench in [Benchmark::Aes, Benchmark::Ldpc] {
+            for (style, rounds) in [(DesignStyle::TwoD, 2), (DesignStyle::Tmi, 1)] {
+                let (engine, cx, result) = close(bench, style);
+                assert_eq!(
+                    engine.round, rounds,
+                    "{bench:?} {style:?}: floorplan rounds"
+                );
+                let env = cx.env.as_ref().expect("library stage ran");
+                let netlist = cx.art.netlist.as_ref().expect("final netlist");
+                let placement = cx.art.placement.as_ref().expect("final placement");
+                let routed = router(env, cx.config.mb1_routing)
+                    .try_route(netlist, placement, &env.lib)
+                    .expect("final design routes");
+                let models =
+                    try_extraction_models(netlist, &routed, &env.node).expect("extraction");
+                let reference = Some((routed.total_wirelength_um(), LayerUsage::of(&routed)));
+                assert_eq!(
+                    model_bits(&cx.art.models),
+                    model_bits(&models),
+                    "{bench:?} {style:?}: models"
+                );
+                assert_eq!(
+                    route_bits(&cx.art.route),
+                    route_bits(&reference),
+                    "{bench:?} {style:?}: route summary"
+                );
+                assert_eq!(
+                    route_bits(&Some((result.wirelength_um, result.layer_usage))),
+                    route_bits(&reference),
+                    "{bench:?} {style:?}: signed-off route summary"
+                );
+            }
+        }
+    }
+
+    /// No small-suite flow reverts to round 1, so the revert is pinned
+    /// here: a round 2 that closes worse restores round 1's whole
+    /// snapshot, and sign-off reports round 1's route.
+    #[test]
+    fn decide_reverts_to_the_round_one_snapshot() {
+        let (_, mut cx, _) = close(Benchmark::Aes, DesignStyle::TwoD);
+        let mut round1 = cx.art.clone();
+        round1.wns_after_opt = -1.0;
+        let mut round2 = round1.clone();
+        round2.wns_after_opt = -5.0;
+        for m in &mut round2.models {
+            m.c_wire += 1.0;
+        }
+        if let Some((wirelength_um, _)) = round2.route.as_mut() {
+            *wirelength_um *= 2.0;
+        }
+        if let Some(p) = round2.placement.as_mut() {
+            p.utilization *= 0.5;
+        }
+
+        let mut engine = engine();
+        engine.round = 2;
+        engine.round1_best = Some(round1.clone());
+        cx.art = round2.clone();
+        assert_eq!(engine.decide(&mut cx), Cursor::Signoff);
+        assert!(engine.round1_best.is_none());
+        assert_same_artifacts(&cx.art, &round1);
+        engine
+            .run_stage(FlowStage::SignOff, &mut cx)
+            .expect("signs off");
+        let result = cx.result.take().expect("sign-off result");
+        assert_eq!(
+            route_bits(&Some((result.wirelength_um, result.layer_usage))),
+            route_bits(&round1.route)
+        );
+
+        // A round 2 that closed no worse is kept as it is.
+        let mut better = round2;
+        better.wns_after_opt = -0.5;
+        engine.round1_best = Some(round1);
+        cx.art = better.clone();
+        assert_eq!(engine.decide(&mut cx), Cursor::Signoff);
+        assert_same_artifacts(&cx.art, &better);
     }
 }

@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize};
 
 use m3d_cells::CellLibrary;
-use m3d_netlist::{levelize, Netlist};
+use m3d_netlist::{levelize, InstId, Netlist};
 
 use crate::TimingReport;
 
@@ -55,6 +55,14 @@ pub enum StaError {
         /// Number of instances trapped in cyclic regions.
         involved: usize,
     },
+    /// The [`TimingGraph`] was built for another topology: repeaters
+    /// were inserted since, and the graph must be rebuilt.
+    StaleGraph {
+        /// Instances and nets the graph was built for.
+        built: (usize, usize),
+        /// Instances and nets the netlist has now.
+        found: (usize, usize),
+    },
 }
 
 impl std::fmt::Display for StaError {
@@ -67,6 +75,11 @@ impl std::fmt::Display for StaError {
             StaError::CombinationalCycle { involved } => write!(
                 f,
                 "combinational cycle: {involved} instances have no topological order"
+            ),
+            StaError::StaleGraph { built, found } => write!(
+                f,
+                "stale timing graph: built for {} instances and {} nets, netlist has {} and {}",
+                built.0, built.1, found.0, found.1
             ),
         }
     }
@@ -95,7 +108,8 @@ pub fn analyze(
     }
 }
 
-/// Fallible form of [`analyze`].
+/// Fallible form of [`analyze`]: builds a [`TimingGraph`] and
+/// propagates over it once.
 ///
 /// # Errors
 ///
@@ -107,28 +121,87 @@ pub fn try_analyze(
     models: &[NetModel],
     config: &TimingConfig,
 ) -> Result<TimingReport, StaError> {
-    if models.len() < netlist.net_count() {
-        return Err(StaError::ModelCountMismatch {
-            nets: netlist.net_count(),
-            models: models.len(),
-        });
-    }
-    let (_, order) = levelize(netlist, lib).map_err(|cycle| StaError::CombinationalCycle {
-        involved: cycle.len(),
-    })?;
+    TimingGraph::build(netlist, lib)?.analyze(netlist, lib, models, config)
+}
 
+/// The levelized timing graph of one netlist topology: the topological
+/// order STA propagates in.
+///
+/// Resizing a cell keeps the topology, so one graph serves any number
+/// of resizes. Inserting a repeater adds an instance and a net, after
+/// which the graph must be rebuilt: [`TimingGraph::analyze`] refuses a
+/// netlist whose instance or net count differs from the one the graph
+/// was built for.
+#[derive(Debug, Clone)]
+pub struct TimingGraph {
+    order: Vec<InstId>,
+    instances: usize,
+    nets: usize,
+}
+
+impl TimingGraph {
+    /// Levelizes `netlist`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StaError::CombinationalCycle`] when no topological
+    /// order exists.
+    pub fn build(netlist: &Netlist, lib: &CellLibrary) -> Result<Self, StaError> {
+        let (_, order) = levelize(netlist, lib).map_err(|cycle| StaError::CombinationalCycle {
+            involved: cycle.len(),
+        })?;
+        Ok(TimingGraph {
+            order,
+            instances: netlist.instance_count(),
+            nets: netlist.net_count(),
+        })
+    }
+
+    /// Propagates arrival times, slews and slacks over the graph —
+    /// bit-identical to [`try_analyze`] on the same netlist.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StaError::StaleGraph`] when the netlist's instance or
+    /// net count no longer matches the graph, and
+    /// [`StaError::ModelCountMismatch`] when `models` is short.
+    pub fn analyze(
+        &self,
+        netlist: &Netlist,
+        lib: &CellLibrary,
+        models: &[NetModel],
+        config: &TimingConfig,
+    ) -> Result<TimingReport, StaError> {
+        let found = (netlist.instance_count(), netlist.net_count());
+        if found != (self.instances, self.nets) {
+            return Err(StaError::StaleGraph {
+                built: (self.instances, self.nets),
+                found,
+            });
+        }
+        if models.len() < netlist.net_count() {
+            return Err(StaError::ModelCountMismatch {
+                nets: netlist.net_count(),
+                models: models.len(),
+            });
+        }
+        Ok(propagate(netlist, lib, models, config, &self.order))
+    }
+}
+
+/// Forward arrival/slew propagation in `order`, endpoint checks, and the
+/// backward per-net slack sweep.
+fn propagate(
+    netlist: &Netlist,
+    lib: &CellLibrary,
+    models: &[NetModel],
+    config: &TimingConfig,
+    order: &[InstId],
+) -> TimingReport {
     let n_nets = netlist.net_count();
     let mut arrival = vec![0.0f64; n_nets];
     let mut min_arrival = vec![0.0f64; n_nets];
     let mut slew = vec![config.input_slew_ps; n_nets];
-    let mut driver_of = vec![None; n_nets];
-    for id in netlist.inst_ids() {
-        let inst = netlist.inst(id);
-        let n_in = lib.cell(inst.cell).input_count();
-        for (o, &net) in inst.pins[n_in..].iter().enumerate() {
-            driver_of[net.0 as usize] = Some((id, o as u8));
-        }
-    }
 
     // Primary inputs start at the I/O margin.
     for &pi in &netlist.primary_inputs {
@@ -136,7 +209,7 @@ pub fn try_analyze(
     }
 
     // Process instances in topological order (flops first, then combs).
-    for &inst_id in &order {
+    for &inst_id in order {
         let inst = netlist.inst(inst_id);
         let cell = lib.cell(inst.cell);
         let n_in = cell.input_count();
@@ -280,7 +353,7 @@ pub fn try_analyze(
         }
     }
 
-    Ok(TimingReport {
+    TimingReport {
         arrival,
         slew,
         slack,
@@ -289,7 +362,7 @@ pub fn try_analyze(
         tns,
         clock_period_ps: t,
         worst_endpoint,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 //! closed on all designs", Section 1):
 //!
 //! * forward propagation of arrival times and slews in topological order,
-//!   cell arcs evaluated through the library NLDM tables,
+//!   cell arcs evaluated through the library NLDM tables; the order is a
+//!   [`TimingGraph`], built once per topology and reused across resizes,
 //! * net delays from the lumped Elmore model
 //!   `R_wire · (C_wire/2 + C_pins)` over extracted parasitics,
 //! * slew degradation across resistive nets,
@@ -40,6 +41,6 @@ mod engine;
 pub mod opt;
 mod report;
 
-pub use engine::{analyze, try_analyze, NetModel, StaError, TimingConfig};
+pub use engine::{analyze, try_analyze, NetModel, StaError, TimingConfig, TimingGraph};
 pub use opt::{plan_load_sizing, plan_power_recovery, plan_timing_moves, OptMove};
 pub use report::{PathHop, TimingReport};

@@ -10,7 +10,10 @@ use m3d_netlist::{BenchScale, Benchmark, NetId, Netlist, NetlistBuilder};
 use m3d_place::Placer;
 use m3d_power::propagate_activity;
 use m3d_route::{RoutedDesign, Router};
-use m3d_sta::{analyze, plan_load_sizing, plan_power_recovery, NetModel, OptMove, TimingConfig};
+use m3d_sta::{
+    analyze, plan_load_sizing, plan_power_recovery, try_analyze, NetModel, OptMove, StaError,
+    TimingConfig, TimingGraph, TimingReport,
+};
 use m3d_tech::{CellLayer, DesignStyle, MetalStack, NodeId, StackKind, TechNode};
 use monolith3d::{extraction_models, Flow, FlowConfig, FlowError};
 use proptest::prelude::*;
@@ -459,5 +462,121 @@ fn resizing_leaves_route_and_extraction_bitwise_unchanged() {
             model_bits(&remodels),
             "{style:?}: models differ"
         );
+    }
+}
+
+fn tmi_lib() -> &'static CellLibrary {
+    static LIB: OnceLock<CellLibrary> = OnceLock::new();
+    LIB.get_or_init(|| CellLibrary::build(&TechNode::n45(), DesignStyle::Tmi))
+}
+
+/// Deterministic RC models for every net, nonzero on most, so both wire
+/// terms of the delay model take part.
+fn synthetic_models(n: &Netlist) -> Vec<NetModel> {
+    (0..n.net_count())
+        .map(|i| NetModel {
+            c_wire: (i % 17) as f64 * 0.4,
+            r_wire: (i % 5) as f64 * 0.03,
+        })
+        .collect()
+}
+
+type ReportBits = (Vec<u64>, Vec<u64>, Vec<u64>, [u64; 4], Option<NetId>);
+
+fn report_bits(r: &TimingReport) -> ReportBits {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    (
+        bits(&r.arrival),
+        bits(&r.slew),
+        bits(&r.slack),
+        [
+            r.wns.to_bits(),
+            r.tns.to_bits(),
+            r.hold_wns.to_bits(),
+            r.clock_period_ps.to_bits(),
+        ],
+        r.worst_endpoint,
+    )
+}
+
+/// Resizes `count` random instances one step up or down.
+fn random_resizes(n: &mut Netlist, lib: &CellLibrary, rnd: &mut impl FnMut() -> u64, count: usize) {
+    for _ in 0..count {
+        let inst = m3d_netlist::InstId((rnd() % n.instance_count() as u64) as u32);
+        let cell = n.inst(inst).cell;
+        let to = if rnd() % 2 == 0 {
+            lib.upsize(cell)
+        } else {
+            lib.downsize(cell)
+        };
+        if let Some((c, _)) = to {
+            n.resize(inst, c, lib);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// One timing graph serves any number of resizes: its analysis of
+    /// the resized netlist equals a full `try_analyze` (which levelizes
+    /// afresh) bit for bit. A repeater changes the topology: the old
+    /// graph then refuses the netlist with a typed error, and a rebuilt
+    /// graph matches the full analysis again, across further resizes.
+    #[test]
+    fn timing_graph_matches_full_analysis_across_resizes(
+        seed in 0u64..1000,
+        resizes in 1usize..300,
+    ) {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut rnd = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for bench in [Benchmark::Aes, Benchmark::Des] {
+            for (style, l) in [(DesignStyle::TwoD, lib()), (DesignStyle::Tmi, tmi_lib())] {
+                let mut n = bench.generate(l, BenchScale::Small);
+                let cfg = TimingConfig::new(bench.target_clock_ps(NodeId::N45));
+                let mut graph = TimingGraph::build(&n, l).expect("benchmarks are acyclic");
+                for round in 0..4 {
+                    if round == 2 {
+                        let built = (n.instance_count(), n.net_count());
+                        let candidates: Vec<NetId> = n
+                            .net_ids()
+                            .filter(|&id| n.net(id).sinks.len() >= 2 && Some(id) != n.clock)
+                            .collect();
+                        let net = candidates[(rnd() % candidates.len() as u64) as usize];
+                        let take: Vec<usize> = (0..n.net(net).sinks.len() / 2).collect();
+                        n.insert_repeater(net, &take, l.smallest(CellFunction::Buf), l);
+                        let stale = graph.analyze(&n, l, &synthetic_models(&n), &cfg);
+                        let want = StaError::StaleGraph {
+                            built,
+                            found: (n.instance_count(), n.net_count()),
+                        };
+                        prop_assert!(
+                            stale.as_ref().err() == Some(&want),
+                            "{:?} {:?}: a stale graph must be refused, got {:?}",
+                            bench,
+                            style,
+                            stale.err()
+                        );
+                        graph = TimingGraph::build(&n, l).expect("repeaters keep the DAG acyclic");
+                    }
+                    random_resizes(&mut n, l, &mut rnd, resizes);
+                    let models = synthetic_models(&n);
+                    let fast = graph.analyze(&n, l, &models, &cfg).expect("graph matches");
+                    let full = try_analyze(&n, l, &models, &cfg).expect("full analysis");
+                    prop_assert!(
+                        report_bits(&fast) == report_bits(&full),
+                        "{:?} {:?} round {}: graph analysis differs from full analysis",
+                        bench,
+                        style,
+                        round
+                    );
+                }
+            }
+        }
     }
 }
