@@ -6,7 +6,9 @@
 //!
 //! Experiments: table1 table2 table3 table4 table5 table6 table7 table8
 //! table9 table11 table12 table15 table16 table17 fig3 fig4 fig5 fig6
-//! fig10 fig11 s5 gmi (the G-MI extension study).
+//! fig10 fig11 s5 gmi (the G-MI extension study) summary (the
+//! reproduction scorecard). A name outside the registry rejects the
+//! whole run with exit status 2.
 //!
 //! `--small` runs the reduced benchmark circuits (seconds); the default
 //! paper scale regenerates the full study (minutes). `--subset` selects
@@ -200,49 +202,25 @@ fn main() {
     // Without `--node`, selection goes over the full classic registry
     // (stdout bytes pinned by the golden tests). With `--node`, it goes
     // over the node-generic smoke drivers retargeted to the chosen PDK.
-    let run_all = wanted.iter().any(|w| w == "all");
     type Run = (&'static str, Box<dyn Fn() -> String>);
-    let (known, selected): (Vec<&'static str>, Vec<Run>) = match node {
-        None => {
-            let drivers = paper_drivers();
-            (
-                drivers.iter().map(|(n, _)| *n).collect(),
-                drivers
-                    .iter()
-                    .filter(|(name, _)| run_all || wanted.iter().any(|w| w == name))
-                    .map(|&(name, driver)| {
-                        (
-                            name,
-                            Box::new(move || driver(scale)) as Box<dyn Fn() -> String>,
-                        )
-                    })
-                    .collect(),
-            )
-        }
-        Some(nid) => {
-            let drivers = node_drivers();
-            (
-                drivers.iter().map(|(n, _)| *n).collect(),
-                drivers
-                    .iter()
-                    .filter(|(name, _)| run_all || wanted.iter().any(|w| w == name))
-                    .map(|&(name, driver)| {
-                        (
-                            name,
-                            Box::new(move || driver(nid, scale)) as Box<dyn Fn() -> String>,
-                        )
-                    })
-                    .collect(),
-            )
-        }
+    let selected: Result<Vec<Run>, _> = match node {
+        None => cli::select(&paper_drivers(), &wanted).map(|drivers| {
+            drivers
+                .into_iter()
+                .map(|(name, driver)| (name, Box::new(move || driver(scale)) as _))
+                .collect()
+        }),
+        Some(nid) => cli::select(&node_drivers(), &wanted).map(|drivers| {
+            drivers
+                .into_iter()
+                .map(|(name, driver)| (name, Box::new(move || driver(nid, scale)) as _))
+                .collect()
+        }),
     };
-    if selected.is_empty() {
-        eprintln!(
-            "unknown experiment(s): {wanted:?}\nknown: {}",
-            known.join(" ")
-        );
+    let selected = selected.unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
-    }
+    });
 
     // Fan the selected drivers' flow matrix out first, so the serial
     // formatting pass below hits a warm cache. `--jobs 1` skips this:
@@ -251,60 +229,47 @@ fn main() {
     if jobs > 1 {
         let mut plan = ExperimentPlan::new();
         for (name, _) in &selected {
-            plan.merge(match node {
-                None => experiments::plan_for(name, scale),
-                Some(nid) => experiments::plan_for_at(name, scale, nid),
-            });
+            plan.merge(experiments::plan_for_at(
+                name,
+                scale,
+                node.unwrap_or(NodeId::N45),
+            ));
         }
         if !plan.is_empty() {
             eprintln!(
                 "[fanning {} flow points out across {jobs} workers]",
                 plan.len()
             );
-            let t = Instant::now();
-            match deadline {
-                // A budgeted fan-out runs through the governor: on
-                // expiry the executor cancels cooperatively and the
-                // drivers below recompute whatever is missing serially,
-                // so stdout never changes — only how much of the warm-up
-                // finished in time.
-                Some(budget) => {
-                    let gov = RunGovernor::new().with_run_deadline(budget);
-                    let report = ParallelExecutor::new(jobs).run_governed(&plan, &gov);
-                    eprintln!(
-                        "[executor: {} of {} points in {:.1} s under a {:.1} s budget{}]",
-                        report.done_count(),
-                        plan.len(),
-                        t.elapsed().as_secs_f64(),
-                        budget.as_secs_f64(),
-                        if report.is_partial() {
-                            "; budget expired, drivers recompute the rest"
-                        } else {
-                            ""
-                        }
-                    );
-                    if let Some(e) = report.first_error() {
-                        eprintln!("[executor: a flow point failed: {e}]");
-                    }
+            // A budgeted fan-out cancels cooperatively on expiry and the
+            // drivers below recompute whatever is missing serially, so
+            // stdout never changes — only how much of the warm-up
+            // finished in time.
+            let mut gov = RunGovernor::new();
+            if let Some(budget) = deadline {
+                gov = gov.with_run_deadline(budget);
+            }
+            let report = ParallelExecutor::new(jobs).run_governed(&plan, &gov);
+            eprintln!(
+                "[executor: {} of {} points in {:.1} s; worker utilization {}{}]",
+                report.done_count(),
+                plan.len(),
+                report.wall_s,
+                report
+                    .utilization()
+                    .iter()
+                    .map(|u| format!("{:.0}%", u * 100.0))
+                    .collect::<Vec<_>>()
+                    .join(" "),
+                if report.is_partial() {
+                    "; budget expired, drivers recompute the rest"
+                } else {
+                    ""
                 }
-                None => {
-                    let report = ParallelExecutor::new(jobs).run(&plan);
-                    let util = report.utilization();
-                    eprintln!(
-                        "[executor: {} points in {:.1} s; worker utilization {}]",
-                        report.ok_count(),
-                        t.elapsed().as_secs_f64(),
-                        util.iter()
-                            .map(|u| format!("{:.0}%", u * 100.0))
-                            .collect::<Vec<_>>()
-                            .join(" ")
-                    );
-                    if let Some(e) = report.first_error() {
-                        // The responsible driver will hit the same failure
-                        // serially and panic with full context.
-                        eprintln!("[executor: a flow point failed: {e}]");
-                    }
-                }
+            );
+            if let Some(e) = report.first_error() {
+                // The responsible driver will hit the same failure
+                // serially and panic with full context.
+                eprintln!("[executor: a flow point failed: {e}]");
             }
         }
     }

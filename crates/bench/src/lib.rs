@@ -69,6 +69,55 @@ pub mod cli {
             })
     }
 
+    /// Typed error from selecting experiments by name.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct UnknownExperiments {
+        /// Every requested name that is not in the registry.
+        pub unknown: Vec<String>,
+        /// The registry's names, in registry order.
+        pub known: Vec<&'static str>,
+    }
+
+    impl fmt::Display for UnknownExperiments {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(
+                f,
+                "unknown experiment(s): {:?}\nknown: {}",
+                self.unknown,
+                self.known.join(" ")
+            )
+        }
+    }
+
+    impl std::error::Error for UnknownExperiments {}
+
+    /// Selects the registry entries `wanted` names, in registry order;
+    /// `all` selects every entry. Any name that is neither `all` nor in
+    /// the registry rejects the whole selection, so a typo never
+    /// silently drops an experiment.
+    pub fn select<D: Copy>(
+        registry: &[(&'static str, D)],
+        wanted: &[String],
+    ) -> Result<Vec<(&'static str, D)>, UnknownExperiments> {
+        let unknown: Vec<String> = wanted
+            .iter()
+            .filter(|w| *w != "all" && !registry.iter().any(|(n, _)| n == w))
+            .cloned()
+            .collect();
+        if !unknown.is_empty() {
+            return Err(UnknownExperiments {
+                unknown,
+                known: registry.iter().map(|(n, _)| *n).collect(),
+            });
+        }
+        let all = wanted.iter().any(|w| w == "all");
+        Ok(registry
+            .iter()
+            .filter(|(n, _)| all || wanted.iter().any(|w| w == n))
+            .copied()
+            .collect())
+    }
+
     /// Typed error from parsing a `--jobs` worker count.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum JobsError {
@@ -172,64 +221,45 @@ pub type NodeDriver = (&'static str, fn(NodeId, BenchScale) -> String);
 /// these drivers, in [`paper_drivers`] order.
 pub const SMOKE_SUBSET: [&str; 4] = ["table4", "fig3", "table16", "fig10"];
 
-/// Node-generic forms of the smoke-subset drivers. At the two paper
-/// nodes each renders byte-identical output to its [`paper_drivers`]
-/// counterpart (45 nm) or its pinned node table (7 nm); at any other
-/// registered PDK it renders the generic table for that node. Names
+/// The node-generic smoke-subset drivers. At 45 nm each is its
+/// [`paper_drivers`] entry; `table4` at 7 nm is the paper's Table 7;
+/// any other node renders the same rows under a generic header. Names
 /// mirror [`SMOKE_SUBSET`] exactly so `--subset --node NAME` selects the
 /// same work across every backend.
 pub fn node_drivers() -> Vec<NodeDriver> {
     vec![
-        ("table4", exp::layout_results_at),
-        ("fig3", exp::fig3_circuit_character_at),
-        ("table16", exp::table16_net_breakdown_at),
-        ("fig10", exp::fig10_layer_usage_at),
+        ("table4", exp::layout_results),
+        ("fig3", exp::fig3_circuit_character),
+        ("table16", exp::table16_net_breakdown),
+        ("fig10", exp::fig10_layer_usage),
     ]
 }
 
-// Cell-level experiments ignore the benchmark scale; thin wrappers
-// adapt them to the common driver signature.
-fn t1(_: BenchScale) -> String {
-    exp::table1_cell_rc()
-}
-fn t2(_: BenchScale) -> String {
-    exp::table2_cell_timing_power()
-}
-fn t3(_: BenchScale) -> String {
-    exp::table3_metal_layers()
-}
-fn t6(_: BenchScale) -> String {
-    exp::table6_node_setup()
-}
-fn t11(_: BenchScale) -> String {
-    exp::table11_7nm_cells()
-}
-fn f5(_: BenchScale) -> String {
-    exp::fig5_cell_inventory()
-}
-
 /// The full experiment registry, in the order `paper_tables all` runs.
+///
+/// The node-generic drivers run at their paper node here; the
+/// cell-level ones ignore the benchmark scale.
 pub fn paper_drivers() -> Vec<PaperDriver> {
     vec![
-        ("table1", t1),
-        ("table2", t2),
-        ("table3", t3),
-        ("table4", exp::table4_layout_45nm),
+        ("table1", |_| exp::table1_cell_rc()),
+        ("table2", |_| exp::table2_cell_timing_power()),
+        ("table3", |_| exp::table3_metal_layers()),
+        ("table4", |s| exp::layout_results(NodeId::N45, s)),
         ("table5", exp::table5_prior_work),
-        ("table6", t6),
-        ("table7", exp::table7_layout_7nm),
+        ("table6", |_| exp::table6_node_setup()),
+        ("table7", |s| exp::layout_results(NodeId::N7, s)),
         ("table8", exp::table8_pin_cap),
         ("table9", exp::table9_resistivity),
-        ("table11", t11),
+        ("table11", |_| exp::table11_7nm_cells()),
         ("table12", exp::table12_benchmarks),
         ("table15", exp::table15_wlm_impact),
-        ("table16", exp::table16_net_breakdown),
+        ("table16", |s| exp::table16_net_breakdown(NodeId::N45, s)),
         ("table17", exp::table17_metal_stack),
-        ("fig3", exp::fig3_circuit_character),
+        ("fig3", |s| exp::fig3_circuit_character(NodeId::N45, s)),
         ("fig4", exp::fig4_clock_sweep),
-        ("fig5", f5),
+        ("fig5", |_| exp::fig5_cell_inventory()),
         ("fig6", exp::fig6_wlm_curves),
-        ("fig10", exp::fig10_layer_usage),
+        ("fig10", |s| exp::fig10_layer_usage(NodeId::N45, s)),
         ("fig11", exp::fig11_activity_sweep),
         ("s5", exp::fig_s5_blockage),
         ("gmi", monolith3d::gmi::gmi_comparison),
@@ -266,6 +296,56 @@ mod tests {
         assert!(msg.contains("four"), "got: {msg}");
         let msg = cli::parse_jobs(Some("0")).expect_err("zero").to_string();
         assert!(msg.contains("at least one worker"), "got: {msg}");
+    }
+
+    fn names<D>(selected: &[(&'static str, D)]) -> Vec<&'static str> {
+        selected.iter().map(|(n, _)| *n).collect()
+    }
+
+    fn wanted(names: &[&str]) -> Vec<String> {
+        names.iter().map(|n| n.to_string()).collect()
+    }
+
+    #[test]
+    fn select_keeps_registry_order_and_all_selects_everything() {
+        let drivers = paper_drivers();
+        let picked = cli::select(&drivers, &wanted(&["fig3", "table3"])).expect("known names");
+        assert_eq!(names(&picked), ["table3", "fig3"]);
+        let all = cli::select(&drivers, &wanted(&["all"])).expect("all");
+        assert_eq!(names(&all), names(&drivers));
+        // `all` next to a known name still selects everything, once.
+        let all = cli::select(&drivers, &wanted(&["table3", "all"])).expect("all");
+        assert_eq!(names(&all), names(&drivers));
+    }
+
+    #[test]
+    fn select_rejects_any_unknown_name() {
+        let drivers = paper_drivers();
+        // A known name next to a typo must not run the known one alone.
+        let err = cli::select(&drivers, &wanted(&["table3", "nope"])).expect_err("typo");
+        assert_eq!(err.unknown, ["nope"]);
+        assert_eq!(err.known, names(&drivers));
+        let msg = err.to_string();
+        assert!(msg.starts_with("unknown experiment(s)"), "got: {msg}");
+        assert!(
+            msg.contains("nope") && msg.contains("known: table1 table2"),
+            "got: {msg}"
+        );
+        let err = cli::select(&drivers, &wanted(&["all", "fig99"])).expect_err("typo");
+        assert_eq!(err.unknown, ["fig99"]);
+    }
+
+    #[test]
+    fn node_selection_draws_from_the_node_registry() {
+        let drivers = node_drivers();
+        let picked = cli::select(&drivers, &wanted(&["fig10", "table4"])).expect("known");
+        assert_eq!(names(&picked), ["table4", "fig10"]);
+        let all = cli::select(&drivers, &wanted(&["all"])).expect("all");
+        assert_eq!(names(&all), SMOKE_SUBSET);
+        // Paper-only drivers are not in the `--node` registry.
+        let err = cli::select(&drivers, &wanted(&["table4", "fig4"])).expect_err("fig4");
+        assert_eq!(err.unknown, ["fig4"]);
+        assert_eq!(err.known, SMOKE_SUBSET);
     }
 
     #[test]

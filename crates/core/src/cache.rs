@@ -37,7 +37,7 @@ use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, MetalClass, NodeId, StackKind, TechNode};
 
 use crate::error::{FlowError, FlowStage};
-use crate::flow::{default_clock_scale_at, FlowConfig, FlowResult};
+use crate::flow::{FlowConfig, FlowResult};
 use crate::observe::{self, CacheKind, EventKind, Recorder};
 use crate::sharded::Sharded;
 use crate::store::DiskStore;
@@ -100,11 +100,6 @@ pub struct FlowKey {
 impl FlowKey {
     /// Projects `(bench, style, config)` onto the consumed knobs.
     pub fn of(bench: Benchmark, style: DesignStyle, cfg: &FlowConfig) -> Self {
-        let clock_scale = if cfg.clock_scale > 0.0 {
-            cfg.clock_scale
-        } else {
-            default_clock_scale_at(bench, cfg.node_id)
-        };
         FlowKey {
             bench,
             style,
@@ -120,7 +115,7 @@ impl FlowKey {
             mb1_routing: cfg.mb1_routing,
             opt_passes: cfg.opt_passes,
             place_iterations: cfg.place_iterations,
-            clock_scale_bits: clock_scale.to_bits(),
+            clock_scale_bits: cfg.effective_clock_scale(bench).to_bits(),
         }
     }
 }
@@ -842,7 +837,7 @@ mod tests {
     fn resolved_defaults_share_the_flow_key() {
         let mut explicit = cfg45();
         explicit.stack_kind = Some(DesignStyle::Tmi.default_stack());
-        explicit.clock_scale = default_clock_scale_at(Benchmark::Aes, NodeId::N45);
+        explicit.clock_scale = crate::default_clock_scale_at(Benchmark::Aes, NodeId::N45);
         assert_eq!(
             FlowKey::of(Benchmark::Aes, DesignStyle::Tmi, &cfg45()),
             FlowKey::of(Benchmark::Aes, DesignStyle::Tmi, &explicit)

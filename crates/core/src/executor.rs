@@ -39,10 +39,9 @@ use m3d_tech::DesignStyle;
 use crate::cache::{ArtifactCache, FlowKey};
 use crate::error::FlowError;
 use crate::faultinject::FaultPlan;
-use crate::flow::{Flow, FlowConfig, FlowResult};
+use crate::flow::{run_cached, FlowConfig, FlowResult};
 use crate::govern::{self, CancelCause, CancelToken, PointOutcome, RunGovernor};
 use crate::observe::EventKind;
-use crate::supervisor::{FlowSupervisor, SupervisorPolicy};
 
 /// One point of the experiment matrix: a full flow run.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,16 +145,7 @@ impl ExecutorReport {
     /// in `[0, 1]` per worker. The mean approaches 1 when stealing
     /// keeps every worker fed.
     pub fn utilization(&self) -> Vec<f64> {
-        self.workers
-            .iter()
-            .map(|w| {
-                if self.wall_s > 0.0 {
-                    (w.busy_s / self.wall_s).min(1.0)
-                } else {
-                    0.0
-                }
-            })
-            .collect()
+        utilization(&self.workers, self.wall_s)
     }
 
     /// Points that completed without a flow error.
@@ -167,6 +157,19 @@ impl ExecutorReport {
     pub fn first_error(&self) -> Option<&FlowError> {
         self.results.iter().find_map(|r| r.as_ref().err())
     }
+}
+
+fn utilization(workers: &[WorkerReport], wall_s: f64) -> Vec<f64> {
+    workers
+        .iter()
+        .map(|w| {
+            if wall_s > 0.0 {
+                (w.busy_s / wall_s).min(1.0)
+            } else {
+                0.0
+            }
+        })
+        .collect()
 }
 
 /// What [`ParallelExecutor::run_governed`] returns: *partial results*.
@@ -190,6 +193,11 @@ pub struct GovernedReport {
 }
 
 impl GovernedReport {
+    /// Per-worker utilization, as [`ExecutorReport::utilization`].
+    pub fn utilization(&self) -> Vec<f64> {
+        utilization(&self.workers, self.wall_s)
+    }
+
     /// Points that closed with a result.
     pub fn done_count(&self) -> usize {
         self.outcomes.iter().filter(|o| o.is_done()).count()
@@ -251,109 +259,40 @@ impl ParallelExecutor {
             .unwrap_or(1)
     }
 
-    /// Runs every planned point, returning results in plan order.
+    /// Runs every planned point, returning results in plan order: the
+    /// [`ParallelExecutor::run_governed`] schedule under an inert
+    /// [`RunGovernor::new`], which arms no deadline, never stops a point
+    /// and emits no governance events. A failing point records its
+    /// [`FlowError`] in its slot and the fan-out continues — error
+    /// reporting is the caller's call.
+    pub fn run(&self, plan: &ExperimentPlan) -> ExecutorReport {
+        let report = self.run_governed(plan, &RunGovernor::new());
+        ExecutorReport {
+            results: report
+                .outcomes
+                .into_iter()
+                .map(|o| match o {
+                    PointOutcome::Done(r) => Ok(*r),
+                    PointOutcome::Failed(e) => Err(e),
+                    stopped => unreachable!("an inert governor stopped a point: {}", stopped.key()),
+                })
+                .collect(),
+            wall_s: report.wall_s,
+            workers: report.workers,
+        }
+    }
+
+    /// Runs every planned point under a [`RunGovernor`], returning
+    /// outcomes in plan order: cooperative cancellation, run/point
+    /// deadlines and graceful drain over the one work-stealing schedule.
     ///
     /// Worker `w` starts from its own stripe (points `w`, `w + N`,
     /// `w + 2N`, …) and steals from the back of other deques once its
     /// own drains. Since the plan is finite and nothing enqueues new
     /// work, "every deque empty" is a safe termination condition. A
-    /// failing point records its [`FlowError`] in its slot and the
-    /// fan-out continues — error reporting is the caller's call.
-    pub fn run(&self, plan: &ExperimentPlan) -> ExecutorReport {
-        let n = plan.len();
-        if n == 0 {
-            return ExecutorReport {
-                results: Vec::new(),
-                wall_s: 0.0,
-                workers: Vec::new(),
-            };
-        }
-        let workers = self.workers.min(n);
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new(((w..n).step_by(workers)).collect()))
-            .collect();
-        let slots: Vec<Mutex<Option<Result<FlowResult, FlowError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-
-        let t0 = Instant::now();
-        // The fan-out inherits the cache's event sink: flows executed
-        // here emit their stage and cache events through it already, so
-        // the executor only adds its own scheduling events.
-        let recorder = self.cache.recorder();
-        let reports: Vec<WorkerReport> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let queues = &queues;
-                    let slots = &slots;
-                    let cache = &self.cache;
-                    let recorder = &recorder;
-                    s.spawn(move || {
-                        let mut rep = WorkerReport::default();
-                        loop {
-                            // Own work first (front), then steal from a
-                            // victim's back — opposite ends, so a busy
-                            // owner and its thief rarely want the same
-                            // index.
-                            let mut stolen_from = None;
-                            let mut next = queues[w].lock().expect("queue lock").pop_front();
-                            if next.is_none() {
-                                for v in 1..workers {
-                                    let victim = (w + v) % workers;
-                                    next = queues[victim].lock().expect("queue lock").pop_back();
-                                    if next.is_some() {
-                                        stolen_from = Some(victim);
-                                        break;
-                                    }
-                                }
-                            }
-                            let Some(i) = next else { break };
-                            if let Some(victim) = stolen_from {
-                                if recorder.enabled() {
-                                    recorder.record(EventKind::WorkerStolen {
-                                        worker: w,
-                                        victim,
-                                        point: i,
-                                    });
-                                }
-                            }
-                            let p = &plan.points()[i];
-                            let t = Instant::now();
-                            let r = Flow::new(p.bench, p.style, p.config.clone())
-                                .try_run_with_cache(cache);
-                            rep.busy_s += t.elapsed().as_secs_f64();
-                            rep.items += 1;
-                            rep.steals += usize::from(stolen_from.is_some());
-                            *slots[i].lock().expect("slot lock") = Some(r);
-                        }
-                        rep
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("executor worker panicked"))
-                .collect()
-        });
-
-        ExecutorReport {
-            results: slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .expect("slot lock")
-                        .expect("every planned point was executed")
-                })
-                .collect(),
-            wall_s: t0.elapsed().as_secs_f64(),
-            workers: reports,
-        }
-    }
-
-    /// [`ParallelExecutor::run`] under a [`RunGovernor`]: the same
-    /// work-stealing schedule and the same cache interactions (a
-    /// governed point that completes warms the cache bit-identically to
-    /// an ungoverned one), plus cooperative cancellation, run/point
-    /// deadlines, and graceful drain.
+    /// point that completes warms the cache exactly as
+    /// [`crate::Flow::try_run`] would, whatever the governor does to
+    /// other points.
     ///
     /// Workers check the governor between points: on cancel or deadline
     /// they stop popping and the in-flight point stops at its stage's
@@ -381,6 +320,9 @@ impl ParallelExecutor {
         let slots: Vec<Mutex<Option<PointOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
         let t0 = Instant::now();
+        // The fan-out inherits the cache's event sink: flows executed
+        // here emit their stage and cache events through it already, so
+        // the executor only adds its own scheduling events.
         let recorder = self.cache.recorder();
         // First-observer flags: cancel and drain are each announced
         // exactly once per run, by whichever thread notices first.
@@ -422,6 +364,10 @@ impl ParallelExecutor {
                             if stopped() {
                                 break;
                             }
+                            // Own work first (front), then steal from a
+                            // victim's back — opposite ends, so a busy
+                            // owner and its thief rarely want the same
+                            // index.
                             let mut stolen_from = None;
                             let mut next = queues[w].lock().expect("queue lock").pop_front();
                             if next.is_none() {
@@ -453,7 +399,7 @@ impl ParallelExecutor {
                             }
                             let p = &plan.points()[i];
                             let t = Instant::now();
-                            let outcome = this.run_governed_point(gov, p);
+                            let outcome = this.run_point_inner(p, &gov.point_token(), gov.faults());
                             rep.busy_s += t.elapsed().as_secs_f64();
                             rep.items += 1;
                             rep.steals += usize::from(stolen_from.is_some());
@@ -528,53 +474,31 @@ impl ParallelExecutor {
         }
     }
 
-    /// One governed plan point: the exact cache contract of
-    /// [`Flow::try_run_with_cache`] (validate → result-cache lookup →
-    /// strict supervisor → result-cache store), with the governor's
-    /// point token and fault plan threaded into the supervisor.
-    /// Governor interventions map to typed outcomes via the point
-    /// token's cause; everything else is a plain `Failed`.
-    fn run_governed_point(&self, gov: &RunGovernor, p: &PlanPoint) -> PointOutcome {
-        self.run_point_inner(p, &gov.point_token(), gov.faults())
-    }
-
     /// Runs one plan point under `tok` on this executor's cache —
     /// the single-request entry `m3d-serve` dispatches on: the same
-    /// validate → cache lookup → strict supervisor → store contract as
-    /// a governed batch point, so concurrent identical requests from
-    /// different connections coalesce on the cache's per-key build
-    /// cell and characterize exactly once. Cancel `tok` (or arm a
+    /// cached-run contract as a batch point, so concurrent identical
+    /// requests from different connections coalesce on the cache's
+    /// per-key build cell and characterize exactly once. Cancel `tok` (or arm a
     /// deadline on it) to get a typed [`PointOutcome::Cancelled`] /
     /// [`PointOutcome::DeadlineExceeded`] back.
     pub fn run_point(&self, p: &PlanPoint, tok: &CancelToken) -> PointOutcome {
         self.run_point_inner(p, tok, &FaultPlan::new())
     }
 
+    /// One plan point through the shared cached-run contract
+    /// ([`crate::Flow::try_run_with_cache`]'s), with `tok` and `faults`
+    /// threaded into the supervisor. Governor interventions map to
+    /// typed outcomes via the token's cause; a rejected config and
+    /// everything else is a plain `Failed`.
     fn run_point_inner(
         &self,
         p: &PlanPoint,
         tok: &CancelToken,
         faults: &FaultPlan,
     ) -> PointOutcome {
-        if let Err(e) = p.config.validate() {
-            return PointOutcome::Failed(e);
-        }
-        if let Some(hit) = self.cache.lookup_result(p.bench, p.style, &p.config) {
-            return PointOutcome::Done(Box::new(hit));
-        }
-        let mut sup = FlowSupervisor::new(p.bench, p.style, p.config.clone())
-            .policy(SupervisorPolicy::strict())
-            .with_cache(Arc::clone(&self.cache))
-            .with_cancel(tok.clone());
-        if !faults.is_empty() {
-            sup = sup.with_faults(faults.clone());
-        }
-        match sup.run().into_result() {
-            Ok(result) => {
-                self.cache
-                    .store_result(p.bench, p.style, &p.config, &result);
-                PointOutcome::Done(Box::new(result))
-            }
+        match run_cached(p.bench, p.style, &p.config, &self.cache, Some(tok), faults) {
+            Ok(result) => PointOutcome::Done(Box::new(result)),
+            Err(e @ FlowError::Config(_)) => PointOutcome::Failed(e),
             Err(e) => match tok.cause() {
                 Some(CancelCause::Cancelled) => PointOutcome::Cancelled,
                 Some(CancelCause::DeadlineExceeded) => PointOutcome::DeadlineExceeded,

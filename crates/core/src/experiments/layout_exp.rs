@@ -7,99 +7,15 @@ use m3d_place::Placer;
 use m3d_synth::WireLoadModel;
 use m3d_tech::{DesignStyle, NodeId};
 
+use super::Row;
 use crate::cache::ArtifactCache;
-use crate::{Comparison, ExperimentPlan, FlowConfig, FlowResult};
+use crate::{FlowConfig, FlowResult};
 
 /// The LDPC-vs-DES wiring-character contrast pair (Fig. 3, Table 16).
 const CONTRAST_BENCHES: [Benchmark; 2] = [Benchmark::Ldpc, Benchmark::Des];
 
 /// The circuits Table 5 compares against prior published work.
 const TABLE5_BENCHES: [Benchmark; 3] = [Benchmark::Aes, Benchmark::Ldpc, Benchmark::Des];
-
-/// Enumerates the flow points the named driver of this module runs, so
-/// the parallel executor can pre-warm the shared cache; returns whether
-/// the name belongs to this module. Drivers and plans iterate the same
-/// constants — `tests/parallel.rs` asserts a warmed driver performs
-/// zero flow misses.
-pub(crate) fn add_plan(name: &str, scale: BenchScale, plan: &mut ExperimentPlan) -> bool {
-    match name {
-        "table4" => {
-            let cfg = FlowConfig::new(NodeId::N45).scale(scale);
-            for bench in Benchmark::ALL {
-                plan.push_comparison(bench, &cfg);
-            }
-        }
-        "table7" => {
-            let cfg = FlowConfig::new(NodeId::N7).scale(scale);
-            for bench in Benchmark::ALL {
-                plan.push_comparison(bench, &cfg);
-            }
-        }
-        "table5" => {
-            let cfg = FlowConfig::new(NodeId::N45).scale(scale);
-            for bench in TABLE5_BENCHES {
-                plan.push_comparison(bench, &cfg);
-            }
-        }
-        "fig3" => {
-            let cfg = FlowConfig::new(NodeId::N45).scale(scale);
-            for bench in CONTRAST_BENCHES {
-                plan.push(bench, DesignStyle::TwoD, cfg.clone());
-            }
-        }
-        "table16" => {
-            let cfg = FlowConfig::new(NodeId::N45).scale(scale);
-            for bench in CONTRAST_BENCHES {
-                plan.push_comparison(bench, &cfg);
-            }
-        }
-        // table12 and fig6 build libraries and placements but run no
-        // full flows — nothing to pre-warm.
-        "table12" | "fig6" => {}
-        _ => return false,
-    }
-    true
-}
-
-/// Node-selected form of [`add_plan`]: enumerates the flow points the
-/// smoke drivers run when retargeted to `node` (the `--node` CLI path).
-/// The paper nodes keep their classic plans; any other registered node
-/// gets the same loops with its own [`FlowConfig`].
-pub(crate) fn add_plan_at(
-    name: &str,
-    scale: BenchScale,
-    node: NodeId,
-    plan: &mut ExperimentPlan,
-) -> bool {
-    if node == NodeId::N45 {
-        return add_plan(name, scale, plan);
-    }
-    match name {
-        "table4" => {
-            if node == NodeId::N7 {
-                return add_plan("table7", scale, plan);
-            }
-            let cfg = FlowConfig::new(node).scale(scale);
-            for bench in Benchmark::ALL {
-                plan.push_comparison(bench, &cfg);
-            }
-        }
-        "fig3" => {
-            let cfg = FlowConfig::new(node).scale(scale);
-            for bench in CONTRAST_BENCHES {
-                plan.push(bench, DesignStyle::TwoD, cfg.clone());
-            }
-        }
-        "table16" => {
-            let cfg = FlowConfig::new(node).scale(scale);
-            for bench in CONTRAST_BENCHES {
-                plan.push_comparison(bench, &cfg);
-            }
-        }
-        _ => return false,
-    }
-    true
-}
 
 fn detail_row(r: &FlowResult) -> String {
     format!(
@@ -119,18 +35,71 @@ fn detail_row(r: &FlowResult) -> String {
     )
 }
 
-fn layout_table(node: NodeId, scale: BenchScale, paper: &[(&str, [f64; 6])]) -> String {
+/// A paper layout table's per-circuit percentage changes: footprint,
+/// wirelength, total, cell, net and leakage power.
+type PaperRows = [(&'static str, [f64; 6]); 5];
+
+/// The paper's Table 4 (45 nm) or Table 7 (7 nm) title and rows; `None`
+/// at any other registered node.
+fn layout_paper(node: NodeId) -> Option<(&'static str, PaperRows)> {
+    if node == NodeId::N45 {
+        Some((
+            "Table 4 / Table 13 - 45 nm layout results",
+            [
+                ("FPU", [-41.7, -26.3, -14.5, -9.4, -19.5, -11.1]),
+                ("AES", [-42.4, -23.6, -10.9, -7.6, -13.9, -9.5]),
+                ("LDPC", [-43.2, -33.6, -32.1, -12.8, -39.2, -21.7]),
+                ("DES", [-40.9, -21.5, -4.1, -1.6, -7.7, -1.4]),
+                ("M256", [-43.4, -28.4, -17.5, -10.7, -22.2, -12.9]),
+            ],
+        ))
+    } else if node == NodeId::N7 {
+        Some((
+            "Table 7 / Table 14 - 7 nm layout results",
+            [
+                ("FPU", [-47.0, -34.2, -37.3, -32.4, -44.4, -21.0]),
+                ("AES", [-62.0, -47.8, -19.8, -10.3, -28.4, -28.5]),
+                ("LDPC", [-42.9, -27.7, -19.1, -3.7, -26.6, -3.5]),
+                ("DES", [-40.8, -21.9, -3.4, -1.3, -7.3, -3.0]),
+                ("M256", [-44.6, -23.0, -17.8, -14.1, -23.0, -2.4]),
+            ],
+        ))
+    } else {
+        None
+    }
+}
+
+/// The layout comparison's rows: every circuit as a 2D/T-MI pair.
+pub(crate) fn layout_rows(node: NodeId, scale: BenchScale) -> Vec<Row> {
     let cfg = FlowConfig::new(node).scale(scale);
-    let mut out = String::new();
+    Benchmark::ALL
+        .into_iter()
+        .map(|bench| Row::pair((), bench, cfg.clone()))
+        .collect()
+}
+
+/// Tables 4/13 (45 nm) and 7/14 (7 nm): the iso-performance layout
+/// comparison for all five benchmarks. Any other registered node (the
+/// `--node` CLI path) renders the same comparison without paper
+/// reference rows.
+pub fn layout_results(node: NodeId, scale: BenchScale) -> String {
+    let paper = layout_paper(node);
+    let mut out = match paper {
+        Some((title, _)) => format!("{title}\n"),
+        None => format!("Layout results - {} node\n", node.label()),
+    };
     let _ = writeln!(
         out,
         "circuit  footprint wirelen    total     cell      net    leakage   (percent change, T-MI over 2D)"
     );
     let mut details = String::new();
-    for bench in Benchmark::ALL {
-        let cmp = Comparison::run(bench, &cfg);
+    for row in layout_rows(node, scale) {
+        let cmp = row.compare();
         let _ = writeln!(out, "{}", cmp.table_row());
-        if let Some((_, p)) = paper.iter().find(|(n, _)| *n == bench.name()) {
+        let p = paper
+            .as_ref()
+            .and_then(|(_, rows)| rows.iter().find(|(n, _)| *n == row.bench.name()));
+        if let Some((_, p)) = p {
             let _ = writeln!(
                 out,
                 "  paper: {:+7.1}%  {:+7.1}%  {:+7.1}%  {:+7.1}%  {:+7.1}%  {:+7.1}%",
@@ -147,71 +116,30 @@ fn layout_table(node: NodeId, scale: BenchScale, paper: &[(&str, [f64; 6])]) -> 
     out
 }
 
-/// Tables 4 and 13: the 45 nm iso-performance layout comparison for all
-/// five benchmarks.
-pub fn table4_layout_45nm(scale: BenchScale) -> String {
-    let paper = [
-        ("FPU", [-41.7, -26.3, -14.5, -9.4, -19.5, -11.1]),
-        ("AES", [-42.4, -23.6, -10.9, -7.6, -13.9, -9.5]),
-        ("LDPC", [-43.2, -33.6, -32.1, -12.8, -39.2, -21.7]),
-        ("DES", [-40.9, -21.5, -4.1, -1.6, -7.7, -1.4]),
-        ("M256", [-43.4, -28.4, -17.5, -10.7, -22.2, -12.9]),
-    ];
-    format!(
-        "Table 4 / Table 13 - 45 nm layout results\n{}",
-        layout_table(NodeId::N45, scale, &paper)
-    )
-}
-
-/// Tables 7 and 14: the 7 nm projection.
-pub fn table7_layout_7nm(scale: BenchScale) -> String {
-    let paper = [
-        ("FPU", [-47.0, -34.2, -37.3, -32.4, -44.4, -21.0]),
-        ("AES", [-62.0, -47.8, -19.8, -10.3, -28.4, -28.5]),
-        ("LDPC", [-42.9, -27.7, -19.1, -3.7, -26.6, -3.5]),
-        ("DES", [-40.8, -21.9, -3.4, -1.3, -7.3, -3.0]),
-        ("M256", [-44.6, -23.0, -17.8, -14.1, -23.0, -2.4]),
-    ];
-    format!(
-        "Table 7 / Table 14 - 7 nm layout results\n{}",
-        layout_table(NodeId::N7, scale, &paper)
-    )
-}
-
-/// Node-selected layout comparison (the `--node` CLI path): the two
-/// paper nodes delegate to their pinned tables — bytes unchanged — and
-/// any other registered node renders the generic comparison without
-/// paper reference rows.
-pub fn layout_results_at(node: NodeId, scale: BenchScale) -> String {
-    if node == NodeId::N45 {
-        table4_layout_45nm(scale)
-    } else if node == NodeId::N7 {
-        table7_layout_7nm(scale)
-    } else {
-        format!(
-            "Layout results - {} node\n{}",
-            node.label(),
-            layout_table(node, scale, &[])
-        )
-    }
+/// Table 5's rows: the circuits compared against prior published work.
+pub(crate) fn table5_rows(scale: BenchScale) -> Vec<Row> {
+    let cfg = FlowConfig::new(NodeId::N45).scale(scale);
+    TABLE5_BENCHES
+        .into_iter()
+        .map(|bench| Row::pair((), bench, cfg.clone()))
+        .collect()
 }
 
 /// Table 5: our AES/LDPC/DES results alongside the published numbers of
 /// the prior monolithic-3D works the paper compares against
 /// (Bobba et al. \[2\] CELONCEL; Lee et al. \[7\]).
 pub fn table5_prior_work(scale: BenchScale) -> String {
-    let cfg = FlowConfig::new(NodeId::N45).scale(scale);
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Table 5 - comparison with prior works (wirelength m / power mW / reduction)"
     );
-    for bench in TABLE5_BENCHES {
-        let cmp = Comparison::run(bench, &cfg);
+    for row in table5_rows(scale) {
+        let cmp = row.compare();
         let _ = writeln!(
             out,
             "{:5} ours-2D  WL {:6.3} m  P {:8.2} mW",
-            bench.name(),
+            row.bench.name(),
             cmp.two_d.wirelength_m(),
             cmp.two_d.total_power_mw()
         );
@@ -233,49 +161,43 @@ pub fn table5_prior_work(scale: BenchScale) -> String {
     out
 }
 
+/// Fig. 3's rows: the contrast pair's 2D designs.
+pub(crate) fn fig3_rows(node: NodeId, scale: BenchScale) -> Vec<Row> {
+    let cfg = FlowConfig::new(node).scale(scale);
+    CONTRAST_BENCHES
+        .into_iter()
+        .map(|bench| Row::single((), bench, DesignStyle::TwoD, cfg.clone()))
+        .collect()
+}
+
 /// Fig. 3: the LDPC vs DES layout-character contrast (Section 4.3) —
 /// average net length, footprint and the wire/pin capacitance split that
-/// explains their opposite power benefits.
-pub fn fig3_circuit_character(scale: BenchScale) -> String {
+/// explains their opposite power benefits. The paper's figure is at
+/// 45 nm; any other node (the `--node` CLI path) renders the same rows
+/// without the paper reference footer.
+pub fn fig3_circuit_character(node: NodeId, scale: BenchScale) -> String {
+    let paper = node == NodeId::N45;
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 3 - LDPC vs DES layout character (2D designs, 45 nm)"
-    );
-    fig3_rows(&FlowConfig::new(NodeId::N45).scale(scale), &mut out);
-    out.push_str(
-        "paper: LDPC 457x456 um, 3.806 m, 72.0 um avg net, wire 558 pF >> pin 134 pF;\n\
-         DES 331x330 um, 0.611 m, 10.5 um avg net, wire 64 pF << pin 127 pF\n",
-    );
-    out
-}
-
-/// Node-selected form of [`fig3_circuit_character`]; non-paper nodes
-/// render the same rows without the paper reference footer.
-pub fn fig3_circuit_character_at(node: NodeId, scale: BenchScale) -> String {
-    if node == NodeId::N45 {
-        return fig3_circuit_character(scale);
+    if paper {
+        let _ = writeln!(
+            out,
+            "Fig. 3 - LDPC vs DES layout character (2D designs, 45 nm)"
+        );
+    } else {
+        let _ = writeln!(
+            out,
+            "Fig. 3 - LDPC vs DES layout character (2D designs, {} node)",
+            node.label()
+        );
     }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 3 - LDPC vs DES layout character (2D designs, {} node)",
-        node.label()
-    );
-    fig3_rows(&FlowConfig::new(node).scale(scale), &mut out);
-    out
-}
-
-/// The shared Fig. 3 measurement rows at one configuration.
-fn fig3_rows(cfg: &FlowConfig, out: &mut String) {
-    for bench in CONTRAST_BENCHES {
-        let r = crate::Flow::new(bench, DesignStyle::TwoD, cfg.clone()).run();
+    for row in fig3_rows(node, scale) {
+        let r = row.run();
         let avg_net = r.wirelength_um / (r.cell_count as f64).max(1.0);
         let _ = writeln!(
             out,
             "{:5}: footprint {:7.0} um2 ({:5.1} x {:5.1} um), WL {:6.3} m, \
              ~{:5.1} um/cell, wire cap {:7.1} pF vs pin cap {:7.1} pF ({})",
-            bench.name(),
+            row.bench.name(),
             r.footprint_um2,
             r.core_um.0,
             r.core_um.1,
@@ -290,6 +212,13 @@ fn fig3_rows(cfg: &FlowConfig, out: &mut String) {
             }
         );
     }
+    if paper {
+        out.push_str(
+            "paper: LDPC 457x456 um, 3.806 m, 72.0 um avg net, wire 558 pF >> pin 134 pF;\n\
+             DES 331x330 um, 0.611 m, 10.5 um avg net, wire 64 pF << pin 127 pF\n",
+        );
+    }
+    out
 }
 
 /// Table 12: the benchmark circuits and their synthesis statistics at
@@ -329,50 +258,40 @@ pub fn table12_benchmarks(scale: BenchScale) -> String {
     out
 }
 
+/// Table 16's rows: the contrast pair, each as a 2D/T-MI pair.
+pub(crate) fn table16_rows(node: NodeId, scale: BenchScale) -> Vec<Row> {
+    let cfg = FlowConfig::new(node).scale(scale);
+    CONTRAST_BENCHES
+        .into_iter()
+        .map(|bench| Row::pair((), bench, cfg.clone()))
+        .collect()
+}
+
 /// Table 16: wire vs pin capacitance/power decomposition of LDPC and DES
 /// at 45 nm — the quantitative core of the paper's Section 4.3 argument.
-pub fn table16_net_breakdown(scale: BenchScale) -> String {
+/// Any other node (the `--node` CLI path) renders the same rows without
+/// the paper reference footer.
+pub fn table16_net_breakdown(node: NodeId, scale: BenchScale) -> String {
+    let paper = node == NodeId::N45;
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Table 16 - wire vs pin capacitance and power (whole circuit)\n\
-         design     wire cap(pF)  pin cap(pF)  wire P(mW)  pin P(mW)"
-    );
-    table16_rows(&FlowConfig::new(NodeId::N45).scale(scale), &mut out);
-    out.push_str(
-        "paper: LDPC-2D 558.0/134.4 pF 30.73/9.04 mW -> 3D 310.3/123.6, 15.88/8.32;\n\
-         DES-2D 64.4/127.4 pF 8.88/17.80 mW -> 3D 50.1/126.6, 6.87/17.76\n",
-    );
-    out
-}
-
-/// Node-selected form of [`table16_net_breakdown`]; non-paper nodes
-/// render the same rows without the paper reference footer.
-pub fn table16_net_breakdown_at(node: NodeId, scale: BenchScale) -> String {
-    if node == NodeId::N45 {
-        return table16_net_breakdown(scale);
+    if paper {
+        out.push_str("Table 16 - wire vs pin capacitance and power (whole circuit)\n");
+    } else {
+        let _ = writeln!(
+            out,
+            "Table 16 - wire vs pin capacitance and power (whole circuit, {} node)",
+            node.label()
+        );
     }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Table 16 - wire vs pin capacitance and power (whole circuit, {} node)\n\
-         design     wire cap(pF)  pin cap(pF)  wire P(mW)  pin P(mW)",
-        node.label()
-    );
-    table16_rows(&FlowConfig::new(node).scale(scale), &mut out);
-    out
-}
-
-/// The shared Table 16 measurement rows at one configuration.
-fn table16_rows(cfg: &FlowConfig, out: &mut String) {
-    for bench in CONTRAST_BENCHES {
-        for style in [DesignStyle::TwoD, DesignStyle::Tmi] {
-            let r = crate::Flow::new(bench, style, cfg.clone()).run();
+    out.push_str("design     wire cap(pF)  pin cap(pF)  wire P(mW)  pin P(mW)\n");
+    for row in table16_rows(node, scale) {
+        let cmp = row.compare();
+        for r in [&cmp.two_d, &cmp.tmi] {
             let _ = writeln!(
                 out,
                 "{:5}-{:3} {:12.1} {:12.1} {:11.2} {:10.2}",
-                bench.name(),
-                style.label(),
+                row.bench.name(),
+                r.style.label(),
                 r.power.wire_cap_pf,
                 r.power.pin_cap_pf,
                 r.power.wire_mw,
@@ -380,6 +299,13 @@ fn table16_rows(cfg: &FlowConfig, out: &mut String) {
             );
         }
     }
+    if paper {
+        out.push_str(
+            "paper: LDPC-2D 558.0/134.4 pF 30.73/9.04 mW -> 3D 310.3/123.6, 15.88/8.32;\n\
+             DES-2D 64.4/127.4 pF 8.88/17.80 mW -> 3D 50.1/126.6, 6.87/17.76\n",
+        );
+    }
+    out
 }
 
 /// Fig. 6: the fanout-vs-wirelength wire-load-model curves per benchmark.

@@ -11,12 +11,12 @@
 //! | [`table1_cell_rc`] | Table 1 — cell-internal parasitic RC |
 //! | [`table2_cell_timing_power`] | Table 2 — SPICE cell delay/power |
 //! | [`table3_metal_layers`] | Table 3 — metal layer summary |
-//! | [`table4_layout_45nm`] | Tables 4 & 13 — 45 nm layout results |
+//! | [`layout_results`] at 45 nm | Tables 4 & 13 — 45 nm layout results |
 //! | [`table5_prior_work`] | Table 5 — comparison with prior works |
 //! | [`fig3_circuit_character`] | Fig. 3 — LDPC vs DES layout character |
 //! | [`fig4_clock_sweep`] | Fig. 4 — power benefit vs target clock |
 //! | [`table6_node_setup`] | Table 6 — 45 nm vs 7 nm setup |
-//! | [`table7_layout_7nm`] | Tables 7 & 14 — 7 nm layout results |
+//! | [`layout_results`] at 7 nm | Tables 7 & 14 — 7 nm layout results |
 //! | [`table8_pin_cap`] | Table 8 — pin-cap reduction study |
 //! | [`table9_resistivity`] | Table 9 — lower metal resistivity |
 //! | [`table11_7nm_cells`] | Table 11 — 7 nm cell characterization |
@@ -34,45 +34,129 @@ mod cells_exp;
 mod layout_exp;
 mod sweeps;
 
-use m3d_netlist::BenchScale;
-use m3d_tech::NodeId;
+use m3d_netlist::{BenchScale, Benchmark};
+use m3d_tech::{DesignStyle, NodeId};
 
-use crate::ExperimentPlan;
+use crate::{Comparison, ExperimentPlan, Flow, FlowConfig, FlowResult};
 
-/// Enumerates the full-flow points the named driver will run, so the
-/// [`crate::ParallelExecutor`] can pre-warm the shared
-/// [`crate::ArtifactCache`] before the driver formats its table from
-/// (bit-identical) cache hits. Drivers that run no full flows — the
-/// cell-level experiments — return an empty plan, as does an unknown
-/// name (the `paper_tables` registry owns name validation).
+/// One row of a flow driver's table: what the row prints (`label`) and
+/// the flow point it runs — `bench` under `cfg`, in one `style`, or as
+/// the iso-performance 2D/T-MI pair when `style` is `None`.
+///
+/// Each flow driver lists its rows once, in row order, in a `*_rows`
+/// function. The driver renders by iterating that list, and
+/// [`plan_for_at`] plans from the same list, so the pre-warm plan
+/// cannot drift from the flows the driver runs.
+#[derive(Debug)]
+pub(crate) struct Row<L = ()> {
+    pub(crate) label: L,
+    pub(crate) bench: Benchmark,
+    pub(crate) style: Option<DesignStyle>,
+    pub(crate) cfg: FlowConfig,
+}
+
+impl<L> Row<L> {
+    /// A row comparing the 2D and T-MI implementations.
+    pub(crate) fn pair(label: L, bench: Benchmark, cfg: FlowConfig) -> Self {
+        Row {
+            label,
+            bench,
+            style: None,
+            cfg,
+        }
+    }
+
+    /// A row running one style only.
+    pub(crate) fn single(label: L, bench: Benchmark, style: DesignStyle, cfg: FlowConfig) -> Self {
+        Row {
+            label,
+            bench,
+            style: Some(style),
+            cfg,
+        }
+    }
+
+    /// Runs a pair row's iso-performance comparison.
+    pub(crate) fn compare(&self) -> Comparison {
+        assert!(self.style.is_none(), "a single-style row has no pair");
+        Comparison::run(self.bench, &self.cfg)
+    }
+
+    /// Runs a single-style row's flow.
+    pub(crate) fn run(&self) -> FlowResult {
+        let style = self.style.expect("a pair row runs two flows");
+        Flow::new(self.bench, style, self.cfg.clone()).run()
+    }
+}
+
+fn plan_rows<L>(plan: &mut ExperimentPlan, rows: Vec<Row<L>>) {
+    for r in rows {
+        match r.style {
+            Some(style) => {
+                plan.push(r.bench, style, r.cfg);
+            }
+            None => plan.push_comparison(r.bench, &r.cfg),
+        }
+    }
+}
+
+/// The flow points the named driver runs at `node`, in the driver's
+/// row order, so the [`crate::ParallelExecutor`] can pre-warm the
+/// shared [`crate::ArtifactCache`] before the driver formats its table
+/// from (bit-identical) cache hits.
+///
+/// The node-generic drivers (`table4`, `fig3`, `table16`, `fig10` — the
+/// CLI `--node` registry) run at `node`; every other driver pins the
+/// node its paper table reports, and ignores `node`. Drivers that run
+/// no full flows (the cell-level experiments, `table12`, `fig6`)
+/// return an empty plan, as does an unknown name (the `paper_tables`
+/// registry owns name validation).
 ///
 /// Merge the per-driver plans of a whole run into one
 /// [`ExperimentPlan`]: the `FlowKey` dedup collapses the many points
 /// the tables share (e.g. Table 4's baselines reappear in Table 5, the
 /// scorecard and the G-MI study).
-pub fn plan_for(name: &str, scale: BenchScale) -> ExperimentPlan {
+pub fn plan_for_at(name: &str, scale: BenchScale, node: NodeId) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new();
-    let _ = layout_exp::add_plan(name, scale, &mut plan)
-        || sweeps::add_plan(name, scale, &mut plan)
-        || crate::gmi::add_plan(name, scale, &mut plan);
+    let p = &mut plan;
+    match name {
+        "table4" => plan_rows(p, layout_exp::layout_rows(node, scale)),
+        "table5" => plan_rows(p, layout_exp::table5_rows(scale)),
+        "table7" => plan_rows(p, layout_exp::layout_rows(NodeId::N7, scale)),
+        "table8" => plan_rows(p, sweeps::table8_rows(scale)),
+        "table9" => plan_rows(p, sweeps::table9_rows(scale)),
+        "table15" => plan_rows(p, sweeps::table15_rows(scale)),
+        "table16" => plan_rows(p, layout_exp::table16_rows(node, scale)),
+        "table17" => plan_rows(p, sweeps::table17_rows(scale)),
+        "fig3" => plan_rows(p, layout_exp::fig3_rows(node, scale)),
+        "fig4" => plan_rows(p, sweeps::fig4_rows(scale)),
+        "fig10" => plan_rows(p, sweeps::fig10_rows(node, scale)),
+        "fig11" => plan_rows(p, sweeps::fig11_rows(scale)),
+        "s5" => plan_rows(p, sweeps::s5_rows(scale)),
+        "gmi" => plan_rows(p, crate::gmi::gmi_rows(scale)),
+        "summary" => plan_rows(p, sweeps::summary_rows(scale)),
+        _ => {}
+    }
     plan
 }
 
-/// Node-selected form of [`plan_for`]: enumerates the flow points a
-/// driver runs when retargeted to `node` via the CLI `--node` flag. At
-/// the 45 nm default this is exactly [`plan_for`]; at any other
-/// registered node only the node-generic smoke drivers (`table4`,
-/// `fig3`, `table16`, `fig10`) enumerate points, matching what the
-/// `*_at` driver functions actually run.
-pub fn plan_for_at(name: &str, scale: BenchScale, node: NodeId) -> ExperimentPlan {
-    if node == NodeId::N45 {
-        return plan_for(name, scale);
-    }
-    let mut plan = ExperimentPlan::new();
-    let _ = layout_exp::add_plan_at(name, scale, node, &mut plan)
-        || sweeps::add_plan_at(name, scale, node, &mut plan);
-    plan
+/// [`plan_for_at`] at the paper's 45 nm default node.
+pub fn plan_for(name: &str, scale: BenchScale) -> ExperimentPlan {
+    plan_for_at(name, scale, NodeId::N45)
 }
+
+pub use cells_exp::{
+    fig5_cell_inventory, table11_7nm_cells, table1_cell_rc, table2_cell_timing_power,
+    table3_metal_layers, table6_node_setup,
+};
+pub use layout_exp::{
+    fig3_circuit_character, fig6_wlm_curves, layout_results, table12_benchmarks,
+    table16_net_breakdown, table5_prior_work,
+};
+pub use sweeps::{
+    fig10_layer_usage, fig11_activity_sweep, fig4_clock_sweep, fig_s5_blockage, summary_scorecard,
+    table15_wlm_impact, table17_metal_stack, table8_pin_cap, table9_resistivity,
+};
 
 #[cfg(test)]
 mod plan_tests {
@@ -119,18 +203,3 @@ mod plan_tests {
         assert!(merged.len() > table4);
     }
 }
-
-pub use cells_exp::{
-    fig5_cell_inventory, table11_7nm_cells, table1_cell_rc, table2_cell_timing_power,
-    table3_metal_layers, table6_node_setup,
-};
-pub use layout_exp::{
-    fig3_circuit_character, fig3_circuit_character_at, fig6_wlm_curves, layout_results_at,
-    table12_benchmarks, table16_net_breakdown, table16_net_breakdown_at, table4_layout_45nm,
-    table5_prior_work, table7_layout_7nm,
-};
-pub use sweeps::{
-    fig10_layer_usage, fig10_layer_usage_at, fig11_activity_sweep, fig4_clock_sweep,
-    fig_s5_blockage, summary_scorecard, table15_wlm_impact, table17_metal_stack, table8_pin_cap,
-    table9_resistivity,
-};

@@ -6,7 +6,8 @@ use std::fmt::Write as _;
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, NodeId, StackKind};
 
-use crate::{Comparison, ExperimentPlan, Flow, FlowConfig};
+use super::Row;
+use crate::FlowConfig;
 
 /// Fig. 4 clock sweep points, chosen so both styles close at this
 /// toolkit's library speed (the paper's absolute values are rescaled;
@@ -40,109 +41,17 @@ const FIG11_ALPHAS: [f64; 3] = [0.1, 0.2, 0.4];
 /// S5 blockage variants: `(label, allow MB1/MIV routing escapes)`.
 const S5_VARIANTS: [(&str, bool); 2] = [("with MB1/MIV", true), ("without", false)];
 
-/// Enumerates the flow points the named driver of this module runs
-/// (mirrors each driver's loops over the same constants); returns
-/// whether the name belongs to this module.
-pub(crate) fn add_plan(name: &str, scale: BenchScale, plan: &mut ExperimentPlan) -> bool {
-    match name {
-        "fig4" => {
-            for (bench, clocks) in FIG4_SWEEPS {
-                for clock in clocks {
-                    plan.push_comparison(
-                        bench,
-                        &FlowConfig::new(NodeId::N45).scale(scale).clock(clock),
-                    );
-                }
-            }
-        }
-        "table8" => {
-            for pin_scale in TABLE8_PIN_SCALES {
-                let mut cfg = FlowConfig::new(NodeId::N7).scale(scale);
-                cfg.pin_cap_scale = pin_scale;
-                plan.push_comparison(Benchmark::Des, &cfg);
-            }
-        }
-        "table9" => {
-            for (_, lower) in TABLE9_VARIANTS {
-                let mut cfg = FlowConfig::new(NodeId::N7).scale(scale);
-                cfg.lower_metal_rho = lower;
-                plan.push_comparison(Benchmark::M256, &cfg);
-            }
-        }
-        "table15" => {
-            for bench in Benchmark::ALL {
-                for (_, tmi_wlm) in TABLE15_WLM {
-                    let mut cfg = FlowConfig::new(NodeId::N45).scale(scale);
-                    cfg.tmi_wlm = tmi_wlm;
-                    plan.push(bench, DesignStyle::Tmi, cfg);
-                }
-            }
-        }
-        "table17" => {
-            for bench in TABLE17_BENCHES {
-                for (_, stack) in TABLE17_STACKS {
-                    let mut cfg = FlowConfig::new(NodeId::N7).scale(scale);
-                    cfg.stack_kind = stack;
-                    plan.push(bench, DesignStyle::Tmi, cfg);
-                }
-            }
-        }
-        "fig10" => {
-            for bench in FIG10_BENCHES {
-                plan.push(
-                    bench,
-                    DesignStyle::Tmi,
-                    FlowConfig::new(NodeId::N45).scale(scale),
-                );
-            }
-        }
-        "fig11" => {
-            for bench in FIG11_BENCHES {
-                for alpha in FIG11_ALPHAS {
-                    let mut cfg = FlowConfig::new(NodeId::N45).scale(scale);
-                    cfg.alpha_ff = alpha;
-                    plan.push_comparison(bench, &cfg);
-                }
-            }
-        }
-        "s5" => {
-            for (_, mb1) in S5_VARIANTS {
-                let mut cfg = FlowConfig::new(NodeId::N45).scale(scale);
-                cfg.mb1_routing = mb1;
-                plan.push(Benchmark::Aes, DesignStyle::Tmi, cfg);
-            }
-        }
-        "summary" => {
-            let cfg = FlowConfig::new(NodeId::N45).scale(scale);
-            for bench in Benchmark::ALL {
-                plan.push_comparison(bench, &cfg);
-            }
-        }
-        _ => return false,
-    }
-    true
-}
-
-/// Node-selected form of [`add_plan`] for this module's smoke drivers
-/// (the `--node` CLI path).
-pub(crate) fn add_plan_at(
-    name: &str,
-    scale: BenchScale,
-    node: NodeId,
-    plan: &mut ExperimentPlan,
-) -> bool {
-    if node == NodeId::N45 {
-        return add_plan(name, scale, plan);
-    }
-    match name {
-        "fig10" => {
-            for bench in FIG10_BENCHES {
-                plan.push(bench, DesignStyle::Tmi, FlowConfig::new(node).scale(scale));
-            }
-        }
-        _ => return false,
-    }
-    true
+/// Fig. 4's rows, labelled with their clock period (ps).
+pub(crate) fn fig4_rows(scale: BenchScale) -> Vec<Row<f64>> {
+    FIG4_SWEEPS
+        .into_iter()
+        .flat_map(|(bench, clocks)| {
+            clocks.map(|clock| {
+                let cfg = FlowConfig::new(NodeId::N45).scale(scale).clock(clock);
+                Row::pair(clock, bench, cfg)
+            })
+        })
+        .collect()
 }
 
 /// Fig. 4: the power benefit of T-MI versus target clock period for AES
@@ -157,35 +66,44 @@ pub fn fig4_clock_sweep(scale: BenchScale) -> String {
     );
     // Rows where a side misses its clock are flagged and not part of
     // the trend.
-    for (bench, clocks) in FIG4_SWEEPS {
-        for clock in clocks {
-            let cfg = FlowConfig::new(NodeId::N45).scale(scale).clock(clock);
-            let cmp = Comparison::run(bench, &cfg);
-            let flag = if cmp.two_d.wns_ps < 0.0 || cmp.tmi.wns_ps < 0.0 {
-                "  [NOT MET - excluded from trend]"
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                out,
-                "{:6} {:9.2} {:+8.1}% {:+8.1}% {:+8.1}% {:+8.1}%   (2D wns {:+.0}, 3D wns {:+.0}){}",
-                bench.name(),
-                clock * 1e-3,
-                cmp.total_power_pct(),
-                cmp.cell_power_pct(),
-                cmp.net_power_pct(),
-                cmp.leakage_pct(),
-                cmp.two_d.wns_ps,
-                cmp.tmi.wns_ps,
-                flag,
-            );
-        }
+    for row in fig4_rows(scale) {
+        let cmp = row.compare();
+        let flag = if cmp.two_d.wns_ps < 0.0 || cmp.tmi.wns_ps < 0.0 {
+            "  [NOT MET - excluded from trend]"
+        } else {
+            ""
+        };
+        let _ = writeln!(
+            out,
+            "{:6} {:9.2} {:+8.1}% {:+8.1}% {:+8.1}% {:+8.1}%   (2D wns {:+.0}, 3D wns {:+.0}){}",
+            row.bench.name(),
+            row.label * 1e-3,
+            cmp.total_power_pct(),
+            cmp.cell_power_pct(),
+            cmp.net_power_pct(),
+            cmp.leakage_pct(),
+            cmp.two_d.wns_ps,
+            cmp.tmi.wns_ps,
+            flag,
+        );
     }
     out.push_str(
         "paper: AES slow->fast total reduction grows ~9% -> ~14%; M256 ~15% -> ~25%;\n\
          cell-power reduction grows most steeply as the clock tightens\n",
     );
     out
+}
+
+/// Table 8's rows, labelled with their pin-capacitance scale.
+pub(crate) fn table8_rows(scale: BenchScale) -> Vec<Row<f64>> {
+    TABLE8_PIN_SCALES
+        .into_iter()
+        .map(|pin_scale| {
+            let mut cfg = FlowConfig::new(NodeId::N7).scale(scale);
+            cfg.pin_cap_scale = pin_scale;
+            Row::pair(pin_scale, Benchmark::Des, cfg)
+        })
+        .collect()
 }
 
 /// Table 8: the pin-capacitance reduction study on DES at 7 nm
@@ -198,14 +116,12 @@ pub fn table8_pin_cap(scale: BenchScale) -> String {
         "Table 8 - impact of lower cell pin cap (DES, 7 nm)\n\
          pin-cap   WL-2D(m)  WL-3D(m)   P-2D(mW)  P-3D(mW)  reduction"
     );
-    for pin_scale in TABLE8_PIN_SCALES {
-        let mut cfg = FlowConfig::new(NodeId::N7).scale(scale);
-        cfg.pin_cap_scale = pin_scale;
-        let cmp = Comparison::run(Benchmark::Des, &cfg);
+    for row in table8_rows(scale) {
+        let cmp = row.compare();
         let _ = writeln!(
             out,
             "x{:4.2} {:11.3} {:9.3} {:10.2} {:9.2} {:+9.1}%",
-            pin_scale,
+            row.label,
             cmp.two_d.wirelength_m(),
             cmp.tmi.wirelength_m(),
             cmp.two_d.total_power_mw(),
@@ -220,6 +136,18 @@ pub fn table8_pin_cap(scale: BenchScale) -> String {
     out
 }
 
+/// Table 9's rows, labelled with their variant name.
+pub(crate) fn table9_rows(scale: BenchScale) -> Vec<Row<&'static str>> {
+    TABLE9_VARIANTS
+        .into_iter()
+        .map(|(label, lower)| {
+            let mut cfg = FlowConfig::new(NodeId::N7).scale(scale);
+            cfg.lower_metal_rho = lower;
+            Row::pair(label, Benchmark::M256, cfg)
+        })
+        .collect()
+}
+
 /// Table 9: the lower-metal-resistivity study on M256 at 7 nm (local +
 /// intermediate resistivity halved).
 pub fn table9_resistivity(scale: BenchScale) -> String {
@@ -229,14 +157,12 @@ pub fn table9_resistivity(scale: BenchScale) -> String {
         "Table 9 - impact of lower metal resistivity (M256, 7 nm)\n\
          variant   WL-2D(m)  WL-3D(m)   P-2D(mW)  P-3D(mW)  reduction"
     );
-    for (label, lower) in TABLE9_VARIANTS {
-        let mut cfg = FlowConfig::new(NodeId::N7).scale(scale);
-        cfg.lower_metal_rho = lower;
-        let cmp = Comparison::run(Benchmark::M256, &cfg);
+    for row in table9_rows(scale) {
+        let cmp = row.compare();
         let _ = writeln!(
             out,
             "{:10} {:9.3} {:9.3} {:10.2} {:9.2} {:+9.1}%",
-            label,
+            row.label,
             cmp.two_d.wirelength_m(),
             cmp.tmi.wirelength_m(),
             cmp.two_d.total_power_mw(),
@@ -251,6 +177,20 @@ pub fn table9_resistivity(scale: BenchScale) -> String {
     out
 }
 
+/// Table 15's T-MI rows, labelled with their row suffix.
+pub(crate) fn table15_rows(scale: BenchScale) -> Vec<Row<&'static str>> {
+    Benchmark::ALL
+        .into_iter()
+        .flat_map(|bench| {
+            TABLE15_WLM.map(|(suffix, tmi_wlm)| {
+                let mut cfg = FlowConfig::new(NodeId::N45).scale(scale);
+                cfg.tmi_wlm = tmi_wlm;
+                Row::single(suffix, bench, DesignStyle::Tmi, cfg)
+            })
+        })
+        .collect()
+}
+
 /// Table 15: synthesizing the T-MI designs with the 2D wire-load model
 /// ("-n") instead of their own.
 pub fn table15_wlm_impact(scale: BenchScale) -> String {
@@ -260,27 +200,37 @@ pub fn table15_wlm_impact(scale: BenchScale) -> String {
         "Table 15 - impact of the T-MI wire load model\n\
          design      WL(m)     WNS(ps)   total P(mW)"
     );
-    for bench in Benchmark::ALL {
-        for (suffix, tmi_wlm) in TABLE15_WLM {
-            let mut cfg = FlowConfig::new(NodeId::N45).scale(scale);
-            cfg.tmi_wlm = tmi_wlm;
-            let r = Flow::new(bench, DesignStyle::Tmi, cfg).run();
-            let _ = writeln!(
-                out,
-                "{:5}-3D{:2} {:8.3} {:+10.0} {:12.2}",
-                bench.name(),
-                suffix,
-                r.wirelength_m(),
-                r.wns_ps,
-                r.total_power_mw()
-            );
-        }
+    for row in table15_rows(scale) {
+        let r = row.run();
+        let _ = writeln!(
+            out,
+            "{:5}-3D{:2} {:8.3} {:+10.0} {:12.2}",
+            row.bench.name(),
+            row.label,
+            r.wirelength_m(),
+            r.wns_ps,
+            r.total_power_mw()
+        );
     }
     out.push_str(
         "paper: negligible for FPU/AES/DES; LDPC +10.1% WL and +10.1% power\n\
          without its T-MI WLM; M256 +5.5% WL / +3.9% power\n",
     );
     out
+}
+
+/// Table 17's T-MI rows, labelled with their stack name.
+pub(crate) fn table17_rows(scale: BenchScale) -> Vec<Row<&'static str>> {
+    TABLE17_BENCHES
+        .into_iter()
+        .flat_map(|bench| {
+            TABLE17_STACKS.map(|(label, stack)| {
+                let mut cfg = FlowConfig::new(NodeId::N7).scale(scale);
+                cfg.stack_kind = stack;
+                Row::single(label, bench, DesignStyle::Tmi, cfg)
+            })
+        })
+        .collect()
 }
 
 /// Table 17: the modified T-MI+M metal stack (two extra local + two extra
@@ -292,63 +242,72 @@ pub fn table17_metal_stack(scale: BenchScale) -> String {
         "Table 17 - impact of the metal layer setup (7 nm, T-MI vs T-MI+M)\n\
          design        WL(m)    total P(mW)  cell     net     leak"
     );
-    for bench in TABLE17_BENCHES {
-        for (label, stack) in TABLE17_STACKS {
-            let mut cfg = FlowConfig::new(NodeId::N7).scale(scale);
-            cfg.stack_kind = stack;
-            let r = Flow::new(bench, DesignStyle::Tmi, cfg).run();
-            let _ = writeln!(
-                out,
-                "{:5}-{:4} {:9.3} {:12.2} {:8.2} {:8.2} {:7.3}",
-                bench.name(),
-                label,
-                r.wirelength_m(),
-                r.total_power_mw(),
-                r.power.cell_mw,
-                r.power.net_mw(),
-                r.power.leakage_mw
-            );
-        }
+    for row in table17_rows(scale) {
+        let r = row.run();
+        let _ = writeln!(
+            out,
+            "{:5}-{:4} {:9.3} {:12.2} {:8.2} {:8.2} {:7.3}",
+            row.bench.name(),
+            row.label,
+            r.wirelength_m(),
+            r.total_power_mw(),
+            r.power.cell_mw,
+            r.power.net_mw(),
+            r.power.leakage_mw
+        );
     }
     out.push_str("paper: the +M stack cuts total power a further 2.4% (LDPC) / 2.8% (M256)\n");
     out
 }
 
-/// Fig. 10: per-class metal usage for LDPC and M256 (T-MI, 45 nm).
-pub fn fig10_layer_usage(scale: BenchScale) -> String {
+/// Fig. 10's rows: the T-MI designs of its circuits.
+pub(crate) fn fig10_rows(node: NodeId, scale: BenchScale) -> Vec<Row> {
+    let cfg = FlowConfig::new(node).scale(scale);
+    FIG10_BENCHES
+        .into_iter()
+        .map(|bench| Row::single((), bench, DesignStyle::Tmi, cfg.clone()))
+        .collect()
+}
+
+/// Fig. 10: per-class metal usage for LDPC and M256 (T-MI, 45 nm). Any
+/// other node (the `--node` CLI path) renders the same rows without the
+/// paper reference footer.
+pub fn fig10_layer_usage(node: NodeId, scale: BenchScale) -> String {
+    let paper = node == NodeId::N45;
     let mut out = String::new();
-    let _ = writeln!(out, "Fig. 10 - metal layer usage (T-MI designs)");
-    fig10_rows(NodeId::N45, scale, &mut out);
-    out.push_str(
-        "paper: both local and intermediate heavily used; LDPC uses more global metal than M256\n",
-    );
+    if paper {
+        let _ = writeln!(out, "Fig. 10 - metal layer usage (T-MI designs)");
+    } else {
+        let _ = writeln!(
+            out,
+            "Fig. 10 - metal layer usage (T-MI designs, {} node)",
+            node.label()
+        );
+    }
+    for row in fig10_rows(node, scale) {
+        let r = row.run();
+        let _ = writeln!(out, "{}:\n{}", row.bench.name(), r.layer_usage.to_table());
+    }
+    if paper {
+        out.push_str(
+            "paper: both local and intermediate heavily used; LDPC uses more global metal than M256\n",
+        );
+    }
     out
 }
 
-/// Node-selected form of [`fig10_layer_usage`]; non-paper nodes render
-/// the same rows without the paper reference footer.
-pub fn fig10_layer_usage_at(node: NodeId, scale: BenchScale) -> String {
-    if node == NodeId::N45 {
-        return fig10_layer_usage(scale);
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 10 - metal layer usage (T-MI designs, {} node)",
-        node.label()
-    );
-    fig10_rows(node, scale, &mut out);
-    out
-}
-
-/// The shared Fig. 10 measurement rows at one node.
-fn fig10_rows(node: NodeId, scale: BenchScale, out: &mut String) {
-    for bench in FIG10_BENCHES {
-        let cfg = FlowConfig::new(node).scale(scale);
-        let r = Flow::new(bench, DesignStyle::Tmi, cfg).run();
-        let u = &r.layer_usage;
-        let _ = writeln!(out, "{}:\n{}", bench.name(), u.to_table());
-    }
+/// Fig. 11's rows, labelled with their flop activity factor.
+pub(crate) fn fig11_rows(scale: BenchScale) -> Vec<Row<f64>> {
+    FIG11_BENCHES
+        .into_iter()
+        .flat_map(|bench| {
+            FIG11_ALPHAS.map(|alpha| {
+                let mut cfg = FlowConfig::new(NodeId::N45).scale(scale);
+                cfg.alpha_ff = alpha;
+                Row::pair(alpha, bench, cfg)
+            })
+        })
+        .collect()
 }
 
 /// Fig. 11: power and reduction rate versus the sequential switching
@@ -360,27 +319,35 @@ pub fn fig11_activity_sweep(scale: BenchScale) -> String {
         "Fig. 11 - switching activity sweep (45 nm)\n\
          circuit  alpha   P-2D(mW)   P-3D(mW)  reduction"
     );
-    for bench in FIG11_BENCHES {
-        for alpha in FIG11_ALPHAS {
-            let mut cfg = FlowConfig::new(NodeId::N45).scale(scale);
-            cfg.alpha_ff = alpha;
-            let cmp = Comparison::run(bench, &cfg);
-            let _ = writeln!(
-                out,
-                "{:6} {:6.2} {:10.2} {:10.2} {:+9.1}%",
-                bench.name(),
-                alpha,
-                cmp.two_d.total_power_mw(),
-                cmp.tmi.total_power_mw(),
-                cmp.total_power_pct()
-            );
-        }
+    for row in fig11_rows(scale) {
+        let cmp = row.compare();
+        let _ = writeln!(
+            out,
+            "{:6} {:6.2} {:10.2} {:10.2} {:+9.1}%",
+            row.bench.name(),
+            row.label,
+            cmp.two_d.total_power_mw(),
+            cmp.tmi.total_power_mw(),
+            cmp.total_power_pct()
+        );
     }
     out.push_str(
         "paper: total power grows with activity but the reduction *rate* is\n\
          nearly flat across alpha = 0.1-0.4 for every circuit\n",
     );
     out
+}
+
+/// S5's AES T-MI rows, labelled with their variant name.
+pub(crate) fn s5_rows(scale: BenchScale) -> Vec<Row<&'static str>> {
+    S5_VARIANTS
+        .into_iter()
+        .map(|(label, mb1)| {
+            let mut cfg = FlowConfig::new(NodeId::N45).scale(scale);
+            cfg.mb1_routing = mb1;
+            Row::single(label, Benchmark::Aes, DesignStyle::Tmi, cfg)
+        })
+        .collect()
 }
 
 /// Supplement S5: MIV/MB1 routing blockage study — AES T-MI with and
@@ -392,14 +359,12 @@ pub fn fig_s5_blockage(scale: BenchScale) -> String {
         "S5 - MIV/MB1 blockage impact (AES, T-MI, 45 nm)\n\
          variant        WL(m)    WNS(ps)   total P(mW)"
     );
-    for (label, mb1) in S5_VARIANTS {
-        let mut cfg = FlowConfig::new(NodeId::N45).scale(scale);
-        cfg.mb1_routing = mb1;
-        let r = Flow::new(Benchmark::Aes, DesignStyle::Tmi, cfg).run();
+    for row in s5_rows(scale) {
+        let r = row.run();
         let _ = writeln!(
             out,
             "{:13} {:7.3} {:+10.0} {:12.2}",
-            label,
+            row.label,
             r.wirelength_m(),
             r.wns_ps,
             r.total_power_mw()
@@ -412,21 +377,30 @@ pub fn fig_s5_blockage(scale: BenchScale) -> String {
     out
 }
 
+/// The scorecard's rows: every circuit as a 45 nm 2D/T-MI pair.
+pub(crate) fn summary_rows(scale: BenchScale) -> Vec<Row> {
+    let cfg = FlowConfig::new(NodeId::N45).scale(scale);
+    Benchmark::ALL
+        .into_iter()
+        .map(|bench| Row::pair((), bench, cfg.clone()))
+        .collect()
+}
+
 /// One-screen reproduction scorecard: the paper's headline claims with
 /// their pass/fail state, measured live at the given scale.
 pub fn summary_scorecard(scale: BenchScale) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Reproduction scorecard ({scale:?} scale)");
-    let cfg45 = FlowConfig::new(NodeId::N45).scale(scale);
+    let rows = summary_rows(scale);
     let mut claims: Vec<(String, bool)> = Vec::new();
 
     // Claim 1: iso-performance power reduction for every circuit, with
     // DES the smallest benefit.
     let mut reductions: Vec<(Benchmark, f64, bool)> = Vec::new();
-    for bench in Benchmark::ALL {
-        let cmp = Comparison::run(bench, &cfg45);
+    for row in &rows {
+        let cmp = row.compare();
         reductions.push((
-            bench,
+            row.bench,
             cmp.total_power_pct(),
             cmp.two_d.wns_ps >= -0.02 * cmp.two_d.clock_ps
                 && cmp.tmi.wns_ps >= -0.02 * cmp.tmi.clock_ps,
@@ -458,10 +432,7 @@ pub fn summary_scorecard(scale: BenchScale) -> String {
     ));
 
     // Claim 2: footprint reduction ~40%+ everywhere.
-    let fp_ok = Benchmark::ALL.iter().all(|&b| {
-        let cmp = Comparison::run(b, &cfg45);
-        cmp.footprint_pct() < -30.0
-    });
+    let fp_ok = rows.iter().all(|row| row.compare().footprint_pct() < -30.0);
     claims.push(("footprint shrinks >30% in T-MI".into(), fp_ok));
 
     for (claim, ok) in &claims {

@@ -23,6 +23,8 @@ use m3d_tech::{DesignStyle, MetalClass, MetalStack, NodeId, StackKind, TechNode,
 
 use crate::cache::ArtifactCache;
 use crate::error::{ConfigError, FlowError};
+use crate::faultinject::FaultPlan;
+use crate::govern::CancelToken;
 use crate::supervisor::{FlowSupervisor, SupervisorPolicy};
 
 /// Configuration of one full-flow run — every knob the paper sweeps.
@@ -100,6 +102,17 @@ impl FlowConfig {
     pub fn clock(mut self, ps: f64) -> Self {
         self.clock_ps = Some(ps);
         self
+    }
+
+    /// The clock multiplier `bench` runs at: [`FlowConfig::clock_scale`]
+    /// when set, else the per-benchmark calibration
+    /// ([`default_clock_scale_at`]).
+    pub(crate) fn effective_clock_scale(&self, bench: Benchmark) -> f64 {
+        if self.clock_scale > 0.0 {
+            self.clock_scale
+        } else {
+            default_clock_scale_at(bench, self.node_id)
+        }
     }
 
     /// Builds the technology node with this config's overrides applied.
@@ -295,20 +308,49 @@ impl Flow {
     ///
     /// Returns the [`FlowError`] of the first failing stage.
     pub fn try_run_with_cache(&self, cache: &Arc<ArtifactCache>) -> Result<FlowResult, FlowError> {
-        // Validate before the lookup so degenerate configs always
-        // surface as errors and never touch the key space.
-        self.config.validate()?;
-        if let Some(hit) = cache.lookup_result(self.bench, self.style, &self.config) {
-            return Ok(hit);
-        }
-        let result = FlowSupervisor::new(self.bench, self.style, self.config.clone())
-            .policy(SupervisorPolicy::strict())
-            .with_cache(Arc::clone(cache))
-            .run()
-            .into_result()?;
-        cache.store_result(self.bench, self.style, &self.config, &result);
-        Ok(result)
+        run_cached(
+            self.bench,
+            self.style,
+            &self.config,
+            cache,
+            None,
+            &FaultPlan::new(),
+        )
     }
+}
+
+/// The cached-run contract every flow entry point shares — [`Flow`],
+/// the executor's plan points and `m3d-serve` requests: validate the
+/// knobs, return a result-cache hit, else run the strict supervisor
+/// (under `cancel` and with `faults` planted, when given) and store
+/// what closes.
+///
+/// Validation comes before the lookup so degenerate configs always
+/// surface as errors and never touch the key space.
+pub(crate) fn run_cached(
+    bench: Benchmark,
+    style: DesignStyle,
+    config: &FlowConfig,
+    cache: &Arc<ArtifactCache>,
+    cancel: Option<&CancelToken>,
+    faults: &FaultPlan,
+) -> Result<FlowResult, FlowError> {
+    config.validate()?;
+    if let Some(hit) = cache.lookup_result(bench, style, config) {
+        return Ok(hit);
+    }
+    let mut sup = FlowSupervisor::new(bench, style, config.clone())
+        .policy(SupervisorPolicy::strict())
+        .with_cache(Arc::clone(cache));
+    if let Some(tok) = cancel {
+        sup = sup.with_cancel(tok.clone());
+    }
+    if !faults.is_empty() {
+        sup = sup.with_faults(faults.clone());
+    }
+    let result = sup.run().into_result()?;
+    cache.store_result(bench, style, config, &result);
+    Ok(result)
 }
 
 /// The tightest-closing clock calibration per benchmark and node (see
@@ -330,12 +372,6 @@ pub fn default_clock_scale_at(bench: Benchmark, node: NodeId) -> f64 {
         .map(|pdk| pdk.clock_scale_mult())
         .unwrap_or(1.0);
     k45 * mult
-}
-
-/// The 45 nm calibration (kept for compatibility; see
-/// [`default_clock_scale_at`]).
-pub fn default_clock_scale(bench: Benchmark) -> f64 {
-    default_clock_scale_at(bench, NodeId::N45)
 }
 
 /// Placement-based net models: HPWL with a routing detour, unit RC from

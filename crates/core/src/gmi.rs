@@ -28,25 +28,22 @@ use m3d_synth::{synthesize, SynthConfig, WireLoadModel};
 use m3d_tech::{DesignStyle, MetalStack, NodeId, StackKind};
 
 use crate::cache::ArtifactCache;
-use crate::flow::{default_clock_scale_at, estimate_models, extraction_models};
-use crate::{ExperimentPlan, Flow, FlowConfig};
+use crate::experiments::Row;
+use crate::flow::extraction_models;
+use crate::FlowConfig;
 
 /// The circuits the G-MI comparison study runs.
 const GMI_BENCHES: [Benchmark; 2] = [Benchmark::Aes, Benchmark::Ldpc];
 
-/// Enumerates the cacheable flow points of [`gmi_comparison`] — its 2D
-/// and T-MI reference flows. The G-MI implementation itself
-/// ([`run_gmi`]) is not a `Flow` and is not memoized, so it stays in
-/// the driver. Returns whether the name belongs to this module.
-pub(crate) fn add_plan(name: &str, scale: BenchScale, plan: &mut ExperimentPlan) -> bool {
-    if name != "gmi" {
-        return false;
-    }
+/// The cacheable flow points of [`gmi_comparison`]: its 2D and T-MI
+/// reference pairs. The G-MI implementation itself ([`run_gmi`]) is not
+/// a `Flow` and is not memoized, so it stays in the driver.
+pub(crate) fn gmi_rows(scale: BenchScale) -> Vec<Row> {
     let cfg = FlowConfig::new(NodeId::N45).scale(scale);
-    for bench in GMI_BENCHES {
-        plan.push_comparison(bench, &cfg);
-    }
-    true
+    GMI_BENCHES
+        .into_iter()
+        .map(|bench| Row::pair((), bench, cfg.clone()))
+        .collect()
 }
 
 /// Result of a Fiduccia-Mattheyses bipartition.
@@ -241,11 +238,7 @@ pub fn run_gmi(bench: Benchmark, config: &FlowConfig) -> GmiResult {
     let clock_ps = config
         .clock_ps
         .unwrap_or_else(|| bench.target_clock_ps(config.node_id))
-        * if config.clock_scale > 0.0 {
-            config.clock_scale
-        } else {
-            default_clock_scale_at(bench, config.node_id)
-        };
+        * config.effective_clock_scale(bench);
     let utilization = config
         .utilization
         .unwrap_or_else(|| bench.target_utilization());
@@ -290,7 +283,6 @@ pub fn run_gmi(bench: Benchmark, config: &FlowConfig) -> GmiResult {
             models[id.0 as usize].c_wire += node.miv.capacitance;
         }
     }
-    let _ = estimate_models; // (shared import with the main flow)
 
     let report = analyze(&netlist, &lib, &models, &TimingConfig::new(clock_ps));
     let power = analyze_power(&netlist, &lib, &models, &PowerConfig::new(clock_ps));
@@ -311,11 +303,10 @@ pub fn gmi_comparison(scale: BenchScale) -> String {
         "Extension - integration granularity: 2D vs gate-level (G-MI) vs transistor-level (T-MI)\n\
          design      footprint(um2)  WL(m)     power(mW)  MIV nets"
     );
-    for bench in GMI_BENCHES {
-        let cfg = FlowConfig::new(NodeId::N45).scale(scale);
-        let two_d = Flow::new(bench, DesignStyle::TwoD, cfg.clone()).run();
-        let tmi = Flow::new(bench, DesignStyle::Tmi, cfg.clone()).run();
-        let gmi = run_gmi(bench, &cfg);
+    for row in gmi_rows(scale) {
+        let bench = row.bench;
+        let crate::Comparison { two_d, tmi } = row.compare();
+        let gmi = run_gmi(bench, &row.cfg);
         let _ = writeln!(
             out,
             "{:5}-2D   {:13.0} {:9.3} {:10.2}        -",
@@ -356,6 +347,7 @@ pub fn gmi_comparison(scale: BenchScale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Flow;
 
     fn small() -> (CellLibrary, Netlist) {
         let node = m3d_tech::TechNode::n45();

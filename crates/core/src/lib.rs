@@ -105,7 +105,7 @@ pub use faultinject::{
     FaultInjector, FaultKind, FaultPlan, InjectedFault, PlannedFault, PlannedStoreFault,
     StoreFaultKind, StoreFaultPlan,
 };
-pub use flow::{default_clock_scale, default_clock_scale_at, Flow, FlowConfig, FlowResult};
+pub use flow::{default_clock_scale_at, Flow, FlowConfig, FlowResult};
 pub use flow::{estimate_models, extraction_models, try_extraction_models};
 pub use govern::{
     load_remainder, save_remainder, AdmissionError, AdmissionQueue, Backpressure, CancelCause,

@@ -24,10 +24,7 @@ use m3d_tech::{DesignStyle, MetalStack};
 
 use crate::artifacts::FlowContext;
 use crate::error::{FlowError, FlowStage};
-use crate::flow::{
-    apply_moves, default_clock_scale_at, estimate_models, try_extraction_models, FlowEnv,
-    FlowResult,
-};
+use crate::flow::{apply_moves, estimate_models, try_extraction_models, FlowEnv, FlowResult};
 use crate::govern::check;
 
 /// One step of the sign-off pipeline, operating on the shared
@@ -136,15 +133,10 @@ impl Stage for LibraryStage {
             cfg.lower_metal_rho,
             cfg.pin_cap_scale,
         )?;
-        let scale = if cfg.clock_scale > 0.0 {
-            cfg.clock_scale
-        } else {
-            default_clock_scale_at(cx.bench, cfg.node_id)
-        };
         let clock_ps = cfg
             .clock_ps
             .unwrap_or_else(|| cx.bench.target_clock_ps(cfg.node_id))
-            * scale;
+            * cfg.effective_clock_scale(cx.bench);
         let utilization = cfg
             .utilization
             .unwrap_or_else(|| cx.bench.target_utilization());

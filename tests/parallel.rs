@@ -9,8 +9,9 @@
 use std::sync::{Arc, Barrier};
 use std::thread;
 
+use m3d_bench::{node_drivers, paper_drivers};
 use m3d_netlist::{BenchScale, Benchmark};
-use m3d_tech::{DesignStyle, NodeId};
+use m3d_tech::{DesignStyle, NodeId, PdkRegistry};
 use monolith3d::{experiments, ArtifactCache, ExperimentPlan, Flow, FlowConfig, ParallelExecutor};
 
 fn small_cfg() -> FlowConfig {
@@ -160,29 +161,55 @@ fn parallel_execution_is_bit_identical_to_serial() {
     }
 }
 
-/// The per-driver plans must cover their drivers: after the executor
-/// warms the global cache from `plan_for`, the driver itself performs
-/// zero flow misses — proving plan enumeration and driver loops walk
-/// the same matrix. (Sole test in this binary touching the global
-/// cache, so clearing it races nothing.)
-#[test]
-fn plans_cover_their_drivers() {
+/// Clears the global cache, pre-warms it from `plan` through a
+/// two-worker fan-out, then runs `driver` and asserts it performed
+/// zero flow misses — and, when the plan is nonempty, built no
+/// library either.
+fn assert_plan_covers(label: &str, plan: &ExperimentPlan, driver: impl FnOnce() -> String) {
     let cache = ArtifactCache::global();
     cache.clear();
-    let mut plan = ExperimentPlan::new();
-    plan.merge(experiments::plan_for("fig3", BenchScale::Small));
-    plan.merge(experiments::plan_for("s5", BenchScale::Small));
-    let report = ParallelExecutor::new(2).run(&plan);
-    assert_eq!(report.ok_count(), plan.len(), "prewarm closes every point");
-
+    let report = ParallelExecutor::new(2).run(plan);
+    assert_eq!(
+        report.ok_count(),
+        plan.len(),
+        "{label}: prewarm closes every point"
+    );
     let before = cache.stats();
-    let fig3 = experiments::fig3_circuit_character(BenchScale::Small);
-    let s5 = experiments::fig_s5_blockage(BenchScale::Small);
-    assert!(!fig3.is_empty() && !s5.is_empty());
+    assert!(!driver().is_empty(), "{label}: driver renders");
     let delta = cache.stats().delta(&before);
     assert_eq!(
         delta.flow_misses, 0,
-        "a planned-and-prewarmed driver must only hit the cache"
+        "{label}: a planned-and-prewarmed driver must only hit the cache"
     );
-    assert_eq!(delta.library_builds, 0);
+    if !plan.is_empty() {
+        assert_eq!(
+            delta.library_builds, 0,
+            "{label}: prewarm built every library"
+        );
+    }
+}
+
+/// The per-driver plans must cover their drivers: after the executor
+/// warms a cleared global cache from `plan_for` (`plan_for_at` for the
+/// `--node` registry at a non-paper node), each driver performs zero
+/// flow misses — plan and driver walk the same rows. Every registry
+/// entry is checked on its own, so a point one driver forgets to plan
+/// cannot hide behind another driver's plan. (Sole test in this binary
+/// touching the global cache, so clearing it races nothing.)
+#[test]
+fn plans_cover_their_drivers() {
+    for (name, driver) in paper_drivers() {
+        let plan = experiments::plan_for(name, BenchScale::Small);
+        assert_plan_covers(name, &plan, || driver(BenchScale::Small));
+    }
+    let fdsoi = PdkRegistry::global()
+        .by_name("fdsoi-miv")
+        .expect("fdsoi-miv is registered");
+    for (name, driver) in node_drivers() {
+        let plan = experiments::plan_for_at(name, BenchScale::Small, fdsoi);
+        assert!(!plan.is_empty(), "--node driver '{name}' runs flows");
+        assert_plan_covers(&format!("{name} at {fdsoi}"), &plan, || {
+            driver(fdsoi, BenchScale::Small)
+        });
+    }
 }
