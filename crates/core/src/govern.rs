@@ -1,6 +1,7 @@
 //! Resource governance for the parallel flow engine: cooperative
-//! cancellation, run/point deadline budgets, admission control with
-//! per-client quotas, and graceful drain (DESIGN.md §14).
+//! cancellation, run/point deadline budgets, and graceful drain
+//! (DESIGN.md §14). Admission control for served requests lives with
+//! its one caller, `m3d-serve` (DESIGN.md §15).
 //!
 //! The flow-as-a-service direction (ROADMAP) needs whole *runs* to be
 //! governable the way PR 3 made individual stages crash-safe: a launched
@@ -22,9 +23,6 @@
 //!   [`crate::ParallelExecutor::run_governed`] consumes one and returns
 //!   partial results — completed slots intact, pending slots a typed
 //!   [`PointOutcome`].
-//! * [`AdmissionQueue`] — a bounded, priority-ordered intake with
-//!   per-client quota counters and an explicit [`Backpressure`] policy
-//!   (`Reject` returns a typed error, `Block` waits for space).
 //! * Drain persistence — [`save_remainder`] / [`load_remainder`] carry
 //!   the unstarted tail of a drained plan in the shared durable frame
 //!   (DESIGN.md §9), so a later process resumes exactly the points this
@@ -37,8 +35,6 @@
 //! a run that was never cancelled (`tests/govern.rs` pins this).
 
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,7 +49,6 @@ use crate::codec::{
 use crate::error::{FlowError, FlowStage};
 use crate::executor::{ExperimentPlan, PlanPoint};
 use crate::flow::FlowResult;
-use crate::observe::{self, EventKind, Recorder};
 
 /// Why a token reports itself cancelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -426,273 +421,6 @@ impl RunGovernor {
 }
 
 // ---------------------------------------------------------------------
-// Admission control
-// ---------------------------------------------------------------------
-
-/// Scheduling priority of an admitted point. Within a priority class,
-/// admission order is preserved (FIFO).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Priority {
-    /// Served before everything else.
-    High,
-    /// The default class.
-    Normal,
-    /// Served only when nothing higher waits.
-    Low,
-}
-
-impl Priority {
-    const ALL: [Priority; 3] = [Priority::High, Priority::Normal, Priority::Low];
-
-    fn index(self) -> usize {
-        match self {
-            Priority::High => 0,
-            Priority::Normal => 1,
-            Priority::Low => 2,
-        }
-    }
-}
-
-/// What a full queue does to a submitter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backpressure {
-    /// `submit` returns [`AdmissionError::QueueFull`] immediately.
-    Reject,
-    /// `submit` blocks until space frees up (or the queue drains, which
-    /// unblocks as [`AdmissionError::Draining`]).
-    Block,
-}
-
-/// Why a submission was not admitted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdmissionError {
-    /// The queue is at capacity and the policy is [`Backpressure::Reject`].
-    QueueFull {
-        /// The configured bound.
-        capacity: usize,
-    },
-    /// The client has `quota` points queued already.
-    QuotaExhausted {
-        /// The rejected client.
-        client: u64,
-        /// The per-client bound.
-        quota: u32,
-    },
-    /// The queue is draining and admits nothing new.
-    Draining,
-}
-
-impl std::fmt::Display for AdmissionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AdmissionError::QueueFull { capacity } => {
-                write!(f, "admission queue full ({capacity} points)")
-            }
-            AdmissionError::QuotaExhausted { client, quota } => {
-                write!(
-                    f,
-                    "client {client} exhausted its quota of {quota} queued points"
-                )
-            }
-            AdmissionError::Draining => write!(f, "admission queue is draining"),
-        }
-    }
-}
-
-impl std::error::Error for AdmissionError {}
-
-#[derive(Debug)]
-struct QueueState {
-    /// One FIFO per priority class.
-    classes: [VecDeque<(u64, PlanPoint)>; 3],
-    /// Points currently queued per client (admitted, not yet popped).
-    queued: HashMap<u64, u32>,
-    draining: bool,
-}
-
-impl QueueState {
-    fn total(&self) -> usize {
-        self.classes.iter().map(VecDeque::len).sum()
-    }
-
-    /// Releases exactly one quota slot for `client` — the inverse of
-    /// the increment in [`AdmissionQueue::submit`]. A release with no
-    /// admitted points is an accounting bug (each popped point must
-    /// release exactly once); it panics in debug builds and returns
-    /// `false` in release builds instead of silently saturating, so a
-    /// double-release can never grant a client headroom it still
-    /// occupies.
-    fn release_quota(&mut self, client: u64) -> bool {
-        match self.queued.entry(client) {
-            Entry::Occupied(mut slot) => {
-                *slot.get_mut() -= 1;
-                if *slot.get() == 0 {
-                    slot.remove();
-                }
-                true
-            }
-            Entry::Vacant(_) => {
-                debug_assert!(
-                    false,
-                    "quota release for client {client} with no admitted points"
-                );
-                false
-            }
-        }
-    }
-}
-
-/// A bounded, priority-ordered intake for flow points, with per-client
-/// quota counters and an explicit backpressure policy — the admission
-/// half of the flow-as-a-service substrate.
-///
-/// The quota bounds *queued* points per client: admitting increments
-/// the client's counter, popping decrements it, so one greedy client
-/// cannot monopolize the queue while others wait.
-#[derive(Debug)]
-pub struct AdmissionQueue {
-    capacity: usize,
-    quota: Option<u32>,
-    policy: Backpressure,
-    state: Mutex<QueueState>,
-    space: Condvar,
-    recorder: Arc<dyn Recorder>,
-}
-
-impl AdmissionQueue {
-    /// A queue bounded to `capacity` points under `policy`.
-    pub fn new(capacity: usize, policy: Backpressure) -> Self {
-        AdmissionQueue {
-            capacity: capacity.max(1),
-            quota: None,
-            policy,
-            state: Mutex::new(QueueState {
-                classes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-                queued: HashMap::new(),
-                draining: false,
-            }),
-            space: Condvar::new(),
-            recorder: observe::null(),
-        }
-    }
-
-    /// Bounds each client to `per_client` queued points.
-    pub fn with_quota(mut self, per_client: u32) -> Self {
-        self.quota = Some(per_client.max(1));
-        self
-    }
-
-    /// Attaches an event sink; admission decisions
-    /// (`admission_rejected`, `quota_exhausted`) trace through it.
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    fn emit(&self, kind: impl FnOnce() -> EventKind) {
-        if self.recorder.enabled() {
-            self.recorder.record(kind());
-        }
-    }
-
-    /// Admits one point for `client` at `priority`.
-    ///
-    /// # Errors
-    ///
-    /// [`AdmissionError::Draining`] once [`AdmissionQueue::drain`] ran,
-    /// [`AdmissionError::QuotaExhausted`] when the client is at quota,
-    /// and [`AdmissionError::QueueFull`] at capacity under
-    /// [`Backpressure::Reject`] (under `Block` the call waits instead).
-    pub fn submit(
-        &self,
-        client: u64,
-        priority: Priority,
-        point: PlanPoint,
-    ) -> Result<(), AdmissionError> {
-        let mut st = self.state.lock().expect("admission queue lock");
-        loop {
-            if st.draining {
-                self.emit(|| EventKind::AdmissionRejected {
-                    client,
-                    reason: "draining",
-                });
-                return Err(AdmissionError::Draining);
-            }
-            if let Some(quota) = self.quota {
-                if st.queued.get(&client).copied().unwrap_or(0) >= quota {
-                    self.emit(|| EventKind::QuotaExhausted { client });
-                    return Err(AdmissionError::QuotaExhausted { client, quota });
-                }
-            }
-            if st.total() < self.capacity {
-                break;
-            }
-            match self.policy {
-                Backpressure::Reject => {
-                    self.emit(|| EventKind::AdmissionRejected {
-                        client,
-                        reason: "queue_full",
-                    });
-                    return Err(AdmissionError::QueueFull {
-                        capacity: self.capacity,
-                    });
-                }
-                Backpressure::Block => {
-                    st = self.space.wait(st).expect("admission queue lock");
-                }
-            }
-        }
-        st.classes[priority.index()].push_back((client, point));
-        *st.queued.entry(client).or_insert(0) += 1;
-        Ok(())
-    }
-
-    /// The next point: highest priority class first, FIFO within it.
-    /// Frees the client's quota slot and wakes one blocked submitter.
-    pub fn pop(&self) -> Option<(u64, PlanPoint)> {
-        let mut st = self.state.lock().expect("admission queue lock");
-        for pri in Priority::ALL {
-            if let Some((client, point)) = st.classes[pri.index()].pop_front() {
-                st.release_quota(client);
-                drop(st);
-                self.space.notify_one();
-                return Some((client, point));
-            }
-        }
-        None
-    }
-
-    /// Points currently queued.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("admission queue lock").total()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Stops admitting and empties the queue into an
-    /// [`ExperimentPlan`] (priority order), waking every blocked
-    /// submitter with [`AdmissionError::Draining`]. Subsequent `submit`
-    /// calls are rejected; `pop` returns `None`.
-    pub fn drain(&self) -> ExperimentPlan {
-        let mut plan = ExperimentPlan::new();
-        let mut st = self.state.lock().expect("admission queue lock");
-        st.draining = true;
-        for pri in Priority::ALL {
-            while let Some((_, p)) = st.classes[pri.index()].pop_front() {
-                plan.push(p.bench, p.style, p.config);
-            }
-        }
-        st.queued.clear();
-        drop(st);
-        self.space.notify_all();
-        plan
-    }
-}
-
-// ---------------------------------------------------------------------
 // Drain persistence
 // ---------------------------------------------------------------------
 
@@ -851,130 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn admission_orders_by_priority_then_fifo() {
-        let q = AdmissionQueue::new(8, Backpressure::Reject);
-        q.submit(1, Priority::Low, point(Benchmark::Des, DesignStyle::TwoD))
-            .expect("admits");
-        q.submit(
-            1,
-            Priority::Normal,
-            point(Benchmark::Aes, DesignStyle::TwoD),
-        )
-        .expect("admits");
-        q.submit(2, Priority::High, point(Benchmark::Ldpc, DesignStyle::TwoD))
-            .expect("admits");
-        q.submit(
-            2,
-            Priority::Normal,
-            point(Benchmark::Fpu, DesignStyle::TwoD),
-        )
-        .expect("admits");
-        let order: Vec<Benchmark> = std::iter::from_fn(|| q.pop().map(|(_, p)| p.bench)).collect();
-        assert_eq!(
-            order,
-            [
-                Benchmark::Ldpc,
-                Benchmark::Aes,
-                Benchmark::Fpu,
-                Benchmark::Des
-            ]
-        );
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn quota_bounds_queued_points_per_client() {
-        let q = AdmissionQueue::new(8, Backpressure::Reject).with_quota(2);
-        q.submit(
-            7,
-            Priority::Normal,
-            point(Benchmark::Des, DesignStyle::TwoD),
-        )
-        .expect("admits");
-        q.submit(
-            7,
-            Priority::Normal,
-            point(Benchmark::Aes, DesignStyle::TwoD),
-        )
-        .expect("admits");
-        assert_eq!(
-            q.submit(
-                7,
-                Priority::Normal,
-                point(Benchmark::Fpu, DesignStyle::TwoD)
-            ),
-            Err(AdmissionError::QuotaExhausted {
-                client: 7,
-                quota: 2
-            })
-        );
-        // Another client is unaffected.
-        q.submit(
-            8,
-            Priority::Normal,
-            point(Benchmark::Fpu, DesignStyle::TwoD),
-        )
-        .expect("admits");
-        // Popping frees the slot.
-        let _ = q.pop();
-        q.submit(
-            7,
-            Priority::Normal,
-            point(Benchmark::M256, DesignStyle::TwoD),
-        )
-        .expect("quota slot freed");
-    }
-
-    #[test]
-    fn quota_release_is_exactly_once_across_pop_and_drain() {
-        // Regression: release used to saturating_sub, so a double
-        // release (an accounting bug) silently freed quota a client
-        // still occupied. Pop/drain must release each admitted point
-        // exactly once — counters reach exactly zero, never wrap.
-        let q = AdmissionQueue::new(8, Backpressure::Reject).with_quota(2);
-        for bench in [Benchmark::Des, Benchmark::Aes] {
-            q.submit(7, Priority::Normal, point(bench, DesignStyle::TwoD))
-                .expect("admits");
-        }
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_none(), "queue observed empty");
-        // Exactly two slots came back: the client re-admits up to
-        // quota and not past it.
-        for bench in [Benchmark::Des, Benchmark::Aes] {
-            q.submit(7, Priority::Normal, point(bench, DesignStyle::TwoD))
-                .expect("slots freed exactly");
-        }
-        assert!(matches!(
-            q.submit(
-                7,
-                Priority::Normal,
-                point(Benchmark::Fpu, DesignStyle::TwoD)
-            ),
-            Err(AdmissionError::QuotaExhausted { .. })
-        ));
-        // Drain releases the remainder in aggregate.
-        let remainder = q.drain();
-        assert_eq!(remainder.len(), 2);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "quota release"))]
-    fn quota_release_without_admission_is_a_checked_error() {
-        let mut st = QueueState {
-            classes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-            queued: HashMap::new(),
-            draining: false,
-        };
-        // Debug builds panic on the accounting bug; release builds
-        // refuse the release and keep the map untouched.
-        let released = st.release_quota(42);
-        assert!(!released, "phantom release must not report success");
-        assert!(st.queued.is_empty());
-    }
-
-    #[test]
     fn zero_deadline_cancels_before_the_first_wait_slice() {
         // A deadline of zero (or already past) must reject instantly,
         // not after one 15 ms wake slice — m3d-serve maps per-request
@@ -998,71 +602,6 @@ mod tests {
         assert!(child.wait_cancelled_for(Duration::from_secs(30)));
         assert!(t0.elapsed() < WAKE_SLICE);
         assert_eq!(child.cause(), Some(CancelCause::DeadlineExceeded));
-    }
-
-    #[test]
-    fn reject_policy_returns_queue_full_at_capacity() {
-        let q = AdmissionQueue::new(1, Backpressure::Reject);
-        q.submit(
-            1,
-            Priority::Normal,
-            point(Benchmark::Des, DesignStyle::TwoD),
-        )
-        .expect("admits");
-        assert_eq!(
-            q.submit(
-                1,
-                Priority::Normal,
-                point(Benchmark::Aes, DesignStyle::TwoD)
-            ),
-            Err(AdmissionError::QueueFull { capacity: 1 })
-        );
-    }
-
-    #[test]
-    fn block_policy_waits_for_space_and_drain_unblocks() {
-        let q = AdmissionQueue::new(1, Backpressure::Block);
-        q.submit(
-            1,
-            Priority::Normal,
-            point(Benchmark::Des, DesignStyle::TwoD),
-        )
-        .expect("admits");
-        std::thread::scope(|s| {
-            // A blocked submitter admits as soon as a pop frees space.
-            let h = s.spawn(|| {
-                q.submit(
-                    2,
-                    Priority::Normal,
-                    point(Benchmark::Aes, DesignStyle::TwoD),
-                )
-            });
-            std::thread::sleep(Duration::from_millis(20));
-            let popped = q.pop().expect("pops the first point");
-            assert_eq!(popped.1.bench, Benchmark::Des);
-            assert_eq!(h.join().expect("no panic"), Ok(()));
-            // A blocked submitter unblocks as Draining when the queue drains.
-            let h = s.spawn(|| {
-                q.submit(
-                    3,
-                    Priority::Normal,
-                    point(Benchmark::Fpu, DesignStyle::TwoD),
-                )
-            });
-            std::thread::sleep(Duration::from_millis(20));
-            let remainder = q.drain();
-            assert_eq!(remainder.len(), 1, "the queued point drains out");
-            assert_eq!(h.join().expect("no panic"), Err(AdmissionError::Draining));
-        });
-        assert_eq!(
-            q.submit(
-                4,
-                Priority::Normal,
-                point(Benchmark::Des, DesignStyle::TwoD)
-            ),
-            Err(AdmissionError::Draining)
-        );
-        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -42,11 +42,10 @@
 //!
 //! Governance: [`govern`] layers a resource governor over the executor —
 //! a [`CancelToken`] tree threaded through workers, stage attempts and
-//! cache build waits; run/point deadline budgets returning
-//! typed partial results ([`PointOutcome`]); a bounded [`AdmissionQueue`]
-//! with priorities, quotas and a backpressure policy; and
-//! [`RunGovernor::drain`], which finishes in-flight points and persists
-//! the unstarted remainder for a later process to resume.
+//! cache build waits; run/point deadline budgets returning typed
+//! partial results ([`PointOutcome`]); and [`RunGovernor::drain`],
+//! which finishes in-flight points and persists the unstarted
+//! remainder for a later process to resume.
 //!
 //! Observability: the supervisor, cache and executor emit typed events
 //! (stage spans with wall/busy durations, retries, degradation rungs,
@@ -108,8 +107,8 @@ pub use faultinject::{
 pub use flow::{default_clock_scale_at, Flow, FlowConfig, FlowResult};
 pub use flow::{estimate_models, extraction_models, try_extraction_models};
 pub use govern::{
-    load_remainder, save_remainder, AdmissionError, AdmissionQueue, Backpressure, CancelCause,
-    CancelToken, PointOutcome, Priority, RunGovernor, REMAINDER_FILE,
+    load_remainder, save_remainder, CancelCause, CancelToken, PointOutcome, RunGovernor,
+    REMAINDER_FILE,
 };
 pub use observe::{
     escape_json_into, json_raw_field, json_str_field, unescape_json, CacheKind, Event, EventKind,

@@ -2,18 +2,18 @@
 //!
 //! ```text
 //! m3d_serve [--unix PATH] [--tcp ADDR] [--jobs N] [--queue N] [--quota N]
-//!           [--block] [--remainder-dir DIR] [--cache-dir DIR] [--trace FILE]
+//!           [--remainder-dir DIR] [--cache-dir DIR] [--trace FILE]
 //! ```
 //!
 //! At least one of `--unix` / `--tcp` is required. `--jobs N` sizes the
 //! dispatcher pool (default: the host's available parallelism);
-//! `--queue N` the admission queue capacity; `--quota N` the per-
-//! connection cap on queued points; `--block` switches backpressure
-//! from typed `queue_full` rejections to blocking submits.
+//! `--queue N` the admission queue capacity (a full queue answers a
+//! typed `queue_full`); `--quota N` the per-connection cap on queued
+//! points.
 //!
 //! `--remainder-dir DIR` is where a graceful drain persists the
-//! deduplicated plan of queued-but-unstarted points, ready for
-//! `paper_tables` to pick up. `--cache-dir DIR` attaches the
+//! deduplicated plan of queued-but-unstarted points, in the `M3DPLAN1`
+//! format `monolith3d::load_remainder` reads back. `--cache-dir DIR` attaches the
 //! persistent artifact store, so results survive server restarts.
 //! `--trace FILE` appends every flow and admission event as JSONL —
 //! the same format `trace_check` validates.
@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use m3d_bench::cli;
 use m3d_serve::{Listen, Server, ServerConfig};
-use monolith3d::{ArtifactCache, Backpressure, DiskStore, JsonlRecorder, Recorder};
+use monolith3d::{ArtifactCache, DiskStore, JsonlRecorder, Recorder};
 
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
@@ -55,7 +55,7 @@ fn install_signal_handlers() {
 fn usage_exit(msg: &str) -> ! {
     eprintln!(
         "{msg}\nusage: m3d_serve [--unix PATH] [--tcp ADDR] [--jobs N] [--queue N] \
-         [--quota N] [--block] [--remainder-dir DIR] [--cache-dir DIR] [--trace FILE]"
+         [--quota N] [--remainder-dir DIR] [--cache-dir DIR] [--trace FILE]"
     );
     std::process::exit(2);
 }
@@ -101,7 +101,6 @@ fn main() {
             "--quota" => {
                 cfg.quota = Some(parse_count("--quota", Some(&value("--quota"))) as u32);
             }
-            "--block" => cfg.backpressure = Backpressure::Block,
             "--remainder-dir" => {
                 cfg.remainder_dir = Some(PathBuf::from(value("--remainder-dir")));
             }

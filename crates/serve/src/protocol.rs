@@ -29,11 +29,12 @@
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, NodeId, PdkRegistry};
 use monolith3d::{
-    escape_json_into, json_raw_field, json_str_field, CacheStats, FlowConfig, FlowResult,
-    PlanPoint, Priority,
+    escape_json_into, json_raw_field, json_str_field, CacheStats, FlowConfig, FlowResult, PlanPoint,
 };
 
 use std::fmt::Write as _;
+
+use crate::queue::Priority;
 
 /// Hard cap on one frame (request or response line), bytes. A reader
 /// that hits the cap answers `oversized` and disconnects rather than
@@ -54,7 +55,7 @@ pub enum ErrorClass {
     /// The line exceeded [`MAX_FRAME`]; the server disconnects after
     /// this response.
     Oversized,
-    /// The admission queue is at capacity under `Reject` backpressure.
+    /// The admission queue is at capacity.
     QueueFull,
     /// The connection hit its per-client quota of queued points.
     QuotaExhausted,

@@ -3,33 +3,33 @@
 //! Architecture: each accepted connection is a *client* with a fresh
 //! identity. A reader thread per connection parses JSONL frames;
 //! control ops (`ping`, `stats`, `shutdown`) and `table` renders are
-//! answered on that thread, while `run` points go through the PR 8
-//! [`AdmissionQueue`] — per-client quotas, priority classes,
-//! `Reject`/`Block` backpressure, every rejection mapped to a typed
-//! error response — and are executed by a pool of dispatcher threads
-//! over [`ParallelExecutor::run_point`] against the process-wide
+//! answered on that thread, while each `run` request — its id, cancel
+//! token, response writer and point — goes whole into the
+//! [`AdmissionQueue`] (per-client quotas, priority classes, every
+//! rejection handed back and answered with a typed error) and a pool
+//! of dispatcher threads pops and executes it over
+//! [`ParallelExecutor::run_point`] against the process-wide
 //! [`ArtifactCache`]. Identical concurrent submissions from different
 //! connections therefore coalesce on the cache's per-key build cell
 //! and characterize exactly once; every waiter gets its own response.
 //!
 //! Shutdown (the `shutdown` op, or [`Server::shutdown`] from a SIGTERM
 //! handler) routes through [`AdmissionQueue::drain`]: in-flight points
-//! finish and respond normally, queued-but-unstarted requests are
-//! answered with a typed `draining` error, and their deduplicated plan
-//! remainder is persisted via [`monolith3d::govern::save_remainder`]
-//! for a batch run to pick up. Per-request deadlines ride the
-//! [`CancelToken`] hierarchy: each `run` gets a child of the server's
-//! root token, armed at admission, so a deadline of zero rejects
-//! before any queue wait and an in-flight overrun comes back as a
-//! typed `deadline_exceeded`.
+//! finish and respond normally, the queued-but-unstarted requests it
+//! hands back are answered with a typed `draining` error, and their
+//! deduplicated plan remainder is persisted via
+//! [`monolith3d::govern::save_remainder`]. Per-request deadlines ride
+//! the [`CancelToken`] hierarchy: each `run` gets a child of the
+//! server's root token, armed at admission, so a deadline of zero
+//! rejects before any queue wait and an in-flight overrun comes back
+//! as a typed `deadline_exceeded`.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -37,17 +37,17 @@ use m3d_bench::{node_drivers, paper_drivers};
 use m3d_netlist::BenchScale;
 use m3d_tech::NodeId;
 use monolith3d::{
-    save_remainder, AdmissionError, AdmissionQueue, ArtifactCache, Backpressure, CancelCause,
-    CancelToken, FlowKey, ParallelExecutor, PointOutcome, Recorder, REMAINDER_FILE,
+    save_remainder, ArtifactCache, CancelCause, CancelToken, ExperimentPlan, ParallelExecutor,
+    PlanPoint, PointOutcome, Recorder, REMAINDER_FILE,
 };
 
 use crate::protocol::{
     frame_id, parse_request, write_error, write_pong, write_run_done, write_shutdown, write_stats,
     write_table, ErrorClass, Request, MAX_FRAME,
 };
+use crate::queue::{AdmissionError, AdmissionQueue};
 
-/// How often blocking loops (accept, reads, dispatcher idle waits)
-/// re-check the drain flag.
+/// How often a connection's blocked read re-checks the drain flag.
 const POLL_SLICE: Duration = Duration::from_millis(25);
 
 /// Where the server listens. A config may carry several (e.g. one unix
@@ -73,8 +73,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Per-client quota of queued points, if bounded.
     pub quota: Option<u32>,
-    /// What a full queue does to a submitter.
-    pub backpressure: Backpressure,
     /// Directory the drain remainder persists into, if any.
     pub remainder_dir: Option<PathBuf>,
     /// Event sink for admission decisions (and, via the cache's own
@@ -89,48 +87,35 @@ impl Default for ServerConfig {
             dispatchers: 2,
             queue_capacity: 64,
             quota: None,
-            backpressure: Backpressure::Reject,
             remainder_dir: None,
             recorder: None,
         }
     }
 }
 
-/// One queued `run` request waiting for a dispatcher: where to write
-/// the response and under which token to execute.
-struct Ticket {
+type ConnWriter = Arc<Mutex<Box<dyn Write + Send>>>;
+
+/// One admitted `run` request: the point, the token it executes
+/// under, and where its one response goes.
+struct Queued {
     id: u64,
     tok: CancelToken,
     conn: ConnWriter,
-}
-
-type ConnWriter = Arc<Mutex<Box<dyn Write + Send>>>;
-
-struct SrvState {
-    draining: bool,
-    /// Tickets for queued-but-unstarted points, keyed by the identity
-    /// the [`AdmissionQueue`] hands back on pop. Multiple identical
-    /// submissions from one client queue FIFO under one key.
-    pending: HashMap<(u64, FlowKey), VecDeque<Ticket>>,
+    point: PlanPoint,
 }
 
 struct Inner {
     cache: Arc<ArtifactCache>,
     executor: ParallelExecutor,
-    queue: AdmissionQueue,
+    queue: AdmissionQueue<Queued>,
     root: CancelToken,
-    state: Mutex<SrvState>,
-    work: Condvar,
     requests: AtomicU64,
     protocol_errors: AtomicU64,
     next_client: AtomicU64,
     remainder_dir: Option<PathBuf>,
-}
-
-impl Inner {
-    fn draining(&self) -> bool {
-        self.state.lock().expect("server state lock").draining
-    }
+    /// An address reaching each listener: shutdown connects to each
+    /// once to wake its blocked `accept`.
+    wake: Vec<Listen>,
 }
 
 /// A running server; dropping it does *not* stop it — call
@@ -157,29 +142,15 @@ impl Server {
 
     /// [`Server::start`] on an explicit cache — tests isolate here.
     pub fn start_on(cfg: ServerConfig, cache: Arc<ArtifactCache>) -> io::Result<Server> {
-        let mut queue = AdmissionQueue::new(cfg.queue_capacity, cfg.backpressure);
+        let mut queue = AdmissionQueue::new(cfg.queue_capacity);
         if let Some(q) = cfg.quota {
             queue = queue.with_quota(q);
         }
         if let Some(rec) = &cfg.recorder {
             queue = queue.with_recorder(Arc::clone(rec));
         }
-        let inner = Arc::new(Inner {
-            executor: ParallelExecutor::new(1).with_cache(Arc::clone(&cache)),
-            cache,
-            queue,
-            root: CancelToken::new(),
-            state: Mutex::new(SrvState {
-                draining: false,
-                pending: HashMap::new(),
-            }),
-            work: Condvar::new(),
-            requests: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            next_client: AtomicU64::new(1),
-            remainder_dir: cfg.remainder_dir.clone(),
-        });
-        let mut threads = Vec::new();
+        let mut listeners = Vec::new();
+        let mut wake = Vec::new();
         let mut tcp_addrs = Vec::new();
         for l in &cfg.listen {
             match l {
@@ -187,23 +158,44 @@ impl Server {
                     // A stale socket file from a previous run blocks
                     // the bind; replace it.
                     let _ = std::fs::remove_file(path);
-                    let listener = UnixListener::bind(path)?;
-                    listener.set_nonblocking(true)?;
-                    let inner = Arc::clone(&inner);
-                    threads.push(spawn_named("m3d-serve-accept-unix", move || {
-                        accept_loop(inner, AnyListener::Unix(listener));
-                    }));
+                    listeners.push(AnyListener::Unix(UnixListener::bind(path)?));
+                    wake.push(l.clone());
                 }
                 Listen::Tcp(addr) => {
                     let listener = TcpListener::bind(addr)?;
-                    tcp_addrs.push(listener.local_addr()?);
-                    listener.set_nonblocking(true)?;
-                    let inner = Arc::clone(&inner);
-                    threads.push(spawn_named("m3d-serve-accept-tcp", move || {
-                        accept_loop(inner, AnyListener::Tcp(listener));
-                    }));
+                    let bound = listener.local_addr()?;
+                    tcp_addrs.push(bound);
+                    let mut reach = bound;
+                    if reach.ip().is_unspecified() {
+                        reach.set_ip(match bound {
+                            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                        });
+                    }
+                    listeners.push(AnyListener::Tcp(listener));
+                    wake.push(Listen::Tcp(reach.to_string()));
                 }
             }
+        }
+        let inner = Arc::new(Inner {
+            executor: ParallelExecutor::new(1).with_cache(Arc::clone(&cache)),
+            cache,
+            queue,
+            root: CancelToken::new(),
+            requests: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            next_client: AtomicU64::new(1),
+            remainder_dir: cfg.remainder_dir.clone(),
+            wake,
+        });
+        let mut threads = Vec::new();
+        for listener in listeners {
+            let name = match listener {
+                AnyListener::Unix(_) => "m3d-serve-accept-unix",
+                AnyListener::Tcp(_) => "m3d-serve-accept-tcp",
+            };
+            let inner = Arc::clone(&inner);
+            threads.push(spawn_named(name, move || accept_loop(&inner, &listener)));
         }
         for i in 0..cfg.dispatchers {
             let inner = Arc::clone(&inner);
@@ -224,10 +216,10 @@ impl Server {
         &self.tcp_addrs
     }
 
-    /// Whether a drain has started (via [`Server::shutdown`], a
-    /// controller, or the wire `shutdown` op).
+    /// Whether a drain has started (via [`Server::shutdown`] or the
+    /// wire `shutdown` op).
     pub fn is_draining(&self) -> bool {
-        self.inner.draining()
+        self.inner.queue.is_draining()
     }
 
     /// Initiates a graceful drain (idempotent): stop admitting, finish
@@ -244,27 +236,6 @@ impl Server {
         for t in self.threads {
             let _ = t.join();
         }
-    }
-
-    /// A detached handle for signal handlers / other threads to
-    /// trigger shutdown.
-    pub fn controller(&self) -> ServerController {
-        ServerController {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-/// A clonable shutdown handle (see [`Server::controller`]).
-#[derive(Clone)]
-pub struct ServerController {
-    inner: Arc<Inner>,
-}
-
-impl ServerController {
-    /// Same contract as [`Server::shutdown`].
-    pub fn shutdown(&self) -> u64 {
-        shutdown_inner(&self.inner)
     }
 }
 
@@ -303,37 +274,32 @@ impl AnyStream {
     }
 }
 
-fn accept_loop(inner: Arc<Inner>, listener: AnyListener) {
+fn accept_loop(inner: &Arc<Inner>, listener: &AnyListener) {
     loop {
-        if inner.draining() {
-            return;
-        }
-        let accepted = match &listener {
+        let accepted = match listener {
             AnyListener::Unix(l) => l.accept().map(|(s, _)| AnyStream::Unix(s)),
             AnyListener::Tcp(l) => l.accept().map(|(s, _)| AnyStream::Tcp(s)),
         };
-        match accepted {
-            Ok(stream) => {
-                let client = inner.next_client.fetch_add(1, Ordering::Relaxed);
-                let inner = Arc::clone(&inner);
-                // Connection threads are detached: they hold their own
-                // Arc<Inner> and exit when the client disconnects or
-                // the server drains.
-                let _ = spawn_named(&format!("m3d-serve-conn-{client}"), move || {
-                    connection_loop(&inner, client, stream);
-                });
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_SLICE);
-            }
-            Err(_) => return,
+        // Shutdown wakes this blocked accept by connecting once; that
+        // connection (or any racing it) is dropped unserved.
+        if inner.queue.is_draining() {
+            return;
         }
+        let Ok(stream) = accepted else {
+            return;
+        };
+        let client = inner.next_client.fetch_add(1, Ordering::Relaxed);
+        let inner = Arc::clone(inner);
+        // Connection threads are detached: they hold their own
+        // Arc<Inner> and exit when the client disconnects or the
+        // server drains.
+        let _ = spawn_named(&format!("m3d-serve-conn-{client}"), move || {
+            connection_loop(&inner, client, stream);
+        });
     }
 }
 
-/// Reads one newline-terminated frame, bounded by [`MAX_FRAME`].
-/// `Ok(None)` on clean EOF; `Err(Oversized)` variants are signalled by
-/// the special error kind below.
+/// One read frame: a line, clean EOF, or a protocol-fatal condition.
 enum ReadFrame {
     Line(String),
     Eof,
@@ -341,42 +307,45 @@ enum ReadFrame {
     NotUtf8,
 }
 
-fn read_frame(r: &mut impl Read, draining: &dyn Fn() -> bool, buf: &mut Vec<u8>) -> ReadFrame {
-    let mut byte = [0u8; 1];
+fn utf8_line(buf: &mut Vec<u8>) -> ReadFrame {
+    match String::from_utf8(std::mem::take(buf)) {
+        Ok(s) => ReadFrame::Line(s),
+        Err(_) => ReadFrame::NotUtf8,
+    }
+}
+
+/// Reads one newline-terminated frame of at most [`MAX_FRAME`] bytes
+/// (newline excluded). A final unterminated frame before EOF still
+/// counts; a partial frame survives read timeouts, which end the
+/// connection only between frames once the server is draining.
+fn read_frame(r: &mut impl BufRead, draining: &dyn Fn() -> bool, buf: &mut Vec<u8>) -> ReadFrame {
     buf.clear();
     loop {
-        match r.read(&mut byte) {
-            Ok(0) => {
-                return if buf.is_empty() {
-                    ReadFrame::Eof
-                } else {
-                    match String::from_utf8(std::mem::take(buf)) {
-                        Ok(s) => ReadFrame::Line(s),
-                        Err(_) => ReadFrame::NotUtf8,
-                    }
-                }
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    return match String::from_utf8(std::mem::take(buf)) {
-                        Ok(s) => ReadFrame::Line(s),
-                        Err(_) => ReadFrame::NotUtf8,
-                    };
-                }
-                buf.push(byte[0]);
-                if buf.len() > MAX_FRAME {
-                    return ReadFrame::Oversized;
-                }
-            }
+        let chunk = match r.fill_buf() {
+            Ok([]) if buf.is_empty() => return ReadFrame::Eof,
+            Ok([]) => return utf8_line(buf),
+            Ok(chunk) => chunk,
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                // Keep partial frames across timeout slices; only bail
-                // out between frames when the server is gone.
                 if buf.is_empty() && draining() {
                     return ReadFrame::Eof;
                 }
+                continue;
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return ReadFrame::Eof,
+        };
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(chunk.len());
+        if buf.len() + take > MAX_FRAME {
+            return ReadFrame::Oversized;
+        }
+        buf.extend_from_slice(&chunk[..take]);
+        match newline {
+            Some(i) => {
+                r.consume(i + 1);
+                return utf8_line(buf);
+            }
+            None => r.consume(take),
         }
     }
 }
@@ -418,13 +387,14 @@ fn send_error(conn: &ConnWriter, id: u64, class: ErrorClass, detail: &str) {
 }
 
 fn connection_loop(inner: &Arc<Inner>, client: u64, stream: AnyStream) {
-    let Ok((mut reader, writer)) = stream.split() else {
+    let Ok((reader, writer)) = stream.split() else {
         return;
     };
+    let mut reader = BufReader::new(reader);
     let conn: ConnWriter = Arc::new(Mutex::new(writer));
     let mut buf = Vec::new();
     loop {
-        let draining = || inner.draining();
+        let draining = || inner.queue.is_draining();
         let line = match read_frame(&mut reader, &draining, &mut buf) {
             ReadFrame::Eof => return,
             ReadFrame::Oversized => {
@@ -489,7 +459,7 @@ fn handle_request(
                 &inner.cache.stats(),
                 inner.requests.load(Ordering::Relaxed),
                 inner.protocol_errors.load(Ordering::Relaxed),
-                inner.draining(),
+                inner.queue.is_draining(),
             );
             send_line(conn, &buf);
             true
@@ -502,7 +472,7 @@ fn handle_request(
             false
         }
         Request::Table { name, node, scale } => {
-            if inner.draining() {
+            if inner.queue.is_draining() {
                 send_error(conn, id, ErrorClass::Draining, "server is draining");
                 return true;
             }
@@ -545,47 +515,21 @@ fn handle_request(
                 send_error(conn, id, class, "deadline expired before admission");
                 return true;
             }
-            let key = (client, FlowKey::of(point.bench, point.style, &point.config));
-            // Ticket first, then submit: a dispatcher may pop the
-            // point the instant submit releases the queue lock.
-            {
-                let mut st = inner.state.lock().expect("server state lock");
-                st.pending.entry(key).or_default().push_back(Ticket {
-                    id,
-                    tok,
-                    conn: Arc::clone(conn),
-                });
+            let run = Queued {
+                id,
+                tok,
+                conn: Arc::clone(conn),
+                point,
+            };
+            if let Err((e, run)) = inner.queue.submit(client, priority, run) {
+                let class = match e {
+                    AdmissionError::QueueFull { .. } => ErrorClass::QueueFull,
+                    AdmissionError::QuotaExhausted { .. } => ErrorClass::QuotaExhausted,
+                    AdmissionError::Draining => ErrorClass::Draining,
+                };
+                send_error(&run.conn, run.id, class, &e.to_string());
             }
-            match inner.queue.submit(client, priority, point) {
-                Ok(()) => {
-                    // Notify under the state lock: a dispatcher between
-                    // its pop-check and its condvar wait holds it, so
-                    // the wakeup cannot fall into that window and cost
-                    // a full poll slice of latency.
-                    let st = inner.state.lock().expect("server state lock");
-                    inner.work.notify_all();
-                    drop(st);
-                    true
-                }
-                Err(e) => {
-                    // Roll the ticket back; it never entered the queue.
-                    let mut st = inner.state.lock().expect("server state lock");
-                    if let Some(q) = st.pending.get_mut(&key) {
-                        q.pop_back();
-                        if q.is_empty() {
-                            st.pending.remove(&key);
-                        }
-                    }
-                    drop(st);
-                    let class = match e {
-                        AdmissionError::QueueFull { .. } => ErrorClass::QueueFull,
-                        AdmissionError::QuotaExhausted { .. } => ErrorClass::QuotaExhausted,
-                        AdmissionError::Draining => ErrorClass::Draining,
-                    };
-                    send_error(conn, id, class, &e.to_string());
-                    true
-                }
-            }
+            true
         }
     }
 }
@@ -604,97 +548,52 @@ fn render_table(name: &str, node: Option<NodeId>, scale: BenchScale) -> Option<S
 }
 
 fn dispatch_loop(inner: &Arc<Inner>) {
-    loop {
-        // Pop under the state lock so a ticket inserted before submit
-        // is always visible by the time its point pops.
-        let popped = {
-            let mut st = inner.state.lock().expect("server state lock");
-            loop {
-                if let Some(x) = inner.queue.pop() {
-                    break Some(x);
-                }
-                if st.draining {
-                    break None;
-                }
-                let (g, _) = inner
-                    .work
-                    .wait_timeout(st, POLL_SLICE)
-                    .expect("server state lock");
-                st = g;
-            }
-        };
-        let Some((client, point)) = popped else {
-            return;
-        };
-        let key = (client, FlowKey::of(point.bench, point.style, &point.config));
-        let ticket = {
-            let mut st = inner.state.lock().expect("server state lock");
-            let t = st.pending.get_mut(&key).and_then(VecDeque::pop_front);
-            if st.pending.get(&key).is_some_and(VecDeque::is_empty) {
-                st.pending.remove(&key);
-            }
-            t
-        };
-        let Some(ticket) = ticket else {
-            // Unreachable by construction (tickets precede submits);
-            // drop the orphan point rather than wedge the dispatcher.
-            debug_assert!(false, "popped a point with no ticket");
-            continue;
-        };
-        let outcome = inner.executor.run_point(&point, &ticket.tok);
+    while let Some((_, run)) = inner.queue.pop() {
         let mut buf = String::new();
-        match outcome {
-            PointOutcome::Done(result) => write_run_done(&mut buf, ticket.id, &result),
+        match inner.executor.run_point(&run.point, &run.tok) {
+            PointOutcome::Done(result) => write_run_done(&mut buf, run.id, &result),
             PointOutcome::Failed(e) => {
-                write_error(&mut buf, ticket.id, ErrorClass::Failed, &e.to_string())
+                write_error(&mut buf, run.id, ErrorClass::Failed, &e.to_string())
             }
-            PointOutcome::Cancelled => write_error(
-                &mut buf,
-                ticket.id,
-                ErrorClass::Cancelled,
-                "request cancelled",
-            ),
+            PointOutcome::Cancelled => {
+                write_error(&mut buf, run.id, ErrorClass::Cancelled, "request cancelled")
+            }
             PointOutcome::DeadlineExceeded => write_error(
                 &mut buf,
-                ticket.id,
+                run.id,
                 ErrorClass::DeadlineExceeded,
                 "request deadline exceeded",
             ),
             PointOutcome::Drained => write_error(
                 &mut buf,
-                ticket.id,
+                run.id,
                 ErrorClass::Draining,
                 "server drained mid-request",
             ),
         }
-        send_line(&ticket.conn, &buf);
+        send_line(&run.conn, &buf);
     }
 }
 
-fn shutdown_inner(inner: &Arc<Inner>) -> u64 {
-    {
-        let mut st = inner.state.lock().expect("server state lock");
-        if st.draining {
-            return 0; // idempotent; the first call did the work
-        }
-        st.draining = true;
-    }
-    // Stop admissions and take the unstarted remainder (deduplicated
-    // by FlowKey, same as a batch plan).
-    let remainder = inner.queue.drain();
-    // Everything still ticketed is unstarted (dispatchers remove
-    // tickets at pop time): answer each with a typed drain error.
-    let tickets: Vec<Ticket> = {
-        let mut st = inner.state.lock().expect("server state lock");
-        st.pending.drain().flat_map(|(_, q)| q).collect()
-    };
-    for t in tickets {
+/// Drains the queue (the first call only finds anything to drain):
+/// answers every queued request `draining` once, persists their
+/// deduplicated points as the plan remainder, and wakes the accept
+/// threads. Returns the number of remainder points.
+fn shutdown_inner(inner: &Inner) -> u64 {
+    let mut remainder = ExperimentPlan::new();
+    for (_, run) in inner.queue.drain() {
         send_error(
-            &t.conn,
-            t.id,
+            &run.conn,
+            run.id,
             ErrorClass::Draining,
             "server draining; request persisted to the plan remainder",
         );
+        let PlanPoint {
+            bench,
+            style,
+            config,
+        } = run.point;
+        remainder.push(bench, style, config);
     }
     let pending = remainder.len() as u64;
     if pending > 0 {
@@ -705,6 +604,12 @@ fn shutdown_inner(inner: &Arc<Inner>) -> u64 {
             }
         }
     }
-    inner.work.notify_all();
+    for l in &inner.wake {
+        // A refused connect means that accept thread is already gone.
+        let _ = match l {
+            Listen::Unix(path) => UnixStream::connect(path).map(drop),
+            Listen::Tcp(addr) => TcpStream::connect(addr.as_str()).map(drop),
+        };
+    }
     pending
 }

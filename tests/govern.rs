@@ -37,10 +37,10 @@ use m3d_tech::{DesignStyle, NodeId};
 use monolith3d::govern::load_remainder;
 use monolith3d::observe::{validate_jsonl, StageOutcome, TraceError};
 use monolith3d::{
-    json_raw_field, AdmissionError, AdmissionQueue, ArtifactCache, Backpressure, CancelToken,
-    DiskStore, Disposition, EventKind, ExperimentPlan, FaultPlan, FlowConfig, FlowError,
-    FlowResult, FlowStage, FlowSupervisor, JsonlRecorder, ParallelExecutor, PointOutcome, Priority,
-    Recorder, RunGovernor, StageDeadlines, SupervisorPolicy, Tee, VecRecorder,
+    json_raw_field, ArtifactCache, CancelToken, DiskStore, Disposition, EventKind, ExperimentPlan,
+    FaultPlan, FlowConfig, FlowError, FlowResult, FlowStage, FlowSupervisor, JsonlRecorder,
+    ParallelExecutor, PointOutcome, Recorder, RunGovernor, StageDeadlines, SupervisorPolicy, Tee,
+    VecRecorder,
 };
 use proptest::prelude::*;
 
@@ -326,10 +326,7 @@ fn supervised_run_records_every_event_on_the_calling_thread() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: govern_cases(),
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(govern_cases()))]
 
     /// Cancellation purity: cancel a governed run at a random epoch,
     /// then run the same plan ungoverned over the same memory+disk
@@ -483,54 +480,4 @@ fn governed_traces_pass_the_schema_validator() {
             "trace must carry a {kind} event"
         );
     }
-}
-
-/// Admission decisions trace through the recorder with typed reasons:
-/// quota exhaustion, a full queue under `Reject`, and a draining queue.
-#[test]
-fn admission_queue_emits_typed_rejection_events() {
-    let recorder = Arc::new(VecRecorder::new());
-    let queue = AdmissionQueue::new(1, Backpressure::Reject)
-        .with_quota(1)
-        .with_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
-    let point = || plan().points().first().expect("plan has points").clone();
-    queue
-        .submit(7, Priority::Normal, point())
-        .expect("first submission admits");
-    assert_eq!(
-        queue.submit(7, Priority::Normal, point()),
-        Err(AdmissionError::QuotaExhausted {
-            client: 7,
-            quota: 1
-        })
-    );
-    assert_eq!(
-        queue.submit(8, Priority::High, point()),
-        Err(AdmissionError::QueueFull { capacity: 1 })
-    );
-    let rest = queue.drain();
-    assert_eq!(rest.len(), 1, "drain hands back the queued point");
-    assert_eq!(
-        queue.submit(9, Priority::Low, point()),
-        Err(AdmissionError::Draining)
-    );
-    let kinds: Vec<_> = recorder.events().iter().map(|e| e.kind.name()).collect();
-    assert_eq!(
-        kinds,
-        vec![
-            "quota_exhausted",
-            "admission_rejected",
-            "admission_rejected"
-        ],
-        "each rejection traces exactly once"
-    );
-    let reasons: Vec<_> = recorder
-        .events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::AdmissionRejected { client, reason } => Some((client, reason)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(reasons, vec![(8, "queue_full"), (9, "draining")]);
 }

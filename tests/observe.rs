@@ -338,8 +338,10 @@ fn event_stream_replays_the_stage_graph_topology() {
     // graph transition, a retry of the same stage, or a wrap-around
     // from the exit stage into the next flow of the same pair. A
     // degradation-ladder escalation restores older artifact state, so
-    // the hop right after one is exempt.
-    let mut walks: HashMap<(&str, &str), (Option<(FlowStage, u32)>, bool)> = HashMap::new();
+    // the hop right after one is exempt. Each walk holds the last
+    // (stage, attempt) seen and whether an escalation just happened.
+    type Walk = (Option<(FlowStage, u32)>, bool);
+    let mut walks: HashMap<(&str, &str), Walk> = HashMap::new();
     for ev in &run.events {
         match ev.kind {
             EventKind::StageStarted {

@@ -504,7 +504,7 @@ fn random_resizes(n: &mut Netlist, lib: &CellLibrary, rnd: &mut impl FnMut() -> 
     for _ in 0..count {
         let inst = m3d_netlist::InstId((rnd() % n.instance_count() as u64) as u32);
         let cell = n.inst(inst).cell;
-        let to = if rnd() % 2 == 0 {
+        let to = if rnd().is_multiple_of(2) {
             lib.upsize(cell)
         } else {
             lib.downsize(cell)

@@ -1,8 +1,10 @@
 //! Integration tests for the m3d-serve experiment server: protocol
-//! robustness under hostile frames, cross-connection coalescing,
-//! served tables identical to the batch binary, per-client quotas,
-//! instant deadline rejection, graceful drain with remainder
-//! persistence, and the TCP listener answering like the unix socket.
+//! robustness under hostile frames, the frame cap and pipelined
+//! frames, cross-connection coalescing, served tables identical to the
+//! batch binary, per-client quotas and typed admission events, instant
+//! deadline rejection, graceful drain with remainder persistence and
+//! exactly one answer per request, and the TCP listener answering like
+//! the unix socket.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -11,9 +13,12 @@ use std::time::{Duration, Instant};
 
 use m3d_bench::{paper_drivers, SMOKE_SUBSET};
 use m3d_serve::client::{response_error, response_ok, ClientStream};
-use m3d_serve::{Listen, Server, ServerConfig, MAX_FRAME};
+use m3d_serve::{
+    AdmissionError, AdmissionQueue, Listen, Priority, Server, ServerConfig, MAX_FRAME,
+};
 use monolith3d::{
-    json_raw_field, json_str_field, load_remainder, ArtifactCache, Backpressure, REMAINDER_FILE,
+    json_raw_field, json_str_field, load_remainder, ArtifactCache, EventKind, Recorder,
+    VecRecorder, REMAINDER_FILE,
 };
 use proptest::prelude::*;
 
@@ -158,6 +163,50 @@ fn truncated_frames_and_abrupt_disconnects_leave_the_server_healthy() {
     server.join();
 }
 
+/// The frame cap is inclusive: a frame of exactly `MAX_FRAME` bytes
+/// (newline excluded) is served, one byte more is `oversized`.
+#[test]
+fn a_frame_of_exactly_max_frame_bytes_is_served() {
+    let (server, sock, _cache) = start("max-frame", |_| {});
+    let mut c = connect(&sock);
+    let ping = "{\"id\":6,\"op\":\"ping\"}";
+    // The parser trims surrounding whitespace, so padding keeps the
+    // frame a valid ping.
+    let mut frame = " ".repeat(MAX_FRAME - ping.len()) + ping;
+    assert_eq!(frame.len(), MAX_FRAME);
+    let pong = c.request(&frame).expect("pong");
+    assert!(response_ok(&pong), "{pong}");
+    assert_eq!(json_raw_field(&pong, "id"), Some("6"));
+    frame.insert(0, ' ');
+    let resp = c.request(&frame).expect("one error frame");
+    assert_eq!(
+        response_error(&resp).as_deref(),
+        Some("oversized"),
+        "{resp}"
+    );
+    assert_eq!(c.recv_line().expect("read"), None, "server hangs up after");
+    drop(c);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn two_frames_in_one_write_get_two_responses_in_order() {
+    let (server, sock, _cache) = start("pipelined", |_| {});
+    let mut c = connect(&sock);
+    c.send_raw(b"{\"id\":1,\"op\":\"ping\"}\n{\"id\":2,\"op\":\"stats\"}\n")
+        .expect("send");
+    for (id, op) in [("1", "ping"), ("2", "stats")] {
+        let resp = c.recv_line().expect("read").expect("a response");
+        assert!(response_ok(&resp), "{resp}");
+        assert_eq!(json_raw_field(&resp, "id"), Some(id), "{resp}");
+        assert_eq!(json_str_field(&resp, "op").as_deref(), Some(op), "{resp}");
+    }
+    drop(c);
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn identical_concurrent_runs_coalesce_to_one_library_build() {
     let (server, sock, cache) = start("coalesce", |cfg| {
@@ -245,7 +294,6 @@ fn per_client_quota_rejects_and_drain_persists_a_deduplicated_remainder() {
         // so quota and remainder behaviour is deterministic.
         cfg.dispatchers = 0;
         cfg.quota = Some(1);
-        cfg.backpressure = Backpressure::Reject;
         cfg.remainder_dir = Some(dir.clone());
     });
     let mut a = connect(&sock);
@@ -279,6 +327,118 @@ fn per_client_quota_rejects_and_drain_persists_a_deduplicated_remainder() {
     let plan = load_remainder(&dir.join(REMAINDER_FILE)).expect("remainder loads");
     assert_eq!(plan.len(), 1);
     server.join();
+}
+
+/// Every pipelined `run` id gets exactly one answer across a drain,
+/// whichever side of it its frame lands on: queued requests are
+/// answered `draining` by the drain, and the rest are rejected at
+/// admission (quota, capacity, or the drain itself). Frames sent while
+/// the drain runs may go unread, but none is answered twice. The
+/// persisted remainder holds only points some connection requested.
+#[test]
+fn every_pipelined_run_is_answered_exactly_once_across_a_drain() {
+    const CONNS: usize = 4;
+    const RUNS: u64 = 8;
+    /// Frames sent before the drain can start; the rest race it.
+    const EARLY: u64 = 5;
+    const BENCHES: [&str; 5] = ["FPU", "AES", "LDPC", "DES", "M256"];
+    let point = |conn: usize, id: u64| {
+        let bench = BENCHES[(conn + id as usize) % BENCHES.len()];
+        let style = if id.is_multiple_of(3) { "2D" } else { "3D" };
+        (bench, style)
+    };
+    let frame = move |conn: usize, id: u64| {
+        let (bench, style) = point(conn, id);
+        let priority = ["high", "normal", "low"][(conn + id as usize) % 3];
+        format!(
+            "{{\"id\":{id},\"op\":\"run\",\"bench\":\"{bench}\",\"style\":\"{style}\",\
+             \"scale\":\"small\",\"priority\":\"{priority}\"}}\n"
+        )
+    };
+    let requested: Vec<_> = (0..CONNS)
+        .flat_map(|conn| (1..=RUNS).map(move |id| point(conn, id)))
+        .collect();
+    for round in 0..8u64 {
+        let dir = scratch_dir("exactly-once-remainder");
+        let (server, sock, _cache) = start("exactly-once", |cfg| {
+            // No dispatchers: nothing runs, so every answer comes from
+            // admission or the drain.
+            cfg.dispatchers = 0;
+            cfg.queue_capacity = 12;
+            cfg.quota = Some(4);
+            cfg.remainder_dir = Some(dir.clone());
+        });
+        let barrier = Arc::new(Barrier::new(CONNS + 1));
+        let clients: Vec<_> = (0..CONNS)
+            .map(|conn| {
+                let sock = sock.clone();
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut c = connect(&sock);
+                    // The pong proves the server reads this connection,
+                    // so every frame sent before the barrier is read
+                    // before it hangs up; the later ones race the drain
+                    // and may never be read.
+                    let pong = c.request("{\"id\":0,\"op\":\"ping\"}").expect("pong");
+                    assert!(response_ok(&pong), "{pong}");
+                    let send = |c: &mut ClientStream, ids: std::ops::RangeInclusive<u64>| {
+                        let frames: String = ids.map(|id| frame(conn, id)).collect();
+                        c.send_raw(frames.as_bytes())
+                    };
+                    send(&mut c, 1..=EARLY).expect("send");
+                    barrier.wait();
+                    // The server may already have hung up.
+                    let _ = send(&mut c, EARLY + 1..=RUNS);
+                    let mut answered = Vec::new();
+                    // Reading stops at the hangup, which is a reset when
+                    // late frames were left unread.
+                    while let Ok(Some(resp)) = c.recv_line() {
+                        let class = response_error(&resp).expect("a typed error");
+                        assert!(
+                            ["draining", "quota_exhausted", "queue_full"].contains(&class.as_str()),
+                            "{resp}"
+                        );
+                        let id = json_raw_field(&resp, "id").and_then(|v| v.parse::<u64>().ok());
+                        answered.push(id.expect("an id"));
+                    }
+                    answered
+                })
+            })
+            .collect();
+        barrier.wait();
+        std::thread::sleep(Duration::from_millis(round));
+        let pending = server.shutdown();
+        server.join();
+        for (conn, h) in clients.into_iter().enumerate() {
+            let mut answered = h.join().expect("client thread");
+            answered.sort_unstable();
+            let mut once = answered.clone();
+            once.dedup();
+            assert_eq!(
+                answered, once,
+                "round {round}, connection {conn}: an id answered twice"
+            );
+            assert!(
+                (1..=EARLY).all(|id| answered.contains(&id))
+                    && answered.iter().all(|id| (1..=RUNS).contains(id)),
+                "round {round}, connection {conn}: answered {answered:?}"
+            );
+        }
+        let path = dir.join(REMAINDER_FILE);
+        if pending == 0 {
+            assert!(!path.exists(), "round {round}: no remainder to persist");
+            continue;
+        }
+        let plan = load_remainder(&path).expect("remainder loads");
+        assert_eq!(plan.len() as u64, pending, "round {round}");
+        for p in plan.points() {
+            let key = (p.bench.name(), p.style.label());
+            assert!(
+                requested.contains(&key),
+                "round {round}: remainder holds an unrequested point {key:?}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -408,14 +568,11 @@ proptest! {
         frame.push(b'\n');
         c.send_raw(&frame).expect("send");
         // The server answers with a typed error frame or hangs up
-        // cleanly; nothing else.
-        match c.recv_line().expect("no transport corruption") {
-            Some(resp) => {
-                prop_assert!(!response_ok(&resp), "garbage accepted: {resp}");
-                prop_assert!(response_error(&resp).is_some(), "untyped error: {resp}");
-                prop_assert!(json_str_field(&resp, "detail").is_some(), "no detail: {resp}");
-            }
-            None => {} // clean disconnect (non-UTF-8 path)
+        // cleanly (the non-UTF-8 path); nothing else.
+        if let Some(resp) = c.recv_line().expect("no transport corruption") {
+            prop_assert!(!response_ok(&resp), "garbage accepted: {resp}");
+            prop_assert!(response_error(&resp).is_some(), "untyped error: {resp}");
+            prop_assert!(json_str_field(&resp, "detail").is_some(), "no detail: {resp}");
         }
         drop(c);
         // Whatever just happened, the server still serves.
@@ -423,4 +580,60 @@ proptest! {
         let pong = probe.request("{\"id\":1,\"op\":\"ping\"}").expect("pong");
         prop_assert!(response_ok(&pong), "{pong}");
     }
+}
+
+/// Admission decisions trace through the recorder with typed reasons —
+/// quota exhaustion, a full queue and a draining queue — and every
+/// rejected submission hands its request back to be answered.
+#[test]
+fn admission_queue_emits_typed_rejection_events() {
+    let recorder = Arc::new(VecRecorder::new());
+    let queue = AdmissionQueue::new(1)
+        .with_quota(1)
+        .with_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
+    queue
+        .submit(7, Priority::Normal, 1u64)
+        .expect("first submission admits");
+    assert_eq!(
+        queue.submit(7, Priority::Normal, 2),
+        Err((
+            AdmissionError::QuotaExhausted {
+                client: 7,
+                quota: 1
+            },
+            2
+        ))
+    );
+    assert_eq!(
+        queue.submit(8, Priority::High, 3),
+        Err((AdmissionError::QueueFull { capacity: 1 }, 3))
+    );
+    assert_eq!(
+        queue.drain(),
+        vec![(7, 1)],
+        "drain hands back the queued request"
+    );
+    assert_eq!(
+        queue.submit(9, Priority::Low, 4),
+        Err((AdmissionError::Draining, 4))
+    );
+    let kinds: Vec<_> = recorder.events().iter().map(|e| e.kind.name()).collect();
+    assert_eq!(
+        kinds,
+        vec![
+            "quota_exhausted",
+            "admission_rejected",
+            "admission_rejected"
+        ],
+        "each rejection traces exactly once"
+    );
+    let reasons: Vec<_> = recorder
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::AdmissionRejected { client, reason } => Some((client, reason)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(reasons, vec![(8, "queue_full"), (9, "draining")]);
 }
