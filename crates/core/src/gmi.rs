@@ -9,27 +9,33 @@
 //!
 //! 1. synthesize the 2D netlist as usual,
 //! 2. bipartition it with a Fiduccia-Mattheyses pass minimizing cut nets
-//!    under an area balance ([`fm_bipartition`]),
+//!    under an area balance ([`fm_bipartition`]); the pass keeps its
+//!    unmoved cells in gain buckets, so a move costs the pins of the
+//!    moved cell's nets rather than a rescan of the design,
 //! 3. place both tiers in a shared x/y space on a half-area core
 //!    ([`m3d_place::Placer::tiers`]),
-//! 4. route against the T-MI metal stack and add one MIV per cut net,
+//! 4. route against the T-MI metal stack and add one MIV per net whose
+//!    pins span both tiers,
 //! 5. sign off timing and power exactly like the main flow.
 
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use m3d_cells::CellLibrary;
-use m3d_netlist::{BenchScale, Benchmark, NetDriver, Netlist};
+use m3d_netlist::{BenchScale, Benchmark, NetDriver, NetId, Netlist};
 use m3d_place::Placer;
-use m3d_power::{analyze_power, PowerConfig};
+use m3d_power::{try_analyze_power, PowerConfig};
 use m3d_route::Router;
-use m3d_sta::analyze;
-use m3d_sta::TimingConfig;
-use m3d_synth::{synthesize, SynthConfig, WireLoadModel};
+use m3d_sta::{try_analyze, TimingConfig};
+use m3d_synth::{try_synthesize, SynthConfig, WireLoadModel};
 use m3d_tech::{DesignStyle, MetalStack, NodeId, StackKind};
 
 use crate::cache::ArtifactCache;
+use crate::error::{FlowError, FlowStage};
 use crate::experiments::Row;
-use crate::flow::extraction_models;
+use crate::flow::try_extraction_models;
+use crate::govern::check;
 use crate::FlowConfig;
 
 /// The circuits the G-MI comparison study runs.
@@ -51,16 +57,46 @@ pub(crate) fn gmi_rows(scale: BenchScale) -> Vec<Row> {
 pub struct Bipartition {
     /// Tier (0/1) per instance.
     pub assignment: Vec<u8>,
-    /// Nets with pins on both tiers (each needs an MIV in G-MI).
+    /// Nets with pins on both tiers, the clock excluded.
     pub cut_nets: usize,
     /// Area fraction on tier 0.
     pub balance: f64,
+}
+
+/// What a net contributes to the gain of moving one of its cells: the
+/// cell has `mine` of the net's `len` pins, and `same` pins (its own
+/// included) sit on the cell's side. Moving the cell cuts an uncut net
+/// (−1) or heals a net whose other pins all sit across (+1).
+fn gain_term(same: u32, len: u32, mine: u32) -> i64 {
+    if same == len {
+        -1
+    } else if same == mine {
+        1
+    } else {
+        0
+    }
 }
 
 /// Fiduccia-Mattheyses-style bipartitioning: single-cell moves with
 /// net-cut gains, best-prefix acceptance, repeated for `passes` passes,
 /// under a `balance_tolerance` area constraint (e.g. 0.1 keeps each side
 /// within 40-60 %).
+///
+/// The clock and nets with fewer than two instance pins never count as
+/// cut; a pin counts once per connection, so a cell that drives and
+/// sinks a net holds two of its pins. Each pass starts from the even/odd
+/// split or the previous pass's result, and moves each cell at most once
+/// (at most 4,000 moves). A move takes the unmoved cell of highest gain
+/// whose move keeps tier 0's area within the tolerance, ties going to
+/// the lowest index. The pass stops 64 moves past its best prefix once
+/// the gain is no longer positive, rolls back to the best prefix, and
+/// the partitioner stops after a pass that improves nothing.
+///
+/// The unmoved cells sit in gain buckets ordered by (gain descending,
+/// index ascending), so the first bucket entry whose move keeps the
+/// balance is the cell a full scan would pick. Moving a cell updates the
+/// per-side pin counts of its nets and re-buckets only the unmoved cells
+/// on those nets whose gain changed.
 pub fn fm_bipartition(
     netlist: &Netlist,
     lib: &CellLibrary,
@@ -83,106 +119,128 @@ pub fn fm_bipartition(
         .map(|(_, a)| a)
         .sum();
 
-    // Per-net pin lists (instances only; ports are tier-agnostic pads).
-    let mut net_pins: Vec<Vec<u32>> = vec![Vec::new(); netlist.net_count()];
+    // Each net's distinct cells with their pin multiplicity, and its pin
+    // total (instances only; ports are tier-agnostic pads). Nets with
+    // fewer than two pins can never be cut and are left out.
+    let mut net_cells: Vec<Vec<(u32, u32)>> = Vec::new();
+    let mut net_len: Vec<u32> = Vec::new();
+    let mut pins: Vec<u32> = Vec::new();
     for id in netlist.net_ids() {
         if Some(id) == netlist.clock {
             continue; // the clock reaches both tiers regardless
         }
         let net = netlist.net(id);
+        pins.clear();
         if let NetDriver::Cell { inst, .. } = net.driver {
-            net_pins[id.0 as usize].push(inst.0);
+            pins.push(inst.0);
         }
-        for s in &net.sinks {
-            net_pins[id.0 as usize].push(s.inst.0);
+        pins.extend(net.sinks.iter().map(|s| s.inst.0));
+        if pins.len() < 2 {
+            continue;
         }
+        pins.sort_unstable();
+        let mut cells: Vec<(u32, u32)> = Vec::new();
+        for &p in &pins {
+            match cells.last_mut() {
+                Some((c, m)) if *c == p => *m += 1,
+                _ => cells.push((p, 1)),
+            }
+        }
+        net_len.push(pins.len() as u32);
+        net_cells.push(cells);
     }
-    let mut inst_nets: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (nid, pins) in net_pins.iter().enumerate() {
-        for &i in pins {
-            inst_nets[i as usize].push(nid as u32);
+    let mut inst_nets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+    for (e, cells) in net_cells.iter().enumerate() {
+        for &(c, m) in cells {
+            inst_nets[c as usize].push((e as u32, m));
         }
-    }
-    for v in &mut inst_nets {
-        v.sort_unstable();
-        v.dedup();
     }
 
-    let cut_count = |side: &[u8]| -> usize {
-        net_pins
+    // Pins of each net on each side.
+    let side_counts = |side: &[u8]| -> Vec<[u32; 2]> {
+        net_cells
             .iter()
-            .filter(|pins| {
-                pins.len() > 1 && {
-                    let first = side[pins[0] as usize];
-                    pins.iter().any(|&p| side[p as usize] != first)
+            .map(|cells| {
+                let mut cnt = [0u32; 2];
+                for &(c, m) in cells {
+                    cnt[side[c as usize] as usize] += m;
                 }
+                cnt
             })
-            .count()
+            .collect()
     };
+    let cut_count = |cnt: &[[u32; 2]]| cnt.iter().filter(|c| c[0] > 0 && c[1] > 0).count();
 
     let lo = total_area * (0.5 - balance_tolerance);
     let hi = total_area * (0.5 + balance_tolerance);
     for _pass in 0..passes {
-        // Gain of moving instance i = (nets that become uncut) - (nets
-        // that become cut).
+        let mut cnt = side_counts(&side);
+        let mut gain: Vec<i64> = inst_nets
+            .iter()
+            .zip(&side)
+            .map(|(nets, &s)| {
+                nets.iter()
+                    .map(|&(e, m)| gain_term(cnt[e as usize][s as usize], net_len[e as usize], m))
+                    .sum()
+            })
+            .collect();
+        let mut buckets: BTreeSet<(Reverse<i64>, u32)> = (0..n as u32)
+            .map(|i| (Reverse(gain[i as usize]), i))
+            .collect();
         let mut moved = vec![false; n];
-        let mut best_cut = cut_count(&side);
+        let mut best_cut = cut_count(&cnt);
         let mut best_prefix = 0usize;
         let mut trail: Vec<u32> = Vec::new();
         let mut cur_cut = best_cut;
         for _step in 0..n.min(4000) {
-            // Greedy: pick the unmoved cell with the best gain that keeps
-            // balance.
-            let mut best: Option<(i64, u32)> = None;
-            for i in 0..n {
-                if moved[i] {
-                    continue;
-                }
-                let from = side[i];
-                let new_area0 = if from == 0 {
+            let pick = buckets.iter().find(|&&(_, i)| {
+                let i = i as usize;
+                let new_area0 = if side[i] == 0 {
                     area0 - areas[i]
                 } else {
                     area0 + areas[i]
                 };
-                if new_area0 < lo || new_area0 > hi {
-                    continue;
-                }
-                let mut gain = 0i64;
-                for &nid in &inst_nets[i] {
-                    let pins = &net_pins[nid as usize];
-                    if pins.len() < 2 {
-                        continue;
-                    }
-                    let mine = pins.iter().filter(|&&p| p as usize == i).count();
-                    let same = pins.iter().filter(|&&p| side[p as usize] == from).count();
-                    let other = pins.len() - same;
-                    if other == 0 {
-                        gain -= 1; // uncut net becomes cut
-                    } else if same == mine {
-                        gain += 1; // this move heals the cut
-                    }
-                }
-                if best.map(|(g, _)| gain > g).unwrap_or(true) {
-                    best = Some((gain, i as u32));
-                }
-            }
-            let Some((gain, i)) = best else { break };
+                !(new_area0 < lo || new_area0 > hi)
+            });
+            let Some(&(Reverse(g), i)) = pick else { break };
+            buckets.remove(&(Reverse(g), i));
             let i_us = i as usize;
             moved[i_us] = true;
-            if side[i_us] == 0 {
+            let from = side[i_us] as usize;
+            if from == 0 {
                 area0 -= areas[i_us];
                 side[i_us] = 1;
             } else {
                 area0 += areas[i_us];
                 side[i_us] = 0;
             }
+            for &(e, mine) in &inst_nets[i_us] {
+                let e = e as usize;
+                let before = cnt[e];
+                cnt[e][from] -= mine;
+                cnt[e][1 - from] += mine;
+                for &(j, m) in &net_cells[e] {
+                    let j_us = j as usize;
+                    if moved[j_us] {
+                        continue;
+                    }
+                    let s = side[j_us] as usize;
+                    let delta =
+                        gain_term(cnt[e][s], net_len[e], m) - gain_term(before[s], net_len[e], m);
+                    if delta != 0 {
+                        buckets.remove(&(Reverse(gain[j_us]), j));
+                        gain[j_us] += delta;
+                        buckets.insert((Reverse(gain[j_us]), j));
+                    }
+                }
+            }
             trail.push(i);
-            cur_cut = (cur_cut as i64 - gain) as usize;
+            cur_cut = (cur_cut as i64 - g) as usize;
             if cur_cut < best_cut {
                 best_cut = cur_cut;
                 best_prefix = trail.len();
             }
-            if gain <= 0 && trail.len() > best_prefix + 64 {
+            if g <= 0 && trail.len() > best_prefix + 64 {
                 break; // long negative tail: stop the pass early
             }
         }
@@ -203,10 +261,33 @@ pub fn fm_bipartition(
     }
 
     Bipartition {
-        cut_nets: cut_count(&side),
+        cut_nets: cut_count(&side_counts(&side)),
         balance: area0 / total_area,
         assignment: side,
     }
+}
+
+/// The nets G-MI gives an MIV: every net whose instance pins sit on both
+/// tiers under `assignment`. Unlike [`Bipartition::cut_nets`] this
+/// includes the clock, whose flip-flop sinks land on both tiers.
+fn miv_nets(netlist: &Netlist, assignment: &[u8]) -> Vec<NetId> {
+    netlist
+        .net_ids()
+        .filter(|&id| {
+            let net = netlist.net(id);
+            let driver = match net.driver {
+                NetDriver::Cell { inst, .. } => Some(inst),
+                _ => None,
+            };
+            let mut tiers = net
+                .sinks
+                .iter()
+                .map(|s| s.inst)
+                .chain(driver)
+                .map(|inst| assignment[inst.0 as usize]);
+            tiers.next().is_some_and(|first| tiers.any(|t| t != first))
+        })
+        .collect()
 }
 
 /// Sign-off summary of a G-MI implementation.
@@ -216,7 +297,8 @@ pub struct GmiResult {
     pub footprint_um2: f64,
     /// Total routed wirelength, µm.
     pub wirelength_um: f64,
-    /// Nets crossing tiers (MIV count).
+    /// The partition's cut nets, which exclude the clock; sign-off adds
+    /// one more MIV, on the clock, whose sinks sit on both tiers.
     pub miv_nets: usize,
     /// Worst slack, ps.
     pub wns_ps: f64,
@@ -224,17 +306,23 @@ pub struct GmiResult {
     pub total_power_mw: f64,
 }
 
-/// Runs the G-MI flow for a benchmark (2D library, two tiers).
-pub fn run_gmi(bench: Benchmark, config: &FlowConfig) -> GmiResult {
+/// Runs the G-MI flow for a benchmark (2D library, two tiers). Stops at
+/// the next phase boundary once the calling thread's installed cancel
+/// token fires.
+///
+/// # Errors
+///
+/// The first phase failure as a [`FlowError`], or
+/// [`FlowError::Cancelled`] naming the phase about to start.
+pub fn run_gmi(bench: Benchmark, config: &FlowConfig) -> Result<GmiResult, FlowError> {
     let node = config.tech_node();
-    let lib = ArtifactCache::global()
-        .library(
-            config.node_id,
-            DesignStyle::TwoD,
-            config.lower_metal_rho,
-            1.0,
-        )
-        .expect("library builds");
+    check(FlowStage::Library)?;
+    let lib = ArtifactCache::global().library(
+        config.node_id,
+        DesignStyle::TwoD,
+        config.lower_metal_rho,
+        1.0,
+    )?;
     let clock_ps = config
         .clock_ps
         .unwrap_or_else(|| bench.target_clock_ps(config.node_id))
@@ -243,56 +331,45 @@ pub fn run_gmi(bench: Benchmark, config: &FlowConfig) -> GmiResult {
         .utilization
         .unwrap_or_else(|| bench.target_utilization());
 
+    check(FlowStage::Synthesis)?;
     let raw = bench.generate(&lib, config.bench_scale);
     let prelim = Placer::new(&lib)
         .utilization(utilization)
         .iterations(16)
-        .place(&raw);
+        .try_place(&raw)?;
     let wlm = WireLoadModel::from_placement(&raw, &prelim);
-    let netlist = synthesize(raw, &lib, &wlm, &SynthConfig::new(clock_ps));
+    let netlist = try_synthesize(raw, &lib, &wlm, &SynthConfig::new(clock_ps))?;
 
+    check(FlowStage::Placement)?;
     let part = fm_bipartition(&netlist, &lib, 4, 0.1);
     let placement = Placer::new(&lib)
         .utilization(utilization)
         .iterations(config.place_iterations)
         .tiers(part.assignment.clone(), 2)
-        .place(&netlist);
+        .try_place(&netlist)?;
 
     // G-MI routes over the T-MI stack (it needs MB1 + the extra layers
     // for the doubled pin density just like T-MI does).
+    check(FlowStage::Routing)?;
     let stack = MetalStack::new(&node, StackKind::Tmi);
     let router = Router::new(&node, &stack);
-    let routed = router.route(&netlist, &placement, &lib);
-    let mut models = extraction_models(&netlist, &routed, &node);
-    // Cut nets carry one MIV each.
-    for id in netlist.net_ids() {
-        let pins_tiers: Vec<u8> = {
-            let net = netlist.net(id);
-            let mut v: Vec<u8> = net
-                .sinks
-                .iter()
-                .map(|s| part.assignment[s.inst.0 as usize])
-                .collect();
-            if let NetDriver::Cell { inst, .. } = net.driver {
-                v.push(part.assignment[inst.0 as usize]);
-            }
-            v
-        };
-        if pins_tiers.windows(2).any(|w| w[0] != w[1]) {
-            models[id.0 as usize].r_wire += node.miv.resistance;
-            models[id.0 as usize].c_wire += node.miv.capacitance;
-        }
+    let routed = router.try_route(&netlist, &placement, &lib)?;
+    let mut models = try_extraction_models(&netlist, &routed, &node)?;
+    for id in miv_nets(&netlist, &part.assignment) {
+        models[id.0 as usize].r_wire += node.miv.resistance;
+        models[id.0 as usize].c_wire += node.miv.capacitance;
     }
 
-    let report = analyze(&netlist, &lib, &models, &TimingConfig::new(clock_ps));
-    let power = analyze_power(&netlist, &lib, &models, &PowerConfig::new(clock_ps));
-    GmiResult {
+    check(FlowStage::SignOff)?;
+    let report = try_analyze(&netlist, &lib, &models, &TimingConfig::new(clock_ps))?;
+    let power = try_analyze_power(&netlist, &lib, &models, &PowerConfig::new(clock_ps))?;
+    Ok(GmiResult {
         footprint_um2: placement.footprint_um2(),
         wirelength_um: routed.total_wirelength_um(),
         miv_nets: part.cut_nets,
         wns_ps: report.wns,
         total_power_mw: power.total_mw(),
-    }
+    })
 }
 
 /// Extension experiment: 2D vs G-MI vs T-MI on AES and LDPC.
@@ -306,7 +383,7 @@ pub fn gmi_comparison(scale: BenchScale) -> String {
     for row in gmi_rows(scale) {
         let bench = row.bench;
         let crate::Comparison { two_d, tmi } = row.compare();
-        let gmi = run_gmi(bench, &row.cfg);
+        let gmi = run_gmi(bench, &row.cfg).unwrap_or_else(|e| panic!("G-MI flow failed: {e}"));
         let _ = writeln!(
             out,
             "{:5}-2D   {:13.0} {:9.3} {:10.2}        -",
@@ -394,11 +471,57 @@ mod tests {
         assert_eq!(p.assignment.len(), n.instance_count());
     }
 
+    /// A known deviation (EXPERIMENTS.md, G-MI): the MIV count reported
+    /// is the partition's cut count, but sign-off also puts an MIV on the
+    /// clock, so the models carry exactly one MIV more.
+    #[test]
+    fn miv_nets_are_the_cut_nets_plus_the_clock() {
+        let (lib, n) = small();
+        let p = fm_bipartition(&n, &lib, 4, 0.1);
+        let clock = n.clock.expect("AES is sequential");
+        // Cut nets by a per-net tier mask over every instance pin.
+        let cut: Vec<NetId> = n
+            .net_ids()
+            .filter(|&id| Some(id) != n.clock)
+            .filter(|&id| {
+                let net = n.net(id);
+                let mut mask = 0u8;
+                for s in &net.sinks {
+                    mask |= 1 << p.assignment[s.inst.0 as usize];
+                }
+                if let NetDriver::Cell { inst, .. } = net.driver {
+                    mask |= 1 << p.assignment[inst.0 as usize];
+                }
+                mask == 0b11
+            })
+            .collect();
+        assert_eq!(cut.len(), p.cut_nets);
+        let mut expected = cut;
+        expected.push(clock);
+        expected.sort_unstable();
+        assert_eq!(miv_nets(&n, &p.assignment), expected);
+    }
+
+    #[test]
+    fn a_cancelled_token_stops_gmi_before_any_work() {
+        let token = crate::govern::CancelToken::new();
+        token.cancel();
+        let _installed = crate::govern::install(token);
+        let cfg = FlowConfig::new(NodeId::N45).scale(BenchScale::Small);
+        let err = run_gmi(Benchmark::Aes, &cfg).expect_err("the token fired");
+        assert_eq!(
+            err,
+            FlowError::Cancelled {
+                stage: FlowStage::Library
+            }
+        );
+    }
+
     #[test]
     fn gmi_footprint_sits_between_2d_and_halved() {
         let cfg = FlowConfig::new(NodeId::N45).scale(BenchScale::Small);
         let two_d = Flow::new(Benchmark::Aes, DesignStyle::TwoD, cfg.clone()).run();
-        let gmi = run_gmi(Benchmark::Aes, &cfg);
+        let gmi = run_gmi(Benchmark::Aes, &cfg).expect("G-MI flow runs");
         let ratio = gmi.footprint_um2 / two_d.footprint_um2;
         assert!(
             (0.3..0.75).contains(&ratio),

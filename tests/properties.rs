@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 use m3d_cells::{layout::generate_layout, CellFunction, CellLibrary, Topology};
 use m3d_extract::{extract_cell, TopSiliconModel};
 use m3d_geom::{LayerShape, Point, Rect};
-use m3d_netlist::{BenchScale, Benchmark, NetId, Netlist, NetlistBuilder};
+use m3d_netlist::{BenchScale, Benchmark, NetDriver, NetId, Netlist, NetlistBuilder, PinRef};
 use m3d_place::Placer;
 use m3d_power::propagate_activity;
 use m3d_route::{RoutedDesign, Router};
@@ -15,6 +15,7 @@ use m3d_sta::{
     TimingConfig, TimingGraph, TimingReport,
 };
 use m3d_tech::{CellLayer, DesignStyle, MetalStack, NodeId, StackKind, TechNode};
+use monolith3d::gmi::{fm_bipartition, Bipartition};
 use monolith3d::{extraction_models, Flow, FlowConfig, FlowError};
 use proptest::prelude::*;
 
@@ -198,6 +199,266 @@ proptest! {
         n.check_consistency(l);
         m3d_netlist::levelize(&n, l).expect("repeaters keep the DAG acyclic");
     }
+}
+
+/// The partitioner as it was before gain buckets, kept verbatim as the
+/// reference [`monolith3d::gmi::fm_bipartition`] must match bit for
+/// bit: each move rescans every unmoved cell and recomputes its gain
+/// from all of its pins.
+fn rescanning_fm_bipartition(
+    netlist: &Netlist,
+    lib: &CellLibrary,
+    passes: usize,
+    balance_tolerance: f64,
+) -> Bipartition {
+    let n = netlist.instance_count();
+    let areas: Vec<f64> = netlist
+        .inst_ids()
+        .map(|i| lib.cell(netlist.inst(i).cell).area_um2())
+        .collect();
+    let total_area: f64 = areas.iter().sum();
+    let mut side: Vec<u8> = (0..n).map(|i| (i % 2) as u8).collect();
+    let mut area0: f64 = areas
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| side[*i] == 0)
+        .map(|(_, a)| a)
+        .sum();
+
+    let mut net_pins: Vec<Vec<u32>> = vec![Vec::new(); netlist.net_count()];
+    for id in netlist.net_ids() {
+        if Some(id) == netlist.clock {
+            continue;
+        }
+        let net = netlist.net(id);
+        if let NetDriver::Cell { inst, .. } = net.driver {
+            net_pins[id.0 as usize].push(inst.0);
+        }
+        for s in &net.sinks {
+            net_pins[id.0 as usize].push(s.inst.0);
+        }
+    }
+    let mut inst_nets: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for (nid, pins) in net_pins.iter().enumerate() {
+        for &i in pins {
+            inst_nets[i as usize].push(nid as u32);
+        }
+    }
+    for v in &mut inst_nets {
+        v.sort_unstable();
+        v.dedup();
+    }
+
+    let cut_count = |side: &[u8]| -> usize {
+        net_pins
+            .iter()
+            .filter(|pins| {
+                pins.len() > 1 && {
+                    let first = side[pins[0] as usize];
+                    pins.iter().any(|&p| side[p as usize] != first)
+                }
+            })
+            .count()
+    };
+
+    let lo = total_area * (0.5 - balance_tolerance);
+    let hi = total_area * (0.5 + balance_tolerance);
+    for _pass in 0..passes {
+        let mut moved = vec![false; n];
+        let mut best_cut = cut_count(&side);
+        let mut best_prefix = 0usize;
+        let mut trail: Vec<u32> = Vec::new();
+        let mut cur_cut = best_cut;
+        for _step in 0..n.min(4000) {
+            let mut best: Option<(i64, u32)> = None;
+            for i in 0..n {
+                if moved[i] {
+                    continue;
+                }
+                let from = side[i];
+                let new_area0 = if from == 0 {
+                    area0 - areas[i]
+                } else {
+                    area0 + areas[i]
+                };
+                if new_area0 < lo || new_area0 > hi {
+                    continue;
+                }
+                let mut gain = 0i64;
+                for &nid in &inst_nets[i] {
+                    let pins = &net_pins[nid as usize];
+                    if pins.len() < 2 {
+                        continue;
+                    }
+                    let mine = pins.iter().filter(|&&p| p as usize == i).count();
+                    let same = pins.iter().filter(|&&p| side[p as usize] == from).count();
+                    let other = pins.len() - same;
+                    if other == 0 {
+                        gain -= 1;
+                    } else if same == mine {
+                        gain += 1;
+                    }
+                }
+                if best.map(|(g, _)| gain > g).unwrap_or(true) {
+                    best = Some((gain, i as u32));
+                }
+            }
+            let Some((gain, i)) = best else { break };
+            let i_us = i as usize;
+            moved[i_us] = true;
+            if side[i_us] == 0 {
+                area0 -= areas[i_us];
+                side[i_us] = 1;
+            } else {
+                area0 += areas[i_us];
+                side[i_us] = 0;
+            }
+            trail.push(i);
+            cur_cut = (cur_cut as i64 - gain) as usize;
+            if cur_cut < best_cut {
+                best_cut = cur_cut;
+                best_prefix = trail.len();
+            }
+            if gain <= 0 && trail.len() > best_prefix + 64 {
+                break;
+            }
+        }
+        for &i in trail[best_prefix..].iter() {
+            let i = i as usize;
+            if side[i] == 0 {
+                area0 -= areas[i];
+                side[i] = 1;
+            } else {
+                area0 += areas[i];
+                side[i] = 0;
+            }
+        }
+        if best_prefix == 0 {
+            break;
+        }
+    }
+
+    Bipartition {
+        cut_nets: cut_count(&side),
+        balance: area0 / total_area,
+        assignment: side,
+    }
+}
+
+/// Balance tolerances from infeasible (0.0: no single move fits) and
+/// tight, where most moves break the balance, to loose.
+const FM_TOLERANCES: [f64; 4] = [0.0, 0.02, 0.1, 0.3];
+
+/// The gain-bucket partitioner returns exactly the reference partition.
+fn fm_matches_the_rescanning_pass(
+    n: &Netlist,
+    passes: usize,
+    tolerance: f64,
+) -> Result<(), TestCaseError> {
+    let fast = fm_bipartition(n, lib(), passes, tolerance);
+    let slow = rescanning_fm_bipartition(n, lib(), passes, tolerance);
+    prop_assert!(
+        fast.assignment == slow.assignment,
+        "{}: assignments differ (passes {}, tolerance {})",
+        n.name,
+        passes,
+        tolerance
+    );
+    prop_assert_eq!(fast.cut_nets, slow.cut_nets);
+    prop_assert_eq!(fast.balance.to_bits(), slow.balance.to_bits());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn fm_gain_buckets_match_the_rescanning_pass(
+        seed in 0u64..1000,
+        gates in 8usize..400,
+        passes in 1usize..5,
+    ) {
+        let n = random_netlist(seed, gates);
+        for tolerance in FM_TOLERANCES {
+            fm_matches_the_rescanning_pass(&n, passes, tolerance)?;
+        }
+    }
+}
+
+/// A netlist with the cases the gain function has to get right: one
+/// primary input fanning out to 150 gates, single-pin nets (inputs read
+/// once, outputs nobody reads), a gate reading one net on both inputs,
+/// a clocked register bank, and NAND2s that sink their own output (some
+/// of those outputs feed other gates too).
+fn fm_edge_case_netlist() -> Netlist {
+    let mut b = NetlistBuilder::new(lib(), "fm-edge-cases");
+    let fanout = b.input();
+    let mut pool = b.inputs(12);
+    for k in 0..150 {
+        let other = pool[(k * 7) % pool.len()];
+        let out = b.gate(CellFunction::Nand2, &[fanout, other]);
+        if k % 3 == 0 {
+            pool.push(out); // the others stay single-pin nets
+        }
+    }
+    let twice = b.gate(CellFunction::Nand2, &[pool[3], pool[3]]);
+    pool.push(twice);
+    for k in 0..24 {
+        let q = b.dff(pool[(k * 5) % pool.len()]);
+        pool.push(q);
+    }
+    let loops: Vec<NetId> = (0..6)
+        .map(|k| b.gate(CellFunction::Nand2, &[pool[k], pool[k + 20]]))
+        .collect();
+    for k in 0..3 {
+        let out = b.gate(CellFunction::And2, &[loops[k], pool[k + 40]]);
+        b.output(out);
+    }
+    let n = b.finish();
+    let mut instances = n.instances().to_vec();
+    let mut nets = n.nets().to_vec();
+    for &out in &loops {
+        let NetDriver::Cell { inst, .. } = nets[out.0 as usize].driver else {
+            unreachable!("gate outputs are cell-driven")
+        };
+        let old = instances[inst.0 as usize].pins[1];
+        nets[old.0 as usize]
+            .sinks
+            .retain(|s| !(s.inst == inst && s.pin == 1));
+        nets[out.0 as usize].sinks.push(PinRef { inst, pin: 1 });
+        instances[inst.0 as usize].pins[1] = out;
+    }
+    Netlist::from_parts(
+        n.name.clone(),
+        instances,
+        nets,
+        n.primary_inputs.clone(),
+        n.primary_outputs.clone(),
+        n.clock,
+    )
+}
+
+#[test]
+fn fm_gain_buckets_match_the_rescanning_pass_on_edge_cases() -> Result<(), TestCaseError> {
+    let n = fm_edge_case_netlist();
+    assert!(n.clock.is_some(), "the register bank creates the clock");
+    for passes in 1..=4 {
+        for tolerance in FM_TOLERANCES {
+            fm_matches_the_rescanning_pass(&n, passes, tolerance)?;
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn fm_gain_buckets_match_the_rescanning_pass_on_small_benchmarks() -> Result<(), TestCaseError> {
+    for bench in [Benchmark::Aes, Benchmark::Ldpc] {
+        let n = bench.generate(lib(), BenchScale::Small);
+        for tolerance in FM_TOLERANCES {
+            fm_matches_the_rescanning_pass(&n, 4, tolerance)?;
+        }
+    }
+    Ok(())
 }
 
 /// Plants one degenerate knob in an otherwise valid configuration.
