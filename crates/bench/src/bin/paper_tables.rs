@@ -39,8 +39,8 @@
 //! flag is a no-op.
 //!
 //! `--trace FILE` attaches a [`JsonlRecorder`] to the run: every flow
-//! event (stage spans, retries, checkpoints, cache traffic, steals) is
-//! appended to FILE as one JSON object per line. `--report FILE`
+//! event (stage spans, cache and store traffic, steals) is appended to
+//! FILE as one JSON object per line. `--report FILE`
 //! aggregates the same events through a [`MetricsRegistry`] and writes
 //! the resulting `RunReport` JSON. Both are diagnostics: stdout stays
 //! byte-identical whether or not they are given.

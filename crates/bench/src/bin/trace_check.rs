@@ -32,14 +32,8 @@ fn main() {
     match validate_jsonl(&trace) {
         Ok(summary) => {
             println!(
-                "{path}: {} events, {} stage spans, {} cache hits / {} misses, \
-                 {} checkpoints written / {} resumed",
-                summary.events,
-                summary.stage_spans,
-                summary.cache_hits,
-                summary.cache_misses,
-                summary.checkpoints_written,
-                summary.checkpoints_resumed,
+                "{path}: {} events, {} stage spans, {} cache hits / {} misses",
+                summary.events, summary.stage_spans, summary.cache_hits, summary.cache_misses,
             );
         }
         Err(e) => {

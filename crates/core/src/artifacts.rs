@@ -8,9 +8,8 @@
 //! artifact no earlier stage produced gets a typed
 //! [`FlowError::MissingArtifact`](crate::FlowError), not a panic.
 //!
-//! [`Artifacts`] is also the supervisor's checkpoint unit: cloning one
-//! is cheap relative to a stage, so a retry restores the last good
-//! snapshot instead of restarting the flow.
+//! [`Artifacts`] is also the floorplan loop's snapshot unit: round 1's
+//! copy is what sign-off reports when a second round closes worse.
 
 use std::sync::Arc;
 
@@ -25,8 +24,7 @@ use crate::cache::ArtifactCache;
 use crate::flow::{FlowConfig, FlowEnv, FlowResult};
 
 /// The working design state: everything a stage produces that later
-/// stages consume. One snapshot of this struct is one supervisor
-/// checkpoint.
+/// stages consume.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Artifacts {
     /// Synthesized (and later sized) netlist.
@@ -61,11 +59,9 @@ pub struct FlowContext {
     /// Shared memo layer for cell libraries (and, at the `Flow` level,
     /// completed results).
     pub(crate) cache: Arc<ArtifactCache>,
-    /// Resolved run environment, produced by the library stage. The
-    /// supervisor's degradation ladder mutates the effective
-    /// `clock_ps` / `utilization` / `opt_passes` here.
+    /// Resolved run environment, produced by the library stage.
     pub(crate) env: Option<FlowEnv>,
-    /// The working design state (the checkpoint unit).
+    /// The working design state.
     pub(crate) art: Artifacts,
     /// The sign-off result, produced by the sign-off stage.
     pub(crate) result: Option<FlowResult>,

@@ -1,15 +1,13 @@
-//! The self-verifying binary codec and durable-file frame shared by the
-//! durable layers.
+//! The self-verifying binary codec and durable-file frame of the one
+//! durable format, the persistent artifact store ([`crate::store`],
+//! magic `M3DSTOR1`).
 //!
-//! [`crate::checkpoint`] (supervisor snapshots), [`crate::store`] (the
-//! persistent artifact store) and [`crate::govern`] (drained plan
-//! remainders) persist different payloads but share one wire
-//! discipline: little-endian integers, `f64` as IEEE-754 bit patterns
-//! (so round-trips are bit-exact, NaN payloads included), and
+//! The wire discipline: little-endian integers, `f64` as IEEE-754 bit
+//! patterns (so round-trips are bit-exact, NaN payloads included), and
 //! length-prefixed strings, written by the append-only [`Enc`] and read
 //! by the cursor-based [`Dec`] with typed [`DecodeError`] failure.
 //!
-//! They also share one file frame, built by [`frame`] and verified by
+//! Files share one frame, built by [`frame`] and verified by
 //! [`unframe`]:
 //!
 //! ```text
@@ -21,14 +19,13 @@
 //! Both hashes are FNV-1a 64 ([`content_hash`]). A file verifies only if
 //! the magic matches, the payload is exactly `payload_len` bytes with
 //! nothing after it, both hashes match, and the sections carry exactly
-//! the expected tags in order. Each format differs only in its magic and
-//! its section tags.
+//! the expected tags in order.
 //!
 //! Files land through [`write_atomic`] (temp file, `sync_all`, rename),
 //! failed files are moved aside by [`quarantine_file`], and the chaos
-//! harness damages them with [`flip_byte`]. Callers own the magic, the
-//! section tags, the payload codecs and the corruption policy
-//! (quarantine and fall back, quarantine and miss, or a typed error).
+//! harness damages them with [`flip_byte`]. The store owns the magic,
+//! the section tags, the payload codecs and the corruption policy
+//! (quarantine and miss).
 
 use std::fs;
 use std::io::{self, Write as _};
@@ -37,8 +34,6 @@ use std::path::{Path, PathBuf};
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_route::LayerUsage;
 use m3d_tech::{DesignStyle, NodeId, StackKind};
-
-use crate::error::FlowStage;
 
 /// FNV-1a 64 content hash — small, dependency-free, and stable across
 /// platforms; collision resistance is not a goal (corruption detection
@@ -106,9 +101,11 @@ pub(crate) struct Dec<'a> {
     pos: usize,
 }
 
-/// A malformed durable payload: what failed to parse.
+/// A malformed durable payload: what failed to parse. The store
+/// quarantines on any decode failure without reading the message; it
+/// is there for the `Debug` output of a failing codec test.
 #[derive(Debug)]
-pub(crate) struct DecodeError(pub(crate) String);
+pub(crate) struct DecodeError(#[allow(dead_code)] pub(crate) String);
 
 pub(crate) type DecResult<T> = Result<T, DecodeError>;
 
@@ -134,9 +131,6 @@ impl<'a> Dec<'a> {
 
     pub(crate) fn u8(&mut self) -> DecResult<u8> {
         Ok(self.take(1)?[0])
-    }
-    pub(crate) fn bool(&mut self) -> DecResult<bool> {
-        Ok(self.u8()? != 0)
     }
     pub(crate) fn u32(&mut self) -> DecResult<u32> {
         let b = self.take(4)?;
@@ -246,14 +240,6 @@ pub(crate) fn enc_scale(e: &mut Enc, v: BenchScale) {
     });
 }
 
-pub(crate) fn dec_scale(d: &mut Dec) -> DecResult<BenchScale> {
-    Ok(match d.u8()? {
-        0 => BenchScale::Paper,
-        1 => BenchScale::Small,
-        t => return Err(DecodeError(format!("bad BenchScale tag {t}"))),
-    })
-}
-
 pub(crate) fn enc_stack_kind(e: &mut Enc, v: StackKind) {
     e.u8(match v {
         StackKind::TwoD => 0,
@@ -262,29 +248,8 @@ pub(crate) fn enc_stack_kind(e: &mut Enc, v: StackKind) {
     });
 }
 
-pub(crate) fn dec_stack_kind(d: &mut Dec) -> DecResult<StackKind> {
-    Ok(match d.u8()? {
-        0 => StackKind::TwoD,
-        1 => StackKind::Tmi,
-        2 => StackKind::TmiPlusM,
-        t => return Err(DecodeError(format!("bad StackKind tag {t}"))),
-    })
-}
-
-pub(crate) fn enc_stage(e: &mut Enc, v: FlowStage) {
-    e.u8(v.index() as u8);
-}
-
-pub(crate) fn dec_stage(d: &mut Dec) -> DecResult<FlowStage> {
-    let t = d.u8()?;
-    FlowStage::ALL
-        .get(t as usize)
-        .copied()
-        .ok_or_else(|| DecodeError(format!("bad FlowStage tag {t}")))
-}
-
 // ---------------------------------------------------------------------
-// Struct codecs shared by store entries and checkpoints
+// Struct codecs
 // ---------------------------------------------------------------------
 
 pub(crate) fn enc_layer_usage(e: &mut Enc, u: &LayerUsage) {
@@ -486,7 +451,6 @@ mod tests {
     fn primitives_round_trip_bit_exactly() {
         let mut e = Enc::default();
         e.u8(7);
-        e.bool(true);
         e.u32(0xDEAD_BEEF);
         e.u64(u64::MAX);
         e.i64(-42);
@@ -498,7 +462,6 @@ mod tests {
         e.opt(&None::<u8>, |e, v| e.u8(*v));
         let mut d = Dec::new(&e.buf);
         assert_eq!(d.u8().expect("u8"), 7);
-        assert!(d.bool().expect("bool"));
         assert_eq!(d.u32().expect("u32"), 0xDEAD_BEEF);
         assert_eq!(d.u64().expect("u64"), u64::MAX);
         assert_eq!(d.i64().expect("i64"), -42);
@@ -640,23 +603,7 @@ mod tests {
             enc_node(&mut e, n);
             assert_eq!(dec_node(&mut Dec::new(&e.buf)).expect("dec"), n);
         }
-        for sc in [BenchScale::Paper, BenchScale::Small] {
-            let mut e = Enc::default();
-            enc_scale(&mut e, sc);
-            assert_eq!(dec_scale(&mut Dec::new(&e.buf)).expect("dec"), sc);
-        }
-        for k in [StackKind::TwoD, StackKind::Tmi, StackKind::TmiPlusM] {
-            let mut e = Enc::default();
-            enc_stack_kind(&mut e, k);
-            assert_eq!(dec_stack_kind(&mut Dec::new(&e.buf)).expect("dec"), k);
-        }
-        for st in FlowStage::ALL {
-            let mut e = Enc::default();
-            enc_stage(&mut e, st);
-            assert_eq!(dec_stage(&mut Dec::new(&e.buf)).expect("dec"), st);
-        }
         // Unknown discriminants are typed errors, not panics.
         assert!(dec_benchmark(&mut Dec::new(&[99])).is_err());
-        assert!(dec_stage(&mut Dec::new(&[99])).is_err());
     }
 }

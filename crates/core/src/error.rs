@@ -20,7 +20,7 @@ use m3d_synth::SynthError;
 /// The stages of the sign-off pipeline, in execution order (paper Fig. 1).
 ///
 /// Used to attribute failures, to key fault injection, and to label the
-/// supervisor's checkpoints.
+/// supervisor's trace spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowStage {
     /// Library characterization and preparation.
@@ -51,7 +51,7 @@ impl FlowStage {
         FlowStage::SignOff,
     ];
 
-    /// Dense index (fault-injection counters, checkpoint tables).
+    /// Dense index (fault-injection counters, deadline tables).
     pub fn index(self) -> usize {
         match self {
             FlowStage::Library => 0,
@@ -78,7 +78,7 @@ impl FlowStage {
     }
 
     /// Stable short key — the name the stage graph, fault plans and
-    /// checkpoint tables address a stage by (`"route"`, `"signoff"`, …).
+    /// trace spans address a stage by (`"route"`, `"signoff"`, …).
     pub fn key(self) -> &'static str {
         match self {
             FlowStage::Library => "library",
@@ -202,15 +202,8 @@ pub enum FlowError {
         /// Human-readable fault description.
         detail: String,
     },
-    /// The flow completed but sign-off timing is not closed.
-    TimingNotClosed {
-        /// Worst negative slack at sign-off, ps.
-        wns_ps: f64,
-        /// Clock period the run targeted, ps.
-        clock_ps: f64,
-    },
-    /// A stage body panicked; the supervisor caught the unwind and feeds
-    /// the failure into the normal retry/degradation ladder.
+    /// A stage body panicked; the supervisor caught the unwind and ends
+    /// the run with this error instead.
     StagePanicked {
         /// Stage whose body unwound.
         stage: FlowStage,
@@ -225,39 +218,13 @@ pub enum FlowError {
         /// The budget that was exceeded, milliseconds.
         budget_ms: u64,
     },
-    /// A durable checkpoint file failed its integrity check (bad magic,
-    /// truncation, or content-hash mismatch). The file is quarantined
-    /// and resume falls back to the previous checkpoint, re-running the
-    /// affected stage instead of crashing.
-    CorruptCheckpoint {
-        /// Path of the quarantined (or unreadable) file.
-        path: String,
-        /// What failed to verify.
-        detail: String,
-    },
-    /// The process died at a stage entry (chaos-harness kill): nothing
-    /// was recorded for the stage and no checkpoint was written, exactly
-    /// like a SIGKILL between two stage completions.
-    Interrupted {
-        /// Stage whose entry the kill landed on.
-        stage: FlowStage,
-    },
     /// The run was cancelled cooperatively (a governor's cancel, or a
     /// run/point deadline observed through the [`crate::CancelToken`]
-    /// chain). Not retried: the supervisor unwinds immediately and the
-    /// executor maps it to a typed [`crate::PointOutcome`].
+    /// chain). The supervisor unwinds immediately and the executor maps
+    /// it to a typed [`crate::PointOutcome`].
     Cancelled {
         /// The stage the cancellation was observed in (or at entry to).
         stage: FlowStage,
-    },
-    /// An error restored from a checkpointed attempt log. The typed
-    /// original lived in the crashed process; only its rendering
-    /// survives the round-trip.
-    Restored {
-        /// Stage the original error was attributed to, when recorded.
-        stage: Option<FlowStage>,
-        /// The original error's `Display` rendering.
-        message: String,
     },
 }
 
@@ -277,22 +244,16 @@ impl FlowError {
             FlowError::Place(_) => Some(FlowStage::Placement),
             FlowError::Route(_) => Some(FlowStage::Routing),
             // STA/power/extraction/SPICE run inside several stages; the
-            // supervisor's attempt records carry the precise stage.
+            // supervisor's trace spans carry the precise stage.
             FlowError::Sta(_)
             | FlowError::Power(_)
             | FlowError::Extract(_)
             | FlowError::Spice(_) => None,
             FlowError::MissingArtifact { stage, .. } => Some(*stage),
             FlowError::Injected { stage, .. } => Some(*stage),
-            FlowError::TimingNotClosed { .. } => Some(FlowStage::SignOff),
             FlowError::StagePanicked { stage, .. } => Some(*stage),
             FlowError::DeadlineExceeded { stage, .. } => Some(*stage),
-            // A checkpoint is stage-agnostic on disk; the resume path
-            // reports which stage re-runs through the attempt records.
-            FlowError::CorruptCheckpoint { .. } => None,
-            FlowError::Interrupted { stage } => Some(*stage),
             FlowError::Cancelled { stage } => Some(*stage),
-            FlowError::Restored { stage, .. } => *stage,
         }
     }
 }
@@ -316,29 +277,15 @@ impl std::fmt::Display for FlowError {
             FlowError::Injected { stage, detail } => {
                 write!(f, "injected fault in {stage}: {detail}")
             }
-            FlowError::TimingNotClosed { wns_ps, clock_ps } => write!(
-                f,
-                "timing not closed at sign-off: WNS {wns_ps:.1} ps against a {clock_ps:.1} ps clock"
-            ),
             FlowError::StagePanicked { stage, payload } => {
                 write!(f, "stage {stage} panicked: {payload}")
             }
             FlowError::DeadlineExceeded { stage, budget_ms } => {
                 write!(f, "stage {stage} exceeded its {budget_ms} ms deadline")
             }
-            FlowError::CorruptCheckpoint { path, detail } => {
-                write!(f, "corrupt checkpoint '{path}': {detail}")
-            }
-            FlowError::Interrupted { stage } => {
-                write!(f, "run interrupted at entry to stage {stage}")
-            }
             FlowError::Cancelled { stage } => {
                 write!(f, "run cancelled at stage {stage}")
             }
-            FlowError::Restored { stage, message } => match stage {
-                Some(s) => write!(f, "restored from checkpoint (stage {s}): {message}"),
-                None => write!(f, "restored from checkpoint: {message}"),
-            },
         }
     }
 }
@@ -357,13 +304,9 @@ impl std::error::Error for FlowError {
             FlowError::Spice(e) => Some(e),
             FlowError::MissingArtifact { .. }
             | FlowError::Injected { .. }
-            | FlowError::TimingNotClosed { .. }
             | FlowError::StagePanicked { .. }
             | FlowError::DeadlineExceeded { .. }
-            | FlowError::CorruptCheckpoint { .. }
-            | FlowError::Interrupted { .. }
-            | FlowError::Cancelled { .. }
-            | FlowError::Restored { .. } => None,
+            | FlowError::Cancelled { .. } => None,
         }
     }
 }

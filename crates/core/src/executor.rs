@@ -28,7 +28,6 @@
 //! partition would leave workers idle behind the slowest stripe.
 
 use std::collections::{HashSet, VecDeque};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -40,7 +39,7 @@ use crate::cache::{ArtifactCache, FlowKey};
 use crate::error::FlowError;
 use crate::faultinject::FaultPlan;
 use crate::flow::{run_cached, FlowConfig, FlowResult};
-use crate::govern::{self, CancelCause, CancelToken, PointOutcome, RunGovernor};
+use crate::govern::{CancelCause, CancelToken, PointOutcome, RunGovernor};
 use crate::observe::EventKind;
 
 /// One point of the experiment matrix: a full flow run.
@@ -185,11 +184,8 @@ pub struct GovernedReport {
     /// Per-worker accounting, indexed by worker id.
     pub workers: Vec<WorkerReport>,
     /// Plan points never started because of a drain, in plan order
-    /// (empty unless the run drained).
+    /// (empty unless the run drained): what a later run still has to do.
     pub remainder: Vec<PlanPoint>,
-    /// Where the remainder was persisted, when the governor carries a
-    /// drain directory and the save succeeded.
-    pub remainder_path: Option<PathBuf>,
 }
 
 impl GovernedReport {
@@ -296,11 +292,10 @@ impl ParallelExecutor {
     ///
     /// Workers check the governor between points: on cancel or deadline
     /// they stop popping and the in-flight point stops at its stage's
-    /// next [`govern::check`]; on
+    /// next [`crate::govern::check`]; on
     /// [`RunGovernor::drain`] they finish their in-flight point and
     /// stop. Slots never started get a typed [`PointOutcome`], and a
-    /// drain's unstarted remainder is persisted through the checkpoint
-    /// codec when the governor carries a drain directory.
+    /// clean drain lists them in [`GovernedReport::remainder`].
     pub fn run_governed(&self, plan: &ExperimentPlan, gov: &RunGovernor) -> GovernedReport {
         let n = plan.len();
         if n == 0 {
@@ -309,7 +304,6 @@ impl ParallelExecutor {
                 wall_s: 0.0,
                 workers: Vec::new(),
                 remainder: Vec::new(),
-                remainder_path: None,
             };
         }
         gov.arm();
@@ -450,15 +444,6 @@ impl ParallelExecutor {
                 }
             }
         }
-        let mut remainder_path = None;
-        if clean_drain {
-            if let Some(dir) = gov.drain_dir() {
-                let path = dir.join(govern::REMAINDER_FILE);
-                if govern::save_remainder(&path, &remainder).is_ok() {
-                    remainder_path = Some(path);
-                }
-            }
-        }
         if draining && recorder.enabled() {
             recorder.record(EventKind::DrainFinished {
                 pending: remainder.len() as u64,
@@ -470,7 +455,6 @@ impl ParallelExecutor {
             wall_s: t0.elapsed().as_secs_f64(),
             workers: reports,
             remainder,
-            remainder_path,
         }
     }
 

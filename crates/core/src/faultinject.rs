@@ -1,19 +1,18 @@
-//! Deterministic fault injection for the flow supervisor — the chaos
-//! half of the crash-only flow engine.
+//! Deterministic fault injection for the flow supervisor and the
+//! persistent store — the chaos half of the crash-only flow engine.
 //!
 //! A [`FaultPlan`] lists faults keyed by `(stage, invocation)`: the
 //! injector counts how many times each stage has been entered and fires
 //! the matching fault on that entry. Because the flow itself is
-//! deterministic, a plan makes an entire retry/degradation/recovery
-//! scenario reproducible — "placement fails once, then recovers" is
-//! `FaultPlan::new().fail_stage("place", 1)`.
+//! deterministic, a plan makes every containment scenario reproducible
+//! — "the second placement fails" is
+//! `FaultPlan::new().fail_stage("place", 2)` (placement runs once per
+//! floorplan round).
 //!
-//! Beyond the original typed-error faults, a plan can now inject every
-//! failure mode the containment machinery guards against
-//! ([`FaultKind`]):
+//! A plan can inject every failure mode the supervisor's containment
+//! guards against ([`FaultKind`]):
 //!
-//! * **`Error`** — the stage returns [`FlowError::Injected`] (the
-//!   original behavior);
+//! * **`Error`** — the stage returns [`FlowError::Injected`];
 //! * **`Panic`** — the stage body panics; the supervisor's
 //!   `catch_unwind` containment must convert it to
 //!   [`FlowError::StagePanicked`];
@@ -24,13 +23,11 @@
 //! * **`StuckStage`** — the stage wedges forever but parks on its
 //!   cancel token, so a cancel or blown budget stops it at once;
 //! * **`SlowStage`** — the stage stalls for the duration (cancellably),
-//!   then runs normally — a degraded-but-alive stage;
-//! * **`CorruptCheckpoint`** — the stage runs normally, then the newest
-//!   durable checkpoint file is bit-flipped, exercising hash-mismatch
-//!   quarantine on the next resume;
-//! * **`Kill`** — the run stops dead at the stage entry, with no attempt
-//!   record and no checkpoint write — a SIGKILL between two stage
-//!   completions, resumable via `FlowSupervisor::resume_from`.
+//!   then runs normally — a degraded-but-alive stage.
+//!
+//! A [`StoreFaultPlan`] does the same for the persistent store, keyed
+//! by publish count: torn writes, corrupted entries and lost
+//! permissions.
 //!
 //! Stages are addressed by the stage graph's names (`"route"`,
 //! `"signoff"`, … — see [`FlowStage::key`]) via [`FaultPlan::fail_stage`]
@@ -51,11 +48,6 @@ pub enum FaultKind {
     /// runs normally. A delay longer than the stage's budget fails the
     /// attempt with a deadline overrun when the sleep returns.
     Delay(Duration),
-    /// The stage runs normally; afterwards the newest checkpoint file is
-    /// corrupted in place (detected by hash mismatch on resume).
-    CorruptCheckpoint,
-    /// The run stops at the stage entry as if the process died there.
-    Kill,
     /// The stage wedges forever, but cooperatively: it parks on the
     /// attempt's cancel token and stops once the run is cancelled or
     /// the stage budget passes.
@@ -155,21 +147,6 @@ impl FaultPlan {
         )
     }
 
-    /// Corrupts the newest durable checkpoint file right after the
-    /// `invocation`-th entry of `stage` completes — the hash-mismatch
-    /// quarantine test vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a name no stage in the graph answers to.
-    pub fn corrupt_checkpoint_after(self, stage: &str, invocation: u32) -> Self {
-        self.push(
-            resolve(stage),
-            Some(invocation.max(1)),
-            FaultKind::CorruptCheckpoint,
-        )
-    }
-
     /// Wedges the stage named `stage` forever on its `invocation`-th
     /// entry: the attempt parks on its cancel token and only returns
     /// once the run is cancelled or the stage budget passes. With
@@ -201,18 +178,6 @@ impl FaultPlan {
             Some(invocation.max(1)),
             FaultKind::SlowStage(delay),
         )
-    }
-
-    /// Kills the run at the `invocation`-th entry of `stage`: the
-    /// supervisor returns immediately with `FlowError::Interrupted`,
-    /// no attempt is recorded and no checkpoint is written — exactly the
-    /// on-disk state a SIGKILL at that moment would leave.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a name no stage in the graph answers to.
-    pub fn kill_at(self, stage: &str, invocation: u32) -> Self {
-        self.push(resolve(stage), Some(invocation.max(1)), FaultKind::Kill)
     }
 
     /// True when the plan contains no faults.
@@ -427,13 +392,11 @@ mod tests {
 
     #[test]
     fn chaos_kinds_carry_through_the_injector() {
-        let mut inj = FaultInjector::new(
-            FaultPlan::new()
-                .panic_stage("place", 1)
-                .delay_stage("route", 1, Duration::from_millis(7))
-                .corrupt_checkpoint_after("postroute", 1)
-                .kill_at("signoff", 1),
-        );
+        let mut inj = FaultInjector::new(FaultPlan::new().panic_stage("place", 1).delay_stage(
+            "route",
+            1,
+            Duration::from_millis(7),
+        ));
         assert_eq!(
             inj.tick(FlowStage::Placement).map(|f| f.kind),
             Some(FaultKind::Panic)
@@ -441,14 +404,6 @@ mod tests {
         assert_eq!(
             inj.tick(FlowStage::Routing).map(|f| f.kind),
             Some(FaultKind::Delay(Duration::from_millis(7)))
-        );
-        assert_eq!(
-            inj.tick(FlowStage::PostRouteOpt).map(|f| f.kind),
-            Some(FaultKind::CorruptCheckpoint)
-        );
-        assert_eq!(
-            inj.tick(FlowStage::SignOff).map(|f| f.kind),
-            Some(FaultKind::Kill)
         );
     }
 

@@ -1,8 +1,8 @@
 //! The flow façade: configuration, result type, and the thin [`Flow`]
 //! wrapper over the stage graph.
 //!
-//! Stage bodies live in [`crate::stage`]; sequencing, retry and
-//! degradation live in [`crate::supervisor`]; memoization lives in
+//! Stage bodies live in [`crate::stage`]; sequencing and containment
+//! live in [`crate::supervisor`]; memoization lives in
 //! [`crate::cache`]. This module keeps the public entry points
 //! (`Flow::run` / `try_run`) plus the numerical helpers the stages
 //! share (net-model estimation, extraction, move application).
@@ -25,7 +25,7 @@ use crate::cache::ArtifactCache;
 use crate::error::{ConfigError, FlowError};
 use crate::faultinject::FaultPlan;
 use crate::govern::CancelToken;
-use crate::supervisor::{FlowSupervisor, SupervisorPolicy};
+use crate::supervisor::FlowSupervisor;
 
 /// Configuration of one full-flow run — every knob the paper sweeps.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -223,8 +223,7 @@ impl FlowResult {
 
 /// The resolved run environment: validated knobs, characterized library
 /// (shared through the [`ArtifactCache`]), metal stack. Built once by
-/// the library stage; the supervisor mutates the effective `clock_ps` /
-/// `utilization` / `opt_passes` when walking its degradation ladder.
+/// the library stage and read by every later one.
 #[derive(Debug, Clone)]
 pub(crate) struct FlowEnv {
     pub(crate) node: TechNode,
@@ -287,11 +286,9 @@ impl Flow {
     /// Checks the process-wide [`ArtifactCache`] first: a flow point
     /// already signed off under an equivalent configuration returns the
     /// stored (bit-identical) result without re-running any stage. On a
-    /// miss, executes exactly the stage sequence [`Flow::run`] executes
-    /// — one attempt per stage, no recovery — and stores the result.
-    /// Supervised retry, checkpointed resume, and the degradation
-    /// ladder live in [`crate::FlowSupervisor`], which drives the same
-    /// stage graph.
+    /// miss, runs the stage graph through [`crate::FlowSupervisor`] —
+    /// each stage once, contained and under its deadline — and stores
+    /// the result.
     ///
     /// # Errors
     ///
@@ -321,9 +318,9 @@ impl Flow {
 
 /// The cached-run contract every flow entry point shares — [`Flow`],
 /// the executor's plan points and `m3d-serve` requests: validate the
-/// knobs, return a result-cache hit, else run the strict supervisor
-/// (under `cancel` and with `faults` planted, when given) and store
-/// what closes.
+/// knobs, return a result-cache hit, else run the supervisor (under
+/// `cancel` and with `faults` planted, when given) and store what
+/// closes.
 ///
 /// Validation comes before the lookup so degenerate configs always
 /// surface as errors and never touch the key space.
@@ -339,16 +336,14 @@ pub(crate) fn run_cached(
     if let Some(hit) = cache.lookup_result(bench, style, config) {
         return Ok(hit);
     }
-    let mut sup = FlowSupervisor::new(bench, style, config.clone())
-        .policy(SupervisorPolicy::strict())
-        .with_cache(Arc::clone(cache));
+    let mut sup = FlowSupervisor::new(bench, style, config.clone()).with_cache(Arc::clone(cache));
     if let Some(tok) = cancel {
         sup = sup.with_cancel(tok.clone());
     }
     if !faults.is_empty() {
         sup = sup.with_faults(faults.clone());
     }
-    let result = sup.run().into_result()?;
+    let result = sup.run()?;
     cache.store_result(bench, style, config, &result);
     Ok(result)
 }

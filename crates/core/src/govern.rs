@@ -10,44 +10,33 @@
 //!
 //! * [`CancelToken`] — a shared cancellation point (atomic flag +
 //!   condvar wakeup + optional deadline). Every deadline in the engine
-//!   lives on one token tree: run token → point token → stage-attempt
-//!   token. Cancelling a token cancels everything derived from it; a
-//!   stage budget armed on an attempt token stops that attempt alone.
+//!   lives on one token tree: run token → point token → stage token.
+//!   Cancelling a token cancels everything derived from it; a stage
+//!   budget armed on a stage token stops that stage's run.
 //! * [`check`] — the cooperative stop point. The supervisor installs
-//!   each attempt's token on the calling thread ([`install`]); stage
+//!   each stage's token on the calling thread ([`install`]); stage
 //!   bodies call `check` between algorithm calls and the cache's
-//!   `BuildCell` wait polls it, so a cancelled or over-budget attempt
+//!   `BuildCell` wait polls it, so a cancelled or over-budget stage
 //!   stops at its next check. No thread is ever detached.
 //! * [`RunGovernor`] — the per-run policy bundle: the run token, a
 //!   whole-run deadline, a per-point deadline, and the drain switch.
 //!   [`crate::ParallelExecutor::run_governed`] consumes one and returns
 //!   partial results — completed slots intact, pending slots a typed
-//!   [`PointOutcome`].
-//! * Drain persistence — [`save_remainder`] / [`load_remainder`] carry
-//!   the unstarted tail of a drained plan in the shared durable frame
-//!   (DESIGN.md §9), so a later process resumes exactly the points this
-//!   one never started.
+//!   [`PointOutcome`], and a drain's unstarted points listed in the
+//!   report for the caller to run again.
 //!
 //! **Cancellation purity.** A cancelled run publishes nothing torn: flow
-//! results enter the caches only after sign-off, and a cancelled stage
-//! attempt restores the pre-attempt artifact state, so re-running a
-//! cancelled plan over the same memory+disk caches is bit-identical to
-//! a run that was never cancelled (`tests/govern.rs` pins this).
+//! results enter the caches only after sign-off, and a cancelled flow
+//! drops its working state, so re-running a cancelled plan over the
+//! same memory+disk caches is bit-identical to a run that was never
+//! cancelled (`tests/govern.rs` pins this).
 
 use std::cell::RefCell;
-use std::fs;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::checkpoint::{dec_config, enc_config};
-use crate::codec::{
-    dec_benchmark, dec_style, enc_benchmark, enc_style, frame, unframe, write_atomic, Dec,
-    DecResult, DecodeError, Enc,
-};
 use crate::error::{FlowError, FlowStage};
-use crate::executor::{ExperimentPlan, PlanPoint};
 use crate::flow::FlowResult;
 
 /// Why a token reports itself cancelled.
@@ -111,8 +100,9 @@ impl CancelToken {
     /// A child token: cancelled whenever this token is, but cancellable
     /// (and deadline-armable) on its own without affecting the parent.
     /// The executor derives one per plan point; the supervisor derives
-    /// one per stage attempt and arms the stage budget on it, so a blown
-    /// budget stops that attempt while the run carries on.
+    /// one per stage and arms the stage budget on it, so a blown budget
+    /// types the stage's failure as a deadline overrun rather than a
+    /// cancel of the whole run.
     pub fn child(&self) -> CancelToken {
         CancelToken {
             inner: Arc::new(TokenInner {
@@ -223,8 +213,8 @@ impl Drop for TokenGuard {
 }
 
 /// Installs `token` as the calling thread's current cancellation point
-/// until the returned guard drops. The supervisor installs each stage
-/// attempt's token around the stage body, which is how the stage loops
+/// until the returned guard drops. The supervisor installs each stage's
+/// token around the stage body, which is how the stage loops
 /// and deep waits — the cache's `BuildCell` coalescing wait in
 /// particular — see it without threading a token through every
 /// signature.
@@ -237,7 +227,7 @@ pub fn install(token: CancelToken) -> TokenGuard {
 /// calling thread's installed token is cancelled or past a deadline,
 /// `Ok` otherwise (and always `Ok` with no token installed). Reads the
 /// token in place, without cloning it. The supervisor replaces the
-/// error with the token's typed cause when the attempt returns.
+/// error with the token's typed cause when the stage returns.
 ///
 /// # Errors
 ///
@@ -271,7 +261,7 @@ pub enum PointOutcome {
     /// completed.
     DeadlineExceeded,
     /// A drain stopped the run before this point started; the point is
-    /// part of the persisted remainder.
+    /// listed in [`crate::GovernedReport::remainder`].
     Drained,
 }
 
@@ -308,8 +298,8 @@ impl PointOutcome {
 /// The policy bundle one governed run executes under: cancellation,
 /// run and point deadlines, drain, and an optional fault plan for the
 /// chaos harness. Per-stage budgets stay with the supervisor
-/// ([`crate::SupervisorPolicy::deadlines`]), armed on each attempt's
-/// child of the point token.
+/// ([`crate::StageDeadlines`]), armed on each stage's child of the
+/// point token.
 ///
 /// Clones share the live state (the token and the drain switch) and
 /// copy the policy, so a service thread can hold a clone and
@@ -321,7 +311,6 @@ pub struct RunGovernor {
     draining: Arc<AtomicBool>,
     run_deadline: Option<Duration>,
     point_deadline: Option<Duration>,
-    drain_dir: Option<std::path::PathBuf>,
     faults: crate::faultinject::FaultPlan,
 }
 
@@ -346,14 +335,6 @@ impl RunGovernor {
         self
     }
 
-    /// Where a drain persists the unstarted plan remainder
-    /// (`plan-remainder.m3d` under `dir`); without it the remainder is
-    /// only reported in the [`crate::GovernedReport`].
-    pub fn with_drain_dir(mut self, dir: impl AsRef<Path>) -> Self {
-        self.drain_dir = Some(dir.as_ref().to_path_buf());
-        self
-    }
-
     /// Arms a deterministic fault plan applied to every governed point
     /// (test harness; see [`crate::FaultPlan`]).
     pub fn with_faults(mut self, faults: crate::faultinject::FaultPlan) -> Self {
@@ -373,8 +354,8 @@ impl RunGovernor {
     }
 
     /// Starts a graceful drain: workers finish their in-flight points,
-    /// start nothing new, and the unstarted remainder is persisted when
-    /// a drain directory is configured.
+    /// start nothing new, and the unstarted points are reported as the
+    /// run's remainder.
     pub fn drain(&self) {
         self.draining.store(true, Ordering::Release);
     }
@@ -411,103 +392,14 @@ impl RunGovernor {
         tok
     }
 
-    pub(crate) fn drain_dir(&self) -> Option<&Path> {
-        self.drain_dir.as_deref()
-    }
-
     pub(crate) fn faults(&self) -> &crate::faultinject::FaultPlan {
         &self.faults
     }
 }
 
-// ---------------------------------------------------------------------
-// Drain persistence
-// ---------------------------------------------------------------------
-
-/// File magic of a persisted plan remainder (version 1).
-const PLAN_MAGIC: &[u8; 8] = b"M3DPLAN1";
-
-/// Tag of the single remainder section.
-const TAG_POINTS: u8 = 1;
-
-/// The file name [`crate::ParallelExecutor::run_governed`] persists a
-/// drain remainder under (inside the governor's drain directory).
-pub const REMAINDER_FILE: &str = "plan-remainder.m3d";
-
-fn corrupt(path: &Path, detail: String) -> FlowError {
-    FlowError::CorruptCheckpoint {
-        path: path.display().to_string(),
-        detail,
-    }
-}
-
-/// Persists the unstarted tail of a drained plan in the durable frame
-/// built by `codec::frame` (DESIGN.md §9) under the magic `M3DPLAN1`,
-/// its points encoded by the checkpoint codec's config encoder. Returns
-/// the encoded size in bytes. The write goes through
-/// `codec::write_atomic`, so a crash mid-drain leaves either the old
-/// remainder or the new one, never a torn file.
-///
-/// # Errors
-///
-/// [`FlowError::CorruptCheckpoint`] on any I/O failure.
-pub fn save_remainder(path: &Path, points: &[PlanPoint]) -> Result<u64, FlowError> {
-    let mut body = Enc::default();
-    body.usize(points.len());
-    for p in points {
-        enc_benchmark(&mut body, p.bench);
-        enc_style(&mut body, p.style);
-        enc_config(&mut body, &p.config);
-    }
-    let file = frame(PLAN_MAGIC, &[(TAG_POINTS, &body.buf)]);
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir).map_err(|e| corrupt(path, format!("create dir: {e}")))?;
-    }
-    write_atomic(path, &file).map_err(|e| corrupt(path, format!("write: {e}")))?;
-    Ok(file.len() as u64)
-}
-
-/// Loads a persisted plan remainder back into an [`ExperimentPlan`]
-/// (dedup still applies), verifying the whole frame.
-///
-/// # Errors
-///
-/// [`FlowError::CorruptCheckpoint`] when the file is missing, truncated,
-/// carries trailing bytes or fails verification.
-pub fn load_remainder(path: &Path) -> Result<ExperimentPlan, FlowError> {
-    let decode = || -> DecResult<ExperimentPlan> {
-        let bytes = fs::read(path).map_err(|e| DecodeError(format!("read: {e}")))?;
-        let [body] = unframe(&bytes, PLAN_MAGIC, [TAG_POINTS])?;
-        let mut d = Dec::new(body);
-        let count = d.usize()?;
-        let mut plan = ExperimentPlan::new();
-        for _ in 0..count {
-            let bench = dec_benchmark(&mut d)?;
-            let style = dec_style(&mut d)?;
-            plan.push(bench, style, dec_config(&mut d)?);
-        }
-        d.finish()?;
-        Ok(plan)
-    };
-    decode().map_err(|e| corrupt(path, e.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m3d_netlist::{BenchScale, Benchmark};
-    use m3d_tech::{DesignStyle, NodeId};
-
-    use crate::codec::content_hash;
-    use crate::flow::FlowConfig;
-
-    fn point(bench: Benchmark, style: DesignStyle) -> PlanPoint {
-        PlanPoint {
-            bench,
-            style,
-            config: FlowConfig::new(NodeId::N45).scale(BenchScale::Small),
-        }
-    }
 
     #[test]
     fn explicit_cancel_beats_deadline_and_reaches_children() {
@@ -602,77 +494,5 @@ mod tests {
         assert!(child.wait_cancelled_for(Duration::from_secs(30)));
         assert!(t0.elapsed() < WAKE_SLICE);
         assert_eq!(child.cause(), Some(CancelCause::DeadlineExceeded));
-    }
-
-    #[test]
-    fn remainder_round_trips_through_the_codec() {
-        let dir = std::env::temp_dir().join(format!(
-            "m3d-govern-remainder-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let path = dir.join(REMAINDER_FILE);
-        let points = vec![
-            point(Benchmark::Ldpc, DesignStyle::TwoD),
-            point(Benchmark::Ldpc, DesignStyle::Tmi),
-            point(Benchmark::Des, DesignStyle::TwoD),
-        ];
-        let bytes = save_remainder(&path, &points).expect("persists");
-        assert!(bytes > 0);
-        let plan = load_remainder(&path).expect("loads");
-        assert_eq!(plan.len(), 3);
-        for (got, want) in plan.points().iter().zip(&points) {
-            assert_eq!(got, want, "points round-trip bit-exactly");
-        }
-        // A flipped payload byte is a typed error, not a panic.
-        let mut bad = fs::read(&path).expect("read back");
-        let last = bad.len() - 1;
-        bad[last] ^= 0x01;
-        fs::write(&path, &bad).expect("write corrupt");
-        assert!(matches!(
-            load_remainder(&path),
-            Err(FlowError::CorruptCheckpoint { .. })
-        ));
-        // So is a valid file with one byte appended.
-        save_remainder(&path, &points).expect("persists");
-        let mut trailing = fs::read(&path).expect("read back");
-        trailing.push(0);
-        fs::write(&path, &trailing).expect("write trailing");
-        assert!(matches!(
-            load_remainder(&path),
-            Err(FlowError::CorruptCheckpoint { .. })
-        ));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// Pins the whole remainder file image: any change to the frame or
-    /// the point codec moves this hash.
-    #[test]
-    fn remainder_file_image_is_pinned() {
-        let dir = std::env::temp_dir().join(format!(
-            "m3d-govern-pin-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let path = dir.join(REMAINDER_FILE);
-        let points = vec![
-            point(Benchmark::Ldpc, DesignStyle::TwoD),
-            point(Benchmark::Ldpc, DesignStyle::Tmi),
-            point(Benchmark::Des, DesignStyle::TwoD),
-        ];
-        let len = save_remainder(&path, &points).expect("persists");
-        let bytes = fs::read(&path).expect("read back");
-        assert_eq!(bytes.len() as u64, len);
-        assert_eq!(content_hash(&bytes), 0x85b6_2846_ffdf_cae6);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_remainder_is_a_typed_error() {
-        let path = Path::new("/nonexistent-m3d-govern/plan-remainder.m3d");
-        assert!(matches!(
-            load_remainder(path),
-            Err(FlowError::CorruptCheckpoint { .. })
-        ));
     }
 }

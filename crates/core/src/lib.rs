@@ -36,20 +36,21 @@
 //! Failure handling: every stage has a fallible entry point whose errors
 //! unify into [`FlowError`] ([`error`]); [`Flow::try_run`] reports the
 //! first failing stage instead of panicking; [`FlowSupervisor`]
-//! ([`supervisor`]) adds bounded retry with checkpointed resume and a
-//! degradation ladder, and [`faultinject`] plants deterministic faults —
-//! addressed to stages by name — to test that machinery.
+//! ([`supervisor`]) runs each stage once under panic containment and a
+//! per-stage deadline, and [`faultinject`] plants deterministic faults —
+//! addressed to stages by name — to test that containment. A killed
+//! process recovers through the persistent [`DiskStore`] ([`store`]):
+//! the flows it completed are verified hits on the next run.
 //!
 //! Governance: [`govern`] layers a resource governor over the executor —
 //! a [`CancelToken`] tree threaded through workers, stage attempts and
 //! cache build waits; run/point deadline budgets returning typed
 //! partial results ([`PointOutcome`]); and [`RunGovernor::drain`],
-//! which finishes in-flight points and persists the unstarted
-//! remainder for a later process to resume.
+//! which finishes in-flight points and reports the unstarted ones.
 //!
 //! Observability: the supervisor, cache and executor emit typed events
-//! (stage spans with wall/busy durations, retries, degradation rungs,
-//! checkpoint writes/resumes, cache traffic, work stealing) into a
+//! (stage spans with wall/busy durations, cache and store traffic,
+//! governance decisions, work stealing) into a
 //! pluggable [`observe::Recorder`] — JSONL traces, in-memory capture
 //! for tests, or a [`observe::MetricsRegistry`] summarizing a run as a
 //! [`observe::RunReport`]. Attach one with
@@ -75,7 +76,6 @@
 
 pub mod artifacts;
 pub mod cache;
-pub mod checkpoint;
 mod codec;
 mod compare;
 pub mod error;
@@ -93,7 +93,6 @@ pub mod supervisor;
 
 pub use artifacts::FlowContext;
 pub use cache::{ArtifactCache, CacheStats, FlowKey, LibraryKey};
-pub use checkpoint::CheckpointStore;
 pub use compare::Comparison;
 pub use error::StoreFailure;
 pub use error::{ConfigError, FlowError, FlowStage};
@@ -106,10 +105,7 @@ pub use faultinject::{
 };
 pub use flow::{default_clock_scale_at, Flow, FlowConfig, FlowResult};
 pub use flow::{estimate_models, extraction_models, try_extraction_models};
-pub use govern::{
-    load_remainder, save_remainder, CancelCause, CancelToken, PointOutcome, RunGovernor,
-    REMAINDER_FILE,
-};
+pub use govern::{CancelCause, CancelToken, PointOutcome, RunGovernor};
 pub use observe::{
     escape_json_into, json_raw_field, json_str_field, unescape_json, CacheKind, Event, EventKind,
     JsonlRecorder, MetricsRegistry, NullRecorder, Recorder, RunReport, StageOutcome, Tee,
@@ -117,7 +113,4 @@ pub use observe::{
 };
 pub use stage::{Stage, StageGraph};
 pub use store::{DiskCounters, DiskStore};
-pub use supervisor::{
-    AttemptRecord, Disposition, FlowReport, FlowSupervisor, Relaxation, StageDeadlines,
-    SupervisorPolicy,
-};
+pub use supervisor::{FlowSupervisor, StageDeadlines};

@@ -2,8 +2,8 @@
 //! run reports (DESIGN.md §11).
 //!
 //! The supervisor, cache and executor emit typed [`EventKind`]s at every
-//! decision point — stage spans, retries, degradation rungs, checkpoint
-//! writes and resumes, cache traffic, work stealing — into whatever
+//! decision point — stage spans, cache and store traffic, governance
+//! decisions, work stealing — into whatever
 //! [`Recorder`] the run attached. Recorders are deliberately dumb sinks:
 //!
 //! * [`NullRecorder`] — the default; `enabled()` is `false`, so emit
@@ -65,15 +65,12 @@ impl CacheKind {
 pub enum StageOutcome {
     /// The stage ran to completion.
     Ok,
-    /// The stage returned a flow error (retryable or not).
+    /// The stage returned a flow error.
     Failed,
     /// The stage worker panicked and was contained.
     Panicked,
     /// The stage overran its deadline budget and was stopped.
     TimedOut,
-    /// The process "died" at stage entry (kill fault); never paired
-    /// with a start — kills model SIGKILL, which leaves no trace.
-    Interrupted,
     /// The stage was cancelled cooperatively (governor cancel or a
     /// run/point deadline): the span opened normally and closes here.
     Cancelled,
@@ -87,7 +84,6 @@ impl StageOutcome {
             StageOutcome::Failed => "failed",
             StageOutcome::Panicked => "panicked",
             StageOutcome::TimedOut => "timed_out",
-            StageOutcome::Interrupted => "interrupted",
             StageOutcome::Cancelled => "cancelled",
         }
     }
@@ -97,7 +93,6 @@ impl StageOutcome {
         match err {
             FlowError::StagePanicked { .. } => StageOutcome::Panicked,
             FlowError::DeadlineExceeded { .. } => StageOutcome::TimedOut,
-            FlowError::Interrupted { .. } => StageOutcome::Interrupted,
             FlowError::Cancelled { .. } => StageOutcome::Cancelled,
             _ => StageOutcome::Failed,
         }
@@ -109,15 +104,12 @@ impl StageOutcome {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// A stage span opened: the supervisor is about to run `stage` for
-    /// `(bench, style)` at degradation rung `rung`, attempt `attempt`
-    /// (1-based). `consumes` lists the artifact names the stage
+    /// `(bench, style)`. `consumes` lists the artifact names the stage
     /// declares it reads — the consumed-key fields of the span.
     StageStarted {
         bench: Benchmark,
         style: DesignStyle,
         stage: FlowStage,
-        rung: u32,
-        attempt: u32,
         consumes: &'static [&'static str],
     },
     /// The span's terminal event: same identity fields as the start,
@@ -128,40 +120,9 @@ pub enum EventKind {
         bench: Benchmark,
         style: DesignStyle,
         stage: FlowStage,
-        rung: u32,
-        attempt: u32,
         outcome: StageOutcome,
         wall_s: f64,
         busy_s: f64,
-    },
-    /// A failed attempt is eligible for retry: `next_attempt` will run
-    /// after artifact-state restoration.
-    RetryScheduled {
-        bench: Benchmark,
-        style: DesignStyle,
-        stage: FlowStage,
-        next_attempt: u32,
-    },
-    /// The supervisor exhausted a rung and is entering `rung` of the
-    /// degradation ladder.
-    DegradationRungEntered {
-        bench: Benchmark,
-        style: DesignStyle,
-        rung: u32,
-    },
-    /// A durable checkpoint was persisted at `cursor` (`bytes` encoded).
-    CheckpointWritten {
-        bench: Benchmark,
-        style: DesignStyle,
-        cursor: &'static str,
-        bytes: u64,
-    },
-    /// A run restored state from a checkpoint at `cursor`; emitted
-    /// before any live stage of the resumed run.
-    CheckpointResumed {
-        bench: Benchmark,
-        style: DesignStyle,
-        cursor: &'static str,
     },
     /// A cache request was served from a resident (or freshly
     /// coalesced) artifact.
@@ -196,7 +157,7 @@ pub enum EventKind {
     },
     /// A durable file failed verification and was moved into
     /// `quarantine/` instead of being served (`what` names the payload:
-    /// `"library"`, `"flow"` or `"checkpoint"`).
+    /// `"library"` or `"flow"`).
     DiskQuarantined { what: &'static str },
     /// The persistent store hit an I/O failure and degraded to the
     /// in-memory tier for the rest of the run (emitted once per store;
@@ -223,8 +184,7 @@ pub enum EventKind {
     /// A graceful drain began: workers finish in-flight points and
     /// start nothing new.
     DrainStarted,
-    /// The drain completed; `pending` unstarted points form the
-    /// persisted remainder.
+    /// The drain completed; `pending` points were never started.
     DrainFinished { pending: u64 },
 }
 
@@ -235,10 +195,6 @@ impl EventKind {
         match self {
             EventKind::StageStarted { .. } => "stage_started",
             EventKind::StageFinished { .. } => "stage_finished",
-            EventKind::RetryScheduled { .. } => "retry_scheduled",
-            EventKind::DegradationRungEntered { .. } => "degradation_rung_entered",
-            EventKind::CheckpointWritten { .. } => "checkpoint_written",
-            EventKind::CheckpointResumed { .. } => "checkpoint_resumed",
             EventKind::CacheHit { .. } => "cache_hit",
             EventKind::CacheMiss { .. } => "cache_miss",
             EventKind::CacheCoalesced { .. } => "cache_coalesced",
@@ -396,7 +352,7 @@ impl Recorder for VecRecorder {
 /// The schema is flat: the stamp fields (`seq`, `thread`, `t_s`), the
 /// discriminant (`kind`), then the variant's fields. Every string the
 /// engine emits is a static identifier (stage keys, bench names,
-/// cursor tags), so values are written verbatim — [`validate_jsonl`]
+/// outcome keys), so values are written verbatim — [`validate_jsonl`]
 /// and the `trace_check` binary parse this exact shape back.
 pub struct JsonlRecorder {
     stamps: Stamps,
@@ -561,7 +517,7 @@ fn kv_str(buf: &mut String, name: &str, value: &str) {
 /// trailing newline). Field order is fixed: stamps, kind, payload.
 /// Every string value is escaped via [`escape_json_into`]; the engine's
 /// own values are static identifiers today, but nothing here trusts
-/// that — a bench name or cursor tag carrying `"`, `\` or a control
+/// that — a bench name or outcome key carrying `"`, `\` or a control
 /// character serializes to a valid line instead of corrupting the
 /// trace.
 pub fn write_event_json(buf: &mut String, ev: &Event) {
@@ -577,14 +533,12 @@ pub fn write_event_json(buf: &mut String, ev: &Event) {
             bench,
             style,
             stage,
-            rung,
-            attempt,
             consumes,
         } => {
             kv_str(buf, "bench", bench.name());
             kv_str(buf, "style", style.label());
             kv_str(buf, "stage", stage.key());
-            let _ = write!(buf, ",\"rung\":{rung},\"attempt\":{attempt},\"consumes\":[");
+            buf.push_str(",\"consumes\":[");
             for (i, c) in consumes.iter().enumerate() {
                 if i > 0 {
                     buf.push(',');
@@ -599,8 +553,6 @@ pub fn write_event_json(buf: &mut String, ev: &Event) {
             bench,
             style,
             stage,
-            rung,
-            attempt,
             outcome,
             wall_s,
             busy_s,
@@ -608,45 +560,8 @@ pub fn write_event_json(buf: &mut String, ev: &Event) {
             kv_str(buf, "bench", bench.name());
             kv_str(buf, "style", style.label());
             kv_str(buf, "stage", stage.key());
-            let _ = write!(buf, ",\"rung\":{rung},\"attempt\":{attempt}");
             kv_str(buf, "outcome", outcome.key());
             let _ = write!(buf, ",\"wall_s\":{wall_s:.6},\"busy_s\":{busy_s:.6}");
-        }
-        EventKind::RetryScheduled {
-            bench,
-            style,
-            stage,
-            next_attempt,
-        } => {
-            kv_str(buf, "bench", bench.name());
-            kv_str(buf, "style", style.label());
-            kv_str(buf, "stage", stage.key());
-            let _ = write!(buf, ",\"next_attempt\":{next_attempt}");
-        }
-        EventKind::DegradationRungEntered { bench, style, rung } => {
-            kv_str(buf, "bench", bench.name());
-            kv_str(buf, "style", style.label());
-            let _ = write!(buf, ",\"rung\":{rung}");
-        }
-        EventKind::CheckpointWritten {
-            bench,
-            style,
-            cursor,
-            bytes,
-        } => {
-            kv_str(buf, "bench", bench.name());
-            kv_str(buf, "style", style.label());
-            kv_str(buf, "cursor", cursor);
-            let _ = write!(buf, ",\"bytes\":{bytes}");
-        }
-        EventKind::CheckpointResumed {
-            bench,
-            style,
-            cursor,
-        } => {
-            kv_str(buf, "bench", bench.name());
-            kv_str(buf, "style", style.label());
-            kv_str(buf, "cursor", cursor);
         }
         EventKind::CacheHit { kind }
         | EventKind::CacheMiss { kind }
@@ -826,13 +741,8 @@ impl MetricsRegistry {
                 StageOutcome::Failed => "stage_finished_failed",
                 StageOutcome::Panicked => "stage_finished_panicked",
                 StageOutcome::TimedOut => "stage_finished_timed_out",
-                StageOutcome::Interrupted => "stage_finished_interrupted",
                 StageOutcome::Cancelled => "stage_finished_cancelled",
             },
-            EventKind::RetryScheduled { .. } => "retry_scheduled",
-            EventKind::DegradationRungEntered { .. } => "degradation_rung_entered",
-            EventKind::CheckpointWritten { .. } => "checkpoint_written",
-            EventKind::CheckpointResumed { .. } => "checkpoint_resumed",
             EventKind::CacheHit { kind } => match kind {
                 CacheKind::Library => "cache_hit_library",
                 CacheKind::Flow => "cache_hit_flow",
@@ -1026,28 +936,20 @@ pub struct TraceSummary {
     pub cache_hits: u64,
     /// `cache_miss` events (both kinds).
     pub cache_misses: u64,
-    /// `checkpoint_written` events.
-    pub checkpoints_written: u64,
-    /// `checkpoint_resumed` events.
-    pub checkpoints_resumed: u64,
     /// `disk_hit` events (both kinds).
     pub disk_hits: u64,
     /// `disk_miss` events (both kinds).
     pub disk_misses: u64,
-    /// `disk_quarantined` events (libraries, flows and checkpoints).
+    /// `disk_quarantined` events (libraries and flows).
     pub disk_quarantined: u64,
     /// `store_degraded` events (at most one per store instance).
     pub store_degraded: u64,
 }
 
 /// Every event name the engine emits, for schema validation.
-const KNOWN_KINDS: [&str; 22] = [
+const KNOWN_KINDS: [&str; 18] = [
     "stage_started",
     "stage_finished",
-    "retry_scheduled",
-    "degradation_rung_entered",
-    "checkpoint_written",
-    "checkpoint_resumed",
     "cache_hit",
     "cache_miss",
     "cache_coalesced",
@@ -1165,7 +1067,7 @@ fn string_field(line: &str, name: &str, lineno: usize) -> Result<String, TraceEr
 /// parses, `seq` strictly increases, every `kind` is known, required
 /// per-kind fields are present, and stage spans balance — each
 /// `stage_finished` closes a matching open `stage_started` (keyed by
-/// bench/style/stage/rung/attempt) and nothing stays open at the end.
+/// bench/style/stage) and nothing stays open at the end.
 ///
 /// # Errors
 ///
@@ -1173,8 +1075,8 @@ fn string_field(line: &str, name: &str, lineno: usize) -> Result<String, TraceEr
 pub fn validate_jsonl(trace: &str) -> Result<TraceSummary, TraceError> {
     let mut summary = TraceSummary::default();
     let mut prev_seq: Option<u64> = None;
-    // Open span keys -> count (retries reuse attempt numbers only
-    // across rungs, so a multiset keeps the check exact anyway).
+    // Open span keys -> count: concurrent flows of one (bench, style)
+    // pair can hold the same stage open at once, so this is a multiset.
     let mut open: HashMap<String, u64> = HashMap::new();
     for (i, line) in trace.lines().enumerate() {
         let lineno = i + 1;
@@ -1215,12 +1117,10 @@ pub fn validate_jsonl(trace: &str) -> Result<TraceSummary, TraceError> {
         match kind.as_str() {
             "stage_started" | "stage_finished" => {
                 let span = format!(
-                    "{}/{}/{} rung {} attempt {}",
+                    "{}/{}/{}",
                     string_field(line, "bench", lineno)?,
                     string_field(line, "style", lineno)?,
                     string_field(line, "stage", lineno)?,
-                    u64_field(line, "rung", lineno)?,
-                    u64_field(line, "attempt", lineno)?,
                 );
                 if kind == "stage_started" {
                     str_field(line, "consumes", lineno)?;
@@ -1240,22 +1140,6 @@ pub fn validate_jsonl(trace: &str) -> Result<TraceSummary, TraceError> {
                         _ => return Err(TraceError::UnbalancedFinish { line: lineno, span }),
                     }
                 }
-            }
-            "retry_scheduled" => {
-                string_field(line, "stage", lineno)?;
-                u64_field(line, "next_attempt", lineno)?;
-            }
-            "degradation_rung_entered" => {
-                u64_field(line, "rung", lineno)?;
-            }
-            "checkpoint_written" => {
-                string_field(line, "cursor", lineno)?;
-                u64_field(line, "bytes", lineno)?;
-                summary.checkpoints_written += 1;
-            }
-            "checkpoint_resumed" => {
-                string_field(line, "cursor", lineno)?;
-                summary.checkpoints_resumed += 1;
             }
             "cache_hit" | "cache_miss" | "cache_coalesced" => {
                 string_field(line, "cache", lineno)?;
@@ -1328,24 +1212,20 @@ pub fn validate_jsonl(trace: &str) -> Result<TraceSummary, TraceError> {
 mod tests {
     use super::*;
 
-    fn started(stage: FlowStage, attempt: u32) -> EventKind {
+    fn started(stage: FlowStage) -> EventKind {
         EventKind::StageStarted {
             bench: Benchmark::Des,
             style: DesignStyle::TwoD,
             stage,
-            rung: 0,
-            attempt,
             consumes: &["netlist", "wlm"],
         }
     }
 
-    fn finished(stage: FlowStage, attempt: u32, outcome: StageOutcome) -> EventKind {
+    fn finished(stage: FlowStage, outcome: StageOutcome) -> EventKind {
         EventKind::StageFinished {
             bench: Benchmark::Des,
             style: DesignStyle::TwoD,
             stage,
-            rung: 0,
-            attempt,
             outcome,
             wall_s: 0.25,
             busy_s: 0.125,
@@ -1355,11 +1235,11 @@ mod tests {
     #[test]
     fn vec_recorder_stamps_monotonic_sequence() {
         let rec = VecRecorder::new();
-        rec.record(started(FlowStage::Synthesis, 1));
+        rec.record(started(FlowStage::Synthesis));
         rec.record(EventKind::CacheHit {
             kind: CacheKind::Library,
         });
-        rec.record(finished(FlowStage::Synthesis, 1, StageOutcome::Ok));
+        rec.record(finished(FlowStage::Synthesis, StageOutcome::Ok));
         let evs = rec.events();
         assert_eq!(evs.len(), 3);
         for (i, ev) in evs.iter().enumerate() {
@@ -1384,8 +1264,8 @@ mod tests {
         let a = Arc::new(VecRecorder::new());
         let b = Arc::new(MetricsRegistry::new());
         let tee = Tee::new(Arc::clone(&a) as Arc<dyn Recorder>, Arc::clone(&b) as _);
-        tee.record(started(FlowStage::Placement, 1));
-        tee.record(finished(FlowStage::Placement, 1, StageOutcome::Ok));
+        tee.record(started(FlowStage::Placement));
+        tee.record(finished(FlowStage::Placement, StageOutcome::Ok));
         assert_eq!(a.events().len(), 2);
         let report = b.report();
         assert_eq!(report.counter("stage_started"), 1);
@@ -1395,35 +1275,13 @@ mod tests {
     #[test]
     fn jsonl_round_trips_through_the_validator() {
         let rec = VecRecorder::new();
-        rec.record(started(FlowStage::Synthesis, 1));
+        rec.record(started(FlowStage::Synthesis));
         rec.record(EventKind::CacheMiss {
             kind: CacheKind::Flow,
         });
-        rec.record(finished(FlowStage::Synthesis, 1, StageOutcome::Failed));
-        rec.record(EventKind::RetryScheduled {
-            bench: Benchmark::Des,
-            style: DesignStyle::TwoD,
-            stage: FlowStage::Synthesis,
-            next_attempt: 2,
-        });
-        rec.record(started(FlowStage::Synthesis, 2));
-        rec.record(finished(FlowStage::Synthesis, 2, StageOutcome::Ok));
-        rec.record(EventKind::DegradationRungEntered {
-            bench: Benchmark::Des,
-            style: DesignStyle::TwoD,
-            rung: 1,
-        });
-        rec.record(EventKind::CheckpointWritten {
-            bench: Benchmark::Des,
-            style: DesignStyle::TwoD,
-            cursor: "route",
-            bytes: 4096,
-        });
-        rec.record(EventKind::CheckpointResumed {
-            bench: Benchmark::Des,
-            style: DesignStyle::TwoD,
-            cursor: "route",
-        });
+        rec.record(finished(FlowStage::Synthesis, StageOutcome::Failed));
+        rec.record(started(FlowStage::Synthesis));
+        rec.record(finished(FlowStage::Synthesis, StageOutcome::Ok));
         rec.record(EventKind::CacheEvicted {
             kind: CacheKind::Library,
             count: 2,
@@ -1467,11 +1325,9 @@ mod tests {
             trace.push('\n');
         }
         let summary = validate_jsonl(&trace).expect("trace validates");
-        assert_eq!(summary.events, 22);
+        assert_eq!(summary.events, 18);
         assert_eq!(summary.stage_spans, 2);
         assert_eq!(summary.cache_misses, 1);
-        assert_eq!(summary.checkpoints_written, 1);
-        assert_eq!(summary.checkpoints_resumed, 1);
         assert_eq!(summary.disk_hits, 1);
         assert_eq!(summary.disk_misses, 1);
         assert_eq!(summary.disk_quarantined, 1);
@@ -1495,7 +1351,7 @@ mod tests {
             count: 3,
             bytes: 1 << 20,
         });
-        m.record(EventKind::DiskQuarantined { what: "checkpoint" });
+        m.record(EventKind::DiskQuarantined { what: "flow" });
         m.record(EventKind::StoreDegraded { reason: "io_error" });
         let report = m.report();
         assert_eq!(report.counter("disk_hit_library"), 1);
@@ -1533,7 +1389,7 @@ mod tests {
         ));
         // Finish without start.
         let rec = VecRecorder::new();
-        rec.record(finished(FlowStage::Routing, 1, StageOutcome::Ok));
+        rec.record(finished(FlowStage::Routing, StageOutcome::Ok));
         let mut trace = String::new();
         write_event_json(&mut trace, &rec.events()[0]);
         trace.push('\n');
@@ -1543,7 +1399,7 @@ mod tests {
         ));
         // Start without finish.
         let rec = VecRecorder::new();
-        rec.record(started(FlowStage::Routing, 1));
+        rec.record(started(FlowStage::Routing));
         let mut trace = String::new();
         write_event_json(&mut trace, &rec.events()[0]);
         trace.push('\n');
@@ -1694,8 +1550,6 @@ mod tests {
                 bench: Benchmark::Des,
                 style: DesignStyle::TwoD,
                 stage: FlowStage::Routing,
-                rung: 0,
-                attempt: 1,
                 outcome,
                 wall_s: wall,
                 busy_s: wall,

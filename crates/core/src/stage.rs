@@ -3,7 +3,7 @@
 //!
 //! The graph replaces the old monolithic `Flow::try_run`: stage bodies
 //! are addressable by [`FlowStage`] id or by short name (`"route"`,
-//! `"signoff"`, …), so the supervisor's checkpoints, retries and the
+//! `"signoff"`, …), so the supervisor's trace spans, deadlines and the
 //! fault-injection harness all target *named* stages instead of
 //! positions in a hard-coded call sequence. Each stage also declares
 //! which [`crate::FlowConfig`] knobs it consumes — the contract behind
@@ -32,14 +32,14 @@ use crate::govern::check;
 ///
 /// Stages are stateless: all inputs come from the context (artifacts of
 /// earlier stages, the run config, the shared cache) and all outputs go
-/// back into it, which is what lets the supervisor checkpoint, retry
-/// and resume them generically.
+/// back into it, which is what lets the supervisor contain and time them
+/// generically.
 pub trait Stage: std::fmt::Debug + Send + Sync {
     /// The pipeline position this stage implements.
     fn id(&self) -> FlowStage;
 
     /// Stable short name (`"route"`, `"signoff"`, …) — how fault plans
-    /// and checkpoint tables address the stage.
+    /// and deadline tables address the stage.
     fn name(&self) -> &'static str {
         self.id().key()
     }

@@ -72,9 +72,8 @@ use crate::faultinject::{StoreFaultKind, StoreFaultPlan};
 use crate::flow::FlowResult;
 use crate::observe::{self, CacheKind, EventKind, Recorder};
 
-/// Store entry magic — distinct from the checkpoint magic so a stray
-/// checkpoint dropped into the store (or vice versa) is quarantined,
-/// not misparsed.
+/// Store entry magic: any other file dropped into the store is
+/// quarantined, not misparsed.
 const MAGIC: &[u8; 8] = b"M3DSTOR1";
 
 /// Section tags inside an entry payload.

@@ -87,7 +87,7 @@ impl Netlist {
     }
 
     /// Reassembles a netlist from the parts [`Netlist::instances`] /
-    /// [`Netlist::nets`] expose — the durable-checkpoint decode path.
+    /// [`Netlist::nets`] expose, e.g. after editing them directly.
     /// The parts are trusted as-is; callers that construct them by hand
     /// (rather than round-tripping a real netlist) should follow up with
     /// [`Netlist::check_consistency`].
@@ -109,12 +109,12 @@ impl Netlist {
         }
     }
 
-    /// All instances in id order (the durable-checkpoint encode path).
+    /// All instances in id order.
     pub fn instances(&self) -> &[Instance] {
         &self.instances
     }
 
-    /// All nets in id order (the durable-checkpoint encode path).
+    /// All nets in id order.
     pub fn nets(&self) -> &[Net] {
         &self.nets
     }

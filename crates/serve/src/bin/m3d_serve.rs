@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! m3d_serve [--unix PATH] [--tcp ADDR] [--jobs N] [--queue N] [--quota N]
-//!           [--remainder-dir DIR] [--cache-dir DIR] [--trace FILE]
+//!           [--cache-dir DIR] [--trace FILE]
 //! ```
 //!
 //! At least one of `--unix` / `--tcp` is required. `--jobs N` sizes the
@@ -11,16 +11,15 @@
 //! typed `queue_full`); `--quota N` the per-connection cap on queued
 //! points.
 //!
-//! `--remainder-dir DIR` is where a graceful drain persists the
-//! deduplicated plan of queued-but-unstarted points, in the `M3DPLAN1`
-//! format `monolith3d::load_remainder` reads back. `--cache-dir DIR` attaches the
-//! persistent artifact store, so results survive server restarts.
+//! `--cache-dir DIR` attaches the persistent artifact store, so results
+//! survive server restarts.
 //! `--trace FILE` appends every flow and admission event as JSONL —
 //! the same format `trace_check` validates.
 //!
 //! SIGTERM and SIGINT trigger the same graceful drain as the wire
 //! `shutdown` op: in-flight requests finish and respond, queued ones
-//! get a typed `draining` error and land in the remainder.
+//! get a typed `draining` error without running, and nothing is
+//! written for them.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,7 +54,7 @@ fn install_signal_handlers() {
 fn usage_exit(msg: &str) -> ! {
     eprintln!(
         "{msg}\nusage: m3d_serve [--unix PATH] [--tcp ADDR] [--jobs N] [--queue N] \
-         [--quota N] [--remainder-dir DIR] [--cache-dir DIR] [--trace FILE]"
+         [--quota N] [--cache-dir DIR] [--trace FILE]"
     );
     std::process::exit(2);
 }
@@ -101,9 +100,6 @@ fn main() {
             "--quota" => {
                 cfg.quota = Some(parse_count("--quota", Some(&value("--quota"))) as u32);
             }
-            "--remainder-dir" => {
-                cfg.remainder_dir = Some(PathBuf::from(value("--remainder-dir")));
-            }
             "--cache-dir" => cache_dir = Some(value("--cache-dir")),
             "--trace" => trace_path = Some(value("--trace")),
             other => usage_exit(&format!("unknown flag '{other}'")),
@@ -129,14 +125,6 @@ fn main() {
         ArtifactCache::global().attach_disk(DiskStore::open(Path::new(d)));
         eprintln!("[persistent artifact store at {d}]");
     }
-    if let Some(d) = &cfg.remainder_dir {
-        if let Err(e) = std::fs::create_dir_all(d) {
-            usage_exit(&format!(
-                "cannot create remainder dir '{}': {e}",
-                d.display()
-            ));
-        }
-    }
 
     install_signal_handlers();
     let server = match Server::start(cfg.clone()) {
@@ -159,7 +147,7 @@ fn main() {
     }
     let pending = server.shutdown();
     if pending > 0 {
-        eprintln!("[drained; {pending} unstarted points persisted to the remainder]");
+        eprintln!("[drained; {pending} queued requests answered draining, not run]");
     } else {
         eprintln!("[drained; no pending work]");
     }

@@ -59,8 +59,8 @@ pub enum ErrorClass {
     QueueFull,
     /// The connection hit its per-client quota of queued points.
     QuotaExhausted,
-    /// The server is draining (shutdown in progress); unstarted
-    /// requests are persisted to the plan remainder.
+    /// The server is draining (shutdown in progress); the request was
+    /// not run and may be resubmitted to a live server.
     Draining,
     /// The request was cancelled (server shutdown raced it).
     Cancelled,
@@ -137,8 +137,8 @@ pub enum Request {
     },
     /// Cache + server counters snapshot.
     Stats,
-    /// Begin a graceful drain: finish in-flight points, persist the
-    /// unstarted remainder, stop admitting.
+    /// Begin a graceful drain: finish in-flight points, answer queued
+    /// ones `draining`, stop admitting.
     Shutdown,
 }
 
@@ -352,8 +352,8 @@ pub fn write_stats(
     );
 }
 
-/// The `shutdown` response: drain finished, `pending` unstarted points
-/// persisted to the remainder.
+/// The `shutdown` response: drain finished, `pending` queued requests
+/// answered `draining` without running.
 pub fn write_shutdown(buf: &mut String, id: u64, pending: u64) {
     open_ok(buf, id, "shutdown");
     let _ = write!(buf, ",\"pending\":{pending}}}");

@@ -15,10 +15,10 @@
 //!
 //! Shutdown (the `shutdown` op, or [`Server::shutdown`] from a SIGTERM
 //! handler) routes through [`AdmissionQueue::drain`]: in-flight points
-//! finish and respond normally, the queued-but-unstarted requests it
-//! hands back are answered with a typed `draining` error, and their
-//! deduplicated plan remainder is persisted via
-//! [`monolith3d::govern::save_remainder`]. Per-request deadlines ride
+//! finish and respond normally, and the queued-but-unstarted requests
+//! it hands back are answered with a typed `draining` error: they were
+//! not run, nothing is written for them, and a client resubmits them to
+//! a live server. Per-request deadlines ride
 //! the [`CancelToken`] hierarchy: each `run` gets a child of the
 //! server's root token, armed at admission, so a deadline of zero
 //! rejects before any queue wait and an in-flight overrun comes back
@@ -37,8 +37,7 @@ use m3d_bench::{node_drivers, paper_drivers};
 use m3d_netlist::BenchScale;
 use m3d_tech::NodeId;
 use monolith3d::{
-    save_remainder, ArtifactCache, CancelCause, CancelToken, ExperimentPlan, ParallelExecutor,
-    PlanPoint, PointOutcome, Recorder, REMAINDER_FILE,
+    ArtifactCache, CancelCause, CancelToken, ParallelExecutor, PlanPoint, PointOutcome, Recorder,
 };
 
 use crate::protocol::{
@@ -73,8 +72,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Per-client quota of queued points, if bounded.
     pub quota: Option<u32>,
-    /// Directory the drain remainder persists into, if any.
-    pub remainder_dir: Option<PathBuf>,
     /// Event sink for admission decisions (and, via the cache's own
     /// recorder, everything else).
     pub recorder: Option<Arc<dyn Recorder>>,
@@ -87,7 +84,6 @@ impl Default for ServerConfig {
             dispatchers: 2,
             queue_capacity: 64,
             quota: None,
-            remainder_dir: None,
             recorder: None,
         }
     }
@@ -112,7 +108,6 @@ struct Inner {
     requests: AtomicU64,
     protocol_errors: AtomicU64,
     next_client: AtomicU64,
-    remainder_dir: Option<PathBuf>,
     /// An address reaching each listener: shutdown connects to each
     /// once to wake its blocked `accept`.
     wake: Vec<Listen>,
@@ -185,7 +180,6 @@ impl Server {
             requests: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             next_client: AtomicU64::new(1),
-            remainder_dir: cfg.remainder_dir.clone(),
             wake,
         });
         let mut threads = Vec::new();
@@ -224,8 +218,8 @@ impl Server {
 
     /// Initiates a graceful drain (idempotent): stop admitting, finish
     /// in-flight points, answer queued-but-unstarted requests with
-    /// `draining`, persist their deduplicated remainder. Returns the
-    /// number of remainder points.
+    /// `draining`. Returns the number of requests answered `draining`
+    /// (zero on every call after the first).
     pub fn shutdown(&self) -> u64 {
         shutdown_inner(&self.inner)
     }
@@ -576,33 +570,18 @@ fn dispatch_loop(inner: &Arc<Inner>) {
 }
 
 /// Drains the queue (the first call only finds anything to drain):
-/// answers every queued request `draining` once, persists their
-/// deduplicated points as the plan remainder, and wakes the accept
-/// threads. Returns the number of remainder points.
+/// answers every queued request `draining` once and wakes the accept
+/// threads. Returns the number of requests answered `draining`.
 fn shutdown_inner(inner: &Inner) -> u64 {
-    let mut remainder = ExperimentPlan::new();
+    let mut pending = 0;
     for (_, run) in inner.queue.drain() {
         send_error(
             &run.conn,
             run.id,
             ErrorClass::Draining,
-            "server draining; request persisted to the plan remainder",
+            "server draining; request was not run and may be resubmitted",
         );
-        let PlanPoint {
-            bench,
-            style,
-            config,
-        } = run.point;
-        remainder.push(bench, style, config);
-    }
-    let pending = remainder.len() as u64;
-    if pending > 0 {
-        if let Some(dir) = &inner.remainder_dir {
-            let path = dir.join(REMAINDER_FILE);
-            if let Err(e) = save_remainder(&path, remainder.points()) {
-                eprintln!("[m3d-serve: remainder persistence failed: {e}]");
-            }
-        }
+        pending += 1;
     }
     for l in &inner.wake {
         // A refused connect means that accept thread is already gone.

@@ -104,23 +104,6 @@ impl WireLoadModel {
         &self.lengths_um
     }
 
-    /// Extrapolation slope beyond the tabulated fanouts, µm per sink
-    /// (the durable-checkpoint encode path, paired with
-    /// [`WireLoadModel::curve`]).
-    pub fn slope_um(&self) -> f64 {
-        self.slope_um
-    }
-
-    /// Reassembles a model from [`WireLoadModel::curve`] /
-    /// [`WireLoadModel::slope_um`] parts — the durable-checkpoint decode
-    /// path.
-    pub fn from_parts(lengths_um: Vec<f64>, slope_um: f64) -> Self {
-        WireLoadModel {
-            lengths_um,
-            slope_um,
-        }
-    }
-
     /// Returns a copy with every length scaled by `factor` (used to derive
     /// a first-cut T-MI WLM from a 2D one).
     pub fn scaled(&self, factor: f64) -> Self {

@@ -1,20 +1,15 @@
 //! Chaos harness for the flow supervisor: randomly generated fault
-//! plans — injected errors, panics, delays, checkpoint corruption and
-//! process kills at random stages/invocations — driven through a
-//! checkpointed supervised run plus (when killed) a resume leg.
+//! plans — injected errors, panics, blind delays, wedged stages and
+//! slow stages at random stages and invocations — driven through a
+//! traced supervised run.
 //!
 //! Invariants asserted for every generated plan:
 //!
-//! * the supervisor always terminates with a valid [`Disposition`]
-//!   (closed runs carry a result, failed runs don't) and never panics;
-//! * a kill is always recoverable: `resume_from` either continues the
-//!   run or reports a typed `CorruptCheckpoint` (nothing durable yet),
-//!   in which case a fresh run finishes the job;
-//! * resume never loses or double-runs a completed stage — the
-//!   successful attempt records of the final run match the fault-free
-//!   history whenever closure needed no degradation;
-//! * any run that closes as `Closed` (undegraded) is bit-identical to
-//!   the fault-free run.
+//! * the supervisor never panics and always returns: either `Ok` with
+//!   numerics bit-identical to the fault-free run, or a typed error
+//!   naming a stage the plan planted a fault in;
+//! * every stage span the run opened is closed, and the trace passes
+//!   the JSONL schema validator.
 //!
 //! A second harness points the same seeded machinery at the persistent
 //! artifact store: torn writes (a kill mid-publish), corrupted entries
@@ -30,23 +25,20 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, NodeId};
+use monolith3d::observe::{validate_jsonl, write_event_json};
 use monolith3d::{
-    DiskStore, Disposition, FaultPlan, FlowConfig, FlowError, FlowKey, FlowReport, FlowStage,
-    FlowSupervisor, StoreFaultPlan,
+    ArtifactCache, DiskStore, FaultPlan, FlowConfig, FlowKey, FlowResult, FlowStage,
+    FlowSupervisor, Recorder, StageDeadlines, StoreFaultPlan, VecRecorder,
 };
 use proptest::prelude::*;
 
 fn cfg() -> FlowConfig {
     FlowConfig::new(NodeId::N45).scale(BenchScale::Small)
-}
-
-fn supervisor() -> FlowSupervisor {
-    FlowSupervisor::new(Benchmark::Aes, DesignStyle::TwoD, cfg())
 }
 
 /// Number of chaos cases: `CHAOS_CASES` (CI sets 256+), default 24.
@@ -57,44 +49,41 @@ fn chaos_cases() -> u32 {
         .unwrap_or(24)
 }
 
-fn ckpt_dir() -> PathBuf {
+fn scratch_dir() -> PathBuf {
     static SERIAL: AtomicU64 = AtomicU64::new(0);
     let n = SERIAL.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("m3d-chaos-{}-{n}", std::process::id()))
 }
 
+/// The flow cache every flow case runs on: one for this test, so the
+/// cell library is characterized once, with a fresh recorder per case.
+fn flow_cache() -> &'static Arc<ArtifactCache> {
+    static CACHE: OnceLock<Arc<ArtifactCache>> = OnceLock::new();
+    CACHE.get_or_init(|| Arc::new(ArtifactCache::default()))
+}
+
 /// The fault-free reference run, computed once.
-fn reference() -> &'static FlowReport {
-    static REF: OnceLock<FlowReport> = OnceLock::new();
+fn reference() -> &'static FlowResult {
+    static REF: OnceLock<FlowResult> = OnceLock::new();
     REF.get_or_init(|| {
-        let r = supervisor().run();
-        assert!(r.closed(), "reference run must close: {:?}", r.disposition);
-        r
+        FlowSupervisor::new(Benchmark::Aes, DesignStyle::TwoD, cfg())
+            .with_cache(Arc::clone(flow_cache()))
+            .run()
+            .expect("reference run must close")
     })
 }
 
 /// Exact bit patterns of the run's numerics.
-fn fingerprint(r: &FlowReport) -> Vec<u64> {
-    let res = r.result.as_ref().expect("closed runs carry a result");
+fn fingerprint(r: &FlowResult) -> Vec<u64> {
     vec![
         r.clock_ps.to_bits(),
         r.utilization.to_bits(),
-        res.wns_ps.to_bits(),
-        res.footprint_um2.to_bits(),
-        res.wirelength_um.to_bits(),
-        res.total_power_mw().to_bits(),
-        res.cell_count as u64,
+        r.wns_ps.to_bits(),
+        r.footprint_um2.to_bits(),
+        r.wirelength_um.to_bits(),
+        r.total_power_mw().to_bits(),
+        r.cell_count as u64,
     ]
-}
-
-/// The (stage, rung) sequence of successful attempts — the run's
-/// effective execution history.
-fn successes(r: &FlowReport) -> Vec<(FlowStage, u32)> {
-    r.attempts
-        .iter()
-        .filter(|a| a.error.is_none())
-        .map(|a| (a.stage, a.rung))
-        .collect()
 }
 
 const STAGES: [&str; 7] = [
@@ -107,8 +96,13 @@ const STAGES: [&str; 7] = [
     "signoff",
 ];
 
-/// Derives a random fault plan from one 64-bit seed (SplitMix64).
-fn plan_from_seed(mut state: u64) -> FaultPlan {
+/// Budget of a stage planted with a wedged or slow fault: the wedge
+/// parks until it passes, so it bounds each case.
+const STALL_BUDGET_MS: u64 = 200;
+
+/// Derives a random fault plan from one 64-bit seed (SplitMix64), with
+/// the stage budgets it needs and the stages it planted faults in.
+fn plan_from_seed(mut state: u64) -> (FaultPlan, StageDeadlines, Vec<FlowStage>) {
     let mut next = move || {
         state = state.wrapping_add(0x9E3779B97F4A7C15);
         let mut z = state;
@@ -117,6 +111,8 @@ fn plan_from_seed(mut state: u64) -> FaultPlan {
         z ^ (z >> 31)
     };
     let mut plan = FaultPlan::new();
+    let mut deadlines = StageDeadlines::default();
+    let mut planted = Vec::new();
     let faults = 1 + (next() % 4) as usize;
     for _ in 0..faults {
         let stage = STAGES[(next() % STAGES.len() as u64) as usize];
@@ -125,92 +121,59 @@ fn plan_from_seed(mut state: u64) -> FaultPlan {
             0 => plan.fail_stage(stage, invocation),
             1 => plan.panic_stage(stage, invocation),
             2 => plan.delay_stage(stage, invocation, Duration::from_millis(5)),
-            3 => plan.corrupt_checkpoint_after(stage, invocation),
-            _ => plan.kill_at(stage, invocation),
+            3 => {
+                deadlines = deadlines.with_stage(stage, STALL_BUDGET_MS);
+                plan.stuck_stage(stage, invocation)
+            }
+            _ => {
+                deadlines = deadlines.with_stage(stage, STALL_BUDGET_MS);
+                plan.slow_stage(stage, invocation, Duration::from_millis(10))
+            }
         };
+        planted.extend(FlowStage::from_name(stage));
     }
-    plan
-}
-
-/// The disposition is self-consistent: closed dispositions carry a
-/// result, failures don't, and failure errors name a real cause.
-fn assert_valid(r: &FlowReport) -> Result<(), TestCaseError> {
-    match &r.disposition {
-        Disposition::Closed => {
-            prop_assert!(r.result.is_some(), "Closed without a result");
-        }
-        Disposition::ClosedDegraded { relaxations } => {
-            prop_assert!(r.result.is_some(), "ClosedDegraded without a result");
-            prop_assert!(!relaxations.is_empty(), "degraded with no relaxations");
-        }
-        Disposition::Failed { error, .. } => {
-            prop_assert!(r.result.is_none(), "Failed with a result");
-            prop_assert!(!error.to_string().is_empty());
-        }
-    }
-    if let Some(res) = &r.result {
-        prop_assert!(res.total_power_mw() > 0.0, "closed run has no power");
-    }
-    Ok(())
+    (plan, deadlines, planted)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(chaos_cases()))]
 
     #[test]
-    fn any_fault_plan_terminates_validly_and_kills_are_recoverable(
+    fn any_fault_plan_closes_bit_identically_or_fails_typed_at_a_planted_stage(
         seed in 0u64..1_000_000_000,
     ) {
-        let dir = ckpt_dir();
-        let first = supervisor()
-            .with_checkpoints(&dir)
-            .expect("checkpoint dir opens")
-            .with_faults(plan_from_seed(seed))
+        let reference = fingerprint(reference());
+        let (plan, deadlines, planted) = plan_from_seed(seed);
+        let trace = Arc::new(VecRecorder::new());
+        flow_cache().set_recorder(Arc::clone(&trace) as Arc<dyn Recorder>);
+        let outcome = FlowSupervisor::new(Benchmark::Aes, DesignStyle::TwoD, cfg())
+            .with_cache(Arc::clone(flow_cache()))
+            .with_deadlines(deadlines)
+            .with_faults(plan)
             .run();
-        assert_valid(&first)?;
-
-        // A kill shows up as an Interrupted failure; everything else
-        // ends the run for good (absorbed, degraded, or failed).
-        let killed = matches!(
-            &first.disposition,
-            Disposition::Failed { error: FlowError::Interrupted { .. }, .. }
-        );
-        let last = if killed {
-            // Resume the killed run; when nothing durable was written
-            // yet (killed before the first snapshot, or every snapshot
-            // corrupt), the documented recovery is a fresh start.
-            let resumed = match FlowSupervisor::resume_from(&dir) {
-                Ok(sup) => sup.run(),
-                Err(FlowError::CorruptCheckpoint { .. }) => supervisor().run(),
-                Err(other) => {
-                    prop_assert!(false, "resume failed untyped: {other}");
-                    unreachable!()
-                }
-            };
-            assert_valid(&resumed)?;
-            // The fault plan died with the killed process: the resumed
-            // leg must close.
-            prop_assert!(
-                resumed.closed(),
-                "fault-free resume leg failed: {:?} (seed {seed})",
-                resumed.disposition
-            );
-            resumed
-        } else {
-            first
-        };
-
-        if last.closed() {
-            // No lost and no double-run stages: an undegraded close has
-            // exactly the fault-free success history and bit-identical
-            // numerics. (Degraded closes legitimately re-run stages on
-            // higher rungs, so only the result invariant applies there.)
-            if matches!(last.disposition, Disposition::Closed) {
-                prop_assert_eq!(successes(&last), successes(reference()));
-                prop_assert_eq!(fingerprint(&last), fingerprint(reference()));
+        match &outcome {
+            Ok(result) => prop_assert!(
+                fingerprint(result) == reference,
+                "seed {}: a closed run diverged from the fault-free one",
+                seed
+            ),
+            Err(e) => {
+                prop_assert!(
+                    e.stage().is_some_and(|s| planted.contains(&s)),
+                    "seed {}: {} names no planted stage ({:?})",
+                    seed,
+                    e,
+                    planted
+                );
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        let mut jsonl = String::new();
+        for ev in trace.events() {
+            write_event_json(&mut jsonl, &ev);
+            jsonl.push('\n');
+        }
+        let summary = validate_jsonl(&jsonl);
+        prop_assert!(summary.is_ok(), "seed {}: trace rejected: {:?}", seed, summary);
     }
 }
 
@@ -307,7 +270,7 @@ proptest! {
     /// no faults must then converge the directory to fully warm.
     #[test]
     fn store_faults_never_surface_as_corrupt_hits(seed in 0u64..1_000_000_000) {
-        let dir = ckpt_dir(); // fresh per case, same uniqueness scheme
+        let dir = scratch_dir();
         let faulted = DiskStore::with_faults(&dir, u64::MAX, store_plan_from_seed(seed));
         for (i, b) in STORE_BENCHES.iter().enumerate() {
             faulted.store_flow(&store_key(*b), &store_value(*b, i));

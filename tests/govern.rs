@@ -1,6 +1,6 @@
 //! Integration tests for the resource governor (DESIGN.md §14):
 //! cooperative cancellation, deadline-bounded termination, graceful
-//! drain with a persisted remainder, and the governance event stream.
+//! drain with a reported remainder, and the governance event stream.
 //!
 //! The properties pinned here are the governor's whole contract:
 //!
@@ -8,8 +8,8 @@
 //!   by a `StuckStage` fault still returns within the run deadline plus
 //!   scheduling slack, with every pending slot carrying a typed
 //!   [`PointOutcome`], never a hang or a panic;
-//! * **one token tree, inline attempts** — stage attempts run on the
-//!   calling thread and stop at their next cooperative check: a
+//! * **one token tree, inline stages** — stages run on the calling
+//!   thread and stop at their next cooperative check: a
 //!   cooperative wedge is cancelled with every span closed, a
 //!   non-cooperative one (a plain `Delay` sleeping through its budget)
 //!   is typed `DeadlineExceeded` once the sleep returns, and every event
@@ -19,9 +19,8 @@
 //!   yields numerics bit-identical to a never-cancelled run, with
 //!   nothing quarantined and the store healthy;
 //! * **drain round trip** — `drain()` finishes the in-flight point,
-//!   persists the unstarted remainder through the checkpoint codec, and
-//!   a follow-up run over the loaded remainder completes the plan,
-//!   again bit-identically;
+//!   reports the unstarted remainder, and a follow-up run over that
+//!   remainder completes the plan, again bit-identically;
 //! * **trace hygiene** — the new governance events survive the JSONL
 //!   schema validator alongside the classic stage/cache stream.
 
@@ -34,13 +33,11 @@ use std::time::{Duration, Instant};
 
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, NodeId};
-use monolith3d::govern::load_remainder;
 use monolith3d::observe::{validate_jsonl, StageOutcome, TraceError};
 use monolith3d::{
-    json_raw_field, ArtifactCache, CancelToken, DiskStore, Disposition, EventKind, ExperimentPlan,
-    FaultPlan, FlowConfig, FlowError, FlowResult, FlowStage, FlowSupervisor, JsonlRecorder,
-    ParallelExecutor, PointOutcome, Recorder, RunGovernor, StageDeadlines, SupervisorPolicy, Tee,
-    VecRecorder,
+    json_raw_field, ArtifactCache, CancelToken, DiskStore, EventKind, ExperimentPlan, FaultPlan,
+    FlowConfig, FlowError, FlowResult, FlowStage, FlowSupervisor, JsonlRecorder, ParallelExecutor,
+    PointOutcome, Recorder, RunGovernor, StageDeadlines, Tee, VecRecorder,
 };
 use proptest::prelude::*;
 
@@ -182,7 +179,7 @@ fn zero_run_deadline_rejects_points_before_any_work() {
 
 /// A cooperative wedge (`StuckStage` parks on the cancel token) is won
 /// by cancellation: the run returns every slot typed `cancelled`, and
-/// every stage span it opened is closed — no attempt is left running
+/// every stage span it opened is closed — no stage is left running
 /// behind the report. Explicit cancel, not deadline, so the reason
 /// string is pinned too.
 #[test]
@@ -226,8 +223,9 @@ fn stuck_stage_cancels_cleanly_without_abandoning_a_thread() {
 /// 40 ms route budget, blind to the token — cannot be stopped between
 /// checks, and no thread is detached to hide it: the governed point
 /// waits the sleep out, then fails with the typed overrun of the route
-/// budget. The budget stops the attempt, not the point, and the trace
-/// schema knows no `stage_abandoned` kind.
+/// budget. The budget stops the stage, not the point, and the trace
+/// schema knows neither `stage_abandoned` nor the retired retry,
+/// degradation and checkpoint kinds.
 #[test]
 fn non_cooperative_delay_is_typed_deadline_exceeded_when_it_returns() {
     let recorder = Arc::new(VecRecorder::new());
@@ -236,33 +234,21 @@ fn non_cooperative_delay_is_typed_deadline_exceeded_when_it_returns() {
     let point = CancelToken::new();
     let delay = Duration::from_millis(400);
     let t = Instant::now();
-    let report = FlowSupervisor::new(Benchmark::Des, DesignStyle::TwoD, cfg())
-        .policy(SupervisorPolicy {
-            deadlines: Some(StageDeadlines::uniform(5_000).with_stage("route", 40)),
-            ..SupervisorPolicy::strict()
-        })
+    let result = FlowSupervisor::new(Benchmark::Des, DesignStyle::TwoD, cfg())
+        .with_deadlines(StageDeadlines::uniform(5_000).with_stage("route", 40))
         .with_cache(cache)
         .with_cancel(point.clone())
         .with_faults(FaultPlan::new().delay_stage("route", 1, delay))
         .run();
     assert!(t.elapsed() >= delay, "the blind sleep runs to the end");
-    match &report.disposition {
-        Disposition::Failed { stage, error } => {
-            assert_eq!(*stage, FlowStage::Routing);
-            assert_eq!(
-                *error,
-                FlowError::DeadlineExceeded {
-                    stage: FlowStage::Routing,
-                    budget_ms: 40
-                }
-            );
-        }
-        other => panic!("expected a failed point, got {other:?}"),
-    }
-    assert!(
-        !point.is_cancelled(),
-        "a stage budget stops the attempt only"
+    assert_eq!(
+        result,
+        Err(FlowError::DeadlineExceeded {
+            stage: FlowStage::Routing,
+            budget_ms: 40
+        })
     );
+    assert!(!point.is_cancelled(), "a stage budget stops the stage only");
     let route_outcomes: Vec<_> = recorder
         .events()
         .iter()
@@ -276,15 +262,26 @@ fn non_cooperative_delay_is_typed_deadline_exceeded_when_it_returns() {
         })
         .collect();
     assert_eq!(route_outcomes, vec![StageOutcome::TimedOut]);
-    let legacy = "{\"seq\":0,\"thread\":0,\"t_s\":0.0,\"kind\":\"stage_abandoned\",\
-                  \"bench\":\"DES\",\"style\":\"2D\",\"stage\":\"route\",\"budget_ms\":40}\n";
-    assert!(matches!(
-        validate_jsonl(legacy),
-        Err(TraceError::UnknownKind { .. })
-    ));
+    for legacy in [
+        "{\"seq\":0,\"thread\":0,\"t_s\":0.0,\"kind\":\"stage_abandoned\",\
+         \"bench\":\"DES\",\"style\":\"2D\",\"stage\":\"route\",\"budget_ms\":40}\n",
+        "{\"seq\":0,\"thread\":0,\"t_s\":0.0,\"kind\":\"retry_scheduled\",\
+         \"bench\":\"DES\",\"style\":\"2D\",\"stage\":\"route\",\"next_attempt\":2}\n",
+        "{\"seq\":0,\"thread\":0,\"t_s\":0.0,\"kind\":\"degradation_rung_entered\",\
+         \"bench\":\"DES\",\"style\":\"2D\",\"rung\":1}\n",
+        "{\"seq\":0,\"thread\":0,\"t_s\":0.0,\"kind\":\"checkpoint_written\",\
+         \"bench\":\"DES\",\"style\":\"2D\",\"cursor\":\"route\",\"bytes\":4096}\n",
+        "{\"seq\":0,\"thread\":0,\"t_s\":0.0,\"kind\":\"checkpoint_resumed\",\
+         \"bench\":\"DES\",\"style\":\"2D\",\"cursor\":\"route\"}\n",
+    ] {
+        assert!(
+            matches!(validate_jsonl(legacy), Err(TraceError::UnknownKind { .. })),
+            "a retired kind must be rejected: {legacy}"
+        );
+    }
 }
 
-/// Stage attempts run inline: every event of a supervised run — the
+/// Stages run inline: every event of a supervised run — the
 /// stage spans and the library stage's cache traffic alike — is
 /// recorded on the thread that called `run()`, so the JSONL `thread`
 /// ordinal is one value across the whole trace.
@@ -298,11 +295,11 @@ fn supervised_run_records_every_event_on_the_calling_thread() {
     assert!(cache
         .lookup_result(Benchmark::Des, DesignStyle::TwoD, &cfg())
         .is_none());
-    let report = FlowSupervisor::new(Benchmark::Des, DesignStyle::TwoD, cfg())
+    FlowSupervisor::new(Benchmark::Des, DesignStyle::TwoD, cfg())
         .with_cache(Arc::clone(&cache))
         .with_cancel(CancelToken::new())
-        .run();
-    assert!(report.closed(), "disposition: {:?}", report.disposition);
+        .run()
+        .expect("the supervised run closes");
     jsonl.flush().expect("trace flushes");
     let trace = buf.contents();
     validate_jsonl(&trace).expect("trace validates");
@@ -370,17 +367,17 @@ proptest! {
 }
 
 /// Drain round trip: `drain()` lets the in-flight point finish, types
-/// the rest `Drained`, persists the remainder through the checkpoint
-/// codec, and a second process (here: a second executor call) loads the
-/// remainder and completes the plan bit-identically.
+/// the rest `Drained`, lists them as the remainder, and a second
+/// executor call over that remainder completes the plan
+/// bit-identically.
 #[test]
-fn drain_persists_a_remainder_a_follow_up_run_completes() {
-    let dir = scratch_dir("drain");
-    std::fs::create_dir_all(&dir).expect("drain dir");
+fn drain_reports_a_remainder_a_follow_up_run_completes() {
     let cache = Arc::new(ArtifactCache::default());
-    let gov = RunGovernor::new()
-        .with_drain_dir(&dir)
-        .with_faults(FaultPlan::new().slow_stage("synth", 1, Duration::from_millis(300)));
+    let gov = RunGovernor::new().with_faults(FaultPlan::new().slow_stage(
+        "synth",
+        1,
+        Duration::from_millis(300),
+    ));
     let exec = ParallelExecutor::new(1).with_cache(Arc::clone(&cache));
     let p = plan();
     let report = thread::scope(|s| {
@@ -403,18 +400,13 @@ fn drain_persists_a_remainder_a_follow_up_run_completes() {
         report.outcomes
     );
     assert_eq!(report.remainder.len(), report.count("drained"));
-    let path = report
-        .remainder_path
-        .as_ref()
-        .expect("clean drain with a drain dir persists the remainder");
-    let resumed = load_remainder(path).expect("remainder loads back");
-    assert_eq!(
-        resumed.points(),
-        &report.remainder[..],
-        "codec round trip preserves the remainder in order"
-    );
-    // "Later process" leg: complete the remainder over the same cache
-    // and check the union against the never-drained reference.
+    let mut resumed = ExperimentPlan::new();
+    for p in &report.remainder {
+        resumed.push(p.bench, p.style, p.config.clone());
+    }
+    assert_eq!(resumed.points(), &report.remainder[..], "plan order kept");
+    // Follow-up leg: complete the remainder over the same cache and
+    // check the union against the never-drained reference.
     let follow_up = exec.run(&resumed);
     assert_eq!(follow_up.ok_count(), resumed.len());
     for (i, point) in p.points().iter().enumerate() {
@@ -433,7 +425,6 @@ fn drain_persists_a_remainder_a_follow_up_run_completes() {
             other => panic!("unexpected outcome for slot {i}: {other:?}"),
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The governance events ride the same JSONL pipeline as everything

@@ -4,13 +4,11 @@
 //! agree with `CacheStats` on cache traffic, aggregate into the same
 //! `MetricsRegistry` counters, survive a JSONL round trip through the
 //! schema validator, and be order-normalized identical between
-//! `--jobs 1` and `--jobs 4` runs. Separate tests pin the retry /
-//! degradation / checkpoint-resume event shapes against fault plans.
+//! `--jobs 1` and `--jobs 4` runs. A separate test pins the event
+//! shape of a failed stage against a fault plan.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use m3d_bench::SMOKE_SUBSET;
@@ -18,9 +16,9 @@ use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, NodeId};
 use monolith3d::observe::validate_jsonl;
 use monolith3d::{
-    experiments, ArtifactCache, CacheKind, Disposition, Event, EventKind, ExperimentPlan,
-    FaultPlan, FlowConfig, FlowStage, FlowSupervisor, JsonlRecorder, MetricsRegistry,
-    ParallelExecutor, Recorder, RunReport, StageGraph, StageOutcome, Tee, VecRecorder,
+    experiments, ArtifactCache, CacheKind, Event, EventKind, ExperimentPlan, FaultPlan, FlowConfig,
+    FlowError, FlowStage, FlowSupervisor, JsonlRecorder, MetricsRegistry, ParallelExecutor,
+    Recorder, RunReport, StageGraph, StageOutcome, Tee, VecRecorder,
 };
 
 fn cfg() -> FlowConfig {
@@ -117,28 +115,11 @@ fn subset_jobs4() -> &'static TraceRun {
 enum Norm {
     Started {
         stage: &'static str,
-        rung: u32,
-        attempt: u32,
         consumes: &'static [&'static str],
     },
     Finished {
         stage: &'static str,
-        rung: u32,
-        attempt: u32,
         outcome: &'static str,
-    },
-    Retry {
-        stage: &'static str,
-        next_attempt: u32,
-    },
-    Rung {
-        rung: u32,
-    },
-    CheckpointWritten {
-        cursor: &'static str,
-    },
-    CheckpointResumed {
-        cursor: &'static str,
     },
 }
 
@@ -159,15 +140,11 @@ fn normalize(events: &[Event]) -> (Groups, CacheCounts) {
                 bench,
                 style,
                 stage,
-                rung,
-                attempt,
                 consumes,
             } => (
                 (bench.name(), style.label()),
                 Norm::Started {
                     stage: stage.key(),
-                    rung,
-                    attempt,
                     consumes,
                 },
             ),
@@ -175,50 +152,14 @@ fn normalize(events: &[Event]) -> (Groups, CacheCounts) {
                 bench,
                 style,
                 stage,
-                rung,
-                attempt,
                 outcome,
                 ..
             } => (
                 (bench.name(), style.label()),
                 Norm::Finished {
                     stage: stage.key(),
-                    rung,
-                    attempt,
                     outcome: outcome.key(),
                 },
-            ),
-            EventKind::RetryScheduled {
-                bench,
-                style,
-                stage,
-                next_attempt,
-            } => (
-                (bench.name(), style.label()),
-                Norm::Retry {
-                    stage: stage.key(),
-                    next_attempt,
-                },
-            ),
-            EventKind::DegradationRungEntered { bench, style, rung } => {
-                ((bench.name(), style.label()), Norm::Rung { rung })
-            }
-            EventKind::CheckpointWritten {
-                bench,
-                style,
-                cursor,
-                ..
-            } => (
-                (bench.name(), style.label()),
-                Norm::CheckpointWritten { cursor },
-            ),
-            EventKind::CheckpointResumed {
-                bench,
-                style,
-                cursor,
-            } => (
-                (bench.name(), style.label()),
-                Norm::CheckpointResumed { cursor },
             ),
             EventKind::CacheHit { kind } => {
                 *cache.entry(("hit", kind.key())).or_insert(0) += 1;
@@ -259,9 +200,7 @@ fn normalize(events: &[Event]) -> (Groups, CacheCounts) {
 /// Stage spans keyed by full identity, for balance checking. The same
 /// identity can be open more than once at `--jobs 4` (two configs of
 /// one `(bench, style)` pair racing), so this counts rather than flags.
-fn open_span_counts(
-    events: &[Event],
-) -> HashMap<(&'static str, &'static str, &'static str, u32, u32), i64> {
+fn open_span_counts(events: &[Event]) -> HashMap<(&'static str, &'static str, &'static str), i64> {
     let mut open = HashMap::new();
     for ev in events {
         match ev.kind {
@@ -269,30 +208,25 @@ fn open_span_counts(
                 bench,
                 style,
                 stage,
-                rung,
-                attempt,
                 ..
             } => {
                 *open
-                    .entry((bench.name(), style.label(), stage.key(), rung, attempt))
+                    .entry((bench.name(), style.label(), stage.key()))
                     .or_insert(0) += 1;
             }
             EventKind::StageFinished {
                 bench,
                 style,
                 stage,
-                rung,
-                attempt,
                 ..
             } => {
                 let slot = open
-                    .entry((bench.name(), style.label(), stage.key(), rung, attempt))
+                    .entry((bench.name(), style.label(), stage.key()))
                     .or_insert(0);
                 *slot -= 1;
                 assert!(
                     *slot >= 0,
-                    "stage_finished before its stage_started: \
-                     {}/{} {} rung {rung} attempt {attempt}",
+                    "stage_finished before its stage_started: {}/{} {}",
                     bench.name(),
                     style.label(),
                     stage.key()
@@ -335,59 +269,38 @@ fn event_stream_replays_the_stage_graph_topology() {
     // Per-(bench, style) walk. At --jobs 1 the worker runs each flow
     // start-to-finish, so a pair's stream is a concatenation of whole
     // flows: each begins at the entry stage, then every hop is a legal
-    // graph transition, a retry of the same stage, or a wrap-around
-    // from the exit stage into the next flow of the same pair. A
-    // degradation-ladder escalation restores older artifact state, so
-    // the hop right after one is exempt. Each walk holds the last
-    // (stage, attempt) seen and whether an escalation just happened.
-    type Walk = (Option<(FlowStage, u32)>, bool);
-    let mut walks: HashMap<(&str, &str), Walk> = HashMap::new();
+    // graph transition or a wrap-around from the exit stage into the
+    // next flow of the same pair. Each walk holds the last stage seen.
+    let mut walks: HashMap<(&str, &str), FlowStage> = HashMap::new();
     for ev in &run.events {
-        match ev.kind {
-            EventKind::StageStarted {
-                bench,
-                style,
-                stage,
-                attempt,
-                ..
-            } => {
-                let walk = walks
-                    .entry((bench.name(), style.label()))
-                    .or_insert((None, false));
-                match (walk.0, walk.1) {
-                    (None, _) => assert_eq!(
-                        stage,
-                        graph.entry_stage(),
-                        "{}/{}: a trace must open at the entry stage",
+        if let EventKind::StageStarted {
+            bench,
+            style,
+            stage,
+            ..
+        } = ev.kind
+        {
+            match walks.insert((bench.name(), style.label()), stage) {
+                None => assert_eq!(
+                    stage,
+                    graph.entry_stage(),
+                    "{}/{}: a trace must open at the entry stage",
+                    bench.name(),
+                    style.label()
+                ),
+                Some(prev) => {
+                    let forward = graph.legal_transition(prev, stage);
+                    let next_flow = prev == graph.exit_stage() && stage == graph.entry_stage();
+                    assert!(
+                        forward || next_flow,
+                        "{}/{}: illegal hop {} -> {}",
                         bench.name(),
-                        style.label()
-                    ),
-                    (_, true) => {} // first hop after a ladder escalation
-                    (Some((prev, prev_attempt)), false) => {
-                        let retry = stage == prev && attempt == prev_attempt + 1;
-                        let forward = attempt == 1 && graph.legal_transition(prev, stage);
-                        let next_flow = attempt == 1
-                            && prev == graph.exit_stage()
-                            && stage == graph.entry_stage();
-                        assert!(
-                            retry || forward || next_flow,
-                            "{}/{}: illegal hop {} (attempt {prev_attempt}) -> {} (attempt {attempt})",
-                            bench.name(),
-                            style.label(),
-                            prev.key(),
-                            stage.key()
-                        );
-                    }
+                        style.label(),
+                        prev.key(),
+                        stage.key()
+                    );
                 }
-                *walk = (Some((stage, attempt)), false);
             }
-            EventKind::DegradationRungEntered { bench, style, .. } => {
-                walks
-                    .entry((bench.name(), style.label()))
-                    .or_insert((None, false))
-                    .1 = true;
-            }
-            _ => {}
         }
     }
     assert!(
@@ -395,10 +308,10 @@ fn event_stream_replays_the_stage_graph_topology() {
         "the subset must cover some design points"
     );
     // Every pair's last span is the exit stage: all subset flows close.
-    for ((bench, style), (last, _)) in &walks {
+    for ((bench, style), last) in &walks {
         assert_eq!(
-            last.map(|(s, _)| s),
-            Some(graph.exit_stage()),
+            *last,
+            graph.exit_stage(),
             "{bench}/{style}: the final span must be the exit stage"
         );
     }
@@ -448,13 +361,8 @@ fn metrics_registry_aggregates_exactly_the_recorded_events() {
                 StageOutcome::Failed => ("stage_finished_failed", 1),
                 StageOutcome::Panicked => ("stage_finished_panicked", 1),
                 StageOutcome::TimedOut => ("stage_finished_timed_out", 1),
-                StageOutcome::Interrupted => ("stage_finished_interrupted", 1),
                 StageOutcome::Cancelled => ("stage_finished_cancelled", 1),
             },
-            EventKind::RetryScheduled { .. } => ("retry_scheduled", 1),
-            EventKind::DegradationRungEntered { .. } => ("degradation_rung_entered", 1),
-            EventKind::CheckpointWritten { .. } => ("checkpoint_written", 1),
-            EventKind::CheckpointResumed { .. } => ("checkpoint_resumed", 1),
             EventKind::CacheHit { kind } => match kind {
                 CacheKind::Library => ("cache_hit_library", 1),
                 CacheKind::Flow => ("cache_hit_flow", 1),
@@ -503,17 +411,10 @@ fn metrics_registry_aggregates_exactly_the_recorded_events() {
         .collect();
     assert_eq!(got, expected, "registry counters vs raw event stream");
     // The per-stage histograms account for every terminated span.
-    let finished: u64 = [
-        "ok",
-        "failed",
-        "panicked",
-        "timed_out",
-        "interrupted",
-        "cancelled",
-    ]
-    .iter()
-    .map(|o| run.report.counter(&format!("stage_finished_{o}")))
-    .sum();
+    let finished: u64 = ["ok", "failed", "panicked", "timed_out", "cancelled"]
+        .iter()
+        .map(|o| run.report.counter(&format!("stage_finished_{o}")))
+        .sum();
     let histogrammed: u64 = run.report.stage_wall.iter().map(|(_, h)| h.count).sum();
     assert_eq!(histogrammed, finished, "histograms vs terminal events");
     // And the JSON rendering carries every counter verbatim.
@@ -545,8 +446,6 @@ fn jsonl_trace_validates_and_matches_the_vec_recorder() {
         summary.cache_misses,
         run.stats.library_builds + run.stats.flow_misses
     );
-    assert_eq!(summary.checkpoints_written, 0, "no checkpointing armed");
-    assert_eq!(summary.checkpoints_resumed, 0);
 }
 
 #[test]
@@ -590,209 +489,58 @@ fn distinct_point_traces_are_identical_in_order_across_schedules() {
     assert_eq!(groups1, groups4, "ordered per-point traces diverge");
 }
 
+/// A planted stage error is traced as exactly one failed span, and the
+/// run ends there: no stage after it opens, and every span closes.
 #[test]
-fn retries_are_traced_as_failed_span_then_reschedule_then_fresh_attempt() {
+fn failed_stage_is_traced_as_one_failed_span_that_ends_the_run() {
     let vec = Arc::new(VecRecorder::new());
-    let report = FlowSupervisor::new(Benchmark::Aes, DesignStyle::TwoD, cfg())
-        .with_cache(Arc::new(ArtifactCache::default()))
-        .with_recorder(Arc::clone(&vec) as Arc<dyn Recorder>)
+    let cache = Arc::new(ArtifactCache::default());
+    cache.set_recorder(Arc::clone(&vec) as Arc<dyn Recorder>);
+    let err = FlowSupervisor::new(Benchmark::Aes, DesignStyle::TwoD, cfg())
+        .with_cache(cache)
         .with_faults(FaultPlan::new().fail_stage("route", 1))
-        .run();
-    assert!(report.closed(), "one injected failure retries to closure");
+        .run()
+        .expect_err("an injected routing failure ends the run");
+    assert!(
+        matches!(
+            err,
+            FlowError::Injected {
+                stage: FlowStage::Routing,
+                ..
+            }
+        ),
+        "got {err}"
+    );
     let events = vec.events();
-    let routing: Vec<&EventKind> = events
+    let last_span: Vec<&EventKind> = events
         .iter()
         .map(|e| &e.kind)
         .filter(|k| {
             matches!(
                 k,
-                EventKind::StageFinished {
-                    stage: FlowStage::Routing,
-                    ..
-                } | EventKind::RetryScheduled {
-                    stage: FlowStage::Routing,
-                    ..
-                }
+                EventKind::StageStarted { .. } | EventKind::StageFinished { .. }
             )
         })
         .collect();
-    // failed attempt 1 -> reschedule for 2 -> clean attempt 2.
     assert!(
         matches!(
-            routing.first(),
-            Some(EventKind::StageFinished {
-                attempt: 1,
-                outcome: StageOutcome::Failed,
-                ..
-            })
+            last_span.as_slice(),
+            [
+                ..,
+                EventKind::StageStarted {
+                    stage: FlowStage::Routing,
+                    ..
+                },
+                EventKind::StageFinished {
+                    stage: FlowStage::Routing,
+                    outcome: StageOutcome::Failed,
+                    ..
+                }
+            ]
         ),
-        "got {routing:?}"
-    );
-    assert!(
-        matches!(
-            routing.get(1),
-            Some(EventKind::RetryScheduled {
-                next_attempt: 2,
-                ..
-            })
-        ),
-        "got {routing:?}"
-    );
-    assert!(
-        matches!(
-            routing.get(2),
-            Some(EventKind::StageFinished {
-                attempt: 2,
-                outcome: StageOutcome::Ok,
-                ..
-            })
-        ),
-        "got {routing:?}"
+        "the routing span is the last and closes failed: {last_span:?}"
     );
     for (span, open) in open_span_counts(&events) {
         assert_eq!(open, 0, "span left open: {span:?}");
     }
-}
-
-#[test]
-fn ladder_escalations_are_traced_with_increasing_rungs() {
-    let vec = Arc::new(VecRecorder::new());
-    let report = FlowSupervisor::new(Benchmark::Aes, DesignStyle::TwoD, cfg())
-        .with_cache(Arc::new(ArtifactCache::default()))
-        .with_recorder(Arc::clone(&vec) as Arc<dyn Recorder>)
-        .with_faults(FaultPlan::new().always_stage("route"))
-        .run();
-    assert!(!report.closed(), "an always-failing stage cannot close");
-    let events = vec.events();
-    let rungs: Vec<u32> = events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::DegradationRungEntered { rung, .. } => Some(rung),
-            _ => None,
-        })
-        .collect();
-    assert!(
-        !rungs.is_empty(),
-        "exhausted retries must escalate the ladder"
-    );
-    let expected: Vec<u32> = (1..=rungs.len() as u32).collect();
-    assert_eq!(rungs, expected, "rungs enter in order, once each");
-    let max_started_rung = events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::StageStarted { rung, .. } => Some(rung),
-            _ => None,
-        })
-        .max()
-        .expect("stages ran");
-    assert_eq!(
-        max_started_rung,
-        *rungs.last().expect("nonempty"),
-        "the deepest rung entered is the deepest rung attempted"
-    );
-    for (span, open) in open_span_counts(&events) {
-        assert_eq!(open, 0, "span left open: {span:?}");
-    }
-}
-
-/// A fresh per-test checkpoint directory under the system temp dir.
-fn ckpt_dir(tag: &str) -> PathBuf {
-    static SERIAL: AtomicU64 = AtomicU64::new(0);
-    let n = SERIAL.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("m3d-observe-{tag}-{}-{n}", std::process::id()))
-}
-
-/// Satellite: checkpoint resume with the cache shared with a parallel
-/// executor. A plan fans out first (warming the shared cache mid-plan),
-/// a checkpointed run on the same cache is killed at routing, and the
-/// resumed run's trace must open with `CheckpointResumed` before any
-/// live stage — re-running no completed stage.
-#[test]
-fn resume_under_a_parallel_executor_traces_checkpoint_resumed_first() {
-    let cache = Arc::new(ArtifactCache::default());
-    let mut plan = ExperimentPlan::new();
-    plan.merge(experiments::plan_for("fig3", BenchScale::Small));
-    let fan_out = ParallelExecutor::new(2)
-        .with_cache(Arc::clone(&cache))
-        .run(&plan);
-    assert!(fan_out.first_error().is_none(), "warm-up plan must close");
-
-    let dir = ckpt_dir("resume");
-    let kill_trace = Arc::new(VecRecorder::new());
-    let interrupted = FlowSupervisor::new(Benchmark::Aes, DesignStyle::TwoD, cfg())
-        .with_cache(Arc::clone(&cache))
-        .with_checkpoints(&dir)
-        .expect("checkpoint dir opens")
-        .with_recorder(Arc::clone(&kill_trace) as Arc<dyn Recorder>)
-        .with_faults(FaultPlan::new().kill_at("route", 1))
-        .run();
-    assert!(!interrupted.closed(), "the kill interrupts the run");
-    let killed = kill_trace.events();
-    assert!(
-        killed.iter().any(|e| matches!(
-            e.kind,
-            EventKind::CheckpointWritten { bytes, .. } if bytes > 0
-        )),
-        "completed stages persist nonempty snapshots"
-    );
-    assert!(
-        !killed.iter().any(|e| matches!(
-            e.kind,
-            EventKind::StageStarted {
-                stage: FlowStage::Routing,
-                ..
-            }
-        )),
-        "a kill models SIGKILL: it strikes before the span opens"
-    );
-    for (span, open) in open_span_counts(&killed) {
-        assert_eq!(open, 0, "the crashed trace still balances: {span:?}");
-    }
-
-    let resume_trace = Arc::new(VecRecorder::new());
-    let resumed = FlowSupervisor::resume_from(&dir)
-        .expect("a killed run resumes")
-        .with_cache(Arc::clone(&cache))
-        .with_recorder(Arc::clone(&resume_trace) as Arc<dyn Recorder>)
-        .run();
-    assert_eq!(resumed.disposition, Disposition::Closed);
-    // No completed stage re-ran: the crashed run's records come back
-    // verbatim as the resumed report's prefix.
-    assert_eq!(
-        resumed.attempts[..interrupted.attempts.len()],
-        interrupted.attempts[..],
-        "restored records must match the crashed run's prefix"
-    );
-    let events = resume_trace.events();
-    assert!(
-        matches!(
-            events.first().map(|e| &e.kind),
-            Some(EventKind::CheckpointResumed { .. })
-        ),
-        "a resumed trace opens with checkpoint_resumed, got {:?}",
-        events.first()
-    );
-    let first_live = events
-        .iter()
-        .find_map(|e| match e.kind {
-            EventKind::StageStarted { stage, .. } => Some(stage),
-            _ => None,
-        })
-        .expect("the resumed run runs live stages");
-    assert_eq!(
-        first_live,
-        FlowStage::Routing,
-        "resume continues at the first incomplete stage"
-    );
-    assert!(
-        !events.iter().any(|e| matches!(
-            e.kind,
-            EventKind::StageStarted {
-                stage: FlowStage::Synthesis,
-                ..
-            }
-        )),
-        "synthesis completed before the kill and must not re-run"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }

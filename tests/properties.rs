@@ -641,17 +641,6 @@ mod flow_error_display {
             &["injected fault", "routing", "planted"],
         );
     }
-
-    #[test]
-    fn timing_not_closed() {
-        shows(
-            FlowError::TimingNotClosed {
-                wns_ps: -87.3,
-                clock_ps: 1200.0,
-            },
-            &["not closed", "-87.3", "1200"],
-        );
-    }
 }
 
 /// Resizing cells changes neither connectivity nor positions, and the

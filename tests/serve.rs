@@ -2,9 +2,8 @@
 //! robustness under hostile frames, the frame cap and pipelined
 //! frames, cross-connection coalescing, served tables identical to the
 //! batch binary, per-client quotas and typed admission events, instant
-//! deadline rejection, graceful drain with remainder persistence and
-//! exactly one answer per request, and the TCP listener answering like
-//! the unix socket.
+//! deadline rejection, graceful drain with exactly one answer per
+//! request, and the TCP listener answering like the unix socket.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -16,10 +15,7 @@ use m3d_serve::client::{response_error, response_ok, ClientStream};
 use m3d_serve::{
     AdmissionError, AdmissionQueue, Listen, Priority, Server, ServerConfig, MAX_FRAME,
 };
-use monolith3d::{
-    json_raw_field, json_str_field, load_remainder, ArtifactCache, EventKind, Recorder,
-    VecRecorder, REMAINDER_FILE,
-};
+use monolith3d::{json_raw_field, json_str_field, ArtifactCache, EventKind, Recorder, VecRecorder};
 use proptest::prelude::*;
 
 fn scratch_dir(label: &str) -> PathBuf {
@@ -287,14 +283,12 @@ fn served_smoke_subset_matches_the_batch_golden() {
 }
 
 #[test]
-fn per_client_quota_rejects_and_drain_persists_a_deduplicated_remainder() {
-    let dir = scratch_dir("drain-remainder");
+fn per_client_quota_rejects_and_drain_answers_every_queued_request() {
     let (server, sock, _cache) = start("quota-drain", |cfg| {
         // No dispatchers: admitted points stay queued until the drain,
-        // so quota and remainder behaviour is deterministic.
+        // so quota and drain behaviour is deterministic.
         cfg.dispatchers = 0;
         cfg.quota = Some(1);
-        cfg.remainder_dir = Some(dir.clone());
     });
     let mut a = connect(&sock);
     let mut b = connect(&sock);
@@ -314,7 +308,7 @@ fn per_client_quota_rejects_and_drain_persists_a_deduplicated_remainder() {
     // Give both submits time to land before draining.
     std::thread::sleep(Duration::from_millis(100));
     let pending = server.shutdown();
-    assert_eq!(pending, 1, "two identical queued points dedup to one");
+    assert_eq!(pending, 2, "both queued requests are answered draining");
     // Both queued requests get a typed drain response.
     for (c, who) in [(&mut a, "a"), (&mut b, "b")] {
         let resp = c.recv_line().expect("read").expect("drain response");
@@ -323,9 +317,9 @@ fn per_client_quota_rejects_and_drain_persists_a_deduplicated_remainder() {
             Some("draining"),
             "client {who}: {resp}"
         );
+        assert!(resp.contains("not run"), "client {who}: {resp}");
     }
-    let plan = load_remainder(&dir.join(REMAINDER_FILE)).expect("remainder loads");
-    assert_eq!(plan.len(), 1);
+    assert_eq!(server.shutdown(), 0, "a second drain finds nothing");
     server.join();
 }
 
@@ -333,8 +327,7 @@ fn per_client_quota_rejects_and_drain_persists_a_deduplicated_remainder() {
 /// whichever side of it its frame lands on: queued requests are
 /// answered `draining` by the drain, and the rest are rejected at
 /// admission (quota, capacity, or the drain itself). Frames sent while
-/// the drain runs may go unread, but none is answered twice. The
-/// persisted remainder holds only points some connection requested.
+/// the drain runs may go unread, but none is answered twice.
 #[test]
 fn every_pipelined_run_is_answered_exactly_once_across_a_drain() {
     const CONNS: usize = 4;
@@ -355,18 +348,13 @@ fn every_pipelined_run_is_answered_exactly_once_across_a_drain() {
              \"scale\":\"small\",\"priority\":\"{priority}\"}}\n"
         )
     };
-    let requested: Vec<_> = (0..CONNS)
-        .flat_map(|conn| (1..=RUNS).map(move |id| point(conn, id)))
-        .collect();
     for round in 0..8u64 {
-        let dir = scratch_dir("exactly-once-remainder");
         let (server, sock, _cache) = start("exactly-once", |cfg| {
             // No dispatchers: nothing runs, so every answer comes from
             // admission or the drain.
             cfg.dispatchers = 0;
             cfg.queue_capacity = 12;
             cfg.quota = Some(4);
-            cfg.remainder_dir = Some(dir.clone());
         });
         let barrier = Arc::new(Barrier::new(CONNS + 1));
         let clients: Vec<_> = (0..CONNS)
@@ -407,7 +395,7 @@ fn every_pipelined_run_is_answered_exactly_once_across_a_drain() {
             .collect();
         barrier.wait();
         std::thread::sleep(Duration::from_millis(round));
-        let pending = server.shutdown();
+        server.shutdown();
         server.join();
         for (conn, h) in clients.into_iter().enumerate() {
             let mut answered = h.join().expect("client thread");
@@ -422,20 +410,6 @@ fn every_pipelined_run_is_answered_exactly_once_across_a_drain() {
                 (1..=EARLY).all(|id| answered.contains(&id))
                     && answered.iter().all(|id| (1..=RUNS).contains(id)),
                 "round {round}, connection {conn}: answered {answered:?}"
-            );
-        }
-        let path = dir.join(REMAINDER_FILE);
-        if pending == 0 {
-            assert!(!path.exists(), "round {round}: no remainder to persist");
-            continue;
-        }
-        let plan = load_remainder(&path).expect("remainder loads");
-        assert_eq!(plan.len() as u64, pending, "round {round}");
-        for p in plan.points() {
-            let key = (p.bench.name(), p.style.label());
-            assert!(
-                requested.contains(&key),
-                "round {round}: remainder holds an unrequested point {key:?}"
             );
         }
     }
