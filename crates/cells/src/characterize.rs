@@ -11,7 +11,8 @@
 //! * [`characterize_spice`] — builds a transistor + parasitic-RC circuit
 //!   and runs `m3d-spice` transients across the (slew × load) grid, the
 //!   procedure Cadence ELC performs in the paper (Section 3.2). Used to
-//!   regenerate Table 2 and to validate the analytic model.
+//!   regenerate Table 2 and to validate the analytic model;
+//!   [`characterize_spice_tables`] is its transient half alone.
 //!
 //! Both report the paper's observable: T-MI cells with shorter in-cell
 //! wires (INV/NAND/MUX) come out slightly *better* than 2D, while the
@@ -276,8 +277,23 @@ pub fn characterize_analytic(
     }
 }
 
+/// The three tables a SPICE characterization measures, each over the
+/// (slew, load) grid it was run on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpiceTables {
+    /// Propagation delay, ps: the mean of the rising- and falling-input
+    /// arcs.
+    pub delay: Nldm,
+    /// Output slew, ps.
+    pub out_slew: Nldm,
+    /// Internal energy per output transition, fJ.
+    pub energy: Nldm,
+}
+
 /// SPICE-based characterization of a (small) cell: builds the transistor +
-/// extracted-RC circuit and measures delay/slew/energy across the grid.
+/// extracted-RC circuit and measures delay/slew/energy across the grid;
+/// the pin caps, leakage and drive resistance come from
+/// [`characterize_analytic`].
 ///
 /// Only single-output combinational cells are supported; the analytic
 /// characterizer covers the rest. Runtime grows with the grid, so callers
@@ -295,6 +311,36 @@ pub fn characterize_spice(
     slews: Vec<f64>,
     loads: Vec<f64>,
 ) -> CellTables {
+    let SpiceTables {
+        delay,
+        out_slew,
+        energy,
+    } = characterize_spice_tables(node, function, drive, topo, geometry, slews, loads);
+    let analytic = characterize_analytic(node, DesignStyle::TwoD, function, drive, topo, geometry);
+    CellTables {
+        delay,
+        out_slew,
+        energy,
+        ..analytic
+    }
+}
+
+/// The transient half of [`characterize_spice`] on its own: two
+/// simulations (rising and falling input) per (slew, load) grid point.
+///
+/// # Panics
+///
+/// Panics for sequential or multi-output functions, and when a
+/// transient fails to converge or the output never switches.
+pub fn characterize_spice_tables(
+    node: &TechNode,
+    function: CellFunction,
+    drive: u8,
+    topo: &Topology,
+    geometry: &CellGeometry,
+    slews: Vec<f64>,
+    loads: Vec<f64>,
+) -> SpiceTables {
     assert!(
         !function.is_sequential() && function.output_count() == 1,
         "SPICE characterization supports single-output combinational cells"
@@ -423,12 +469,10 @@ pub fn characterize_spice(
         }
     }
 
-    let analytic = characterize_analytic(node, DesignStyle::TwoD, function, drive, topo, geometry);
-    CellTables {
+    SpiceTables {
         delay: Nldm::new(slews.clone(), loads.clone(), delay_v),
         out_slew: Nldm::new(slews.clone(), loads.clone(), slew_v),
         energy: Nldm::new(slews, loads, energy_v),
-        ..analytic
     }
 }
 

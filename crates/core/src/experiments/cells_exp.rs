@@ -4,16 +4,14 @@
 use std::fmt::Write as _;
 
 use m3d_cells::{
-    characterize::{characterize_analytic, characterize_spice},
-    layout::generate_layout,
-    CellFunction, Signal, Topology,
+    characterize::characterize_analytic, layout::generate_layout, CellFunction, Signal, Topology,
 };
 use m3d_extract::{extract_cell, CellExtraction, TopSiliconModel};
 use m3d_tech::{
-    DesignStyle, MetalClass, MetalStack, PdkRegistry, ScaleFactors, StackKind, TechNode,
+    DesignStyle, MetalClass, MetalStack, NodeId, PdkRegistry, ScaleFactors, StackKind, TechNode,
 };
 
-use crate::cache::ArtifactCache;
+use crate::cache::{ArtifactCache, SpiceKey};
 
 /// The four cells Tables 1/2 report on.
 const TABLE_CELLS: [CellFunction; 4] = [
@@ -101,9 +99,12 @@ pub fn table1_cell_rc() -> String {
 /// cells at the paper's fast/medium/slow slew-load corners.
 ///
 /// Combinational cells run through the `m3d-spice` transient engine (the
-/// ELC procedure); the sequential DFF uses the analytic characterization.
+/// ELC procedure), one deck per (cell, style, corner), memoized and
+/// persisted by the global [`ArtifactCache`]; the sequential DFF uses
+/// the analytic characterization.
 pub fn table2_cell_timing_power() -> String {
     let node = TechNode::n45();
+    let cache = ArtifactCache::global();
     let corners = [
         ("fast", 7.5, 0.8),
         ("medium", 37.5, 3.2),
@@ -134,12 +135,13 @@ pub fn table2_cell_timing_power() -> String {
         for f in TABLE_CELLS {
             let topo = Topology::for_function(f);
             let per_style = |style: DesignStyle| -> (f64, f64) {
-                let geom = generate_layout(&node, &topo, style, 1);
                 if f.is_sequential() || f.output_count() > 1 {
+                    let geom = generate_layout(&node, &topo, style, 1);
                     let t = characterize_analytic(&node, style, f, 1, &topo, &geom);
                     (t.delay.lookup(slew, load), t.energy.lookup(slew, load))
                 } else {
-                    let t = characterize_spice(&node, f, 1, &topo, &geom, vec![slew], vec![load]);
+                    let key = SpiceKey::new(NodeId::N45, style, f, 1, &[slew], &[load]);
+                    let t = cache.spice_tables(&key);
                     (t.delay.lookup(slew, load), t.energy.lookup(slew, load))
                 }
             };

@@ -92,7 +92,7 @@ pub mod store;
 pub mod supervisor;
 
 pub use artifacts::FlowContext;
-pub use cache::{ArtifactCache, CacheStats, FlowKey, LibraryKey};
+pub use cache::{ArtifactCache, CacheStats, FlowKey, LibraryKey, SpiceKey};
 pub use compare::Comparison;
 pub use error::StoreFailure;
 pub use error::{ConfigError, FlowError, FlowStage};

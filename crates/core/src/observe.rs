@@ -48,15 +48,26 @@ pub enum CacheKind {
     Library,
     /// The completed-flow-result cache.
     Flow,
+    /// The SPICE-characterization cache (one cell's transient tables).
+    Spice,
 }
 
 impl CacheKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [CacheKind; 3] = [CacheKind::Library, CacheKind::Flow, CacheKind::Spice];
+
     /// Stable lowercase name used in JSONL and counter keys.
     pub fn key(self) -> &'static str {
         match self {
             CacheKind::Library => "library",
             CacheKind::Flow => "flow",
+            CacheKind::Spice => "spice",
         }
+    }
+
+    /// The kind whose [`CacheKind::key`] is `key`.
+    pub fn from_key(key: &str) -> Option<CacheKind> {
+        CacheKind::ALL.into_iter().find(|k| k.key() == key)
     }
 }
 
@@ -157,7 +168,7 @@ pub enum EventKind {
     },
     /// A durable file failed verification and was moved into
     /// `quarantine/` instead of being served (`what` names the payload:
-    /// `"library"` or `"flow"`).
+    /// a [`CacheKind::key`]).
     DiskQuarantined { what: &'static str },
     /// The persistent store hit an I/O failure and degraded to the
     /// in-memory tier for the rest of the run (emitted once per store;
@@ -746,31 +757,38 @@ impl MetricsRegistry {
             EventKind::CacheHit { kind } => match kind {
                 CacheKind::Library => "cache_hit_library",
                 CacheKind::Flow => "cache_hit_flow",
+                CacheKind::Spice => "cache_hit_spice",
             },
             EventKind::CacheMiss { kind } => match kind {
                 CacheKind::Library => "cache_miss_library",
                 CacheKind::Flow => "cache_miss_flow",
+                CacheKind::Spice => "cache_miss_spice",
             },
             EventKind::CacheCoalesced { kind } => match kind {
                 CacheKind::Library => "cache_coalesced_library",
                 CacheKind::Flow => "cache_coalesced_flow",
+                CacheKind::Spice => "cache_coalesced_spice",
             },
             EventKind::CacheEvicted { kind, .. } => match kind {
                 CacheKind::Library => "cache_evicted_library",
                 CacheKind::Flow => "cache_evicted_flow",
+                CacheKind::Spice => "cache_evicted_spice",
             },
             EventKind::WorkerStolen { .. } => "worker_stolen",
             EventKind::DiskHit { kind } => match kind {
                 CacheKind::Library => "disk_hit_library",
                 CacheKind::Flow => "disk_hit_flow",
+                CacheKind::Spice => "disk_hit_spice",
             },
             EventKind::DiskMiss { kind } => match kind {
                 CacheKind::Library => "disk_miss_library",
                 CacheKind::Flow => "disk_miss_flow",
+                CacheKind::Spice => "disk_miss_spice",
             },
             EventKind::DiskEvicted { kind, .. } => match kind {
                 CacheKind::Library => "disk_evicted_library",
                 CacheKind::Flow => "disk_evicted_flow",
+                CacheKind::Spice => "disk_evicted_spice",
             },
             EventKind::DiskQuarantined { .. } => "disk_quarantined",
             EventKind::StoreDegraded { .. } => "store_degraded",
@@ -932,15 +950,15 @@ pub struct TraceSummary {
     pub events: usize,
     /// Completed stage spans (started and finished).
     pub stage_spans: usize,
-    /// `cache_hit` events (both kinds).
+    /// `cache_hit` events (every cache kind).
     pub cache_hits: u64,
-    /// `cache_miss` events (both kinds).
+    /// `cache_miss` events (every cache kind).
     pub cache_misses: u64,
-    /// `disk_hit` events (both kinds).
+    /// `disk_hit` events (every cache kind).
     pub disk_hits: u64,
-    /// `disk_miss` events (both kinds).
+    /// `disk_miss` events (every cache kind).
     pub disk_misses: u64,
-    /// `disk_quarantined` events (libraries and flows).
+    /// `disk_quarantined` events (every cache kind).
     pub disk_quarantined: u64,
     /// `store_degraded` events (at most one per store instance).
     pub store_degraded: u64,
@@ -1063,9 +1081,19 @@ fn string_field(line: &str, name: &str, lineno: usize) -> Result<String, TraceEr
     })
 }
 
+/// The `"cache"` field, which must name a [`CacheKind`].
+fn cache_field(line: &str, lineno: usize) -> Result<CacheKind, TraceError> {
+    let name = string_field(line, "cache", lineno)?;
+    CacheKind::from_key(&name).ok_or_else(|| TraceError::Malformed {
+        line: lineno,
+        reason: format!("unknown cache {name:?}"),
+    })
+}
+
 /// Validates a JSONL trace against the recorder's schema: every line
 /// parses, `seq` strictly increases, every `kind` is known, required
-/// per-kind fields are present, and stage spans balance — each
+/// per-kind fields are present (a `cache` field names a [`CacheKind`]),
+/// and stage spans balance — each
 /// `stage_finished` closes a matching open `stage_started` (keyed by
 /// bench/style/stage) and nothing stays open at the end.
 ///
@@ -1142,7 +1170,7 @@ pub fn validate_jsonl(trace: &str) -> Result<TraceSummary, TraceError> {
                 }
             }
             "cache_hit" | "cache_miss" | "cache_coalesced" => {
-                string_field(line, "cache", lineno)?;
+                cache_field(line, lineno)?;
                 match kind.as_str() {
                     "cache_hit" => summary.cache_hits += 1,
                     "cache_miss" => summary.cache_misses += 1,
@@ -1150,7 +1178,7 @@ pub fn validate_jsonl(trace: &str) -> Result<TraceSummary, TraceError> {
                 }
             }
             "cache_evicted" => {
-                string_field(line, "cache", lineno)?;
+                cache_field(line, lineno)?;
                 u64_field(line, "count", lineno)?;
             }
             "worker_stolen" => {
@@ -1159,14 +1187,14 @@ pub fn validate_jsonl(trace: &str) -> Result<TraceSummary, TraceError> {
                 u64_field(line, "point", lineno)?;
             }
             "disk_hit" | "disk_miss" => {
-                string_field(line, "cache", lineno)?;
+                cache_field(line, lineno)?;
                 match kind.as_str() {
                     "disk_hit" => summary.disk_hits += 1,
                     _ => summary.disk_misses += 1,
                 }
             }
             "disk_evicted" => {
-                string_field(line, "cache", lineno)?;
+                cache_field(line, lineno)?;
                 u64_field(line, "count", lineno)?;
                 u64_field(line, "bytes", lineno)?;
             }
@@ -1297,6 +1325,12 @@ mod tests {
         rec.record(EventKind::DiskMiss {
             kind: CacheKind::Flow,
         });
+        rec.record(EventKind::CacheHit {
+            kind: CacheKind::Spice,
+        });
+        rec.record(EventKind::DiskHit {
+            kind: CacheKind::Spice,
+        });
         rec.record(EventKind::DiskEvicted {
             kind: CacheKind::Flow,
             count: 1,
@@ -1325,10 +1359,11 @@ mod tests {
             trace.push('\n');
         }
         let summary = validate_jsonl(&trace).expect("trace validates");
-        assert_eq!(summary.events, 18);
+        assert_eq!(summary.events, 20);
         assert_eq!(summary.stage_spans, 2);
+        assert_eq!(summary.cache_hits, 1);
         assert_eq!(summary.cache_misses, 1);
-        assert_eq!(summary.disk_hits, 1);
+        assert_eq!(summary.disk_hits, 2);
         assert_eq!(summary.disk_misses, 1);
         assert_eq!(summary.disk_quarantined, 1);
         assert_eq!(summary.store_degraded, 1);
@@ -1346,6 +1381,9 @@ mod tests {
         m.record(EventKind::DiskMiss {
             kind: CacheKind::Flow,
         });
+        m.record(EventKind::DiskHit {
+            kind: CacheKind::Spice,
+        });
         m.record(EventKind::DiskEvicted {
             kind: CacheKind::Library,
             count: 3,
@@ -1357,6 +1395,7 @@ mod tests {
         assert_eq!(report.counter("disk_hit_library"), 1);
         assert_eq!(report.counter("disk_miss_library"), 1);
         assert_eq!(report.counter("disk_miss_flow"), 1);
+        assert_eq!(report.counter("disk_hit_spice"), 1);
         assert_eq!(
             report.counter("disk_evicted_library"),
             3,
@@ -1380,6 +1419,13 @@ mod tests {
                 seq: 0,
                 ..
             })
+        ));
+        // A cache no CacheKind names.
+        let trace =
+            "{\"seq\":0,\"thread\":0,\"t_s\":0.0,\"kind\":\"cache_hit\",\"cache\":\"tile\"}\n";
+        assert!(matches!(
+            validate_jsonl(trace),
+            Err(TraceError::Malformed { .. })
         ));
         // Unknown kind.
         let trace = "{\"seq\":0,\"thread\":0,\"t_s\":0.0,\"kind\":\"rebooted\"}\n";

@@ -2,17 +2,19 @@
 //! [`crate::ArtifactCache`].
 //!
 //! The paper's sweeps re-derive the same expensive artifacts across
-//! *processes*: every fresh `paper_tables` invocation re-characterizes
-//! the same cell libraries and re-runs flows an earlier invocation
-//! already signed off. [`DiskStore`] persists both artifact classes
-//! under their existing cache keys so a warm directory turns a fresh
-//! process into a cache hit:
+//! *processes*: without a store, every fresh `paper_tables` invocation
+//! re-characterizes the same cell libraries, re-simulates the same
+//! SPICE decks and re-runs flows an earlier invocation already signed
+//! off. [`DiskStore`] persists all three artifact classes under their
+//! existing cache keys so a warm directory turns a fresh process into a
+//! cache hit:
 //!
 //! * **Layout** — entries are content-addressed by the FNV-1a 64 hash
 //!   of the *encoded key bytes* (Rust's `std::hash` is not stable
 //!   across processes), sharded by the hash's low byte:
-//!   `<root>/lib/<2-hex>/<16-hex>.m3d` and
-//!   `<root>/flow/<2-hex>/<16-hex>.m3d`, plus `<root>/quarantine/` and
+//!   `<root>/lib/<2-hex>/<16-hex>.m3d`,
+//!   `<root>/flow/<2-hex>/<16-hex>.m3d` and
+//!   `<root>/spice/<2-hex>/<16-hex>.m3d`, plus `<root>/quarantine/` and
 //!   a recency journal `<root>/index.journal`.
 //! * **Self-verification** — every entry is the durable frame built by
 //!   `codec::frame` (DESIGN.md §9) under the `M3DSTOR1` magic, with a
@@ -57,11 +59,12 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
+use m3d_cells::characterize::SpiceTables;
 use m3d_cells::{Cell, CellFunction, CellLibrary, Nldm, Pin, PinDir, SeqSpec};
 use m3d_power::PowerReport;
 use m3d_tech::{MetalClass, TechNode};
 
-use crate::cache::{FlowKey, LibraryKey};
+use crate::cache::{FlowKey, LibraryKey, SpiceKey};
 use crate::codec::{
     content_hash, dec_benchmark, dec_layer_usage, dec_node, dec_style, enc_benchmark,
     enc_layer_usage, enc_node, enc_scale, enc_stack_kind, enc_style, flip_byte, frame,
@@ -82,7 +85,8 @@ const SEC_ARTIFACT: u8 = 2;
 
 /// Default byte budget: generous for the full paper reproduction
 /// (a characterized library encodes to a few hundred KiB, a flow
-/// result to ~1 KiB) while still bounding a pathological sweep.
+/// result to ~1 KiB, one cell's SPICE tables to well under that) while
+/// still bounding a pathological sweep.
 const DEFAULT_BYTE_BUDGET: u64 = 1 << 30;
 
 /// A publisher's `.lock` older than this is presumed crashed and is
@@ -320,6 +324,35 @@ impl DiskStore {
         );
     }
 
+    /// The persisted SPICE tables for `key`, if a verified entry exists
+    /// whose tables span exactly the key's grid. Same non-erroring
+    /// contract as [`DiskStore::load_library`].
+    pub fn load_spice(&self, key: &SpiceKey) -> Option<SpiceTables> {
+        let key_bytes = enc_spice_key(key);
+        self.load_verified(CacheKind::Spice, &key_bytes, |artifact| {
+            let tables = dec_spice_tables(artifact)?;
+            let on_grid =
+                |t: &Nldm| bits(t.slews()) == key.slew_bits && bits(t.loads()) == key.load_bits;
+            if [&tables.delay, &tables.out_slew, &tables.energy]
+                .into_iter()
+                .all(on_grid)
+            {
+                Ok(tables)
+            } else {
+                Err(DecodeError("SPICE tables span another grid".into()))
+            }
+        })
+    }
+
+    /// Publishes one cell's SPICE tables under `key`. Never errors.
+    pub fn store_spice(&self, key: &SpiceKey, tables: &SpiceTables) {
+        self.publish(
+            CacheKind::Spice,
+            &enc_spice_key(key),
+            &enc_spice_tables(tables),
+        );
+    }
+
     // -- read path ----------------------------------------------------
 
     /// The whole verify-on-read protocol: read, check magic + payload
@@ -536,12 +569,8 @@ impl DiskStore {
     // -- plumbing -----------------------------------------------------
 
     fn entry_path(&self, kind: CacheKind, hash: u64) -> PathBuf {
-        let sub = match kind {
-            CacheKind::Library => "lib",
-            CacheKind::Flow => "flow",
-        };
         self.root
-            .join(sub)
+            .join(kind_dir(kind))
             .join(format!("{:02x}", hash & 0xff))
             .join(format!("{hash:016x}.m3d"))
     }
@@ -595,14 +624,23 @@ impl DiskStore {
     }
 }
 
+/// The store subdirectory holding one kind's entries.
+fn kind_dir(kind: CacheKind) -> &'static str {
+    match kind {
+        CacheKind::Library => "lib",
+        CacheKind::Flow => "flow",
+        CacheKind::Spice => "spice",
+    }
+}
+
 /// Rebuilds the index from the directory tree (ground truth for
 /// existence and sizes), then replays the journal for recency. Any
 /// unreadable directory or corrupt journal line is simply skipped: the
 /// index is an optimization, and reads re-verify entries anyway.
 fn scan(root: &Path) -> Index {
     let mut idx = Index::default();
-    for (kind, sub) in [(CacheKind::Library, "lib"), (CacheKind::Flow, "flow")] {
-        let Ok(shards) = fs::read_dir(root.join(sub)) else {
+    for kind in CacheKind::ALL {
+        let Ok(shards) = fs::read_dir(root.join(kind_dir(kind))) else {
             continue;
         };
         for shard in shards.flatten() {
@@ -638,10 +676,8 @@ fn scan(root: &Path) -> Index {
             else {
                 continue;
             };
-            let kind = match kind {
-                "library" => CacheKind::Library,
-                "flow" => CacheKind::Flow,
-                _ => continue,
+            let Some(kind) = CacheKind::from_key(kind) else {
+                continue;
             };
             let Ok(hash) = u64::from_str_radix(hash, 16) else {
                 continue;
@@ -697,6 +733,21 @@ fn enc_library_key(k: &LibraryKey) -> Vec<u8> {
     enc_style(&mut e, k.style);
     e.bool(k.lower_metal_rho);
     e.u64(k.pin_cap_scale_bits);
+    e.buf
+}
+
+fn enc_spice_key(k: &SpiceKey) -> Vec<u8> {
+    let mut e = Enc::default();
+    enc_node(&mut e, k.node_id);
+    enc_style(&mut e, k.style);
+    enc_function(&mut e, k.function);
+    e.u8(k.drive);
+    for axis in [&k.slew_bits, &k.load_bits] {
+        e.usize(axis.len());
+        for &b in axis {
+            e.u64(b);
+        }
+    }
     e.buf
 }
 
@@ -788,6 +839,29 @@ fn dec_nldm(d: &mut Dec) -> DecResult<Nldm> {
         )));
     }
     Ok(Nldm::new(slews, loads, values))
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn enc_spice_tables(t: &SpiceTables) -> Vec<u8> {
+    let mut e = Enc::default();
+    enc_nldm(&mut e, &t.delay);
+    enc_nldm(&mut e, &t.out_slew);
+    enc_nldm(&mut e, &t.energy);
+    e.buf
+}
+
+fn dec_spice_tables(bytes: &[u8]) -> DecResult<SpiceTables> {
+    let mut d = Dec::new(bytes);
+    let tables = SpiceTables {
+        delay: dec_nldm(&mut d)?,
+        out_slew: dec_nldm(&mut d)?,
+        energy: dec_nldm(&mut d)?,
+    };
+    d.finish()?;
+    Ok(tables)
 }
 
 fn enc_pin(e: &mut Enc, p: &Pin) {
@@ -1287,6 +1361,96 @@ mod tests {
         // A different key must not be answered by this entry.
         let other = LibraryKey::new(NodeId::N45, DesignStyle::TwoD, false, 0.6);
         assert!(store.load_library(&other).is_none());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    fn spice_key(function: CellFunction) -> SpiceKey {
+        SpiceKey::new(
+            NodeId::N45,
+            DesignStyle::Tmi,
+            function,
+            1,
+            &[7.5, 37.5],
+            &[0.8],
+        )
+    }
+
+    fn sample_spice() -> SpiceTables {
+        let grid = |v: [f64; 2]| Nldm::new(vec![7.5, 37.5], vec![0.8], v.to_vec());
+        SpiceTables {
+            delay: grid([17.25, 51.125]),
+            out_slew: grid([12.5, -0.0]),
+            energy: grid([0.383, 0.362]),
+        }
+    }
+
+    #[test]
+    fn spice_tables_round_trip_bit_exactly() {
+        let t = sample_spice();
+        let back = dec_spice_tables(&enc_spice_tables(&t)).expect("decodes");
+        assert_eq!(back, t);
+        assert_eq!(back.out_slew.values()[1].to_bits(), (-0.0f64).to_bits());
+
+        let root = temp_root("spicert");
+        let key = spice_key(CellFunction::Nand2);
+        DiskStore::open(&root).store_spice(&key, &t);
+        let fresh = DiskStore::open(&root);
+        assert_eq!(fresh.load_spice(&key), Some(t));
+        // The scan found the entry: it counts toward the index and the
+        // byte budget like any library or flow entry.
+        let bytes =
+            fs::metadata(fresh.entry_path(CacheKind::Spice, content_hash(&enc_spice_key(&key))))
+                .expect("entry on disk")
+                .len();
+        assert_eq!(fresh.resident_bytes(), bytes);
+        assert_eq!(fresh.index.lock().expect("index").entries.len(), 1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Pins the SPICE entry file image: any change to the frame, the
+    /// SPICE key codec or the NLDM codec moves this hash.
+    #[test]
+    fn spice_entry_file_image_is_pinned() {
+        let root = temp_root("spicepin");
+        let store = DiskStore::open(&root);
+        let key = spice_key(CellFunction::Inv);
+        store.store_spice(&key, &sample_spice());
+        let path = store.entry_path(CacheKind::Spice, content_hash(&enc_spice_key(&key)));
+        let bytes = fs::read(&path).expect("entry on disk");
+        assert_eq!(content_hash(&bytes), 0x8870_1b4d_a443_4a85);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// An entry copied into the slot of another deck's key — what a
+    /// key-hash collision would produce — embeds the wrong key and is
+    /// quarantined, never served; so is one whose tables span another
+    /// grid than its key.
+    #[test]
+    fn forged_spice_entry_is_quarantined_not_served() {
+        let root = temp_root("spiceforge");
+        let store = DiskStore::open(&root);
+        let (inv, nand) = (spice_key(CellFunction::Inv), spice_key(CellFunction::Nand2));
+        store.store_spice(&inv, &sample_spice());
+        let path =
+            |k: &SpiceKey| store.entry_path(CacheKind::Spice, content_hash(&enc_spice_key(k)));
+        fs::create_dir_all(path(&nand).parent().expect("entry dir")).expect("mkdir");
+        fs::copy(path(&inv), path(&nand)).expect("forge the entry");
+        assert_eq!(store.load_spice(&nand), None);
+        assert_eq!(store.counters().quarantined, 1);
+        assert!(!path(&nand).exists(), "forged entry left the live tree");
+        assert_eq!(store.load_spice(&inv), Some(sample_spice()));
+
+        let one_point = SpiceKey::new(
+            NodeId::N45,
+            DesignStyle::Tmi,
+            CellFunction::Inv,
+            1,
+            &[7.5],
+            &[0.8],
+        );
+        store.store_spice(&one_point, &sample_spice());
+        assert_eq!(store.load_spice(&one_point), None);
+        assert_eq!(store.counters().quarantined, 2);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -1,5 +1,5 @@
 use crate::circuit::Circuit;
-use crate::solver::solve_dense;
+use crate::solver::solve_in_place;
 use crate::{ConvergenceError, Node};
 
 /// Transient simulation engine: trapezoidal integration with per-step
@@ -210,10 +210,14 @@ impl<'c> Transient<'c> {
         let mut src_i = vec![0.0; nv];
         let gmin = 1e-9;
 
+        // One matrix and one right-hand side, restamped every Newton
+        // iteration; the solve leaves x in `b`.
+        let mut a = vec![0.0; dim * dim];
+        let mut b = vec![0.0; dim];
         let mut converged = false;
         for _iter in 0..self.max_newton {
-            let mut a = vec![0.0; dim * dim];
-            let mut b = vec![0.0; dim];
+            a.fill(0.0);
+            b.fill(0.0);
             // Map node -> unknown index (ground = none).
             let idx = |node: Node| -> Option<usize> {
                 if node.index() == 0 {
@@ -298,14 +302,12 @@ impl<'c> Transient<'c> {
                 b[row] = vv;
             }
 
-            let x = match solve_dense(a, b) {
-                Some(x) => x,
-                None => {
-                    return Err(ConvergenceError {
-                        at_time_ps: t as u64,
-                    })
-                }
-            };
+            if !solve_in_place(&mut a, &mut b) {
+                return Err(ConvergenceError {
+                    at_time_ps: t as u64,
+                });
+            }
+            let x = &b;
             // Damped update with convergence check.
             let mut max_delta: f64 = 0.0;
             for node in 1..n_nodes {

@@ -1,6 +1,6 @@
 //! Adversarial integration tests of the persistent content-addressed
 //! artifact store: arbitrary single-byte corruption and truncation of
-//! on-disk entries, quarantine naming, concurrent same-directory
+//! on-disk flow and SPICE entries, quarantine naming, concurrent same-directory
 //! instances (the multi-process stand-in), and graceful degradation
 //! when the store directory cannot be written.
 //!
@@ -14,13 +14,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use m3d_cells::CellLibrary;
+use m3d_cells::characterize::SpiceTables;
+use m3d_cells::{CellFunction, CellLibrary, Nldm};
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_power::PowerReport;
 use m3d_route::LayerUsage;
 use m3d_tech::{DesignStyle, NodeId, TechNode};
 use monolith3d::{
-    DiskStore, EventKind, FlowConfig, FlowKey, FlowResult, LibraryKey, Recorder, VecRecorder,
+    DiskStore, EventKind, FlowConfig, FlowKey, FlowResult, LibraryKey, Recorder, SpiceKey,
+    VecRecorder,
 };
 use proptest::prelude::*;
 
@@ -75,6 +77,61 @@ fn flow_key() -> FlowKey {
     )
 }
 
+fn spice_key() -> SpiceKey {
+    SpiceKey::new(
+        NodeId::N45,
+        DesignStyle::TwoD,
+        CellFunction::Mux2,
+        1,
+        &[7.5, 37.5, 150.0],
+        &[0.8, 3.2],
+    )
+}
+
+fn sample_spice() -> SpiceTables {
+    let grid = |scale: f64| {
+        let values = (0..6).map(|i| scale * (1.0 + i as f64)).collect();
+        Nldm::new(vec![7.5, 37.5, 150.0], vec![0.8, 3.2], values)
+    };
+    SpiceTables {
+        delay: grid(59.8),
+        out_slew: grid(21.5),
+        energy: grid(2.113),
+    }
+}
+
+/// One entry of either kind the byte-level attacks cover.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    Flow,
+    Spice,
+}
+
+impl Entry {
+    fn of(tag: u8) -> Entry {
+        if tag == 0 {
+            Entry::Flow
+        } else {
+            Entry::Spice
+        }
+    }
+
+    fn publish(self, store: &DiskStore) {
+        match self {
+            Entry::Flow => store.store_flow(&flow_key(), &sample_result(4321)),
+            Entry::Spice => store.store_spice(&spice_key(), &sample_spice()),
+        }
+    }
+
+    /// Whether a load of the entry's key was served (a hit).
+    fn hits(self, store: &DiskStore) -> bool {
+        match self {
+            Entry::Flow => store.load_flow(&flow_key()).is_some(),
+            Entry::Spice => store.load_spice(&spice_key()).is_some(),
+        }
+    }
+}
+
 /// The one `.m3d` entry file under `root` (excluding quarantine).
 fn entry_file(root: &Path) -> PathBuf {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -100,14 +157,19 @@ fn entry_file(root: &Path) -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Flipping ANY single byte of an on-disk entry — magic, length,
-    /// checksum or payload — is never served as a hit: the entry is
-    /// quarantined and the slot reports a miss, so callers rebuild.
+    /// Flipping ANY single byte of an on-disk flow or SPICE entry —
+    /// magic, length, checksum or payload — is never served as a hit:
+    /// the entry is quarantined and the slot reports a miss, so callers
+    /// rebuild.
     #[test]
-    fn any_single_byte_flip_is_never_a_hit(pos in 0usize..1 << 20, flip in 0u8..255) {
+    fn any_single_byte_flip_is_never_a_hit(
+        pos in 0usize..1 << 20,
+        flip in 0u8..255,
+        kind in 0u8..2,
+    ) {
         let root = temp_root("flip");
-        let key = flow_key();
-        DiskStore::open(&root).store_flow(&key, &sample_result(4321));
+        let entry = Entry::of(kind);
+        entry.publish(&DiskStore::open(&root));
         let path = entry_file(&root);
         let mut bytes = fs::read(&path).expect("entry readable");
         let i = pos % bytes.len();
@@ -117,34 +179,32 @@ proptest! {
         // A fresh instance over the same directory — as a second
         // process would see it.
         let store = DiskStore::open(&root);
-        let got = store.load_flow(&key);
-        prop_assert!(got.is_none(), "byte {} flipped -> must miss, got {:?}", i, got);
+        prop_assert!(!entry.hits(&store), "{:?} byte {} flipped -> must miss", entry, i);
         let c = store.counters();
         prop_assert_eq!((c.hits, c.misses, c.quarantined), (0, 1, 1));
         prop_assert!(!store.is_degraded(), "corruption must not degrade the store");
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// Truncating an entry at ANY length (including zero) is never a
-    /// hit either.
+    /// Truncating an entry of either kind at ANY length (including
+    /// zero) is never a hit either.
     #[test]
-    fn any_truncation_is_never_a_hit(cut in 0usize..1 << 20) {
+    fn any_truncation_is_never_a_hit(cut in 0usize..1 << 20, kind in 0u8..2) {
         let root = temp_root("trunc");
-        let key = flow_key();
-        DiskStore::open(&root).store_flow(&key, &sample_result(4321));
+        let entry = Entry::of(kind);
+        entry.publish(&DiskStore::open(&root));
         let path = entry_file(&root);
         let bytes = fs::read(&path).expect("entry readable");
         let keep = cut % bytes.len(); // 0..len, strictly shorter
         fs::write(&path, &bytes[..keep]).expect("truncation lands");
 
         let store = DiskStore::open(&root);
-        let got = store.load_flow(&key);
         prop_assert!(
-            got.is_none(),
-            "{} of {} bytes kept -> must miss, got {:?}",
+            !entry.hits(&store),
+            "{:?}: {} of {} bytes kept -> must miss",
+            entry,
             keep,
-            bytes.len(),
-            got
+            bytes.len()
         );
         prop_assert_eq!(store.counters().quarantined, 1);
         let _ = fs::remove_dir_all(&root);
@@ -217,6 +277,42 @@ fn library_survives_a_fresh_instance_bit_exactly() {
         assert_eq!(name_a, name_b);
         assert_eq!(a, b, "cell {name_a:?} differs after the disk trip");
     }
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A SPICE entry is part of the store like any other: a fresh instance
+/// serves it bit-exactly, counts its bytes, and evicts it under the
+/// byte budget when it is the least recently used entry.
+#[test]
+fn spice_entries_count_toward_the_byte_budget() {
+    let root = temp_root("spicebudget");
+    Entry::Spice.publish(&DiskStore::open(&root));
+    let spice_bytes = fs::metadata(entry_file(&root))
+        .expect("spice entry on disk")
+        .len();
+    assert!(entry_file(&root).starts_with(root.join("spice")));
+
+    let fresh = DiskStore::open(&root);
+    assert_eq!(fresh.resident_bytes(), spice_bytes, "the scan counts it");
+    assert_eq!(fresh.load_spice(&spice_key()), Some(sample_spice()));
+
+    // Room for the flow entry alone: publishing it evicts the spice one.
+    let flow_bytes = {
+        let probe_root = temp_root("spicebudget-probe");
+        let probe = DiskStore::open(&probe_root);
+        Entry::Flow.publish(&probe);
+        let _ = fs::remove_dir_all(&probe_root);
+        probe.resident_bytes()
+    };
+    let tight = DiskStore::with_budget(&root, flow_bytes + spice_bytes - 1);
+    Entry::Flow.publish(&tight);
+    assert_eq!(tight.counters().evictions, 1);
+    assert_eq!(tight.resident_bytes(), flow_bytes);
+    assert!(
+        !Entry::Spice.hits(&tight),
+        "the evicted spice entry is gone"
+    );
+    assert!(Entry::Flow.hits(&tight));
     let _ = fs::remove_dir_all(&root);
 }
 
