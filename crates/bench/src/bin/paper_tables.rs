@@ -23,14 +23,14 @@
 //! `--jobs N` (default: the host's available parallelism) fans the
 //! selected drivers' flow matrix out across N workers *before* the
 //! drivers run: the workers pre-warm the process-wide `ArtifactCache`
-//! through the work-stealing `ParallelExecutor`, then each driver
-//! formats its table from bit-identical cache hits. stdout is therefore
+//! through the `ParallelExecutor`, then each driver formats its table
+//! from bit-identical cache hits. stdout is therefore
 //! **byte-identical** for every `--jobs` value (`--jobs 1` skips the
 //! fan-out entirely); all diagnostics — per-driver timings, executor
 //! utilization, cache statistics — go to stderr.
 //!
 //! `--deadline-s N` puts the pre-warm fan-out under a whole-run
-//! wall-clock budget through the resource governor: when the budget
+//! wall-clock budget, armed on the fan-out's run token: when the budget
 //! expires the executor cancels cooperatively and returns whatever
 //! points completed. stdout is still byte-identical — a driver whose
 //! points were cancelled simply recomputes them serially — so the flag
@@ -39,8 +39,8 @@
 //! flag is a no-op.
 //!
 //! `--trace FILE` attaches a [`JsonlRecorder`] to the run: every flow
-//! event (stage spans, cache and store traffic, steals) is appended to
-//! FILE as one JSON object per line. `--report FILE`
+//! event (stage spans, cache and store traffic, a fired run token) is
+//! appended to FILE as one JSON object per line. `--report FILE`
 //! aggregates the same events through a [`MetricsRegistry`] and writes
 //! the resulting `RunReport` JSON. Both are diagnostics: stdout stays
 //! byte-identical whether or not they are given.
@@ -62,8 +62,8 @@ use m3d_bench::{cli, node_drivers, paper_drivers, SMOKE_SUBSET};
 use m3d_netlist::BenchScale;
 use m3d_tech::NodeId;
 use monolith3d::{
-    experiments, ArtifactCache, DiskStore, ExperimentPlan, JsonlRecorder, MetricsRegistry,
-    ParallelExecutor, Recorder, RunGovernor, Tee,
+    experiments, ArtifactCache, CancelToken, DiskStore, ExperimentPlan, JsonlRecorder,
+    MetricsRegistry, ParallelExecutor, Recorder, Tee,
 };
 
 fn usage_exit(msg: &str) -> ! {
@@ -244,11 +244,11 @@ fn main() {
             // drivers below recompute whatever is missing serially, so
             // stdout never changes — only how much of the warm-up
             // finished in time.
-            let mut gov = RunGovernor::new();
+            let tok = CancelToken::new();
             if let Some(budget) = deadline {
-                gov = gov.with_run_deadline(budget);
+                tok.arm_deadline_in(budget);
             }
-            let report = ParallelExecutor::new(jobs).run_governed(&plan, &gov);
+            let report = ParallelExecutor::new(jobs).run_governed(&plan, &tok);
             eprintln!(
                 "[executor: {} of {} points in {:.1} s; worker utilization {}{}]",
                 report.done_count(),

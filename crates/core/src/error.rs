@@ -218,8 +218,8 @@ pub enum FlowError {
         /// The budget that was exceeded, milliseconds.
         budget_ms: u64,
     },
-    /// The run was cancelled cooperatively (a governor's cancel, or a
-    /// run/point deadline observed through the [`crate::CancelToken`]
+    /// The run was cancelled cooperatively (an explicit cancel, or a
+    /// run deadline observed through the [`crate::CancelToken`]
     /// chain). The supervisor unwinds immediately and the executor maps
     /// it to a typed [`crate::PointOutcome`].
     Cancelled {

@@ -1,4 +1,4 @@
-//! Work-stealing parallel execution of the paper's experiment matrix.
+//! Parallel execution of the paper's experiment matrix.
 //!
 //! The result tables are an embarrassingly parallel matrix — five
 //! benchmarks × two styles × two nodes × the sensitivity sweeps — whose
@@ -10,25 +10,26 @@
 //! guarantees each distinct library is still characterized exactly once
 //! no matter how many workers want it at the same instant.
 //!
-//! **Determinism.** Execution order is whatever the work-stealing
-//! schedule produces, but it cannot leak into the results: every flow
-//! is a deterministic pure function of its configuration, and the
-//! report collects results *by plan index*, so
-//! [`ExecutorReport::results`] is always in plan order and every value
-//! is bit-identical to a serial run of the same plan. The drivers that
-//! format the paper's tables then run serially against the warmed cache
-//! and emit byte-identical output (`tests/parallel.rs` and the CI
-//! `parallel-determinism` job both pin this).
+//! **Determinism.** Execution order is whatever the schedule produces,
+//! but it cannot leak into the results: every flow is a deterministic
+//! pure function of its configuration, and the report collects outcomes
+//! *by plan index*, so [`ExecutorReport::outcomes`] is always in plan
+//! order and every value is bit-identical to a serial run of the same
+//! plan. The drivers that format the paper's tables then run serially
+//! against the warmed cache and emit byte-identical output
+//! (`tests/parallel.rs` and the CI `parallel-determinism` job both pin
+//! this).
 //!
 //! The pool is hand-rolled over [`std::thread::scope`] — no external
-//! runtime: each worker owns a deque seeded round-robin, pops from its
-//! own front, and steals from the back of a victim's deque when empty.
-//! Stealing matters here because flow points are far from uniform (an
-//! LDPC sign-off costs ~10× a DES one at paper scale); a static
-//! partition would leave workers idle behind the slowest stripe.
+//! runtime. Workers claim plan indices from one shared atomic cursor:
+//! a greedy list schedule, so a worker idles only when no unstarted
+//! point is left. That matters because flow points are far from uniform
+//! (an LDPC sign-off costs ~10× a DES one at paper scale); a static
+//! partition would leave workers idle behind the slowest stripe. The
+//! one stop control is the caller's [`CancelToken`] (DESIGN.md §14).
 
-use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -38,8 +39,8 @@ use m3d_tech::DesignStyle;
 use crate::cache::{ArtifactCache, FlowKey};
 use crate::error::FlowError;
 use crate::faultinject::FaultPlan;
-use crate::flow::{run_cached, FlowConfig, FlowResult};
-use crate::govern::{CancelCause, CancelToken, PointOutcome, RunGovernor};
+use crate::flow::{run_cached, FlowConfig};
+use crate::govern::{CancelCause, CancelToken, PointOutcome};
 use crate::observe::EventKind;
 
 /// One point of the experiment matrix: a full flow run.
@@ -121,18 +122,19 @@ impl ExperimentPlan {
 pub struct WorkerReport {
     /// Flow points this worker executed.
     pub items: usize,
-    /// Of those, how many were stolen from another worker's deque.
-    pub steals: usize,
-    /// Wall-clock seconds spent inside flow runs (vs idle/queue time).
+    /// Wall-clock seconds spent inside flow runs (vs idle time).
     pub busy_s: f64,
 }
 
-/// The outcome of one [`ParallelExecutor::run`].
+/// What [`ParallelExecutor::run_governed`] returns: *partial results*.
+/// Completed slots carry their [`crate::FlowResult`] intact; slots the
+/// run token stopped carry a typed [`PointOutcome`] — never a panic,
+/// never a hang.
 #[derive(Debug)]
 pub struct ExecutorReport {
-    /// One result per plan point, **in plan order** regardless of the
+    /// One outcome per plan point, **in plan order** regardless of the
     /// schedule that produced them.
-    pub results: Vec<Result<FlowResult, FlowError>>,
+    pub outcomes: Vec<PointOutcome>,
     /// Wall-clock seconds for the whole fan-out.
     pub wall_s: f64,
     /// Per-worker accounting, indexed by worker id.
@@ -141,57 +143,18 @@ pub struct ExecutorReport {
 
 impl ExecutorReport {
     /// Per-worker utilization: busy seconds over the run's wall clock,
-    /// in `[0, 1]` per worker. The mean approaches 1 when stealing
-    /// keeps every worker fed.
+    /// in `[0, 1]` per worker.
     pub fn utilization(&self) -> Vec<f64> {
-        utilization(&self.workers, self.wall_s)
-    }
-
-    /// Points that completed without a flow error.
-    pub fn ok_count(&self) -> usize {
-        self.results.iter().filter(|r| r.is_ok()).count()
-    }
-
-    /// The first error, if any point failed.
-    pub fn first_error(&self) -> Option<&FlowError> {
-        self.results.iter().find_map(|r| r.as_ref().err())
-    }
-}
-
-fn utilization(workers: &[WorkerReport], wall_s: f64) -> Vec<f64> {
-    workers
-        .iter()
-        .map(|w| {
-            if wall_s > 0.0 {
-                (w.busy_s / wall_s).min(1.0)
-            } else {
-                0.0
-            }
-        })
-        .collect()
-}
-
-/// What [`ParallelExecutor::run_governed`] returns: *partial results*.
-/// Completed slots carry their [`FlowResult`] intact; slots the
-/// governor stopped carry a typed [`PointOutcome`] — never a panic,
-/// never a hang.
-#[derive(Debug)]
-pub struct GovernedReport {
-    /// One outcome per plan point, **in plan order**.
-    pub outcomes: Vec<PointOutcome>,
-    /// Wall-clock seconds for the whole governed fan-out.
-    pub wall_s: f64,
-    /// Per-worker accounting, indexed by worker id.
-    pub workers: Vec<WorkerReport>,
-    /// Plan points never started because of a drain, in plan order
-    /// (empty unless the run drained): what a later run still has to do.
-    pub remainder: Vec<PlanPoint>,
-}
-
-impl GovernedReport {
-    /// Per-worker utilization, as [`ExecutorReport::utilization`].
-    pub fn utilization(&self) -> Vec<f64> {
-        utilization(&self.workers, self.wall_s)
+        self.workers
+            .iter()
+            .map(|w| {
+                if self.wall_s > 0.0 {
+                    (w.busy_s / self.wall_s).min(1.0)
+                } else {
+                    0.0
+                }
+            })
+            .collect()
     }
 
     /// Points that closed with a result.
@@ -204,8 +167,8 @@ impl GovernedReport {
         self.outcomes.iter().filter(|o| o.key() == key).count()
     }
 
-    /// The first genuine flow error (governor interventions are not
-    /// errors and don't show up here).
+    /// The first genuine flow error (a stop by the run token is not an
+    /// error and doesn't show up here).
     pub fn first_error(&self) -> Option<&FlowError> {
         self.outcomes.iter().find_map(|o| match o {
             PointOutcome::Failed(e) => Some(e),
@@ -213,22 +176,20 @@ impl GovernedReport {
         })
     }
 
-    /// True when the governor stopped at least one point.
+    /// True when the run token stopped at least one point.
     pub fn is_partial(&self) -> bool {
-        self.outcomes.iter().any(|o| {
-            matches!(
-                o,
-                PointOutcome::Cancelled | PointOutcome::DeadlineExceeded | PointOutcome::Drained
-            )
-        })
+        self.outcomes
+            .iter()
+            .any(|o| matches!(o, PointOutcome::Cancelled | PointOutcome::DeadlineExceeded))
     }
 }
 
-/// Fans an [`ExperimentPlan`] out across a scoped work-stealing pool.
+/// Fans an [`ExperimentPlan`] out across a scoped worker pool.
 #[derive(Debug)]
 pub struct ParallelExecutor {
     workers: usize,
     cache: Arc<ArtifactCache>,
+    faults: FaultPlan,
 }
 
 impl ParallelExecutor {
@@ -238,6 +199,7 @@ impl ParallelExecutor {
         ParallelExecutor {
             workers: workers.max(1),
             cache: ArtifactCache::global(),
+            faults: FaultPlan::new(),
         }
     }
 
@@ -248,6 +210,13 @@ impl ParallelExecutor {
         self
     }
 
+    /// Arms a deterministic fault plan applied to every point this
+    /// executor runs (test harness; see [`crate::FaultPlan`]).
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
+        self
+    }
+
     /// The host's available parallelism — the `--jobs` default.
     pub fn default_workers() -> usize {
         std::thread::available_parallelism()
@@ -255,148 +224,47 @@ impl ParallelExecutor {
             .unwrap_or(1)
     }
 
-    /// Runs every planned point, returning results in plan order: the
-    /// [`ParallelExecutor::run_governed`] schedule under an inert
-    /// [`RunGovernor::new`], which arms no deadline, never stops a point
-    /// and emits no governance events. A failing point records its
-    /// [`FlowError`] in its slot and the fan-out continues — error
-    /// reporting is the caller's call.
+    /// Runs every planned point under a fresh token that nothing
+    /// cancels, so every slot is `Done` or `Failed`. A failing point
+    /// records its [`FlowError`] in its slot and the fan-out continues —
+    /// error reporting is the caller's call.
     pub fn run(&self, plan: &ExperimentPlan) -> ExecutorReport {
-        let report = self.run_governed(plan, &RunGovernor::new());
-        ExecutorReport {
-            results: report
-                .outcomes
-                .into_iter()
-                .map(|o| match o {
-                    PointOutcome::Done(r) => Ok(*r),
-                    PointOutcome::Failed(e) => Err(e),
-                    stopped => unreachable!("an inert governor stopped a point: {}", stopped.key()),
-                })
-                .collect(),
-            wall_s: report.wall_s,
-            workers: report.workers,
-        }
+        self.run_governed(plan, &CancelToken::new())
     }
 
-    /// Runs every planned point under a [`RunGovernor`], returning
-    /// outcomes in plan order: cooperative cancellation, run/point
-    /// deadlines and graceful drain over the one work-stealing schedule.
+    /// Runs every planned point under the caller's run token, returning
+    /// outcomes in plan order.
     ///
-    /// Worker `w` starts from its own stripe (points `w`, `w + N`,
-    /// `w + 2N`, …) and steals from the back of other deques once its
-    /// own drains. Since the plan is finite and nothing enqueues new
-    /// work, "every deque empty" is a safe termination condition. A
-    /// point that completes warms the cache exactly as
-    /// [`crate::Flow::try_run`] would, whatever the governor does to
-    /// other points.
-    ///
-    /// Workers check the governor between points: on cancel or deadline
-    /// they stop popping and the in-flight point stops at its stage's
-    /// next [`crate::govern::check`]; on
-    /// [`RunGovernor::drain`] they finish their in-flight point and
-    /// stop. Slots never started get a typed [`PointOutcome`], and a
-    /// clean drain lists them in [`GovernedReport::remainder`].
-    pub fn run_governed(&self, plan: &ExperimentPlan, gov: &RunGovernor) -> GovernedReport {
+    /// Workers claim plan indices from one shared cursor, so a worker
+    /// idles only when no unstarted point is left. A worker stops when
+    /// the plan is exhausted or `tok` has fired (cancelled, or past a
+    /// deadline armed with [`CancelToken::arm_deadline_in`]); an
+    /// in-flight point stops at its stage's next
+    /// [`crate::govern::check`]. A point that completes warms the cache
+    /// exactly as [`crate::Flow::try_run`] would, whatever happens to
+    /// other points. Slots never started get a typed [`PointOutcome`]
+    /// from the token's cause.
+    pub fn run_governed(&self, plan: &ExperimentPlan, tok: &CancelToken) -> ExecutorReport {
         let n = plan.len();
-        if n == 0 {
-            return GovernedReport {
-                outcomes: Vec::new(),
-                wall_s: 0.0,
-                workers: Vec::new(),
-                remainder: Vec::new(),
-            };
-        }
-        gov.arm();
         let workers = self.workers.min(n);
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new(((w..n).step_by(workers)).collect()))
-            .collect();
+        let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<PointOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
         let t0 = Instant::now();
-        // The fan-out inherits the cache's event sink: flows executed
-        // here emit their stage and cache events through it already, so
-        // the executor only adds its own scheduling events.
-        let recorder = self.cache.recorder();
-        // First-observer flags: cancel and drain are each announced
-        // exactly once per run, by whichever thread notices first.
-        let cancel_announced = AtomicBool::new(false);
-        let drain_announced = AtomicBool::new(false);
-        let announce_stop = |cause: Option<CancelCause>, draining: bool| {
-            if let Some(c) = cause {
-                if !cancel_announced.swap(true, Ordering::AcqRel) && recorder.enabled() {
-                    recorder.record(EventKind::CancelRequested {
-                        reason: match c {
-                            CancelCause::Cancelled => "explicit",
-                            CancelCause::DeadlineExceeded => "deadline",
-                        },
-                    });
-                }
-            }
-            if draining && !drain_announced.swap(true, Ordering::AcqRel) && recorder.enabled() {
-                recorder.record(EventKind::DrainStarted);
-            }
-        };
-        let stopped = || {
-            let cause = gov.cause();
-            let draining = gov.is_draining();
-            announce_stop(cause, draining);
-            cause.is_some() || draining
-        };
-
         let reports: Vec<WorkerReport> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let queues = &queues;
-                    let slots = &slots;
-                    let stopped = &stopped;
-                    let recorder = &recorder;
-                    let this = &*self;
-                    s.spawn(move || {
+                .map(|_| {
+                    s.spawn(|| {
                         let mut rep = WorkerReport::default();
                         loop {
-                            if stopped() {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n || tok.is_cancelled() {
                                 break;
                             }
-                            // Own work first (front), then steal from a
-                            // victim's back — opposite ends, so a busy
-                            // owner and its thief rarely want the same
-                            // index.
-                            let mut stolen_from = None;
-                            let mut next = queues[w].lock().expect("queue lock").pop_front();
-                            if next.is_none() {
-                                for v in 1..workers {
-                                    let victim = (w + v) % workers;
-                                    next = queues[victim].lock().expect("queue lock").pop_back();
-                                    if next.is_some() {
-                                        stolen_from = Some(victim);
-                                        break;
-                                    }
-                                }
-                            }
-                            let Some(i) = next else { break };
-                            // A stop may have landed while we were
-                            // popping; put the point back untouched so
-                            // it counts as never started.
-                            if stopped() {
-                                queues[w].lock().expect("queue lock").push_front(i);
-                                break;
-                            }
-                            if let Some(victim) = stolen_from {
-                                if recorder.enabled() {
-                                    recorder.record(EventKind::WorkerStolen {
-                                        worker: w,
-                                        victim,
-                                        point: i,
-                                    });
-                                }
-                            }
-                            let p = &plan.points()[i];
                             let t = Instant::now();
-                            let outcome = this.run_point_inner(p, &gov.point_token(), gov.faults());
+                            let outcome = self.run_point(&plan.points()[i], tok);
                             rep.busy_s += t.elapsed().as_secs_f64();
                             rep.items += 1;
-                            rep.steals += usize::from(stolen_from.is_some());
                             *slots[i].lock().expect("slot lock") = Some(outcome);
                         }
                         rep
@@ -410,28 +278,29 @@ impl ParallelExecutor {
         });
 
         // Collection: completed slots keep their outcome; never-started
-        // slots get a typed one from the run's terminal state. A drain
-        // that raced a cancel counts as cancelled — the remainder is
-        // only meaningful for a clean drain.
-        let cause = gov.cause();
-        let draining = gov.is_draining();
-        announce_stop(cause, draining);
-        let clean_drain = draining && cause.is_none();
-        let mut outcomes = Vec::with_capacity(n);
-        let mut remainder: Vec<PlanPoint> = Vec::new();
-        for (i, m) in slots.into_iter().enumerate() {
-            match m.into_inner().expect("slot lock") {
-                Some(o) => outcomes.push(o),
-                None => {
-                    let p = &plan.points()[i];
-                    let o = if clean_drain {
-                        remainder.push(p.clone());
-                        PointOutcome::Drained
-                    } else {
-                        match cause {
-                            Some(CancelCause::DeadlineExceeded) => PointOutcome::DeadlineExceeded,
-                            _ => PointOutcome::Cancelled,
-                        }
+        // slots get a typed one from the token's cause. The flows
+        // executed here emitted their stage and cache events through the
+        // cache's recorder already; the executor adds only the stop.
+        let recorder = self.cache.recorder();
+        let cause = tok.cause();
+        if recorder.enabled() {
+            if let Some(c) = cause {
+                recorder.record(EventKind::CancelRequested {
+                    reason: match c {
+                        CancelCause::Cancelled => "explicit",
+                        CancelCause::DeadlineExceeded => "deadline",
+                    },
+                });
+            }
+        }
+        let outcomes = slots
+            .into_iter()
+            .zip(plan.points())
+            .map(|(m, p)| {
+                m.into_inner().expect("slot lock").unwrap_or_else(|| {
+                    let o = match cause {
+                        Some(CancelCause::DeadlineExceeded) => PointOutcome::DeadlineExceeded,
+                        _ => PointOutcome::Cancelled,
                     };
                     if recorder.enabled() {
                         recorder.record(EventKind::PointCancelled {
@@ -440,47 +309,37 @@ impl ParallelExecutor {
                             outcome: o.key(),
                         });
                     }
-                    outcomes.push(o);
-                }
-            }
-        }
-        if draining && recorder.enabled() {
-            recorder.record(EventKind::DrainFinished {
-                pending: remainder.len() as u64,
-            });
-        }
+                    o
+                })
+            })
+            .collect();
 
-        GovernedReport {
+        ExecutorReport {
             outcomes,
             wall_s: t0.elapsed().as_secs_f64(),
             workers: reports,
-            remainder,
         }
     }
 
-    /// Runs one plan point under `tok` on this executor's cache —
-    /// the single-request entry `m3d-serve` dispatches on: the same
-    /// cached-run contract as a batch point, so concurrent identical
-    /// requests from different connections coalesce on the cache's
-    /// per-key build cell and characterize exactly once. Cancel `tok` (or arm a
-    /// deadline on it) to get a typed [`PointOutcome::Cancelled`] /
-    /// [`PointOutcome::DeadlineExceeded`] back.
+    /// Runs one plan point under `tok` on this executor's cache and
+    /// fault plan — the batch fan-out's unit of work and the
+    /// single-request entry `m3d-serve` dispatches on: the same
+    /// cached-run contract ([`crate::Flow::try_run_with_cache`]'s), so
+    /// concurrent identical requests from different connections
+    /// coalesce on the cache's per-key build cell and characterize
+    /// exactly once. Cancel `tok` (or arm a deadline on it) to get a
+    /// typed [`PointOutcome::Cancelled`] /
+    /// [`PointOutcome::DeadlineExceeded`] back; a rejected config and
+    /// every other error is a plain `Failed`.
     pub fn run_point(&self, p: &PlanPoint, tok: &CancelToken) -> PointOutcome {
-        self.run_point_inner(p, tok, &FaultPlan::new())
-    }
-
-    /// One plan point through the shared cached-run contract
-    /// ([`crate::Flow::try_run_with_cache`]'s), with `tok` and `faults`
-    /// threaded into the supervisor. Governor interventions map to
-    /// typed outcomes via the token's cause; a rejected config and
-    /// everything else is a plain `Failed`.
-    fn run_point_inner(
-        &self,
-        p: &PlanPoint,
-        tok: &CancelToken,
-        faults: &FaultPlan,
-    ) -> PointOutcome {
-        match run_cached(p.bench, p.style, &p.config, &self.cache, Some(tok), faults) {
+        match run_cached(
+            p.bench,
+            p.style,
+            &p.config,
+            &self.cache,
+            Some(tok),
+            &self.faults,
+        ) {
             Ok(result) => PointOutcome::Done(Box::new(result)),
             Err(e @ FlowError::Config(_)) => PointOutcome::Failed(e),
             Err(e) => match tok.cause() {
@@ -546,7 +405,7 @@ mod tests {
         let report = ParallelExecutor::new(4)
             .with_cache(Arc::new(ArtifactCache::default()))
             .run(&ExperimentPlan::new());
-        assert!(report.results.is_empty());
+        assert!(report.outcomes.is_empty());
         assert!(report.workers.is_empty());
     }
 
@@ -558,15 +417,15 @@ mod tests {
         let report = ParallelExecutor::new(8)
             .with_cache(Arc::new(ArtifactCache::default()))
             .run(&plan);
-        assert_eq!(report.results.len(), 2);
-        assert_eq!(report.ok_count(), 2);
+        assert_eq!(report.outcomes.len(), 2);
+        assert_eq!(report.done_count(), 2);
         // Workers clamp to the point count.
         assert_eq!(report.workers.len(), 2);
         let executed: usize = report.workers.iter().map(|w| w.items).sum();
         assert_eq!(executed, 2);
         // Plan order, not completion order.
-        let first = report.results[0].as_ref().expect("2D point closed");
-        let second = report.results[1].as_ref().expect("T-MI point closed");
+        let first = report.outcomes[0].result().expect("2D point closed");
+        let second = report.outcomes[1].result().expect("T-MI point closed");
         assert_eq!(first.style, DesignStyle::TwoD);
         assert_eq!(second.style, DesignStyle::Tmi);
     }
@@ -581,10 +440,11 @@ mod tests {
         let report = ParallelExecutor::new(2)
             .with_cache(Arc::new(ArtifactCache::default()))
             .run(&plan);
-        assert_eq!(report.ok_count(), 1);
-        assert!(report.results[0].is_err());
-        assert!(report.results[1].is_ok());
+        assert_eq!(report.done_count(), 1);
+        assert!(matches!(report.outcomes[0], PointOutcome::Failed(_)));
+        assert!(report.outcomes[1].is_done());
         assert!(report.first_error().is_some());
+        assert!(!report.is_partial(), "a failure is not a stop");
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl FaultPlan {
     /// Wedges the stage named `stage` forever on its `invocation`-th
     /// entry: the attempt parks on its cancel token and only returns
     /// once the run is cancelled or the stage budget passes. With
-    /// neither a governor nor a budget the stage hangs, which is the
+    /// neither a run token nor a budget the stage hangs, which is the
     /// point — don't use it that way.
     ///
     /// # Panics

@@ -1,29 +1,31 @@
 //! Resource governance for the parallel flow engine: cooperative
-//! cancellation, run/point deadline budgets, and graceful drain
-//! (DESIGN.md §14). Admission control for served requests lives with
-//! its one caller, `m3d-serve` (DESIGN.md §15).
+//! cancellation and deadline budgets (DESIGN.md §14). Admission control
+//! and the graceful drain of served requests live with their one
+//! caller, `m3d-serve` (DESIGN.md §15).
 //!
 //! The flow-as-a-service direction (ROADMAP) needs whole *runs* to be
-//! governable the way PR 3 made individual stages crash-safe: a launched
-//! [`crate::ExperimentPlan`] must be stoppable, boundable and drainable
-//! without wedging a worker or tearing the caches. The pieces:
+//! governable the way the supervisor makes individual stages
+//! crash-safe: a launched [`crate::ExperimentPlan`] must be stoppable
+//! and boundable without wedging a worker or tearing the caches. The
+//! pieces:
 //!
 //! * [`CancelToken`] — a shared cancellation point (atomic flag +
 //!   condvar wakeup + optional deadline). Every deadline in the engine
-//!   lives on one token tree: run token → point token → stage token.
-//!   Cancelling a token cancels everything derived from it; a stage
-//!   budget armed on a stage token stops that stage's run.
+//!   lives on one two-level token tree: run token → stage token. The
+//!   caller owns the run token — `paper_tables --deadline-s` arms its
+//!   budget on it, `m3d-serve` makes one per request, tests cancel it —
+//!   and the supervisor derives one child per stage and arms the stage
+//!   budget there. Cancelling a token cancels everything derived from
+//!   it; a stage budget stops only that stage's run.
 //! * [`check`] — the cooperative stop point. The supervisor installs
 //!   each stage's token on the calling thread ([`install`]); stage
 //!   bodies call `check` between algorithm calls and the cache's
 //!   `BuildCell` wait polls it, so a cancelled or over-budget stage
 //!   stops at its next check. No thread is ever detached.
-//! * [`RunGovernor`] — the per-run policy bundle: the run token, a
-//!   whole-run deadline, a per-point deadline, and the drain switch.
-//!   [`crate::ParallelExecutor::run_governed`] consumes one and returns
-//!   partial results — completed slots intact, pending slots a typed
-//!   [`PointOutcome`], and a drain's unstarted points listed in the
-//!   report for the caller to run again.
+//! * [`PointOutcome`] — how one plan point ended.
+//!   [`crate::ParallelExecutor::run_governed`] fans a plan out under a
+//!   run token and returns partial results: completed slots intact,
+//!   the rest typed by the token's cause.
 //!
 //! **Cancellation purity.** A cancelled run publishes nothing torn: flow
 //! results enter the caches only after sign-off, and a cancelled flow
@@ -99,10 +101,9 @@ impl CancelToken {
 
     /// A child token: cancelled whenever this token is, but cancellable
     /// (and deadline-armable) on its own without affecting the parent.
-    /// The executor derives one per plan point; the supervisor derives
-    /// one per stage and arms the stage budget on it, so a blown budget
-    /// types the stage's failure as a deadline overrun rather than a
-    /// cancel of the whole run.
+    /// The supervisor derives one per stage and arms the stage budget on
+    /// it, so a blown budget types the stage's failure as a deadline
+    /// overrun rather than a cancel of the whole run.
     pub fn child(&self) -> CancelToken {
         CancelToken {
             inner: Arc::new(TokenInner {
@@ -245,24 +246,21 @@ pub fn check(stage: FlowStage) -> Result<(), FlowError> {
 // Point outcomes
 // ---------------------------------------------------------------------
 
-/// How one plan point ended under a governed run: the partial-results
-/// contract of [`crate::ParallelExecutor::run_governed`].
+/// How one plan point ended under a run token: the partial-results
+/// contract of [`crate::ParallelExecutor::run_governed`] and
+/// [`crate::ParallelExecutor::run_point`].
 #[derive(Debug, Clone)]
 pub enum PointOutcome {
     /// The flow closed; the result is cached exactly as an ungoverned
     /// run would have cached it. Boxed: a `FlowResult` dwarfs the other
     /// variants and outcomes live in per-slot vectors.
     Done(Box<FlowResult>),
-    /// The flow failed on its own (the governor did not intervene).
+    /// The flow failed on its own (the run token did not fire).
     Failed(FlowError),
     /// The run was cancelled before or during this point.
     Cancelled,
-    /// The whole-run or per-point deadline passed before this point
-    /// completed.
+    /// The run token's deadline passed before this point completed.
     DeadlineExceeded,
-    /// A drain stopped the run before this point started; the point is
-    /// listed in [`crate::GovernedReport::remainder`].
-    Drained,
 }
 
 impl PointOutcome {
@@ -273,7 +271,6 @@ impl PointOutcome {
             PointOutcome::Failed(_) => "failed",
             PointOutcome::Cancelled => "cancelled",
             PointOutcome::DeadlineExceeded => "deadline_exceeded",
-            PointOutcome::Drained => "drained",
         }
     }
 
@@ -288,112 +285,6 @@ impl PointOutcome {
     /// True for `Done`.
     pub fn is_done(&self) -> bool {
         matches!(self, PointOutcome::Done(_))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Run governor
-// ---------------------------------------------------------------------
-
-/// The policy bundle one governed run executes under: cancellation,
-/// run and point deadlines, drain, and an optional fault plan for the
-/// chaos harness. Per-stage budgets stay with the supervisor
-/// ([`crate::StageDeadlines`]), armed on each stage's child of the
-/// point token.
-///
-/// Clones share the live state (the token and the drain switch) and
-/// copy the policy, so a service thread can hold a clone and
-/// [`RunGovernor::cancel`] / [`RunGovernor::drain`] a run the executor
-/// owns.
-#[derive(Debug, Clone, Default)]
-pub struct RunGovernor {
-    token: CancelToken,
-    draining: Arc<AtomicBool>,
-    run_deadline: Option<Duration>,
-    point_deadline: Option<Duration>,
-    faults: crate::faultinject::FaultPlan,
-}
-
-impl RunGovernor {
-    /// A governor with no deadlines armed: cancellation and drain only.
-    pub fn new() -> Self {
-        RunGovernor::default()
-    }
-
-    /// Bounds the whole run: the run token's deadline arms when
-    /// `run_governed` starts, and every point still pending when it
-    /// passes reports [`PointOutcome::DeadlineExceeded`].
-    pub fn with_run_deadline(mut self, deadline: Duration) -> Self {
-        self.run_deadline = Some(deadline);
-        self
-    }
-
-    /// Bounds each point independently (measured from the point's own
-    /// start), on top of any whole-run budget.
-    pub fn with_point_deadline(mut self, deadline: Duration) -> Self {
-        self.point_deadline = Some(deadline);
-        self
-    }
-
-    /// Arms a deterministic fault plan applied to every governed point
-    /// (test harness; see [`crate::FaultPlan`]).
-    pub fn with_faults(mut self, faults: crate::faultinject::FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// The run token (clone it to share the cancellation point).
-    pub fn token(&self) -> &CancelToken {
-        &self.token
-    }
-
-    /// Cancels the run: in-flight points unwind cooperatively, pending
-    /// points report [`PointOutcome::Cancelled`].
-    pub fn cancel(&self) {
-        self.token.cancel();
-    }
-
-    /// Starts a graceful drain: workers finish their in-flight points,
-    /// start nothing new, and the unstarted points are reported as the
-    /// run's remainder.
-    pub fn drain(&self) {
-        self.draining.store(true, Ordering::Release);
-    }
-
-    /// Whether the run is cancelled (explicitly or by deadline).
-    pub fn is_cancelled(&self) -> bool {
-        self.token.is_cancelled()
-    }
-
-    /// Why the run is cancelled, if it is.
-    pub fn cause(&self) -> Option<CancelCause> {
-        self.token.cause()
-    }
-
-    /// Whether a drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
-    }
-
-    /// Arms the whole-run deadline; called once at `run_governed` entry.
-    pub(crate) fn arm(&self) {
-        if let Some(d) = self.run_deadline {
-            self.token.arm_deadline_in(d);
-        }
-    }
-
-    /// A token for one plan point: child of the run token, with the
-    /// per-point deadline armed.
-    pub(crate) fn point_token(&self) -> CancelToken {
-        let tok = self.token.child();
-        if let Some(d) = self.point_deadline {
-            tok.arm_deadline_in(d);
-        }
-        tok
-    }
-
-    pub(crate) fn faults(&self) -> &crate::faultinject::FaultPlan {
-        &self.faults
     }
 }
 

@@ -42,15 +42,14 @@
 //! process recovers through the persistent [`DiskStore`] ([`store`]):
 //! the flows it completed are verified hits on the next run.
 //!
-//! Governance: [`govern`] layers a resource governor over the executor —
-//! a [`CancelToken`] tree threaded through workers, stage attempts and
-//! cache build waits; run/point deadline budgets returning typed
-//! partial results ([`PointOutcome`]); and [`RunGovernor::drain`],
-//! which finishes in-flight points and reports the unstarted ones.
+//! Governance: [`govern`] gives the executor one stop control — a
+//! [`CancelToken`] the caller owns, threaded through workers, stage
+//! attempts and cache build waits. Cancelling it, or letting a deadline
+//! armed on it pass, returns typed partial results ([`PointOutcome`]).
 //!
 //! Observability: the supervisor, cache and executor emit typed events
 //! (stage spans with wall/busy durations, cache and store traffic,
-//! governance decisions, work stealing) into a
+//! governance decisions) into a
 //! pluggable [`observe::Recorder`] — JSONL traces, in-memory capture
 //! for tests, or a [`observe::MetricsRegistry`] summarizing a run as a
 //! [`observe::RunReport`]. Attach one with
@@ -96,16 +95,14 @@ pub use cache::{ArtifactCache, CacheStats, FlowKey, LibraryKey, SpiceKey};
 pub use compare::Comparison;
 pub use error::StoreFailure;
 pub use error::{ConfigError, FlowError, FlowStage};
-pub use executor::{
-    ExecutorReport, ExperimentPlan, GovernedReport, ParallelExecutor, PlanPoint, WorkerReport,
-};
+pub use executor::{ExecutorReport, ExperimentPlan, ParallelExecutor, PlanPoint, WorkerReport};
 pub use faultinject::{
     FaultInjector, FaultKind, FaultPlan, InjectedFault, PlannedFault, PlannedStoreFault,
     StoreFaultKind, StoreFaultPlan,
 };
 pub use flow::{default_clock_scale_at, Flow, FlowConfig, FlowResult};
 pub use flow::{estimate_models, extraction_models, try_extraction_models};
-pub use govern::{CancelCause, CancelToken, PointOutcome, RunGovernor};
+pub use govern::{CancelCause, CancelToken, PointOutcome};
 pub use observe::{
     escape_json_into, json_raw_field, json_str_field, unescape_json, CacheKind, Event, EventKind,
     JsonlRecorder, MetricsRegistry, NullRecorder, Recorder, RunReport, StageOutcome, Tee,

@@ -3,8 +3,8 @@
 //!
 //! The supervisor, cache and executor emit typed [`EventKind`]s at every
 //! decision point — stage spans, cache and store traffic, governance
-//! decisions, work stealing — into whatever
-//! [`Recorder`] the run attached. Recorders are deliberately dumb sinks:
+//! decisions — into whatever [`Recorder`] the run attached. Recorders
+//! are deliberately dumb sinks:
 //!
 //! * [`NullRecorder`] — the default; `enabled()` is `false`, so emit
 //!   sites skip even event construction. Zero overhead by construction.
@@ -82,8 +82,8 @@ pub enum StageOutcome {
     Panicked,
     /// The stage overran its deadline budget and was stopped.
     TimedOut,
-    /// The stage was cancelled cooperatively (governor cancel or a
-    /// run/point deadline): the span opened normally and closes here.
+    /// The stage was cancelled cooperatively (an explicit cancel or a
+    /// run deadline): the span opened normally and closes here.
     Cancelled,
 }
 
@@ -146,13 +146,6 @@ pub enum EventKind {
     CacheCoalesced { kind: CacheKind },
     /// The LRU bound evicted `count` entries on one insert.
     CacheEvicted { kind: CacheKind, count: u64 },
-    /// Executor worker `worker` ran out of local work and stole plan
-    /// point `point` from `victim`'s stripe.
-    WorkerStolen {
-        worker: usize,
-        victim: usize,
-        point: usize,
-    },
     /// A request missed the in-memory tier but was served from the
     /// persistent store's disk tier (entry re-verified on read).
     DiskHit { kind: CacheKind },
@@ -174,14 +167,14 @@ pub enum EventKind {
     /// in-memory tier for the rest of the run (emitted once per store;
     /// `reason` is a stable failure class, not free text).
     StoreDegraded { reason: &'static str },
-    /// A governed run observed its cancellation: emitted once per run
-    /// by the first worker (or the collector) to notice. `reason` is
-    /// `"explicit"` (someone called cancel) or `"deadline"` (the
-    /// whole-run budget passed).
+    /// A fan-out's run token fired: emitted once per run, by the
+    /// collector after the workers join. `reason` is `"explicit"`
+    /// (someone called cancel) or `"deadline"` (the whole-run budget
+    /// passed).
     CancelRequested { reason: &'static str },
-    /// A plan point the governor stopped before completion; `outcome`
-    /// is the point's terminal key: `"cancelled"`,
-    /// `"deadline_exceeded"` or `"drained"`.
+    /// A plan point the run token stopped before it started; `outcome`
+    /// is the point's terminal key: `"cancelled"` or
+    /// `"deadline_exceeded"`.
     PointCancelled {
         bench: Benchmark,
         style: DesignStyle,
@@ -192,11 +185,6 @@ pub enum EventKind {
     AdmissionRejected { client: u64, reason: &'static str },
     /// A client hit its per-client quota of queued points.
     QuotaExhausted { client: u64 },
-    /// A graceful drain began: workers finish in-flight points and
-    /// start nothing new.
-    DrainStarted,
-    /// The drain completed; `pending` points were never started.
-    DrainFinished { pending: u64 },
 }
 
 impl EventKind {
@@ -210,7 +198,6 @@ impl EventKind {
             EventKind::CacheMiss { .. } => "cache_miss",
             EventKind::CacheCoalesced { .. } => "cache_coalesced",
             EventKind::CacheEvicted { .. } => "cache_evicted",
-            EventKind::WorkerStolen { .. } => "worker_stolen",
             EventKind::DiskHit { .. } => "disk_hit",
             EventKind::DiskMiss { .. } => "disk_miss",
             EventKind::DiskEvicted { .. } => "disk_evicted",
@@ -220,8 +207,6 @@ impl EventKind {
             EventKind::PointCancelled { .. } => "point_cancelled",
             EventKind::AdmissionRejected { .. } => "admission_rejected",
             EventKind::QuotaExhausted { .. } => "quota_exhausted",
-            EventKind::DrainStarted => "drain_started",
-            EventKind::DrainFinished { .. } => "drain_finished",
         }
     }
 }
@@ -583,16 +568,6 @@ pub fn write_event_json(buf: &mut String, ev: &Event) {
             kv_str(buf, "cache", kind.key());
             let _ = write!(buf, ",\"count\":{count}");
         }
-        EventKind::WorkerStolen {
-            worker,
-            victim,
-            point,
-        } => {
-            let _ = write!(
-                buf,
-                ",\"worker\":{worker},\"victim\":{victim},\"point\":{point}"
-            );
-        }
         EventKind::DiskHit { kind } | EventKind::DiskMiss { kind } => {
             kv_str(buf, "cache", kind.key());
         }
@@ -624,10 +599,6 @@ pub fn write_event_json(buf: &mut String, ev: &Event) {
         }
         EventKind::QuotaExhausted { client } => {
             let _ = write!(buf, ",\"client\":{client}");
-        }
-        EventKind::DrainStarted => {}
-        EventKind::DrainFinished { pending } => {
-            let _ = write!(buf, ",\"pending\":{pending}");
         }
     }
     buf.push('}');
@@ -774,7 +745,6 @@ impl MetricsRegistry {
                 CacheKind::Flow => "cache_evicted_flow",
                 CacheKind::Spice => "cache_evicted_spice",
             },
-            EventKind::WorkerStolen { .. } => "worker_stolen",
             EventKind::DiskHit { kind } => match kind {
                 CacheKind::Library => "disk_hit_library",
                 CacheKind::Flow => "disk_hit_flow",
@@ -796,8 +766,6 @@ impl MetricsRegistry {
             EventKind::PointCancelled { .. } => "point_cancelled",
             EventKind::AdmissionRejected { .. } => "admission_rejected",
             EventKind::QuotaExhausted { .. } => "quota_exhausted",
-            EventKind::DrainStarted => "drain_started",
-            EventKind::DrainFinished { .. } => "drain_finished",
         }
     }
 
@@ -965,14 +933,13 @@ pub struct TraceSummary {
 }
 
 /// Every event name the engine emits, for schema validation.
-const KNOWN_KINDS: [&str; 18] = [
+const KNOWN_KINDS: [&str; 15] = [
     "stage_started",
     "stage_finished",
     "cache_hit",
     "cache_miss",
     "cache_coalesced",
     "cache_evicted",
-    "worker_stolen",
     "disk_hit",
     "disk_miss",
     "disk_evicted",
@@ -982,8 +949,6 @@ const KNOWN_KINDS: [&str; 18] = [
     "point_cancelled",
     "admission_rejected",
     "quota_exhausted",
-    "drain_started",
-    "drain_finished",
 ];
 
 /// Extracts the raw text of `"field":<value>` from a recorder-shaped
@@ -1181,11 +1146,6 @@ pub fn validate_jsonl(trace: &str) -> Result<TraceSummary, TraceError> {
                 cache_field(line, lineno)?;
                 u64_field(line, "count", lineno)?;
             }
-            "worker_stolen" => {
-                u64_field(line, "worker", lineno)?;
-                u64_field(line, "victim", lineno)?;
-                u64_field(line, "point", lineno)?;
-            }
             "disk_hit" | "disk_miss" => {
                 cache_field(line, lineno)?;
                 match kind.as_str() {
@@ -1220,10 +1180,6 @@ pub fn validate_jsonl(trace: &str) -> Result<TraceSummary, TraceError> {
             }
             "quota_exhausted" => {
                 u64_field(line, "client", lineno)?;
-            }
-            "drain_started" => {}
-            "drain_finished" => {
-                u64_field(line, "pending", lineno)?;
             }
             _ => unreachable!("kind checked against KNOWN_KINDS"),
         }
@@ -1314,11 +1270,6 @@ mod tests {
             kind: CacheKind::Library,
             count: 2,
         });
-        rec.record(EventKind::WorkerStolen {
-            worker: 1,
-            victim: 0,
-            point: 3,
-        });
         rec.record(EventKind::DiskHit {
             kind: CacheKind::Library,
         });
@@ -1351,15 +1302,13 @@ mod tests {
             reason: "queue_full",
         });
         rec.record(EventKind::QuotaExhausted { client: 7 });
-        rec.record(EventKind::DrainStarted);
-        rec.record(EventKind::DrainFinished { pending: 3 });
         let mut trace = String::new();
         for ev in rec.events() {
             write_event_json(&mut trace, &ev);
             trace.push('\n');
         }
         let summary = validate_jsonl(&trace).expect("trace validates");
-        assert_eq!(summary.events, 20);
+        assert_eq!(summary.events, 17);
         assert_eq!(summary.stage_spans, 2);
         assert_eq!(summary.cache_hits, 1);
         assert_eq!(summary.cache_misses, 1);

@@ -333,8 +333,8 @@ pub fn write_table(buf: &mut String, id: u64, name: &str, text: &str) {
     buf.push('}');
 }
 
-/// The `stats` response: the cache's 13 counters plus server-side
-/// request accounting.
+/// The `stats` response: every [`CacheStats`] counter, in declaration
+/// order, plus server-side request accounting.
 pub fn write_stats(
     buf: &mut String,
     id: u64,
@@ -343,12 +343,39 @@ pub fn write_stats(
     protocol_errors: u64,
     draining: bool,
 ) {
+    // Full destructuring, as `CacheStats`'s `Display` does: a counter
+    // added to the struct without a field here refuses to compile.
+    let CacheStats {
+        library_builds,
+        library_hits,
+        library_evictions,
+        flow_stores,
+        flow_hits,
+        flow_misses,
+        flow_evictions,
+        spice_builds,
+        spice_hits,
+        spice_evictions,
+        disk_hits,
+        disk_misses,
+        disk_stores,
+        disk_evictions,
+        disk_quarantined,
+        store_degraded,
+    } = *s;
     open_ok(buf, id, "stats");
     let _ = write!(
         buf,
-        ",\"library_builds\":{},\"library_hits\":{},\"flow_stores\":{},\"flow_hits\":{},\"flow_misses\":{},\"disk_hits\":{},\"disk_misses\":{},\"requests\":{requests},\"protocol_errors\":{protocol_errors},\"draining\":{draining}}}",
-        s.library_builds, s.library_hits, s.flow_stores, s.flow_hits, s.flow_misses, s.disk_hits,
-        s.disk_misses
+        ",\"library_builds\":{library_builds},\"library_hits\":{library_hits},\
+         \"library_evictions\":{library_evictions},\"flow_stores\":{flow_stores},\
+         \"flow_hits\":{flow_hits},\"flow_misses\":{flow_misses},\
+         \"flow_evictions\":{flow_evictions},\"spice_builds\":{spice_builds},\
+         \"spice_hits\":{spice_hits},\"spice_evictions\":{spice_evictions},\
+         \"disk_hits\":{disk_hits},\"disk_misses\":{disk_misses},\
+         \"disk_stores\":{disk_stores},\"disk_evictions\":{disk_evictions},\
+         \"disk_quarantined\":{disk_quarantined},\"store_degraded\":{store_degraded},\
+         \"requests\":{requests},\"protocol_errors\":{protocol_errors},\
+         \"draining\":{draining}}}"
     );
 }
 

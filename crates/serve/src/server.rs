@@ -558,12 +558,6 @@ fn dispatch_loop(inner: &Arc<Inner>) {
                 ErrorClass::DeadlineExceeded,
                 "request deadline exceeded",
             ),
-            PointOutcome::Drained => write_error(
-                &mut buf,
-                run.id,
-                ErrorClass::Draining,
-                "server drained mid-request",
-            ),
         }
         send_line(&run.conn, &buf);
     }

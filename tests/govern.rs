@@ -1,12 +1,13 @@
-//! Integration tests for the resource governor (DESIGN.md §14):
-//! cooperative cancellation, deadline-bounded termination, graceful
-//! drain with a reported remainder, and the governance event stream.
+//! Integration tests for governance (DESIGN.md §14): a fan-out runs
+//! under one `CancelToken` its caller owns, and cancelling it or letting
+//! a deadline armed on it pass gives typed partial results and a
+//! well-formed event stream.
 //!
-//! The properties pinned here are the governor's whole contract:
+//! The properties pinned here are the whole contract:
 //!
-//! * **bounded termination** — a governed run whose workers are wedged
-//!   by a `StuckStage` fault still returns within the run deadline plus
-//!   scheduling slack, with every pending slot carrying a typed
+//! * **bounded termination** — a run whose workers are wedged by a
+//!   `StuckStage` fault still returns within the run token's deadline
+//!   plus scheduling slack, with every pending slot carrying a typed
 //!   [`PointOutcome`], never a hang or a panic;
 //! * **one token tree, inline stages** — stages run on the calling
 //!   thread and stop at their next cooperative check: a
@@ -18,11 +19,9 @@
 //!   then re-running to completion over the same memory+disk cache
 //!   yields numerics bit-identical to a never-cancelled run, with
 //!   nothing quarantined and the store healthy;
-//! * **drain round trip** — `drain()` finishes the in-flight point,
-//!   reports the unstarted remainder, and a follow-up run over that
-//!   remainder completes the plan, again bit-identically;
-//! * **trace hygiene** — the new governance events survive the JSONL
-//!   schema validator alongside the classic stage/cache stream.
+//! * **trace hygiene** — the governance events survive the JSONL
+//!   schema validator alongside the classic stage/cache stream, and
+//!   retired kinds are rejected.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -37,7 +36,7 @@ use monolith3d::observe::{validate_jsonl, StageOutcome, TraceError};
 use monolith3d::{
     json_raw_field, ArtifactCache, CancelToken, DiskStore, EventKind, ExperimentPlan, FaultPlan,
     FlowConfig, FlowError, FlowResult, FlowStage, FlowSupervisor, JsonlRecorder, ParallelExecutor,
-    PointOutcome, Recorder, RunGovernor, StageDeadlines, Tee, VecRecorder,
+    PointOutcome, Recorder, StageDeadlines, Tee, VecRecorder,
 };
 use proptest::prelude::*;
 
@@ -67,9 +66,12 @@ fn reference() -> &'static Vec<FlowResult> {
             .with_cache(Arc::new(ArtifactCache::default()))
             .run(&p);
         report
-            .results
+            .outcomes
             .into_iter()
-            .map(|r| r.expect("reference point closes"))
+            .map(|o| match o {
+                PointOutcome::Done(r) => *r,
+                other => panic!("reference point closes, got {other:?}"),
+            })
             .collect()
     })
 }
@@ -115,13 +117,14 @@ impl Write for SharedBuf {
 #[test]
 fn run_deadline_bounds_a_wedged_run() {
     let deadline = Duration::from_millis(300);
-    let gov = RunGovernor::new()
-        .with_run_deadline(deadline)
+    let exec = ParallelExecutor::new(2)
+        .with_cache(Arc::new(ArtifactCache::default()))
         .with_faults(FaultPlan::new().stuck_stage("synth", 1));
-    let exec = ParallelExecutor::new(2).with_cache(Arc::new(ArtifactCache::default()));
     let p = plan();
     let t = Instant::now();
-    let report = exec.run_governed(&p, &gov);
+    let tok = CancelToken::new();
+    tok.arm_deadline_in(deadline);
+    let report = exec.run_governed(&p, &tok);
     let elapsed = t.elapsed();
     // Budget + one wake slice, with generous CI slack — the point is
     // "milliseconds, not forever".
@@ -140,7 +143,7 @@ fn run_deadline_bounds_a_wedged_run() {
     assert!(report.is_partial());
     assert!(
         report.first_error().is_none(),
-        "governor interventions are outcomes, not errors"
+        "stops by the run token are outcomes, not errors"
     );
 }
 
@@ -151,11 +154,12 @@ fn run_deadline_bounds_a_wedged_run() {
 #[test]
 fn zero_run_deadline_rejects_points_before_any_work() {
     let cache = Arc::new(ArtifactCache::default());
-    let gov = RunGovernor::new().with_run_deadline(Duration::ZERO);
     let exec = ParallelExecutor::new(2).with_cache(Arc::clone(&cache));
     let p = plan();
     let t = Instant::now();
-    let report = exec.run_governed(&p, &gov);
+    let tok = CancelToken::new();
+    tok.arm_deadline_in(Duration::ZERO);
+    let report = exec.run_governed(&p, &tok);
     let elapsed = t.elapsed();
     assert_eq!(report.done_count(), 0);
     assert_eq!(
@@ -187,13 +191,15 @@ fn stuck_stage_cancels_cleanly_without_abandoning_a_thread() {
     let recorder = Arc::new(VecRecorder::new());
     let cache = Arc::new(ArtifactCache::default());
     cache.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
-    let gov = RunGovernor::new().with_faults(FaultPlan::new().stuck_stage("synth", 1));
-    let exec = ParallelExecutor::new(2).with_cache(cache);
+    let exec = ParallelExecutor::new(2)
+        .with_cache(cache)
+        .with_faults(FaultPlan::new().stuck_stage("synth", 1));
     let p = plan();
+    let tok = CancelToken::new();
     let report = thread::scope(|s| {
-        let h = s.spawn(|| exec.run_governed(&p, &gov));
+        let h = s.spawn(|| exec.run_governed(&p, &tok));
         thread::sleep(Duration::from_millis(80));
-        gov.cancel();
+        tok.cancel();
         h.join().expect("governed run returns")
     });
     assert_eq!(report.done_count(), 0);
@@ -212,6 +218,7 @@ fn stuck_stage_cancels_cleanly_without_abandoning_a_thread() {
         "never-started slots must be reported"
     );
     let count = |name: &str| events.iter().filter(|e| e.kind.name() == name).count();
+    assert_eq!(count("cancel_requested"), 1, "the stop is announced once");
     assert_eq!(
         count("stage_started"),
         count("stage_finished"),
@@ -225,7 +232,7 @@ fn stuck_stage_cancels_cleanly_without_abandoning_a_thread() {
 /// waits the sleep out, then fails with the typed overrun of the route
 /// budget. The budget stops the stage, not the point, and the trace
 /// schema knows neither `stage_abandoned` nor the retired retry,
-/// degradation and checkpoint kinds.
+/// degradation, checkpoint, work-stealing and drain kinds.
 #[test]
 fn non_cooperative_delay_is_typed_deadline_exceeded_when_it_returns() {
     let recorder = Arc::new(VecRecorder::new());
@@ -273,6 +280,10 @@ fn non_cooperative_delay_is_typed_deadline_exceeded_when_it_returns() {
          \"bench\":\"DES\",\"style\":\"2D\",\"cursor\":\"route\",\"bytes\":4096}\n",
         "{\"seq\":0,\"thread\":0,\"t_s\":0.0,\"kind\":\"checkpoint_resumed\",\
          \"bench\":\"DES\",\"style\":\"2D\",\"cursor\":\"route\"}\n",
+        "{\"seq\":0,\"thread\":0,\"t_s\":0.0,\"kind\":\"worker_stolen\",\
+         \"worker\":1,\"victim\":0,\"point\":3}\n",
+        "{\"seq\":0,\"thread\":0,\"t_s\":0.0,\"kind\":\"drain_started\"}\n",
+        "{\"seq\":0,\"thread\":0,\"t_s\":0.0,\"kind\":\"drain_finished\",\"pending\":3}\n",
     ] {
         assert!(
             matches!(validate_jsonl(legacy), Err(TraceError::UnknownKind { .. })),
@@ -325,9 +336,9 @@ fn supervised_run_records_every_event_on_the_calling_thread() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(govern_cases()))]
 
-    /// Cancellation purity: cancel a governed run at a random epoch,
-    /// then run the same plan ungoverned over the same memory+disk
-    /// cache. The follow-up must be bit-identical to the never-cancelled
+    /// Cancellation purity: cancel a run's token at a random epoch,
+    /// then run the same plan under a fresh token over the same
+    /// memory+disk cache. The follow-up must be bit-identical to the never-cancelled
     /// reference, the store must stay healthy, and whatever the governed
     /// run *did* complete must already agree with the reference.
     #[test]
@@ -335,13 +346,13 @@ proptest! {
         let dir = scratch_dir("purity");
         let cache = Arc::new(ArtifactCache::default());
         cache.attach_disk(DiskStore::open(&dir));
-        let gov = RunGovernor::new();
+        let tok = CancelToken::new();
         let exec = ParallelExecutor::new(2).with_cache(Arc::clone(&cache));
         let p = plan();
         let governed = thread::scope(|s| {
-            let h = s.spawn(|| exec.run_governed(&p, &gov));
+            let h = s.spawn(|| exec.run_governed(&p, &tok));
             thread::sleep(Duration::from_millis(delay_ms));
-            gov.cancel();
+            tok.cancel();
             h.join().expect("governed run returns")
         });
         // Whatever completed before the cancel is already canonical.
@@ -353,9 +364,9 @@ proptest! {
         // The follow-up run over the same cache closes everything,
         // bit-identically to a run that was never cancelled.
         let rerun = exec.run(&p);
-        prop_assert_eq!(rerun.ok_count(), p.len());
-        for (i, r) in rerun.results.iter().enumerate() {
-            let r = r.as_ref().expect("rerun point closes");
+        prop_assert_eq!(rerun.done_count(), p.len());
+        for (i, o) in rerun.outcomes.iter().enumerate() {
+            let r = o.result().expect("rerun point closes");
             prop_assert_eq!(r, &reference()[i]);
         }
         let stats = cache.stats();
@@ -366,69 +377,8 @@ proptest! {
     }
 }
 
-/// Drain round trip: `drain()` lets the in-flight point finish, types
-/// the rest `Drained`, lists them as the remainder, and a second
-/// executor call over that remainder completes the plan
-/// bit-identically.
-#[test]
-fn drain_reports_a_remainder_a_follow_up_run_completes() {
-    let cache = Arc::new(ArtifactCache::default());
-    let gov = RunGovernor::new().with_faults(FaultPlan::new().slow_stage(
-        "synth",
-        1,
-        Duration::from_millis(300),
-    ));
-    let exec = ParallelExecutor::new(1).with_cache(Arc::clone(&cache));
-    let p = plan();
-    let report = thread::scope(|s| {
-        let h = s.spawn(|| exec.run_governed(&p, &gov));
-        thread::sleep(Duration::from_millis(60));
-        gov.drain();
-        h.join().expect("governed run returns")
-    });
-    // One worker, first point stalled 300 ms, drain at 60 ms: at most
-    // the in-flight point completed, everything else drained cleanly.
-    assert!(
-        report.count("drained") >= p.len() - 1,
-        "expected a mostly-drained run, got {:?}",
-        report.outcomes
-    );
-    assert_eq!(
-        report.done_count() + report.count("drained"),
-        p.len(),
-        "a clean drain has only done and drained slots: {:?}",
-        report.outcomes
-    );
-    assert_eq!(report.remainder.len(), report.count("drained"));
-    let mut resumed = ExperimentPlan::new();
-    for p in &report.remainder {
-        resumed.push(p.bench, p.style, p.config.clone());
-    }
-    assert_eq!(resumed.points(), &report.remainder[..], "plan order kept");
-    // Follow-up leg: complete the remainder over the same cache and
-    // check the union against the never-drained reference.
-    let follow_up = exec.run(&resumed);
-    assert_eq!(follow_up.ok_count(), resumed.len());
-    for (i, point) in p.points().iter().enumerate() {
-        let expected = &reference()[i];
-        match &report.outcomes[i] {
-            PointOutcome::Done(r) => assert_eq!(r.as_ref(), expected, "pre-drain slot {i}"),
-            PointOutcome::Drained => {
-                let j = resumed
-                    .points()
-                    .iter()
-                    .position(|q| q == point)
-                    .expect("drained point is in the remainder");
-                let r = follow_up.results[j].as_ref().expect("resumed point closes");
-                assert_eq!(r, expected, "resumed slot {i}");
-            }
-            other => panic!("unexpected outcome for slot {i}: {other:?}"),
-        }
-    }
-}
-
 /// The governance events ride the same JSONL pipeline as everything
-/// else: a trace containing cancels, drains and per-point outcomes
+/// else: a trace containing a deadline stop and per-point outcomes
 /// passes the schema validator end to end.
 #[test]
 fn governed_traces_pass_the_schema_validator() {
@@ -440,32 +390,22 @@ fn governed_traces_pass_the_schema_validator() {
         Arc::clone(&jsonl) as Arc<dyn Recorder>,
         Arc::clone(&vec) as Arc<dyn Recorder>,
     )));
-    let exec = ParallelExecutor::new(2).with_cache(Arc::clone(&cache));
+    let exec = ParallelExecutor::new(2)
+        .with_cache(Arc::clone(&cache))
+        .with_faults(FaultPlan::new().stuck_stage("synth", 1));
     let p = plan();
 
-    // Leg 1: a deadline-cancelled run (stuck workers).
-    let gov = RunGovernor::new()
-        .with_run_deadline(Duration::from_millis(150))
-        .with_faults(FaultPlan::new().stuck_stage("synth", 1));
-    let report = exec.run_governed(&p, &gov);
+    // A deadline-cancelled run (stuck workers).
+    let tok = CancelToken::new();
+    tok.arm_deadline_in(Duration::from_millis(150));
+    let report = exec.run_governed(&p, &tok);
     assert_eq!(report.done_count(), 0);
-
-    // Leg 2: a drained run over the same recorder.
-    let gov2 = RunGovernor::new();
-    gov2.drain();
-    let drained = exec.run_governed(&p, &gov2);
-    assert_eq!(drained.count("drained"), p.len());
 
     jsonl.flush().expect("trace flushes");
     let trace = buf.contents();
     let summary = validate_jsonl(&trace).expect("governed trace validates");
     assert_eq!(summary.events, vec.events().len(), "one line per event");
-    for kind in [
-        "cancel_requested",
-        "point_cancelled",
-        "drain_started",
-        "drain_finished",
-    ] {
+    for kind in ["cancel_requested", "point_cancelled"] {
         assert!(
             trace.contains(&format!("\"kind\":\"{kind}\"")),
             "trace must carry a {kind} event"

@@ -127,10 +127,10 @@ type Groups = BTreeMap<(&'static str, &'static str), Vec<Norm>>;
 type CacheCounts = BTreeMap<(&'static str, &'static str), u64>;
 
 /// Splits a trace into per-`(bench, style)` stage-event sequences plus
-/// global cache-traffic counts. `WorkerStolen` and `CacheCoalesced`
-/// are scheduling artifacts, not flow semantics, and are dropped — a
-/// coalesced wait already reports its `CacheHit`, so hit/miss counts
-/// stay schedule-independent.
+/// global cache-traffic counts. `CacheCoalesced` is a scheduling
+/// artifact, not flow semantics, and is dropped — a coalesced wait
+/// already reports its `CacheHit`, so hit/miss counts stay
+/// schedule-independent.
 fn normalize(events: &[Event]) -> (Groups, CacheCounts) {
     let mut groups: Groups = BTreeMap::new();
     let mut cache: CacheCounts = BTreeMap::new();
@@ -173,7 +173,7 @@ fn normalize(events: &[Event]) -> (Groups, CacheCounts) {
                 *cache.entry(("evicted", kind.key())).or_insert(0) += count;
                 continue;
             }
-            EventKind::CacheCoalesced { .. } | EventKind::WorkerStolen { .. } => continue,
+            EventKind::CacheCoalesced { .. } => continue,
             // Disk traffic is schedule- and persistence-dependent (a
             // warm --cache-dir legitimately changes it), so the
             // normalized trace identity excludes it, like coalescing.
@@ -188,9 +188,7 @@ fn normalize(events: &[Event]) -> (Groups, CacheCounts) {
             EventKind::CancelRequested { .. }
             | EventKind::PointCancelled { .. }
             | EventKind::AdmissionRejected { .. }
-            | EventKind::QuotaExhausted { .. }
-            | EventKind::DrainStarted
-            | EventKind::DrainFinished { .. } => continue,
+            | EventKind::QuotaExhausted { .. } => continue,
         };
         groups.entry(key).or_default().push(norm);
     }
@@ -390,7 +388,6 @@ fn metrics_registry_aggregates_exactly_the_recorded_events() {
                 CacheKind::Flow => ("cache_evicted_flow", count),
                 CacheKind::Spice => ("cache_evicted_spice", count),
             },
-            EventKind::WorkerStolen { .. } => ("worker_stolen", 1),
             EventKind::DiskHit { kind } => match kind {
                 CacheKind::Library => ("disk_hit_library", 1),
                 CacheKind::Flow => ("disk_hit_flow", 1),
@@ -412,8 +409,6 @@ fn metrics_registry_aggregates_exactly_the_recorded_events() {
             EventKind::PointCancelled { .. } => ("point_cancelled", 1),
             EventKind::AdmissionRejected { .. } => ("admission_rejected", 1),
             EventKind::QuotaExhausted { .. } => ("quota_exhausted", 1),
-            EventKind::DrainStarted => ("drain_started", 1),
-            EventKind::DrainFinished { .. } => ("drain_finished", 1),
         };
         *expected.entry(key).or_insert(0) += by;
     }

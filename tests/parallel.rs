@@ -1,5 +1,5 @@
 //! Concurrency tests for the shared `ArtifactCache` and the
-//! work-stealing `ParallelExecutor` (DESIGN.md §10).
+//! `ParallelExecutor`'s shared-cursor fan-out (DESIGN.md §10).
 //!
 //! Loom-style stress rather than model checking (the workspace vendors
 //! no loom): threads line up on a `Barrier` so they genuinely race, and
@@ -152,9 +152,9 @@ fn parallel_execution_is_bit_identical_to_serial() {
     let report = ParallelExecutor::new(4)
         .with_cache(Arc::new(ArtifactCache::default()))
         .run(&plan);
-    assert_eq!(report.results.len(), serial.len());
-    for (i, (par, ser)) in report.results.iter().zip(&serial).enumerate() {
-        let par = par.as_ref().expect("parallel point closes");
+    assert_eq!(report.outcomes.len(), serial.len());
+    for (i, (par, ser)) in report.outcomes.iter().zip(&serial).enumerate() {
+        let par = par.result().expect("parallel point closes");
         assert_eq!(par, &serial[i], "plan point {i} diverged from serial");
         assert_eq!(par.bench, ser.bench);
         assert_eq!(par.style, ser.style);
@@ -170,7 +170,7 @@ fn assert_plan_covers(label: &str, plan: &ExperimentPlan, driver: impl FnOnce() 
     cache.clear();
     let report = ParallelExecutor::new(2).run(plan);
     assert_eq!(
-        report.ok_count(),
+        report.done_count(),
         plan.len(),
         "{label}: prewarm closes every point"
     );

@@ -74,6 +74,29 @@ fn ping_and_stats_round_trip() {
     assert!(response_ok(&stats), "{stats}");
     assert_eq!(json_raw_field(&stats, "draining"), Some("false"));
     assert_eq!(json_raw_field(&stats, "requests"), Some("2"));
+    // Every `CacheStats` counter is on the wire, as a number.
+    for field in [
+        "library_builds",
+        "library_hits",
+        "library_evictions",
+        "flow_stores",
+        "flow_hits",
+        "flow_misses",
+        "flow_evictions",
+        "spice_builds",
+        "spice_hits",
+        "spice_evictions",
+        "disk_hits",
+        "disk_misses",
+        "disk_stores",
+        "disk_evictions",
+        "disk_quarantined",
+        "store_degraded",
+        "protocol_errors",
+    ] {
+        let v = json_raw_field(&stats, field).unwrap_or_else(|| panic!("{field}: {stats}"));
+        assert!(v.parse::<u64>().is_ok(), "{field} = {v}");
+    }
     drop(c);
     server.shutdown();
     server.join();
