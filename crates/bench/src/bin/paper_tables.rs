@@ -46,8 +46,9 @@
 //! byte-identical whether or not they are given.
 //!
 //! `--cache-dir DIR` attaches a persistent [`DiskStore`] under DIR: cell
-//! libraries and flow results survive the process, so a second
-//! invocation with the same DIR re-characterizes nothing and reprints
+//! libraries, flow results, SPICE tables and G-MI results survive the
+//! process, so a second invocation with the same DIR re-characterizes,
+//! re-simulates and re-partitions nothing and reprints
 //! the same tables from verified disk hits. The store is self-checking —
 //! a corrupt or truncated entry is quarantined and rebuilt, never
 //! served — and any I/O trouble degrades the run back to the in-memory

@@ -1,32 +1,37 @@
-//! Table 2's SPICE decks are persisted artifacts: a second
-//! `paper_tables --cache-dir` process over the first one's store prints
-//! the same table while simulating no transistor deck, and a second
-//! in-process call is served from memory.
+//! Table 2's SPICE decks and the G-MI study's implementations are
+//! persisted artifacts: a second `paper_tables --cache-dir` process over
+//! the first one's store prints the same section while simulating no
+//! transistor deck and partitioning, placing and routing no G-MI design,
+//! and a second in-process call is served from memory.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use monolith3d::{experiments, ArtifactCache};
+use m3d_netlist::BenchScale;
+use monolith3d::{experiments, gmi, ArtifactCache};
 
 const GOLDEN: &str = include_str!("../../../benchmark/golden/small_all.txt");
 
 /// Table 2 decks: INV, NAND2 and MUX2 at three corners in two styles.
 const DECKS: u64 = 18;
 
-/// The `table2` section of the golden suite output, banner included.
-fn golden_table2() -> String {
+/// G-MI points: AES and LDPC.
+const GMI_POINTS: u64 = 2;
+
+/// The `name` section of the golden suite output, banner included.
+fn golden_section(name: &str) -> String {
     let mut section = String::new();
     let mut inside = false;
     for line in GOLDEN.lines() {
         if let Some(banner) = line.strip_prefix("==================== ") {
-            inside = banner.starts_with("table2 ");
+            inside = banner.split(' ').next() == Some(name);
         }
         if inside {
             section.push_str(line);
             section.push('\n');
         }
     }
-    assert!(!section.is_empty(), "golden has no table2 section");
+    assert!(!section.is_empty(), "golden has no {name} section");
     section
 }
 
@@ -39,13 +44,13 @@ fn cache_line(stderr: &str) -> &str {
         .unwrap_or_else(|| panic!("no artifact cache line in:\n{stderr}"))
 }
 
-/// One `paper_tables --small --jobs 1 --cache-dir <store> table2` run:
-/// (stdout, stderr).
-fn run_table2(store: &PathBuf) -> (String, String) {
+/// One `paper_tables --small --jobs 1 --cache-dir <store> <experiment>`
+/// run: (stdout, stderr).
+fn run(store: &Path, experiment: &str) -> (String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_paper_tables"))
         .args(["--small", "--jobs", "1", "--cache-dir"])
         .arg(store)
-        .arg("table2")
+        .arg(experiment)
         .output()
         .expect("paper_tables runs");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
@@ -53,29 +58,48 @@ fn run_table2(store: &PathBuf) -> (String, String) {
     (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
 }
 
+fn temp_store(tag: &str) -> PathBuf {
+    let store = std::env::temp_dir().join(format!("m3d-warm-replay-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    store
+}
+
+/// Runs `experiment` cold, then warm, over one fresh store. Both print
+/// the golden section; the cold cache line contains `cold`, the warm
+/// one `warm` and no quarantined entry.
+fn replay(experiment: &str, cold: &str, warm: &str) {
+    let store = temp_store(experiment);
+    let want = golden_section(experiment);
+
+    let (cold_out, cold_err) = run(&store, experiment);
+    assert_eq!(cold_out, want, "cold stdout differs from the golden");
+    let line = cache_line(&cold_err);
+    assert!(line.contains(cold), "cold run: {line}");
+
+    let (warm_out, warm_err) = run(&store, experiment);
+    assert_eq!(warm_out, want, "warm stdout differs from the golden");
+    let line = cache_line(&warm_err);
+    assert!(line.contains(warm), "warm run: {line}");
+    assert!(line.contains(" 0 quarantined"), "warm run: {line}");
+    let _ = std::fs::remove_dir_all(&store);
+}
+
 #[test]
 fn a_warm_process_replays_table2_without_simulating() {
-    let store = std::env::temp_dir().join(format!("m3d-warm-replay-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store);
-    let want = golden_table2();
-
-    let (cold_out, cold_err) = run_table2(&store);
-    assert_eq!(cold_out, want, "cold stdout differs from the golden");
-    let cold = cache_line(&cold_err);
-    assert!(
-        cold.contains(&format!("spice: {DECKS} built, 0 hits")),
-        "cold run: {cold}"
+    replay(
+        "table2",
+        &format!("spice: {DECKS} built, 0 hits"),
+        &format!("spice: 0 built, {DECKS} hits"),
     );
+}
 
-    let (warm_out, warm_err) = run_table2(&store);
-    assert_eq!(warm_out, want, "warm stdout differs from the golden");
-    let warm = cache_line(&warm_err);
-    assert!(
-        warm.contains(&format!("spice: 0 built, {DECKS} hits")),
-        "warm run: {warm}"
+#[test]
+fn a_warm_process_replays_gmi_without_partitioning() {
+    replay(
+        "gmi",
+        &format!("gmi: {GMI_POINTS} built, 0 hits"),
+        &format!("gmi: 0 built, {GMI_POINTS} hits"),
     );
-    assert!(warm.contains(" 0 quarantined"), "warm run: {warm}");
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -87,4 +111,15 @@ fn a_second_table2_in_one_process_simulates_nothing() {
     let d = cache.stats().delta(&before);
     assert_eq!(first, second);
     assert_eq!((d.spice_builds, d.spice_hits), (0, DECKS));
+}
+
+#[test]
+fn a_second_gmi_comparison_in_one_process_builds_nothing() {
+    let cache = ArtifactCache::global();
+    let first = gmi::gmi_comparison(BenchScale::Small);
+    let before = cache.stats();
+    let second = gmi::gmi_comparison(BenchScale::Small);
+    let d = cache.stats().delta(&before);
+    assert_eq!(first, second);
+    assert_eq!((d.gmi_builds, d.gmi_hits), (0, GMI_POINTS));
 }

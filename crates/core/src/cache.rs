@@ -20,6 +20,9 @@
 //!   tables of one cell's transient runs — are shared per [`SpiceKey`]:
 //!   `(node_id, style, function, drive, slews, loads)`, exactly what the
 //!   deck reads.
+//! * **G-MI sign-off results** ([`GmiResult`]) are shared per the
+//!   [`FlowKey`] of their 2D reference point: every knob
+//!   [`crate::gmi::run_gmi`] reads is one that key already holds.
 //!
 //! Keys canonicalize `f64` knobs to their bit patterns, so a cache hit
 //! requires bit-equal configuration — there is no tolerance matching,
@@ -44,6 +47,7 @@ use m3d_tech::{DesignStyle, MetalClass, NodeId, StackKind, TechNode};
 
 use crate::error::{FlowError, FlowStage};
 use crate::flow::{FlowConfig, FlowResult};
+use crate::gmi::GmiResult;
 use crate::observe::{self, CacheKind, EventKind, Recorder};
 use crate::sharded::Sharded;
 use crate::store::DiskStore;
@@ -195,6 +199,12 @@ pub struct CacheStats {
     pub spice_hits: u64,
     /// Cached SPICE tables evicted by the LRU bound.
     pub spice_evictions: u64,
+    /// G-MI implementations run from scratch and stored.
+    pub gmi_builds: u64,
+    /// G-MI lookups served from the memory or disk tier.
+    pub gmi_hits: u64,
+    /// Cached G-MI results evicted by the LRU bound.
+    pub gmi_evictions: u64,
     /// Disk-tier reads served from a verified on-disk entry.
     pub disk_hits: u64,
     /// Disk-tier reads that found no usable entry (including entries
@@ -232,6 +242,9 @@ impl CacheStats {
             spice_builds,
             spice_hits,
             spice_evictions,
+            gmi_builds,
+            gmi_hits,
+            gmi_evictions,
             disk_hits,
             disk_misses,
             disk_stores,
@@ -250,6 +263,9 @@ impl CacheStats {
             spice_builds: spice_builds.saturating_sub(earlier.spice_builds),
             spice_hits: spice_hits.saturating_sub(earlier.spice_hits),
             spice_evictions: spice_evictions.saturating_sub(earlier.spice_evictions),
+            gmi_builds: gmi_builds.saturating_sub(earlier.gmi_builds),
+            gmi_hits: gmi_hits.saturating_sub(earlier.gmi_hits),
+            gmi_evictions: gmi_evictions.saturating_sub(earlier.gmi_evictions),
             disk_hits: disk_hits.saturating_sub(earlier.disk_hits),
             disk_misses: disk_misses.saturating_sub(earlier.disk_misses),
             disk_stores: disk_stores.saturating_sub(earlier.disk_stores),
@@ -278,6 +294,9 @@ impl std::fmt::Display for CacheStats {
             spice_builds,
             spice_hits,
             spice_evictions,
+            gmi_builds,
+            gmi_hits,
+            gmi_evictions,
             disk_hits,
             disk_misses,
             disk_stores,
@@ -293,6 +312,8 @@ impl std::fmt::Display for CacheStats {
              {flow_misses} misses, {flow_evictions} evicted; \
              spice: {spice_builds} built, {spice_hits} hits, \
              {spice_evictions} evicted; \
+             gmi: {gmi_builds} built, {gmi_hits} hits, \
+             {gmi_evictions} evicted; \
              disk: {disk_hits} hits, {disk_misses} misses, \
              {disk_stores} stored, {disk_evictions} evicted, \
              {disk_quarantined} quarantined; store degraded: {store_degraded}"
@@ -479,13 +500,15 @@ const DEFAULT_LIBRARY_CAPACITY: usize = 32;
 const DEFAULT_RESULT_CAPACITY: usize = 512;
 /// SPICE tables are small (one grid per cell); Table 2 holds 18.
 const DEFAULT_SPICE_CAPACITY: usize = 64;
+/// A G-MI result is five numbers; the study holds two per scale.
+const DEFAULT_GMI_CAPACITY: usize = 16;
 
-/// The shared memo layer for cell libraries, completed flow results and
-/// SPICE characterizations.
+/// The shared memo layer for cell libraries, completed flow results,
+/// SPICE characterizations and G-MI sign-off results.
 ///
 /// Every map is LRU-bounded ([`ArtifactCache::bounded`] sets the library
-/// and result capacities; the SPICE map always holds
-/// `DEFAULT_SPICE_CAPACITY` entries), so an
+/// and result capacities; the SPICE and G-MI maps always hold
+/// `DEFAULT_SPICE_CAPACITY` and `DEFAULT_GMI_CAPACITY` entries), so an
 /// unbounded sweep cannot grow the process without limit — evictions are
 /// counted in [`CacheStats`]. Thread-safe and built for the parallel
 /// executor's fan-out: every map is lock-**sharded** ([`Sharded`]), and
@@ -497,12 +520,14 @@ const DEFAULT_SPICE_CAPACITY: usize = 64;
 /// [`FlowKey`] each run the (deterministic) flow and store bit-identical
 /// values — the [`crate::ExperimentPlan`] dedups by `FlowKey` precisely
 /// so the executor never schedules that race. SPICE tables are not
-/// coalesced either: racing misses simulate the same deterministic deck.
+/// coalesced either: racing misses simulate the same deterministic deck,
+/// and G-MI results are looked up and stored like flow results.
 #[derive(Debug)]
 pub struct ArtifactCache {
     libraries: ShardedLru<LibraryKey, Arc<BuildCell>>,
     results: ShardedLru<FlowKey, Arc<FlowResult>>,
     spice: ShardedLru<SpiceKey, Arc<SpiceTables>>,
+    gmi: ShardedLru<FlowKey, GmiResult>,
     /// The optional persistent tier ([`DiskStore`]): probed on memory
     /// misses, published to after builds/stores. `None` keeps the
     /// cache purely in-memory (the seed behavior).
@@ -522,6 +547,9 @@ pub struct ArtifactCache {
     spice_builds: AtomicU64,
     spice_hits: AtomicU64,
     spice_evictions: AtomicU64,
+    gmi_builds: AtomicU64,
+    gmi_hits: AtomicU64,
+    gmi_evictions: AtomicU64,
 }
 
 impl Default for ArtifactCache {
@@ -546,6 +574,7 @@ impl ArtifactCache {
             libraries: ShardedLru::new(library_capacity),
             results: ShardedLru::new(result_capacity),
             spice: ShardedLru::new(DEFAULT_SPICE_CAPACITY),
+            gmi: ShardedLru::new(DEFAULT_GMI_CAPACITY),
             disk: RwLock::new(None),
             recorder: RwLock::new(observe::null()),
             library_builds: AtomicU64::new(0),
@@ -558,6 +587,9 @@ impl ArtifactCache {
             spice_builds: AtomicU64::new(0),
             spice_hits: AtomicU64::new(0),
             spice_evictions: AtomicU64::new(0),
+            gmi_builds: AtomicU64::new(0),
+            gmi_hits: AtomicU64::new(0),
+            gmi_evictions: AtomicU64::new(0),
         }
     }
 
@@ -615,9 +647,10 @@ impl ArtifactCache {
         (self.libraries.len(), self.results.len())
     }
 
-    /// True when every map (SPICE tables included) is empty.
+    /// True when every map (SPICE tables and G-MI results included) is
+    /// empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == (0, 0) && self.spice.len() == 0
+        self.len() == (0, 0) && self.spice.len() == 0 && self.gmi.len() == 0
     }
 
     /// The characterized library for the consumed knobs, built at most
@@ -653,13 +686,7 @@ impl ArtifactCache {
                 None => {
                     let c = Arc::new(BuildCell::new());
                     let evicted = shard.insert(key, Arc::clone(&c));
-                    self.library_evictions.fetch_add(evicted, Ordering::Relaxed);
-                    if evicted > 0 {
-                        self.emit(|| EventKind::CacheEvicted {
-                            kind: CacheKind::Library,
-                            count: evicted,
-                        });
-                    }
+                    self.note_evictions(CacheKind::Library, &self.library_evictions, evicted);
                     c
                 }
             }
@@ -792,13 +819,7 @@ impl ArtifactCache {
         // lookups stay in-process.
         if let Some(r) = self.disk().and_then(|d| d.load_flow(&key)) {
             let evicted = self.results.insert(key, Arc::new(r.clone()));
-            self.flow_evictions.fetch_add(evicted, Ordering::Relaxed);
-            if evicted > 0 {
-                self.emit(|| EventKind::CacheEvicted {
-                    kind: CacheKind::Flow,
-                    count: evicted,
-                });
-            }
+            self.note_evictions(CacheKind::Flow, &self.flow_evictions, evicted);
             self.flow_hits.fetch_add(1, Ordering::Relaxed);
             self.emit(|| EventKind::CacheHit {
                 kind: CacheKind::Flow,
@@ -823,13 +844,7 @@ impl ArtifactCache {
         self.flow_stores.fetch_add(1, Ordering::Relaxed);
         let key = FlowKey::of(bench, style, cfg);
         let evicted = self.results.insert(key, Arc::new(result.clone()));
-        self.flow_evictions.fetch_add(evicted, Ordering::Relaxed);
-        if evicted > 0 {
-            self.emit(|| EventKind::CacheEvicted {
-                kind: CacheKind::Flow,
-                count: evicted,
-            });
-        }
+        self.note_evictions(CacheKind::Flow, &self.flow_evictions, evicted);
         if let Some(d) = self.disk() {
             d.store_flow(&key, result);
         }
@@ -873,10 +888,54 @@ impl ArtifactCache {
 
     fn insert_spice(&self, key: &SpiceKey, tables: Arc<SpiceTables>) {
         let evicted = self.spice.insert(key.clone(), tables);
-        self.spice_evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.note_evictions(CacheKind::Spice, &self.spice_evictions, evicted);
+    }
+
+    /// The stored G-MI result for the 2D reference point `key`: from
+    /// memory, else from a verified disk entry (promoted into memory).
+    /// A miss is traced; the caller runs [`crate::gmi::run_gmi`] and
+    /// hands the result to [`ArtifactCache::store_gmi`].
+    pub fn lookup_gmi(&self, key: &FlowKey) -> Option<GmiResult> {
+        let hit = self.gmi.get(key).or_else(|| {
+            let r = self.disk()?.load_gmi(key)?;
+            self.insert_gmi(key, r.clone());
+            Some(r)
+        });
+        let Some(r) = hit else {
+            self.emit(|| EventKind::CacheMiss {
+                kind: CacheKind::Gmi,
+            });
+            return None;
+        };
+        self.gmi_hits.fetch_add(1, Ordering::Relaxed);
+        self.emit(|| EventKind::CacheHit {
+            kind: CacheKind::Gmi,
+        });
+        Some(r)
+    }
+
+    /// Stores a G-MI result run from scratch under its 2D reference
+    /// point's key, in memory and on disk.
+    pub fn store_gmi(&self, key: &FlowKey, result: &GmiResult) {
+        self.gmi_builds.fetch_add(1, Ordering::Relaxed);
+        self.insert_gmi(key, result.clone());
+        if let Some(d) = self.disk() {
+            d.store_gmi(key, result);
+        }
+    }
+
+    fn insert_gmi(&self, key: &FlowKey, result: GmiResult) {
+        let evicted = self.gmi.insert(*key, result);
+        self.note_evictions(CacheKind::Gmi, &self.gmi_evictions, evicted);
+    }
+
+    /// Adds `evicted` LRU evictions of `kind` to `counter` and traces
+    /// them.
+    fn note_evictions(&self, kind: CacheKind, counter: &AtomicU64, evicted: u64) {
+        counter.fetch_add(evicted, Ordering::Relaxed);
         if evicted > 0 {
             self.emit(|| EventKind::CacheEvicted {
-                kind: CacheKind::Spice,
+                kind,
                 count: evicted,
             });
         }
@@ -908,6 +967,7 @@ impl ArtifactCache {
         self.libraries.clear();
         self.results.clear();
         self.spice.clear();
+        self.gmi.clear();
         for c in [
             &self.library_builds,
             &self.library_hits,
@@ -919,6 +979,9 @@ impl ArtifactCache {
             &self.spice_builds,
             &self.spice_hits,
             &self.spice_evictions,
+            &self.gmi_builds,
+            &self.gmi_hits,
+            &self.gmi_evictions,
         ] {
             c.store(0, Ordering::Relaxed);
         }
@@ -940,6 +1003,9 @@ impl ArtifactCache {
             spice_builds: self.spice_builds.load(Ordering::Relaxed),
             spice_hits: self.spice_hits.load(Ordering::Relaxed),
             spice_evictions: self.spice_evictions.load(Ordering::Relaxed),
+            gmi_builds: self.gmi_builds.load(Ordering::Relaxed),
+            gmi_hits: self.gmi_hits.load(Ordering::Relaxed),
+            gmi_evictions: self.gmi_evictions.load(Ordering::Relaxed),
             disk_hits: disk.hits,
             disk_misses: disk.misses,
             disk_stores: disk.stores,
@@ -1150,6 +1216,45 @@ mod tests {
     }
 
     #[test]
+    fn gmi_results_serve_a_fresh_cache_from_disk() {
+        let root = temp_store_root("gmi");
+        let key = FlowKey::of(
+            Benchmark::Aes,
+            DesignStyle::TwoD,
+            &cfg45().scale(BenchScale::Small),
+        );
+        let result = GmiResult {
+            footprint_um2: 1234.5,
+            wirelength_um: 6789.0,
+            miv_nets: 42,
+            wns_ps: -12.5,
+            total_power_mw: 0.75,
+        };
+        let first = ArtifactCache::default();
+        first.attach_disk(DiskStore::open(&root));
+        assert_eq!(first.lookup_gmi(&key), None, "cold cache misses");
+        first.store_gmi(&key, &result);
+        assert_eq!(first.lookup_gmi(&key), Some(result.clone()));
+        let s = first.stats();
+        assert_eq!((s.gmi_builds, s.gmi_hits, s.disk_stores), (1, 1, 1));
+
+        // A fresh cache over the same directory runs nothing: the first
+        // lookup is a disk hit, promoted so the second stays in memory.
+        let fresh = ArtifactCache::default();
+        fresh.attach_disk(DiskStore::open(&root));
+        assert_eq!(fresh.lookup_gmi(&key), Some(result.clone()));
+        assert_eq!(fresh.lookup_gmi(&key), Some(result));
+        let s = fresh.stats();
+        assert_eq!((s.gmi_builds, s.gmi_hits, s.disk_hits), (0, 2, 1));
+
+        fresh.detach_disk();
+        fresh.clear();
+        assert!(fresh.is_empty());
+        assert_eq!(fresh.stats(), CacheStats::default());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn display_prints_every_counter() {
         // The logged summary must agree with the JSON snapshot: every
         // CacheStats field, in declaration order. This pins the exact
@@ -1165,20 +1270,24 @@ mod tests {
             spice_builds: 8,
             spice_hits: 9,
             spice_evictions: 10,
-            disk_hits: 11,
-            disk_misses: 12,
-            disk_stores: 13,
-            disk_evictions: 14,
-            disk_quarantined: 15,
-            store_degraded: 16,
+            gmi_builds: 11,
+            gmi_hits: 12,
+            gmi_evictions: 13,
+            disk_hits: 14,
+            disk_misses: 15,
+            disk_stores: 16,
+            disk_evictions: 17,
+            disk_quarantined: 18,
+            store_degraded: 19,
         };
         assert_eq!(
             s.to_string(),
             "libraries: 1 built, 2 hits, 3 evicted; \
              flows: 4 stored, 5 hits, 6 misses, 7 evicted; \
              spice: 8 built, 9 hits, 10 evicted; \
-             disk: 11 hits, 12 misses, 13 stored, 14 evicted, \
-             15 quarantined; store degraded: 16"
+             gmi: 11 built, 12 hits, 13 evicted; \
+             disk: 14 hits, 15 misses, 16 stored, 17 evicted, \
+             18 quarantined; store degraded: 19"
         );
     }
 
@@ -1195,6 +1304,9 @@ mod tests {
             spice_builds: 18,
             spice_hits: 0,
             spice_evictions: 0,
+            gmi_builds: 2,
+            gmi_hits: 0,
+            gmi_evictions: 0,
             disk_hits: 3,
             disk_misses: 5,
             disk_stores: 2,
@@ -1213,6 +1325,9 @@ mod tests {
             spice_builds: 18,
             spice_hits: 18,
             spice_evictions: 1,
+            gmi_builds: 2,
+            gmi_hits: 2,
+            gmi_evictions: 1,
             disk_hits: 9,
             disk_misses: 5,
             disk_stores: 2,
@@ -1231,6 +1346,9 @@ mod tests {
         assert_eq!(d.spice_builds, 0, "a warm replay simulates nothing");
         assert_eq!(d.spice_hits, 18);
         assert_eq!(d.spice_evictions, 1);
+        assert_eq!(d.gmi_builds, 0, "a warm replay partitions nothing");
+        assert_eq!(d.gmi_hits, 2);
+        assert_eq!(d.gmi_evictions, 1);
         assert_eq!(d.disk_hits, 6);
         assert_eq!(d.disk_misses, 0);
         assert_eq!(d.disk_stores, 0);
@@ -1301,6 +1419,9 @@ mod tests {
             spice_builds: 88,
             spice_hits: 99,
             spice_evictions: 111,
+            gmi_builds: 122,
+            gmi_hits: 133,
+            gmi_evictions: 144,
             disk_hits: 222,
             disk_misses: 333,
             disk_stores: 444,
@@ -1319,8 +1440,11 @@ mod tests {
             .collect();
         assert_eq!(
             nums,
-            vec![11, 22, 33, 44, 55, 66, 77, 88, 99, 111, 222, 333, 444, 555, 666, 777],
-            "display must carry all 16 counters in declaration order: {text}"
+            vec![
+                11, 22, 33, 44, 55, 66, 77, 88, 99, 111, 122, 133, 144, 222, 333, 444, 555, 666,
+                777
+            ],
+            "display must carry all 19 counters in declaration order: {text}"
         );
         let round_tripped = CacheStats {
             library_builds: nums[0],
@@ -1333,12 +1457,15 @@ mod tests {
             spice_builds: nums[7],
             spice_hits: nums[8],
             spice_evictions: nums[9],
-            disk_hits: nums[10],
-            disk_misses: nums[11],
-            disk_stores: nums[12],
-            disk_evictions: nums[13],
-            disk_quarantined: nums[14],
-            store_degraded: nums[15],
+            gmi_builds: nums[10],
+            gmi_hits: nums[11],
+            gmi_evictions: nums[12],
+            disk_hits: nums[13],
+            disk_misses: nums[14],
+            disk_stores: nums[15],
+            disk_evictions: nums[16],
+            disk_quarantined: nums[17],
+            store_degraded: nums[18],
         };
         assert_eq!(round_tripped, s);
     }

@@ -50,11 +50,18 @@ pub enum CacheKind {
     Flow,
     /// The SPICE-characterization cache (one cell's transient tables).
     Spice,
+    /// The G-MI sign-off cache (one gate-level 3D implementation).
+    Gmi,
 }
 
 impl CacheKind {
     /// Every kind, in declaration order.
-    pub const ALL: [CacheKind; 3] = [CacheKind::Library, CacheKind::Flow, CacheKind::Spice];
+    pub const ALL: [CacheKind; 4] = [
+        CacheKind::Library,
+        CacheKind::Flow,
+        CacheKind::Spice,
+        CacheKind::Gmi,
+    ];
 
     /// Stable lowercase name used in JSONL and counter keys.
     pub fn key(self) -> &'static str {
@@ -62,6 +69,7 @@ impl CacheKind {
             CacheKind::Library => "library",
             CacheKind::Flow => "flow",
             CacheKind::Spice => "spice",
+            CacheKind::Gmi => "gmi",
         }
     }
 
@@ -729,36 +737,43 @@ impl MetricsRegistry {
                 CacheKind::Library => "cache_hit_library",
                 CacheKind::Flow => "cache_hit_flow",
                 CacheKind::Spice => "cache_hit_spice",
+                CacheKind::Gmi => "cache_hit_gmi",
             },
             EventKind::CacheMiss { kind } => match kind {
                 CacheKind::Library => "cache_miss_library",
                 CacheKind::Flow => "cache_miss_flow",
                 CacheKind::Spice => "cache_miss_spice",
+                CacheKind::Gmi => "cache_miss_gmi",
             },
             EventKind::CacheCoalesced { kind } => match kind {
                 CacheKind::Library => "cache_coalesced_library",
                 CacheKind::Flow => "cache_coalesced_flow",
                 CacheKind::Spice => "cache_coalesced_spice",
+                CacheKind::Gmi => "cache_coalesced_gmi",
             },
             EventKind::CacheEvicted { kind, .. } => match kind {
                 CacheKind::Library => "cache_evicted_library",
                 CacheKind::Flow => "cache_evicted_flow",
                 CacheKind::Spice => "cache_evicted_spice",
+                CacheKind::Gmi => "cache_evicted_gmi",
             },
             EventKind::DiskHit { kind } => match kind {
                 CacheKind::Library => "disk_hit_library",
                 CacheKind::Flow => "disk_hit_flow",
                 CacheKind::Spice => "disk_hit_spice",
+                CacheKind::Gmi => "disk_hit_gmi",
             },
             EventKind::DiskMiss { kind } => match kind {
                 CacheKind::Library => "disk_miss_library",
                 CacheKind::Flow => "disk_miss_flow",
                 CacheKind::Spice => "disk_miss_spice",
+                CacheKind::Gmi => "disk_miss_gmi",
             },
             EventKind::DiskEvicted { kind, .. } => match kind {
                 CacheKind::Library => "disk_evicted_library",
                 CacheKind::Flow => "disk_evicted_flow",
                 CacheKind::Spice => "disk_evicted_spice",
+                CacheKind::Gmi => "disk_evicted_gmi",
             },
             EventKind::DiskQuarantined { .. } => "disk_quarantined",
             EventKind::StoreDegraded { .. } => "store_degraded",
@@ -1282,6 +1297,9 @@ mod tests {
         rec.record(EventKind::DiskHit {
             kind: CacheKind::Spice,
         });
+        rec.record(EventKind::CacheHit {
+            kind: CacheKind::Gmi,
+        });
         rec.record(EventKind::DiskEvicted {
             kind: CacheKind::Flow,
             count: 1,
@@ -1308,9 +1326,9 @@ mod tests {
             trace.push('\n');
         }
         let summary = validate_jsonl(&trace).expect("trace validates");
-        assert_eq!(summary.events, 17);
+        assert_eq!(summary.events, 18);
         assert_eq!(summary.stage_spans, 2);
-        assert_eq!(summary.cache_hits, 1);
+        assert_eq!(summary.cache_hits, 2);
         assert_eq!(summary.cache_misses, 1);
         assert_eq!(summary.disk_hits, 2);
         assert_eq!(summary.disk_misses, 1);
@@ -1333,6 +1351,9 @@ mod tests {
         m.record(EventKind::DiskHit {
             kind: CacheKind::Spice,
         });
+        m.record(EventKind::DiskMiss {
+            kind: CacheKind::Gmi,
+        });
         m.record(EventKind::DiskEvicted {
             kind: CacheKind::Library,
             count: 3,
@@ -1345,6 +1366,7 @@ mod tests {
         assert_eq!(report.counter("disk_miss_library"), 1);
         assert_eq!(report.counter("disk_miss_flow"), 1);
         assert_eq!(report.counter("disk_hit_spice"), 1);
+        assert_eq!(report.counter("disk_miss_gmi"), 1);
         assert_eq!(
             report.counter("disk_evicted_library"),
             3,

@@ -4,18 +4,20 @@
 //! The paper's sweeps re-derive the same expensive artifacts across
 //! *processes*: without a store, every fresh `paper_tables` invocation
 //! re-characterizes the same cell libraries, re-simulates the same
-//! SPICE decks and re-runs flows an earlier invocation already signed
-//! off. [`DiskStore`] persists all three artifact classes under their
-//! existing cache keys so a warm directory turns a fresh process into a
-//! cache hit:
+//! SPICE decks and re-runs flows and G-MI implementations an earlier
+//! invocation already signed off. [`DiskStore`] persists all four
+//! artifact classes under their existing cache keys so a warm directory
+//! turns a fresh process into a cache hit:
 //!
 //! * **Layout** — entries are content-addressed by the FNV-1a 64 hash
 //!   of the *encoded key bytes* (Rust's `std::hash` is not stable
 //!   across processes), sharded by the hash's low byte:
 //!   `<root>/lib/<2-hex>/<16-hex>.m3d`,
-//!   `<root>/flow/<2-hex>/<16-hex>.m3d` and
-//!   `<root>/spice/<2-hex>/<16-hex>.m3d`, plus `<root>/quarantine/` and
-//!   a recency journal `<root>/index.journal`.
+//!   `<root>/flow/<2-hex>/<16-hex>.m3d`,
+//!   `<root>/spice/<2-hex>/<16-hex>.m3d` and
+//!   `<root>/gmi/<2-hex>/<16-hex>.m3d` (keyed by the G-MI point's 2D
+//!   reference [`FlowKey`]), plus `<root>/quarantine/` and a recency
+//!   journal `<root>/index.journal`.
 //! * **Self-verification** — every entry is the durable frame built by
 //!   `codec::frame` (DESIGN.md §9) under the `M3DSTOR1` magic, with a
 //!   key section and an artifact section; embedding the encoded key
@@ -73,6 +75,7 @@ use crate::codec::{
 use crate::error::StoreFailure;
 use crate::faultinject::{StoreFaultKind, StoreFaultPlan};
 use crate::flow::FlowResult;
+use crate::gmi::GmiResult;
 use crate::observe::{self, CacheKind, EventKind, Recorder};
 
 /// Store entry magic: any other file dropped into the store is
@@ -85,8 +88,8 @@ const SEC_ARTIFACT: u8 = 2;
 
 /// Default byte budget: generous for the full paper reproduction
 /// (a characterized library encodes to a few hundred KiB, a flow
-/// result to ~1 KiB, one cell's SPICE tables to well under that) while
-/// still bounding a pathological sweep.
+/// result to ~1 KiB, one cell's SPICE tables or a G-MI result to well
+/// under that) while still bounding a pathological sweep.
 const DEFAULT_BYTE_BUDGET: u64 = 1 << 30;
 
 /// A publisher's `.lock` older than this is presumed crashed and is
@@ -351,6 +354,20 @@ impl DiskStore {
             &enc_spice_key(key),
             &enc_spice_tables(tables),
         );
+    }
+
+    /// The persisted G-MI result for the 2D reference point `key`, if a
+    /// verified entry exists. Same non-erroring contract as
+    /// [`DiskStore::load_library`].
+    pub fn load_gmi(&self, key: &FlowKey) -> Option<GmiResult> {
+        let key_bytes = enc_flow_key(key);
+        self.load_verified(CacheKind::Gmi, &key_bytes, dec_gmi_result)
+    }
+
+    /// Publishes a G-MI result under its 2D reference point's `key`.
+    /// Never errors.
+    pub fn store_gmi(&self, key: &FlowKey, result: &GmiResult) {
+        self.publish(CacheKind::Gmi, &enc_flow_key(key), &enc_gmi_result(result));
     }
 
     // -- read path ----------------------------------------------------
@@ -630,6 +647,7 @@ fn kind_dir(kind: CacheKind) -> &'static str {
         CacheKind::Library => "lib",
         CacheKind::Flow => "flow",
         CacheKind::Spice => "spice",
+        CacheKind::Gmi => "gmi",
     }
 }
 
@@ -1047,6 +1065,29 @@ fn dec_flow_result(bytes: &[u8]) -> DecResult<FlowResult> {
     })
 }
 
+fn enc_gmi_result(r: &GmiResult) -> Vec<u8> {
+    let mut e = Enc::default();
+    e.f64(r.footprint_um2);
+    e.f64(r.wirelength_um);
+    e.usize(r.miv_nets);
+    e.f64(r.wns_ps);
+    e.f64(r.total_power_mw);
+    e.buf
+}
+
+fn dec_gmi_result(bytes: &[u8]) -> DecResult<GmiResult> {
+    let mut d = Dec::new(bytes);
+    let r = GmiResult {
+        footprint_um2: d.f64()?,
+        wirelength_um: d.f64()?,
+        miv_nets: d.usize()?,
+        wns_ps: d.f64()?,
+        total_power_mw: d.f64()?,
+    };
+    d.finish()?;
+    Ok(r)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1451,6 +1492,84 @@ mod tests {
         store.store_spice(&one_point, &sample_spice());
         assert_eq!(store.load_spice(&one_point), None);
         assert_eq!(store.counters().quarantined, 2);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    fn gmi_key(bench: Benchmark) -> FlowKey {
+        FlowKey::of(
+            bench,
+            DesignStyle::TwoD,
+            &crate::flow::FlowConfig::new(NodeId::N45).scale(BenchScale::Small),
+        )
+    }
+
+    fn sample_gmi() -> GmiResult {
+        GmiResult {
+            footprint_um2: 1661.25,
+            wirelength_um: 48_321.5,
+            miv_nets: 397,
+            wns_ps: -37.125,
+            total_power_mw: -0.0,
+        }
+    }
+
+    #[test]
+    fn gmi_result_round_trips_bit_exactly() {
+        let r = sample_gmi();
+        let back = dec_gmi_result(&enc_gmi_result(&r)).expect("decodes");
+        assert_eq!(back, r);
+        assert_eq!(back.wns_ps.to_bits(), (-37.125f64).to_bits());
+        // -0.0 survives as -0.0 (bit-exact, not value-equal).
+        assert_eq!(back.total_power_mw.to_bits(), (-0.0f64).to_bits());
+
+        let root = temp_root("gmirt");
+        let key = gmi_key(Benchmark::Aes);
+        let store = DiskStore::open(&root);
+        assert_eq!(store.load_gmi(&key), None, "cold store misses");
+        store.store_gmi(&key, &r);
+        let fresh = DiskStore::open(&root);
+        let back = fresh.load_gmi(&key).expect("a fresh instance hits");
+        assert_eq!(back.total_power_mw.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back, r);
+        // The G-MI entry shares its key bytes with the flow entry of the
+        // same 2D point but lives in its own directory: neither answers
+        // for the other.
+        assert_eq!(fresh.load_flow(&key), None);
+        assert_eq!(fresh.counters().quarantined, 0);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Pins the G-MI entry file image: any change to the frame, the flow
+    /// key codec or the G-MI result codec moves this hash.
+    #[test]
+    fn gmi_entry_file_image_is_pinned() {
+        let root = temp_root("gmipin");
+        let store = DiskStore::open(&root);
+        let key = gmi_key(Benchmark::Aes);
+        store.store_gmi(&key, &sample_gmi());
+        let path = store.entry_path(CacheKind::Gmi, content_hash(&enc_flow_key(&key)));
+        assert!(path.starts_with(root.join("gmi")));
+        let bytes = fs::read(&path).expect("entry on disk");
+        assert_eq!(content_hash(&bytes), 0x9f5b_2b39_4da2_60a3);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// An entry copied into the slot of another point's key — what a
+    /// key-hash collision would produce — embeds the wrong key and is
+    /// quarantined, never served.
+    #[test]
+    fn forged_gmi_entry_is_quarantined_not_served() {
+        let root = temp_root("gmiforge");
+        let store = DiskStore::open(&root);
+        let (aes, ldpc) = (gmi_key(Benchmark::Aes), gmi_key(Benchmark::Ldpc));
+        store.store_gmi(&aes, &sample_gmi());
+        let path = |k: &FlowKey| store.entry_path(CacheKind::Gmi, content_hash(&enc_flow_key(k)));
+        fs::create_dir_all(path(&ldpc).parent().expect("entry dir")).expect("mkdir");
+        fs::copy(path(&aes), path(&ldpc)).expect("forge the entry");
+        assert_eq!(store.load_gmi(&ldpc), None);
+        assert_eq!(store.counters().quarantined, 1);
+        assert!(!path(&ldpc).exists(), "forged entry left the live tree");
+        assert_eq!(store.load_gmi(&aes), Some(sample_gmi()));
         let _ = fs::remove_dir_all(&root);
     }
 

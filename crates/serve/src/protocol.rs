@@ -356,6 +356,9 @@ pub fn write_stats(
         spice_builds,
         spice_hits,
         spice_evictions,
+        gmi_builds,
+        gmi_hits,
+        gmi_evictions,
         disk_hits,
         disk_misses,
         disk_stores,
@@ -371,6 +374,8 @@ pub fn write_stats(
          \"flow_hits\":{flow_hits},\"flow_misses\":{flow_misses},\
          \"flow_evictions\":{flow_evictions},\"spice_builds\":{spice_builds},\
          \"spice_hits\":{spice_hits},\"spice_evictions\":{spice_evictions},\
+         \"gmi_builds\":{gmi_builds},\"gmi_hits\":{gmi_hits},\
+         \"gmi_evictions\":{gmi_evictions},\
          \"disk_hits\":{disk_hits},\"disk_misses\":{disk_misses},\
          \"disk_stores\":{disk_stores},\"disk_evictions\":{disk_evictions},\
          \"disk_quarantined\":{disk_quarantined},\"store_degraded\":{store_degraded},\

@@ -318,9 +318,9 @@ fn event_stream_replays_the_stage_graph_topology() {
 #[test]
 fn trace_cache_counters_equal_cache_stats() {
     let run = subset_jobs1();
-    let mut hits = [0u64; 3]; // [library, flow, spice]
-    let mut misses = [0u64; 3];
-    let mut evicted = [0u64; 3];
+    let mut hits = [0u64; CacheKind::ALL.len()]; // indexed by CacheKind
+    let mut misses = [0u64; CacheKind::ALL.len()];
+    let mut evicted = [0u64; CacheKind::ALL.len()];
     let mut coalesced = 0u64;
     for ev in &run.events {
         match ev.kind {
@@ -350,6 +350,10 @@ fn trace_cache_counters_equal_cache_stats() {
         "spice builds: trace vs stats"
     );
     assert_eq!(evicted[spice], s.spice_evictions);
+    let gmi = CacheKind::Gmi as usize;
+    assert_eq!(hits[gmi], s.gmi_hits, "gmi hits: trace vs stats");
+    assert_eq!(misses[gmi], s.gmi_builds, "gmi builds: trace vs stats");
+    assert_eq!(evicted[gmi], s.gmi_evictions);
     // Serial execution never coalesces: nothing is ever in flight twice.
     assert_eq!(coalesced, 0, "a --jobs 1 run cannot coalesce builds");
 }
@@ -372,36 +376,43 @@ fn metrics_registry_aggregates_exactly_the_recorded_events() {
                 CacheKind::Library => ("cache_hit_library", 1),
                 CacheKind::Flow => ("cache_hit_flow", 1),
                 CacheKind::Spice => ("cache_hit_spice", 1),
+                CacheKind::Gmi => ("cache_hit_gmi", 1),
             },
             EventKind::CacheMiss { kind } => match kind {
                 CacheKind::Library => ("cache_miss_library", 1),
                 CacheKind::Flow => ("cache_miss_flow", 1),
                 CacheKind::Spice => ("cache_miss_spice", 1),
+                CacheKind::Gmi => ("cache_miss_gmi", 1),
             },
             EventKind::CacheCoalesced { kind } => match kind {
                 CacheKind::Library => ("cache_coalesced_library", 1),
                 CacheKind::Flow => ("cache_coalesced_flow", 1),
                 CacheKind::Spice => ("cache_coalesced_spice", 1),
+                CacheKind::Gmi => ("cache_coalesced_gmi", 1),
             },
             EventKind::CacheEvicted { kind, count } => match kind {
                 CacheKind::Library => ("cache_evicted_library", count),
                 CacheKind::Flow => ("cache_evicted_flow", count),
                 CacheKind::Spice => ("cache_evicted_spice", count),
+                CacheKind::Gmi => ("cache_evicted_gmi", count),
             },
             EventKind::DiskHit { kind } => match kind {
                 CacheKind::Library => ("disk_hit_library", 1),
                 CacheKind::Flow => ("disk_hit_flow", 1),
                 CacheKind::Spice => ("disk_hit_spice", 1),
+                CacheKind::Gmi => ("disk_hit_gmi", 1),
             },
             EventKind::DiskMiss { kind } => match kind {
                 CacheKind::Library => ("disk_miss_library", 1),
                 CacheKind::Flow => ("disk_miss_flow", 1),
                 CacheKind::Spice => ("disk_miss_spice", 1),
+                CacheKind::Gmi => ("disk_miss_gmi", 1),
             },
             EventKind::DiskEvicted { kind, count, .. } => match kind {
                 CacheKind::Library => ("disk_evicted_library", count),
                 CacheKind::Flow => ("disk_evicted_flow", count),
                 CacheKind::Spice => ("disk_evicted_spice", count),
+                CacheKind::Gmi => ("disk_evicted_gmi", count),
             },
             EventKind::DiskQuarantined { .. } => ("disk_quarantined", 1),
             EventKind::StoreDegraded { .. } => ("store_degraded", 1),

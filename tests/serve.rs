@@ -86,6 +86,9 @@ fn ping_and_stats_round_trip() {
         "spice_builds",
         "spice_hits",
         "spice_evictions",
+        "gmi_builds",
+        "gmi_hits",
+        "gmi_evictions",
         "disk_hits",
         "disk_misses",
         "disk_stores",

@@ -1,6 +1,6 @@
 //! Adversarial integration tests of the persistent content-addressed
 //! artifact store: arbitrary single-byte corruption and truncation of
-//! on-disk flow and SPICE entries, quarantine naming, concurrent same-directory
+//! on-disk flow, SPICE and G-MI entries, quarantine naming, concurrent same-directory
 //! instances (the multi-process stand-in), and graceful degradation
 //! when the store directory cannot be written.
 //!
@@ -20,6 +20,7 @@ use m3d_netlist::{BenchScale, Benchmark};
 use m3d_power::PowerReport;
 use m3d_route::LayerUsage;
 use m3d_tech::{DesignStyle, NodeId, TechNode};
+use monolith3d::gmi::GmiResult;
 use monolith3d::{
     DiskStore, EventKind, FlowConfig, FlowKey, FlowResult, LibraryKey, Recorder, SpiceKey,
     VecRecorder,
@@ -100,19 +101,39 @@ fn sample_spice() -> SpiceTables {
     }
 }
 
-/// One entry of either kind the byte-level attacks cover.
+/// The G-MI entry's key: the 2D reference point of a small AES run.
+fn gmi_key() -> FlowKey {
+    FlowKey::of(
+        Benchmark::Aes,
+        DesignStyle::TwoD,
+        &FlowConfig::new(NodeId::N45).scale(BenchScale::Small),
+    )
+}
+
+fn sample_gmi() -> GmiResult {
+    GmiResult {
+        footprint_um2: 1661.25,
+        wirelength_um: 48_321.5,
+        miv_nets: 397,
+        wns_ps: -37.125,
+        total_power_mw: 0.4375,
+    }
+}
+
+/// One entry of any kind the byte-level attacks cover.
 #[derive(Debug, Clone, Copy)]
 enum Entry {
     Flow,
     Spice,
+    Gmi,
 }
 
 impl Entry {
     fn of(tag: u8) -> Entry {
-        if tag == 0 {
-            Entry::Flow
-        } else {
-            Entry::Spice
+        match tag {
+            0 => Entry::Flow,
+            1 => Entry::Spice,
+            _ => Entry::Gmi,
         }
     }
 
@@ -120,6 +141,7 @@ impl Entry {
         match self {
             Entry::Flow => store.store_flow(&flow_key(), &sample_result(4321)),
             Entry::Spice => store.store_spice(&spice_key(), &sample_spice()),
+            Entry::Gmi => store.store_gmi(&gmi_key(), &sample_gmi()),
         }
     }
 
@@ -128,6 +150,7 @@ impl Entry {
         match self {
             Entry::Flow => store.load_flow(&flow_key()).is_some(),
             Entry::Spice => store.load_spice(&spice_key()).is_some(),
+            Entry::Gmi => store.load_gmi(&gmi_key()).is_some(),
         }
     }
 }
@@ -157,7 +180,7 @@ fn entry_file(root: &Path) -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Flipping ANY single byte of an on-disk flow or SPICE entry —
+    /// Flipping ANY single byte of an on-disk flow, SPICE or G-MI entry —
     /// magic, length, checksum or payload — is never served as a hit:
     /// the entry is quarantined and the slot reports a miss, so callers
     /// rebuild.
@@ -165,7 +188,7 @@ proptest! {
     fn any_single_byte_flip_is_never_a_hit(
         pos in 0usize..1 << 20,
         flip in 0u8..255,
-        kind in 0u8..2,
+        kind in 0u8..3,
     ) {
         let root = temp_root("flip");
         let entry = Entry::of(kind);
@@ -186,10 +209,10 @@ proptest! {
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// Truncating an entry of either kind at ANY length (including
-    /// zero) is never a hit either.
+    /// Truncating an entry of any kind at ANY length (including zero)
+    /// is never a hit either.
     #[test]
-    fn any_truncation_is_never_a_hit(cut in 0usize..1 << 20, kind in 0u8..2) {
+    fn any_truncation_is_never_a_hit(cut in 0usize..1 << 20, kind in 0u8..3) {
         let root = temp_root("trunc");
         let entry = Entry::of(kind);
         entry.publish(&DiskStore::open(&root));
