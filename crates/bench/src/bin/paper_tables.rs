@@ -1,7 +1,8 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! paper_tables [--small] [--subset] [--node NAME] [--jobs N] [--trace FILE] [--report FILE] <experiment | all>
+//! paper_tables [--small] [--subset] [--node NAME] [--jobs N] [--deadline-s N]
+//!              [--cache-dir DIR] [--trace FILE] <experiment | all>
 //! ```
 //!
 //! Experiments: table1 table2 table3 table4 table5 table6 table7 table8
@@ -40,10 +41,10 @@
 //!
 //! `--trace FILE` attaches a [`JsonlRecorder`] to the run: every flow
 //! event (stage spans, cache and store traffic, a fired run token) is
-//! appended to FILE as one JSON object per line. `--report FILE`
-//! aggregates the same events through a [`MetricsRegistry`] and writes
-//! the resulting `RunReport` JSON. Both are diagnostics: stdout stays
-//! byte-identical whether or not they are given.
+//! appended to FILE as one JSON object per line. `trace_check FILE`
+//! validates it and prints its span count and wall time per stage. The
+//! trace is a diagnostic: stdout stays byte-identical whether or not it
+//! is written.
 //!
 //! `--cache-dir DIR` attaches a persistent [`DiskStore`] under DIR: cell
 //! libraries, flow results, SPICE tables and G-MI results survive the
@@ -64,13 +65,13 @@ use m3d_netlist::BenchScale;
 use m3d_tech::NodeId;
 use monolith3d::{
     experiments, ArtifactCache, CancelToken, DiskStore, ExperimentPlan, JsonlRecorder,
-    MetricsRegistry, ParallelExecutor, Recorder, Tee,
+    ParallelExecutor, Recorder,
 };
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!(
         "{msg}\nusage: paper_tables [--small] [--subset] [--node NAME] [--jobs N] \
-         [--deadline-s N] [--cache-dir DIR] [--trace FILE] [--report FILE] <experiment | all>"
+         [--deadline-s N] [--cache-dir DIR] [--trace FILE] <experiment | all>"
     );
     std::process::exit(2);
 }
@@ -83,7 +84,6 @@ fn main() {
     let mut jobs = ParallelExecutor::default_workers();
     let mut deadline: Option<Duration> = None;
     let mut trace_path: Option<String> = None;
-    let mut report_path: Option<String> = None;
     let mut cache_dir: Option<String> = None;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.iter();
@@ -121,13 +121,6 @@ fn main() {
                         .clone(),
                 );
             }
-            "--report" => {
-                report_path = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_exit("--report needs a file path"))
-                        .clone(),
-                );
-            }
             other => {
                 if let Some(v) = other.strip_prefix("--node=") {
                     node = Some(
@@ -143,8 +136,6 @@ fn main() {
                     cache_dir = Some(v.to_string());
                 } else if let Some(v) = other.strip_prefix("--trace=") {
                     trace_path = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--report=") {
-                    report_path = Some(v.to_string());
                 } else if other.starts_with("--") {
                     usage_exit(&format!("unknown flag '{other}'"));
                 } else {
@@ -154,29 +145,17 @@ fn main() {
         }
     }
 
-    // Attach the requested sinks before any flow runs so the trace and
-    // report see the whole process, fan-out included. The executor and
-    // every supervisor inherit the cache's recorder.
+    // Attach the trace before any flow runs so it sees the whole
+    // process, fan-out included. The executor and every supervisor
+    // inherit the cache's recorder.
     let jsonl = trace_path.as_deref().map(|p| {
         Arc::new(
             JsonlRecorder::create(Path::new(p))
                 .unwrap_or_else(|e| usage_exit(&format!("cannot create trace file '{p}': {e}"))),
         )
     });
-    let metrics = report_path
-        .as_deref()
-        .map(|_| Arc::new(MetricsRegistry::new()));
-    let recorder: Option<Arc<dyn Recorder>> = match (&jsonl, &metrics) {
-        (Some(j), Some(m)) => Some(Arc::new(Tee::new(
-            Arc::clone(j) as Arc<dyn Recorder>,
-            Arc::clone(m) as Arc<dyn Recorder>,
-        ))),
-        (Some(j), None) => Some(Arc::clone(j) as Arc<dyn Recorder>),
-        (None, Some(m)) => Some(Arc::clone(m) as Arc<dyn Recorder>),
-        (None, None) => None,
-    };
-    if let Some(r) = recorder {
-        ArtifactCache::global().set_recorder(r);
+    if let Some(j) = &jsonl {
+        ArtifactCache::global().set_recorder(Arc::clone(j) as Arc<dyn Recorder>);
     }
     // The disk tier goes in after the recorder so its events land in the
     // same trace, and before the fan-out so the workers read and publish
@@ -287,13 +266,6 @@ fn main() {
         match j.flush() {
             Ok(()) => eprintln!("[wrote event trace to {p}]"),
             Err(e) => eprintln!("[trace flush to {p} failed: {e}]"),
-        }
-    }
-    if let (Some(m), Some(p)) = (&metrics, &report_path) {
-        let json = m.report().to_json();
-        match std::fs::write(p, &json) {
-            Ok(()) => eprintln!("[wrote run report to {p}]"),
-            Err(e) => eprintln!("[run report write to {p} failed: {e}]"),
         }
     }
 }

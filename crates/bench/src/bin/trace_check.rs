@@ -7,11 +7,20 @@
 //! Checks every line against the event schema: known `kind`, required
 //! per-kind fields, strictly increasing sequence numbers, and balanced
 //! stage spans (every `stage_started` paired with exactly one terminal
-//! `stage_finished`). Prints a one-line summary and exits 0 on success;
-//! prints the violation and exits 1 otherwise. CI runs this over the
-//! trace the smoke subset emits, so a schema drift between the recorder
-//! and the validator fails the build rather than silently producing
-//! unparseable artifacts.
+//! `stage_finished`). On success it prints a one-line summary, then one
+//! line per stage key with its closed spans and their summed wall time,
+//! and exits 0:
+//!
+//! ```text
+//! trace.jsonl: 1204 events, 245 stage spans, 131 cache hits / 112 misses
+//!   stage place: 49 spans, 1.234567 s wall
+//! ```
+//!
+//! The per-stage span counts add up to the summary's stage spans. On a
+//! violation it prints it and exits 1; a missing or unreadable file
+//! exits 2. CI runs this over the trace the smoke subset emits, so a
+//! schema drift between the recorder and the validator fails the build
+//! rather than silently producing unparseable artifacts.
 
 use monolith3d::observe::validate_jsonl;
 
@@ -35,6 +44,9 @@ fn main() {
                 "{path}: {} events, {} stage spans, {} cache hits / {} misses",
                 summary.events, summary.stage_spans, summary.cache_hits, summary.cache_misses,
             );
+            for (stage, t) in &summary.stages {
+                println!("  stage {stage}: {} spans, {:.6} s wall", t.spans, t.wall_s);
+            }
         }
         Err(e) => {
             eprintln!("{path}: invalid trace: {e}");

@@ -35,7 +35,7 @@
 //! isolate tests and benchmarks that must measure cold runs.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 
@@ -49,7 +49,6 @@ use crate::error::{FlowError, FlowStage};
 use crate::flow::{FlowConfig, FlowResult};
 use crate::gmi::GmiResult;
 use crate::observe::{self, CacheKind, EventKind, Recorder};
-use crate::sharded::Sharded;
 use crate::store::DiskStore;
 
 /// Cache key of one characterized cell library: every [`FlowConfig`]
@@ -387,9 +386,8 @@ impl<K: std::hash::Hash + Eq + Clone, V> Lru<K, V> {
 }
 
 /// A lock-sharded [`Lru`]: keys hash to one of several independently
-/// locked shards (the generic [`Sharded`] striping, here over per-shard
-/// LRU maps), so concurrent lookups on different keys proceed without
-/// contending on one map-wide mutex.
+/// locked per-shard LRU maps, so concurrent lookups on different keys
+/// proceed without contending on one map-wide mutex.
 ///
 /// The shard count grows with the capacity (one shard per eight
 /// entries, at most [`MAX_SHARDS`]), so small bounded caches — the unit
@@ -400,7 +398,7 @@ impl<K: std::hash::Hash + Eq + Clone, V> Lru<K, V> {
 /// `ceil(capacity / shards)` entries).
 #[derive(Debug)]
 struct ShardedLru<K, V> {
-    shards: Sharded<Lru<K, V>>,
+    shards: Vec<Mutex<Lru<K, V>>>,
 }
 
 const MAX_SHARDS: usize = 16;
@@ -411,18 +409,23 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
         let count = (capacity / 8).clamp(1, MAX_SHARDS);
         let per_shard = capacity.div_ceil(count);
         ShardedLru {
-            shards: Sharded::new(count, || Lru::new(per_shard)),
+            shards: (0..count)
+                .map(|_| Mutex::new(Lru::new(per_shard)))
+                .collect(),
         }
     }
 
     #[cfg(test)]
     fn shard_count(&self) -> usize {
-        self.shards.shard_count()
+        self.shards.len()
     }
 
-    /// The shard a key lives in.
+    /// The shard a key lives in. `DefaultHasher` is deterministic
+    /// within a process, which is all shard routing needs.
     fn shard(&self, key: &K) -> &Mutex<Lru<K, V>> {
-        self.shards.shard(key)
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        key.hash(&mut h);
+        &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
     fn get(&self, key: &K) -> Option<V>
@@ -511,7 +514,7 @@ const DEFAULT_GMI_CAPACITY: usize = 16;
 /// `DEFAULT_SPICE_CAPACITY` and `DEFAULT_GMI_CAPACITY` entries), so an
 /// unbounded sweep cannot grow the process without limit — evictions are
 /// counted in [`CacheStats`]. Thread-safe and built for the parallel
-/// executor's fan-out: every map is lock-**sharded** ([`Sharded`]), and
+/// executor's fan-out: every map is lock-**sharded** ([`ShardedLru`]), and
 /// each library entry is a per-key once-cell ([`BuildCell`]), so N
 /// workers hitting the same cold [`LibraryKey`] perform exactly **one**
 /// characterization — the first claims the build, the rest block on the
@@ -1472,22 +1475,44 @@ mod tests {
 
     #[test]
     fn cache_events_mirror_the_counters() {
-        use crate::observe::MetricsRegistry;
+        use crate::observe::VecRecorder;
+        /// (misses, hits, evicted) among the library events recorded.
+        fn library_traffic(rec: &VecRecorder) -> (u64, u64, u64) {
+            let mut t = (0, 0, 0);
+            for ev in rec.events() {
+                match ev.kind {
+                    EventKind::CacheMiss {
+                        kind: CacheKind::Library,
+                    } => t.0 += 1,
+                    EventKind::CacheHit {
+                        kind: CacheKind::Library,
+                    } => t.1 += 1,
+                    EventKind::CacheEvicted {
+                        kind: CacheKind::Library,
+                        count,
+                    } => t.2 += count,
+                    _ => {}
+                }
+            }
+            t
+        }
         let cache = ArtifactCache::bounded(2, 2);
-        let metrics = Arc::new(MetricsRegistry::new());
-        cache.set_recorder(Arc::clone(&metrics) as Arc<dyn Recorder>);
+        let rec = Arc::new(VecRecorder::new());
+        cache.set_recorder(Arc::clone(&rec) as Arc<dyn Recorder>);
         for scale in [1.0, 0.9, 0.8, 1.0] {
             cache
                 .library(NodeId::N45, DesignStyle::TwoD, false, scale)
                 .expect("library builds");
         }
         let stats = cache.stats();
-        let report = metrics.report();
-        assert_eq!(report.counter("cache_miss_library"), stats.library_builds);
-        assert_eq!(report.counter("cache_hit_library"), stats.library_hits);
+        let seen = library_traffic(&rec);
         assert_eq!(
-            report.counter("cache_evicted_library"),
-            stats.library_evictions
+            seen,
+            (
+                stats.library_builds,
+                stats.library_hits,
+                stats.library_evictions
+            )
         );
         // Detaching restores the null recorder: traffic keeps counting
         // in stats but stops reaching the old sink.
@@ -1496,11 +1521,30 @@ mod tests {
             .library(NodeId::N45, DesignStyle::TwoD, false, 0.8)
             .expect("library builds");
         assert_eq!(
-            metrics.report().counter("cache_hit_library")
-                + metrics.report().counter("cache_miss_library"),
-            report.counter("cache_hit_library") + report.counter("cache_miss_library"),
+            library_traffic(&rec),
+            seen,
             "detached recorder sees no further events"
         );
+    }
+
+    #[test]
+    fn shard_routing_is_stable_and_in_range() {
+        let map: ShardedLru<u64, u64> = ShardedLru::new(32);
+        assert_eq!(map.shard_count(), 4);
+        for k in 0..100u64 {
+            let a = map.shard(&k) as *const _;
+            let b = map.shard(&k) as *const _;
+            assert_eq!(a, b, "same key must route to the same shard");
+        }
+    }
+
+    #[test]
+    fn zero_capacity_clamps_to_one_shard() {
+        let map: ShardedLru<&str, u32> = ShardedLru::new(0);
+        assert_eq!(map.shard_count(), 1);
+        map.insert("anything", 1);
+        assert_eq!(map.get(&"anything"), Some(1));
+        assert_eq!(map.len(), 1);
     }
 
     #[test]

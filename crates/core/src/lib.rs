@@ -50,11 +50,11 @@
 //! Observability: the supervisor, cache and executor emit typed events
 //! (stage spans with wall/busy durations, cache and store traffic,
 //! governance decisions) into a
-//! pluggable [`observe::Recorder`] — JSONL traces, in-memory capture
-//! for tests, or a [`observe::MetricsRegistry`] summarizing a run as a
-//! [`observe::RunReport`]. Attach one with
+//! pluggable [`observe::Recorder`] — a JSONL trace, or in-memory
+//! capture for tests. Attach one with
 //! [`ArtifactCache::set_recorder`]; the default null recorder costs
-//! nothing.
+//! nothing. [`observe::validate_jsonl`] checks a trace and aggregates
+//! its stage spans per stage.
 //!
 //! # Example: a small iso-performance comparison
 //!
@@ -85,7 +85,6 @@ mod flow;
 pub mod gmi;
 pub mod govern;
 pub mod observe;
-mod sharded;
 pub mod stage;
 pub mod store;
 pub mod supervisor;
@@ -105,8 +104,7 @@ pub use flow::{estimate_models, extraction_models, try_extraction_models};
 pub use govern::{CancelCause, CancelToken, PointOutcome};
 pub use observe::{
     escape_json_into, json_raw_field, json_str_field, unescape_json, CacheKind, Event, EventKind,
-    JsonlRecorder, MetricsRegistry, NullRecorder, Recorder, RunReport, StageOutcome, Tee,
-    TraceSummary, VecRecorder,
+    JsonlRecorder, NullRecorder, Recorder, StageOutcome, TraceSummary, VecRecorder,
 };
 pub use stage::{Stage, StageGraph};
 pub use store::{DiskCounters, DiskStore};

@@ -1,5 +1,5 @@
-//! Structured observability for the flow engine: spans, metrics, JSONL
-//! run reports (DESIGN.md §11).
+//! Structured observability for the flow engine: typed events, JSONL
+//! traces and their validator (DESIGN.md §11).
 //!
 //! The supervisor, cache and executor emit typed [`EventKind`]s at every
 //! decision point — stage spans, cache and store traffic, governance
@@ -15,18 +15,17 @@
 //!   monotonic sequence number, a stable thread ordinal and seconds
 //!   since recorder creation. The format is pinned by
 //!   [`validate_jsonl`], which CI runs over every trace it records.
-//! * [`MetricsRegistry`] — aggregates events into sharded counters and
-//!   per-stage wall-time histograms, summarized as a [`RunReport`] that
-//!   `paper_tables --report` serializes.
-//! * [`Tee`] — fans one event stream out to two recorders (e.g. JSONL
-//!   trace + metrics in the same run).
+//!
+//! The trace is the one sink: per-stage span counts and wall time are
+//! aggregated from it after the run ([`TraceSummary::stages`], printed
+//! by `trace_check`), not by a second in-process recorder.
 //!
 //! Hot-path discipline: [`EventKind`] is `Copy` and built from
 //! `&'static str`s and small enums — constructing and recording one
 //! event allocates nothing. Emit sites guard on [`Recorder::enabled`],
 //! so a disabled recorder costs one virtual call.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -39,7 +38,6 @@ use m3d_netlist::Benchmark;
 use m3d_tech::DesignStyle;
 
 use crate::error::{FlowError, FlowStage};
-use crate::sharded::Sharded;
 
 /// Which cache a [`EventKind::CacheHit`]-family event refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,7 +61,7 @@ impl CacheKind {
         CacheKind::Gmi,
     ];
 
-    /// Stable lowercase name used in JSONL and counter keys.
+    /// Stable lowercase name used in JSONL.
     pub fn key(self) -> &'static str {
         match self {
             CacheKind::Library => "library",
@@ -96,7 +94,16 @@ pub enum StageOutcome {
 }
 
 impl StageOutcome {
-    /// Stable lowercase name used in JSONL and counter keys.
+    /// Every outcome, in declaration order.
+    pub const ALL: [StageOutcome; 5] = [
+        StageOutcome::Ok,
+        StageOutcome::Failed,
+        StageOutcome::Panicked,
+        StageOutcome::TimedOut,
+        StageOutcome::Cancelled,
+    ];
+
+    /// Stable lowercase name used in JSONL.
     pub fn key(self) -> &'static str {
         match self {
             StageOutcome::Ok => "ok",
@@ -196,8 +203,7 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable snake_case discriminant name: the JSONL `kind` field and
-    /// the [`MetricsRegistry`] counter key prefix.
+    /// Stable snake_case discriminant name: the JSONL `kind` field.
     pub fn name(&self) -> &'static str {
         match self {
             EventKind::StageStarted { .. } => "stage_started",
@@ -428,9 +434,9 @@ impl Recorder for JsonlRecorder {
 /// through verbatim.
 ///
 /// This is the one escaping routine for every JSON string the engine
-/// emits: the trace recorder, the run report, and the `m3d-serve` wire
-/// protocol all write through it, and [`unescape_json`] is its exact
-/// inverse ([`tests`] pin the round trip on hostile inputs).
+/// emits: the trace recorder and the `m3d-serve` wire protocol both
+/// write through it, and [`unescape_json`] is its exact inverse (the
+/// unit tests pin the round trip on hostile inputs).
 pub fn escape_json_into(buf: &mut String, s: &str) {
     // Fast path: most values are clean static identifiers.
     if s.bytes().all(|b| b != b'"' && b != b'\\' && b >= 0x20) {
@@ -612,281 +618,6 @@ pub fn write_event_json(buf: &mut String, ev: &Event) {
     buf.push('}');
 }
 
-/// Fans one event stream out to two recorders (e.g. a JSONL trace and
-/// a metrics registry over the same run). Enabled iff either side is.
-pub struct Tee {
-    pub a: Arc<dyn Recorder>,
-    pub b: Arc<dyn Recorder>,
-}
-
-impl std::fmt::Debug for Tee {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tee").finish_non_exhaustive()
-    }
-}
-
-impl Tee {
-    pub fn new(a: Arc<dyn Recorder>, b: Arc<dyn Recorder>) -> Self {
-        Tee { a, b }
-    }
-}
-
-impl Recorder for Tee {
-    fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
-    }
-    fn record(&self, kind: EventKind) {
-        if self.a.enabled() {
-            self.a.record(kind);
-        }
-        if self.b.enabled() {
-            self.b.record(kind);
-        }
-    }
-}
-
-/// Histogram bucket upper bounds (seconds) for stage wall times: two
-/// decades around the observed range — Small-scale stages land in the
-/// leading buckets, Paper-scale routing in the trailing ones.
-pub const WALL_BUCKET_BOUNDS_S: [f64; 8] = [1e-3, 4e-3, 16e-3, 64e-3, 0.25, 1.0, 4.0, 16.0];
-
-/// A fixed-bucket histogram: counts per bound in
-/// [`WALL_BUCKET_BOUNDS_S`] plus one overflow bucket, with count/sum
-/// for mean recovery.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Histogram {
-    pub count: u64,
-    pub sum_s: f64,
-    /// `buckets[i]` counts samples `<= WALL_BUCKET_BOUNDS_S[i]`; the
-    /// final slot counts overflows.
-    pub buckets: [u64; WALL_BUCKET_BOUNDS_S.len() + 1],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            count: 0,
-            sum_s: 0.0,
-            buckets: [0; WALL_BUCKET_BOUNDS_S.len() + 1],
-        }
-    }
-}
-
-impl Histogram {
-    fn observe(&mut self, v_s: f64) {
-        self.count += 1;
-        self.sum_s += v_s;
-        let slot = WALL_BUCKET_BOUNDS_S
-            .iter()
-            .position(|&b| v_s <= b)
-            .unwrap_or(WALL_BUCKET_BOUNDS_S.len());
-        self.buckets[slot] += 1;
-    }
-}
-
-/// Aggregates the event stream into sharded counters (one per event
-/// name / outcome / cache kind) and per-stage wall-time histograms.
-/// Reuses the [`Sharded`] lock-striping the artifact cache shards its
-/// LRU maps with, so concurrent workers rarely contend.
-#[derive(Debug)]
-pub struct MetricsRegistry {
-    counters: Sharded<HashMap<&'static str, u64>>,
-    stage_wall: Sharded<HashMap<&'static str, Histogram>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        MetricsRegistry::new()
-    }
-}
-
-const METRIC_SHARDS: usize = 8;
-
-impl MetricsRegistry {
-    pub fn new() -> Self {
-        MetricsRegistry {
-            counters: Sharded::new(METRIC_SHARDS, HashMap::new),
-            stage_wall: Sharded::new(METRIC_SHARDS, HashMap::new),
-        }
-    }
-
-    fn bump(&self, key: &'static str, by: u64) {
-        *self
-            .counters
-            .shard(key)
-            .lock()
-            .expect("metrics lock")
-            .entry(key)
-            .or_insert(0) += by;
-    }
-
-    /// The counter key an event aggregates under: the event name,
-    /// suffixed with the discriminating payload field where one exists
-    /// (`stage_finished_ok`, `cache_hit_library`, …).
-    fn counter_key(kind: &EventKind) -> &'static str {
-        match kind {
-            EventKind::StageStarted { .. } => "stage_started",
-            EventKind::StageFinished { outcome, .. } => match outcome {
-                StageOutcome::Ok => "stage_finished_ok",
-                StageOutcome::Failed => "stage_finished_failed",
-                StageOutcome::Panicked => "stage_finished_panicked",
-                StageOutcome::TimedOut => "stage_finished_timed_out",
-                StageOutcome::Cancelled => "stage_finished_cancelled",
-            },
-            EventKind::CacheHit { kind } => match kind {
-                CacheKind::Library => "cache_hit_library",
-                CacheKind::Flow => "cache_hit_flow",
-                CacheKind::Spice => "cache_hit_spice",
-                CacheKind::Gmi => "cache_hit_gmi",
-            },
-            EventKind::CacheMiss { kind } => match kind {
-                CacheKind::Library => "cache_miss_library",
-                CacheKind::Flow => "cache_miss_flow",
-                CacheKind::Spice => "cache_miss_spice",
-                CacheKind::Gmi => "cache_miss_gmi",
-            },
-            EventKind::CacheCoalesced { kind } => match kind {
-                CacheKind::Library => "cache_coalesced_library",
-                CacheKind::Flow => "cache_coalesced_flow",
-                CacheKind::Spice => "cache_coalesced_spice",
-                CacheKind::Gmi => "cache_coalesced_gmi",
-            },
-            EventKind::CacheEvicted { kind, .. } => match kind {
-                CacheKind::Library => "cache_evicted_library",
-                CacheKind::Flow => "cache_evicted_flow",
-                CacheKind::Spice => "cache_evicted_spice",
-                CacheKind::Gmi => "cache_evicted_gmi",
-            },
-            EventKind::DiskHit { kind } => match kind {
-                CacheKind::Library => "disk_hit_library",
-                CacheKind::Flow => "disk_hit_flow",
-                CacheKind::Spice => "disk_hit_spice",
-                CacheKind::Gmi => "disk_hit_gmi",
-            },
-            EventKind::DiskMiss { kind } => match kind {
-                CacheKind::Library => "disk_miss_library",
-                CacheKind::Flow => "disk_miss_flow",
-                CacheKind::Spice => "disk_miss_spice",
-                CacheKind::Gmi => "disk_miss_gmi",
-            },
-            EventKind::DiskEvicted { kind, .. } => match kind {
-                CacheKind::Library => "disk_evicted_library",
-                CacheKind::Flow => "disk_evicted_flow",
-                CacheKind::Spice => "disk_evicted_spice",
-                CacheKind::Gmi => "disk_evicted_gmi",
-            },
-            EventKind::DiskQuarantined { .. } => "disk_quarantined",
-            EventKind::StoreDegraded { .. } => "store_degraded",
-            EventKind::CancelRequested { .. } => "cancel_requested",
-            EventKind::PointCancelled { .. } => "point_cancelled",
-            EventKind::AdmissionRejected { .. } => "admission_rejected",
-            EventKind::QuotaExhausted { .. } => "quota_exhausted",
-        }
-    }
-
-    /// Summarizes everything aggregated so far.
-    pub fn report(&self) -> RunReport {
-        let mut counters: Vec<(String, u64)> = Vec::new();
-        for shard in self.counters.iter() {
-            for (k, v) in shard.lock().expect("metrics lock").iter() {
-                counters.push(((*k).to_string(), *v));
-            }
-        }
-        counters.sort();
-        let mut stage_wall: Vec<(String, Histogram)> = Vec::new();
-        for shard in self.stage_wall.iter() {
-            for (k, h) in shard.lock().expect("metrics lock").iter() {
-                stage_wall.push(((*k).to_string(), *h));
-            }
-        }
-        stage_wall.sort_by(|a, b| a.0.cmp(&b.0));
-        RunReport {
-            counters,
-            stage_wall,
-        }
-    }
-}
-
-impl Recorder for MetricsRegistry {
-    fn record(&self, kind: EventKind) {
-        let by = match kind {
-            EventKind::CacheEvicted { count, .. } | EventKind::DiskEvicted { count, .. } => count,
-            _ => 1,
-        };
-        self.bump(Self::counter_key(&kind), by);
-        if let EventKind::StageFinished { stage, wall_s, .. } = kind {
-            self.stage_wall
-                .shard(stage.key())
-                .lock()
-                .expect("metrics lock")
-                .entry(stage.key())
-                .or_default()
-                .observe(wall_s);
-        }
-    }
-}
-
-/// A [`MetricsRegistry`] summary: sorted counters plus per-stage
-/// wall-time histograms, serializable with [`RunReport::to_json`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunReport {
-    /// `(counter key, value)`, sorted by key.
-    pub counters: Vec<(String, u64)>,
-    /// `(stage key, wall-time histogram)`, sorted by stage key.
-    pub stage_wall: Vec<(String, Histogram)>,
-}
-
-impl RunReport {
-    /// The value of one counter (0 when never incremented).
-    pub fn counter(&self, key: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// Pretty-printed JSON document (hand-rolled; the workspace vendors
-    /// no serde_json).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(s, "{sep}\n    \"{k}\": {v}");
-        }
-        if self.counters.is_empty() {
-            s.push_str("},\n");
-        } else {
-            s.push_str("\n  },\n");
-        }
-        let _ = write!(s, "  \"wall_bucket_bounds_s\": [");
-        for (i, b) in WALL_BUCKET_BOUNDS_S.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(s, "{sep}{b}");
-        }
-        s.push_str("],\n  \"stage_wall_s\": {");
-        for (i, (k, h)) in self.stage_wall.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                s,
-                "{sep}\n    \"{k}\": {{\"count\": {}, \"sum_s\": {:.6}, \"buckets\": [",
-                h.count, h.sum_s
-            );
-            for (j, c) in h.buckets.iter().enumerate() {
-                let sep = if j == 0 { "" } else { ", " };
-                let _ = write!(s, "{sep}{c}");
-            }
-            s.push_str("]}");
-        }
-        if self.stage_wall.is_empty() {
-            s.push_str("}\n}\n");
-        } else {
-            s.push_str("\n  }\n}\n");
-        }
-        s
-    }
-}
-
 /// Why a JSONL trace failed validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
@@ -926,13 +657,25 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
+/// The closed spans of one stage in a validated trace.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct StageTotals {
+    /// `stage_finished` events that closed a span of this stage.
+    pub spans: usize,
+    /// The sum of those events' `wall_s`, as printed in the trace.
+    pub wall_s: f64,
+}
+
 /// What a validated trace contained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSummary {
     /// Total event lines.
     pub events: usize,
     /// Completed stage spans (started and finished).
     pub stage_spans: usize,
+    /// Completed spans and their wall time per stage key, sorted by
+    /// key; the span counts add up to `stage_spans`.
+    pub stages: BTreeMap<String, StageTotals>,
     /// `cache_hit` events (every cache kind).
     pub cache_hits: u64,
     /// `cache_miss` events (every cache kind).
@@ -1051,6 +794,20 @@ fn str_field<'a>(line: &'a str, name: &str, lineno: usize) -> Result<&'a str, Tr
     })
 }
 
+/// A numeric field that must be finite and non-negative (a time). A
+/// quoted value is a string, not a number, even when its text parses.
+fn seconds_field(line: &str, name: &str, lineno: usize) -> Result<f64, TraceError> {
+    let raw = str_field(line, name, lineno)?;
+    let quoted = line.contains(&format!("\"{name}\":\""));
+    match raw.parse::<f64>() {
+        Ok(v) if !quoted && v.is_finite() && v >= 0.0 => Ok(v),
+        _ => Err(TraceError::Malformed {
+            line: lineno,
+            reason: format!("field {name:?} not a finite non-negative number: {raw:?}"),
+        }),
+    }
+}
+
 /// [`str_field`] plus unescaping: the decoded value of a string field,
 /// rejecting invalid escape sequences as [`TraceError::Malformed`].
 fn string_field(line: &str, name: &str, lineno: usize) -> Result<String, TraceError> {
@@ -1072,10 +829,12 @@ fn cache_field(line: &str, lineno: usize) -> Result<CacheKind, TraceError> {
 
 /// Validates a JSONL trace against the recorder's schema: every line
 /// parses, `seq` strictly increases, every `kind` is known, required
-/// per-kind fields are present (a `cache` field names a [`CacheKind`]),
-/// and stage spans balance — each
+/// per-kind fields are present (a `cache` field names a [`CacheKind`],
+/// an `outcome` a [`StageOutcome`]; `t_s`, `wall_s` and `busy_s` are
+/// finite and non-negative), and stage spans balance — each
 /// `stage_finished` closes a matching open `stage_started` (keyed by
-/// bench/style/stage) and nothing stays open at the end.
+/// bench/style/stage) and nothing stays open at the end. The summary
+/// aggregates the closed spans per stage.
 ///
 /// # Errors
 ///
@@ -1111,32 +870,32 @@ pub fn validate_jsonl(trace: &str) -> Result<TraceSummary, TraceError> {
         }
         prev_seq = Some(seq);
         u64_field(line, "thread", lineno)?;
-        let t_s = str_field(line, "t_s", lineno)?;
-        if t_s.parse::<f64>().map_or(true, |v| v.is_nan() || v < 0.0) {
-            return Err(TraceError::Malformed {
-                line: lineno,
-                reason: format!("field \"t_s\" not a non-negative number: {t_s:?}"),
-            });
-        }
+        seconds_field(line, "t_s", lineno)?;
         let kind = string_field(line, "kind", lineno)?;
         if !KNOWN_KINDS.contains(&kind.as_str()) {
             return Err(TraceError::UnknownKind { line: lineno, kind });
         }
         match kind.as_str() {
             "stage_started" | "stage_finished" => {
+                let stage = string_field(line, "stage", lineno)?;
                 let span = format!(
-                    "{}/{}/{}",
+                    "{}/{}/{stage}",
                     string_field(line, "bench", lineno)?,
                     string_field(line, "style", lineno)?,
-                    string_field(line, "stage", lineno)?,
                 );
                 if kind == "stage_started" {
                     str_field(line, "consumes", lineno)?;
                     *open.entry(span).or_insert(0) += 1;
                 } else {
-                    string_field(line, "outcome", lineno)?;
-                    str_field(line, "wall_s", lineno)?;
-                    str_field(line, "busy_s", lineno)?;
+                    let outcome = string_field(line, "outcome", lineno)?;
+                    if !StageOutcome::ALL.iter().any(|o| o.key() == outcome) {
+                        return Err(TraceError::Malformed {
+                            line: lineno,
+                            reason: format!("unknown outcome {outcome:?}"),
+                        });
+                    }
+                    let wall_s = seconds_field(line, "wall_s", lineno)?;
+                    seconds_field(line, "busy_s", lineno)?;
                     match open.get_mut(&span) {
                         Some(n) if *n > 0 => {
                             *n -= 1;
@@ -1144,6 +903,9 @@ pub fn validate_jsonl(trace: &str) -> Result<TraceSummary, TraceError> {
                                 open.remove(&span);
                             }
                             summary.stage_spans += 1;
+                            let totals = summary.stages.entry(stage).or_default();
+                            totals.spans += 1;
+                            totals.wall_s += wall_s;
                         }
                         _ => return Err(TraceError::UnbalancedFinish { line: lineno, span }),
                     }
@@ -1253,22 +1015,6 @@ mod tests {
     fn null_recorder_is_disabled() {
         assert!(!NullRecorder.enabled());
         assert!(!null().enabled());
-        // Tee of two nulls stays disabled; any live side enables it.
-        assert!(!Tee::new(null(), null()).enabled());
-        assert!(Tee::new(null(), Arc::new(VecRecorder::new())).enabled());
-    }
-
-    #[test]
-    fn tee_fans_out_to_both_sides() {
-        let a = Arc::new(VecRecorder::new());
-        let b = Arc::new(MetricsRegistry::new());
-        let tee = Tee::new(Arc::clone(&a) as Arc<dyn Recorder>, Arc::clone(&b) as _);
-        tee.record(started(FlowStage::Placement));
-        tee.record(finished(FlowStage::Placement, StageOutcome::Ok));
-        assert_eq!(a.events().len(), 2);
-        let report = b.report();
-        assert_eq!(report.counter("stage_started"), 1);
-        assert_eq!(report.counter("stage_finished_ok"), 1);
     }
 
     #[test]
@@ -1334,46 +1080,15 @@ mod tests {
         assert_eq!(summary.disk_misses, 1);
         assert_eq!(summary.disk_quarantined, 1);
         assert_eq!(summary.store_degraded, 1);
-    }
-
-    #[test]
-    fn disk_events_aggregate_under_their_counter_keys() {
-        let m = MetricsRegistry::new();
-        m.record(EventKind::DiskHit {
-            kind: CacheKind::Library,
-        });
-        m.record(EventKind::DiskMiss {
-            kind: CacheKind::Library,
-        });
-        m.record(EventKind::DiskMiss {
-            kind: CacheKind::Flow,
-        });
-        m.record(EventKind::DiskHit {
-            kind: CacheKind::Spice,
-        });
-        m.record(EventKind::DiskMiss {
-            kind: CacheKind::Gmi,
-        });
-        m.record(EventKind::DiskEvicted {
-            kind: CacheKind::Library,
-            count: 3,
-            bytes: 1 << 20,
-        });
-        m.record(EventKind::DiskQuarantined { what: "flow" });
-        m.record(EventKind::StoreDegraded { reason: "io_error" });
-        let report = m.report();
-        assert_eq!(report.counter("disk_hit_library"), 1);
-        assert_eq!(report.counter("disk_miss_library"), 1);
-        assert_eq!(report.counter("disk_miss_flow"), 1);
-        assert_eq!(report.counter("disk_hit_spice"), 1);
-        assert_eq!(report.counter("disk_miss_gmi"), 1);
+        let synth = StageTotals {
+            spans: 2,
+            wall_s: 0.5,
+        };
         assert_eq!(
-            report.counter("disk_evicted_library"),
-            3,
-            "disk evictions add their count"
+            summary.stages.into_iter().collect::<Vec<_>>(),
+            [("synth".to_string(), synth)],
+            "both synth spans, failed one included, aggregate under one key"
         );
-        assert_eq!(report.counter("disk_quarantined"), 1);
-        assert_eq!(report.counter("store_degraded"), 1);
     }
 
     #[test]
@@ -1429,6 +1144,34 @@ mod tests {
             validate_jsonl("stage_started synth\n"),
             Err(TraceError::Malformed { .. })
         ));
+        // A span whose durations are not finite non-negative numbers,
+        // or whose outcome no StageOutcome names.
+        let rec = VecRecorder::new();
+        rec.record(started(FlowStage::Routing));
+        rec.record(finished(FlowStage::Routing, StageOutcome::Ok));
+        let mut trace = String::new();
+        for ev in rec.events() {
+            write_event_json(&mut trace, &ev);
+            trace.push('\n');
+        }
+        validate_jsonl(&trace).expect("the unedited span validates");
+        for (from, to) in [
+            ("\"wall_s\":0.250000", "\"wall_s\":-1"),
+            ("\"wall_s\":0.250000", "\"wall_s\":NaN"),
+            ("\"wall_s\":0.250000", "\"wall_s\":\"x\""),
+            ("\"wall_s\":0.250000", "\"wall_s\":\"0.25\""),
+            ("\"busy_s\":0.125000", "\"busy_s\":inf"),
+            ("\"outcome\":\"ok\"", "\"outcome\":\"fine\""),
+        ] {
+            assert!(trace.contains(from), "fixture carries {from}");
+            assert!(
+                matches!(
+                    validate_jsonl(&trace.replace(from, to)),
+                    Err(TraceError::Malformed { line: 2, .. })
+                ),
+                "accepted {to}"
+            );
+        }
     }
 
     /// The corpus every escaping test drives: quotes, backslashes, the
@@ -1553,51 +1296,6 @@ mod tests {
         assert_eq!(json_raw_field(line, "arr"), Some("[1,2]"));
         assert_eq!(json_str_field(line, "arr"), None);
         assert_eq!(json_str_field(line, "missing"), None);
-    }
-
-    #[test]
-    fn metrics_histogram_buckets_and_json() {
-        let m = MetricsRegistry::new();
-        for (wall, outcome) in [
-            (0.0005, StageOutcome::Ok),
-            (0.01, StageOutcome::Ok),
-            (100.0, StageOutcome::Failed),
-        ] {
-            m.record(EventKind::StageFinished {
-                bench: Benchmark::Des,
-                style: DesignStyle::TwoD,
-                stage: FlowStage::Routing,
-                outcome,
-                wall_s: wall,
-                busy_s: wall,
-            });
-        }
-        m.record(EventKind::CacheEvicted {
-            kind: CacheKind::Flow,
-            count: 3,
-        });
-        let report = m.report();
-        assert_eq!(report.counter("stage_finished_ok"), 2);
-        assert_eq!(report.counter("stage_finished_failed"), 1);
-        assert_eq!(
-            report.counter("cache_evicted_flow"),
-            3,
-            "evictions add their count"
-        );
-        let (stage, hist) = &report.stage_wall[0];
-        assert_eq!(stage, "route");
-        assert_eq!(hist.count, 3);
-        assert_eq!(hist.buckets[0], 1, "0.5 ms lands in the 1 ms bucket");
-        assert_eq!(hist.buckets[2], 1, "10 ms lands in the 16 ms bucket");
-        assert_eq!(
-            hist.buckets[WALL_BUCKET_BOUNDS_S.len()],
-            1,
-            "100 s overflows"
-        );
-        let json = report.to_json();
-        assert!(json.contains("\"stage_finished_ok\": 2"));
-        assert!(json.contains("\"route\": {\"count\": 3"));
-        assert!(json.contains("\"wall_bucket_bounds_s\": [0.001, "));
     }
 
     #[test]

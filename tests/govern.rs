@@ -32,11 +32,11 @@ use std::time::{Duration, Instant};
 
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, NodeId};
-use monolith3d::observe::{validate_jsonl, StageOutcome, TraceError};
+use monolith3d::observe::{validate_jsonl, write_event_json, StageOutcome, TraceError};
 use monolith3d::{
     json_raw_field, ArtifactCache, CancelToken, DiskStore, EventKind, ExperimentPlan, FaultPlan,
     FlowConfig, FlowError, FlowResult, FlowStage, FlowSupervisor, JsonlRecorder, ParallelExecutor,
-    PointOutcome, Recorder, StageDeadlines, Tee, VecRecorder,
+    PointOutcome, Recorder, StageDeadlines, VecRecorder,
 };
 use proptest::prelude::*;
 
@@ -382,14 +382,9 @@ proptest! {
 /// passes the schema validator end to end.
 #[test]
 fn governed_traces_pass_the_schema_validator() {
-    let buf = SharedBuf::default();
-    let jsonl = Arc::new(JsonlRecorder::new(Box::new(buf.clone())));
     let vec = Arc::new(VecRecorder::new());
     let cache = Arc::new(ArtifactCache::default());
-    cache.set_recorder(Arc::new(Tee::new(
-        Arc::clone(&jsonl) as Arc<dyn Recorder>,
-        Arc::clone(&vec) as Arc<dyn Recorder>,
-    )));
+    cache.set_recorder(Arc::clone(&vec) as Arc<dyn Recorder>);
     let exec = ParallelExecutor::new(2)
         .with_cache(Arc::clone(&cache))
         .with_faults(FaultPlan::new().stuck_stage("synth", 1));
@@ -401,10 +396,14 @@ fn governed_traces_pass_the_schema_validator() {
     let report = exec.run_governed(&p, &tok);
     assert_eq!(report.done_count(), 0);
 
-    jsonl.flush().expect("trace flushes");
-    let trace = buf.contents();
+    let events = vec.events();
+    let mut trace = String::new();
+    for ev in &events {
+        write_event_json(&mut trace, ev);
+        trace.push('\n');
+    }
     let summary = validate_jsonl(&trace).expect("governed trace validates");
-    assert_eq!(summary.events, vec.events().len(), "one line per event");
+    assert_eq!(summary.events, events.len(), "one line per event");
     for kind in ["cancel_requested", "point_cancelled"] {
         assert!(
             trace.contains(&format!("\"kind\":\"{kind}\"")),

@@ -1,24 +1,23 @@
 //! Golden-trace suite for the observability layer: the smoke-subset
 //! flow plan runs under a `VecRecorder` and the resulting event stream
 //! must replay the stage-graph topology exactly, balance every span,
-//! agree with `CacheStats` on cache traffic, aggregate into the same
-//! `MetricsRegistry` counters, survive a JSONL round trip through the
-//! schema validator, and be order-normalized identical between
+//! agree with `CacheStats` on cache traffic, survive a JSONL round trip
+//! through the schema validator with the same per-stage span counts and
+//! wall times, and be order-normalized identical between
 //! `--jobs 1` and `--jobs 4` runs. A separate test pins the event
 //! shape of a failed stage against a fault plan.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::Write;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use m3d_bench::SMOKE_SUBSET;
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, NodeId};
-use monolith3d::observe::validate_jsonl;
+use monolith3d::observe::{validate_jsonl, write_event_json};
 use monolith3d::{
     experiments, ArtifactCache, CacheKind, Event, EventKind, ExperimentPlan, FaultPlan, FlowConfig,
-    FlowError, FlowStage, FlowSupervisor, JsonlRecorder, MetricsRegistry, ParallelExecutor,
-    Recorder, RunReport, StageGraph, StageOutcome, Tee, VecRecorder,
+    FlowError, FlowStage, FlowSupervisor, ParallelExecutor, Recorder, StageGraph, StageOutcome,
+    VecRecorder,
 };
 
 fn cfg() -> FlowConfig {
@@ -35,52 +34,20 @@ fn subset_plan() -> ExperimentPlan {
     plan
 }
 
-/// An in-memory `Write` target for `JsonlRecorder`, shareable between
-/// the recorder (which owns a boxed clone) and the test.
-#[derive(Clone, Default, Debug)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    fn contents(&self) -> String {
-        String::from_utf8(self.0.lock().expect("buf lock").clone()).expect("utf-8 trace")
-    }
-}
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().expect("buf lock").extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Everything one instrumented plan run produced, across all sinks.
+/// Everything one instrumented plan run produced.
 struct TraceRun {
     events: Vec<Event>,
     stats: monolith3d::CacheStats,
-    report: RunReport,
+    /// The events rendered as the JSONL trace a `JsonlRecorder` writes.
     jsonl: String,
 }
 
-/// Runs `plan` on a fresh private cache with a `VecRecorder`, a
-/// `MetricsRegistry` and a `JsonlRecorder` all teed onto the cache, so
-/// one run feeds every assertion style.
+/// Runs `plan` on a fresh private cache with a `VecRecorder` attached,
+/// so one run feeds every assertion style.
 fn run_plan_traced(plan: &ExperimentPlan, jobs: usize) -> TraceRun {
     let cache = Arc::new(ArtifactCache::default());
     let vec = Arc::new(VecRecorder::new());
-    let metrics = Arc::new(MetricsRegistry::new());
-    let buf = SharedBuf::default();
-    let jsonl = Arc::new(JsonlRecorder::new(Box::new(buf.clone())));
-    let inner = Arc::new(Tee::new(
-        Arc::clone(&metrics) as Arc<dyn Recorder>,
-        Arc::clone(&jsonl) as Arc<dyn Recorder>,
-    ));
-    cache.set_recorder(Arc::new(Tee::new(
-        Arc::clone(&vec) as Arc<dyn Recorder>,
-        inner as Arc<dyn Recorder>,
-    )));
+    cache.set_recorder(Arc::clone(&vec) as Arc<dyn Recorder>);
     let report = ParallelExecutor::new(jobs)
         .with_cache(Arc::clone(&cache))
         .run(plan);
@@ -89,12 +56,16 @@ fn run_plan_traced(plan: &ExperimentPlan, jobs: usize) -> TraceRun {
         "plan failed: {:?}",
         report.first_error()
     );
-    jsonl.flush().expect("trace flushes");
+    let events = vec.events();
+    let mut jsonl = String::new();
+    for ev in &events {
+        write_event_json(&mut jsonl, ev);
+        jsonl.push('\n');
+    }
     TraceRun {
-        events: vec.events(),
+        events,
         stats: cache.stats(),
-        report: metrics.report(),
-        jsonl: buf.contents(),
+        jsonl,
     }
 }
 
@@ -359,92 +330,45 @@ fn trace_cache_counters_equal_cache_stats() {
 }
 
 #[test]
-fn metrics_registry_aggregates_exactly_the_recorded_events() {
+fn trace_stage_totals_match_the_recorded_spans() {
     let run = subset_jobs1();
-    let mut expected: BTreeMap<&str, u64> = BTreeMap::new();
+    // Per stage: closed spans, the sum of `wall_s` as the trace prints
+    // it (6 decimals), and the raw sum.
+    let mut expected: BTreeMap<&str, (usize, f64, f64)> = BTreeMap::new();
     for ev in &run.events {
-        let (key, by) = match ev.kind {
-            EventKind::StageStarted { .. } => ("stage_started", 1),
-            EventKind::StageFinished { outcome, .. } => match outcome {
-                StageOutcome::Ok => ("stage_finished_ok", 1),
-                StageOutcome::Failed => ("stage_finished_failed", 1),
-                StageOutcome::Panicked => ("stage_finished_panicked", 1),
-                StageOutcome::TimedOut => ("stage_finished_timed_out", 1),
-                StageOutcome::Cancelled => ("stage_finished_cancelled", 1),
-            },
-            EventKind::CacheHit { kind } => match kind {
-                CacheKind::Library => ("cache_hit_library", 1),
-                CacheKind::Flow => ("cache_hit_flow", 1),
-                CacheKind::Spice => ("cache_hit_spice", 1),
-                CacheKind::Gmi => ("cache_hit_gmi", 1),
-            },
-            EventKind::CacheMiss { kind } => match kind {
-                CacheKind::Library => ("cache_miss_library", 1),
-                CacheKind::Flow => ("cache_miss_flow", 1),
-                CacheKind::Spice => ("cache_miss_spice", 1),
-                CacheKind::Gmi => ("cache_miss_gmi", 1),
-            },
-            EventKind::CacheCoalesced { kind } => match kind {
-                CacheKind::Library => ("cache_coalesced_library", 1),
-                CacheKind::Flow => ("cache_coalesced_flow", 1),
-                CacheKind::Spice => ("cache_coalesced_spice", 1),
-                CacheKind::Gmi => ("cache_coalesced_gmi", 1),
-            },
-            EventKind::CacheEvicted { kind, count } => match kind {
-                CacheKind::Library => ("cache_evicted_library", count),
-                CacheKind::Flow => ("cache_evicted_flow", count),
-                CacheKind::Spice => ("cache_evicted_spice", count),
-                CacheKind::Gmi => ("cache_evicted_gmi", count),
-            },
-            EventKind::DiskHit { kind } => match kind {
-                CacheKind::Library => ("disk_hit_library", 1),
-                CacheKind::Flow => ("disk_hit_flow", 1),
-                CacheKind::Spice => ("disk_hit_spice", 1),
-                CacheKind::Gmi => ("disk_hit_gmi", 1),
-            },
-            EventKind::DiskMiss { kind } => match kind {
-                CacheKind::Library => ("disk_miss_library", 1),
-                CacheKind::Flow => ("disk_miss_flow", 1),
-                CacheKind::Spice => ("disk_miss_spice", 1),
-                CacheKind::Gmi => ("disk_miss_gmi", 1),
-            },
-            EventKind::DiskEvicted { kind, count, .. } => match kind {
-                CacheKind::Library => ("disk_evicted_library", count),
-                CacheKind::Flow => ("disk_evicted_flow", count),
-                CacheKind::Spice => ("disk_evicted_spice", count),
-                CacheKind::Gmi => ("disk_evicted_gmi", count),
-            },
-            EventKind::DiskQuarantined { .. } => ("disk_quarantined", 1),
-            EventKind::StoreDegraded { .. } => ("store_degraded", 1),
-            EventKind::CancelRequested { .. } => ("cancel_requested", 1),
-            EventKind::PointCancelled { .. } => ("point_cancelled", 1),
-            EventKind::AdmissionRejected { .. } => ("admission_rejected", 1),
-            EventKind::QuotaExhausted { .. } => ("quota_exhausted", 1),
-        };
-        *expected.entry(key).or_insert(0) += by;
+        if let EventKind::StageFinished { stage, wall_s, .. } = ev.kind {
+            let e = expected.entry(stage.key()).or_default();
+            e.0 += 1;
+            e.1 += format!("{wall_s:.6}").parse::<f64>().expect("printed f64");
+            e.2 += wall_s;
+        }
     }
-    let got: BTreeMap<&str, u64> = run
-        .report
-        .counters
-        .iter()
-        .map(|(k, v)| (k.as_str(), *v))
-        .collect();
-    assert_eq!(got, expected, "registry counters vs raw event stream");
-    // The per-stage histograms account for every terminated span.
-    let finished: u64 = ["ok", "failed", "panicked", "timed_out", "cancelled"]
-        .iter()
-        .map(|o| run.report.counter(&format!("stage_finished_{o}")))
-        .sum();
-    let histogrammed: u64 = run.report.stage_wall.iter().map(|(_, h)| h.count).sum();
-    assert_eq!(histogrammed, finished, "histograms vs terminal events");
-    // And the JSON rendering carries every counter verbatim.
-    let json = run.report.to_json();
-    for (k, v) in &run.report.counters {
+    let summary = validate_jsonl(&run.jsonl).expect("the emitted trace validates");
+    assert_eq!(
+        summary
+            .stages
+            .keys()
+            .map(String::as_str)
+            .collect::<Vec<_>>(),
+        expected.keys().copied().collect::<Vec<_>>(),
+        "stage keys: trace vs events"
+    );
+    for (stage, (spans, printed, raw)) in &expected {
+        let got = &summary.stages[*stage];
+        assert_eq!(got.spans, *spans, "{stage}: span count");
+        assert_eq!(
+            format!("{:.6}", got.wall_s),
+            format!("{printed:.6}"),
+            "{stage}: wall_s sum at the trace's precision"
+        );
         assert!(
-            json.contains(&format!("\"{k}\": {v}")),
-            "report JSON must carry {k}={v}"
+            (got.wall_s - raw).abs() <= *spans as f64 * 0.5e-6 + 1e-9,
+            "{stage}: summed {} vs raw {raw}",
+            got.wall_s
         );
     }
+    let spans: usize = summary.stages.values().map(|t| t.spans).sum();
+    assert_eq!(spans, summary.stage_spans, "per-stage spans add up");
 }
 
 #[test]
