@@ -3,12 +3,12 @@
 //! A [`FlowContext`] carries one flow run: the immutable run request
 //! (benchmark, style, config, cache handle) plus every artifact the
 //! stages produce — the resolved environment, the working design state
-//! ([`Artifacts`]) and the sign-off [`crate::FlowResult`]. Stages
+//! (`Artifacts`) and the sign-off [`crate::FlowResult`]. Stages
 //! communicate *only* through the context; a stage that asks for an
 //! artifact no earlier stage produced gets a typed
 //! [`FlowError::MissingArtifact`](crate::FlowError), not a panic.
 //!
-//! [`Artifacts`] is also the floorplan loop's snapshot unit: round 1's
+//! `Artifacts` is also the floorplan loop's snapshot unit: round 1's
 //! copy is what sign-off reports when a second round closes worse.
 
 use std::sync::Arc;

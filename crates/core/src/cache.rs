@@ -41,13 +41,14 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 
 use m3d_cells::characterize::{characterize_spice_tables, SpiceTables};
 use m3d_cells::layout::generate_layout;
-use m3d_cells::{CellFunction, CellLibrary, Topology};
+use m3d_cells::{CellFunction, CellLibrary, LibraryError, Topology};
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, MetalClass, NodeId, StackKind, TechNode};
 
 use crate::error::{FlowError, FlowStage};
 use crate::flow::{FlowConfig, FlowResult};
 use crate::gmi::GmiResult;
+use crate::memo::{FlowClass, GmiClass, LibraryClass, MemoClass, SpiceClass};
 use crate::observe::{self, CacheKind, EventKind, Recorder};
 use crate::store::DiskStore;
 
@@ -75,6 +76,18 @@ impl LibraryKey {
             lower_metal_rho,
             pin_cap_scale_bits: pin_cap_scale.to_bits(),
         }
+    }
+
+    /// The tech node a library under this key is characterized on: the
+    /// registered node, with the lower metals' resistivity halved when
+    /// the key asks for it. `None` when the node names no registered PDK.
+    pub(crate) fn node(&self) -> Option<TechNode> {
+        let n = TechNode::try_for_id(self.node_id)?;
+        Some(if self.lower_metal_rho {
+            n.with_rho_scaled(&[MetalClass::Local, MetalClass::Intermediate], 0.5)
+        } else {
+            n
+        })
     }
 }
 
@@ -220,6 +233,40 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// Every counter as `(name, value)`, in declaration order. The names
+    /// are the field names; `m3d_serve` serves its `stats` answer from
+    /// this table.
+    pub fn fields(&self) -> [(&'static str, u64); 19] {
+        let mut s = *self;
+        s.fields_mut().map(|(name, v)| (name, *v))
+    }
+
+    /// The one `(name, counter)` table: `cache::tests` pins it to the
+    /// struct's declaration (names, order and count).
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 19] {
+        [
+            ("library_builds", &mut self.library_builds),
+            ("library_hits", &mut self.library_hits),
+            ("library_evictions", &mut self.library_evictions),
+            ("flow_stores", &mut self.flow_stores),
+            ("flow_hits", &mut self.flow_hits),
+            ("flow_misses", &mut self.flow_misses),
+            ("flow_evictions", &mut self.flow_evictions),
+            ("spice_builds", &mut self.spice_builds),
+            ("spice_hits", &mut self.spice_hits),
+            ("spice_evictions", &mut self.spice_evictions),
+            ("gmi_builds", &mut self.gmi_builds),
+            ("gmi_hits", &mut self.gmi_hits),
+            ("gmi_evictions", &mut self.gmi_evictions),
+            ("disk_hits", &mut self.disk_hits),
+            ("disk_misses", &mut self.disk_misses),
+            ("disk_stores", &mut self.disk_stores),
+            ("disk_evictions", &mut self.disk_evictions),
+            ("disk_quarantined", &mut self.disk_quarantined),
+            ("store_degraded", &mut self.store_degraded),
+        ]
+    }
+
     /// The change since an `earlier` snapshot: every counter reduced by
     /// its earlier value (saturating, so a `clear()` between snapshots
     /// reads as zero rather than wrapping). This is what per-phase
@@ -227,95 +274,29 @@ impl CacheStats {
     /// process, so attributing them to the most recent phase misreports
     /// every phase after the first.
     pub fn delta(&self, earlier: &CacheStats) -> CacheStats {
-        // Full destructuring, not field access: adding a CacheStats
-        // counter without extending this subtraction (and `Display`)
-        // refuses to compile instead of silently dropping the counter.
-        let CacheStats {
-            library_builds,
-            library_hits,
-            library_evictions,
-            flow_stores,
-            flow_hits,
-            flow_misses,
-            flow_evictions,
-            spice_builds,
-            spice_hits,
-            spice_evictions,
-            gmi_builds,
-            gmi_hits,
-            gmi_evictions,
-            disk_hits,
-            disk_misses,
-            disk_stores,
-            disk_evictions,
-            disk_quarantined,
-            store_degraded,
-        } = *self;
-        CacheStats {
-            library_builds: library_builds.saturating_sub(earlier.library_builds),
-            library_hits: library_hits.saturating_sub(earlier.library_hits),
-            library_evictions: library_evictions.saturating_sub(earlier.library_evictions),
-            flow_stores: flow_stores.saturating_sub(earlier.flow_stores),
-            flow_hits: flow_hits.saturating_sub(earlier.flow_hits),
-            flow_misses: flow_misses.saturating_sub(earlier.flow_misses),
-            flow_evictions: flow_evictions.saturating_sub(earlier.flow_evictions),
-            spice_builds: spice_builds.saturating_sub(earlier.spice_builds),
-            spice_hits: spice_hits.saturating_sub(earlier.spice_hits),
-            spice_evictions: spice_evictions.saturating_sub(earlier.spice_evictions),
-            gmi_builds: gmi_builds.saturating_sub(earlier.gmi_builds),
-            gmi_hits: gmi_hits.saturating_sub(earlier.gmi_hits),
-            gmi_evictions: gmi_evictions.saturating_sub(earlier.gmi_evictions),
-            disk_hits: disk_hits.saturating_sub(earlier.disk_hits),
-            disk_misses: disk_misses.saturating_sub(earlier.disk_misses),
-            disk_stores: disk_stores.saturating_sub(earlier.disk_stores),
-            disk_evictions: disk_evictions.saturating_sub(earlier.disk_evictions),
-            disk_quarantined: disk_quarantined.saturating_sub(earlier.disk_quarantined),
-            store_degraded: store_degraded.saturating_sub(earlier.store_degraded),
+        let mut d = *self;
+        for ((_, v), (_, e)) in d.fields_mut().into_iter().zip(earlier.fields()) {
+            *v = v.saturating_sub(e);
         }
+        d
     }
 }
 
 impl std::fmt::Display for CacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Every counter of the struct, in declaration order, so the
-        // logged summary always agrees with the JSON snapshot
-        // (`cache::tests::display_round_trips_every_counter` pins
-        // this). The destructuring makes a counter added without a
-        // matching `write!` argument a compile error.
-        let CacheStats {
-            library_builds,
-            library_hits,
-            library_evictions,
-            flow_stores,
-            flow_hits,
-            flow_misses,
-            flow_evictions,
-            spice_builds,
-            spice_hits,
-            spice_evictions,
-            gmi_builds,
-            gmi_hits,
-            gmi_evictions,
-            disk_hits,
-            disk_misses,
-            disk_stores,
-            disk_evictions,
-            disk_quarantined,
-            store_degraded,
-        } = *self;
+        // Every counter of the table, in declaration order, so the
+        // logged summary always agrees with the served snapshot
+        // (`cache::tests::display_round_trips_every_counter` pins this).
+        let [lb, lh, le, fs, fh, fm, fe, sb, sh, se, gb, gh, ge, dh, dm, ds, de, dq, sd] =
+            self.fields().map(|(_, v)| v);
         write!(
             f,
-            "libraries: {library_builds} built, {library_hits} hits, \
-             {library_evictions} evicted; \
-             flows: {flow_stores} stored, {flow_hits} hits, \
-             {flow_misses} misses, {flow_evictions} evicted; \
-             spice: {spice_builds} built, {spice_hits} hits, \
-             {spice_evictions} evicted; \
-             gmi: {gmi_builds} built, {gmi_hits} hits, \
-             {gmi_evictions} evicted; \
-             disk: {disk_hits} hits, {disk_misses} misses, \
-             {disk_stores} stored, {disk_evictions} evicted, \
-             {disk_quarantined} quarantined; store degraded: {store_degraded}"
+            "libraries: {lb} built, {lh} hits, {le} evicted; \
+             flows: {fs} stored, {fh} hits, {fm} misses, {fe} evicted; \
+             spice: {sb} built, {sh} hits, {se} evicted; \
+             gmi: {gb} built, {gh} hits, {ge} evicted; \
+             disk: {dh} hits, {dm} misses, {ds} stored, {de} evicted, \
+             {dq} quarantined; store degraded: {sd}"
         )
     }
 }
@@ -506,31 +487,72 @@ const DEFAULT_SPICE_CAPACITY: usize = 64;
 /// A G-MI result is five numbers; the study holds two per scale.
 const DEFAULT_GMI_CAPACITY: usize = 16;
 
+/// One class's memory tier: its LRU map and its kind's live counters.
+/// `M` is what the map holds: the shared artifact, or the library
+/// class's coalescing [`BuildCell`].
+#[derive(Debug)]
+struct Memo<C: MemoClass, M = Arc<<C as MemoClass>::Value>> {
+    map: ShardedLru<C::Key, M>,
+    /// Artifacts built (flows: stored) from scratch.
+    built: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+}
+
+impl<C: MemoClass, M> Memo<C, M> {
+    fn new(capacity: usize) -> Self {
+        Memo {
+            map: ShardedLru::new(capacity),
+            built: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    fn counters(&self) -> [&AtomicU64; 4] {
+        [&self.built, &self.hits, &self.misses, &self.evictions]
+    }
+
+    /// `[built, hits, misses, evictions]`.
+    fn snapshot(&self) -> [u64; 4] {
+        self.counters().map(|c| c.load(Ordering::Relaxed))
+    }
+
+    fn clear(&self) {
+        self.map.clear();
+        for c in self.counters() {
+            c.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
 /// The shared memo layer for cell libraries, completed flow results,
-/// SPICE characterizations and G-MI sign-off results.
+/// SPICE characterizations and G-MI sign-off results: one memo per
+/// memo class (`memo::MemoClass`).
 ///
 /// Every map is LRU-bounded ([`ArtifactCache::bounded`] sets the library
 /// and result capacities; the SPICE and G-MI maps always hold
 /// `DEFAULT_SPICE_CAPACITY` and `DEFAULT_GMI_CAPACITY` entries), so an
 /// unbounded sweep cannot grow the process without limit — evictions are
 /// counted in [`CacheStats`]. Thread-safe and built for the parallel
-/// executor's fan-out: every map is lock-**sharded** ([`ShardedLru`]), and
-/// each library entry is a per-key once-cell ([`BuildCell`]), so N
-/// workers hitting the same cold [`LibraryKey`] perform exactly **one**
-/// characterization — the first claims the build, the rest block on the
-/// key's condvar and are served the shared artifact (counted as hits).
-/// Flow results are *not* coalesced: concurrent misses on one
-/// [`FlowKey`] each run the (deterministic) flow and store bit-identical
-/// values — the [`crate::ExperimentPlan`] dedups by `FlowKey` precisely
-/// so the executor never schedules that race. SPICE tables are not
-/// coalesced either: racing misses simulate the same deterministic deck,
-/// and G-MI results are looked up and stored like flow results.
+/// executor's fan-out: every map is lock-**sharded**, and each library
+/// entry is a per-key once-cell, so N workers hitting the same cold
+/// [`LibraryKey`] perform exactly **one** characterization — the first
+/// claims the build, the rest block on the key's condvar and are served
+/// the shared artifact (counted as hits). The other classes are *not*
+/// coalesced: concurrent misses on one [`FlowKey`] each run the
+/// (deterministic) flow and store bit-identical values — the
+/// [`crate::ExperimentPlan`] dedups by `FlowKey` precisely so the
+/// executor never schedules that race — and racing SPICE misses
+/// simulate the same deterministic deck.
 #[derive(Debug)]
 pub struct ArtifactCache {
-    libraries: ShardedLru<LibraryKey, Arc<BuildCell>>,
-    results: ShardedLru<FlowKey, Arc<FlowResult>>,
-    spice: ShardedLru<SpiceKey, Arc<SpiceTables>>,
-    gmi: ShardedLru<FlowKey, GmiResult>,
+    libraries: Memo<LibraryClass, Arc<BuildCell>>,
+    results: Memo<FlowClass>,
+    spice: Memo<SpiceClass>,
+    gmi: Memo<GmiClass>,
     /// The optional persistent tier ([`DiskStore`]): probed on memory
     /// misses, published to after builds/stores. `None` keeps the
     /// cache purely in-memory (the seed behavior).
@@ -540,19 +562,6 @@ pub struct ArtifactCache {
     /// resolve their recorder here unless explicitly overridden).
     /// Defaults to the disabled [`observe::NullRecorder`].
     recorder: RwLock<Arc<dyn Recorder>>,
-    library_builds: AtomicU64,
-    library_hits: AtomicU64,
-    library_evictions: AtomicU64,
-    flow_stores: AtomicU64,
-    flow_hits: AtomicU64,
-    flow_misses: AtomicU64,
-    flow_evictions: AtomicU64,
-    spice_builds: AtomicU64,
-    spice_hits: AtomicU64,
-    spice_evictions: AtomicU64,
-    gmi_builds: AtomicU64,
-    gmi_hits: AtomicU64,
-    gmi_evictions: AtomicU64,
 }
 
 impl Default for ArtifactCache {
@@ -574,25 +583,12 @@ impl ArtifactCache {
     /// at least 1). Least-recently-used entries are evicted on insert.
     pub fn bounded(library_capacity: usize, result_capacity: usize) -> ArtifactCache {
         ArtifactCache {
-            libraries: ShardedLru::new(library_capacity),
-            results: ShardedLru::new(result_capacity),
-            spice: ShardedLru::new(DEFAULT_SPICE_CAPACITY),
-            gmi: ShardedLru::new(DEFAULT_GMI_CAPACITY),
+            libraries: Memo::new(library_capacity),
+            results: Memo::new(result_capacity),
+            spice: Memo::new(DEFAULT_SPICE_CAPACITY),
+            gmi: Memo::new(DEFAULT_GMI_CAPACITY),
             disk: RwLock::new(None),
             recorder: RwLock::new(observe::null()),
-            library_builds: AtomicU64::new(0),
-            library_hits: AtomicU64::new(0),
-            library_evictions: AtomicU64::new(0),
-            flow_stores: AtomicU64::new(0),
-            flow_hits: AtomicU64::new(0),
-            flow_misses: AtomicU64::new(0),
-            flow_evictions: AtomicU64::new(0),
-            spice_builds: AtomicU64::new(0),
-            spice_hits: AtomicU64::new(0),
-            spice_evictions: AtomicU64::new(0),
-            gmi_builds: AtomicU64::new(0),
-            gmi_hits: AtomicU64::new(0),
-            gmi_evictions: AtomicU64::new(0),
         }
     }
 
@@ -647,20 +643,66 @@ impl ArtifactCache {
     /// entry whose build is still in flight counts — the slot is
     /// resident even before its artifact is.
     pub fn len(&self) -> (usize, usize) {
-        (self.libraries.len(), self.results.len())
+        (self.libraries.map.len(), self.results.map.len())
     }
 
     /// True when every map (SPICE tables and G-MI results included) is
     /// empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == (0, 0) && self.spice.len() == 0 && self.gmi.len() == 0
+        self.len() == (0, 0) && self.spice.map.len() == 0 && self.gmi.map.len() == 0
+    }
+
+    /// The generic lookup: memory, else a verified disk entry promoted
+    /// into memory, else a miss. Hits and misses are counted and traced.
+    /// A memory hit encodes no key and allocates nothing.
+    fn lookup<C: MemoClass>(&self, memo: &Memo<C>, key: &C::Key) -> Option<Arc<C::Value>> {
+        let hit = memo.map.get(key).or_else(|| {
+            let v = Arc::new(self.disk()?.load::<C>(key)?);
+            self.insert(memo, key, Arc::clone(&v));
+            Some(v)
+        });
+        if hit.is_some() {
+            memo.hits.fetch_add(1, Ordering::Relaxed);
+            self.emit(|| EventKind::CacheHit { kind: C::KIND });
+        } else {
+            memo.misses.fetch_add(1, Ordering::Relaxed);
+            self.emit(|| EventKind::CacheMiss { kind: C::KIND });
+        }
+        hit
+    }
+
+    /// The generic store of an artifact built from scratch: counts it,
+    /// inserts it into memory and publishes it to disk.
+    fn store<C: MemoClass>(&self, memo: &Memo<C>, key: &C::Key, value: Arc<C::Value>) {
+        memo.built.fetch_add(1, Ordering::Relaxed);
+        self.insert(memo, key, Arc::clone(&value));
+        if let Some(d) = self.disk() {
+            d.store::<C>(key, &value);
+        }
+    }
+
+    fn insert<C: MemoClass, M>(&self, memo: &Memo<C, M>, key: &C::Key, value: M) {
+        let evicted = memo.map.insert(key.clone(), value);
+        self.note_evictions(memo, evicted);
+    }
+
+    /// Adds `evicted` LRU evictions to the memo's counter and traces
+    /// them.
+    fn note_evictions<C: MemoClass, M>(&self, memo: &Memo<C, M>, evicted: u64) {
+        memo.evictions.fetch_add(evicted, Ordering::Relaxed);
+        if evicted > 0 {
+            self.emit(|| EventKind::CacheEvicted {
+                kind: C::KIND,
+                count: evicted,
+            });
+        }
     }
 
     /// The characterized library for the consumed knobs, built at most
     /// once per distinct [`LibraryKey`] — *including under concurrency*:
-    /// racing requests on one cold key coalesce on the key's
-    /// [`BuildCell`], so exactly one thread characterizes while the rest
-    /// wait for (and share) its artifact. `library_builds` counts actual
+    /// racing requests on one cold key coalesce on the key's once-cell,
+    /// so exactly one thread characterizes while the rest wait for (and
+    /// share) its artifact. `library_builds` counts actual
     /// characterizations; every request served without building — warm
     /// or coalesced — counts as a `library_hits` increment, so
     /// `builds + hits` equals the number of successful requests.
@@ -678,18 +720,19 @@ impl ArtifactCache {
         pin_cap_scale: f64,
     ) -> Result<Arc<CellLibrary>, FlowError> {
         let key = LibraryKey::new(node_id, style, lower_metal_rho, pin_cap_scale);
+        let memo = &self.libraries;
         // Fetch-or-insert the key's coalescing slot under the shard
         // lock; the build itself never runs under it. An LRU eviction
         // can drop a slot mid-build — waiters hold their own `Arc` to
         // it, so they still coalesce; only future requests rebuild.
         let cell = {
-            let mut shard = self.libraries.shard(&key).lock().expect("cache lock");
+            let mut shard = memo.map.shard(&key).lock().expect("cache lock");
             match shard.get(&key) {
                 Some(c) => Arc::clone(c),
                 None => {
                     let c = Arc::new(BuildCell::new());
                     let evicted = shard.insert(key, Arc::clone(&c));
-                    self.note_evictions(CacheKind::Library, &self.library_evictions, evicted);
+                    self.note_evictions(memo, evicted);
                     c
                 }
             }
@@ -701,7 +744,7 @@ impl ArtifactCache {
         loop {
             match &*state {
                 BuildState::Ready(lib) => {
-                    self.library_hits.fetch_add(1, Ordering::Relaxed);
+                    memo.hits.fetch_add(1, Ordering::Relaxed);
                     let lib = Arc::clone(lib);
                     drop(state);
                     self.emit(|| EventKind::CacheHit {
@@ -736,44 +779,41 @@ impl ArtifactCache {
                     // not a build, not a CacheMiss — so "zero
                     // `library_builds`" remains the warm-start
                     // acceptance signal.
-                    if let Some(lib) = self.disk().and_then(|d| d.load_library(&key)) {
-                        let lib = Arc::new(lib);
-                        let mut done = cell.state.lock().expect("build cell lock");
-                        *done = BuildState::Ready(Arc::clone(&lib));
-                        cell.ready.notify_all();
-                        drop(done);
-                        self.library_hits.fetch_add(1, Ordering::Relaxed);
-                        self.emit(|| EventKind::CacheHit {
-                            kind: CacheKind::Library,
-                        });
-                        return Ok(lib);
-                    }
-                    let built = Self::build_library(node_id, style, lower_metal_rho, pin_cap_scale);
+                    let loaded = self.disk().and_then(|d| d.load::<LibraryClass>(&key));
+                    let from_disk = loaded.is_some();
+                    let built = match loaded {
+                        Some(lib) => Ok(lib),
+                        None => Self::build_library(&key),
+                    };
                     let mut done = cell.state.lock().expect("build cell lock");
-                    match built {
-                        Ok(lib) => {
-                            self.library_builds.fetch_add(1, Ordering::Relaxed);
-                            let lib = Arc::new(lib);
-                            *done = BuildState::Ready(Arc::clone(&lib));
-                            cell.ready.notify_all();
-                            drop(done);
-                            self.emit(|| EventKind::CacheMiss {
-                                kind: CacheKind::Library,
-                            });
-                            // Publish outside every lock: waiters are
-                            // already served; the disk write must not
-                            // stall them.
-                            if let Some(d) = self.disk() {
-                                d.store_library(&key, &lib);
-                            }
-                            return Ok(lib);
-                        }
+                    let lib = match built {
+                        Ok(lib) => Arc::new(lib),
                         Err(e) => {
                             *done = BuildState::Idle;
                             cell.ready.notify_all();
                             return Err(e);
                         }
+                    };
+                    *done = BuildState::Ready(Arc::clone(&lib));
+                    cell.ready.notify_all();
+                    drop(done);
+                    if from_disk {
+                        memo.hits.fetch_add(1, Ordering::Relaxed);
+                        self.emit(|| EventKind::CacheHit {
+                            kind: CacheKind::Library,
+                        });
+                        return Ok(lib);
                     }
+                    memo.built.fetch_add(1, Ordering::Relaxed);
+                    self.emit(|| EventKind::CacheMiss {
+                        kind: CacheKind::Library,
+                    });
+                    // Publish outside every lock: waiters are already
+                    // served; the disk write must not stall them.
+                    if let Some(d) = self.disk() {
+                        d.store::<LibraryClass>(&key, &lib);
+                    }
+                    return Ok(lib);
                 }
             }
         }
@@ -781,21 +821,12 @@ impl ArtifactCache {
 
     /// One actual characterization — the work the coalescing protocol
     /// exists to not duplicate.
-    fn build_library(
-        node_id: NodeId,
-        style: DesignStyle,
-        lower_metal_rho: bool,
-        pin_cap_scale: f64,
-    ) -> Result<CellLibrary, FlowError> {
-        let node = {
-            let n = TechNode::for_id(node_id);
-            if lower_metal_rho {
-                n.with_rho_scaled(&[MetalClass::Local, MetalClass::Intermediate], 0.5)
-            } else {
-                n
-            }
-        };
-        let mut lib = CellLibrary::try_build(&node, style)?;
+    fn build_library(key: &LibraryKey) -> Result<CellLibrary, FlowError> {
+        let node = key.node().ok_or_else(|| LibraryError::UnregisteredNode {
+            node: key.node_id.label().to_string(),
+        })?;
+        let mut lib = CellLibrary::try_build(&node, key.style)?;
+        let pin_cap_scale = f64::from_bits(key.pin_cap_scale_bits);
         if pin_cap_scale != 1.0 {
             lib = lib.try_with_pin_cap_scaled(pin_cap_scale)?;
         }
@@ -810,30 +841,7 @@ impl ArtifactCache {
         cfg: &FlowConfig,
     ) -> Option<FlowResult> {
         let key = FlowKey::of(bench, style, cfg);
-        if let Some(r) = self.results.get(&key) {
-            self.flow_hits.fetch_add(1, Ordering::Relaxed);
-            self.emit(|| EventKind::CacheHit {
-                kind: CacheKind::Flow,
-            });
-            return Some((*r).clone());
-        }
-        // Memory miss: consult the disk tier before declaring a miss.
-        // A verified entry is promoted into the memory tier so repeat
-        // lookups stay in-process.
-        if let Some(r) = self.disk().and_then(|d| d.load_flow(&key)) {
-            let evicted = self.results.insert(key, Arc::new(r.clone()));
-            self.note_evictions(CacheKind::Flow, &self.flow_evictions, evicted);
-            self.flow_hits.fetch_add(1, Ordering::Relaxed);
-            self.emit(|| EventKind::CacheHit {
-                kind: CacheKind::Flow,
-            });
-            return Some(r);
-        }
-        self.flow_misses.fetch_add(1, Ordering::Relaxed);
-        self.emit(|| EventKind::CacheMiss {
-            kind: CacheKind::Flow,
-        });
-        None
+        self.lookup(&self.results, &key).map(|r| (*r).clone())
     }
 
     /// Stores a completed sign-off result under its consumed-knob key.
@@ -844,13 +852,8 @@ impl ArtifactCache {
         cfg: &FlowConfig,
         result: &FlowResult,
     ) {
-        self.flow_stores.fetch_add(1, Ordering::Relaxed);
         let key = FlowKey::of(bench, style, cfg);
-        let evicted = self.results.insert(key, Arc::new(result.clone()));
-        self.note_evictions(CacheKind::Flow, &self.flow_evictions, evicted);
-        if let Some(d) = self.disk() {
-            d.store_flow(&key, result);
-        }
+        self.store(&self.results, &key, Arc::new(result.clone()));
     }
 
     /// The SPICE tables for `key`: from memory, else from a verified
@@ -865,33 +868,11 @@ impl ArtifactCache {
     /// On a miss, as [`characterize_spice_tables`] does: for sequential
     /// or multi-output functions and on transient non-convergence.
     pub fn spice_tables(&self, key: &SpiceKey) -> Arc<SpiceTables> {
-        let hit = self.spice.get(key).or_else(|| {
-            let t = Arc::new(self.disk()?.load_spice(key)?);
-            self.insert_spice(key, Arc::clone(&t));
-            Some(t)
-        });
-        if let Some(t) = hit {
-            self.spice_hits.fetch_add(1, Ordering::Relaxed);
-            self.emit(|| EventKind::CacheHit {
-                kind: CacheKind::Spice,
-            });
-            return t;
-        }
-        let t = Arc::new(Self::simulate(key));
-        self.spice_builds.fetch_add(1, Ordering::Relaxed);
-        self.emit(|| EventKind::CacheMiss {
-            kind: CacheKind::Spice,
-        });
-        self.insert_spice(key, Arc::clone(&t));
-        if let Some(d) = self.disk() {
-            d.store_spice(key, &t);
-        }
-        t
-    }
-
-    fn insert_spice(&self, key: &SpiceKey, tables: Arc<SpiceTables>) {
-        let evicted = self.spice.insert(key.clone(), tables);
-        self.note_evictions(CacheKind::Spice, &self.spice_evictions, evicted);
+        self.lookup(&self.spice, key).unwrap_or_else(|| {
+            let t = Arc::new(Self::simulate(key));
+            self.store(&self.spice, key, Arc::clone(&t));
+            t
+        })
     }
 
     /// The stored G-MI result for the 2D reference point `key`: from
@@ -899,49 +880,13 @@ impl ArtifactCache {
     /// A miss is traced; the caller runs [`crate::gmi::run_gmi`] and
     /// hands the result to [`ArtifactCache::store_gmi`].
     pub fn lookup_gmi(&self, key: &FlowKey) -> Option<GmiResult> {
-        let hit = self.gmi.get(key).or_else(|| {
-            let r = self.disk()?.load_gmi(key)?;
-            self.insert_gmi(key, r.clone());
-            Some(r)
-        });
-        let Some(r) = hit else {
-            self.emit(|| EventKind::CacheMiss {
-                kind: CacheKind::Gmi,
-            });
-            return None;
-        };
-        self.gmi_hits.fetch_add(1, Ordering::Relaxed);
-        self.emit(|| EventKind::CacheHit {
-            kind: CacheKind::Gmi,
-        });
-        Some(r)
+        self.lookup(&self.gmi, key).map(|r| (*r).clone())
     }
 
     /// Stores a G-MI result run from scratch under its 2D reference
     /// point's key, in memory and on disk.
     pub fn store_gmi(&self, key: &FlowKey, result: &GmiResult) {
-        self.gmi_builds.fetch_add(1, Ordering::Relaxed);
-        self.insert_gmi(key, result.clone());
-        if let Some(d) = self.disk() {
-            d.store_gmi(key, result);
-        }
-    }
-
-    fn insert_gmi(&self, key: &FlowKey, result: GmiResult) {
-        let evicted = self.gmi.insert(*key, result);
-        self.note_evictions(CacheKind::Gmi, &self.gmi_evictions, evicted);
-    }
-
-    /// Adds `evicted` LRU evictions of `kind` to `counter` and traces
-    /// them.
-    fn note_evictions(&self, kind: CacheKind, counter: &AtomicU64, evicted: u64) {
-        counter.fetch_add(evicted, Ordering::Relaxed);
-        if evicted > 0 {
-            self.emit(|| EventKind::CacheEvicted {
-                kind,
-                count: evicted,
-            });
-        }
+        self.store(&self.gmi, key, Arc::new(result.clone()));
     }
 
     /// One deck built from the key alone and simulated.
@@ -971,23 +916,6 @@ impl ArtifactCache {
         self.results.clear();
         self.spice.clear();
         self.gmi.clear();
-        for c in [
-            &self.library_builds,
-            &self.library_hits,
-            &self.library_evictions,
-            &self.flow_stores,
-            &self.flow_hits,
-            &self.flow_misses,
-            &self.flow_evictions,
-            &self.spice_builds,
-            &self.spice_hits,
-            &self.spice_evictions,
-            &self.gmi_builds,
-            &self.gmi_hits,
-            &self.gmi_evictions,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
     }
 
     /// Counter snapshot. The `disk_*` counters are read live from the
@@ -995,20 +923,24 @@ impl ArtifactCache {
     /// snapshot covers both tiers coherently.
     pub fn stats(&self) -> CacheStats {
         let disk = self.disk().map(|d| d.counters()).unwrap_or_default();
+        let [library_builds, library_hits, _, library_evictions] = self.libraries.snapshot();
+        let [flow_stores, flow_hits, flow_misses, flow_evictions] = self.results.snapshot();
+        let [spice_builds, spice_hits, _, spice_evictions] = self.spice.snapshot();
+        let [gmi_builds, gmi_hits, _, gmi_evictions] = self.gmi.snapshot();
         CacheStats {
-            library_builds: self.library_builds.load(Ordering::Relaxed),
-            library_hits: self.library_hits.load(Ordering::Relaxed),
-            library_evictions: self.library_evictions.load(Ordering::Relaxed),
-            flow_stores: self.flow_stores.load(Ordering::Relaxed),
-            flow_hits: self.flow_hits.load(Ordering::Relaxed),
-            flow_misses: self.flow_misses.load(Ordering::Relaxed),
-            flow_evictions: self.flow_evictions.load(Ordering::Relaxed),
-            spice_builds: self.spice_builds.load(Ordering::Relaxed),
-            spice_hits: self.spice_hits.load(Ordering::Relaxed),
-            spice_evictions: self.spice_evictions.load(Ordering::Relaxed),
-            gmi_builds: self.gmi_builds.load(Ordering::Relaxed),
-            gmi_hits: self.gmi_hits.load(Ordering::Relaxed),
-            gmi_evictions: self.gmi_evictions.load(Ordering::Relaxed),
+            library_builds,
+            library_hits,
+            library_evictions,
+            flow_stores,
+            flow_hits,
+            flow_misses,
+            flow_evictions,
+            spice_builds,
+            spice_hits,
+            spice_evictions,
+            gmi_builds,
+            gmi_hits,
+            gmi_evictions,
             disk_hits: disk.hits,
             disk_misses: disk.misses,
             disk_stores: disk.stores,
@@ -1085,6 +1017,27 @@ mod tests {
             .expect("library builds");
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.stats().library_builds, 2);
+    }
+
+    #[test]
+    fn library_on_an_unregistered_node_is_a_typed_error() {
+        let cache = ArtifactCache::default();
+        let err = cache
+            .library(
+                NodeId::intern("unregistered"),
+                DesignStyle::TwoD,
+                false,
+                1.0,
+            )
+            .expect_err("no PDK, no library");
+        assert!(
+            matches!(
+                err,
+                FlowError::Library(LibraryError::UnregisteredNode { .. })
+            ),
+            "{err}"
+        );
+        assert_eq!(cache.stats().library_builds, 0);
     }
 
     fn temp_store_root(tag: &str) -> std::path::PathBuf {
@@ -1471,6 +1424,28 @@ mod tests {
             store_degraded: nums[18],
         };
         assert_eq!(round_tripped, s);
+    }
+
+    #[test]
+    fn fields_table_matches_the_struct() {
+        // The derived Debug lists every field by name in declaration
+        // order, so this pins the table's names, order and count.
+        let s = CacheStats {
+            library_builds: 1,
+            flow_misses: 6,
+            gmi_evictions: 13,
+            store_degraded: 19,
+            ..CacheStats::default()
+        };
+        let listed: Vec<String> = s
+            .fields()
+            .iter()
+            .map(|(n, v)| format!("{n}: {v}"))
+            .collect();
+        assert_eq!(
+            format!("{s:?}"),
+            format!("CacheStats {{ {} }}", listed.join(", "))
+        );
     }
 
     #[test]

@@ -84,6 +84,7 @@ pub mod faultinject;
 mod flow;
 pub mod gmi;
 pub mod govern;
+mod memo;
 pub mod observe;
 pub mod stage;
 pub mod store;

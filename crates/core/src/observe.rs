@@ -71,6 +71,16 @@ impl CacheKind {
         }
     }
 
+    /// The store subdirectory holding this kind's entries.
+    pub(crate) fn dir(self) -> &'static str {
+        match self {
+            CacheKind::Library => "lib",
+            CacheKind::Flow => "flow",
+            CacheKind::Spice => "spice",
+            CacheKind::Gmi => "gmi",
+        }
+    }
+
     /// The kind whose [`CacheKind::key`] is `key`.
     pub fn from_key(key: &str) -> Option<CacheKind> {
         CacheKind::ALL.into_iter().find(|k| k.key() == key)
@@ -757,7 +767,7 @@ fn scan_string_body(s: &str) -> Option<&str> {
     None
 }
 
-/// Wire-protocol view of [`field`]: the raw text of `"name":<value>`
+/// Wire-protocol view of the trace codec's field reader: the raw text of `"name":<value>`
 /// in a flat single-line JSON object. Quoted values lose their quotes
 /// but keep their escapes; numbers/arrays come verbatim. `m3d-serve`
 /// frames parse through this so the trace codec and the wire protocol

@@ -7,7 +7,15 @@
 //! SPICE decks and re-runs flows and G-MI implementations an earlier
 //! invocation already signed off. [`DiskStore`] persists all four
 //! artifact classes under their existing cache keys so a warm directory
-//! turns a fresh process into a cache hit:
+//! turns a fresh process into a cache hit.
+//!
+//! A class is one `impl` of the crate-private memo-class trait
+//! (`memo::MemoClass`): its [`CacheKind`], its key bytes and its value
+//! codec. The store has one generic `load::<C>`/`store::<C>` pair over
+//! the verify-on-read protocol and the crash-only publish; the named
+//! `load_*`/`store_*` methods are one-line calls into it. Adding a
+//! class takes one `impl`, one [`CacheKind`] variant (with its `key`
+//! and `dir` arms) and its [`crate::CacheStats`] fields.
 //!
 //! * **Layout** — entries are content-addressed by the FNV-1a 64 hash
 //!   of the *encoded key bytes* (Rust's `std::hash` is not stable
@@ -33,9 +41,10 @@
 //!   a kill at any byte leaves either the old state or the new entry,
 //!   never a half-written visible file
 //!   ([`StoreFaultKind::TornStoreWrite`] pins this in the chaos
-//!   harness).
+//!   harness). A temp file that a killed publish left behind is
+//!   deleted by the scan of a later open once it is 30 s old.
 //! * **Multi-process safety** — publishers take a per-entry `.lock`
-//!   file (`create_new`, stolen after [`LOCK_STALE`]); losers *skip*
+//!   file (`create_new`, stolen after 30 s); losers *skip*
 //!   the publish, which is sound because the flow is deterministic and
 //!   both writers would publish byte-identical payloads
 //!   (last-writer-wins idempotence).
@@ -62,20 +71,17 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use m3d_cells::characterize::SpiceTables;
-use m3d_cells::{Cell, CellFunction, CellLibrary, Nldm, Pin, PinDir, SeqSpec};
-use m3d_power::PowerReport;
-use m3d_tech::{MetalClass, TechNode};
+use m3d_cells::CellLibrary;
 
 use crate::cache::{FlowKey, LibraryKey, SpiceKey};
 use crate::codec::{
-    content_hash, dec_benchmark, dec_layer_usage, dec_node, dec_style, enc_benchmark,
-    enc_layer_usage, enc_node, enc_scale, enc_stack_kind, enc_style, flip_byte, frame,
-    quarantine_file, temp_path, unframe, write_atomic, Dec, DecResult, DecodeError, Enc,
+    content_hash, flip_byte, frame, quarantine_file, temp_path, unframe, write_atomic, DecodeError,
 };
 use crate::error::StoreFailure;
 use crate::faultinject::{StoreFaultKind, StoreFaultPlan};
 use crate::flow::FlowResult;
 use crate::gmi::GmiResult;
+use crate::memo::{FlowClass, GmiClass, LibraryClass, MemoClass, SpiceClass};
 use crate::observe::{self, CacheKind, EventKind, Recorder};
 
 /// Store entry magic: any other file dropped into the store is
@@ -275,123 +281,25 @@ impl DiskStore {
         self.index.lock().expect("store index lock").total_bytes
     }
 
-    // -- public artifact API ------------------------------------------
+    // -- artifact API -----------------------------------------------
 
-    /// The persisted library for `key`, if a verified entry exists.
-    /// Never errors: corruption quarantines and reads as a miss; I/O
-    /// failure degrades the store and reads as absent.
-    pub fn load_library(&self, key: &LibraryKey) -> Option<CellLibrary> {
-        let key_bytes = enc_library_key(key);
-        let (node_id, style, rho) = (key.node_id, key.style, key.lower_metal_rho);
-        self.load_verified(CacheKind::Library, &key_bytes, move |artifact| {
-            let cells = dec_cells(artifact)?;
-            let node = {
-                let n = TechNode::try_for_id(node_id).ok_or_else(|| {
-                    DecodeError(format!(
-                        "library keyed to unregistered node '{}'",
-                        node_id.label()
-                    ))
-                })?;
-                if rho {
-                    n.with_rho_scaled(&[MetalClass::Local, MetalClass::Intermediate], 0.5)
-                } else {
-                    n
-                }
-            };
-            // The pin-cap scale is already baked into the persisted
-            // cells; only the tech node is re-derived (it is pure
-            // config, not a characterized artifact).
-            CellLibrary::try_from_parts(node, style, cells)
-                .map_err(|e| DecodeError(format!("library failed validation: {e}")))
-        })
-    }
-
-    /// Publishes a characterized library under `key`. Never errors.
-    pub fn store_library(&self, key: &LibraryKey, lib: &CellLibrary) {
-        self.publish(CacheKind::Library, &enc_library_key(key), &enc_cells(lib));
-    }
-
-    /// The persisted flow result for `key`, if a verified entry
-    /// exists. Same non-erroring contract as [`DiskStore::load_library`].
-    pub fn load_flow(&self, key: &FlowKey) -> Option<FlowResult> {
-        let key_bytes = enc_flow_key(key);
-        self.load_verified(CacheKind::Flow, &key_bytes, dec_flow_result)
-    }
-
-    /// Publishes a completed flow result under `key`. Never errors.
-    pub fn store_flow(&self, key: &FlowKey, result: &FlowResult) {
-        self.publish(
-            CacheKind::Flow,
-            &enc_flow_key(key),
-            &enc_flow_result(result),
-        );
-    }
-
-    /// The persisted SPICE tables for `key`, if a verified entry exists
-    /// whose tables span exactly the key's grid. Same non-erroring
-    /// contract as [`DiskStore::load_library`].
-    pub fn load_spice(&self, key: &SpiceKey) -> Option<SpiceTables> {
-        let key_bytes = enc_spice_key(key);
-        self.load_verified(CacheKind::Spice, &key_bytes, |artifact| {
-            let tables = dec_spice_tables(artifact)?;
-            let on_grid =
-                |t: &Nldm| bits(t.slews()) == key.slew_bits && bits(t.loads()) == key.load_bits;
-            if [&tables.delay, &tables.out_slew, &tables.energy]
-                .into_iter()
-                .all(on_grid)
-            {
-                Ok(tables)
-            } else {
-                Err(DecodeError("SPICE tables span another grid".into()))
-            }
-        })
-    }
-
-    /// Publishes one cell's SPICE tables under `key`. Never errors.
-    pub fn store_spice(&self, key: &SpiceKey, tables: &SpiceTables) {
-        self.publish(
-            CacheKind::Spice,
-            &enc_spice_key(key),
-            &enc_spice_tables(tables),
-        );
-    }
-
-    /// The persisted G-MI result for the 2D reference point `key`, if a
-    /// verified entry exists. Same non-erroring contract as
-    /// [`DiskStore::load_library`].
-    pub fn load_gmi(&self, key: &FlowKey) -> Option<GmiResult> {
-        let key_bytes = enc_flow_key(key);
-        self.load_verified(CacheKind::Gmi, &key_bytes, dec_gmi_result)
-    }
-
-    /// Publishes a G-MI result under its 2D reference point's `key`.
-    /// Never errors.
-    pub fn store_gmi(&self, key: &FlowKey, result: &GmiResult) {
-        self.publish(CacheKind::Gmi, &enc_flow_key(key), &enc_gmi_result(result));
-    }
-
-    // -- read path ----------------------------------------------------
-
-    /// The whole verify-on-read protocol: read, check magic + payload
-    /// hash + section hashes, check the stored key equals the
-    /// requested key, and semantically decode the artifact. Any
-    /// failure past "file exists" quarantines the entry and reports a
-    /// miss; the caller rebuilds.
-    fn load_verified<T>(
-        &self,
-        kind: CacheKind,
-        key_bytes: &[u8],
-        decode: impl FnOnce(&[u8]) -> DecResult<T>,
-    ) -> Option<T> {
+    /// The persisted artifact of class `C` for `key`, if a verified
+    /// entry exists. Never errors: any failure past "file exists"
+    /// (magic, payload or section hash, a stored key other than the one
+    /// requested, a failed semantic decode) quarantines the entry and
+    /// reads as a miss, and an I/O failure degrades the store and reads
+    /// as absent. The caller rebuilds.
+    pub(crate) fn load<C: MemoClass>(&self, key: &C::Key) -> Option<C::Value> {
         if self.is_degraded() {
             return None;
         }
-        let hash = content_hash(key_bytes);
-        let path = self.entry_path(kind, hash);
+        let key_bytes = C::key_bytes(key);
+        let hash = content_hash(&key_bytes);
+        let path = self.entry_path(C::KIND, hash);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.miss(kind);
+                self.miss(C::KIND);
                 return None;
             }
             Err(e) => {
@@ -406,23 +314,71 @@ impl DiskStore {
                         "entry answers a different key than requested".into(),
                     ));
                 }
-                decode(artifact)
+                C::decode(key, artifact)
             });
         match decoded {
             Ok(artifact) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.emit(|| EventKind::DiskHit { kind });
+                self.emit(|| EventKind::DiskHit { kind: C::KIND });
                 let mut idx = self.index.lock().expect("store index lock");
-                idx.touch(kind, hash);
-                self.journal(&mut idx, &format!("T {} {hash:016x}", kind.key()));
+                idx.touch(C::KIND, hash);
+                self.journal(&mut idx, &format!("T {} {hash:016x}", C::KIND.key()));
                 Some(artifact)
             }
             Err(_) => {
-                self.quarantine_entry(kind, hash, &path);
-                self.miss(kind);
+                self.quarantine_entry(C::KIND, hash, &path);
+                self.miss(C::KIND);
                 None
             }
         }
+    }
+
+    /// Publishes `value` under `key`. Never errors.
+    pub(crate) fn store<C: MemoClass>(&self, key: &C::Key, value: &C::Value) {
+        self.publish(C::KIND, &C::key_bytes(key), &C::encode(value));
+    }
+
+    /// The persisted library for `key`, if a verified entry exists.
+    /// Never errors: a bad entry is quarantined and reads as a miss.
+    pub fn load_library(&self, key: &LibraryKey) -> Option<CellLibrary> {
+        self.load::<LibraryClass>(key)
+    }
+
+    /// Publishes a characterized library under `key`. Never errors.
+    pub fn store_library(&self, key: &LibraryKey, lib: &CellLibrary) {
+        self.store::<LibraryClass>(key, lib);
+    }
+
+    /// The persisted flow result for `key`, as [`DiskStore::load_library`].
+    pub fn load_flow(&self, key: &FlowKey) -> Option<FlowResult> {
+        self.load::<FlowClass>(key)
+    }
+
+    /// Publishes a completed flow result under `key`.
+    pub fn store_flow(&self, key: &FlowKey, result: &FlowResult) {
+        self.store::<FlowClass>(key, result);
+    }
+
+    /// The persisted SPICE tables for `key`, which must span exactly
+    /// the key's grid, as [`DiskStore::load_library`].
+    pub fn load_spice(&self, key: &SpiceKey) -> Option<SpiceTables> {
+        self.load::<SpiceClass>(key)
+    }
+
+    /// Publishes one cell's SPICE tables under `key`.
+    pub fn store_spice(&self, key: &SpiceKey, tables: &SpiceTables) {
+        self.store::<SpiceClass>(key, tables);
+    }
+
+    /// The persisted G-MI result for the 2D reference point `key`, as
+    /// [`DiskStore::load_library`].
+    pub fn load_gmi(&self, key: &FlowKey) -> Option<GmiResult> {
+        self.load::<GmiClass>(key)
+    }
+
+    /// Publishes a G-MI result under its 2D reference point's `key`.
+    pub fn store_gmi(&self, key: &FlowKey, result: &GmiResult) {
+        self.store::<GmiClass>(key, result);
     }
 
     fn miss(&self, kind: CacheKind) {
@@ -587,7 +543,7 @@ impl DiskStore {
 
     fn entry_path(&self, kind: CacheKind, hash: u64) -> PathBuf {
         self.root
-            .join(kind_dir(kind))
+            .join(kind.dir())
             .join(format!("{:02x}", hash & 0xff))
             .join(format!("{hash:016x}.m3d"))
     }
@@ -641,16 +597,6 @@ impl DiskStore {
     }
 }
 
-/// The store subdirectory holding one kind's entries.
-fn kind_dir(kind: CacheKind) -> &'static str {
-    match kind {
-        CacheKind::Library => "lib",
-        CacheKind::Flow => "flow",
-        CacheKind::Spice => "spice",
-        CacheKind::Gmi => "gmi",
-    }
-}
-
 /// Rebuilds the index from the directory tree (ground truth for
 /// existence and sizes), then replays the journal for recency. Any
 /// unreadable directory or corrupt journal line is simply skipped: the
@@ -658,7 +604,7 @@ fn kind_dir(kind: CacheKind) -> &'static str {
 fn scan(root: &Path) -> Index {
     let mut idx = Index::default();
     for kind in CacheKind::ALL {
-        let Ok(shards) = fs::read_dir(root.join(kind_dir(kind))) else {
+        let Ok(shards) = fs::read_dir(root.join(kind.dir())) else {
             continue;
         };
         for shard in shards.flatten() {
@@ -669,6 +615,14 @@ fn scan(root: &Path) -> Index {
                 let name = f.file_name();
                 let name = name.to_string_lossy();
                 let Some(hex) = name.strip_suffix(".m3d") else {
+                    // A publish's temp file (`.<hash>.m3d.<pid>.tmp`)
+                    // is left behind only by a killed publisher: no
+                    // rename will claim it and the budget never counts
+                    // it, so reclaim it once it is as old as a stale
+                    // lock. A younger one may be a live peer's publish.
+                    if name.ends_with(".tmp") && is_stale(&f.path()) {
+                        let _ = fs::remove_file(f.path());
+                    }
                     continue;
                 };
                 let Ok(hash) = u64::from_str_radix(hex, 16) else {
@@ -712,6 +666,16 @@ fn scan(root: &Path) -> Index {
     idx
 }
 
+/// True when `path` was last modified more than [`LOCK_STALE`] ago: a
+/// lock or temp file that old belongs to a crashed publisher.
+fn is_stale(path: &Path) -> bool {
+    fs::metadata(path)
+        .and_then(|m| m.modified())
+        .ok()
+        .and_then(|t| t.elapsed().ok())
+        .is_some_and(|age| age > LOCK_STALE)
+}
+
 /// Tries to create the `.lock` file. `Ok(true)` — acquired. `Ok(false)`
 /// — a live peer holds it. Stale locks (crashed holders) are stolen.
 fn acquire_lock(path: &Path) -> io::Result<bool> {
@@ -722,12 +686,7 @@ fn acquire_lock(path: &Path) -> io::Result<bool> {
                 return Ok(true);
             }
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                let stale = fs::metadata(path)
-                    .and_then(|m| m.modified())
-                    .ok()
-                    .and_then(|t| t.elapsed().ok())
-                    .is_some_and(|age| age > LOCK_STALE);
-                if stale {
+                if is_stale(path) {
                     let _ = fs::remove_file(path);
                     continue; // retry the create_new
                 }
@@ -739,360 +698,13 @@ fn acquire_lock(path: &Path) -> io::Result<bool> {
     Ok(false)
 }
 
-// ---------------------------------------------------------------------
-// Key codecs — the encoded bytes both address the entry (their FNV
-// hash names the file) and are embedded for the read-back equality
-// check, so the encoding must stay stable.
-// ---------------------------------------------------------------------
-
-fn enc_library_key(k: &LibraryKey) -> Vec<u8> {
-    let mut e = Enc::default();
-    enc_node(&mut e, k.node_id);
-    enc_style(&mut e, k.style);
-    e.bool(k.lower_metal_rho);
-    e.u64(k.pin_cap_scale_bits);
-    e.buf
-}
-
-fn enc_spice_key(k: &SpiceKey) -> Vec<u8> {
-    let mut e = Enc::default();
-    enc_node(&mut e, k.node_id);
-    enc_style(&mut e, k.style);
-    enc_function(&mut e, k.function);
-    e.u8(k.drive);
-    for axis in [&k.slew_bits, &k.load_bits] {
-        e.usize(axis.len());
-        for &b in axis {
-            e.u64(b);
-        }
-    }
-    e.buf
-}
-
-fn enc_flow_key(k: &FlowKey) -> Vec<u8> {
-    let mut e = Enc::default();
-    enc_benchmark(&mut e, k.bench);
-    enc_style(&mut e, k.style);
-    enc_node(&mut e, k.node_id);
-    enc_scale(&mut e, k.bench_scale);
-    enc_stack_kind(&mut e, k.stack_kind);
-    e.opt(&k.clock_ps_bits, |e, v| e.u64(*v));
-    e.opt(&k.utilization_bits, |e, v| e.u64(*v));
-    e.bool(k.tmi_wlm);
-    e.u64(k.pin_cap_scale_bits);
-    e.bool(k.lower_metal_rho);
-    e.u64(k.alpha_ff_bits);
-    e.bool(k.mb1_routing);
-    e.usize(k.opt_passes);
-    e.usize(k.place_iterations);
-    e.u64(k.clock_scale_bits);
-    e.buf
-}
-
-// ---------------------------------------------------------------------
-// Artifact codecs
-// ---------------------------------------------------------------------
-
-fn enc_f64s(e: &mut Enc, v: &[f64]) {
-    e.usize(v.len());
-    for &x in v {
-        e.f64(x);
-    }
-}
-
-fn dec_f64s(d: &mut Dec) -> DecResult<Vec<f64>> {
-    let n = d.usize()?;
-    if n > (1 << 24) {
-        return Err(DecodeError(format!("implausible f64 vec length {n}")));
-    }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(d.f64()?);
-    }
-    Ok(v)
-}
-
-fn enc_function(e: &mut Enc, f: CellFunction) {
-    let idx = CellFunction::ALL
-        .iter()
-        .position(|&x| x == f)
-        .expect("CellFunction::ALL enumerates every variant");
-    e.u8(idx as u8);
-}
-
-fn dec_function(d: &mut Dec) -> DecResult<CellFunction> {
-    let t = d.u8()?;
-    CellFunction::ALL
-        .get(t as usize)
-        .copied()
-        .ok_or_else(|| DecodeError(format!("bad CellFunction tag {t}")))
-}
-
-fn enc_nldm(e: &mut Enc, t: &Nldm) {
-    enc_f64s(e, t.slews());
-    enc_f64s(e, t.loads());
-    enc_f64s(e, t.values());
-}
-
-/// Decodes an NLDM, *pre-validating* the invariants [`Nldm::new`]
-/// asserts — a corrupt grid must surface as a typed decode failure
-/// (⇒ quarantine), never a panic.
-fn dec_nldm(d: &mut Dec) -> DecResult<Nldm> {
-    let slews = dec_f64s(d)?;
-    let loads = dec_f64s(d)?;
-    let values = dec_f64s(d)?;
-    if slews.is_empty() || loads.is_empty() {
-        return Err(DecodeError("empty NLDM axis".into()));
-    }
-    let increasing = |a: &[f64]| a.windows(2).all(|w| w[0] < w[1]);
-    if !increasing(&slews) || !increasing(&loads) {
-        return Err(DecodeError("NLDM axis not strictly increasing".into()));
-    }
-    if values.len() != slews.len() * loads.len() {
-        return Err(DecodeError(format!(
-            "NLDM grid size {} != {}x{}",
-            values.len(),
-            slews.len(),
-            loads.len()
-        )));
-    }
-    Ok(Nldm::new(slews, loads, values))
-}
-
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-fn enc_spice_tables(t: &SpiceTables) -> Vec<u8> {
-    let mut e = Enc::default();
-    enc_nldm(&mut e, &t.delay);
-    enc_nldm(&mut e, &t.out_slew);
-    enc_nldm(&mut e, &t.energy);
-    e.buf
-}
-
-fn dec_spice_tables(bytes: &[u8]) -> DecResult<SpiceTables> {
-    let mut d = Dec::new(bytes);
-    let tables = SpiceTables {
-        delay: dec_nldm(&mut d)?,
-        out_slew: dec_nldm(&mut d)?,
-        energy: dec_nldm(&mut d)?,
-    };
-    d.finish()?;
-    Ok(tables)
-}
-
-fn enc_pin(e: &mut Enc, p: &Pin) {
-    e.str(&p.name);
-    e.u8(match p.dir {
-        PinDir::Input => 0,
-        PinDir::Output => 1,
-    });
-    e.f64(p.cap_ff);
-}
-
-fn dec_pin(d: &mut Dec) -> DecResult<Pin> {
-    let name = d.str()?;
-    let dir = match d.u8()? {
-        0 => PinDir::Input,
-        1 => PinDir::Output,
-        t => return Err(DecodeError(format!("bad PinDir tag {t}"))),
-    };
-    let cap_ff = d.f64()?;
-    Ok(Pin { name, dir, cap_ff })
-}
-
-fn enc_cell(e: &mut Enc, c: &Cell) {
-    e.str(&c.name);
-    enc_function(e, c.function);
-    e.u8(c.drive);
-    e.i64(c.width_nm);
-    e.i64(c.height_nm);
-    e.usize(c.pins.len());
-    for p in &c.pins {
-        enc_pin(e, p);
-    }
-    enc_nldm(e, &c.delay);
-    enc_nldm(e, &c.out_slew);
-    enc_nldm(e, &c.energy);
-    e.f64(c.leakage_mw);
-    e.opt(&c.seq, |e, s| {
-        e.f64(s.setup_ps);
-        e.f64(s.hold_ps);
-        e.f64(s.clk_energy_fj);
-    });
-    e.u32(c.miv_count);
-    e.f64(c.r_drive);
-}
-
-fn dec_cell(d: &mut Dec) -> DecResult<Cell> {
-    let name = d.str()?;
-    let function = dec_function(d)?;
-    let drive = d.u8()?;
-    let width_nm = d.i64()?;
-    let height_nm = d.i64()?;
-    let n_pins = d.usize()?;
-    if n_pins > 64 {
-        return Err(DecodeError(format!("implausible pin count {n_pins}")));
-    }
-    let mut pins = Vec::with_capacity(n_pins);
-    for _ in 0..n_pins {
-        pins.push(dec_pin(d)?);
-    }
-    let delay = dec_nldm(d)?;
-    let out_slew = dec_nldm(d)?;
-    let energy = dec_nldm(d)?;
-    let leakage_mw = d.f64()?;
-    let seq = d.opt(|d| {
-        Ok(SeqSpec {
-            setup_ps: d.f64()?,
-            hold_ps: d.f64()?,
-            clk_energy_fj: d.f64()?,
-        })
-    })?;
-    let miv_count = d.u32()?;
-    let r_drive = d.f64()?;
-    Ok(Cell {
-        name,
-        function,
-        drive,
-        width_nm,
-        height_nm,
-        pins,
-        delay,
-        out_slew,
-        energy,
-        leakage_mw,
-        seq,
-        miv_count,
-        r_drive,
-    })
-}
-
-/// Persists the library's cells in [`m3d_cells::CellId`] order, which
-/// the rebuild preserves (the tech node is *not* persisted: it is pure
-/// config and is re-derived from the key).
-fn enc_cells(lib: &CellLibrary) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.usize(lib.len());
-    for (_, cell) in lib.iter() {
-        enc_cell(&mut e, cell);
-    }
-    e.buf
-}
-
-fn dec_cells(bytes: &[u8]) -> DecResult<Vec<Cell>> {
-    let mut d = Dec::new(bytes);
-    let n = d.usize()?;
-    if n > (1 << 16) {
-        return Err(DecodeError(format!("implausible cell count {n}")));
-    }
-    let mut cells = Vec::with_capacity(n);
-    for _ in 0..n {
-        cells.push(dec_cell(&mut d)?);
-    }
-    d.finish()?;
-    Ok(cells)
-}
-
-fn enc_flow_result(r: &FlowResult) -> Vec<u8> {
-    let mut e = Enc::default();
-    enc_benchmark(&mut e, r.bench);
-    enc_style(&mut e, r.style);
-    enc_node(&mut e, r.node_id);
-    e.f64(r.clock_ps);
-    e.f64(r.footprint_um2);
-    e.f64(r.core_um.0);
-    e.f64(r.core_um.1);
-    e.usize(r.cell_count);
-    e.usize(r.buffer_count);
-    e.f64(r.utilization);
-    e.f64(r.wirelength_um);
-    e.f64(r.wns_ps);
-    e.f64(r.hold_wns_ps);
-    e.f64(r.power.cell_mw);
-    e.f64(r.power.wire_mw);
-    e.f64(r.power.pin_mw);
-    e.f64(r.power.leakage_mw);
-    e.f64(r.power.wire_cap_pf);
-    e.f64(r.power.pin_cap_pf);
-    enc_layer_usage(&mut e, &r.layer_usage);
-    enc_f64s(&mut e, &r.wlm_curve);
-    e.buf
-}
-
-fn dec_flow_result(bytes: &[u8]) -> DecResult<FlowResult> {
-    let mut d = Dec::new(bytes);
-    let bench = dec_benchmark(&mut d)?;
-    let style = dec_style(&mut d)?;
-    let node_id = dec_node(&mut d)?;
-    let clock_ps = d.f64()?;
-    let footprint_um2 = d.f64()?;
-    let core_um = (d.f64()?, d.f64()?);
-    let cell_count = d.usize()?;
-    let buffer_count = d.usize()?;
-    let utilization = d.f64()?;
-    let wirelength_um = d.f64()?;
-    let wns_ps = d.f64()?;
-    let hold_wns_ps = d.f64()?;
-    let power = PowerReport {
-        cell_mw: d.f64()?,
-        wire_mw: d.f64()?,
-        pin_mw: d.f64()?,
-        leakage_mw: d.f64()?,
-        wire_cap_pf: d.f64()?,
-        pin_cap_pf: d.f64()?,
-    };
-    let layer_usage = dec_layer_usage(&mut d)?;
-    let wlm_curve = dec_f64s(&mut d)?;
-    d.finish()?;
-    Ok(FlowResult {
-        bench,
-        style,
-        node_id,
-        clock_ps,
-        footprint_um2,
-        core_um,
-        cell_count,
-        buffer_count,
-        utilization,
-        wirelength_um,
-        wns_ps,
-        hold_wns_ps,
-        power,
-        layer_usage,
-        wlm_curve,
-    })
-}
-
-fn enc_gmi_result(r: &GmiResult) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.f64(r.footprint_um2);
-    e.f64(r.wirelength_um);
-    e.usize(r.miv_nets);
-    e.f64(r.wns_ps);
-    e.f64(r.total_power_mw);
-    e.buf
-}
-
-fn dec_gmi_result(bytes: &[u8]) -> DecResult<GmiResult> {
-    let mut d = Dec::new(bytes);
-    let r = GmiResult {
-        footprint_um2: d.f64()?,
-        wirelength_um: d.f64()?,
-        miv_nets: d.usize()?,
-        wns_ps: d.f64()?,
-        total_power_mw: d.f64()?,
-    };
-    d.finish()?;
-    Ok(r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m3d_cells::{Cell, CellFunction, Nldm, Pin, PinDir, SeqSpec};
     use m3d_netlist::{BenchScale, Benchmark};
-    use m3d_tech::{DesignStyle, NodeId};
+    use m3d_power::PowerReport;
+    use m3d_tech::{DesignStyle, NodeId, TechNode};
     use std::sync::atomic::AtomicU32 as TestCounter;
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -1102,6 +714,11 @@ mod tests {
             std::env::temp_dir().join(format!("m3d-store-unit-{tag}-{}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Where `store` keeps the class-`C` entry for `key`.
+    fn path_of<C: MemoClass>(store: &DiskStore, key: &C::Key) -> PathBuf {
+        store.entry_path(C::KIND, content_hash(&C::key_bytes(key)))
     }
 
     fn sample_result() -> FlowResult {
@@ -1150,7 +767,7 @@ mod tests {
     #[test]
     fn flow_result_round_trips_bit_exactly() {
         let r = sample_result();
-        let back = dec_flow_result(&enc_flow_result(&r)).expect("decodes");
+        let back = FlowClass::decode(&flow_key(), &FlowClass::encode(&r)).expect("decodes");
         assert_eq!(back, r);
         // -0.0 survives as -0.0 (bit-exact, not value-equal).
         assert_eq!(back.wlm_curve[3].to_bits(), (-0.0f64).to_bits());
@@ -1164,7 +781,7 @@ mod tests {
         let store = DiskStore::open(&root);
         let key = flow_key();
         store.store_flow(&key, &sample_result());
-        let path = store.entry_path(CacheKind::Flow, content_hash(&enc_flow_key(&key)));
+        let path = path_of::<FlowClass>(&store, &key);
         let bytes = fs::read(&path).expect("entry on disk");
         assert_eq!(content_hash(&bytes), 0x0bd9_0ffd_8d7e_f2a9);
         let _ = fs::remove_dir_all(&root);
@@ -1212,8 +829,8 @@ mod tests {
                     &crate::flow::FlowConfig::new(b).scale(BenchScale::Small),
                 );
                 store.store_flow(&key_a, &sample_result());
-                let path_a = store.entry_path(CacheKind::Flow, content_hash(&enc_flow_key(&key_a)));
-                let path_b = store.entry_path(CacheKind::Flow, content_hash(&enc_flow_key(&key_b)));
+                let path_a = path_of::<FlowClass>(&store, &key_a);
+                let path_b = path_of::<FlowClass>(&store, &key_b);
                 fs::create_dir_all(path_b.parent().expect("entry dir")).expect("mkdir");
                 fs::copy(&path_a, &path_b).expect("forge the entry");
                 assert_eq!(
@@ -1241,7 +858,7 @@ mod tests {
         let c = store.counters();
         assert_eq!((c.quarantined, c.misses, c.hits), (1, 1, 0));
         // The quarantined file preserves the key-hash filename.
-        let hash = content_hash(&enc_flow_key(&key));
+        let hash = content_hash(&FlowClass::key_bytes(&key));
         let want = format!("{hash:016x}.m3d");
         let names: Vec<String> = fs::read_dir(store.quarantine_dir())
             .expect("quarantine dir exists")
@@ -1428,7 +1045,8 @@ mod tests {
     #[test]
     fn spice_tables_round_trip_bit_exactly() {
         let t = sample_spice();
-        let back = dec_spice_tables(&enc_spice_tables(&t)).expect("decodes");
+        let back = SpiceClass::decode(&spice_key(CellFunction::Nand2), &SpiceClass::encode(&t))
+            .expect("decodes");
         assert_eq!(back, t);
         assert_eq!(back.out_slew.values()[1].to_bits(), (-0.0f64).to_bits());
 
@@ -1439,10 +1057,9 @@ mod tests {
         assert_eq!(fresh.load_spice(&key), Some(t));
         // The scan found the entry: it counts toward the index and the
         // byte budget like any library or flow entry.
-        let bytes =
-            fs::metadata(fresh.entry_path(CacheKind::Spice, content_hash(&enc_spice_key(&key))))
-                .expect("entry on disk")
-                .len();
+        let bytes = fs::metadata(path_of::<SpiceClass>(&fresh, &key))
+            .expect("entry on disk")
+            .len();
         assert_eq!(fresh.resident_bytes(), bytes);
         assert_eq!(fresh.index.lock().expect("index").entries.len(), 1);
         let _ = fs::remove_dir_all(&root);
@@ -1456,7 +1073,7 @@ mod tests {
         let store = DiskStore::open(&root);
         let key = spice_key(CellFunction::Inv);
         store.store_spice(&key, &sample_spice());
-        let path = store.entry_path(CacheKind::Spice, content_hash(&enc_spice_key(&key)));
+        let path = path_of::<SpiceClass>(&store, &key);
         let bytes = fs::read(&path).expect("entry on disk");
         assert_eq!(content_hash(&bytes), 0x8870_1b4d_a443_4a85);
         let _ = fs::remove_dir_all(&root);
@@ -1472,8 +1089,7 @@ mod tests {
         let store = DiskStore::open(&root);
         let (inv, nand) = (spice_key(CellFunction::Inv), spice_key(CellFunction::Nand2));
         store.store_spice(&inv, &sample_spice());
-        let path =
-            |k: &SpiceKey| store.entry_path(CacheKind::Spice, content_hash(&enc_spice_key(k)));
+        let path = |k: &SpiceKey| path_of::<SpiceClass>(&store, k);
         fs::create_dir_all(path(&nand).parent().expect("entry dir")).expect("mkdir");
         fs::copy(path(&inv), path(&nand)).expect("forge the entry");
         assert_eq!(store.load_spice(&nand), None);
@@ -1516,7 +1132,8 @@ mod tests {
     #[test]
     fn gmi_result_round_trips_bit_exactly() {
         let r = sample_gmi();
-        let back = dec_gmi_result(&enc_gmi_result(&r)).expect("decodes");
+        let back =
+            GmiClass::decode(&gmi_key(Benchmark::Aes), &GmiClass::encode(&r)).expect("decodes");
         assert_eq!(back, r);
         assert_eq!(back.wns_ps.to_bits(), (-37.125f64).to_bits());
         // -0.0 survives as -0.0 (bit-exact, not value-equal).
@@ -1547,7 +1164,7 @@ mod tests {
         let store = DiskStore::open(&root);
         let key = gmi_key(Benchmark::Aes);
         store.store_gmi(&key, &sample_gmi());
-        let path = store.entry_path(CacheKind::Gmi, content_hash(&enc_flow_key(&key)));
+        let path = path_of::<GmiClass>(&store, &key);
         assert!(path.starts_with(root.join("gmi")));
         let bytes = fs::read(&path).expect("entry on disk");
         assert_eq!(content_hash(&bytes), 0x9f5b_2b39_4da2_60a3);
@@ -1563,7 +1180,7 @@ mod tests {
         let store = DiskStore::open(&root);
         let (aes, ldpc) = (gmi_key(Benchmark::Aes), gmi_key(Benchmark::Ldpc));
         store.store_gmi(&aes, &sample_gmi());
-        let path = |k: &FlowKey| store.entry_path(CacheKind::Gmi, content_hash(&enc_flow_key(k)));
+        let path = |k: &FlowKey| path_of::<GmiClass>(&store, k);
         fs::create_dir_all(path(&ldpc).parent().expect("entry dir")).expect("mkdir");
         fs::copy(path(&aes), path(&ldpc)).expect("forge the entry");
         assert_eq!(store.load_gmi(&ldpc), None);
@@ -1581,8 +1198,112 @@ mod tests {
         small.bench_scale = BenchScale::Small;
         let mut paper = crate::flow::FlowConfig::new(NodeId::N45);
         paper.bench_scale = BenchScale::Paper;
-        let a = enc_flow_key(&FlowKey::of(Benchmark::Des, DesignStyle::TwoD, &small));
-        let b = enc_flow_key(&FlowKey::of(Benchmark::Des, DesignStyle::TwoD, &paper));
+        let a = FlowClass::key_bytes(&FlowKey::of(Benchmark::Des, DesignStyle::TwoD, &small));
+        let b = FlowClass::key_bytes(&FlowKey::of(Benchmark::Des, DesignStyle::TwoD, &paper));
         assert_ne!(content_hash(&a), content_hash(&b));
+    }
+    /// A small hand-built library: one cell per function (so it
+    /// validates), with both pin directions and a sequential spec, so
+    /// every branch of the cell codec is in the image. It does not
+    /// depend on characterization, so only the codecs can move its pin.
+    fn sample_library() -> CellLibrary {
+        let grid = |base: f64| Nldm::new(vec![7.5, 37.5], vec![0.8], vec![base, 2.0 * base]);
+        let cells = CellFunction::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, &function)| Cell {
+                name: format!("{function:?}_X1"),
+                function,
+                drive: 1,
+                width_nm: 190 * (i as i64 + 1),
+                height_nm: 1400,
+                pins: vec![
+                    Pin {
+                        name: "A".into(),
+                        dir: PinDir::Input,
+                        cap_ff: 0.5 + i as f64 / 8.0,
+                    },
+                    Pin {
+                        name: "Z".into(),
+                        dir: PinDir::Output,
+                        cap_ff: 0.0,
+                    },
+                ],
+                delay: grid(10.0 + i as f64),
+                out_slew: grid(5.25),
+                energy: grid(0.125),
+                leakage_mw: 1e-5,
+                seq: function.is_sequential().then_some(SeqSpec {
+                    setup_ps: 20.0,
+                    hold_ps: 5.0,
+                    clk_energy_fj: 0.75,
+                }),
+                miv_count: i as u32 % 3,
+                r_drive: 2.5,
+            })
+            .collect();
+        CellLibrary::try_from_parts(TechNode::for_id(NodeId::N45), DesignStyle::Tmi, cells)
+            .expect("sample library validates")
+    }
+
+    /// Pins the library entry file image: any change to the frame, the
+    /// library key codec or the cell codec moves this hash. Also pins
+    /// each class's entry directory.
+    #[test]
+    fn library_entry_file_image_is_pinned() {
+        let root = temp_root("libpin");
+        let store = DiskStore::open(&root);
+        let key = LibraryKey::new(NodeId::N45, DesignStyle::Tmi, true, 0.6);
+        let lib = sample_library();
+        store.store_library(&key, &lib);
+        let path = path_of::<LibraryClass>(&store, &key);
+        let bytes = fs::read(&path).expect("entry on disk");
+        assert_eq!(content_hash(&bytes), 0x590b_4a88_030c_46cd);
+        let back = store.load_library(&key).expect("the entry loads back");
+        assert!(back.iter().zip(lib.iter()).all(|((_, a), (_, b))| a == b));
+
+        let flow = flow_key();
+        let spice = spice_key(CellFunction::Inv);
+        for (path, dir) in [
+            (path, "lib"),
+            (path_of::<FlowClass>(&store, &flow), "flow"),
+            (path_of::<SpiceClass>(&store, &spice), "spice"),
+            (path_of::<GmiClass>(&store, &flow), "gmi"),
+        ] {
+            assert!(
+                path.starts_with(root.join(dir)),
+                "{path:?} not under {dir}/"
+            );
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A killed publish leaves its temp file behind; the scan of a later
+    /// open deletes it once it is as old as a stale lock, and leaves a
+    /// younger one (possibly a live peer's publish) alone.
+    #[test]
+    fn stale_publish_temp_files_are_reclaimed_on_open() {
+        let root = temp_root("tmpgc");
+        let keys = [Benchmark::Des, Benchmark::Aes].map(gmi_key);
+        let temps = keys.map(|k| {
+            let store =
+                DiskStore::with_faults(&root, u64::MAX, StoreFaultPlan::new().torn_write_on(1));
+            store.store_flow(&k, &sample_result());
+            let tmp = temp_path(&path_of::<FlowClass>(&store, &k));
+            assert!(tmp.exists(), "a torn write leaves its temp file");
+            tmp
+        });
+        let old = std::time::SystemTime::now() - LOCK_STALE - Duration::from_secs(5);
+        let backdated = fs::File::options()
+            .write(true)
+            .open(&temps[0])
+            .and_then(|f| f.set_modified(old));
+        if backdated.is_ok() {
+            let store = DiskStore::open(&root);
+            assert!(!temps[0].exists(), "stale temp file reclaimed");
+            assert!(temps[1].exists(), "fresh temp file left alone");
+            assert_eq!(store.resident_bytes(), 0);
+        }
+        let _ = fs::remove_dir_all(&root);
     }
 }

@@ -343,43 +343,13 @@ pub fn write_stats(
     protocol_errors: u64,
     draining: bool,
 ) {
-    // Full destructuring, as `CacheStats`'s `Display` does: a counter
-    // added to the struct without a field here refuses to compile.
-    let CacheStats {
-        library_builds,
-        library_hits,
-        library_evictions,
-        flow_stores,
-        flow_hits,
-        flow_misses,
-        flow_evictions,
-        spice_builds,
-        spice_hits,
-        spice_evictions,
-        gmi_builds,
-        gmi_hits,
-        gmi_evictions,
-        disk_hits,
-        disk_misses,
-        disk_stores,
-        disk_evictions,
-        disk_quarantined,
-        store_degraded,
-    } = *s;
     open_ok(buf, id, "stats");
+    for (name, value) in s.fields() {
+        let _ = write!(buf, ",\"{name}\":{value}");
+    }
     let _ = write!(
         buf,
-        ",\"library_builds\":{library_builds},\"library_hits\":{library_hits},\
-         \"library_evictions\":{library_evictions},\"flow_stores\":{flow_stores},\
-         \"flow_hits\":{flow_hits},\"flow_misses\":{flow_misses},\
-         \"flow_evictions\":{flow_evictions},\"spice_builds\":{spice_builds},\
-         \"spice_hits\":{spice_hits},\"spice_evictions\":{spice_evictions},\
-         \"gmi_builds\":{gmi_builds},\"gmi_hits\":{gmi_hits},\
-         \"gmi_evictions\":{gmi_evictions},\
-         \"disk_hits\":{disk_hits},\"disk_misses\":{disk_misses},\
-         \"disk_stores\":{disk_stores},\"disk_evictions\":{disk_evictions},\
-         \"disk_quarantined\":{disk_quarantined},\"store_degraded\":{store_degraded},\
-         \"requests\":{requests},\"protocol_errors\":{protocol_errors},\
+        ",\"requests\":{requests},\"protocol_errors\":{protocol_errors},\
          \"draining\":{draining}}}"
     );
 }
