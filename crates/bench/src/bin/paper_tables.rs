@@ -9,7 +9,8 @@
 //! table9 table11 table12 table15 table16 table17 fig3 fig4 fig5 fig6
 //! fig10 fig11 s5 gmi (the G-MI extension study) summary (the
 //! reproduction scorecard). A name outside the registry rejects the
-//! whole run with exit status 2.
+//! whole run with exit status 2. A driver whose flow fails prints its
+//! typed error on stderr and ends the run with exit status 1.
 //!
 //! `--small` runs the reduced benchmark circuits (seconds); the default
 //! paper scale regenerates the full study (minutes). `--subset` selects
@@ -64,7 +65,7 @@ use m3d_bench::{cli, node_drivers, paper_drivers, SMOKE_SUBSET};
 use m3d_netlist::BenchScale;
 use m3d_tech::NodeId;
 use monolith3d::{
-    experiments, ArtifactCache, CancelToken, DiskStore, ExperimentPlan, JsonlRecorder,
+    experiments, ArtifactCache, CancelToken, DiskStore, ExperimentPlan, FlowError, JsonlRecorder,
     ParallelExecutor, Recorder,
 };
 
@@ -182,7 +183,7 @@ fn main() {
     // Without `--node`, selection goes over the full classic registry
     // (stdout bytes pinned by the golden tests). With `--node`, it goes
     // over the node-generic smoke drivers retargeted to the chosen PDK.
-    type Run = (&'static str, Box<dyn Fn() -> String>);
+    type Run = (&'static str, Box<dyn Fn() -> Result<String, FlowError>>);
     let selected: Result<Vec<Run>, _> = match node {
         None => cli::select(&paper_drivers(), &wanted).map(|drivers| {
             drivers
@@ -247,17 +248,27 @@ fn main() {
                 }
             );
             if let Some(e) = report.first_error() {
-                // The responsible driver will hit the same failure
-                // serially and panic with full context.
+                // The responsible driver hits the same failure serially
+                // and reports it below, ending the run with status 1.
                 eprintln!("[executor: a flow point failed: {e}]");
             }
         }
     }
 
+    // The first driver error ends the run: the cache line and the
+    // trace flush below still happen, then the process exits 1.
+    let mut failed = false;
     for (name, run) in &selected {
         let t = Instant::now();
         println!("==================== {name} ====================");
-        println!("{}", run());
+        match run() {
+            Ok(text) => println!("{text}"),
+            Err(e) => {
+                eprintln!("[{name} failed: {e}]");
+                failed = true;
+                break;
+            }
+        }
         eprintln!("[{name} took {:.1?}]", t.elapsed());
     }
     eprintln!("[artifact cache: {}]", ArtifactCache::global().stats());
@@ -267,5 +278,8 @@ fn main() {
             Ok(()) => eprintln!("[wrote event trace to {p}]"),
             Err(e) => eprintln!("[trace flush to {p} failed: {e}]"),
         }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -16,6 +16,7 @@
 use m3d_netlist::BenchScale;
 use m3d_tech::NodeId;
 use monolith3d::experiments as exp;
+use monolith3d::FlowError;
 
 /// Shared command-line parsing for the bench binaries.
 pub mod cli {
@@ -210,12 +211,16 @@ pub mod cli {
     }
 }
 
-/// One named experiment driver of the `paper_tables` registry.
-pub type PaperDriver = (&'static str, fn(BenchScale) -> String);
+/// One named experiment driver of the `paper_tables` registry: the
+/// rendered table, or the [`FlowError`] of the first flow that failed.
+pub type PaperDriver = (&'static str, fn(BenchScale) -> Result<String, FlowError>);
 
 /// One named node-generic experiment driver: the `--node` CLI path runs
 /// these with the selected [`NodeId`].
-pub type NodeDriver = (&'static str, fn(NodeId, BenchScale) -> String);
+pub type NodeDriver = (
+    &'static str,
+    fn(NodeId, BenchScale) -> Result<String, FlowError>,
+);
 
 /// The flow-heavy smoke subset: `paper_tables --subset` runs exactly
 /// these drivers, in [`paper_drivers`] order.

@@ -30,7 +30,7 @@
 //! is deterministic; `tests/flow_cache.rs` asserts both properties).
 //!
 //! One process-wide cache ([`ArtifactCache::global`]) serves
-//! [`crate::Flow::run`], every `experiments::*` driver and the
+//! [`crate::Flow::try_run`], every `experiments::*` driver and the
 //! `paper_tables` binary; fresh instances (`ArtifactCache::default`)
 //! isolate tests and benchmarks that must measure cold runs.
 
@@ -571,7 +571,7 @@ impl Default for ArtifactCache {
 }
 
 impl ArtifactCache {
-    /// The process-wide cache shared by [`crate::Flow::run`], the
+    /// The process-wide cache shared by [`crate::Flow::try_run`], the
     /// experiment drivers and `paper_tables`.
     pub fn global() -> Arc<ArtifactCache> {
         static GLOBAL: OnceLock<Arc<ArtifactCache>> = OnceLock::new();

@@ -3,7 +3,7 @@ use serde::{Deserialize, Serialize};
 use m3d_netlist::Benchmark;
 use m3d_tech::DesignStyle;
 
-use crate::{Flow, FlowConfig, FlowResult};
+use crate::{Flow, FlowConfig, FlowError, FlowResult};
 
 /// An iso-performance 2D vs T-MI pair: both styles, same benchmark, same
 /// target clock — the comparison unit of the paper's Tables 4/7/13/14.
@@ -24,12 +24,16 @@ fn pct(tmi: f64, two_d: f64) -> f64 {
 }
 
 impl Comparison {
-    /// Runs both flows.
-    pub fn run(bench: Benchmark, config: &FlowConfig) -> Self {
-        Comparison {
-            two_d: Flow::new(bench, DesignStyle::TwoD, config.clone()).run(),
-            tmi: Flow::new(bench, DesignStyle::Tmi, config.clone()).run(),
-        }
+    /// Runs both flows, 2D first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`FlowError`] of the first flow that fails.
+    pub fn try_run(bench: Benchmark, config: &FlowConfig) -> Result<Self, FlowError> {
+        Ok(Comparison {
+            two_d: Flow::new(bench, DesignStyle::TwoD, config.clone()).try_run()?,
+            tmi: Flow::new(bench, DesignStyle::Tmi, config.clone()).try_run()?,
+        })
     }
 
     /// Footprint delta, % (negative = T-MI smaller; paper: −40.9…−43.4 %).
@@ -85,13 +89,14 @@ impl Comparison {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ConfigError;
     use m3d_netlist::BenchScale;
     use m3d_tech::NodeId;
 
     #[test]
     fn comparison_shows_tmi_benefits_on_small_aes() {
         let cfg = FlowConfig::new(NodeId::N45).scale(BenchScale::Small);
-        let cmp = Comparison::run(Benchmark::Aes, &cfg);
+        let cmp = Comparison::try_run(Benchmark::Aes, &cfg).expect("both flows close");
         assert!(
             cmp.footprint_pct() < -25.0,
             "footprint {}",
@@ -109,5 +114,17 @@ mod tests {
         );
         let row = cmp.table_row();
         assert!(row.contains("AES"));
+    }
+
+    #[test]
+    fn invalid_config_is_a_typed_error_not_a_panic() {
+        let cfg = FlowConfig::new(NodeId::N45)
+            .scale(BenchScale::Small)
+            .clock(f64::NAN);
+        let err = Comparison::try_run(Benchmark::Aes, &cfg).expect_err("a NaN clock is rejected");
+        assert!(
+            matches!(err, FlowError::Config(ConfigError::BadClock(c)) if c.is_nan()),
+            "got {err:?}"
+        );
     }
 }

@@ -12,6 +12,7 @@ use m3d_tech::{
 };
 
 use crate::cache::{ArtifactCache, SpiceKey};
+use crate::FlowError;
 
 /// The four cells Tables 1/2 report on.
 const TABLE_CELLS: [CellFunction; 4] = [
@@ -48,7 +49,7 @@ fn signal_totals(e: &CellExtraction) -> (f64, f64) {
 
 /// Table 1: cell-internal parasitic RC of the 2D and folded T-MI cells
 /// under the dielectric ("3D") and conductor ("3D-c") top-silicon models.
-pub fn table1_cell_rc() -> String {
+pub fn table1_cell_rc() -> Result<String, FlowError> {
     let node = TechNode::n45();
     let mut out = String::new();
     let _ = writeln!(
@@ -92,7 +93,7 @@ pub fn table1_cell_rc() -> String {
          in-cell poly/metal), R(3D) > R(2D) for the DFF (poly jumpers forced\n\
          by the folded cell's track shortage), C(3D-c) < C(3D) always.\n",
     );
-    out
+    Ok(out)
 }
 
 /// Table 2: SPICE-characterized delay and internal energy of 2D vs T-MI
@@ -102,7 +103,7 @@ pub fn table1_cell_rc() -> String {
 /// ELC procedure), one deck per (cell, style, corner), memoized and
 /// persisted by the global [`ArtifactCache`]; the sequential DFF uses
 /// the analytic characterization.
-pub fn table2_cell_timing_power() -> String {
+pub fn table2_cell_timing_power() -> Result<String, FlowError> {
     let node = TechNode::n45();
     let cache = ArtifactCache::global();
     let corners = [
@@ -169,11 +170,11 @@ pub fn table2_cell_timing_power() -> String {
             );
         }
     }
-    out
+    Ok(out)
 }
 
 /// Table 3: the metal layer summary for the 2D and T-MI stacks.
-pub fn table3_metal_layers() -> String {
+pub fn table3_metal_layers() -> Result<String, FlowError> {
     let node = TechNode::n45();
     let mut out = String::new();
     let _ = writeln!(
@@ -208,11 +209,11 @@ pub fn table3_metal_layers() -> String {
     out.push_str(
         "paper: global 400/400/800, intermediate 140/140/280, local 70/70/140, M1 70/65/130\n",
     );
-    out
+    Ok(out)
 }
 
 /// Table 6: 45 nm vs 7 nm technology setup.
-pub fn table6_node_setup() -> String {
+pub fn table6_node_setup() -> Result<String, FlowError> {
     let n45 = TechNode::n45();
     let n7 = TechNode::n7();
     let mut out = String::new();
@@ -267,13 +268,13 @@ pub fn table6_node_setup() -> String {
         let _ = writeln!(out, "  {name:22} {a:>10} {b:>10}");
     }
     out.push_str("paper: 1.1/0.7 V, 50/11 nm, k 2.5/2.2, M2 70/10.8, MIV 70/10.8, ILD 110/50, height 1.4/0.218 um\n");
-    out
+    Ok(out)
 }
 
 /// Table 11: 45 nm vs 7 nm cell characterization (input cap, delay, slew,
 /// power, leakage) for INV, NAND2 and DFF at the paper's corner
 /// (slew 19 ps, load 3.2 fF, scaled at 7 nm).
-pub fn table11_7nm_cells() -> String {
+pub fn table11_7nm_cells() -> Result<String, FlowError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -283,9 +284,7 @@ pub fn table11_7nm_cells() -> String {
     let paper = "paper 45nm:  INV 0.463/44.3/31.4/0.446/2844  NAND2 0.523/49.2/35.9/0.680/4962  DFF 0.877/124.7/34.6/3.425/42965\n\
                  paper  7nm:  INV 0.125/25.6/15.1/0.020/2583  NAND2 0.082/30.5/19.3/0.020/2906  DFF 0.097/27.1/8.3/0.604/23241\n";
     for node in [TechNode::n45(), TechNode::n7()] {
-        let lib = ArtifactCache::global()
-            .library(node.id, DesignStyle::TwoD, false, 1.0)
-            .expect("library builds");
+        let lib = ArtifactCache::global().library(node.id, DesignStyle::TwoD, false, 1.0)?;
         // The paper's 19 ps / 3.2 fF corner, moved to where the node's
         // characterized grids live — the PDK's slew/load factors
         // (identity at 45 nm, the ITRS pair at 7 nm).
@@ -310,17 +309,15 @@ pub fn table11_7nm_cells() -> String {
         }
     }
     out.push_str(paper);
-    out
+    Ok(out)
 }
 
 /// Fig. 5: the T-MI cell inventory — per-cell dimensions, device and MIV
 /// counts for the whole library (the paper drew four of these layouts;
 /// we tabulate all of them).
-pub fn fig5_cell_inventory() -> String {
+pub fn fig5_cell_inventory() -> Result<String, FlowError> {
     let node = TechNode::n45();
-    let lib = ArtifactCache::global()
-        .library(node.id, DesignStyle::Tmi, false, 1.0)
-        .expect("library builds");
+    let lib = ArtifactCache::global().library(node.id, DesignStyle::Tmi, false, 1.0)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -340,7 +337,7 @@ pub fn fig5_cell_inventory() -> String {
             cell.miv_count
         );
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -349,7 +346,7 @@ mod tests {
 
     #[test]
     fn table1_reproduces_rc_directions() {
-        let t = table1_cell_rc();
+        let t = table1_cell_rc().expect("table1 renders");
         assert!(t.contains("INV"));
         assert!(t.contains("DFF"));
         assert!(t.contains("observations reproduced"));
@@ -357,7 +354,7 @@ mod tests {
 
     #[test]
     fn table3_lists_all_stacks() {
-        let t = table3_metal_layers();
+        let t = table3_metal_layers().expect("table3 renders");
         assert!(t.contains("stack 2D"));
         assert!(t.contains("stack T-MI+M"));
         assert!(t.contains("MB1"));
@@ -365,15 +362,17 @@ mod tests {
 
     #[test]
     fn table6_and_11_mention_both_nodes() {
-        assert!(table6_node_setup().contains("multi-gate"));
-        let t11 = table11_7nm_cells();
+        assert!(table6_node_setup()
+            .expect("table6 renders")
+            .contains("multi-gate"));
+        let t11 = table11_7nm_cells().expect("table11 renders");
         assert!(t11.contains("45nm"));
         assert!(t11.contains("7nm"));
     }
 
     #[test]
     fn fig5_counts_mivs() {
-        let t = fig5_cell_inventory();
+        let t = fig5_cell_inventory().expect("fig5 renders");
         assert!(t.contains("INV_X1"));
         assert!(t.contains("MIVs"));
     }

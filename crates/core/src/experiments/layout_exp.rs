@@ -9,7 +9,7 @@ use m3d_tech::{DesignStyle, NodeId};
 
 use super::Row;
 use crate::cache::ArtifactCache;
-use crate::{FlowConfig, FlowResult};
+use crate::{FlowConfig, FlowError, FlowResult};
 
 /// The LDPC-vs-DES wiring-character contrast pair (Fig. 3, Table 16).
 const CONTRAST_BENCHES: [Benchmark; 2] = [Benchmark::Ldpc, Benchmark::Des];
@@ -82,7 +82,7 @@ pub(crate) fn layout_rows(node: NodeId, scale: BenchScale) -> Vec<Row> {
 /// comparison for all five benchmarks. Any other registered node (the
 /// `--node` CLI path) renders the same comparison without paper
 /// reference rows.
-pub fn layout_results(node: NodeId, scale: BenchScale) -> String {
+pub fn layout_results(node: NodeId, scale: BenchScale) -> Result<String, FlowError> {
     let paper = layout_paper(node);
     let mut out = match paper {
         Some((title, _)) => format!("{title}\n"),
@@ -94,7 +94,7 @@ pub fn layout_results(node: NodeId, scale: BenchScale) -> String {
     );
     let mut details = String::new();
     for row in layout_rows(node, scale) {
-        let cmp = row.compare();
+        let cmp = row.compare()?;
         let _ = writeln!(out, "{}", cmp.table_row());
         let p = paper
             .as_ref()
@@ -113,7 +113,7 @@ pub fn layout_results(node: NodeId, scale: BenchScale) -> String {
     }
     out.push_str("detailed rows (Tables 13/14 layout):\n");
     out.push_str(&details);
-    out
+    Ok(out)
 }
 
 /// Table 5's rows: the circuits compared against prior published work.
@@ -128,14 +128,14 @@ pub(crate) fn table5_rows(scale: BenchScale) -> Vec<Row> {
 /// Table 5: our AES/LDPC/DES results alongside the published numbers of
 /// the prior monolithic-3D works the paper compares against
 /// (Bobba et al. \[2\] CELONCEL; Lee et al. \[7\]).
-pub fn table5_prior_work(scale: BenchScale) -> String {
+pub fn table5_prior_work(scale: BenchScale) -> Result<String, FlowError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Table 5 - comparison with prior works (wirelength m / power mW / reduction)"
     );
     for row in table5_rows(scale) {
-        let cmp = row.compare();
+        let cmp = row.compare()?;
         let _ = writeln!(
             out,
             "{:5} ours-2D  WL {:6.3} m  P {:8.2} mW",
@@ -158,7 +158,7 @@ pub fn table5_prior_work(scale: BenchScale) -> String {
          LDPC: paper-2D 3.806 m/54.79 mW, paper-3D -33.6%/-32.1% | [2]-3D -12.6%/-6.0%\n\
          DES : paper-2D 0.611 m/63.88 mW, paper-3D -21.6%/-4.1%  | [2]-3D -13.4%/-1.9% | [7]-3D -19.7%/-3.1%\n",
     );
-    out
+    Ok(out)
 }
 
 /// Fig. 3's rows: the contrast pair's 2D designs.
@@ -175,7 +175,7 @@ pub(crate) fn fig3_rows(node: NodeId, scale: BenchScale) -> Vec<Row> {
 /// explains their opposite power benefits. The paper's figure is at
 /// 45 nm; any other node (the `--node` CLI path) renders the same rows
 /// without the paper reference footer.
-pub fn fig3_circuit_character(node: NodeId, scale: BenchScale) -> String {
+pub fn fig3_circuit_character(node: NodeId, scale: BenchScale) -> Result<String, FlowError> {
     let paper = node == NodeId::N45;
     let mut out = String::new();
     if paper {
@@ -191,7 +191,7 @@ pub fn fig3_circuit_character(node: NodeId, scale: BenchScale) -> String {
         );
     }
     for row in fig3_rows(node, scale) {
-        let r = row.run();
+        let r = row.run()?;
         let avg_net = r.wirelength_um / (r.cell_count as f64).max(1.0);
         let _ = writeln!(
             out,
@@ -218,12 +218,12 @@ pub fn fig3_circuit_character(node: NodeId, scale: BenchScale) -> String {
              DES 331x330 um, 0.611 m, 10.5 um avg net, wire 64 pF << pin 127 pF\n",
         );
     }
-    out
+    Ok(out)
 }
 
 /// Table 12: the benchmark circuits and their synthesis statistics at
 /// both nodes.
-pub fn table12_benchmarks(scale: BenchScale) -> String {
+pub fn table12_benchmarks(scale: BenchScale) -> Result<String, FlowError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -231,9 +231,7 @@ pub fn table12_benchmarks(scale: BenchScale) -> String {
          node circuit  clk(ns)  #cells   area(um2)   #nets   fanout  #flops"
     );
     for node_id in [NodeId::N45, NodeId::N7] {
-        let lib = ArtifactCache::global()
-            .library(node_id, DesignStyle::TwoD, false, 1.0)
-            .expect("library builds");
+        let lib = ArtifactCache::global().library(node_id, DesignStyle::TwoD, false, 1.0)?;
         for bench in Benchmark::ALL {
             let n = bench.generate(&lib, scale);
             let s = n.stats(&lib);
@@ -255,7 +253,7 @@ pub fn table12_benchmarks(scale: BenchScale) -> String {
         "paper 45nm: FPU 9694/19123, AES 13891/16756, LDPC 38289/60590, DES 51162/85526, M256 202877/293636\n\
          (generators are structurally faithful; counts match to first order)\n",
     );
-    out
+    Ok(out)
 }
 
 /// Table 16's rows: the contrast pair, each as a 2D/T-MI pair.
@@ -271,7 +269,7 @@ pub(crate) fn table16_rows(node: NodeId, scale: BenchScale) -> Vec<Row> {
 /// at 45 nm — the quantitative core of the paper's Section 4.3 argument.
 /// Any other node (the `--node` CLI path) renders the same rows without
 /// the paper reference footer.
-pub fn table16_net_breakdown(node: NodeId, scale: BenchScale) -> String {
+pub fn table16_net_breakdown(node: NodeId, scale: BenchScale) -> Result<String, FlowError> {
     let paper = node == NodeId::N45;
     let mut out = String::new();
     if paper {
@@ -285,7 +283,7 @@ pub fn table16_net_breakdown(node: NodeId, scale: BenchScale) -> String {
     }
     out.push_str("design     wire cap(pF)  pin cap(pF)  wire P(mW)  pin P(mW)\n");
     for row in table16_rows(node, scale) {
-        let cmp = row.compare();
+        let cmp = row.compare()?;
         for r in [&cmp.two_d, &cmp.tmi] {
             let _ = writeln!(
                 out,
@@ -305,14 +303,12 @@ pub fn table16_net_breakdown(node: NodeId, scale: BenchScale) -> String {
              DES-2D 64.4/127.4 pF 8.88/17.80 mW -> 3D 50.1/126.6, 6.87/17.76\n",
         );
     }
-    out
+    Ok(out)
 }
 
 /// Fig. 6: the fanout-vs-wirelength wire-load-model curves per benchmark.
-pub fn fig6_wlm_curves(scale: BenchScale) -> String {
-    let lib = ArtifactCache::global()
-        .library(NodeId::N45, DesignStyle::TwoD, false, 1.0)
-        .expect("library builds");
+pub fn fig6_wlm_curves(scale: BenchScale) -> Result<String, FlowError> {
+    let lib = ArtifactCache::global().library(NodeId::N45, DesignStyle::TwoD, false, 1.0)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -324,7 +320,7 @@ pub fn fig6_wlm_curves(scale: BenchScale) -> String {
         let p = Placer::new(&lib)
             .utilization(bench.target_utilization())
             .iterations(16)
-            .place(&n);
+            .try_place(&n)?;
         let wlm = WireLoadModel::from_placement(&n, &p);
         let _ = writeln!(
             out,
@@ -338,7 +334,7 @@ pub fn fig6_wlm_curves(scale: BenchScale) -> String {
         );
     }
     out.push_str("paper shape: LDPC's curve is by far the steepest (up to ~400 um at fanout 20); DES the flattest\n");
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -347,14 +343,14 @@ mod tests {
 
     #[test]
     fn fig6_orders_ldpc_above_des() {
-        let t = fig6_wlm_curves(BenchScale::Small);
+        let t = fig6_wlm_curves(BenchScale::Small).expect("fig6 renders");
         assert!(t.contains("LDPC"));
         assert!(t.contains("DES"));
     }
 
     #[test]
     fn table12_reports_both_nodes() {
-        let t = table12_benchmarks(BenchScale::Small);
+        let t = table12_benchmarks(BenchScale::Small).expect("table12 renders");
         assert!(t.contains("45nm"));
         assert!(t.contains("7nm"));
         assert!(t.contains("M256"));

@@ -3,7 +3,8 @@
 //! Every driver regenerates its artifact from scratch — cell library,
 //! layouts, extraction, full physical flows — and returns a formatted
 //! report comparing the measured values against the paper's published
-//! numbers. The `paper_tables` binary (in `m3d-bench`) exposes them on
+//! numbers, or the [`FlowError`] of the first flow or library build
+//! that fails. The `paper_tables` binary (in `m3d-bench`) exposes them on
 //! the command line; `EXPERIMENTS.md` records a full run.
 //!
 //! | driver | paper artifact |
@@ -37,7 +38,7 @@ mod sweeps;
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, NodeId};
 
-use crate::{Comparison, ExperimentPlan, Flow, FlowConfig, FlowResult};
+use crate::{Comparison, ExperimentPlan, Flow, FlowConfig, FlowError, FlowResult};
 
 /// One row of a flow driver's table: what the row prints (`label`) and
 /// the flow point it runs — `bench` under `cfg`, in one `style`, or as
@@ -77,15 +78,15 @@ impl<L> Row<L> {
     }
 
     /// Runs a pair row's iso-performance comparison.
-    pub(crate) fn compare(&self) -> Comparison {
+    pub(crate) fn compare(&self) -> Result<Comparison, FlowError> {
         assert!(self.style.is_none(), "a single-style row has no pair");
-        Comparison::run(self.bench, &self.cfg)
+        Comparison::try_run(self.bench, &self.cfg)
     }
 
     /// Runs a single-style row's flow.
-    pub(crate) fn run(&self) -> FlowResult {
+    pub(crate) fn run(&self) -> Result<FlowResult, FlowError> {
         let style = self.style.expect("a pair row runs two flows");
-        Flow::new(self.bench, style, self.cfg.clone()).run()
+        Flow::new(self.bench, style, self.cfg.clone()).try_run()
     }
 }
 

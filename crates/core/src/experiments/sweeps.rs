@@ -7,7 +7,7 @@ use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, NodeId, StackKind};
 
 use super::Row;
-use crate::FlowConfig;
+use crate::{FlowConfig, FlowError};
 
 /// Fig. 4 clock sweep points, chosen so both styles close at this
 /// toolkit's library speed (the paper's absolute values are rescaled;
@@ -57,7 +57,7 @@ pub(crate) fn fig4_rows(scale: BenchScale) -> Vec<Row<f64>> {
 /// Fig. 4: the power benefit of T-MI versus target clock period for AES
 /// (1.0 / 0.8 / 0.72 ns) and M256 (2.6 / 2.4 / 2.0 ns). The paper's
 /// trend: the faster the clock, the bigger the benefit.
-pub fn fig4_clock_sweep(scale: BenchScale) -> String {
+pub fn fig4_clock_sweep(scale: BenchScale) -> Result<String, FlowError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -67,7 +67,7 @@ pub fn fig4_clock_sweep(scale: BenchScale) -> String {
     // Rows where a side misses its clock are flagged and not part of
     // the trend.
     for row in fig4_rows(scale) {
-        let cmp = row.compare();
+        let cmp = row.compare()?;
         let flag = if cmp.two_d.wns_ps < 0.0 || cmp.tmi.wns_ps < 0.0 {
             "  [NOT MET - excluded from trend]"
         } else {
@@ -91,7 +91,7 @@ pub fn fig4_clock_sweep(scale: BenchScale) -> String {
         "paper: AES slow->fast total reduction grows ~9% -> ~14%; M256 ~15% -> ~25%;\n\
          cell-power reduction grows most steeply as the clock tightens\n",
     );
-    out
+    Ok(out)
 }
 
 /// Table 8's rows, labelled with their pin-capacitance scale.
@@ -109,7 +109,7 @@ pub(crate) fn table8_rows(scale: BenchScale) -> Vec<Row<f64>> {
 /// Table 8: the pin-capacitance reduction study on DES at 7 nm
 /// (pin caps scaled by 1.0 / 0.8 / 0.6 / 0.4). Paper's surprise: a lower
 /// pin cap does *not* increase the T-MI benefit.
-pub fn table8_pin_cap(scale: BenchScale) -> String {
+pub fn table8_pin_cap(scale: BenchScale) -> Result<String, FlowError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -117,7 +117,7 @@ pub fn table8_pin_cap(scale: BenchScale) -> String {
          pin-cap   WL-2D(m)  WL-3D(m)   P-2D(mW)  P-3D(mW)  reduction"
     );
     for row in table8_rows(scale) {
-        let cmp = row.compare();
+        let cmp = row.compare()?;
         let _ = writeln!(
             out,
             "x{:4.2} {:11.3} {:9.3} {:10.2} {:9.2} {:+9.1}%",
@@ -133,7 +133,7 @@ pub fn table8_pin_cap(scale: BenchScale) -> String {
         "paper: -3.4% at x1.0 -> -1.8/-2.7/-2.3% at x0.8/0.6/0.4 -- the benefit\n\
          does NOT grow: with smaller pins, cell power dominates instead\n",
     );
-    out
+    Ok(out)
 }
 
 /// Table 9's rows, labelled with their variant name.
@@ -150,7 +150,7 @@ pub(crate) fn table9_rows(scale: BenchScale) -> Vec<Row<&'static str>> {
 
 /// Table 9: the lower-metal-resistivity study on M256 at 7 nm (local +
 /// intermediate resistivity halved).
-pub fn table9_resistivity(scale: BenchScale) -> String {
+pub fn table9_resistivity(scale: BenchScale) -> Result<String, FlowError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -158,7 +158,7 @@ pub fn table9_resistivity(scale: BenchScale) -> String {
          variant   WL-2D(m)  WL-3D(m)   P-2D(mW)  P-3D(mW)  reduction"
     );
     for row in table9_rows(scale) {
-        let cmp = row.compare();
+        let cmp = row.compare()?;
         let _ = writeln!(
             out,
             "{:10} {:9.3} {:9.3} {:10.2} {:9.2} {:+9.1}%",
@@ -174,7 +174,7 @@ pub fn table9_resistivity(scale: BenchScale) -> String {
         "paper: -17.8% both with and without the resistivity cut -- lower metal\n\
          resistivity does not shrink the T-MI power benefit\n",
     );
-    out
+    Ok(out)
 }
 
 /// Table 15's T-MI rows, labelled with their row suffix.
@@ -193,7 +193,7 @@ pub(crate) fn table15_rows(scale: BenchScale) -> Vec<Row<&'static str>> {
 
 /// Table 15: synthesizing the T-MI designs with the 2D wire-load model
 /// ("-n") instead of their own.
-pub fn table15_wlm_impact(scale: BenchScale) -> String {
+pub fn table15_wlm_impact(scale: BenchScale) -> Result<String, FlowError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -201,7 +201,7 @@ pub fn table15_wlm_impact(scale: BenchScale) -> String {
          design      WL(m)     WNS(ps)   total P(mW)"
     );
     for row in table15_rows(scale) {
-        let r = row.run();
+        let r = row.run()?;
         let _ = writeln!(
             out,
             "{:5}-3D{:2} {:8.3} {:+10.0} {:12.2}",
@@ -216,7 +216,7 @@ pub fn table15_wlm_impact(scale: BenchScale) -> String {
         "paper: negligible for FPU/AES/DES; LDPC +10.1% WL and +10.1% power\n\
          without its T-MI WLM; M256 +5.5% WL / +3.9% power\n",
     );
-    out
+    Ok(out)
 }
 
 /// Table 17's T-MI rows, labelled with their stack name.
@@ -235,7 +235,7 @@ pub(crate) fn table17_rows(scale: BenchScale) -> Vec<Row<&'static str>> {
 
 /// Table 17: the modified T-MI+M metal stack (two extra local + two extra
 /// intermediate layers instead of three local) on LDPC and M256 at 7 nm.
-pub fn table17_metal_stack(scale: BenchScale) -> String {
+pub fn table17_metal_stack(scale: BenchScale) -> Result<String, FlowError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -243,7 +243,7 @@ pub fn table17_metal_stack(scale: BenchScale) -> String {
          design        WL(m)    total P(mW)  cell     net     leak"
     );
     for row in table17_rows(scale) {
-        let r = row.run();
+        let r = row.run()?;
         let _ = writeln!(
             out,
             "{:5}-{:4} {:9.3} {:12.2} {:8.2} {:8.2} {:7.3}",
@@ -257,7 +257,7 @@ pub fn table17_metal_stack(scale: BenchScale) -> String {
         );
     }
     out.push_str("paper: the +M stack cuts total power a further 2.4% (LDPC) / 2.8% (M256)\n");
-    out
+    Ok(out)
 }
 
 /// Fig. 10's rows: the T-MI designs of its circuits.
@@ -272,7 +272,7 @@ pub(crate) fn fig10_rows(node: NodeId, scale: BenchScale) -> Vec<Row> {
 /// Fig. 10: per-class metal usage for LDPC and M256 (T-MI, 45 nm). Any
 /// other node (the `--node` CLI path) renders the same rows without the
 /// paper reference footer.
-pub fn fig10_layer_usage(node: NodeId, scale: BenchScale) -> String {
+pub fn fig10_layer_usage(node: NodeId, scale: BenchScale) -> Result<String, FlowError> {
     let paper = node == NodeId::N45;
     let mut out = String::new();
     if paper {
@@ -285,7 +285,7 @@ pub fn fig10_layer_usage(node: NodeId, scale: BenchScale) -> String {
         );
     }
     for row in fig10_rows(node, scale) {
-        let r = row.run();
+        let r = row.run()?;
         let _ = writeln!(out, "{}:\n{}", row.bench.name(), r.layer_usage.to_table());
     }
     if paper {
@@ -293,7 +293,7 @@ pub fn fig10_layer_usage(node: NodeId, scale: BenchScale) -> String {
             "paper: both local and intermediate heavily used; LDPC uses more global metal than M256\n",
         );
     }
-    out
+    Ok(out)
 }
 
 /// Fig. 11's rows, labelled with their flop activity factor.
@@ -312,7 +312,7 @@ pub(crate) fn fig11_rows(scale: BenchScale) -> Vec<Row<f64>> {
 
 /// Fig. 11: power and reduction rate versus the sequential switching
 /// activity factor (0.1 - 0.4).
-pub fn fig11_activity_sweep(scale: BenchScale) -> String {
+pub fn fig11_activity_sweep(scale: BenchScale) -> Result<String, FlowError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -320,7 +320,7 @@ pub fn fig11_activity_sweep(scale: BenchScale) -> String {
          circuit  alpha   P-2D(mW)   P-3D(mW)  reduction"
     );
     for row in fig11_rows(scale) {
-        let cmp = row.compare();
+        let cmp = row.compare()?;
         let _ = writeln!(
             out,
             "{:6} {:6.2} {:10.2} {:10.2} {:+9.1}%",
@@ -335,7 +335,7 @@ pub fn fig11_activity_sweep(scale: BenchScale) -> String {
         "paper: total power grows with activity but the reduction *rate* is\n\
          nearly flat across alpha = 0.1-0.4 for every circuit\n",
     );
-    out
+    Ok(out)
 }
 
 /// S5's AES T-MI rows, labelled with their variant name.
@@ -352,7 +352,7 @@ pub(crate) fn s5_rows(scale: BenchScale) -> Vec<Row<&'static str>> {
 
 /// Supplement S5: MIV/MB1 routing blockage study — AES T-MI with and
 /// without MB1/MIV routing escapes.
-pub fn fig_s5_blockage(scale: BenchScale) -> String {
+pub fn fig_s5_blockage(scale: BenchScale) -> Result<String, FlowError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -360,7 +360,7 @@ pub fn fig_s5_blockage(scale: BenchScale) -> String {
          variant        WL(m)    WNS(ps)   total P(mW)"
     );
     for row in s5_rows(scale) {
-        let r = row.run();
+        let r = row.run()?;
         let _ = writeln!(
             out,
             "{:13} {:7.3} {:+10.0} {:12.2}",
@@ -374,7 +374,7 @@ pub fn fig_s5_blockage(scale: BenchScale) -> String {
         "paper: +0.1% wirelength, -0.1% power -- the in-cell blockages do not\n\
          degrade design quality at ~80% utilization\n",
     );
-    out
+    Ok(out)
 }
 
 /// The scorecard's rows: every circuit as a 45 nm 2D/T-MI pair.
@@ -388,7 +388,7 @@ pub(crate) fn summary_rows(scale: BenchScale) -> Vec<Row> {
 
 /// One-screen reproduction scorecard: the paper's headline claims with
 /// their pass/fail state, measured live at the given scale.
-pub fn summary_scorecard(scale: BenchScale) -> String {
+pub fn summary_scorecard(scale: BenchScale) -> Result<String, FlowError> {
     let mut out = String::new();
     let _ = writeln!(out, "Reproduction scorecard ({scale:?} scale)");
     let rows = summary_rows(scale);
@@ -398,7 +398,7 @@ pub fn summary_scorecard(scale: BenchScale) -> String {
     // DES the smallest benefit.
     let mut reductions: Vec<(Benchmark, f64, bool)> = Vec::new();
     for row in &rows {
-        let cmp = row.compare();
+        let cmp = row.compare()?;
         reductions.push((
             row.bench,
             cmp.total_power_pct(),
@@ -432,13 +432,19 @@ pub fn summary_scorecard(scale: BenchScale) -> String {
     ));
 
     // Claim 2: footprint reduction ~40%+ everywhere.
-    let fp_ok = rows.iter().all(|row| row.compare().footprint_pct() < -30.0);
+    let mut fp_ok = true;
+    for row in &rows {
+        fp_ok = row.compare()?.footprint_pct() < -30.0;
+        if !fp_ok {
+            break;
+        }
+    }
     claims.push(("footprint shrinks >30% in T-MI".into(), fp_ok));
 
     for (claim, ok) in &claims {
         let _ = writeln!(out, "  [{}] {}", if *ok { "PASS" } else { "FAIL" }, claim);
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -447,7 +453,7 @@ mod tests {
 
     #[test]
     fn scorecard_runs_and_reports() {
-        let t = summary_scorecard(BenchScale::Small);
+        let t = summary_scorecard(BenchScale::Small).expect("scorecard renders");
         assert!(t.contains("scorecard"));
         assert!(t.contains("DES"));
         assert!(t.contains("PASS") || t.contains("FAIL"));
@@ -455,14 +461,14 @@ mod tests {
 
     #[test]
     fn fig4_produces_both_circuits() {
-        let t = fig4_clock_sweep(BenchScale::Small);
+        let t = fig4_clock_sweep(BenchScale::Small).expect("fig4 renders");
         assert!(t.contains("AES"));
         assert!(t.contains("M256"));
     }
 
     #[test]
     fn s5_runs_both_variants() {
-        let t = fig_s5_blockage(BenchScale::Small);
+        let t = fig_s5_blockage(BenchScale::Small).expect("s5 renders");
         assert!(t.contains("with MB1/MIV"));
         assert!(t.contains("without"));
     }

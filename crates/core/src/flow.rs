@@ -269,19 +269,8 @@ impl Flow {
         }
     }
 
-    /// Runs the pipeline end to end.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any stage fails; see [`Flow::try_run`] for the
-    /// fallible form.
-    pub fn run(&self) -> FlowResult {
-        self.try_run()
-            .unwrap_or_else(|e| panic!("flow failed: {e}"))
-    }
-
-    /// Runs the pipeline end to end, reporting the first stage failure
-    /// instead of panicking.
+    /// Runs the pipeline end to end, stopping at the first stage
+    /// failure.
     ///
     /// Checks the process-wide [`ArtifactCache`] first: a flow point
     /// already signed off under an equivalent configuration returns the
@@ -409,23 +398,6 @@ pub fn estimate_models(
 
 /// Sign-off net models from routed-segment extraction.
 ///
-/// # Panics
-///
-/// Panics on out-of-range segment layers; see [`try_extraction_models`]
-/// for the fallible form used by the supervised flow.
-pub fn extraction_models(
-    netlist: &Netlist,
-    routed: &RoutedDesign,
-    node: &TechNode,
-) -> Vec<NetModel> {
-    match try_extraction_models(netlist, routed, node) {
-        Ok(models) => models,
-        Err(e) => panic!("sign-off extraction failed: {e}"),
-    }
-}
-
-/// Fallible form of [`extraction_models`].
-///
 /// # Errors
 ///
 /// Returns [`ExtractError`] when a routed segment references a layer
@@ -440,7 +412,7 @@ pub fn try_extraction_models(
         .map(|id| {
             let rn = routed.net(id);
             let p = try_extract_net(node, &routed.stack, &rn.segments, rn.via_count)?;
-            // extract_net sums all segments in series (trunk model); a
+            // try_extract_net sums all segments in series (trunk model); a
             // multi-sink net branches, so the driver-to-worst-sink
             // resistance is closer to total / sqrt(fanout).
             let sinks = netlist.net(id).sinks.len().max(1) as f64;
@@ -630,9 +602,13 @@ mod tests {
         FlowConfig::new(NodeId::N45).scale(BenchScale::Small)
     }
 
+    fn run(bench: Benchmark, style: DesignStyle, cfg: FlowConfig) -> FlowResult {
+        Flow::new(bench, style, cfg).try_run().expect("flow closes")
+    }
+
     #[test]
     fn flow_runs_and_closes_timing_on_small_aes() {
-        let r = Flow::new(Benchmark::Aes, DesignStyle::TwoD, small_cfg()).run();
+        let r = run(Benchmark::Aes, DesignStyle::TwoD, small_cfg());
         assert!(r.footprint_um2 > 0.0);
         assert!(r.wirelength_um > 0.0);
         assert!(r.total_power_mw() > 0.0);
@@ -646,8 +622,8 @@ mod tests {
 
     #[test]
     fn tmi_flow_shrinks_footprint_and_wirelength() {
-        let two_d = Flow::new(Benchmark::Aes, DesignStyle::TwoD, small_cfg()).run();
-        let tmi = Flow::new(Benchmark::Aes, DesignStyle::Tmi, small_cfg()).run();
+        let two_d = run(Benchmark::Aes, DesignStyle::TwoD, small_cfg());
+        let tmi = run(Benchmark::Aes, DesignStyle::Tmi, small_cfg());
         let fp = tmi.footprint_um2 / two_d.footprint_um2;
         assert!(fp < 0.75, "footprint ratio {fp}");
         let wl = tmi.wirelength_um / two_d.wirelength_um;
@@ -657,13 +633,12 @@ mod tests {
     #[test]
     fn faster_clock_costs_power() {
         let base = small_cfg();
-        let slow = Flow::new(
+        let slow = run(
             Benchmark::Aes,
             DesignStyle::TwoD,
             base.clone().clock(2000.0),
-        )
-        .run();
-        let fast = Flow::new(Benchmark::Aes, DesignStyle::TwoD, base.clock(900.0)).run();
+        );
+        let fast = run(Benchmark::Aes, DesignStyle::TwoD, base.clock(900.0));
         assert!(fast.total_power_mw() > slow.total_power_mw());
     }
 
@@ -671,8 +646,8 @@ mod tests {
     fn pin_cap_scale_reduces_pin_power() {
         let mut cfg = small_cfg();
         cfg.pin_cap_scale = 0.5;
-        let scaled = Flow::new(Benchmark::Des, DesignStyle::TwoD, cfg).run();
-        let base = Flow::new(Benchmark::Des, DesignStyle::TwoD, small_cfg()).run();
+        let scaled = run(Benchmark::Des, DesignStyle::TwoD, cfg);
+        let base = run(Benchmark::Des, DesignStyle::TwoD, small_cfg());
         assert!(scaled.power.pin_mw < base.power.pin_mw);
     }
 }

@@ -382,9 +382,9 @@ pub fn run_gmi(bench: Benchmark, config: &FlowConfig) -> Result<GmiResult, FlowE
 
 /// Extension experiment: 2D vs G-MI vs T-MI on AES and LDPC. Each G-MI
 /// point is served from the global cache when an earlier call (or, over
-/// a disk tier, an earlier process) stored it; a failed run panics and
-/// stores nothing.
-pub fn gmi_comparison(scale: BenchScale) -> String {
+/// a disk tier, an earlier process) stored it; a failed run stores
+/// nothing and returns its [`FlowError`].
+pub fn gmi_comparison(scale: BenchScale) -> Result<String, FlowError> {
     let cache = ArtifactCache::global();
     let mut out = String::new();
     let _ = writeln!(
@@ -394,13 +394,16 @@ pub fn gmi_comparison(scale: BenchScale) -> String {
     );
     for row in gmi_rows(scale) {
         let bench = row.bench;
-        let crate::Comparison { two_d, tmi } = row.compare();
+        let crate::Comparison { two_d, tmi } = row.compare()?;
         let key = FlowKey::of(bench, DesignStyle::TwoD, &row.cfg);
-        let gmi = cache.lookup_gmi(&key).unwrap_or_else(|| {
-            let r = run_gmi(bench, &row.cfg).unwrap_or_else(|e| panic!("G-MI flow failed: {e}"));
-            cache.store_gmi(&key, &r);
-            r
-        });
+        let gmi = match cache.lookup_gmi(&key) {
+            Some(hit) => hit,
+            None => {
+                let r = run_gmi(bench, &row.cfg)?;
+                cache.store_gmi(&key, &r);
+                r
+            }
+        };
         let _ = writeln!(
             out,
             "{:5}-2D   {:13.0} {:9.3} {:10.2}        -",
@@ -435,7 +438,7 @@ pub fn gmi_comparison(scale: BenchScale) -> String {
          literature context ([2], [8]): gate-level partitioning recovers part of the\n\
          footprint benefit but fewer of the wirelength gains than T-MI\n",
     );
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -537,7 +540,9 @@ mod tests {
     #[test]
     fn gmi_footprint_sits_between_2d_and_halved() {
         let cfg = FlowConfig::new(NodeId::N45).scale(BenchScale::Small);
-        let two_d = Flow::new(Benchmark::Aes, DesignStyle::TwoD, cfg.clone()).run();
+        let two_d = Flow::new(Benchmark::Aes, DesignStyle::TwoD, cfg.clone())
+            .try_run()
+            .expect("2D flow closes");
         let gmi = run_gmi(Benchmark::Aes, &cfg).expect("G-MI flow runs");
         let ratio = gmi.footprint_um2 / two_d.footprint_um2;
         assert!(

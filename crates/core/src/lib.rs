@@ -33,9 +33,10 @@
 //! experiment drivers and `paper_tables` never rebuild an identical
 //! artifact.
 //!
-//! Failure handling: every stage has a fallible entry point whose errors
-//! unify into [`FlowError`] ([`error`]); [`Flow::try_run`] reports the
-//! first failing stage instead of panicking; [`FlowSupervisor`]
+//! Failure handling: every stage has one fallible entry point whose
+//! errors unify into [`FlowError`] ([`error`]); [`Flow::try_run`], the
+//! [`experiments`] drivers and [`gmi::gmi_comparison`] return the first
+//! failing stage's error; [`FlowSupervisor`]
 //! ([`supervisor`]) runs each stage once under panic containment and a
 //! per-stage deadline, and [`faultinject`] plants deterministic faults —
 //! addressed to stages by name — to test that containment. A killed
@@ -64,7 +65,7 @@
 //! use monolith3d::{Comparison, FlowConfig};
 //!
 //! let cfg = FlowConfig::new(NodeId::N45).scale(BenchScale::Small);
-//! let cmp = Comparison::run(Benchmark::Aes, &cfg);
+//! let cmp = Comparison::try_run(Benchmark::Aes, &cfg).expect("both flows close");
 //! println!(
 //!     "footprint {:+.1}%  wirelength {:+.1}%  power {:+.1}%",
 //!     cmp.footprint_pct(),
@@ -101,7 +102,7 @@ pub use faultinject::{
     StoreFaultKind, StoreFaultPlan,
 };
 pub use flow::{default_clock_scale_at, Flow, FlowConfig, FlowResult};
-pub use flow::{estimate_models, extraction_models, try_extraction_models};
+pub use flow::{estimate_models, try_extraction_models};
 pub use govern::{CancelCause, CancelToken, PointOutcome};
 pub use observe::{
     escape_json_into, json_raw_field, json_str_field, unescape_json, CacheKind, Event, EventKind,

@@ -12,7 +12,7 @@
 //!   under-estimates it ("the real case would be between these two extreme
 //!   cases", Section 3.2). Table 1 of the paper is regenerated with this
 //!   engine.
-//! * [`extract_net`] — routed-net parasitics from per-layer wire lengths,
+//! * [`try_extract_net`] — routed-net parasitics from per-layer wire lengths,
 //!   using the capTable-derived unit RC of [`m3d_tech::WireRc`]. The STA
 //!   and power engines consume the resulting [`NetParasitics`].
 //!
@@ -20,14 +20,14 @@
 //!
 //! ```
 //! use m3d_tech::{MetalStack, StackKind, TechNode};
-//! use m3d_extract::extract_net;
+//! use m3d_extract::try_extract_net;
 //!
 //! let node = TechNode::n45();
 //! let stack = MetalStack::new(&node, StackKind::TwoD);
 //! let m2 = stack.by_name("M2").expect("M2 exists").index;
 //! let m7 = stack.by_name("M7").expect("M7 exists").index;
 //! // A net with 12 um on M2 and 80 um on M7, 4 vias.
-//! let p = extract_net(&node, &stack, &[(m2, 12.0), (m7, 80.0)], 4);
+//! let p = try_extract_net(&node, &stack, &[(m2, 12.0), (m7, 80.0)], 4).expect("extraction succeeds");
 //! assert!(p.c_wire > 0.0 && p.r_wire > 0.0);
 //! assert_eq!(p.length_um(), 92.0);
 //! ```
@@ -36,4 +36,4 @@ mod cell;
 mod net;
 
 pub use cell::{extract_cell, CellExtraction, TopSiliconModel};
-pub use net::{extract_net, try_extract_net, ExtractError, NetParasitics};
+pub use net::{try_extract_net, ExtractError, NetParasitics};

@@ -95,24 +95,6 @@ fn class_slot(class: MetalClass) -> usize {
 /// capacitance sums all segments. Via resistance uses the node's per-cut
 /// value.
 ///
-/// # Panics
-///
-/// Panics if a segment references a layer index outside the stack; see
-/// [`try_extract_net`] for the fallible form used by the supervised flow.
-pub fn extract_net(
-    node: &TechNode,
-    stack: &MetalStack,
-    segments: &[(u16, f64)],
-    via_count: u32,
-) -> NetParasitics {
-    match try_extract_net(node, stack, segments, via_count) {
-        Ok(p) => p,
-        Err(e) => panic!("net extraction failed: {e}"),
-    }
-}
-
-/// Fallible form of [`extract_net`].
-///
 /// # Errors
 ///
 /// Returns [`ExtractError`] when a segment references a layer outside the
@@ -164,7 +146,7 @@ mod tests {
     #[test]
     fn empty_net_has_only_via_resistance() {
         let (node, stack) = ctx();
-        let p = extract_net(&node, &stack, &[], 3);
+        let p = try_extract_net(&node, &stack, &[], 3).expect("extraction succeeds");
         assert_eq!(p.c_wire, 0.0);
         assert!((p.r_wire - 3.0 * node.via_resistance).abs() < 1e-12);
         assert_eq!(p.length_um(), 0.0);
@@ -174,8 +156,8 @@ mod tests {
     fn capacitance_scales_linearly_with_length() {
         let (node, stack) = ctx();
         let m2 = stack.by_name("M2").expect("M2").index;
-        let p1 = extract_net(&node, &stack, &[(m2, 10.0)], 0);
-        let p2 = extract_net(&node, &stack, &[(m2, 20.0)], 0);
+        let p1 = try_extract_net(&node, &stack, &[(m2, 10.0)], 0).expect("extraction succeeds");
+        let p2 = try_extract_net(&node, &stack, &[(m2, 20.0)], 0).expect("extraction succeeds");
         assert!((p2.c_wire / p1.c_wire - 2.0).abs() < 1e-9);
         assert!((p2.r_wire / p1.r_wire - 2.0).abs() < 1e-9);
     }
@@ -187,12 +169,13 @@ mod tests {
         let m4 = stack.by_name("M4").expect("M4").index;
         let m8 = stack.by_name("M8").expect("M8").index;
         let m10 = stack.by_name("M10").expect("M10").index;
-        let p = extract_net(
+        let p = try_extract_net(
             &node,
             &stack,
             &[(mb1, 1.0), (m4, 5.0), (m8, 7.0), (m10, 40.0)],
             6,
-        );
+        )
+        .expect("extraction succeeds");
         assert_eq!(p.class_len_um, [1.0, 5.0, 7.0, 40.0]);
         assert_eq!(p.length_um(), 53.0);
     }
@@ -202,8 +185,9 @@ mod tests {
         let (node, stack) = ctx();
         let m2 = stack.by_name("M2").expect("M2").index;
         let m10 = stack.by_name("M10").expect("M10").index;
-        let local = extract_net(&node, &stack, &[(m2, 100.0)], 0);
-        let global = extract_net(&node, &stack, &[(m10, 100.0)], 0);
+        let local = try_extract_net(&node, &stack, &[(m2, 100.0)], 0).expect("extraction succeeds");
+        let global =
+            try_extract_net(&node, &stack, &[(m10, 100.0)], 0).expect("extraction succeeds");
         assert!(global.r_wire < local.r_wire / 10.0);
     }
 
@@ -211,7 +195,7 @@ mod tests {
     fn elmore_grows_with_load() {
         let (node, stack) = ctx();
         let m4 = stack.by_name("M4").expect("M4").index;
-        let p = extract_net(&node, &stack, &[(m4, 50.0)], 2);
+        let p = try_extract_net(&node, &stack, &[(m4, 50.0)], 2).expect("extraction succeeds");
         assert!(p.elmore_into(5.0) > p.elmore_into(1.0));
         assert!(p.elmore_into(0.0) > 0.0);
     }
@@ -220,8 +204,8 @@ mod tests {
     fn merge_accumulates() {
         let (node, stack) = ctx();
         let m2 = stack.by_name("M2").expect("M2").index;
-        let mut a = extract_net(&node, &stack, &[(m2, 10.0)], 1);
-        let b = extract_net(&node, &stack, &[(m2, 5.0)], 2);
+        let mut a = try_extract_net(&node, &stack, &[(m2, 10.0)], 1).expect("extraction succeeds");
+        let b = try_extract_net(&node, &stack, &[(m2, 5.0)], 2).expect("extraction succeeds");
         a.merge(&b);
         assert_eq!(a.via_count, 3);
         assert!((a.class_len_um[1] - 15.0).abs() < 1e-12);

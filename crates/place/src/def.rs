@@ -14,7 +14,7 @@
 //!
 //! let lib = CellLibrary::build(&TechNode::n45(), DesignStyle::TwoD);
 //! let n = Benchmark::Aes.generate(&lib, BenchScale::Small);
-//! let p = Placer::new(&lib).iterations(12).place(&n);
+//! let p = Placer::new(&lib).iterations(12).try_place(&n).expect("placement succeeds");
 //! let text = def::to_def(&n, &p, &lib);
 //! assert!(text.contains("DIEAREA"));
 //! assert!(text.contains("COMPONENTS"));
@@ -111,7 +111,10 @@ mod tests {
     fn def_text() -> (Netlist, String) {
         let lib = CellLibrary::build(&TechNode::n45(), DesignStyle::TwoD);
         let n = Benchmark::Des.generate(&lib, BenchScale::Small);
-        let p = Placer::new(&lib).iterations(12).place(&n);
+        let p = Placer::new(&lib)
+            .iterations(12)
+            .try_place(&n)
+            .expect("placement succeeds");
         let t = to_def(&n, &p, &lib);
         (n, t)
     }

@@ -150,7 +150,10 @@ mod tests {
     fn legalized_rows_have_no_overlaps() {
         let lib = CellLibrary::build(&TechNode::n45(), DesignStyle::TwoD);
         let n = Benchmark::Des.generate(&lib, BenchScale::Small);
-        let p = Placer::new(&lib).utilization(0.7).place(&n);
+        let p = Placer::new(&lib)
+            .utilization(0.7)
+            .try_place(&n)
+            .expect("placement succeeds");
         // Group by row and check pairwise spacing.
         use std::collections::BTreeMap;
         let mut rows: BTreeMap<i64, Vec<(i64, i64)>> = BTreeMap::new();
@@ -178,7 +181,7 @@ mod tests {
     fn cells_snap_to_row_centres() {
         let lib = CellLibrary::build(&TechNode::n45(), DesignStyle::TwoD);
         let n = Benchmark::Aes.generate(&lib, BenchScale::Small);
-        let p = Placer::new(&lib).place(&n);
+        let p = Placer::new(&lib).try_place(&n).expect("placement succeeds");
         let row_h = p.row_height;
         for id in n.inst_ids() {
             let y = p.pos(id).y;

@@ -30,7 +30,7 @@
 //!
 //! let lib = CellLibrary::build(&TechNode::n45(), DesignStyle::TwoD);
 //! let netlist = Benchmark::Aes.generate(&lib, BenchScale::Small);
-//! let placement = Placer::new(&lib).utilization(0.8).place(&netlist);
+//! let placement = Placer::new(&lib).utilization(0.8).try_place(&netlist).expect("placement succeeds");
 //! assert!(placement.total_hpwl_um(&netlist) > 0.0);
 //! ```
 

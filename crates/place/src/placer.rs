@@ -113,20 +113,6 @@ impl<'l> Placer<'l> {
 
     /// Runs the full placement.
     ///
-    /// # Panics
-    ///
-    /// Panics on an empty netlist or degenerate cell footprints; see
-    /// [`Placer::try_place`] for the fallible form used by the
-    /// supervised flow.
-    pub fn place(&self, netlist: &Netlist) -> Placement {
-        match self.try_place(netlist) {
-            Ok(p) => p,
-            Err(e) => panic!("placement failed: {e}"),
-        }
-    }
-
-    /// Fallible form of [`Placer::place`].
-    ///
     /// # Errors
     ///
     /// Returns [`PlaceError`] when the netlist is empty, a cell footprint
@@ -362,8 +348,8 @@ mod tests {
     #[test]
     fn placement_is_inside_core_and_deterministic() {
         let (lib, n) = ctx();
-        let p1 = Placer::new(&lib).place(&n);
-        let p2 = Placer::new(&lib).place(&n);
+        let p1 = Placer::new(&lib).try_place(&n).expect("placement succeeds");
+        let p2 = Placer::new(&lib).try_place(&n).expect("placement succeeds");
         assert_eq!(p1, p2, "same seed gives same placement");
         for id in n.inst_ids() {
             assert!(p1.core.contains(p1.pos(id)), "cell outside core");
@@ -373,8 +359,11 @@ mod tests {
     #[test]
     fn placement_beats_random_scatter() {
         let (lib, n) = ctx();
-        let placed = Placer::new(&lib).place(&n);
-        let random = Placer::new(&lib).iterations(0).place(&n);
+        let placed = Placer::new(&lib).try_place(&n).expect("placement succeeds");
+        let random = Placer::new(&lib)
+            .iterations(0)
+            .try_place(&n)
+            .expect("placement succeeds");
         let w_placed = placed.total_hpwl_um(&n);
         let w_random = random.total_hpwl_um(&n);
         assert!(
@@ -386,8 +375,14 @@ mod tests {
     #[test]
     fn utilization_controls_core_area() {
         let (lib, n) = ctx();
-        let tight = Placer::new(&lib).utilization(0.9).place(&n);
-        let loose = Placer::new(&lib).utilization(0.3).place(&n);
+        let tight = Placer::new(&lib)
+            .utilization(0.9)
+            .try_place(&n)
+            .expect("placement succeeds");
+        let loose = Placer::new(&lib)
+            .utilization(0.3)
+            .try_place(&n)
+            .expect("placement succeeds");
         assert!(loose.footprint_um2() > 2.0 * tight.footprint_um2());
     }
 
@@ -397,8 +392,12 @@ mod tests {
         let lib3 = CellLibrary::build(&TechNode::n45(), DesignStyle::Tmi);
         let n2 = Benchmark::Aes.generate(&lib2, BenchScale::Small);
         let n3 = Benchmark::Aes.generate(&lib3, BenchScale::Small);
-        let p2 = Placer::new(&lib2).place(&n2);
-        let p3 = Placer::new(&lib3).place(&n3);
+        let p2 = Placer::new(&lib2)
+            .try_place(&n2)
+            .expect("placement succeeds");
+        let p3 = Placer::new(&lib3)
+            .try_place(&n3)
+            .expect("placement succeeds");
         let ratio = p3.footprint_um2() / p2.footprint_um2();
         assert!(
             (0.55..0.65).contains(&ratio),

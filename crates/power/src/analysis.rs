@@ -81,25 +81,6 @@ impl std::error::Error for PowerError {}
 ///
 /// `models` supplies per-net wire capacitance (indexed by `NetId`).
 ///
-/// # Panics
-///
-/// Panics if `models` is shorter than the net count; see
-/// [`try_analyze_power`] for the fallible form used by the supervised
-/// flow.
-pub fn analyze_power(
-    netlist: &Netlist,
-    lib: &CellLibrary,
-    models: &[NetModel],
-    config: &PowerConfig,
-) -> PowerReport {
-    match try_analyze_power(netlist, lib, models, config) {
-        Ok(report) => report,
-        Err(e) => panic!("power analysis failed: {e}"),
-    }
-}
-
-/// Fallible form of [`analyze_power`].
-///
 /// # Errors
 ///
 /// Returns [`PowerError`] on a model/net count mismatch or out-of-range
@@ -242,8 +223,10 @@ mod tests {
             };
             n.net_count()
         ];
-        let slow = analyze_power(&n, &lib, &models, &PowerConfig::new(2000.0));
-        let fast = analyze_power(&n, &lib, &models, &PowerConfig::new(1000.0));
+        let slow = try_analyze_power(&n, &lib, &models, &PowerConfig::new(2000.0))
+            .expect("power analysis succeeds");
+        let fast = try_analyze_power(&n, &lib, &models, &PowerConfig::new(1000.0))
+            .expect("power analysis succeeds");
         let dyn_slow = slow.total_mw() - slow.leakage_mw;
         let dyn_fast = fast.total_mw() - fast.leakage_mw;
         assert!((dyn_fast / dyn_slow - 2.0).abs() < 1e-9);
@@ -268,8 +251,10 @@ mod tests {
             };
             n.net_count()
         ];
-        let p_thin = analyze_power(&n, &lib, &thin, &PowerConfig::new(1000.0));
-        let p_fat = analyze_power(&n, &lib, &fat, &PowerConfig::new(1000.0));
+        let p_thin = try_analyze_power(&n, &lib, &thin, &PowerConfig::new(1000.0))
+            .expect("power analysis succeeds");
+        let p_fat = try_analyze_power(&n, &lib, &fat, &PowerConfig::new(1000.0))
+            .expect("power analysis succeeds");
         assert!((p_fat.wire_mw / p_thin.wire_mw - 10.0).abs() < 1e-9);
         assert!(
             (p_fat.pin_mw - p_thin.pin_mw).abs() < 1e-12,
@@ -282,18 +267,20 @@ mod tests {
         let lib = lib();
         let n = toy(&lib);
         let models = vec![NetModel::default(); n.net_count()];
-        let lo = analyze_power(
+        let lo = try_analyze_power(
             &n,
             &lib,
             &models,
             &PowerConfig::new(1000.0).with_alpha_ff(0.1),
-        );
-        let hi = analyze_power(
+        )
+        .expect("power analysis succeeds");
+        let hi = try_analyze_power(
             &n,
             &lib,
             &models,
             &PowerConfig::new(1000.0).with_alpha_ff(0.4),
-        );
+        )
+        .expect("power analysis succeeds");
         assert!(hi.total_mw() > lo.total_mw());
         assert_eq!(hi.leakage_mw, lo.leakage_mw);
     }
@@ -304,7 +291,7 @@ mod tests {
         let n = toy(&lib);
         let models = vec![NetModel::default(); n.net_count()];
         let cfg = PowerConfig::new(1000.0);
-        let total = analyze_power(&n, &lib, &models, &cfg);
+        let total = try_analyze_power(&n, &lib, &models, &cfg).expect("power analysis succeeds");
         let rows = per_instance_power(&n, &lib, &models, &cfg);
         let sum: f64 = rows.iter().map(|(_, p)| p).sum();
         assert!(
@@ -328,7 +315,7 @@ mod tests {
         let mut cfg = PowerConfig::new(1000.0);
         cfg.alpha_pi = 0.0;
         cfg.alpha_ff = 0.0;
-        let p = analyze_power(&n, &lib, &models, &cfg);
+        let p = try_analyze_power(&n, &lib, &models, &cfg).expect("power analysis succeeds");
         assert!(p.cell_mw > 0.0, "flop clocking energy remains");
         assert!(p.pin_mw > 0.0, "clock pin caps still toggle");
     }

@@ -18,7 +18,7 @@
 //! ```
 //! use m3d_cells::{CellFunction, CellLibrary};
 //! use m3d_netlist::NetlistBuilder;
-//! use m3d_power::{analyze_power, PowerConfig};
+//! use m3d_power::{try_analyze_power, PowerConfig};
 //! use m3d_sta::NetModel;
 //! use m3d_tech::{DesignStyle, TechNode};
 //!
@@ -30,7 +30,7 @@
 //! b.output(q);
 //! let n = b.finish();
 //! let models = vec![NetModel::default(); n.net_count()];
-//! let p = analyze_power(&n, &lib, &models, &PowerConfig::new(1000.0));
+//! let p = try_analyze_power(&n, &lib, &models, &PowerConfig::new(1000.0)).expect("power analysis succeeds");
 //! assert!(p.total_mw() > 0.0);
 //! ```
 
@@ -39,5 +39,5 @@ mod analysis;
 mod report;
 
 pub use activity::{propagate_activity, Activity};
-pub use analysis::{analyze_power, per_instance_power, try_analyze_power, PowerConfig, PowerError};
+pub use analysis::{per_instance_power, try_analyze_power, PowerConfig, PowerError};
 pub use report::PowerReport;

@@ -20,7 +20,7 @@
 //! let node = TechNode::n45();
 //! let lib = CellLibrary::build(&node, DesignStyle::TwoD);
 //! let n = Benchmark::Aes.generate(&lib, BenchScale::Small);
-//! let p = Placer::new(&lib).iterations(12).place(&n);
+//! let p = Placer::new(&lib).iterations(12).try_place(&n).expect("placement succeeds");
 //! let tree = build_clock_tree(&n, &p, &CtsConfig::default());
 //! assert!(tree.sink_count > 0);
 //! assert!(tree.total_wirelength_um > 0.0);
@@ -187,7 +187,10 @@ mod tests {
         let node = TechNode::n45();
         let lib = CellLibrary::build(&node, DesignStyle::TwoD);
         let n = Benchmark::Des.generate(&lib, BenchScale::Small);
-        let p = Placer::new(&lib).iterations(12).place(&n);
+        let p = Placer::new(&lib)
+            .iterations(12)
+            .try_place(&n)
+            .expect("placement succeeds");
         let t = build_clock_tree(&n, &p, &CtsConfig { max_fanout });
         (n, t)
     }
@@ -216,7 +219,10 @@ mod tests {
         let node = TechNode::n45();
         let lib = CellLibrary::build(&node, DesignStyle::TwoD);
         let n = Benchmark::Des.generate(&lib, BenchScale::Small);
-        let p = Placer::new(&lib).iterations(12).place(&n);
+        let p = Placer::new(&lib)
+            .iterations(12)
+            .try_place(&n)
+            .expect("placement succeeds");
         let t = build_clock_tree(&n, &p, &CtsConfig::default());
         let clock = n.clock.expect("sequential");
         let estimate = 1.5 * (p.footprint_um2() * n.net(clock).sinks.len() as f64).sqrt();
@@ -249,7 +255,10 @@ mod tests {
         let y = b.gate(m3d_cells::CellFunction::Inv, &[x]);
         b.output(y);
         let n = b.finish();
-        let p = Placer::new(&lib).iterations(4).place(&n);
+        let p = Placer::new(&lib)
+            .iterations(4)
+            .try_place(&n)
+            .expect("placement succeeds");
         let t = build_clock_tree(&n, &p, &CtsConfig::default());
         assert_eq!(t.sink_count, 0);
         assert!(t.buffers.is_empty());

@@ -30,9 +30,9 @@
 //! let node = TechNode::n45();
 //! let lib = CellLibrary::build(&node, DesignStyle::TwoD);
 //! let netlist = Benchmark::Aes.generate(&lib, BenchScale::Small);
-//! let placement = Placer::new(&lib).place(&netlist);
+//! let placement = Placer::new(&lib).try_place(&netlist).expect("placement succeeds");
 //! let stack = MetalStack::new(&node, StackKind::TwoD);
-//! let routed = Router::new(&node, &stack).route(&netlist, &placement, &lib);
+//! let routed = Router::new(&node, &stack).try_route(&netlist, &placement, &lib).expect("routing succeeds");
 //! assert!(routed.total_wirelength_um() > 0.0);
 //! ```
 

@@ -94,9 +94,11 @@ mod tests {
         let node = TechNode::n45();
         let lib = CellLibrary::build(&node, DesignStyle::TwoD);
         let n = Benchmark::Des.generate(&lib, BenchScale::Small);
-        let p = Placer::new(&lib).place(&n);
+        let p = Placer::new(&lib).try_place(&n).expect("placement succeeds");
         let stack = MetalStack::new(&node, StackKind::TwoD);
-        let r = crate::Router::new(&node, &stack).route(&n, &p, &lib);
+        let r = crate::Router::new(&node, &stack)
+            .try_route(&n, &p, &lib)
+            .expect("routing succeeds");
         let usage = LayerUsage::of(&r);
         assert!((usage.total_um() - r.total_wirelength_um()).abs() < 1e-6);
         let table = usage.to_table();

@@ -9,7 +9,7 @@ use m3d_tech::{MetalClass, MetalStack, TechNode};
 use crate::grid::{slot_class, CongestionGrid};
 
 /// One routed net: per-layer segment lengths plus via count, the input to
-/// `m3d_extract::extract_net`.
+/// `m3d_extract::try_extract_net`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RoutedNet {
     /// `(stack layer index, length µm)` segments.
@@ -122,25 +122,6 @@ impl<'a> Router<'a> {
     }
 
     /// Routes every net of the placed design.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the stack has no M1 or a net length is non-finite; see
-    /// [`Router::try_route`] for the fallible form used by the supervised
-    /// flow.
-    pub fn route(
-        &self,
-        netlist: &Netlist,
-        placement: &Placement,
-        lib: &CellLibrary,
-    ) -> RoutedDesign {
-        match self.try_route(netlist, placement, lib) {
-            Ok(r) => r,
-            Err(e) => panic!("routing failed: {e}"),
-        }
-    }
-
-    /// Fallible form of [`Router::route`].
     ///
     /// Routes depend only on the netlist's connectivity and the
     /// placement's positions; the library is not consulted, so resizing
@@ -456,9 +437,11 @@ mod tests {
         let node = TechNode::n45();
         let lib = CellLibrary::build(&node, style);
         let n = Benchmark::Aes.generate(&lib, BenchScale::Small);
-        let p = Placer::new(&lib).place(&n);
+        let p = Placer::new(&lib).try_place(&n).expect("placement succeeds");
         let stack = MetalStack::new(&node, style.default_stack());
-        let r = Router::new(&node, &stack).route(&n, &p, &lib);
+        let r = Router::new(&node, &stack)
+            .try_route(&n, &p, &lib)
+            .expect("routing succeeds");
         (node, lib, n, r)
     }
 
@@ -481,7 +464,7 @@ mod tests {
     fn routed_wirelength_exceeds_hpwl_slightly() {
         let (_, _, n, r) = routed(DesignStyle::TwoD);
         let lib = CellLibrary::build(&TechNode::n45(), DesignStyle::TwoD);
-        let p = Placer::new(&lib).place(&n);
+        let p = Placer::new(&lib).try_place(&n).expect("placement succeeds");
         let hpwl = p.total_hpwl_um(&n);
         let wl = r.total_wirelength_um();
         assert!(wl > hpwl, "routed {wl} vs hpwl {hpwl}");

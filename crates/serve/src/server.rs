@@ -37,7 +37,8 @@ use m3d_bench::{node_drivers, paper_drivers};
 use m3d_netlist::BenchScale;
 use m3d_tech::NodeId;
 use monolith3d::{
-    ArtifactCache, CancelCause, CancelToken, ParallelExecutor, PlanPoint, PointOutcome, Recorder,
+    ArtifactCache, CancelCause, CancelToken, FlowError, ParallelExecutor, PlanPoint, PointOutcome,
+    Recorder,
 };
 
 use crate::protocol::{
@@ -474,19 +475,8 @@ fn handle_request(
             // run their flow points against the shared cache, so
             // concurrent table requests (and any `run` traffic for the
             // same points) coalesce on its build cells.
-            match render_table(&name, node, scale) {
-                Some(text) => {
-                    let mut buf = String::new();
-                    write_table(&mut buf, id, &name, &text);
-                    send_line(conn, &buf);
-                }
-                None => send_error(
-                    conn,
-                    id,
-                    ErrorClass::BadRequest,
-                    &format!("unknown table {name:?}"),
-                ),
-            }
+            let answer = table_answer(id, &name, render_table(&name, node, scale));
+            send_line(conn, &answer);
             true
         }
         Request::Run {
@@ -528,7 +518,12 @@ fn handle_request(
     }
 }
 
-fn render_table(name: &str, node: Option<NodeId>, scale: BenchScale) -> Option<String> {
+/// Runs the named driver; `None` when no driver has that name.
+fn render_table(
+    name: &str,
+    node: Option<NodeId>,
+    scale: BenchScale,
+) -> Option<Result<String, FlowError>> {
     match node {
         None => paper_drivers()
             .iter()
@@ -539,6 +534,24 @@ fn render_table(name: &str, node: Option<NodeId>, scale: BenchScale) -> Option<S
             .find(|(n, _)| *n == name)
             .map(|&(_, driver)| driver(nid, scale)),
     }
+}
+
+/// The one answer a `table` request gets: the rendered text, a
+/// `failed` error carrying the driver's [`FlowError`], or a
+/// `bad_request` for a name outside the registry.
+fn table_answer(id: u64, name: &str, rendered: Option<Result<String, FlowError>>) -> String {
+    let mut buf = String::new();
+    match rendered {
+        Some(Ok(text)) => write_table(&mut buf, id, name, &text),
+        Some(Err(e)) => write_error(&mut buf, id, ErrorClass::Failed, &e.to_string()),
+        None => write_error(
+            &mut buf,
+            id,
+            ErrorClass::BadRequest,
+            &format!("unknown table {name:?}"),
+        ),
+    }
+    buf
 }
 
 fn dispatch_loop(inner: &Arc<Inner>) {
@@ -585,4 +598,26 @@ fn shutdown_inner(inner: &Inner) -> u64 {
         };
     }
     pending
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use monolith3d::{json_str_field, ConfigError};
+
+    #[test]
+    fn a_failed_table_is_one_failed_answer_carrying_the_flow_error() {
+        let err = FlowError::Config(ConfigError::BadClock(-1.0));
+        let answer = table_answer(7, "table4", Some(Err(err.clone())));
+        assert_eq!(answer.lines().count(), 1, "one frame: {answer}");
+        assert!(answer.starts_with("{\"id\":7,\"ok\":false,"), "{answer}");
+        assert_eq!(json_str_field(&answer, "error").as_deref(), Some("failed"));
+        assert_eq!(json_str_field(&answer, "detail"), Some(err.to_string()));
+        // A name outside the registry stays a request error.
+        let answer = table_answer(8, "nope", None);
+        assert_eq!(
+            json_str_field(&answer, "error").as_deref(),
+            Some("bad_request")
+        );
+    }
 }

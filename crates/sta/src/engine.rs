@@ -87,29 +87,10 @@ impl std::fmt::Display for StaError {
 
 impl std::error::Error for StaError {}
 
-/// Runs static timing analysis.
+/// Runs static timing analysis: builds a [`TimingGraph`] and
+/// propagates over it once.
 ///
 /// `models` must be indexed by `NetId` (one entry per net).
-///
-/// # Panics
-///
-/// Panics if `models` is shorter than the net count or the netlist has a
-/// combinational cycle; see [`try_analyze`] for the fallible form used
-/// by the supervised flow.
-pub fn analyze(
-    netlist: &Netlist,
-    lib: &CellLibrary,
-    models: &[NetModel],
-    config: &TimingConfig,
-) -> TimingReport {
-    match try_analyze(netlist, lib, models, config) {
-        Ok(report) => report,
-        Err(e) => panic!("timing analysis failed: {e}"),
-    }
-}
-
-/// Fallible form of [`analyze`]: builds a [`TimingGraph`] and
-/// propagates over it once.
 ///
 /// # Errors
 ///
@@ -395,8 +376,10 @@ mod tests {
         let short = chain(&lib, 2);
         let long = chain(&lib, 20);
         let cfg = TimingConfig::new(1000.0);
-        let r_short = analyze(&short, &lib, &models(&short), &cfg);
-        let r_long = analyze(&long, &lib, &models(&long), &cfg);
+        let r_short =
+            try_analyze(&short, &lib, &models(&short), &cfg).expect("timing analysis succeeds");
+        let r_long =
+            try_analyze(&long, &lib, &models(&long), &cfg).expect("timing analysis succeeds");
         assert!(r_long.wns < r_short.wns);
     }
 
@@ -405,8 +388,9 @@ mod tests {
         let lib = lib();
         let n = chain(&lib, 4);
         let cfg = TimingConfig::new(1000.0);
-        let ideal = analyze(&n, &lib, &vec![NetModel::default(); n.net_count()], &cfg);
-        let heavy = analyze(
+        let ideal = try_analyze(&n, &lib, &vec![NetModel::default(); n.net_count()], &cfg)
+            .expect("timing analysis succeeds");
+        let heavy = try_analyze(
             &n,
             &lib,
             &vec![
@@ -417,7 +401,8 @@ mod tests {
                 n.net_count()
             ],
             &cfg,
-        );
+        )
+        .expect("timing analysis succeeds");
         assert!(heavy.wns < ideal.wns - 100.0, "wire RC must matter");
     }
 
@@ -426,7 +411,8 @@ mod tests {
         let lib = lib();
         let n = chain(&lib, 40);
         let cfg = TimingConfig::new(100.0); // far too fast
-        let r = analyze(&n, &lib, &vec![NetModel::default(); n.net_count()], &cfg);
+        let r = try_analyze(&n, &lib, &vec![NetModel::default(); n.net_count()], &cfg)
+            .expect("timing analysis succeeds");
         assert!(r.wns < 0.0);
         assert!(r.tns <= r.wns);
         assert!(r.worst_endpoint.is_some());
@@ -437,8 +423,9 @@ mod tests {
         let lib = lib();
         let n = chain(&lib, 1);
         let cfg = TimingConfig::new(1000.0);
-        let ideal = analyze(&n, &lib, &vec![NetModel::default(); n.net_count()], &cfg);
-        let resistive = analyze(
+        let ideal = try_analyze(&n, &lib, &vec![NetModel::default(); n.net_count()], &cfg)
+            .expect("timing analysis succeeds");
+        let resistive = try_analyze(
             &n,
             &lib,
             &vec![
@@ -449,7 +436,8 @@ mod tests {
                 n.net_count()
             ],
             &cfg,
-        );
+        )
+        .expect("timing analysis succeeds");
         let max_slew_ideal = ideal.slew.iter().cloned().fold(0.0, f64::max);
         let max_slew_res = resistive.slew.iter().cloned().fold(0.0, f64::max);
         assert!(max_slew_res > max_slew_ideal);
@@ -460,7 +448,8 @@ mod tests {
         let lib = lib();
         let n = chain(&lib, 5);
         let cfg = TimingConfig::new(100.0);
-        let r = analyze(&n, &lib, &vec![NetModel::default(); n.net_count()], &cfg);
+        let r = try_analyze(&n, &lib, &vec![NetModel::default(); n.net_count()], &cfg)
+            .expect("timing analysis succeeds");
         let path = r.worst_path(&n, &lib);
         // Endpoint (D of the capture flop) back through 5 inverters to
         // the launch flop's Q: 6 hops.
@@ -478,7 +467,8 @@ mod tests {
         let lib = lib();
         let n = chain(&lib, 3);
         let cfg = TimingConfig::new(1000.0);
-        let r = analyze(&n, &lib, &vec![NetModel::default(); n.net_count()], &cfg);
+        let r = try_analyze(&n, &lib, &vec![NetModel::default(); n.net_count()], &cfg)
+            .expect("timing analysis succeeds");
         // Three inverters of delay dwarf the 2 ps hold requirement.
         assert!(r.hold_wns > 0.0, "hold wns {}", r.hold_wns);
     }
@@ -490,8 +480,10 @@ mod tests {
         let long = chain(&lib, 6);
         let cfg = TimingConfig::new(1000.0);
         let models = |n: &Netlist| vec![NetModel::default(); n.net_count()];
-        let r_short = analyze(&short, &lib, &models(&short), &cfg);
-        let r_long = analyze(&long, &lib, &models(&long), &cfg);
+        let r_short =
+            try_analyze(&short, &lib, &models(&short), &cfg).expect("timing analysis succeeds");
+        let r_long =
+            try_analyze(&long, &lib, &models(&long), &cfg).expect("timing analysis succeeds");
         assert!(
             r_short.hold_wns < r_long.hold_wns,
             "short {} long {}",
@@ -505,7 +497,8 @@ mod tests {
         let lib = lib();
         let n = chain(&lib, 30);
         let cfg = TimingConfig::new(200.0);
-        let r = analyze(&n, &lib, &vec![NetModel::default(); n.net_count()], &cfg);
+        let r = try_analyze(&n, &lib, &vec![NetModel::default(); n.net_count()], &cfg)
+            .expect("timing analysis succeeds");
         // Every net on the single chain shares the endpoint slack.
         let negative: usize = r.slack.iter().filter(|&&s| s < 0.0).count();
         assert!(negative > 25, "violation should cover the chain");

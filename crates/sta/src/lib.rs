@@ -22,7 +22,7 @@
 //! ```
 //! use m3d_cells::{CellFunction, CellLibrary};
 //! use m3d_netlist::NetlistBuilder;
-//! use m3d_sta::{analyze, NetModel, TimingConfig};
+//! use m3d_sta::{try_analyze, NetModel, TimingConfig};
 //! use m3d_tech::{DesignStyle, TechNode};
 //!
 //! let lib = CellLibrary::build(&TechNode::n45(), DesignStyle::TwoD);
@@ -33,7 +33,7 @@
 //! b.output(q);
 //! let n = b.finish();
 //! let models = vec![NetModel::default(); n.net_count()];
-//! let report = analyze(&n, &lib, &models, &TimingConfig::new(1000.0));
+//! let report = try_analyze(&n, &lib, &models, &TimingConfig::new(1000.0)).expect("timing analysis succeeds");
 //! assert!(report.wns > 0.0, "a single inverter meets 1 ns easily");
 //! ```
 
@@ -41,6 +41,6 @@ mod engine;
 pub mod opt;
 mod report;
 
-pub use engine::{analyze, try_analyze, NetModel, StaError, TimingConfig, TimingGraph};
+pub use engine::{try_analyze, NetModel, StaError, TimingConfig, TimingGraph};
 pub use opt::{plan_load_sizing, plan_power_recovery, plan_timing_moves, OptMove};
 pub use report::{PathHop, TimingReport};

@@ -210,7 +210,7 @@ pub fn plan_power_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze, TimingConfig};
+    use crate::{try_analyze, TimingConfig};
     use m3d_netlist::NetlistBuilder;
     use m3d_tech::{DesignStyle, TechNode};
 
@@ -227,7 +227,8 @@ mod tests {
         b.output(y);
         let n = b.finish();
         let models = vec![NetModel::default(); n.net_count()];
-        let r = analyze(&n, &lib, &models, &TimingConfig::new(10_000.0));
+        let r = try_analyze(&n, &lib, &models, &TimingConfig::new(10_000.0))
+            .expect("timing analysis succeeds");
         assert!(plan_timing_moves(&n, &lib, &models, &r, 10).is_empty());
     }
 
@@ -247,7 +248,8 @@ mod tests {
             c_wire: 200.0,
             r_wire: 10.0,
         };
-        let r = analyze(&n, &lib, &models, &TimingConfig::new(300.0));
+        let r = try_analyze(&n, &lib, &models, &TimingConfig::new(300.0))
+            .expect("timing analysis succeeds");
         assert!(!r.met());
         let moves = plan_timing_moves(&n, &lib, &models, &r, 10);
         assert!(
@@ -270,12 +272,14 @@ mod tests {
         let (x4, _) = lib.id_named("INV_X4").expect("INV_X4");
         n.resize(m3d_netlist::InstId(0), x4, &lib);
         let models = vec![NetModel::default(); n.net_count()];
-        let r = analyze(&n, &lib, &models, &TimingConfig::new(10_000.0));
+        let r = try_analyze(&n, &lib, &models, &TimingConfig::new(10_000.0))
+            .expect("timing analysis succeeds");
         let moves = plan_power_recovery(&n, &lib, &r, 100.0, 10);
         assert_eq!(moves.len(), 1);
         assert!(matches!(moves[0], OptMove::Downsize(_)));
         // With a tight clock there is no recovery.
-        let r_tight = analyze(&n, &lib, &models, &TimingConfig::new(30.0));
+        let r_tight = try_analyze(&n, &lib, &models, &TimingConfig::new(30.0))
+            .expect("timing analysis succeeds");
         assert!(plan_power_recovery(&n, &lib, &r_tight, 100.0, 10).is_empty());
     }
 

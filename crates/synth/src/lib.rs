@@ -10,7 +10,7 @@
 //! * [`WireLoadModel`] — the fanout → length table, built either from a
 //!   placement ([`WireLoadModel::from_placement`], the paper's
 //!   "preliminary layout simulations") or analytically.
-//! * [`synthesize`] — WLM-driven sizing and buffering over the mapped
+//! * [`try_synthesize`] — WLM-driven sizing and buffering over the mapped
 //!   netlist until the target clock is met at the WLM estimate (or the
 //!   pass budget runs out), producing the Table 12 netlists.
 //!
@@ -20,20 +20,20 @@
 //! use m3d_cells::CellLibrary;
 //! use m3d_netlist::{BenchScale, Benchmark};
 //! use m3d_place::Placer;
-//! use m3d_synth::{synthesize, SynthConfig, WireLoadModel};
+//! use m3d_synth::{try_synthesize, SynthConfig, WireLoadModel};
 //! use m3d_tech::{DesignStyle, TechNode};
 //!
 //! let node = TechNode::n45();
 //! let lib = CellLibrary::build(&node, DesignStyle::TwoD);
 //! let raw = Benchmark::Aes.generate(&lib, BenchScale::Small);
-//! let prelim = Placer::new(&lib).iterations(12).place(&raw);
+//! let prelim = Placer::new(&lib).iterations(12).try_place(&raw).expect("placement succeeds");
 //! let wlm = WireLoadModel::from_placement(&raw, &prelim);
-//! let synthesized = synthesize(raw, &lib, &wlm, &SynthConfig::new(800.0));
+//! let synthesized = try_synthesize(raw, &lib, &wlm, &SynthConfig::new(800.0)).expect("synthesis succeeds");
 //! assert!(synthesized.instance_count() > 0);
 //! ```
 
 mod optimize;
 mod wlm;
 
-pub use optimize::{synthesize, try_synthesize, wlm_net_models, SynthConfig, SynthError};
+pub use optimize::{try_synthesize, wlm_net_models, SynthConfig, SynthError};
 pub use wlm::WireLoadModel;

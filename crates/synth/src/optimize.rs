@@ -111,24 +111,6 @@ impl From<StaError> for SynthError {
 /// of a net's sinks — by the WLM there is no geometry, so simply half the
 /// fanout — moves behind the repeater.
 ///
-/// # Panics
-///
-/// Panics on a degenerate clock target or an unanalyzable netlist; see
-/// [`try_synthesize`] for the fallible form used by the supervised flow.
-pub fn synthesize(
-    netlist: Netlist,
-    lib: &CellLibrary,
-    wlm: &WireLoadModel,
-    config: &SynthConfig,
-) -> Netlist {
-    match try_synthesize(netlist, lib, wlm, config) {
-        Ok(n) => n,
-        Err(e) => panic!("synthesis failed: {e}"),
-    }
-}
-
-/// Fallible form of [`synthesize`].
-///
 /// # Errors
 ///
 /// Returns [`SynthError`] when the clock target is degenerate or the
@@ -194,7 +176,7 @@ pub fn try_synthesize(
 mod tests {
     use super::*;
     use m3d_netlist::{BenchScale, Benchmark};
-    use m3d_sta::analyze;
+    use m3d_sta::try_analyze;
     use m3d_tech::DesignStyle;
 
     fn ctx() -> (TechNode, CellLibrary, Netlist) {
@@ -233,11 +215,14 @@ mod tests {
         // A heavy WLM creates violations at a moderate clock.
         let wlm = WireLoadModel::uniform(40.0, 20.0);
         let models = wlm_net_models(&n, &wlm, &node, &stack);
-        let before = analyze(&n, &lib, &models, &TimingConfig::new(2500.0));
+        let before = try_analyze(&n, &lib, &models, &TimingConfig::new(2500.0))
+            .expect("timing analysis succeeds");
         let cells_before = n.instance_count();
-        let out = synthesize(n, &lib, &wlm, &SynthConfig::new(2500.0));
+        let out =
+            try_synthesize(n, &lib, &wlm, &SynthConfig::new(2500.0)).expect("synthesis succeeds");
         let models2 = wlm_net_models(&out, &wlm, &node, &stack);
-        let after = analyze(&out, &lib, &models2, &TimingConfig::new(2500.0));
+        let after = try_analyze(&out, &lib, &models2, &TimingConfig::new(2500.0))
+            .expect("timing analysis succeeds");
         assert!(
             after.wns > before.wns,
             "optimization must improve WNS ({} -> {})",
@@ -255,7 +240,8 @@ mod tests {
         let (_, lib, n) = ctx();
         let wlm = WireLoadModel::uniform(1.0, 0.5);
         let before = n.instance_count();
-        let out = synthesize(n, &lib, &wlm, &SynthConfig::new(1_000_000.0));
+        let out = try_synthesize(n, &lib, &wlm, &SynthConfig::new(1_000_000.0))
+            .expect("synthesis succeeds");
         assert_eq!(out.instance_count(), before);
     }
 }

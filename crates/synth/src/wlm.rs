@@ -136,7 +136,10 @@ mod tests {
     fn placement_model_is_monotone_in_fanout() {
         let lib = CellLibrary::build(&TechNode::n45(), DesignStyle::TwoD);
         let n = Benchmark::Ldpc.generate(&lib, BenchScale::Small);
-        let p = Placer::new(&lib).iterations(12).place(&n);
+        let p = Placer::new(&lib)
+            .iterations(12)
+            .try_place(&n)
+            .expect("placement succeeds");
         let w = WireLoadModel::from_placement(&n, &p);
         let c = w.curve();
         for pair in c.windows(2) {
@@ -153,8 +156,20 @@ mod tests {
         let lib3 = CellLibrary::build(&TechNode::n45(), DesignStyle::Tmi);
         let n2 = Benchmark::Aes.generate(&lib2, BenchScale::Small);
         let n3 = Benchmark::Aes.generate(&lib3, BenchScale::Small);
-        let w2 = WireLoadModel::from_placement(&n2, &Placer::new(&lib2).iterations(12).place(&n2));
-        let w3 = WireLoadModel::from_placement(&n3, &Placer::new(&lib3).iterations(12).place(&n3));
+        let w2 = WireLoadModel::from_placement(
+            &n2,
+            &Placer::new(&lib2)
+                .iterations(12)
+                .try_place(&n2)
+                .expect("placement succeeds"),
+        );
+        let w3 = WireLoadModel::from_placement(
+            &n3,
+            &Placer::new(&lib3)
+                .iterations(12)
+                .try_place(&n3)
+                .expect("placement succeeds"),
+        );
         assert!(w3.estimate_um(2) < w2.estimate_um(2));
     }
 

@@ -24,7 +24,7 @@ fn main() {
     // to this toolkit's library speed (see FlowConfig::clock_scale).
     for clock_ps in [1000.0, 800.0, 720.0] {
         let cfg = FlowConfig::new(NodeId::N45).scale(scale).clock(clock_ps);
-        let cmp = Comparison::run(Benchmark::Aes, &cfg);
+        let cmp = Comparison::try_run(Benchmark::Aes, &cfg).expect("both flows close");
         println!(
             "{:8.2} {:9.2} {:12.2} {:+10.1}%   {:6} -> {:6}   (wns {:+.0}/{:+.0})",
             clock_ps * 1e-3,

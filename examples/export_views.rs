@@ -72,7 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. DEF: the placed design.
-    let placement = Placer::new(&lib).iterations(40).place(&netlist);
+    let placement = Placer::new(&lib)
+        .iterations(40)
+        .try_place(&netlist)
+        .expect("placement succeeds");
     let def_text = def::to_def(&netlist, &placement, &lib);
     fs::write(out_dir.join("aes.def"), &def_text)?;
     println!(

@@ -26,7 +26,9 @@ fn main() {
     println!("LDPC (802.3an min-sum decoder) @ 45 nm\n");
     let mut results = Vec::new();
     for style in [DesignStyle::TwoD, DesignStyle::Tmi] {
-        let r = Flow::new(Benchmark::Ldpc, style, cfg.clone()).run();
+        let r = Flow::new(Benchmark::Ldpc, style, cfg.clone())
+            .try_run()
+            .expect("flow closes");
         println!(
             "{}: core {:6.0}x{:6.0} um at {:4.1}% util | WL {:6.3} m | {} buffers | WNS {:+5.0} ps",
             style.label(),

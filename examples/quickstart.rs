@@ -39,7 +39,7 @@ fn main() {
     // 2. One full iso-performance comparison: synthesis -> placement ->
     //    routing -> timing closure -> sign-off power, in both styles.
     let cfg = FlowConfig::new(NodeId::N45).scale(scale);
-    let cmp = Comparison::run(Benchmark::Aes, &cfg);
+    let cmp = Comparison::try_run(Benchmark::Aes, &cfg).expect("both flows close");
     println!(
         "\nAES @ 45 nm, clock {:.2} ns (timing met: 2D {}, T-MI {})",
         cmp.two_d.clock_ps * 1e-3,

@@ -40,7 +40,7 @@ fn render_subset() -> String {
         out.push_str(&format!(
             "==================== {name} ====================\n"
         ));
-        out.push_str(&driver(BenchScale::Small));
+        out.push_str(&driver(BenchScale::Small).expect("driver renders"));
         out.push('\n');
     }
     out
@@ -55,7 +55,7 @@ fn render_subset_at(node: NodeId) -> String {
         out.push_str(&format!(
             "==================== {name} ====================\n"
         ));
-        out.push_str(&driver(node, BenchScale::Small));
+        out.push_str(&driver(node, BenchScale::Small).expect("driver renders"));
         out.push('\n');
     }
     out

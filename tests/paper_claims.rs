@@ -85,8 +85,20 @@ fn claim_tmi_wlm_is_shorter() {
     let lib3 = CellLibrary::build(&node, DesignStyle::Tmi);
     let n2 = Benchmark::Aes.generate(&lib2, BenchScale::Small);
     let n3 = Benchmark::Aes.generate(&lib3, BenchScale::Small);
-    let w2 = WireLoadModel::from_placement(&n2, &Placer::new(&lib2).iterations(16).place(&n2));
-    let w3 = WireLoadModel::from_placement(&n3, &Placer::new(&lib3).iterations(16).place(&n3));
+    let w2 = WireLoadModel::from_placement(
+        &n2,
+        &Placer::new(&lib2)
+            .iterations(16)
+            .try_place(&n2)
+            .expect("placement succeeds"),
+    );
+    let w3 = WireLoadModel::from_placement(
+        &n3,
+        &Placer::new(&lib3)
+            .iterations(16)
+            .try_place(&n3)
+            .expect("placement succeeds"),
+    );
     let ratio = w3.estimate_um(2) / w2.estimate_um(2);
     assert!(
         (0.6..0.95).contains(&ratio),
@@ -138,7 +150,8 @@ fn claim_ldpc_wire_dominated_des_pin_dominated() {
         let p = Placer::new(&lib)
             .utilization(bench.target_utilization())
             .iterations(40)
-            .place(&n);
+            .try_place(&n)
+            .expect("placement succeeds");
         p.total_hpwl_um(&n) / n.net_count() as f64
     };
     let ldpc = avg_net(Benchmark::Ldpc);

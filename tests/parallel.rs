@@ -12,7 +12,9 @@ use std::thread;
 use m3d_bench::{node_drivers, paper_drivers};
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, NodeId, PdkRegistry};
-use monolith3d::{experiments, ArtifactCache, ExperimentPlan, Flow, FlowConfig, ParallelExecutor};
+use monolith3d::{
+    experiments, ArtifactCache, ExperimentPlan, Flow, FlowConfig, FlowError, ParallelExecutor,
+};
 
 fn small_cfg() -> FlowConfig {
     FlowConfig::new(NodeId::N45).scale(BenchScale::Small)
@@ -165,7 +167,11 @@ fn parallel_execution_is_bit_identical_to_serial() {
 /// two-worker fan-out, then runs `driver` and asserts it performed
 /// zero flow misses — and, when the plan is nonempty, built no
 /// library either.
-fn assert_plan_covers(label: &str, plan: &ExperimentPlan, driver: impl FnOnce() -> String) {
+fn assert_plan_covers(
+    label: &str,
+    plan: &ExperimentPlan,
+    driver: impl FnOnce() -> Result<String, FlowError>,
+) {
     let cache = ArtifactCache::global();
     cache.clear();
     let report = ParallelExecutor::new(2).run(plan);
@@ -175,7 +181,8 @@ fn assert_plan_covers(label: &str, plan: &ExperimentPlan, driver: impl FnOnce() 
         "{label}: prewarm closes every point"
     );
     let before = cache.stats();
-    assert!(!driver().is_empty(), "{label}: driver renders");
+    let text = driver().unwrap_or_else(|e| panic!("{label}: driver renders: {e}"));
+    assert!(!text.is_empty(), "{label}: driver renders");
     let delta = cache.stats().delta(&before);
     assert_eq!(
         delta.flow_misses, 0,

@@ -11,12 +11,12 @@ use m3d_place::Placer;
 use m3d_power::propagate_activity;
 use m3d_route::{RoutedDesign, Router};
 use m3d_sta::{
-    analyze, plan_load_sizing, plan_power_recovery, try_analyze, NetModel, OptMove, StaError,
-    TimingConfig, TimingGraph, TimingReport,
+    plan_load_sizing, plan_power_recovery, try_analyze, NetModel, OptMove, StaError, TimingConfig,
+    TimingGraph, TimingReport,
 };
 use m3d_tech::{CellLayer, DesignStyle, MetalStack, NodeId, StackKind, TechNode};
 use monolith3d::gmi::{fm_bipartition, Bipartition};
-use monolith3d::{extraction_models, Flow, FlowConfig, FlowError};
+use monolith3d::{try_extraction_models, Flow, FlowConfig, FlowError};
 use proptest::prelude::*;
 
 fn lib() -> &'static CellLibrary {
@@ -77,7 +77,7 @@ proptest! {
     #[test]
     fn placement_contains_every_cell(seed in 0u64..400) {
         let n = random_netlist(seed, 120);
-        let p = Placer::new(lib()).iterations(12).place(&n);
+        let p = Placer::new(lib()).iterations(12).try_place(&n).expect("placement succeeds");
         for id in n.inst_ids() {
             prop_assert!(p.core.contains(p.pos(id)), "cell escaped the core");
         }
@@ -89,8 +89,8 @@ proptest! {
         let node = TechNode::n45();
         let stack = MetalStack::new(&node, StackKind::TwoD);
         let n = random_netlist(seed, 100);
-        let p = Placer::new(lib()).iterations(12).place(&n);
-        let r = Router::new(&node, &stack).route(&n, &p, lib());
+        let p = Placer::new(lib()).iterations(12).try_place(&n).expect("placement succeeds");
+        let r = Router::new(&node, &stack).try_route(&n, &p, lib()).expect("routing succeeds");
         for id in n.net_ids() {
             let net = n.net(id);
             if !net.sinks.is_empty() {
@@ -161,7 +161,7 @@ proptest! {
     fn clock_tree_covers_all_sinks_within_fanout(seed in 0u64..50, max_fanout in 4usize..32) {
         let l = lib();
         let n = random_netlist(seed, 160);
-        let p = Placer::new(l).iterations(8).place(&n);
+        let p = Placer::new(l).iterations(8).try_place(&n).expect("placement succeeds");
         let t = m3d_route::cts::build_clock_tree(
             &n,
             &p,
@@ -656,11 +656,12 @@ fn resizing_leaves_route_and_extraction_bitwise_unchanged() {
         let stack = MetalStack::new(&node, style.default_stack());
         let router = Router::new(&node, &stack);
         let mut n = Benchmark::Aes.generate(&lib, BenchScale::Small);
-        let p = Placer::new(&lib).place(&n);
-        let routed = router.route(&n, &p, &lib);
-        let models = extraction_models(&n, &routed, &node);
+        let p = Placer::new(&lib).try_place(&n).expect("placement succeeds");
+        let routed = router.try_route(&n, &p, &lib).expect("routing succeeds");
+        let models = try_extraction_models(&n, &routed, &node).expect("extraction succeeds");
 
-        let report = analyze(&n, &lib, &models, &TimingConfig::new(10_000.0));
+        let report = try_analyze(&n, &lib, &models, &TimingConfig::new(10_000.0))
+            .expect("timing analysis succeeds");
         let mut moves = plan_load_sizing(&n, &lib, &models, 30.0);
         moves.extend(plan_power_recovery(&n, &lib, &report, 0.0, usize::MAX));
         let cells_before: Vec<_> = n.inst_ids().map(|i| n.inst(i).cell).collect();
@@ -677,8 +678,8 @@ fn resizing_leaves_route_and_extraction_bitwise_unchanged() {
         let cells_after: Vec<_> = n.inst_ids().map(|i| n.inst(i).cell).collect();
         assert_ne!(cells_before, cells_after, "{style:?}: nothing resized");
 
-        let rerouted = router.route(&n, &p, &lib);
-        let remodels = extraction_models(&n, &rerouted, &node);
+        let rerouted = router.try_route(&n, &p, &lib).expect("routing succeeds");
+        let remodels = try_extraction_models(&n, &rerouted, &node).expect("extraction succeeds");
         let net_bits = |r: &RoutedDesign| -> Vec<_> {
             r.nets
                 .iter()
