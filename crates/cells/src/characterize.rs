@@ -19,7 +19,7 @@
 //! MIV-heavy DFF comes out slightly *worse*.
 
 use m3d_extract::{extract_cell, CellExtraction, TopSiliconModel};
-use m3d_spice::{Circuit, MosKind, MosParams, Transient, Waveform};
+use m3d_spice::{Circuit, MosKind, MosParams, SpiceError, Transient, Waveform};
 use m3d_tech::{DesignStyle, PdkRegistry, ScaleFactors, TechNode};
 
 use crate::layout::CellGeometry;
@@ -299,9 +299,13 @@ pub struct SpiceTables {
 /// characterizer covers the rest. Runtime grows with the grid, so callers
 /// typically pass reduced axes.
 ///
+/// # Errors
+///
+/// Returns [`SpiceError`] when a transient fails to converge.
+///
 /// # Panics
 ///
-/// Panics for sequential or multi-output functions.
+/// As [`characterize_spice_tables`] does.
 pub fn characterize_spice(
     node: &TechNode,
     function: CellFunction,
@@ -310,28 +314,32 @@ pub fn characterize_spice(
     geometry: &CellGeometry,
     slews: Vec<f64>,
     loads: Vec<f64>,
-) -> CellTables {
+) -> Result<CellTables, SpiceError> {
     let SpiceTables {
         delay,
         out_slew,
         energy,
-    } = characterize_spice_tables(node, function, drive, topo, geometry, slews, loads);
+    } = characterize_spice_tables(node, function, drive, topo, geometry, slews, loads)?;
     let analytic = characterize_analytic(node, DesignStyle::TwoD, function, drive, topo, geometry);
-    CellTables {
+    Ok(CellTables {
         delay,
         out_slew,
         energy,
         ..analytic
-    }
+    })
 }
 
 /// The transient half of [`characterize_spice`] on its own: two
 /// simulations (rising and falling input) per (slew, load) grid point.
 ///
+/// # Errors
+///
+/// Returns [`SpiceError`] when a transient fails to converge.
+///
 /// # Panics
 ///
-/// Panics for sequential or multi-output functions, and when a
-/// transient fails to converge or the output never switches.
+/// Panics for sequential or multi-output functions, and when the
+/// output never switches.
 pub fn characterize_spice_tables(
     node: &TechNode,
     function: CellFunction,
@@ -340,7 +348,7 @@ pub fn characterize_spice_tables(
     geometry: &CellGeometry,
     slews: Vec<f64>,
     loads: Vec<f64>,
-) -> SpiceTables {
+) -> Result<SpiceTables, SpiceError> {
     assert!(
         !function.is_sequential() && function.output_count() == 1,
         "SPICE characterization supports single-output combinational cells"
@@ -377,7 +385,7 @@ pub fn characterize_spice_tables(
     }
 
     let vdd = node.vdd;
-    let run = |slew: f64, load: f64, rising_in: bool| -> (f64, f64, f64) {
+    let run = |slew: f64, load: f64, rising_in: bool| -> Result<(f64, f64, f64), SpiceError> {
         let mut c = Circuit::new();
         let vdd_n = c.node("vdd");
         c.vsource(vdd_n, Waveform::Dc(vdd));
@@ -430,7 +438,7 @@ pub fn characterize_spice_tables(
         }
         let t_end = t0 + 6.0 * slew + 60.0 * (1.0 + load / 3.0) + 200.0;
         let dt = (slew / 40.0).clamp(0.05, 1.0);
-        let r = Transient::new(&c).with_dt(dt).run(t_end);
+        let r = Transient::new(&c).with_dt(dt).try_run(t_end)?;
         let out_rising = {
             let v_end = r.final_voltage(out_pin);
             v_end > vdd / 2.0
@@ -453,7 +461,7 @@ pub fn characterize_spice_tables(
         if out_rising {
             e -= load * vdd * vdd;
         }
-        (t_out - t_in, slew_out, e.max(0.0))
+        Ok((t_out - t_in, slew_out, e.max(0.0)))
     };
 
     let mut delay_v = Vec::new();
@@ -461,19 +469,19 @@ pub fn characterize_spice_tables(
     let mut energy_v = Vec::new();
     for &s in &slews {
         for &l in &loads {
-            let (d_r, sl_r, e_r) = run(s, l, true);
-            let (d_f, sl_f, e_f) = run(s, l, false);
+            let (d_r, sl_r, e_r) = run(s, l, true)?;
+            let (d_f, sl_f, e_f) = run(s, l, false)?;
             delay_v.push(0.5 * (d_r + d_f));
             slew_v.push(0.5 * (sl_r + sl_f));
             energy_v.push(0.5 * (e_r + e_f));
         }
     }
 
-    SpiceTables {
+    Ok(SpiceTables {
         delay: Nldm::new(slews.clone(), loads.clone(), delay_v),
         out_slew: Nldm::new(slews.clone(), loads.clone(), slew_v),
         energy: Nldm::new(slews, loads, energy_v),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -586,7 +594,8 @@ mod tests {
             &geom,
             vec![7.5, 37.5],
             vec![0.8, 3.2],
-        );
+        )
+        .expect("inverter deck converges");
         let analytic =
             characterize_analytic(&node, DesignStyle::TwoD, CellFunction::Inv, 1, &topo, &geom);
         for &(s, l) in &[(7.5, 0.8), (37.5, 3.2)] {

@@ -12,7 +12,7 @@
 //!   pin_cap_scale)`.
 //! * **Completed [`FlowResult`]s** are shared per [`FlowKey`] — the
 //!   projection of `(benchmark, style, FlowConfig)` onto the knobs the
-//!   stage graph consumes, with unconsumed knobs canonicalized away so
+//!   stages consume, with unconsumed knobs canonicalized away so
 //!   they cannot split the key (a 2D flow never reads `tmi_wlm`;
 //!   `stack_kind: None` resolves to the style default; `clock_scale: 0`
 //!   resolves to the per-benchmark calibration).
@@ -43,6 +43,7 @@ use m3d_cells::characterize::{characterize_spice_tables, SpiceTables};
 use m3d_cells::layout::generate_layout;
 use m3d_cells::{CellFunction, CellLibrary, LibraryError, Topology};
 use m3d_netlist::{BenchScale, Benchmark};
+use m3d_spice::SpiceError;
 use m3d_tech::{DesignStyle, MetalClass, NodeId, StackKind, TechNode};
 
 use crate::error::{FlowError, FlowStage};
@@ -138,9 +139,9 @@ impl SpiceKey {
 }
 
 /// Cache key of one completed flow: the projection of
-/// `(benchmark, style, FlowConfig)` onto the knobs the stage graph
-/// consumes. Knobs a given flow never reads are canonicalized so they
-/// cannot split the key.
+/// `(benchmark, style, FlowConfig)` onto the knobs the stages consume
+/// ([`FlowStage::consumes`]). Knobs a given flow never reads are
+/// canonicalized so they cannot split the key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowKey {
     pub(crate) bench: Benchmark,
@@ -861,18 +862,25 @@ impl ArtifactCache {
     /// and published to both tiers. `spice_builds` counts simulations;
     /// every request served without one counts as a `spice_hits`
     /// increment. A hit is bit-identical to a rebuild: the deck is
-    /// deterministic and the key carries every input it reads.
+    /// deterministic and the key carries every input it reads. A deck
+    /// that fails stores nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::Spice`] when a transient of the deck fails to
+    /// converge.
     ///
     /// # Panics
     ///
     /// On a miss, as [`characterize_spice_tables`] does: for sequential
-    /// or multi-output functions and on transient non-convergence.
-    pub fn spice_tables(&self, key: &SpiceKey) -> Arc<SpiceTables> {
-        self.lookup(&self.spice, key).unwrap_or_else(|| {
-            let t = Arc::new(Self::simulate(key));
-            self.store(&self.spice, key, Arc::clone(&t));
-            t
-        })
+    /// or multi-output functions, and when the output never switches.
+    pub fn spice_tables(&self, key: &SpiceKey) -> Result<Arc<SpiceTables>, FlowError> {
+        if let Some(hit) = self.lookup(&self.spice, key) {
+            return Ok(hit);
+        }
+        let t = Arc::new(Self::simulate(key)?);
+        self.store(&self.spice, key, Arc::clone(&t));
+        Ok(t)
     }
 
     /// The stored G-MI result for the 2D reference point `key`: from
@@ -890,7 +898,7 @@ impl ArtifactCache {
     }
 
     /// One deck built from the key alone and simulated.
-    fn simulate(key: &SpiceKey) -> SpiceTables {
+    fn simulate(key: &SpiceKey) -> Result<SpiceTables, SpiceError> {
         let node = TechNode::for_id(key.node_id);
         let topo = Topology::for_function(key.function);
         let geometry = generate_layout(&node, &topo, key.style, key.drive);
@@ -1149,8 +1157,8 @@ mod tests {
         );
         let first = ArtifactCache::default();
         first.attach_disk(DiskStore::open(&root));
-        let a = first.spice_tables(&key);
-        let b = first.spice_tables(&key);
+        let a = first.spice_tables(&key).expect("deck converges");
+        let b = first.spice_tables(&key).expect("deck converges");
         assert!(Arc::ptr_eq(&a, &b), "second request must be a memory hit");
         let s = first.stats();
         assert_eq!((s.spice_builds, s.spice_hits, s.disk_stores), (1, 1, 1));
@@ -1159,7 +1167,7 @@ mod tests {
         // serves the bit-identical tables.
         let fresh = ArtifactCache::default();
         fresh.attach_disk(DiskStore::open(&root));
-        assert_eq!(*fresh.spice_tables(&key), *a);
+        assert_eq!(*fresh.spice_tables(&key).expect("disk hit"), *a);
         let s = fresh.stats();
         assert_eq!((s.spice_builds, s.spice_hits, s.disk_hits), (0, 1, 1));
 

@@ -77,7 +77,7 @@ impl FlowStage {
         }
     }
 
-    /// Stable short key — the name the stage graph, fault plans and
+    /// Stable short key — the name fault plans, deadline tables and
     /// trace spans address a stage by (`"route"`, `"signoff"`, …).
     pub fn key(self) -> &'static str {
         match self {
@@ -97,6 +97,30 @@ impl FlowStage {
             .iter()
             .copied()
             .find(|s| s.key() == name || s.name() == name)
+    }
+
+    /// The [`crate::FlowConfig`] field names this stage reads, directly
+    /// or via the environment it builds; each stage span carries them.
+    /// The union over [`FlowStage::ALL`] is the [`crate::ArtifactCache`]
+    /// flow-key contract.
+    pub fn consumes(self) -> &'static [&'static str] {
+        match self {
+            FlowStage::Library => &[
+                "node_id",
+                "stack_kind",
+                "clock_ps",
+                "clock_scale",
+                "utilization",
+                "opt_passes",
+                "pin_cap_scale",
+                "lower_metal_rho",
+            ],
+            FlowStage::Synthesis => &["bench_scale", "tmi_wlm", "node_id", "lower_metal_rho"],
+            FlowStage::Placement => &["place_iterations"],
+            FlowStage::PreRouteOpt => &[],
+            FlowStage::Routing | FlowStage::PostRouteOpt => &["mb1_routing"],
+            FlowStage::SignOff => &["alpha_ff", "node_id"],
+        }
     }
 }
 
@@ -187,14 +211,6 @@ pub enum FlowError {
     Extract(ExtractError),
     /// SPICE characterization failure.
     Spice(SpiceError),
-    /// A stage asked the artifact store for something no earlier stage
-    /// produced — a stage-sequencing bug in the driver, not a data error.
-    MissingArtifact {
-        /// The artifact that was requested (`"netlist"`, `"placement"`, …).
-        artifact: &'static str,
-        /// The stage that needed it.
-        stage: FlowStage,
-    },
     /// A deterministic fault injected by the test harness.
     Injected {
         /// Stage the fault was planted in.
@@ -229,11 +245,6 @@ pub enum FlowError {
 }
 
 impl FlowError {
-    /// Shorthand for [`FlowError::MissingArtifact`].
-    pub(crate) fn missing(artifact: &'static str, stage: FlowStage) -> FlowError {
-        FlowError::MissingArtifact { artifact, stage }
-    }
-
     /// The stage this error is attributed to, when unambiguous from the
     /// error itself. `Config` pre-dates all stages and returns `None`.
     pub fn stage(&self) -> Option<FlowStage> {
@@ -249,7 +260,6 @@ impl FlowError {
             | FlowError::Power(_)
             | FlowError::Extract(_)
             | FlowError::Spice(_) => None,
-            FlowError::MissingArtifact { stage, .. } => Some(*stage),
             FlowError::Injected { stage, .. } => Some(*stage),
             FlowError::StagePanicked { stage, .. } => Some(*stage),
             FlowError::DeadlineExceeded { stage, .. } => Some(*stage),
@@ -270,10 +280,6 @@ impl std::fmt::Display for FlowError {
             FlowError::Power(e) => write!(f, "power analysis: {e}"),
             FlowError::Extract(e) => write!(f, "parasitic extraction: {e}"),
             FlowError::Spice(e) => write!(f, "spice characterization: {e}"),
-            FlowError::MissingArtifact { artifact, stage } => write!(
-                f,
-                "stage {stage} needs artifact '{artifact}' that no earlier stage produced"
-            ),
             FlowError::Injected { stage, detail } => {
                 write!(f, "injected fault in {stage}: {detail}")
             }
@@ -302,8 +308,7 @@ impl std::error::Error for FlowError {
             FlowError::Power(e) => Some(e),
             FlowError::Extract(e) => Some(e),
             FlowError::Spice(e) => Some(e),
-            FlowError::MissingArtifact { .. }
-            | FlowError::Injected { .. }
+            FlowError::Injected { .. }
             | FlowError::StagePanicked { .. }
             | FlowError::DeadlineExceeded { .. }
             | FlowError::Cancelled { .. } => None,

@@ -135,19 +135,19 @@ pub fn table2_cell_timing_power() -> Result<String, FlowError> {
     for (cname, slew, load) in corners {
         for f in TABLE_CELLS {
             let topo = Topology::for_function(f);
-            let per_style = |style: DesignStyle| -> (f64, f64) {
+            let per_style = |style: DesignStyle| -> Result<(f64, f64), FlowError> {
                 if f.is_sequential() || f.output_count() > 1 {
                     let geom = generate_layout(&node, &topo, style, 1);
                     let t = characterize_analytic(&node, style, f, 1, &topo, &geom);
-                    (t.delay.lookup(slew, load), t.energy.lookup(slew, load))
+                    Ok((t.delay.lookup(slew, load), t.energy.lookup(slew, load)))
                 } else {
                     let key = SpiceKey::new(NodeId::N45, style, f, 1, &[slew], &[load]);
-                    let t = cache.spice_tables(&key);
-                    (t.delay.lookup(slew, load), t.energy.lookup(slew, load))
+                    let t = cache.spice_tables(&key)?;
+                    Ok((t.delay.lookup(slew, load), t.energy.lookup(slew, load)))
                 }
             };
-            let (d2, e2) = per_style(DesignStyle::TwoD);
-            let (d3, e3) = per_style(DesignStyle::Tmi);
+            let (d2, e2) = per_style(DesignStyle::TwoD)?;
+            let (d3, e3) = per_style(DesignStyle::Tmi)?;
             let p = paper
                 .iter()
                 .find(|(n, c, ..)| *n == f.base_name() && *c == cname)

@@ -29,7 +29,7 @@
 //! by publish count: torn writes, corrupted entries and lost
 //! permissions.
 //!
-//! Stages are addressed by the stage graph's names (`"route"`,
+//! Stages are addressed by their short names (`"route"`,
 //! `"signoff"`, … — see [`FlowStage::key`]) via [`FaultPlan::fail_stage`]
 //! and friends; both short and display names resolve.
 
@@ -100,8 +100,8 @@ impl FaultPlan {
         self
     }
 
-    /// Fails the stage named `stage` (stage-graph short name or display
-    /// name, e.g. `"route"`) on its `invocation`-th entry, 1-based.
+    /// Fails the stage named `stage` (short name or display name,
+    /// e.g. `"route"`) on its `invocation`-th entry, 1-based.
     ///
     /// # Panics
     ///
@@ -263,9 +263,9 @@ impl FaultInjector {
 
 /// What an injected fault does to the persistent artifact store
 /// ([`crate::store::DiskStore`]). Store faults are keyed by *publish
-/// count* rather than flow stage: the store is below the stage graph,
-/// and its failure modes (torn writes, bit rot, lost permissions) strike
-/// at I/O boundaries, not stage boundaries.
+/// count* rather than flow stage: the store is below the stages, and
+/// its failure modes (torn writes, bit rot, lost permissions) strike at
+/// I/O boundaries, not stage boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreFaultKind {
     /// The publish is torn: the temp file is cut off mid-write and never

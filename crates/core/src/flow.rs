@@ -1,5 +1,5 @@
 //! The flow façade: configuration, result type, and the thin [`Flow`]
-//! wrapper over the stage graph.
+//! wrapper over the supervised pipeline.
 //!
 //! Stage bodies live in [`crate::stage`]; sequencing and containment
 //! live in [`crate::supervisor`]; memoization lives in
@@ -125,8 +125,8 @@ impl FlowConfig {
         }
     }
 
-    /// Rejects configurations no flow stage can run against. Called by
-    /// [`Flow::try_run`] before any stage starts, so degenerate knobs
+    /// Rejects configurations no flow stage can run against. The library
+    /// stage calls it before any other stage starts, so degenerate knobs
     /// surface as one typed error instead of NaN propagation or a panic
     /// deep inside a stage.
     ///
@@ -249,9 +249,9 @@ impl FlowEnv {
 /// placement, pre-route optimization, routing, post-route optimization,
 /// power recovery, and sign-off timing/power (paper Fig. 1).
 ///
-/// `Flow` is a thin wrapper: the stage bodies live in the
-/// [`crate::StageGraph`], sequencing lives in [`crate::FlowSupervisor`],
-/// and completed results are shared through the [`ArtifactCache`].
+/// `Flow` is a thin wrapper: sequencing and containment live in
+/// [`crate::FlowSupervisor`], and completed results are shared through
+/// the [`ArtifactCache`].
 #[derive(Debug)]
 pub struct Flow {
     bench: Benchmark,
@@ -275,7 +275,7 @@ impl Flow {
     /// Checks the process-wide [`ArtifactCache`] first: a flow point
     /// already signed off under an equivalent configuration returns the
     /// stored (bit-identical) result without re-running any stage. On a
-    /// miss, runs the stage graph through [`crate::FlowSupervisor`] —
+    /// miss, runs the stages through [`crate::FlowSupervisor`] —
     /// each stage once, contained and under its deadline — and stores
     /// the result.
     ///
@@ -312,7 +312,10 @@ impl Flow {
 /// closes.
 ///
 /// Validation comes before the lookup so degenerate configs always
-/// surface as errors and never touch the key space.
+/// surface as errors and never touch the key space. A rejected config
+/// still leaves a trace: it runs the bare supervisor, whose library
+/// stage rejects it inside one `failed` span — no cancel point and no
+/// faults, so the caller always gets the [`FlowError::Config`].
 pub(crate) fn run_cached(
     bench: Benchmark,
     style: DesignStyle,
@@ -321,11 +324,13 @@ pub(crate) fn run_cached(
     cancel: Option<&CancelToken>,
     faults: &FaultPlan,
 ) -> Result<FlowResult, FlowError> {
-    config.validate()?;
+    let mut sup = FlowSupervisor::new(bench, style, config.clone()).with_cache(Arc::clone(cache));
+    if config.validate().is_err() {
+        return sup.run();
+    }
     if let Some(hit) = cache.lookup_result(bench, style, config) {
         return Ok(hit);
     }
-    let mut sup = FlowSupervisor::new(bench, style, config.clone()).with_cache(Arc::clone(cache));
     if let Some(tok) = cancel {
         sup = sup.with_cancel(tok.clone());
     }

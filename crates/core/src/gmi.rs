@@ -33,8 +33,7 @@ use m3d_netlist::{BenchScale, Benchmark, NetDriver, NetId, Netlist};
 use m3d_place::Placer;
 use m3d_power::{try_analyze_power, PowerConfig};
 use m3d_route::Router;
-use m3d_sta::{try_analyze, TimingConfig};
-use m3d_synth::{try_synthesize, SynthConfig, WireLoadModel};
+use m3d_sta::try_analyze;
 use m3d_tech::{DesignStyle, MetalStack, NodeId, StackKind};
 
 use crate::cache::{ArtifactCache, FlowKey};
@@ -42,6 +41,7 @@ use crate::error::{FlowError, FlowStage};
 use crate::experiments::Row;
 use crate::flow::try_extraction_models;
 use crate::govern::check;
+use crate::stage;
 use crate::FlowConfig;
 
 /// The circuits the G-MI comparison study runs.
@@ -323,35 +323,23 @@ pub struct GmiResult {
 /// The first phase failure as a [`FlowError`], or
 /// [`FlowError::Cancelled`] naming the phase about to start.
 pub fn run_gmi(bench: Benchmark, config: &FlowConfig) -> Result<GmiResult, FlowError> {
-    let node = config.tech_node();
+    // G-MI places planar cells: the 2D library at unscaled pin caps,
+    // whatever pin-cap scale `config` asks of the main flow.
+    let config = FlowConfig {
+        pin_cap_scale: 1.0,
+        ..config.clone()
+    };
+    let cache = ArtifactCache::global();
     check(FlowStage::Library)?;
-    let lib = ArtifactCache::global().library(
-        config.node_id,
-        DesignStyle::TwoD,
-        config.lower_metal_rho,
-        1.0,
-    )?;
-    let clock_ps = config
-        .clock_ps
-        .unwrap_or_else(|| bench.target_clock_ps(config.node_id))
-        * config.effective_clock_scale(bench);
-    let utilization = config
-        .utilization
-        .unwrap_or_else(|| bench.target_utilization());
-
+    let env = stage::library(bench, DesignStyle::TwoD, &config, &cache)?;
     check(FlowStage::Synthesis)?;
-    let raw = bench.generate(&lib, config.bench_scale);
-    let prelim = Placer::new(&lib)
-        .utilization(utilization)
-        .iterations(16)
-        .try_place(&raw)?;
-    let wlm = WireLoadModel::from_placement(&raw, &prelim);
-    let netlist = try_synthesize(raw, &lib, &wlm, &SynthConfig::new(clock_ps))?;
+    let (netlist, _, _) = stage::synthesize(bench, DesignStyle::TwoD, &config, &cache, &env)?;
+    let (lib, node) = (&env.lib, &env.node);
 
     check(FlowStage::Placement)?;
-    let part = fm_bipartition(&netlist, &lib, 4, 0.1);
-    let placement = Placer::new(&lib)
-        .utilization(utilization)
+    let part = fm_bipartition(&netlist, lib, 4, 0.1);
+    let placement = Placer::new(lib)
+        .utilization(env.utilization)
         .iterations(config.place_iterations)
         .tiers(part.assignment.clone(), 2)
         .try_place(&netlist)?;
@@ -359,18 +347,18 @@ pub fn run_gmi(bench: Benchmark, config: &FlowConfig) -> Result<GmiResult, FlowE
     // G-MI routes over the T-MI stack (it needs MB1 + the extra layers
     // for the doubled pin density just like T-MI does).
     check(FlowStage::Routing)?;
-    let stack = MetalStack::new(&node, StackKind::Tmi);
-    let router = Router::new(&node, &stack);
-    let routed = router.try_route(&netlist, &placement, &lib)?;
-    let mut models = try_extraction_models(&netlist, &routed, &node)?;
+    let stack = MetalStack::new(node, StackKind::Tmi);
+    let router = Router::new(node, &stack);
+    let routed = router.try_route(&netlist, &placement, lib)?;
+    let mut models = try_extraction_models(&netlist, &routed, node)?;
     for id in miv_nets(&netlist, &part.assignment) {
         models[id.0 as usize].r_wire += node.miv.resistance;
         models[id.0 as usize].c_wire += node.miv.capacitance;
     }
 
     check(FlowStage::SignOff)?;
-    let report = try_analyze(&netlist, &lib, &models, &TimingConfig::new(clock_ps))?;
-    let power = try_analyze_power(&netlist, &lib, &models, &PowerConfig::new(clock_ps))?;
+    let report = try_analyze(&netlist, lib, &models, &env.timing())?;
+    let power = try_analyze_power(&netlist, lib, &models, &PowerConfig::new(env.clock_ps))?;
     Ok(GmiResult {
         footprint_um2: placement.footprint_um2(),
         wirelength_um: routed.total_wirelength_um(),

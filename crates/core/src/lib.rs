@@ -26,10 +26,11 @@
 //! reports the percentage deltas of the paper's Tables 4/7/13/14;
 //! [`experiments`] regenerates every table and figure.
 //!
-//! The pipeline itself is a [`StageGraph`] ([`stage`]): one [`Stage`]
-//! per paper step, reading and writing a typed [`FlowContext`] artifact
-//! store ([`artifacts`]), with cell libraries and completed results
-//! shared through a content-keyed [`ArtifactCache`] ([`cache`]) so the
+//! The pipeline itself is one plain function per paper step, with typed
+//! inputs and outputs, that [`FlowSupervisor`] calls in the paper's
+//! fixed order; each stage's [`FlowStage::consumes`] names the config
+//! knobs it reads. Cell libraries and completed results are shared
+//! through a content-keyed [`ArtifactCache`] ([`cache`]) so the
 //! experiment drivers and `paper_tables` never rebuild an identical
 //! artifact.
 //!
@@ -74,7 +75,6 @@
 //! );
 //! ```
 
-pub mod artifacts;
 pub mod cache;
 mod codec;
 mod compare;
@@ -87,11 +87,10 @@ pub mod gmi;
 pub mod govern;
 mod memo;
 pub mod observe;
-pub mod stage;
+mod stage;
 pub mod store;
 pub mod supervisor;
 
-pub use artifacts::FlowContext;
 pub use cache::{ArtifactCache, CacheStats, FlowKey, LibraryKey, SpiceKey};
 pub use compare::Comparison;
 pub use error::StoreFailure;
@@ -108,6 +107,5 @@ pub use observe::{
     escape_json_into, json_raw_field, json_str_field, unescape_json, CacheKind, Event, EventKind,
     JsonlRecorder, NullRecorder, Recorder, StageOutcome, TraceSummary, VecRecorder,
 };
-pub use stage::{Stage, StageGraph};
 pub use store::{DiskCounters, DiskStore};
 pub use supervisor::{FlowSupervisor, StageDeadlines};

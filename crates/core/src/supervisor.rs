@@ -1,10 +1,10 @@
-//! The flow supervisor: runs the stage graph once, stage by stage, on
-//! the calling thread, and contains every way a stage can fail.
+//! The flow supervisor: runs the pipeline once, stage by stage, on the
+//! calling thread, and contains every way a stage can fail.
 //!
-//! The supervisor drives the [`crate::StageGraph`] as straight-line
-//! code — library, synthesis, then the floorplan rounds (place,
-//! pre-route, route, post-route, decide), then sign-off — and wraps
-//! each stage in a containment envelope:
+//! The supervisor calls the stage functions of `crate::stage` as
+//! straight-line code — library, synthesis, then the floorplan rounds
+//! (place, pre-route, route, post-route, decide), then sign-off — and
+//! wraps each stage in a containment envelope:
 //!
 //! * the stage body runs under `catch_unwind`, so a panic becomes
 //!   [`FlowError::StagePanicked`] instead of unwinding the driver, and
@@ -32,16 +32,16 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use m3d_netlist::Benchmark;
+use m3d_synth::WireLoadModel;
 use m3d_tech::DesignStyle;
 
-use crate::artifacts::{Artifacts, FlowContext};
 use crate::cache::ArtifactCache;
 use crate::error::{FlowError, FlowStage};
 use crate::faultinject::{FaultInjector, FaultKind, FaultPlan, InjectedFault};
-use crate::flow::{FlowConfig, FlowResult};
+use crate::flow::{FlowConfig, FlowEnv, FlowResult};
 use crate::govern::{self, CancelToken};
-use crate::observe::{EventKind, Recorder, StageOutcome};
-use crate::stage::{Stage, StageGraph};
+use crate::observe::{EventKind, StageOutcome};
+use crate::stage::{self, Design};
 
 /// Per-stage wall-clock budgets, armed on each stage's token.
 ///
@@ -126,8 +126,8 @@ fn silence_contained_panics() {
     });
 }
 
-/// Drives the [`StageGraph`] once, with per-stage deadlines and
-/// optional deterministic fault injection for testing the containment.
+/// Runs the pipeline once, with per-stage deadlines and optional
+/// deterministic fault injection for testing the containment.
 ///
 /// The supervisor always *executes* its stages — it never consults the
 /// result cache, so planted faults behave identically whether or not an
@@ -142,7 +142,6 @@ pub struct FlowSupervisor {
     config: FlowConfig,
     deadlines: StageDeadlines,
     injector: FaultInjector,
-    graph: StageGraph,
     cache: Arc<ArtifactCache>,
     /// Cancellation point for this run; `None` runs ungoverned.
     cancel: Option<CancelToken>,
@@ -159,7 +158,6 @@ impl FlowSupervisor {
             config,
             deadlines: StageDeadlines::default(),
             injector: FaultInjector::new(FaultPlan::new()),
-            graph: StageGraph::paper_pipeline(),
             cache: ArtifactCache::global(),
             cancel: None,
         }
@@ -203,115 +201,106 @@ impl FlowSupervisor {
     ///
     /// The [`FlowError`] of the first stage that failed, panicked,
     /// overran its budget or was cancelled.
-    pub fn run(self) -> Result<FlowResult, FlowError> {
+    pub fn run(mut self) -> Result<FlowResult, FlowError> {
         silence_contained_panics();
-        let FlowSupervisor {
-            bench,
-            style,
-            config,
-            deadlines,
-            injector,
-            graph,
-            cache,
-            cancel,
-        } = self;
-        let mut engine = Engine {
-            deadlines,
-            injector,
-            graph,
-            recorder: cache.recorder(),
-            cancel,
-        };
-        let mut cx = FlowContext::new(bench, style, config, cache);
-        engine.flow(&mut cx)
-    }
-}
-
-/// The running state of one supervised flow.
-struct Engine {
-    deadlines: StageDeadlines,
-    injector: FaultInjector,
-    graph: StageGraph,
-    /// The cache's event sink, resolved when the run starts (disabled =
-    /// null recorder).
-    recorder: Arc<dyn Recorder>,
-    /// Run-level cancellation point; `None` runs ungoverned.
-    cancel: Option<CancelToken>,
-}
-
-impl Engine {
-    /// Records one event iff the resolved recorder is live — with the
-    /// default null recorder this is one virtual call, no event
-    /// construction.
-    fn emit(&self, kind: impl FnOnce() -> EventKind) {
-        if self.recorder.enabled() {
-            self.recorder.record(kind());
-        }
+        let (bench, style, config) = (self.bench, self.style, self.config.clone());
+        let (env, wlm, design) = self.close(&config)?;
+        self.run_stage(FlowStage::SignOff, || {
+            stage::signoff(bench, style, &config, &env, &wlm, &design)
+        })
     }
 
-    /// Library through sign-off. Round 1 of the floorplan loop sizes the
-    /// design; a second round re-places at the corrected floorplan basis
-    /// when the cell area drifted from it, and keeps whichever round
-    /// closed better.
-    fn flow(&mut self, cx: &mut FlowContext) -> Result<FlowResult, FlowError> {
-        self.run_stage(FlowStage::Library, cx)?;
-        self.run_stage(FlowStage::Synthesis, cx)?;
+    /// Library through the floorplan decision. Round 1 of the floorplan
+    /// loop sizes the design; a second round re-places at the corrected
+    /// floorplan basis when the cell area drifted from it, and keeps
+    /// whichever round closed better.
+    fn close(
+        &mut self,
+        config: &FlowConfig,
+    ) -> Result<(FlowEnv, WireLoadModel, Design), FlowError> {
+        let (bench, style, cache) = (self.bench, self.style, Arc::clone(&self.cache));
+        let env = self.run_stage(FlowStage::Library, || {
+            stage::library(bench, style, config, &cache)
+        })?;
+        let (mut netlist, wlm, tau_ps) = self.run_stage(FlowStage::Synthesis, || {
+            stage::synthesize(bench, style, config, &cache, &env)
+        })?;
         let mut round1 = None;
-        loop {
-            for id in [
-                FlowStage::Placement,
-                FlowStage::PreRouteOpt,
-                FlowStage::Routing,
-                FlowStage::PostRouteOpt,
-            ] {
-                self.run_stage(id, cx)?;
-            }
+        let design = loop {
+            let mut placement = self.run_stage(FlowStage::Placement, || {
+                stage::place(&env, config, tau_ps, &mut netlist)
+            })?;
+            self.run_stage(FlowStage::PreRouteOpt, || {
+                stage::preroute(&env, &mut netlist, &mut placement)
+            })?;
+            let (models, route) = self.run_stage(FlowStage::Routing, || {
+                stage::route(&env, config, tau_ps, &mut netlist, &mut placement)
+            })?;
+            let mut design = Design {
+                netlist,
+                placement,
+                models,
+                route,
+                wns_after_opt: 0.0,
+            };
+            self.run_stage(FlowStage::PostRouteOpt, || {
+                stage::postroute(&env, config, &mut design)
+            })?;
             match round1.take() {
-                Some(first) => {
-                    keep_better_round(cx, first);
-                    break;
+                Some(first) => break keep_better_round(design, first),
+                None if floorplan_holds(&env, &design) => break design,
+                None => {
+                    round1 = Some(design.clone());
+                    netlist = design.netlist;
                 }
-                None if floorplan_holds(cx) => break,
-                None => round1 = Some(cx.art.clone()),
             }
-        }
-        self.run_stage(FlowStage::SignOff, cx)?;
-        Ok(cx.result.take().expect("sign-off stage stores a result"))
+        };
+        Ok((env, wlm, design))
     }
 
-    /// Runs one stage, contained by [`Engine::attempt`], inside one
-    /// trace span. A cancelled run stops before the span opens.
-    fn run_stage(&mut self, id: FlowStage, cx: &mut FlowContext) -> Result<(), FlowError> {
+    /// Runs one stage body inside one trace span, contained by
+    /// [`FlowSupervisor::attempt`]. A cancelled run stops before the
+    /// span opens. The span goes to the cache's recorder as it stands
+    /// when the stage starts.
+    fn run_stage<T>(
+        &mut self,
+        id: FlowStage,
+        body: impl FnOnce() -> Result<T, FlowError>,
+    ) -> Result<T, FlowError> {
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Err(FlowError::Cancelled { stage: id });
         }
         let fault = self.injector.tick(id);
-        let stage = self.graph.stage(id);
+        let recorder = self.cache.recorder();
         // Injected errors get a span too, so the trace pairs one
         // terminal event with every start.
-        self.emit(|| EventKind::StageStarted {
-            bench: cx.bench,
-            style: cx.style,
-            stage: id,
-            consumes: stage.consumes(),
-        });
+        if recorder.enabled() {
+            recorder.record(EventKind::StageStarted {
+                bench: self.bench,
+                style: self.style,
+                stage: id,
+                consumes: id.consumes(),
+            });
+        }
         let wall_t0 = Instant::now();
         let (outcome, busy_s) = match &fault {
             Some(f) if f.kind == FaultKind::Error => (Err(f.error()), 0.0),
-            _ => self.attempt(stage, cx, fault.as_ref()),
+            _ => self.attempt(id, body, fault.as_ref()),
         };
         let wall_s = wall_t0.elapsed().as_secs_f64();
-        self.emit(|| EventKind::StageFinished {
-            bench: cx.bench,
-            style: cx.style,
-            stage: id,
-            outcome: match &outcome {
-                Ok(()) => StageOutcome::Ok,
-                Err(e) => StageOutcome::of_error(e),
-            },
-            wall_s,
-            busy_s,
-        });
+        if recorder.enabled() {
+            recorder.record(EventKind::StageFinished {
+                bench: self.bench,
+                style: self.style,
+                stage: id,
+                outcome: match &outcome {
+                    Ok(_) => StageOutcome::Ok,
+                    Err(e) => StageOutcome::of_error(e),
+                },
+                wall_s,
+                busy_s,
+            });
+        }
         outcome
     }
 
@@ -337,13 +326,12 @@ impl Engine {
     /// spent in the stage body (0 when the body never ran or panicked).
     /// The caller times the wall clock around the whole call; the
     /// difference is the injected stall plus containment overhead.
-    fn attempt(
+    fn attempt<T>(
         &self,
-        stage: &dyn Stage,
-        cx: &mut FlowContext,
+        id: FlowStage,
+        body: impl FnOnce() -> Result<T, FlowError>,
         fault: Option<&InjectedFault>,
-    ) -> (Result<(), FlowError>, f64) {
-        let id = stage.id();
+    ) -> (Result<T, FlowError>, f64) {
         let token = self
             .cancel
             .as_ref()
@@ -369,7 +357,7 @@ impl Engine {
             // budget, or a stall that outlived either — runs no body.
             govern::check(id)?;
             let t0 = Instant::now();
-            let outcome = stage.run(cx);
+            let outcome = body();
             busy_s = t0.elapsed().as_secs_f64();
             outcome
         }));
@@ -394,28 +382,19 @@ impl Engine {
 /// Whether round 1's floorplan holds: the placed cell area over the
 /// core footprint stays within 10 % of the utilization target it was
 /// built for. Otherwise the design re-places at the corrected basis.
-fn floorplan_holds(cx: &FlowContext) -> bool {
-    let env = cx.env.as_ref().expect("library stage ran");
-    let netlist = cx
-        .art
-        .netlist
-        .as_ref()
-        .expect("synthesis stage leaves a netlist");
-    let placement = cx
-        .art
-        .placement
-        .as_ref()
-        .expect("post-route stage leaves a placement");
-    let basis = netlist.total_cell_area(&env.lib) / placement.footprint_um2();
+fn floorplan_holds(env: &FlowEnv, design: &Design) -> bool {
+    let basis = design.netlist.total_cell_area(&env.lib) / design.placement.footprint_um2();
     (basis / env.utilization - 1.0).abs() <= 0.10
 }
 
 /// Keeps whichever floorplan round closed better: round 2 can fail on
 /// stubborn designs, and then round 1's whole snapshot — its models and
 /// route summary included — is what sign-off reports.
-fn keep_better_round(cx: &mut FlowContext, round1: Artifacts) {
-    if cx.art.wns_after_opt < round1.wns_after_opt.min(0.0) {
-        cx.art = round1;
+fn keep_better_round(round2: Design, round1: Design) -> Design {
+    if round2.wns_after_opt < round1.wns_after_opt.min(0.0) {
+        round1
+    } else {
+        round2
     }
 }
 
@@ -428,31 +407,32 @@ mod tests {
     use m3d_tech::NodeId;
 
     use crate::flow::try_extraction_models;
-    use crate::observe::{self, VecRecorder};
+    use crate::observe::{Recorder, VecRecorder};
     use crate::stage::router;
 
-    /// An engine with the default deadlines, no faults and no cancel
-    /// point, tracing into `recorder`.
-    fn engine(recorder: Arc<dyn Recorder>) -> Engine {
-        Engine {
-            deadlines: StageDeadlines::default(),
-            injector: FaultInjector::default(),
-            graph: StageGraph::paper_pipeline(),
-            recorder,
-            cancel: None,
-        }
+    fn small() -> FlowConfig {
+        FlowConfig::new(NodeId::N45).scale(BenchScale::Small)
     }
 
-    /// Runs a small-scale flow through sign-off, keeping the context it
-    /// leaves and the number of floorplan rounds it took (its placement
-    /// spans).
-    fn close(bench: Benchmark, style: DesignStyle) -> (u32, FlowContext, FlowResult) {
-        let config = FlowConfig::new(NodeId::N45).scale(BenchScale::Small);
-        let mut cx = FlowContext::new(bench, style, config, ArtifactCache::global());
+    /// Runs a small-scale flow through sign-off on a fresh traced cache,
+    /// keeping the number of floorplan rounds it took (its placement
+    /// spans), its environment and WLM, the design it signed off and
+    /// the result.
+    fn close(
+        bench: Benchmark,
+        style: DesignStyle,
+    ) -> (u32, FlowEnv, WireLoadModel, Design, FlowResult) {
+        let config = small();
         let trace = Arc::new(VecRecorder::new());
-        let result = engine(Arc::clone(&trace) as Arc<dyn Recorder>)
-            .flow(&mut cx)
-            .expect("small flow closes");
+        let cache = Arc::new(ArtifactCache::default());
+        cache.set_recorder(Arc::clone(&trace) as Arc<dyn Recorder>);
+        let mut sup = FlowSupervisor::new(bench, style, config.clone()).with_cache(cache);
+        let (env, wlm, design) = sup.close(&config).expect("small flow closes");
+        let result = sup
+            .run_stage(FlowStage::SignOff, || {
+                stage::signoff(bench, style, &config, &env, &wlm, &design)
+            })
+            .expect("small flow signs off");
         let rounds = trace
             .events()
             .iter()
@@ -466,7 +446,7 @@ mod tests {
                 )
             })
             .count() as u32;
-        (rounds, cx, result)
+        (rounds, env, wlm, design, result)
     }
 
     fn model_bits(models: &[NetModel]) -> Vec<(u64, u64)> {
@@ -476,29 +456,22 @@ mod tests {
             .collect()
     }
 
-    fn route_bits(route: &Option<(f64, LayerUsage)>) -> Option<Vec<u64>> {
-        route.as_ref().map(|(wirelength_um, u)| {
-            let mut bits = vec![
-                wirelength_um.to_bits(),
-                u.m1_um.to_bits(),
-                u.local_um.to_bits(),
-                u.intermediate_um.to_bits(),
-                u.global_um.to_bits(),
-                u.overflow_ratio.to_bits(),
-            ];
-            bits.extend(u.peak_utilization.iter().map(|v| v.to_bits()));
-            bits.extend(u.mean_utilization.iter().map(|v| v.to_bits()));
-            bits
-        })
+    fn route_bits((wirelength_um, u): &(f64, LayerUsage)) -> Vec<u64> {
+        let mut bits = vec![
+            wirelength_um.to_bits(),
+            u.m1_um.to_bits(),
+            u.local_um.to_bits(),
+            u.intermediate_um.to_bits(),
+            u.global_um.to_bits(),
+            u.overflow_ratio.to_bits(),
+        ];
+        bits.extend(u.peak_utilization.iter().map(|v| v.to_bits()));
+        bits.extend(u.mean_utilization.iter().map(|v| v.to_bits()));
+        bits
     }
 
-    fn assert_same_artifacts(got: &Artifacts, want: &Artifacts) {
+    fn assert_same_design(got: &Design, want: &Design) {
         assert_eq!(got.netlist, want.netlist);
-        assert_eq!(
-            got.wlm.as_ref().map(|w| w.curve().to_vec()),
-            want.wlm.as_ref().map(|w| w.curve().to_vec())
-        );
-        assert_eq!(got.tau_ps.to_bits(), want.tau_ps.to_bits());
         assert_eq!(got.placement, want.placement);
         assert_eq!(model_bits(&got.models), model_bits(&want.models));
         assert_eq!(route_bits(&got.route), route_bits(&want.route));
@@ -514,29 +487,26 @@ mod tests {
     fn signoff_matches_a_reroute_of_the_final_design() {
         for bench in [Benchmark::Aes, Benchmark::Ldpc] {
             for (style, rounds) in [(DesignStyle::TwoD, 2), (DesignStyle::Tmi, 1)] {
-                let (taken, cx, result) = close(bench, style);
+                let (taken, env, _, design, result) = close(bench, style);
                 assert_eq!(taken, rounds, "{bench:?} {style:?}: floorplan rounds");
-                let env = cx.env.as_ref().expect("library stage ran");
-                let netlist = cx.art.netlist.as_ref().expect("final netlist");
-                let placement = cx.art.placement.as_ref().expect("final placement");
-                let routed = router(env, cx.config.mb1_routing)
-                    .try_route(netlist, placement, &env.lib)
+                let routed = router(&env, small().mb1_routing)
+                    .try_route(&design.netlist, &design.placement, &env.lib)
                     .expect("final design routes");
                 let models =
-                    try_extraction_models(netlist, &routed, &env.node).expect("extraction");
-                let reference = Some((routed.total_wirelength_um(), LayerUsage::of(&routed)));
+                    try_extraction_models(&design.netlist, &routed, &env.node).expect("extraction");
+                let reference = (routed.total_wirelength_um(), LayerUsage::of(&routed));
                 assert_eq!(
-                    model_bits(&cx.art.models),
+                    model_bits(&design.models),
                     model_bits(&models),
                     "{bench:?} {style:?}: models"
                 );
                 assert_eq!(
-                    route_bits(&cx.art.route),
+                    route_bits(&design.route),
                     route_bits(&reference),
                     "{bench:?} {style:?}: route summary"
                 );
                 assert_eq!(
-                    route_bits(&Some((result.wirelength_um, result.layer_usage))),
+                    route_bits(&(result.wirelength_um, result.layer_usage)),
                     route_bits(&reference),
                     "{bench:?} {style:?}: signed-off route summary"
                 );
@@ -549,38 +519,37 @@ mod tests {
     /// snapshot, and sign-off reports round 1's route.
     #[test]
     fn decide_reverts_to_the_round_one_snapshot() {
-        let (_, mut cx, _) = close(Benchmark::Aes, DesignStyle::TwoD);
-        let mut round1 = cx.art.clone();
+        let (_, env, wlm, design, _) = close(Benchmark::Aes, DesignStyle::TwoD);
+        let mut round1 = design;
         round1.wns_after_opt = -1.0;
         let mut round2 = round1.clone();
         round2.wns_after_opt = -5.0;
         for m in &mut round2.models {
             m.c_wire += 1.0;
         }
-        if let Some((wirelength_um, _)) = round2.route.as_mut() {
-            *wirelength_um *= 2.0;
-        }
-        if let Some(p) = round2.placement.as_mut() {
-            p.utilization *= 0.5;
-        }
+        round2.route.0 *= 2.0;
+        round2.placement.utilization *= 0.5;
 
-        cx.art = round2.clone();
-        keep_better_round(&mut cx, round1.clone());
-        assert_same_artifacts(&cx.art, &round1);
-        engine(observe::null())
-            .run_stage(FlowStage::SignOff, &mut cx)
-            .expect("signs off");
-        let result = cx.result.take().expect("sign-off result");
+        let kept = keep_better_round(round2.clone(), round1.clone());
+        assert_same_design(&kept, &round1);
+        let result = stage::signoff(
+            Benchmark::Aes,
+            DesignStyle::TwoD,
+            &small(),
+            &env,
+            &wlm,
+            &kept,
+        )
+        .expect("signs off");
         assert_eq!(
-            route_bits(&Some((result.wirelength_um, result.layer_usage))),
+            route_bits(&(result.wirelength_um, result.layer_usage)),
             route_bits(&round1.route)
         );
 
         // A round 2 that closed no worse is kept as it is.
         let mut better = round2;
         better.wns_after_opt = -0.5;
-        cx.art = better.clone();
-        keep_better_round(&mut cx, round1);
-        assert_same_artifacts(&cx.art, &better);
+        let kept = keep_better_round(better.clone(), round1);
+        assert_same_design(&kept, &better);
     }
 }

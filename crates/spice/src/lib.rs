@@ -25,10 +25,11 @@
 //! c.vsource(inp, Waveform::step(1.0, 10.0, 1.0));
 //! c.resistor(inp, out, 1.0);        // 1 kOhm
 //! c.capacitor(out, Circuit::GND, 1.0); // 1 fF -> tau = 1 ps
-//! let result = Transient::new(&c).run(50.0);
+//! let result = Transient::new(&c).try_run(50.0)?;
 //! let t50 = result.cross_time(out, 0.5, true).expect("crosses 0.5 V");
 //! // Analytic 50% point: t_start + tau*ln(2) (plus ~half the 1 ps input slew).
 //! assert!((t50 - (10.5 + 0.693)).abs() < 0.1, "t50 = {t50}");
+//! # Ok::<(), m3d_spice::ConvergenceError>(())
 //! ```
 
 mod circuit;

@@ -20,13 +20,14 @@ use crate::{ConvergenceError, Node};
 /// c.mosfet(out, inp, Circuit::GND, MosParams::nmos45(0.415));
 /// c.mosfet(out, inp, vdd, MosParams::pmos45(0.630));
 /// c.capacitor(out, Circuit::GND, 2.0);
-/// let r = Transient::new(&c).run(200.0);
+/// let r = Transient::new(&c).try_run(200.0)?;
 /// // Input rise -> output falls below VDD/2 some time after the input
 /// // crosses VDD/2.
 /// let t_in = r.cross_time(inp, 0.55, true).expect("input crosses");
 /// let t_out = r.cross_time(out, 0.55, false).expect("output falls");
 /// assert!(t_out > t_in);
 /// assert!(t_out - t_in < 60.0, "inverter delay {} ps", t_out - t_in);
+/// # Ok::<(), m3d_spice::ConvergenceError>(())
 /// ```
 /// Companion-model integration method used for one solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,16 +82,6 @@ impl<'c> Transient<'c> {
         assert!(dt.is_finite() && dt > 0.0, "dt must be positive");
         self.dt = Some(dt);
         self
-    }
-
-    /// Runs until `t_end` ps.
-    ///
-    /// # Panics
-    ///
-    /// Panics on Newton non-convergence; use [`Transient::try_run`] to
-    /// handle the error.
-    pub fn run(&self, t_end: f64) -> TransientResult {
-        self.try_run(t_end).expect("transient convergence")
     }
 
     /// Runs until `t_end` ps.
@@ -353,15 +344,19 @@ impl<'c> Transient<'c> {
 /// Used to validate gate thresholds (e.g. an inverter's VTC) against the
 /// device models.
 ///
+/// # Errors
+///
+/// Returns [`ConvergenceError`] when settling fails at some sweep point.
+///
 /// # Panics
 ///
-/// Panics if `source_idx` is out of range or settling fails.
+/// Panics if `source_idx` is out of range.
 pub fn dc_transfer(
     circuit: &Circuit,
     source_idx: usize,
     sweep: &[f64],
     observe: Node,
-) -> Vec<(f64, f64)> {
+) -> Result<Vec<(f64, f64)>, ConvergenceError> {
     assert!(
         source_idx < circuit.vsources.len(),
         "source index out of range"
@@ -371,8 +366,8 @@ pub fn dc_transfer(
         .map(|&v| {
             let mut ckt = circuit.clone();
             ckt.vsources[source_idx].waveform = crate::Waveform::Dc(v);
-            let r = Transient::new(&ckt).with_dt(2.0).run(120.0);
-            (v, r.final_voltage(observe))
+            let r = Transient::new(&ckt).with_dt(2.0).try_run(120.0)?;
+            Ok((v, r.final_voltage(observe)))
         })
         .collect()
 }
@@ -449,7 +444,10 @@ mod tests {
         c.vsource(inp, Waveform::step(1.0, 5.0, 0.01));
         c.resistor(inp, out, 2.0); // 2 kOhm
         c.capacitor(out, Circuit::GND, 3.0); // 3 fF -> tau = 6 ps
-        let r = Transient::new(&c).with_dt(0.02).run(60.0);
+        let r = Transient::new(&c)
+            .with_dt(0.02)
+            .try_run(60.0)
+            .expect("converges");
         let t63 = r
             .cross_time(out, 1.0 - (-1.0f64).exp(), true)
             .expect("charges");
@@ -467,7 +465,10 @@ mod tests {
         c.capacitor(mid, Circuit::GND, 2.0);
         // Large bleed resistor so DC is well-defined.
         c.resistor(mid, Circuit::GND, 1e6);
-        let r = Transient::new(&c).with_dt(0.01).run(10.0);
+        let r = Transient::new(&c)
+            .with_dt(0.01)
+            .try_run(10.0)
+            .expect("converges");
         let v_mid = r.voltage(mid, (2.0 / 0.01) as usize);
         assert!((v_mid - 0.5).abs() < 0.02, "v_mid = {v_mid}");
     }
@@ -483,7 +484,10 @@ mod tests {
         c.mosfet(out, inp, Circuit::GND, MosParams::nmos45(0.415));
         c.mosfet(out, inp, vdd, MosParams::pmos45(0.630));
         c.capacitor(out, Circuit::GND, 1.0);
-        let r = Transient::new(&c).with_dt(0.5).run(100.0);
+        let r = Transient::new(&c)
+            .with_dt(0.5)
+            .try_run(100.0)
+            .expect("converges");
         assert!(
             r.final_voltage(out) > 1.05,
             "out = {}",
@@ -503,7 +507,10 @@ mod tests {
         c.mosfet(out, inp, vdd, MosParams::pmos45(0.630));
         let load = 3.2;
         c.capacitor(out, Circuit::GND, load);
-        let r = Transient::new(&c).with_dt(0.1).run(200.0);
+        let r = Transient::new(&c)
+            .with_dt(0.1)
+            .try_run(200.0)
+            .expect("converges");
         // Output discharges: the NMOS dumps the load charge to ground, and
         // the rising input charges the gate caps. The VDD rail itself can
         // *absorb* energy on this edge (input couples into it through the
@@ -529,7 +536,7 @@ mod tests {
         c.mosfet(out, inp, vdd, MosParams::pmos45(0.630));
         c.capacitor(out, Circuit::GND, 1.0);
         let sweep: Vec<f64> = (0..=11).map(|i| i as f64 * 0.1).collect();
-        let vtc = dc_transfer(&c, 1, &sweep, out);
+        let vtc = dc_transfer(&c, 1, &sweep, out).expect("settles");
         // Rails.
         assert!(vtc[0].1 > 1.0, "out at Vin=0 is {}", vtc[0].1);
         assert!(vtc[11].1 < 0.1, "out at Vin=VDD is {}", vtc[11].1);
@@ -558,11 +565,30 @@ mod tests {
             c.mosfet(out, inp, Circuit::GND, MosParams::nmos45(0.415));
             c.mosfet(out, inp, vdd, MosParams::pmos45(0.630));
             c.capacitor(out, Circuit::GND, load);
-            let r = Transient::new(&c).with_dt(0.1).run(400.0);
+            let r = Transient::new(&c)
+                .with_dt(0.1)
+                .try_run(400.0)
+                .expect("converges");
             r.slew(out, 1.1, 0.3, 0.7, true).expect("output rises")
         };
         let s_small = delay_for(0.8);
         let s_big = delay_for(12.8);
         assert!(s_big > 3.0 * s_small, "slews {s_small} vs {s_big}");
+    }
+
+    #[test]
+    fn conflicting_sources_fail_with_a_convergence_error() {
+        // Two ideal sources pin one node to different voltages: the MNA
+        // system has no solution.
+        let mut c = Circuit::new();
+        let n = c.node("n");
+        c.vsource(n, Waveform::Dc(1.0));
+        c.vsource(n, Waveform::Dc(0.5));
+        c.resistor(n, Circuit::GND, 1.0);
+        let err = Transient::new(&c)
+            .with_dt(1.0)
+            .try_run(10.0)
+            .expect_err("conflicting sources have no operating point");
+        assert_eq!(err, ConvergenceError { at_time_ps: 0 });
     }
 }

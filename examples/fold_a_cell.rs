@@ -11,9 +11,10 @@ use m3d_cells::{
     characterize::characterize_spice, layout::generate_layout, CellFunction, Signal, Topology,
 };
 use m3d_extract::{extract_cell, TopSiliconModel};
+use m3d_spice::SpiceError;
 use m3d_tech::{CellLayer, DesignStyle, TechNode};
 
-fn main() {
+fn main() -> Result<(), SpiceError> {
     let node = TechNode::n45();
     let f = CellFunction::Nand2;
     let topo = Topology::for_function(f);
@@ -57,7 +58,7 @@ fn main() {
             con.total_c()
         );
         // SPICE characterization at the paper's fast corner (Table 2).
-        let t = characterize_spice(&node, f, 1, &topo, &geom, vec![7.5], vec![0.8]);
+        let t = characterize_spice(&node, f, 1, &topo, &geom, vec![7.5], vec![0.8])?;
         println!(
             "    SPICE @ (7.5 ps, 0.8 fF): delay {:.1} ps, energy {:.3} fJ\n",
             t.delay.lookup(7.5, 0.8),
@@ -65,4 +66,5 @@ fn main() {
         );
     }
     println!("paper (Tables 1-2, NAND2): R 0.372 -> 0.237 kOhm; delay 21.2 -> 20.9 ps (98.6%)");
+    Ok(())
 }

@@ -1,6 +1,6 @@
 //! Cache behaviour of the flow: a cache-hit result must be bit-identical
 //! to the cold run, and the flow key must track exactly the configuration
-//! knobs the stage graph consumes.
+//! knobs the stages consume.
 
 use std::sync::Arc;
 

@@ -1,11 +1,11 @@
 //! Golden-trace suite for the observability layer: the smoke-subset
 //! flow plan runs under a `VecRecorder` and the resulting event stream
-//! must replay the stage-graph topology exactly, balance every span,
+//! must replay the pipeline topology exactly, balance every span,
 //! agree with `CacheStats` on cache traffic, survive a JSONL round trip
 //! through the schema validator with the same per-stage span counts and
 //! wall times, and be order-normalized identical between
-//! `--jobs 1` and `--jobs 4` runs. A separate test pins the event
-//! shape of a failed stage against a fault plan.
+//! `--jobs 1` and `--jobs 4` runs. Separate tests pin the event shape
+//! of a failed stage against a fault plan, and of a rejected config.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -15,9 +15,9 @@ use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, NodeId};
 use monolith3d::observe::{validate_jsonl, write_event_json};
 use monolith3d::{
-    experiments, ArtifactCache, CacheKind, Event, EventKind, ExperimentPlan, FaultPlan, FlowConfig,
-    FlowError, FlowStage, FlowSupervisor, ParallelExecutor, Recorder, StageGraph, StageOutcome,
-    VecRecorder,
+    experiments, ArtifactCache, CacheKind, ConfigError, Event, EventKind, ExperimentPlan,
+    FaultPlan, Flow, FlowConfig, FlowError, FlowStage, FlowSupervisor, ParallelExecutor, Recorder,
+    StageOutcome, VecRecorder,
 };
 
 fn cfg() -> FlowConfig {
@@ -231,10 +231,63 @@ fn every_stage_started_pairs_with_one_terminal_event() {
     }
 }
 
+/// The stage a fault-free flow enters at.
+const ENTRY: FlowStage = FlowStage::Library;
+
+/// The stage a closed flow exits from.
+const EXIT: FlowStage = FlowStage::SignOff;
+
+/// Whether `from -> to` is a legal transition between *successful*
+/// stage completions of one flow: the pipeline's forward edges, plus
+/// the floorplan back edge — post-route optimization may return to
+/// placement when the cell area drifted from the floorplan basis (the
+/// two-round loop of paper Fig. 1).
+fn legal_transition(from: FlowStage, to: FlowStage) -> bool {
+    use FlowStage::*;
+    matches!(
+        (from, to),
+        (Library, Synthesis)
+            | (Synthesis, Placement)
+            | (Placement, PreRouteOpt)
+            | (PreRouteOpt, Routing)
+            | (Routing, PostRouteOpt)
+            | (PostRouteOpt, SignOff)
+            | (PostRouteOpt, Placement)
+    )
+}
+
+#[test]
+fn legal_transitions_are_the_pipeline_plus_floorplan_back_edge() {
+    assert_eq!(FlowStage::ALL.first(), Some(&ENTRY));
+    assert_eq!(FlowStage::ALL.last(), Some(&EXIT));
+    // Every adjacent pipeline pair is legal…
+    for pair in FlowStage::ALL.windows(2) {
+        assert!(
+            legal_transition(pair[0], pair[1]),
+            "{} -> {} must be legal",
+            pair[0].key(),
+            pair[1].key()
+        );
+    }
+    // …plus exactly one back edge (the floorplan round).
+    assert!(legal_transition(
+        FlowStage::PostRouteOpt,
+        FlowStage::Placement
+    ));
+    let mut legal = 0;
+    for from in FlowStage::ALL {
+        for to in FlowStage::ALL {
+            legal += usize::from(legal_transition(from, to));
+        }
+    }
+    assert_eq!(legal, 7, "6 forward edges + 1 back edge, nothing else");
+    assert!(!legal_transition(FlowStage::SignOff, FlowStage::Library));
+    assert!(!legal_transition(FlowStage::Library, FlowStage::Placement));
+}
+
 #[test]
 fn event_stream_replays_the_stage_graph_topology() {
     let run = subset_jobs1();
-    let graph = StageGraph::paper_pipeline();
     // Per-(bench, style) walk. At --jobs 1 the worker runs each flow
     // start-to-finish, so a pair's stream is a concatenation of whole
     // flows: each begins at the entry stage, then every hop is a legal
@@ -252,14 +305,14 @@ fn event_stream_replays_the_stage_graph_topology() {
             match walks.insert((bench.name(), style.label()), stage) {
                 None => assert_eq!(
                     stage,
-                    graph.entry_stage(),
+                    ENTRY,
                     "{}/{}: a trace must open at the entry stage",
                     bench.name(),
                     style.label()
                 ),
                 Some(prev) => {
-                    let forward = graph.legal_transition(prev, stage);
-                    let next_flow = prev == graph.exit_stage() && stage == graph.entry_stage();
+                    let forward = legal_transition(prev, stage);
+                    let next_flow = prev == EXIT && stage == ENTRY;
                     assert!(
                         forward || next_flow,
                         "{}/{}: illegal hop {} -> {}",
@@ -279,8 +332,7 @@ fn event_stream_replays_the_stage_graph_topology() {
     // Every pair's last span is the exit stage: all subset flows close.
     for ((bench, style), last) in &walks {
         assert_eq!(
-            *last,
-            graph.exit_stage(),
+            *last, EXIT,
             "{bench}/{style}: the final span must be the exit stage"
         );
     }
@@ -487,4 +539,42 @@ fn failed_stage_is_traced_as_one_failed_span_that_ends_the_run() {
     for (span, open) in open_span_counts(&events) {
         assert_eq!(open, 0, "span left open: {span:?}");
     }
+}
+
+#[test]
+fn rejected_config_is_traced_as_one_failed_library_span() {
+    let vec = Arc::new(VecRecorder::new());
+    let cache = Arc::new(ArtifactCache::default());
+    cache.set_recorder(Arc::clone(&vec) as Arc<dyn Recorder>);
+    let mut config = cfg();
+    config.clock_ps = Some(f64::NAN);
+    let err = Flow::new(Benchmark::Des, DesignStyle::Tmi, config)
+        .try_run_with_cache(&cache)
+        .expect_err("a NaN clock is rejected");
+    assert!(
+        matches!(err, FlowError::Config(ConfigError::BadClock(_))),
+        "got {err}"
+    );
+    let kinds: Vec<EventKind> = vec.events().iter().map(|e| e.kind).collect();
+    assert!(
+        matches!(
+            kinds.as_slice(),
+            [
+                EventKind::StageStarted {
+                    bench: Benchmark::Des,
+                    style: DesignStyle::Tmi,
+                    stage: FlowStage::Library,
+                    ..
+                },
+                EventKind::StageFinished {
+                    bench: Benchmark::Des,
+                    style: DesignStyle::Tmi,
+                    stage: FlowStage::Library,
+                    outcome: StageOutcome::Failed,
+                    ..
+                }
+            ]
+        ),
+        "a rejected config leaves one failed library span: {kinds:?}"
+    );
 }

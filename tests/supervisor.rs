@@ -1,7 +1,7 @@
 //! Fault-injection tests for the flow supervisor: stage failures planted
-//! by name against the stage graph must end the run with a typed error
-//! naming the stage — never a panic, never a retry — and every stage
-//! span the run opened must close with the matching outcome.
+//! by stage name must end the run with a typed error naming the stage —
+//! never a panic, never a retry — and every stage span the run opened
+//! must close with the matching outcome.
 
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
