@@ -29,6 +29,11 @@ fn trace_check_aggregates_a_real_trace_and_rejects_a_truncated_one() {
         String::from_utf8_lossy(&run.stderr)
     );
 
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    for cache in ["library", "flow", "wlm"] {
+        let event = format!("\"kind\":\"cache_miss\",\"cache\":\"{cache}\"");
+        assert!(text.contains(&event), "the subset misses the {cache} cache");
+    }
     let out = trace_check(&[&trace]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "valid trace:\n{stdout}");

@@ -1,8 +1,9 @@
-//! Table 2's SPICE decks and the G-MI study's implementations are
-//! persisted artifacts: a second `paper_tables --cache-dir` process over
-//! the first one's store prints the same section while simulating no
-//! transistor deck and partitioning, placing and routing no G-MI design,
-//! and a second in-process call is served from memory.
+//! Table 2's SPICE decks, the G-MI study's implementations and Fig. 6's
+//! wire-load models are persisted artifacts: a second `paper_tables
+//! --cache-dir` process over the first one's store prints the same
+//! section while simulating no transistor deck, partitioning, placing
+//! and routing no G-MI design and placing no preliminary layout, and a
+//! second in-process call is served from memory.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -17,6 +18,9 @@ const DECKS: u64 = 18;
 
 /// G-MI points: AES and LDPC.
 const GMI_POINTS: u64 = 2;
+
+/// Fig. 6 curves: one 45 nm 2D wire-load model per benchmark.
+const FIG6_WLMS: u64 = 5;
 
 /// The `name` section of the golden suite output, banner included.
 fn golden_section(name: &str) -> String {
@@ -99,6 +103,15 @@ fn a_warm_process_replays_gmi_without_partitioning() {
         "gmi",
         &format!("gmi: {GMI_POINTS} built, 0 hits"),
         &format!("gmi: 0 built, {GMI_POINTS} hits"),
+    );
+}
+
+#[test]
+fn a_warm_process_replays_fig6_without_placing() {
+    replay(
+        "fig6",
+        &format!("wlm: {FIG6_WLMS} built, 0 hits"),
+        &format!("wlm: 0 built, {FIG6_WLMS} hits"),
     );
 }
 

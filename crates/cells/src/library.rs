@@ -1,9 +1,10 @@
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use m3d_geom::Nm;
-use m3d_tech::{DesignStyle, LibraryRecipe, PdkRegistry, ScaleFactors, TechNode};
+use m3d_tech::{DesignStyle, LibraryRecipe, Pdk, PdkRegistry, ScaleFactors, TechNode};
 
 use crate::characterize::{characterize_analytic, CellTables};
 use crate::layout::generate_layout;
@@ -198,6 +199,15 @@ pub struct CellLibrary {
     by_name: HashMap<String, CellId>,
 }
 
+/// The registered PDK of `node`.
+fn pdk_of(node: &TechNode) -> Result<Arc<dyn Pdk>, LibraryError> {
+    PdkRegistry::global()
+        .get(node.id)
+        .ok_or_else(|| LibraryError::UnregisteredNode {
+            node: node.id.label().to_string(),
+        })
+}
+
 /// Drive strengths built per function.
 fn drives_for(function: CellFunction) -> &'static [u8] {
     match function {
@@ -239,22 +249,43 @@ impl CellLibrary {
     ///
     /// Returns [`LibraryError`] naming the first offending cell.
     pub fn try_build(node: &TechNode, style: DesignStyle) -> Result<Self, LibraryError> {
-        let pdk =
-            PdkRegistry::global()
-                .get(node.id)
-                .ok_or_else(|| LibraryError::UnregisteredNode {
-                    node: node.id.label().to_string(),
-                })?;
-        let lib = match pdk.library_recipe() {
-            LibraryRecipe::Native => Self::build_native(node, style),
+        match pdk_of(node)?.library_recipe() {
+            LibraryRecipe::Native => {
+                let lib = Self::build_native(node, style);
+                lib.validate()?;
+                Ok(lib)
+            }
             LibraryRecipe::ScaledFrom { base } => {
                 let base_node =
                     TechNode::try_for_id(base).ok_or_else(|| LibraryError::UnregisteredNode {
                         node: base.label().to_string(),
                     })?;
-                Self::build_native(&base_node, style).into_scaled(node, &pdk.scaling())
+                Self::scaled(Self::build_native(&base_node, style), node)
             }
-        };
+        }
+    }
+
+    /// The library of a [`LibraryRecipe::ScaledFrom`] node derived from
+    /// an already built `base` library (the recipe's base node, in the
+    /// target style) — the cheap step of [`CellLibrary::try_build`]
+    /// without characterizing the base again. Layouts are regenerated at
+    /// `node`'s geometry and the electrical tables scaled by its PDK's
+    /// factors, then validated; the result is identical to
+    /// `try_build(node, base.style())`.
+    ///
+    /// # Errors
+    ///
+    /// [`LibraryError::UnregisteredNode`] when `node` names no
+    /// registered PDK, or the first offending cell of the derived
+    /// library.
+    pub fn try_scaled_from(base: &CellLibrary, node: &TechNode) -> Result<Self, LibraryError> {
+        Self::scaled(base.clone(), node)
+    }
+
+    /// Scales `base` onto `node` through its PDK's factors and
+    /// validates the result.
+    fn scaled(base: CellLibrary, node: &TechNode) -> Result<Self, LibraryError> {
+        let lib = base.into_scaled(node, &pdk_of(node)?.scaling());
         lib.validate()?;
         Ok(lib)
     }

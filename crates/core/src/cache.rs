@@ -9,7 +9,12 @@
 //! * **Cell libraries** are built once per [`LibraryKey`] — the
 //!   projection of a [`FlowConfig`] onto the fields a library build
 //!   actually consumes: `(node_id, style, lower_metal_rho,
-//!   pin_cap_scale)`.
+//!   pin_cap_scale)`. Only a native library is characterized; a
+//!   pin-cap variant and a scaled node's library are derived from their
+//!   base library, which they fetch through this same memo.
+//! * **Wire-load models** are measured once per [`WlmKey`] — the
+//!   benchmark, its scale, the library key and the utilization that the
+//!   preliminary placement reads (paper Fig. 6, §3.2).
 //! * **Completed [`FlowResult`]s** are shared per [`FlowKey`] — the
 //!   projection of `(benchmark, style, FlowConfig)` onto the knobs the
 //!   stages consume, with unconsumed knobs canonicalized away so
@@ -44,13 +49,14 @@ use m3d_cells::layout::generate_layout;
 use m3d_cells::{CellFunction, CellLibrary, LibraryError, Topology};
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_spice::SpiceError;
-use m3d_tech::{DesignStyle, MetalClass, NodeId, StackKind, TechNode};
+use m3d_synth::WireLoadModel;
+use m3d_tech::{DesignStyle, LibraryRecipe, MetalClass, NodeId, PdkRegistry, StackKind, TechNode};
 
 use crate::error::{FlowError, FlowStage};
 use crate::flow::{FlowConfig, FlowResult};
 use crate::gmi::GmiResult;
-use crate::memo::{FlowClass, GmiClass, LibraryClass, MemoClass, SpiceClass};
-use crate::observe::{self, CacheKind, EventKind, Recorder};
+use crate::memo::{FlowClass, GmiClass, LibraryClass, MemoClass, SpiceClass, WlmClass};
+use crate::observe::{self, EventKind, Recorder};
 use crate::store::DiskStore;
 
 /// Cache key of one characterized cell library: every [`FlowConfig`]
@@ -89,6 +95,48 @@ impl LibraryKey {
         } else {
             n
         })
+    }
+}
+
+/// Cache key of one wire-load model: everything its preliminary layout
+/// reads. The netlist generator reads the benchmark, its scale and the
+/// library; the 16-iteration placement reads the library and the
+/// utilization.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct WlmKey {
+    pub(crate) bench: Benchmark,
+    pub(crate) bench_scale: BenchScale,
+    pub(crate) lib: LibraryKey,
+    /// The effective utilization: an unset target resolves to the
+    /// benchmark's, so an explicit equal target shares the entry.
+    pub(crate) utilization_bits: u64,
+}
+
+impl WlmKey {
+    /// The WLM a `(bench, style, cfg)` flow synthesizes against: the one
+    /// measured on its own library, or, for a T-MI flow with `tmi_wlm`
+    /// off (Table 15 "-n"), the one measured on the 2D library at
+    /// unscaled pin caps.
+    pub fn of(bench: Benchmark, style: DesignStyle, cfg: &FlowConfig) -> Self {
+        let lib = if cfg.tmi_wlm || style == DesignStyle::TwoD {
+            LibraryKey::new(cfg.node_id, style, cfg.lower_metal_rho, cfg.pin_cap_scale)
+        } else {
+            LibraryKey::new(cfg.node_id, DesignStyle::TwoD, cfg.lower_metal_rho, 1.0)
+        };
+        WlmKey {
+            bench,
+            bench_scale: cfg.bench_scale,
+            lib,
+            utilization_bits: cfg
+                .utilization
+                .unwrap_or_else(|| bench.target_utilization())
+                .to_bits(),
+        }
+    }
+
+    /// The preliminary placement's utilization.
+    pub(crate) fn utilization(&self) -> f64 {
+        f64::from_bits(self.utilization_bits)
     }
 }
 
@@ -218,6 +266,13 @@ pub struct CacheStats {
     pub gmi_hits: u64,
     /// Cached G-MI results evicted by the LRU bound.
     pub gmi_evictions: u64,
+    /// Wire-load models measured from scratch (preliminary layouts
+    /// placed).
+    pub wlm_builds: u64,
+    /// WLM requests served from the memory or disk tier.
+    pub wlm_hits: u64,
+    /// Cached WLMs evicted by the LRU bound.
+    pub wlm_evictions: u64,
     /// Disk-tier reads served from a verified on-disk entry.
     pub disk_hits: u64,
     /// Disk-tier reads that found no usable entry (including entries
@@ -237,14 +292,14 @@ impl CacheStats {
     /// Every counter as `(name, value)`, in declaration order. The names
     /// are the field names; `m3d_serve` serves its `stats` answer from
     /// this table.
-    pub fn fields(&self) -> [(&'static str, u64); 19] {
+    pub fn fields(&self) -> [(&'static str, u64); 22] {
         let mut s = *self;
         s.fields_mut().map(|(name, v)| (name, *v))
     }
 
     /// The one `(name, counter)` table: `cache::tests` pins it to the
     /// struct's declaration (names, order and count).
-    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 19] {
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 22] {
         [
             ("library_builds", &mut self.library_builds),
             ("library_hits", &mut self.library_hits),
@@ -259,6 +314,9 @@ impl CacheStats {
             ("gmi_builds", &mut self.gmi_builds),
             ("gmi_hits", &mut self.gmi_hits),
             ("gmi_evictions", &mut self.gmi_evictions),
+            ("wlm_builds", &mut self.wlm_builds),
+            ("wlm_hits", &mut self.wlm_hits),
+            ("wlm_evictions", &mut self.wlm_evictions),
             ("disk_hits", &mut self.disk_hits),
             ("disk_misses", &mut self.disk_misses),
             ("disk_stores", &mut self.disk_stores),
@@ -288,7 +346,7 @@ impl std::fmt::Display for CacheStats {
         // Every counter of the table, in declaration order, so the
         // logged summary always agrees with the served snapshot
         // (`cache::tests::display_round_trips_every_counter` pins this).
-        let [lb, lh, le, fs, fh, fm, fe, sb, sh, se, gb, gh, ge, dh, dm, ds, de, dq, sd] =
+        let [lb, lh, le, fs, fh, fm, fe, sb, sh, se, gb, gh, ge, wb, wh, we, dh, dm, ds, de, dq, sd] =
             self.fields().map(|(_, v)| v);
         write!(
             f,
@@ -296,6 +354,7 @@ impl std::fmt::Display for CacheStats {
              flows: {fs} stored, {fh} hits, {fm} misses, {fe} evicted; \
              spice: {sb} built, {sh} hits, {se} evicted; \
              gmi: {gb} built, {gh} hits, {ge} evicted; \
+             wlm: {wb} built, {wh} hits, {we} evicted; \
              disk: {dh} hits, {dm} misses, {ds} stored, {de} evicted, \
              {dq} quarantined; store degraded: {sd}"
         )
@@ -443,37 +502,67 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
     }
 }
 
-/// The coalescing slot for one [`LibraryKey`]: a hand-rolled once-cell
-/// whose initializer can fail. The first thread to find the slot `Idle`
-/// claims the build and runs characterization *outside every lock*;
-/// threads arriving meanwhile wait on the condvar instead of
-/// duplicating the (hundreds-of-milliseconds) build. On success the
-/// slot becomes `Ready` forever; on failure it reverts to `Idle` and a
-/// waiter takes over the attempt, so an error never wedges the key.
+/// The coalescing slot for one key of a coalesced class (libraries and
+/// WLMs): a hand-rolled once-cell whose initializer can fail. The first
+/// thread to find the slot `Idle` claims the build and runs it *outside
+/// every lock*; threads arriving meanwhile wait on the condvar instead
+/// of duplicating the build. On success the slot becomes `Ready`
+/// forever; on failure (or a panic) it reverts to `Idle` and a waiter
+/// takes over the attempt, so an error never wedges the key.
 #[derive(Debug)]
-struct BuildCell {
-    state: Mutex<BuildState>,
+struct BuildCell<V> {
+    state: Mutex<BuildState<V>>,
     ready: Condvar,
 }
 
 #[derive(Debug)]
-enum BuildState {
+enum BuildState<V> {
     Idle,
     Building,
-    Ready(Arc<CellLibrary>),
+    /// The artifact, and whether a derivation built it with no caller
+    /// charged for the build yet: the first caller request is, so a
+    /// key's build counts once whichever request ran it.
+    Ready(Arc<V>, bool),
 }
 
-impl BuildCell {
+impl<V> BuildCell<V> {
     fn new() -> Self {
         BuildCell {
             state: Mutex::new(BuildState::Idle),
             ready: Condvar::new(),
         }
     }
+
+    /// Settles a claimed build: `Ready` on success, back to `Idle` on
+    /// failure; wakes every waiter either way.
+    fn settle(&self, next: BuildState<V>) {
+        *self.state.lock().expect("build cell lock") = next;
+        self.ready.notify_all();
+    }
+}
+
+/// A claimed build: releases the slot to `Idle` if the build unwinds
+/// before it settles.
+struct Claim<'a, V>(&'a BuildCell<V>, bool);
+
+impl<V> Drop for Claim<'_, V> {
+    fn drop(&mut self) {
+        if !self.1 {
+            self.0.settle(BuildState::Idle);
+        }
+    }
+}
+
+/// Whether a coalesced request comes from a caller, and so counts as a
+/// hit or a build, or from a derivation fetching its base library.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Request {
+    Caller,
+    Derivation,
 }
 
 /// How long a coalescing waiter sleeps between cancellation checks
-/// while another thread builds the library it wants. The builder's
+/// while another thread builds the artifact it wants. The builder's
 /// notify wakes it at once; the slice only bounds how late it sees its
 /// own token fire.
 const BUILD_WAIT_SLICE: std::time::Duration = std::time::Duration::from_millis(15);
@@ -487,10 +576,12 @@ const DEFAULT_RESULT_CAPACITY: usize = 512;
 const DEFAULT_SPICE_CAPACITY: usize = 64;
 /// A G-MI result is five numbers; the study holds two per scale.
 const DEFAULT_GMI_CAPACITY: usize = 16;
+/// A WLM is 22 numbers; the small suite measures 28.
+const DEFAULT_WLM_CAPACITY: usize = 128;
 
 /// One class's memory tier: its LRU map and its kind's live counters.
-/// `M` is what the map holds: the shared artifact, or the library
-/// class's coalescing [`BuildCell`].
+/// `M` is what the map holds: the shared artifact, or a coalesced
+/// class's [`BuildCell`].
 #[derive(Debug)]
 struct Memo<C: MemoClass, M = Arc<<C as MemoClass>::Value>> {
     map: ShardedLru<C::Key, M>,
@@ -500,6 +591,9 @@ struct Memo<C: MemoClass, M = Arc<<C as MemoClass>::Value>> {
     misses: AtomicU64,
     evictions: AtomicU64,
 }
+
+/// The memory tier of a class whose builds coalesce.
+type Coalesced<C> = Memo<C, Arc<BuildCell<<C as MemoClass>::Value>>>;
 
 impl<C: MemoClass, M> Memo<C, M> {
     fn new(capacity: usize) -> Self {
@@ -530,30 +624,31 @@ impl<C: MemoClass, M> Memo<C, M> {
 }
 
 /// The shared memo layer for cell libraries, completed flow results,
-/// SPICE characterizations and G-MI sign-off results: one memo per
-/// memo class (`memo::MemoClass`).
+/// SPICE characterizations, G-MI sign-off results and wire-load models:
+/// one memo per memo class (`memo::MemoClass`).
 ///
 /// Every map is LRU-bounded ([`ArtifactCache::bounded`] sets the library
-/// and result capacities; the SPICE and G-MI maps always hold
-/// `DEFAULT_SPICE_CAPACITY` and `DEFAULT_GMI_CAPACITY` entries), so an
-/// unbounded sweep cannot grow the process without limit — evictions are
-/// counted in [`CacheStats`]. Thread-safe and built for the parallel
-/// executor's fan-out: every map is lock-**sharded**, and each library
-/// entry is a per-key once-cell, so N workers hitting the same cold
-/// [`LibraryKey`] perform exactly **one** characterization — the first
-/// claims the build, the rest block on the key's condvar and are served
-/// the shared artifact (counted as hits). The other classes are *not*
-/// coalesced: concurrent misses on one [`FlowKey`] each run the
+/// and result capacities; the SPICE, G-MI and WLM maps always hold
+/// `DEFAULT_SPICE_CAPACITY`, `DEFAULT_GMI_CAPACITY` and
+/// `DEFAULT_WLM_CAPACITY` entries), so an unbounded sweep cannot grow
+/// the process without limit — evictions are counted in [`CacheStats`].
+/// Thread-safe and built for the parallel executor's fan-out: every map
+/// is lock-**sharded**, and each library and WLM entry is a per-key
+/// once-cell, so N workers hitting the same cold [`LibraryKey`] or
+/// [`WlmKey`] perform exactly **one** build — the first claims it, the
+/// rest block on the key's condvar and are served the shared artifact
+/// (counted as hits). The other classes are *not* coalesced: concurrent misses on one [`FlowKey`] each run the
 /// (deterministic) flow and store bit-identical values — the
 /// [`crate::ExperimentPlan`] dedups by `FlowKey` precisely so the
 /// executor never schedules that race — and racing SPICE misses
 /// simulate the same deterministic deck.
 #[derive(Debug)]
 pub struct ArtifactCache {
-    libraries: Memo<LibraryClass, Arc<BuildCell>>,
+    libraries: Coalesced<LibraryClass>,
     results: Memo<FlowClass>,
     spice: Memo<SpiceClass>,
     gmi: Memo<GmiClass>,
+    wlms: Coalesced<WlmClass>,
     /// The optional persistent tier ([`DiskStore`]): probed on memory
     /// misses, published to after builds/stores. `None` keeps the
     /// cache purely in-memory (the seed behavior).
@@ -588,6 +683,7 @@ impl ArtifactCache {
             results: Memo::new(result_capacity),
             spice: Memo::new(DEFAULT_SPICE_CAPACITY),
             gmi: Memo::new(DEFAULT_GMI_CAPACITY),
+            wlms: Memo::new(DEFAULT_WLM_CAPACITY),
             disk: RwLock::new(None),
             recorder: RwLock::new(observe::null()),
         }
@@ -647,10 +743,13 @@ impl ArtifactCache {
         (self.libraries.map.len(), self.results.map.len())
     }
 
-    /// True when every map (SPICE tables and G-MI results included) is
-    /// empty.
+    /// True when every map (SPICE tables, G-MI results and WLMs
+    /// included) is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == (0, 0) && self.spice.map.len() == 0 && self.gmi.map.len() == 0
+        self.len() == (0, 0)
+            && self.spice.map.len() == 0
+            && self.gmi.map.len() == 0
+            && self.wlms.map.len() == 0
     }
 
     /// The generic lookup: memory, else a verified disk entry promoted
@@ -702,17 +801,20 @@ impl ArtifactCache {
     /// The characterized library for the consumed knobs, built at most
     /// once per distinct [`LibraryKey`] — *including under concurrency*:
     /// racing requests on one cold key coalesce on the key's once-cell,
-    /// so exactly one thread characterizes while the rest wait for (and
-    /// share) its artifact. `library_builds` counts actual
-    /// characterizations; every request served without building — warm
-    /// or coalesced — counts as a `library_hits` increment, so
-    /// `builds + hits` equals the number of successful requests.
+    /// so exactly one thread builds while the rest wait for (and share)
+    /// its artifact. `library_builds` counts the requests that built a
+    /// library (characterized, or derived from its base); every request
+    /// served without building — warm or coalesced — counts as a
+    /// `library_hits` increment, so `builds + hits` equals the number of
+    /// successful requests. A derivation's fetch of its base library is
+    /// not a request and counts as neither; a base it built counts as
+    /// the build of the first request for that base.
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::Library`] when characterization or the
-    /// pin-cap scaling fails. A failed build releases the key (waiters
-    /// retry the build themselves); nothing is cached.
+    /// Returns [`FlowError::Library`] when characterization, scaling or
+    /// the pin-cap scaling fails. A failed build releases the key
+    /// (waiters retry the build themselves); nothing is cached.
     pub fn library(
         &self,
         node_id: NodeId,
@@ -721,50 +823,147 @@ impl ArtifactCache {
         pin_cap_scale: f64,
     ) -> Result<Arc<CellLibrary>, FlowError> {
         let key = LibraryKey::new(node_id, style, lower_metal_rho, pin_cap_scale);
-        let memo = &self.libraries;
-        // Fetch-or-insert the key's coalescing slot under the shard
-        // lock; the build itself never runs under it. An LRU eviction
-        // can drop a slot mid-build — waiters hold their own `Arc` to
-        // it, so they still coalesce; only future requests rebuild.
+        self.library_for(&key, Request::Caller)
+    }
+
+    /// The library under `key`, as [`ArtifactCache::library`].
+    pub(crate) fn library_for(
+        &self,
+        key: &LibraryKey,
+        request: Request,
+    ) -> Result<Arc<CellLibrary>, FlowError> {
+        self.coalesce(&self.libraries, key, request, FlowStage::Library, || {
+            self.build_library(key)
+        })
+    }
+
+    /// One library build. Only a native library at unscaled pin caps is
+    /// characterized. A pin-cap key scales the pins of its unscaled
+    /// library, and a [`LibraryRecipe::ScaledFrom`] node scales its base
+    /// node's library (in the same style, at the base's own resistivity:
+    /// ρ/2 applies to the target node only); either base comes through
+    /// this memo, so it is characterized at most once.
+    fn build_library(&self, key: &LibraryKey) -> Result<CellLibrary, FlowError> {
+        let node = key.node().ok_or_else(|| LibraryError::UnregisteredNode {
+            node: key.node_id.label().to_string(),
+        })?;
+        let pin_cap_scale = f64::from_bits(key.pin_cap_scale_bits);
+        if pin_cap_scale != 1.0 {
+            let unscaled = LibraryKey::new(key.node_id, key.style, key.lower_metal_rho, 1.0);
+            let base = self.library_for(&unscaled, Request::Derivation)?;
+            return Ok(base.try_with_pin_cap_scaled(pin_cap_scale)?);
+        }
+        let recipe = |id| {
+            PdkRegistry::global()
+                .get(id)
+                .map(|pdk| pdk.library_recipe())
+        };
+        Ok(match recipe(key.node_id) {
+            // `try_build` characterizes the base natively, which is the
+            // memoized base library only when the base's own recipe is
+            // native; any other chain builds from scratch.
+            Some(LibraryRecipe::ScaledFrom { base })
+                if recipe(base) == Some(LibraryRecipe::Native) =>
+            {
+                let base_key = LibraryKey::new(base, key.style, false, 1.0);
+                let base = self.library_for(&base_key, Request::Derivation)?;
+                CellLibrary::try_scaled_from(&base, &node)?
+            }
+            _ => CellLibrary::try_build(&node, key.style)?,
+        })
+    }
+
+    /// The wire-load model under `key`, measured by `build` at most once
+    /// per key (racing requests coalesce as library requests do): from
+    /// memory, else from a verified disk entry, else built and published
+    /// to both tiers. `wlm_builds` counts builds and `wlm_hits` every
+    /// other successful request. A failed build stores nothing.
+    ///
+    /// # Errors
+    ///
+    /// The error of `build`.
+    pub(crate) fn wlm(
+        &self,
+        key: &WlmKey,
+        build: impl FnOnce() -> Result<WireLoadModel, FlowError>,
+    ) -> Result<Arc<WireLoadModel>, FlowError> {
+        self.coalesce(
+            &self.wlms,
+            key,
+            Request::Caller,
+            FlowStage::Synthesis,
+            build,
+        )
+    }
+
+    /// The generic coalescing memo: the key's once-cell is fetched (or
+    /// inserted) under its shard lock, and the first request to find it
+    /// `Idle` loads a verified disk entry or runs `build`, outside every
+    /// lock, while later requests wait for its artifact. A caller's
+    /// request counts and traces one hit or one build (a disk load is a
+    /// hit: "zero builds" stays the warm-start signal); a derivation's
+    /// counts nothing, and a build it ran is charged to the key's first
+    /// caller, so the counters do not depend on which request came
+    /// first. A waiter checks its stage's cancel token between bounded
+    /// waits, so it never hangs behind another thread's build.
+    fn coalesce<C: MemoClass>(
+        &self,
+        memo: &Coalesced<C>,
+        key: &C::Key,
+        request: Request,
+        stage: FlowStage,
+        build: impl FnOnce() -> Result<C::Value, FlowError>,
+    ) -> Result<Arc<C::Value>, FlowError> {
+        // An LRU eviction can drop a slot mid-build — waiters hold their
+        // own `Arc` to it, so they still coalesce; only future requests
+        // rebuild.
         let cell = {
-            let mut shard = memo.map.shard(&key).lock().expect("cache lock");
-            match shard.get(&key) {
+            let mut shard = memo.map.shard(key).lock().expect("cache lock");
+            match shard.get(key) {
                 Some(c) => Arc::clone(c),
                 None => {
                     let c = Arc::new(BuildCell::new());
-                    let evicted = shard.insert(key, Arc::clone(&c));
+                    let evicted = shard.insert(key.clone(), Arc::clone(&c));
                     self.note_evictions(memo, evicted);
                     c
                 }
             }
+        };
+        let counted = request == Request::Caller;
+        let hit = |coalesced: bool| {
+            memo.hits.fetch_add(1, Ordering::Relaxed);
+            self.emit(|| EventKind::CacheHit { kind: C::KIND });
+            if coalesced {
+                self.emit(|| EventKind::CacheCoalesced { kind: C::KIND });
+            }
+        };
+        let built = || {
+            memo.built.fetch_add(1, Ordering::Relaxed);
+            self.emit(|| EventKind::CacheMiss { kind: C::KIND });
         };
         // Whether this request blocked on another thread's in-flight
         // build — a coalesced hit, traced distinctly from a warm one.
         let mut waited = false;
         let mut state = cell.state.lock().expect("build cell lock");
         loop {
-            match &*state {
-                BuildState::Ready(lib) => {
-                    memo.hits.fetch_add(1, Ordering::Relaxed);
-                    let lib = Arc::clone(lib);
-                    drop(state);
-                    self.emit(|| EventKind::CacheHit {
-                        kind: CacheKind::Library,
-                    });
-                    if waited {
-                        self.emit(|| EventKind::CacheCoalesced {
-                            kind: CacheKind::Library,
-                        });
+            match &mut *state {
+                BuildState::Ready(v, uncharged) => {
+                    let v = Arc::clone(v);
+                    let charge_build = counted && *uncharged;
+                    if charge_build {
+                        *uncharged = false;
                     }
-                    return Ok(lib);
+                    drop(state);
+                    if charge_build {
+                        built();
+                    } else if counted {
+                        hit(waited);
+                    }
+                    return Ok(v);
                 }
                 BuildState::Building => {
                     waited = true;
-                    // A caller whose stage attempt installed a
-                    // CancelToken must never hang behind a coalesced
-                    // build: wait in bounded slices and unwind with a
-                    // typed error once its token fires.
-                    crate::govern::check(FlowStage::Library)?;
+                    crate::govern::check(stage)?;
                     let (s, _) = cell
                         .ready
                         .wait_timeout(state, BUILD_WAIT_SLICE)
@@ -774,64 +973,34 @@ impl ArtifactCache {
                 BuildState::Idle => {
                     *state = BuildState::Building;
                     drop(state);
-                    // Two-level lookup: a verified disk entry skips
-                    // characterization entirely. The store traces its
-                    // own DiskHit; here it counts as a library hit —
-                    // not a build, not a CacheMiss — so "zero
-                    // `library_builds`" remains the warm-start
-                    // acceptance signal.
-                    let loaded = self.disk().and_then(|d| d.load::<LibraryClass>(&key));
+                    let mut claim = Claim(&*cell, false);
+                    let loaded = self.disk().and_then(|d| d.load::<C>(key));
                     let from_disk = loaded.is_some();
-                    let built = match loaded {
-                        Some(lib) => Ok(lib),
-                        None => Self::build_library(&key),
-                    };
-                    let mut done = cell.state.lock().expect("build cell lock");
-                    let lib = match built {
-                        Ok(lib) => Arc::new(lib),
-                        Err(e) => {
-                            *done = BuildState::Idle;
-                            cell.ready.notify_all();
-                            return Err(e);
-                        }
-                    };
-                    *done = BuildState::Ready(Arc::clone(&lib));
-                    cell.ready.notify_all();
-                    drop(done);
-                    if from_disk {
-                        memo.hits.fetch_add(1, Ordering::Relaxed);
-                        self.emit(|| EventKind::CacheHit {
-                            kind: CacheKind::Library,
-                        });
-                        return Ok(lib);
-                    }
-                    memo.built.fetch_add(1, Ordering::Relaxed);
-                    self.emit(|| EventKind::CacheMiss {
-                        kind: CacheKind::Library,
+                    let v = Arc::new(match loaded {
+                        Some(v) => v,
+                        None => build()?,
                     });
+                    claim.1 = true;
+                    let uncharged = !counted && !from_disk;
+                    cell.settle(BuildState::Ready(Arc::clone(&v), uncharged));
+                    if counted {
+                        if from_disk {
+                            hit(false);
+                        } else {
+                            built();
+                        }
+                    }
                     // Publish outside every lock: waiters are already
                     // served; the disk write must not stall them.
-                    if let Some(d) = self.disk() {
-                        d.store::<LibraryClass>(&key, &lib);
+                    if !from_disk {
+                        if let Some(d) = self.disk() {
+                            d.store::<C>(key, &v);
+                        }
                     }
-                    return Ok(lib);
+                    return Ok(v);
                 }
             }
         }
-    }
-
-    /// One actual characterization — the work the coalescing protocol
-    /// exists to not duplicate.
-    fn build_library(key: &LibraryKey) -> Result<CellLibrary, FlowError> {
-        let node = key.node().ok_or_else(|| LibraryError::UnregisteredNode {
-            node: key.node_id.label().to_string(),
-        })?;
-        let mut lib = CellLibrary::try_build(&node, key.style)?;
-        let pin_cap_scale = f64::from_bits(key.pin_cap_scale_bits);
-        if pin_cap_scale != 1.0 {
-            lib = lib.try_with_pin_cap_scaled(pin_cap_scale)?;
-        }
-        Ok(lib)
     }
 
     /// The stored sign-off result for this flow point, if any.
@@ -924,6 +1093,7 @@ impl ArtifactCache {
         self.results.clear();
         self.spice.clear();
         self.gmi.clear();
+        self.wlms.clear();
     }
 
     /// Counter snapshot. The `disk_*` counters are read live from the
@@ -935,6 +1105,7 @@ impl ArtifactCache {
         let [flow_stores, flow_hits, flow_misses, flow_evictions] = self.results.snapshot();
         let [spice_builds, spice_hits, _, spice_evictions] = self.spice.snapshot();
         let [gmi_builds, gmi_hits, _, gmi_evictions] = self.gmi.snapshot();
+        let [wlm_builds, wlm_hits, _, wlm_evictions] = self.wlms.snapshot();
         CacheStats {
             library_builds,
             library_hits,
@@ -949,6 +1120,9 @@ impl ArtifactCache {
             gmi_builds,
             gmi_hits,
             gmi_evictions,
+            wlm_builds,
+            wlm_hits,
+            wlm_evictions,
             disk_hits: disk.hits,
             disk_misses: disk.misses,
             disk_stores: disk.stores,
@@ -962,6 +1136,7 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::CacheKind;
 
     fn cfg45() -> FlowConfig {
         FlowConfig::new(NodeId::N45)
@@ -1237,12 +1412,15 @@ mod tests {
             gmi_builds: 11,
             gmi_hits: 12,
             gmi_evictions: 13,
-            disk_hits: 14,
-            disk_misses: 15,
-            disk_stores: 16,
-            disk_evictions: 17,
-            disk_quarantined: 18,
-            store_degraded: 19,
+            wlm_builds: 14,
+            wlm_hits: 15,
+            wlm_evictions: 16,
+            disk_hits: 17,
+            disk_misses: 18,
+            disk_stores: 19,
+            disk_evictions: 20,
+            disk_quarantined: 21,
+            store_degraded: 22,
         };
         assert_eq!(
             s.to_string(),
@@ -1250,8 +1428,9 @@ mod tests {
              flows: 4 stored, 5 hits, 6 misses, 7 evicted; \
              spice: 8 built, 9 hits, 10 evicted; \
              gmi: 11 built, 12 hits, 13 evicted; \
-             disk: 14 hits, 15 misses, 16 stored, 17 evicted, \
-             18 quarantined; store degraded: 19"
+             wlm: 14 built, 15 hits, 16 evicted; \
+             disk: 17 hits, 18 misses, 19 stored, 20 evicted, \
+             21 quarantined; store degraded: 22"
         );
     }
 
@@ -1271,6 +1450,9 @@ mod tests {
             gmi_builds: 2,
             gmi_hits: 0,
             gmi_evictions: 0,
+            wlm_builds: 28,
+            wlm_hits: 35,
+            wlm_evictions: 0,
             disk_hits: 3,
             disk_misses: 5,
             disk_stores: 2,
@@ -1292,6 +1474,9 @@ mod tests {
             gmi_builds: 2,
             gmi_hits: 2,
             gmi_evictions: 1,
+            wlm_builds: 28,
+            wlm_hits: 40,
+            wlm_evictions: 1,
             disk_hits: 9,
             disk_misses: 5,
             disk_stores: 2,
@@ -1313,6 +1498,12 @@ mod tests {
         assert_eq!(d.gmi_builds, 0, "a warm replay partitions nothing");
         assert_eq!(d.gmi_hits, 2);
         assert_eq!(d.gmi_evictions, 1);
+        assert_eq!(
+            d.wlm_builds, 0,
+            "a warm replay places no preliminary layout"
+        );
+        assert_eq!(d.wlm_hits, 5);
+        assert_eq!(d.wlm_evictions, 1);
         assert_eq!(d.disk_hits, 6);
         assert_eq!(d.disk_misses, 0);
         assert_eq!(d.disk_stores, 0);
@@ -1386,6 +1577,9 @@ mod tests {
             gmi_builds: 122,
             gmi_hits: 133,
             gmi_evictions: 144,
+            wlm_builds: 155,
+            wlm_hits: 166,
+            wlm_evictions: 177,
             disk_hits: 222,
             disk_misses: 333,
             disk_stores: 444,
@@ -1405,10 +1599,10 @@ mod tests {
         assert_eq!(
             nums,
             vec![
-                11, 22, 33, 44, 55, 66, 77, 88, 99, 111, 122, 133, 144, 222, 333, 444, 555, 666,
-                777
+                11, 22, 33, 44, 55, 66, 77, 88, 99, 111, 122, 133, 144, 155, 166, 177, 222, 333,
+                444, 555, 666, 777
             ],
-            "display must carry all 19 counters in declaration order: {text}"
+            "display must carry all 22 counters in declaration order: {text}"
         );
         let round_tripped = CacheStats {
             library_builds: nums[0],
@@ -1424,12 +1618,15 @@ mod tests {
             gmi_builds: nums[10],
             gmi_hits: nums[11],
             gmi_evictions: nums[12],
-            disk_hits: nums[13],
-            disk_misses: nums[14],
-            disk_stores: nums[15],
-            disk_evictions: nums[16],
-            disk_quarantined: nums[17],
-            store_degraded: nums[18],
+            wlm_builds: nums[13],
+            wlm_hits: nums[14],
+            wlm_evictions: nums[15],
+            disk_hits: nums[16],
+            disk_misses: nums[17],
+            disk_stores: nums[18],
+            disk_evictions: nums[19],
+            disk_quarantined: nums[20],
+            store_degraded: nums[21],
         };
         assert_eq!(round_tripped, s);
     }
@@ -1442,7 +1639,8 @@ mod tests {
             library_builds: 1,
             flow_misses: 6,
             gmi_evictions: 13,
-            store_degraded: 19,
+            wlm_hits: 15,
+            store_degraded: 22,
             ..CacheStats::default()
         };
         let listed: Vec<String> = s
@@ -1568,11 +1766,21 @@ mod tests {
 
     #[test]
     fn bounded_cache_evicts_and_counts() {
-        let cache = ArtifactCache::bounded(2, 2);
-        for scale in [1.0, 0.9, 0.8] {
+        // Three natively characterized keys: none is derived from
+        // another, so only the requests below touch the LRU order.
+        let native = [
+            (DesignStyle::TwoD, false),
+            (DesignStyle::Tmi, false),
+            (DesignStyle::TwoD, true),
+        ];
+        let request = |cache: &ArtifactCache, (style, rho): (DesignStyle, bool)| {
             cache
-                .library(NodeId::N45, DesignStyle::TwoD, false, scale)
+                .library(NodeId::N45, style, rho, 1.0)
                 .expect("library builds");
+        };
+        let cache = ArtifactCache::bounded(2, 2);
+        for key in native {
+            request(&cache, key);
         }
         let stats = cache.stats();
         assert_eq!(stats.library_builds, 3);
@@ -1581,23 +1789,207 @@ mod tests {
 
         // The evicted (coldest) key was the first one: requesting it
         // again is a rebuild, not a hit.
-        cache
-            .library(NodeId::N45, DesignStyle::TwoD, false, 1.0)
-            .expect("library builds");
+        request(&cache, native[0]);
         let stats = cache.stats();
         assert_eq!(stats.library_builds, 4);
         assert_eq!(stats.library_hits, 0);
         assert_eq!(stats.library_evictions, 2);
 
         // A resident key is still a hit.
-        cache
-            .library(NodeId::N45, DesignStyle::TwoD, false, 0.8)
-            .expect("library builds");
+        request(&cache, native[2]);
         assert_eq!(cache.stats().library_hits, 1);
 
         // clear() resets the eviction counters with the rest.
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    /// A derived library's base comes through the memo: it is built once
+    /// and kept resident, its fetch is neither a hit nor a build, and
+    /// each key's build counts once, at its first request.
+    #[test]
+    fn derivations_fetch_their_base_without_counting_it() {
+        let cache = ArtifactCache::default();
+        // A 7 nm pin-cap key derives from 7 nm, which derives from 45 nm:
+        // one request, one counted build, three resident libraries.
+        cache
+            .library(NodeId::N7, DesignStyle::Tmi, false, 0.6)
+            .expect("library builds");
+        let s = cache.stats();
+        assert_eq!((s.library_builds, s.library_hits), (1, 0));
+        assert_eq!(cache.len().0, 3);
+        // The first request for a base a derivation built is charged
+        // that build, a second one is a hit, and deriving another
+        // variant characterizes nothing new.
+        for (node, pin_cap) in [
+            (NodeId::N45, 1.0),
+            (NodeId::N7, 1.0),
+            (NodeId::N7, 1.0),
+            (NodeId::N7, 0.8),
+        ] {
+            cache
+                .library(node, DesignStyle::Tmi, false, pin_cap)
+                .expect("library builds");
+        }
+        let s = cache.stats();
+        assert_eq!((s.library_builds, s.library_hits), (4, 1));
+        assert_eq!(cache.len().0, 4);
+    }
+
+    /// Racing requests on one cold WLM key run one build; a build that
+    /// panics releases the key instead of wedging it.
+    #[test]
+    fn wlm_requests_coalesce_and_survive_a_panicking_build() {
+        use std::sync::atomic::AtomicUsize;
+        let cache = ArtifactCache::default();
+        let key = WlmKey::of(Benchmark::Des, DesignStyle::TwoD, &cfg45());
+        let runs = AtomicUsize::new(0);
+        let build = || {
+            runs.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            Ok(WireLoadModel::uniform(3.0, 0.5))
+        };
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| cache.wlm(&key, build).expect("WLM builds"));
+            }
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "one build per key");
+        let st = cache.stats();
+        assert_eq!((st.wlm_builds, st.wlm_hits), (1, 3));
+
+        let other = WlmKey::of(Benchmark::Aes, DesignStyle::TwoD, &cfg45());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.wlm(&other, || panic!("planted"))
+        }));
+        assert!(unwound.is_err());
+        let w = cache
+            .wlm(&other, || Ok(WireLoadModel::uniform(1.0, 0.25)))
+            .expect("the released key builds again");
+        assert_eq!(w.estimate_um(1), 1.0);
+        assert_eq!(cache.stats().wlm_builds, 2);
+    }
+
+    /// The LibraryClass bytes of `lib`: every cell, bit for bit.
+    fn library_bytes(lib: &CellLibrary) -> Vec<u8> {
+        LibraryClass::encode(lib)
+    }
+
+    /// Every derived library is bit-identical to a from-scratch build:
+    /// `try_build` (which characterizes the scaled node's base again),
+    /// then the pin-cap scaling where the key has one.
+    #[test]
+    fn derived_libraries_equal_from_scratch_builds() {
+        let cache = ArtifactCache::default();
+        let fdsoi = PdkRegistry::global()
+            .by_name("fdsoi-miv")
+            .expect("fdsoi-miv registered");
+        for (node_id, style, rho, pin_cap) in [
+            (NodeId::N7, DesignStyle::TwoD, false, 1.0),
+            (NodeId::N7, DesignStyle::Tmi, false, 1.0),
+            (fdsoi, DesignStyle::Tmi, false, 1.0),
+            (NodeId::N7, DesignStyle::TwoD, true, 1.0),
+            (NodeId::N7, DesignStyle::Tmi, true, 1.0),
+            (NodeId::N45, DesignStyle::TwoD, false, 0.6),
+            (NodeId::N45, DesignStyle::Tmi, true, 0.6),
+            (NodeId::N7, DesignStyle::Tmi, false, 0.6),
+        ] {
+            let key = LibraryKey::new(node_id, style, rho, pin_cap);
+            let node = key.node().expect("registered node");
+            let mut reference = CellLibrary::try_build(&node, style).expect("reference builds");
+            if pin_cap != 1.0 {
+                reference = reference
+                    .try_with_pin_cap_scaled(pin_cap)
+                    .expect("pin caps scale");
+            }
+            let derived = cache
+                .library(node_id, style, rho, pin_cap)
+                .expect("derived library builds");
+            assert_eq!(derived.node(), reference.node(), "{key:?}: tech node");
+            assert_eq!(derived.style(), style, "{key:?}: style");
+            assert!(
+                library_bytes(&derived) == library_bytes(&reference),
+                "{key:?}: derived library differs from a from-scratch build"
+            );
+        }
+    }
+
+    /// A named edit of one config knob.
+    type Knob = (&'static str, fn(&mut FlowConfig));
+
+    #[test]
+    fn wlm_key_reads_exactly_what_the_preliminary_layout_reads() {
+        use crate::error::FlowStage;
+        let small = || cfg45().scale(BenchScale::Small);
+        let key = |style: DesignStyle, cfg: &FlowConfig| WlmKey::of(Benchmark::Aes, style, cfg);
+        for style in [DesignStyle::TwoD, DesignStyle::Tmi] {
+            let base = key(style, &small());
+            // Knobs the netlist generator or the preliminary placement
+            // read split the key...
+            let splits: [Knob; 5] = [
+                ("node_id", |c| c.node_id = NodeId::N7),
+                ("bench_scale", |c| c.bench_scale = BenchScale::Paper),
+                ("utilization", |c| c.utilization = Some(0.5)),
+                ("pin_cap_scale", |c| c.pin_cap_scale = 0.6),
+                ("lower_metal_rho", |c| c.lower_metal_rho = true),
+            ];
+            for (name, set) in splits {
+                let mut c = small();
+                set(&mut c);
+                assert_ne!(key(style, &c), base, "{}: {name} must split", style.label());
+            }
+            // ...and every other knob shares one build.
+            let shares: [Knob; 8] = [
+                ("clock_ps", |c| c.clock_ps = Some(777.0)),
+                ("clock_scale", |c| c.clock_scale = 1.25),
+                ("alpha_ff", |c| c.alpha_ff = 0.3),
+                ("stack_kind", |c| c.stack_kind = Some(StackKind::TmiPlusM)),
+                ("mb1_routing", |c| c.mb1_routing = !c.mb1_routing),
+                ("opt_passes", |c| c.opt_passes += 1),
+                ("place_iterations", |c| c.place_iterations += 1),
+                ("utilization", |c| {
+                    c.utilization = Some(Benchmark::Aes.target_utilization())
+                }),
+            ];
+            for (name, set) in shares {
+                let mut c = small();
+                set(&mut c);
+                assert_eq!(key(style, &c), base, "{}: {name} must share", style.label());
+            }
+        }
+        // The WLM switch splits only a T-MI key: "-n" measures on the
+        // 2D library at unscaled pin caps, which a 2D flow shares.
+        let mut no_tmi_wlm = small();
+        no_tmi_wlm.tmi_wlm = false;
+        assert_eq!(
+            key(DesignStyle::TwoD, &no_tmi_wlm),
+            key(DesignStyle::TwoD, &small())
+        );
+        assert_ne!(
+            key(DesignStyle::Tmi, &no_tmi_wlm),
+            key(DesignStyle::Tmi, &small())
+        );
+        no_tmi_wlm.pin_cap_scale = 0.6;
+        assert_eq!(
+            key(DesignStyle::Tmi, &no_tmi_wlm),
+            key(DesignStyle::TwoD, &small())
+        );
+        // Every knob the key splits on is one a pre-synthesis stage
+        // consumes, so the WLM key never outgrows the flow key.
+        let read: Vec<&str> = [FlowStage::Library, FlowStage::Synthesis]
+            .iter()
+            .flat_map(|s| s.consumes().iter().copied())
+            .collect();
+        for knob in [
+            "node_id",
+            "bench_scale",
+            "utilization",
+            "pin_cap_scale",
+            "lower_metal_rho",
+            "tmi_wlm",
+        ] {
+            assert!(read.contains(&knob), "no pre-synthesis stage reads {knob}");
+        }
     }
 }

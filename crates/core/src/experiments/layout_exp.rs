@@ -3,12 +3,11 @@
 use std::fmt::Write as _;
 
 use m3d_netlist::{BenchScale, Benchmark};
-use m3d_place::Placer;
-use m3d_synth::WireLoadModel;
 use m3d_tech::{DesignStyle, NodeId};
 
 use super::Row;
-use crate::cache::ArtifactCache;
+use crate::cache::{ArtifactCache, WlmKey};
+use crate::stage::wire_load_model;
 use crate::{FlowConfig, FlowError, FlowResult};
 
 /// The LDPC-vs-DES wiring-character contrast pair (Fig. 3, Table 16).
@@ -308,7 +307,7 @@ pub fn table16_net_breakdown(node: NodeId, scale: BenchScale) -> Result<String, 
 
 /// Fig. 6: the fanout-vs-wirelength wire-load-model curves per benchmark.
 pub fn fig6_wlm_curves(scale: BenchScale) -> Result<String, FlowError> {
-    let lib = ArtifactCache::global().library(NodeId::N45, DesignStyle::TwoD, false, 1.0)?;
+    let cfg = FlowConfig::new(NodeId::N45).scale(scale);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -316,12 +315,9 @@ pub fn fig6_wlm_curves(scale: BenchScale) -> Result<String, FlowError> {
          fanout:      1      2      4      8     16"
     );
     for bench in Benchmark::ALL {
-        let n = bench.generate(&lib, scale);
-        let p = Placer::new(&lib)
-            .utilization(bench.target_utilization())
-            .iterations(16)
-            .try_place(&n)?;
-        let wlm = WireLoadModel::from_placement(&n, &p);
+        // The WLM each 45 nm 2D flow synthesizes against.
+        let key = WlmKey::of(bench, DesignStyle::TwoD, &cfg);
+        let wlm = wire_load_model(&ArtifactCache::global(), &key, None)?;
         let _ = writeln!(
             out,
             "{:5}  {:8.1} {:6.1} {:6.1} {:6.1} {:6.1}",

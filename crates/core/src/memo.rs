@@ -19,8 +19,9 @@ use std::hash::Hash;
 use m3d_cells::characterize::SpiceTables;
 use m3d_cells::{Cell, CellFunction, CellLibrary, Nldm, Pin, PinDir, SeqSpec};
 use m3d_power::PowerReport;
+use m3d_synth::WireLoadModel;
 
-use crate::cache::{FlowKey, LibraryKey, SpiceKey};
+use crate::cache::{FlowKey, LibraryKey, SpiceKey, WlmKey};
 use crate::codec::{
     dec_benchmark, dec_layer_usage, dec_node, dec_style, enc_benchmark, enc_layer_usage, enc_node,
     enc_scale, enc_stack_kind, enc_style, Dec, DecResult, DecodeError, Enc,
@@ -272,6 +273,43 @@ impl MemoClass for GmiClass {
         };
         d.finish()?;
         Ok(r)
+    }
+}
+
+/// Wire-load models, per [`WlmKey`].
+#[derive(Debug)]
+pub(crate) struct WlmClass;
+
+impl MemoClass for WlmClass {
+    type Key = WlmKey;
+    type Value = WireLoadModel;
+    const KIND: CacheKind = CacheKind::Wlm;
+
+    fn key_bytes(k: &WlmKey) -> Vec<u8> {
+        let mut e = Enc::default();
+        enc_benchmark(&mut e, k.bench);
+        enc_scale(&mut e, k.bench_scale);
+        e.buf.extend(LibraryClass::key_bytes(&k.lib));
+        e.u64(k.utilization_bits);
+        e.buf
+    }
+
+    fn encode(w: &WireLoadModel) -> Vec<u8> {
+        let mut e = Enc::default();
+        enc_f64s(&mut e, w.curve());
+        e.f64(w.slope_um());
+        e.buf
+    }
+
+    /// Decodes the curve and slope; a curve of the wrong length or with
+    /// a non-finite number is corruption.
+    fn decode(_: &WlmKey, bytes: &[u8]) -> DecResult<WireLoadModel> {
+        let mut d = Dec::new(bytes);
+        let curve = dec_seq(&mut d, WireLoadModel::MAX_FANOUT + 1, |d| d.f64())?;
+        let slope = d.f64()?;
+        d.finish()?;
+        WireLoadModel::from_parts(curve, slope)
+            .ok_or_else(|| DecodeError("malformed wire-load model".into()))
     }
 }
 

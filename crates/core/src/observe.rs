@@ -50,15 +50,18 @@ pub enum CacheKind {
     Spice,
     /// The G-MI sign-off cache (one gate-level 3D implementation).
     Gmi,
+    /// The wire-load-model cache (one preliminary layout's WLM).
+    Wlm,
 }
 
 impl CacheKind {
     /// Every kind, in declaration order.
-    pub const ALL: [CacheKind; 4] = [
+    pub const ALL: [CacheKind; 5] = [
         CacheKind::Library,
         CacheKind::Flow,
         CacheKind::Spice,
         CacheKind::Gmi,
+        CacheKind::Wlm,
     ];
 
     /// Stable lowercase name used in JSONL.
@@ -68,6 +71,7 @@ impl CacheKind {
             CacheKind::Flow => "flow",
             CacheKind::Spice => "spice",
             CacheKind::Gmi => "gmi",
+            CacheKind::Wlm => "wlm",
         }
     }
 
@@ -78,6 +82,7 @@ impl CacheKind {
             CacheKind::Flow => "flow",
             CacheKind::Spice => "spice",
             CacheKind::Gmi => "gmi",
+            CacheKind::Wlm => "wlm",
         }
     }
 
@@ -1056,6 +1061,12 @@ mod tests {
         rec.record(EventKind::CacheHit {
             kind: CacheKind::Gmi,
         });
+        rec.record(EventKind::CacheMiss {
+            kind: CacheKind::Wlm,
+        });
+        rec.record(EventKind::DiskHit {
+            kind: CacheKind::Wlm,
+        });
         rec.record(EventKind::DiskEvicted {
             kind: CacheKind::Flow,
             count: 1,
@@ -1082,11 +1093,11 @@ mod tests {
             trace.push('\n');
         }
         let summary = validate_jsonl(&trace).expect("trace validates");
-        assert_eq!(summary.events, 18);
+        assert_eq!(summary.events, 20);
         assert_eq!(summary.stage_spans, 2);
         assert_eq!(summary.cache_hits, 2);
-        assert_eq!(summary.cache_misses, 1);
-        assert_eq!(summary.disk_hits, 2);
+        assert_eq!(summary.cache_misses, 2);
+        assert_eq!(summary.disk_hits, 3);
         assert_eq!(summary.disk_misses, 1);
         assert_eq!(summary.disk_quarantined, 1);
         assert_eq!(summary.store_degraded, 1);

@@ -12,6 +12,8 @@
 //! [`FlowStage::consumes`], the contract behind the
 //! [`crate::ArtifactCache`] key (`tests` below tie the two together).
 
+use std::sync::Arc;
+
 use m3d_cells::CellLibrary;
 use m3d_netlist::{Benchmark, Netlist};
 use m3d_place::{Placement, Placer};
@@ -24,7 +26,7 @@ use m3d_sta::{
 use m3d_synth::{try_synthesize, SynthConfig, WireLoadModel};
 use m3d_tech::{DesignStyle, MetalStack};
 
-use crate::cache::ArtifactCache;
+use crate::cache::{ArtifactCache, Request, WlmKey};
 use crate::error::{FlowError, FlowStage};
 use crate::flow::{
     apply_moves, estimate_models, try_extraction_models, FlowConfig, FlowEnv, FlowResult,
@@ -115,6 +117,35 @@ pub(crate) fn library(
     })
 }
 
+/// The wire-load model under `key` (paper Fig. 6, §3.2), memoized: a
+/// miss places the generated netlist for 16 iterations and bins its net
+/// lengths by fanout. `held` is the library and the netlist generated on
+/// it that the caller already holds for `key`, so a miss generates no
+/// second netlist; without it a miss fetches the library and generates.
+pub(crate) fn wire_load_model(
+    cache: &ArtifactCache,
+    key: &WlmKey,
+    held: Option<(&CellLibrary, &Netlist)>,
+) -> Result<Arc<WireLoadModel>, FlowError> {
+    cache.wlm(key, || {
+        let fetched;
+        let (lib, raw) = match held {
+            Some(held) => held,
+            None => {
+                let lib = cache.library_for(&key.lib, Request::Caller)?;
+                let raw = key.bench.generate(&lib, key.bench_scale);
+                fetched = (lib, raw);
+                (&*fetched.0, &fetched.1)
+            }
+        };
+        let prelim = Placer::new(lib)
+            .utilization(key.utilization())
+            .iterations(16)
+            .try_place(raw)?;
+        Ok(WireLoadModel::from_placement(raw, &prelim))
+    })
+}
+
 /// Synthesis: wire-load model measured on a preliminary placement,
 /// WLM-guided synthesis, and the per-stage delay target τ (ps) derived
 /// from the synthesized logic depth. Returns the netlist, its WLM and
@@ -125,25 +156,14 @@ pub(crate) fn synthesize(
     cfg: &FlowConfig,
     cache: &ArtifactCache,
     env: &FlowEnv,
-) -> Result<(Netlist, WireLoadModel, f64), FlowError> {
+) -> Result<(Netlist, Arc<WireLoadModel>, f64), FlowError> {
     let raw = bench.generate(&env.lib, cfg.bench_scale);
-    let wlm = if cfg.tmi_wlm || style == DesignStyle::TwoD {
-        let prelim = Placer::new(&env.lib)
-            .utilization(env.utilization)
-            .iterations(16)
-            .try_place(&raw)?;
-        WireLoadModel::from_placement(&raw, &prelim)
-    } else {
-        // Table 15 "-n": synthesize the T-MI design against the WLM
-        // measured on the *2D* implementation.
-        let lib2d = cache.library(cfg.node_id, DesignStyle::TwoD, cfg.lower_metal_rho, 1.0)?;
-        let raw2d = bench.generate(&lib2d, cfg.bench_scale);
-        let prelim = Placer::new(&lib2d)
-            .utilization(env.utilization)
-            .iterations(16)
-            .try_place(&raw2d)?;
-        WireLoadModel::from_placement(&raw2d, &prelim)
-    };
+    // The WLM is measured on this flow's own library, except under
+    // Table 15 "-n": the T-MI design is synthesized against the WLM
+    // measured on the *2D* implementation.
+    let key = WlmKey::of(bench, style, cfg);
+    let held = (key.lib.style == style).then_some((&*env.lib, &raw));
+    let wlm = wire_load_model(cache, &key, held)?;
     check(FlowStage::Synthesis)?;
     let netlist = try_synthesize(raw, &env.lib, &wlm, &SynthConfig::new(env.clock_ps))?;
 
@@ -423,6 +443,52 @@ pub(crate) fn signoff(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m3d_netlist::BenchScale;
+    use m3d_tech::{NodeId, TechNode};
+
+    /// The bits of a WLM: its curve, then its slope.
+    fn wlm_bits(w: &WireLoadModel) -> Vec<u64> {
+        let mut bits: Vec<u64> = w.curve().iter().map(|v| v.to_bits()).collect();
+        bits.push(w.slope_um().to_bits());
+        bits
+    }
+
+    /// The memoized WLM, built from the caller's netlist or generated
+    /// on a fetched library, and served again as a hit, is bit-identical
+    /// to a fresh measurement on a from-scratch library.
+    #[test]
+    fn memoized_wlms_equal_a_fresh_measurement() {
+        let cache = ArtifactCache::default();
+        let held_cache = ArtifactCache::default();
+        for (bench, style, tmi_wlm) in [
+            (Benchmark::Aes, DesignStyle::TwoD, true),
+            (Benchmark::Fpu, DesignStyle::Tmi, true),
+            (Benchmark::Des, DesignStyle::Tmi, false),
+        ] {
+            let mut cfg = FlowConfig::new(NodeId::N45).scale(BenchScale::Small);
+            cfg.tmi_wlm = tmi_wlm;
+            let key = WlmKey::of(bench, style, &cfg);
+            let lib_style = if tmi_wlm { style } else { DesignStyle::TwoD };
+            let lib = CellLibrary::try_build(&TechNode::n45(), lib_style).expect("library builds");
+            let raw = bench.generate(&lib, BenchScale::Small);
+            let prelim = Placer::new(&lib)
+                .utilization(bench.target_utilization())
+                .iterations(16)
+                .try_place(&raw)
+                .expect("preliminary placement");
+            let fresh = wlm_bits(&WireLoadModel::from_placement(&raw, &prelim));
+
+            let generated = wire_load_model(&cache, &key, None).expect("WLM builds");
+            let hit = wire_load_model(&cache, &key, None).expect("WLM hits");
+            assert!(Arc::ptr_eq(&generated, &hit), "second request is a hit");
+            let held = wire_load_model(&held_cache, &key, Some((&lib, &raw))).expect("WLM builds");
+            for w in [&generated, &held] {
+                assert_eq!(wlm_bits(w), fresh, "{bench:?} {style:?} tmi_wlm={tmi_wlm}");
+            }
+        }
+        let s = cache.stats();
+        assert_eq!((s.wlm_builds, s.wlm_hits), (3, 3));
+    }
 
     #[test]
     fn stages_resolve_by_short_and_display_name() {

@@ -4,10 +4,10 @@
 //! The paper's sweeps re-derive the same expensive artifacts across
 //! *processes*: without a store, every fresh `paper_tables` invocation
 //! re-characterizes the same cell libraries, re-simulates the same
-//! SPICE decks and re-runs flows and G-MI implementations an earlier
-//! invocation already signed off. [`DiskStore`] persists all four
-//! artifact classes under their existing cache keys so a warm directory
-//! turns a fresh process into a cache hit.
+//! SPICE decks, re-runs flows and G-MI implementations and re-places
+//! preliminary layouts an earlier invocation already ran. [`DiskStore`]
+//! persists all five artifact classes under their cache keys so a warm
+//! directory turns a fresh process into a cache hit.
 //!
 //! A class is one `impl` of the crate-private memo-class trait
 //! (`memo::MemoClass`): its [`CacheKind`], its key bytes and its value
@@ -22,9 +22,10 @@
 //!   across processes), sharded by the hash's low byte:
 //!   `<root>/lib/<2-hex>/<16-hex>.m3d`,
 //!   `<root>/flow/<2-hex>/<16-hex>.m3d`,
-//!   `<root>/spice/<2-hex>/<16-hex>.m3d` and
+//!   `<root>/spice/<2-hex>/<16-hex>.m3d`,
 //!   `<root>/gmi/<2-hex>/<16-hex>.m3d` (keyed by the G-MI point's 2D
-//!   reference [`FlowKey`]), plus `<root>/quarantine/` and a recency
+//!   reference [`FlowKey`]) and `<root>/wlm/<2-hex>/<16-hex>.m3d`
+//!   (wire-load models), plus `<root>/quarantine/` and a recency
 //!   journal `<root>/index.journal`.
 //! * **Self-verification** — every entry is the durable frame built by
 //!   `codec::frame` (DESIGN.md §9) under the `M3DSTOR1` magic, with a
@@ -94,8 +95,8 @@ const SEC_ARTIFACT: u8 = 2;
 
 /// Default byte budget: generous for the full paper reproduction
 /// (a characterized library encodes to a few hundred KiB, a flow
-/// result to ~1 KiB, one cell's SPICE tables or a G-MI result to well
-/// under that) while still bounding a pathological sweep.
+/// result to ~1 KiB, one cell's SPICE tables, a G-MI result or a WLM
+/// to well under that) while still bounding a pathological sweep.
 const DEFAULT_BYTE_BUDGET: u64 = 1 << 30;
 
 /// A publisher's `.lock` older than this is presumed crashed and is
@@ -701,6 +702,7 @@ fn acquire_lock(path: &Path) -> io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::WlmClass;
     use m3d_cells::{Cell, CellFunction, Nldm, Pin, PinDir, SeqSpec};
     use m3d_netlist::{BenchScale, Benchmark};
     use m3d_power::PowerReport;
@@ -1190,6 +1192,110 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    fn wlm_key(bench: Benchmark) -> crate::cache::WlmKey {
+        crate::cache::WlmKey::of(
+            bench,
+            DesignStyle::TwoD,
+            &crate::flow::FlowConfig::new(NodeId::N45).scale(BenchScale::Small),
+        )
+    }
+
+    fn sample_wlm() -> m3d_synth::WireLoadModel {
+        let mut curve: Vec<f64> = (0..=m3d_synth::WireLoadModel::MAX_FANOUT)
+            .map(|f| 2.5 + 0.75 * f as f64)
+            .collect();
+        curve[0] = -0.0;
+        m3d_synth::WireLoadModel::from_parts(curve, 0.375).expect("a well-formed model")
+    }
+
+    /// The WLM bits: curve, then slope.
+    fn wlm_bits(w: &m3d_synth::WireLoadModel) -> Vec<u64> {
+        let mut bits: Vec<u64> = w.curve().iter().map(|v| v.to_bits()).collect();
+        bits.push(w.slope_um().to_bits());
+        bits
+    }
+
+    #[test]
+    fn wlm_round_trips_bit_exactly() {
+        let w = sample_wlm();
+        let key = wlm_key(Benchmark::Aes);
+        let back = WlmClass::decode(&key, &WlmClass::encode(&w)).expect("decodes");
+        // -0.0 survives as -0.0 (bit-exact, not value-equal).
+        assert_eq!(wlm_bits(&back), wlm_bits(&w));
+
+        let root = temp_root("wlmrt");
+        let store = DiskStore::open(&root);
+        assert!(store.load::<WlmClass>(&key).is_none(), "cold store misses");
+        store.store::<WlmClass>(&key, &w);
+        let fresh = DiskStore::open(&root);
+        let back = fresh.load::<WlmClass>(&key).expect("a fresh instance hits");
+        assert_eq!(wlm_bits(&back), wlm_bits(&w));
+        assert_eq!(fresh.counters().quarantined, 0);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Pins the WLM entry file image: any change to the frame, the WLM
+    /// key codec (which embeds the library key's) or the curve codec
+    /// moves this hash.
+    #[test]
+    fn wlm_entry_file_image_is_pinned() {
+        let root = temp_root("wlmpin");
+        let store = DiskStore::open(&root);
+        let key = wlm_key(Benchmark::Aes);
+        store.store::<WlmClass>(&key, &sample_wlm());
+        let path = path_of::<WlmClass>(&store, &key);
+        assert!(path.starts_with(root.join("wlm")));
+        let bytes = fs::read(&path).expect("entry on disk");
+        assert_eq!(content_hash(&bytes), 0x7acb_ead0_65f3_3f72);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A WLM entry copied into another key's slot, a truncated one, and
+    /// well-framed ones whose curve is short or holds a non-finite
+    /// number are each quarantined, never served.
+    #[test]
+    fn forged_or_truncated_wlm_entry_is_quarantined_not_served() {
+        let root = temp_root("wlmforge");
+        let store = DiskStore::open(&root);
+        let (aes, ldpc) = (wlm_key(Benchmark::Aes), wlm_key(Benchmark::Ldpc));
+        store.store::<WlmClass>(&aes, &sample_wlm());
+        let path = |k: &crate::cache::WlmKey| path_of::<WlmClass>(&store, k);
+        fs::create_dir_all(path(&ldpc).parent().expect("entry dir")).expect("mkdir");
+        fs::copy(path(&aes), path(&ldpc)).expect("forge the entry");
+        assert!(store.load::<WlmClass>(&ldpc).is_none());
+        assert_eq!(store.counters().quarantined, 1);
+        assert!(!path(&ldpc).exists(), "forged entry left the live tree");
+
+        let bytes = fs::read(path(&aes)).expect("entry on disk");
+        fs::write(path(&aes), &bytes[..bytes.len() - 3]).expect("truncate the entry");
+        assert!(store.load::<WlmClass>(&aes).is_none());
+        assert_eq!(store.counters().quarantined, 2);
+
+        let w = sample_wlm();
+        let mut nan = w.curve().to_vec();
+        nan[7] = f64::NAN;
+        for (i, (curve, slope)) in [(w.curve()[..3].to_vec(), 0.375), (nan, 0.375)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut e = crate::codec::Enc::default();
+            e.usize(curve.len());
+            for v in curve {
+                e.f64(v);
+            }
+            e.f64(slope);
+            store.publish(CacheKind::Wlm, &WlmClass::key_bytes(&aes), &e.buf);
+            assert!(store.load::<WlmClass>(&aes).is_none());
+            assert_eq!(store.counters().quarantined, 3 + i as u64);
+        }
+        store.store::<WlmClass>(&aes, &w);
+        let back = store
+            .load::<WlmClass>(&aes)
+            .expect("a clean publish serves again");
+        assert_eq!(wlm_bits(&back), wlm_bits(&w));
+        let _ = fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn scale_key_changes_flow_key_bytes() {
         // BenchScale is part of the on-disk key: Paper- and Small-scale
@@ -1269,6 +1375,7 @@ mod tests {
             (path_of::<FlowClass>(&store, &flow), "flow"),
             (path_of::<SpiceClass>(&store, &spice), "spice"),
             (path_of::<GmiClass>(&store, &flow), "gmi"),
+            (path_of::<WlmClass>(&store, &wlm_key(Benchmark::Aes)), "wlm"),
         ] {
             assert!(
                 path.starts_with(root.join(dir)),

@@ -217,7 +217,7 @@ impl FlowSupervisor {
     fn close(
         &mut self,
         config: &FlowConfig,
-    ) -> Result<(FlowEnv, WireLoadModel, Design), FlowError> {
+    ) -> Result<(FlowEnv, Arc<WireLoadModel>, Design), FlowError> {
         let (bench, style, cache) = (self.bench, self.style, Arc::clone(&self.cache));
         let env = self.run_stage(FlowStage::Library, || {
             stage::library(bench, style, config, &cache)
@@ -421,7 +421,7 @@ mod tests {
     fn close(
         bench: Benchmark,
         style: DesignStyle,
-    ) -> (u32, FlowEnv, WireLoadModel, Design, FlowResult) {
+    ) -> (u32, FlowEnv, Arc<WireLoadModel>, Design, FlowResult) {
         let config = small();
         let trace = Arc::new(VecRecorder::new());
         let cache = Arc::new(ArtifactCache::default());

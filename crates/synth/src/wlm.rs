@@ -104,6 +104,25 @@ impl WireLoadModel {
         &self.lengths_um
     }
 
+    /// The extra length per sink beyond the table, µm.
+    pub fn slope_um(&self) -> f64 {
+        self.slope_um
+    }
+
+    /// Reassembles a model from its [`WireLoadModel::curve`] and
+    /// [`WireLoadModel::slope_um`] — the reload half of a persisted
+    /// model. `None` unless the curve has `MAX_FANOUT + 1` entries and
+    /// every number is finite, so [`WireLoadModel::estimate_um`] can
+    /// neither index out of range nor return a non-finite length.
+    pub fn from_parts(lengths_um: Vec<f64>, slope_um: f64) -> Option<Self> {
+        let valid = lengths_um.len() == Self::MAX_FANOUT + 1
+            && lengths_um.iter().chain([&slope_um]).all(|v| v.is_finite());
+        valid.then_some(WireLoadModel {
+            lengths_um,
+            slope_um,
+        })
+    }
+
     /// Returns a copy with every length scaled by `factor` (used to derive
     /// a first-cut T-MI WLM from a 2D one).
     pub fn scaled(&self, factor: f64) -> Self {
@@ -171,6 +190,22 @@ mod tests {
                 .expect("placement succeeds"),
         );
         assert!(w3.estimate_um(2) < w2.estimate_um(2));
+    }
+
+    #[test]
+    fn parts_round_trip_and_reject_malformed_curves() {
+        let w = WireLoadModel::uniform(5.0, 2.0);
+        let back = WireLoadModel::from_parts(w.curve().to_vec(), w.slope_um());
+        assert_eq!(back, Some(w.clone()));
+        let short = w.curve()[..WireLoadModel::MAX_FANOUT].to_vec();
+        assert_eq!(WireLoadModel::from_parts(short, 2.0), None);
+        let mut nan = w.curve().to_vec();
+        nan[3] = f64::NAN;
+        assert_eq!(WireLoadModel::from_parts(nan, 2.0), None);
+        assert_eq!(
+            WireLoadModel::from_parts(w.curve().to_vec(), f64::INFINITY),
+            None
+        );
     }
 
     #[test]

@@ -377,6 +377,10 @@ fn trace_cache_counters_equal_cache_stats() {
     assert_eq!(hits[gmi], s.gmi_hits, "gmi hits: trace vs stats");
     assert_eq!(misses[gmi], s.gmi_builds, "gmi builds: trace vs stats");
     assert_eq!(evicted[gmi], s.gmi_evictions);
+    let wlm = CacheKind::Wlm as usize;
+    assert_eq!(hits[wlm], s.wlm_hits, "wlm hits: trace vs stats");
+    assert_eq!(misses[wlm], s.wlm_builds, "wlm builds: trace vs stats");
+    assert_eq!(evicted[wlm], s.wlm_evictions);
     // Serial execution never coalesces: nothing is ever in flight twice.
     assert_eq!(coalesced, 0, "a --jobs 1 run cannot coalesce builds");
 }
@@ -434,14 +438,22 @@ fn jsonl_trace_validates_and_matches_the_vec_recorder() {
         .filter(|e| matches!(e.kind, EventKind::StageStarted { .. }))
         .count();
     assert_eq!(summary.stage_spans, started);
-    assert_eq!(
-        summary.cache_hits,
-        run.stats.library_hits + run.stats.flow_hits
-    );
-    assert_eq!(
-        summary.cache_misses,
-        run.stats.library_builds + run.stats.flow_misses
-    );
+    // The trace's hit and miss totals span every cache kind.
+    let s = &run.stats;
+    let (mut hits, mut misses) = (0, 0);
+    for kind in CacheKind::ALL {
+        let (h, m) = match kind {
+            CacheKind::Library => (s.library_hits, s.library_builds),
+            CacheKind::Flow => (s.flow_hits, s.flow_misses),
+            CacheKind::Spice => (s.spice_hits, s.spice_builds),
+            CacheKind::Gmi => (s.gmi_hits, s.gmi_builds),
+            CacheKind::Wlm => (s.wlm_hits, s.wlm_builds),
+        };
+        hits += h;
+        misses += m;
+    }
+    assert_eq!(summary.cache_hits, hits);
+    assert_eq!(summary.cache_misses, misses);
 }
 
 #[test]

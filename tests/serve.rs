@@ -89,6 +89,9 @@ fn ping_and_stats_round_trip() {
         "gmi_builds",
         "gmi_hits",
         "gmi_evictions",
+        "wlm_builds",
+        "wlm_hits",
+        "wlm_evictions",
         "disk_hits",
         "disk_misses",
         "disk_stores",
