@@ -9,20 +9,22 @@
 //! stage spans (every `stage_started` paired with exactly one terminal
 //! `stage_finished`). On success it prints a one-line summary, then one
 //! line per stage key with its closed spans and their summed wall time,
-//! and exits 0:
+//! then one line per cache kind the trace hits or misses, and exits 0:
 //!
 //! ```text
 //! trace.jsonl: 1204 events, 245 stage spans, 131 cache hits / 112 misses
 //!   stage place: 49 spans, 1.234567 s wall
+//!   cache library: 51 hits, 12 misses
 //! ```
 //!
-//! The per-stage span counts add up to the summary's stage spans. On a
+//! The per-stage span counts add up to the summary's stage spans, and
+//! the per-kind hit and miss counts to the summary's totals. On a
 //! violation it prints it and exits 1; a missing or unreadable file
 //! exits 2. CI runs this over the trace the smoke subset emits, so a
 //! schema drift between the recorder and the validator fails the build
 //! rather than silently producing unparseable artifacts.
 
-use monolith3d::observe::validate_jsonl;
+use monolith3d::observe::{validate_jsonl, CacheKind};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -46,6 +48,16 @@ fn main() {
             );
             for (stage, t) in &summary.stages {
                 println!("  stage {stage}: {} spans, {:.6} s wall", t.spans, t.wall_s);
+            }
+            for (kind, t) in CacheKind::ALL.into_iter().zip(&summary.caches) {
+                if t.hits + t.misses > 0 {
+                    println!(
+                        "  cache {}: {} hits, {} misses",
+                        kind.key(),
+                        t.hits,
+                        t.misses
+                    );
+                }
             }
         }
         Err(e) => {

@@ -1,8 +1,9 @@
-//! Table 2's SPICE decks, the G-MI study's implementations and Fig. 6's
-//! wire-load models are persisted artifacts: a second `paper_tables
-//! --cache-dir` process over the first one's store prints the same
-//! section while simulating no transistor deck, partitioning, placing
-//! and routing no G-MI design and placing no preliminary layout, and a
+//! Table 2's SPICE decks, the G-MI study's implementations, Fig. 6's
+//! wire-load models and Table 12's netlist statistics are persisted
+//! artifacts: a second `paper_tables --cache-dir` process over the
+//! first one's store prints the same section while simulating no
+//! transistor deck, partitioning, placing and routing no G-MI design,
+//! placing no preliminary layout and generating no netlist, and a
 //! second in-process call is served from memory.
 
 use std::path::{Path, PathBuf};
@@ -21,6 +22,9 @@ const GMI_POINTS: u64 = 2;
 
 /// Fig. 6 curves: one 45 nm 2D wire-load model per benchmark.
 const FIG6_WLMS: u64 = 5;
+
+/// Table 12 rows: every benchmark's generated netlist at 45 and 7 nm.
+const TABLE12_NETLISTS: u64 = 10;
 
 /// The `name` section of the golden suite output, banner included.
 fn golden_section(name: &str) -> String {
@@ -70,8 +74,8 @@ fn temp_store(tag: &str) -> PathBuf {
 
 /// Runs `experiment` cold, then warm, over one fresh store. Both print
 /// the golden section; the cold cache line contains `cold`, the warm
-/// one `warm` and no quarantined entry.
-fn replay(experiment: &str, cold: &str, warm: &str) {
+/// one every pattern of `warm` and no quarantined entry.
+fn replay(experiment: &str, cold: &str, warm: &[&str]) {
     let store = temp_store(experiment);
     let want = golden_section(experiment);
 
@@ -83,7 +87,9 @@ fn replay(experiment: &str, cold: &str, warm: &str) {
     let (warm_out, warm_err) = run(&store, experiment);
     assert_eq!(warm_out, want, "warm stdout differs from the golden");
     let line = cache_line(&warm_err);
-    assert!(line.contains(warm), "warm run: {line}");
+    for warm in warm {
+        assert!(line.contains(warm), "warm run: {line}");
+    }
     assert!(line.contains(" 0 quarantined"), "warm run: {line}");
     let _ = std::fs::remove_dir_all(&store);
 }
@@ -93,7 +99,7 @@ fn a_warm_process_replays_table2_without_simulating() {
     replay(
         "table2",
         &format!("spice: {DECKS} built, 0 hits"),
-        &format!("spice: 0 built, {DECKS} hits"),
+        &[&format!("spice: 0 built, {DECKS} hits")],
     );
 }
 
@@ -102,7 +108,7 @@ fn a_warm_process_replays_gmi_without_partitioning() {
     replay(
         "gmi",
         &format!("gmi: {GMI_POINTS} built, 0 hits"),
-        &format!("gmi: 0 built, {GMI_POINTS} hits"),
+        &[&format!("gmi: 0 built, {GMI_POINTS} hits")],
     );
 }
 
@@ -111,7 +117,19 @@ fn a_warm_process_replays_fig6_without_placing() {
     replay(
         "fig6",
         &format!("wlm: {FIG6_WLMS} built, 0 hits"),
-        &format!("wlm: 0 built, {FIG6_WLMS} hits"),
+        &[&format!("wlm: 0 built, {FIG6_WLMS} hits")],
+    );
+}
+
+#[test]
+fn a_warm_process_replays_table12_without_generating() {
+    replay(
+        "table12",
+        &format!("netlist: {TABLE12_NETLISTS} built, 0 hits"),
+        &[
+            &format!("netlist: 0 built, {TABLE12_NETLISTS} hits"),
+            "libraries: 0 built, 0 hits",
+        ],
     );
 }
 
@@ -135,4 +153,16 @@ fn a_second_gmi_comparison_in_one_process_builds_nothing() {
     let d = cache.stats().delta(&before);
     assert_eq!(first, second);
     assert_eq!((d.gmi_builds, d.gmi_hits), (0, GMI_POINTS));
+}
+
+#[test]
+fn a_second_table12_in_one_process_builds_nothing() {
+    let cache = ArtifactCache::global();
+    let first = experiments::table12_benchmarks(BenchScale::Small);
+    let before = cache.stats();
+    let second = experiments::table12_benchmarks(BenchScale::Small);
+    let d = cache.stats().delta(&before);
+    assert_eq!(first, second);
+    assert_eq!((d.netlist_builds, d.netlist_hits), (0, TABLE12_NETLISTS));
+    assert_eq!(d.library_builds + d.library_hits, 0, "no library loaded");
 }

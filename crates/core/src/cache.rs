@@ -12,9 +12,13 @@
 //!   pin_cap_scale)`. Only a native library is characterized; a
 //!   pin-cap variant and a scaled node's library are derived from their
 //!   base library, which they fetch through this same memo.
+//! * **Netlist statistics** — Table 12's cell, area, net, fanout and
+//!   flop counts of one generated netlist — are computed once per
+//!   [`NetlistKey`]: the benchmark, its scale and the library key, which
+//!   is exactly what the generator reads.
 //! * **Wire-load models** are measured once per [`WlmKey`] — the
-//!   benchmark, its scale, the library key and the utilization that the
-//!   preliminary placement reads (paper Fig. 6, §3.2).
+//!   [`NetlistKey`] of the netlist the preliminary placement places,
+//!   plus the utilization it places at (paper Fig. 6, §3.2).
 //! * **Completed [`FlowResult`]s** are shared per [`FlowKey`] — the
 //!   projection of `(benchmark, style, FlowConfig)` onto the knobs the
 //!   stages consume, with unconsumed knobs canonicalized away so
@@ -47,7 +51,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use m3d_cells::characterize::{characterize_spice_tables, SpiceTables};
 use m3d_cells::layout::generate_layout;
 use m3d_cells::{CellFunction, CellLibrary, LibraryError, Topology};
-use m3d_netlist::{BenchScale, Benchmark};
+use m3d_netlist::{BenchScale, Benchmark, NetlistStats};
 use m3d_spice::SpiceError;
 use m3d_synth::WireLoadModel;
 use m3d_tech::{DesignStyle, LibraryRecipe, MetalClass, NodeId, PdkRegistry, StackKind, TechNode};
@@ -55,7 +59,9 @@ use m3d_tech::{DesignStyle, LibraryRecipe, MetalClass, NodeId, PdkRegistry, Stac
 use crate::error::{FlowError, FlowStage};
 use crate::flow::{FlowConfig, FlowResult};
 use crate::gmi::GmiResult;
-use crate::memo::{FlowClass, GmiClass, LibraryClass, MemoClass, SpiceClass, WlmClass};
+use crate::memo::{
+    FlowClass, GmiClass, LibraryClass, MemoClass, NetlistClass, SpiceClass, WlmClass,
+};
 use crate::observe::{self, EventKind, Recorder};
 use crate::store::DiskStore;
 
@@ -98,15 +104,34 @@ impl LibraryKey {
     }
 }
 
-/// Cache key of one wire-load model: everything its preliminary layout
-/// reads. The netlist generator reads the benchmark, its scale and the
-/// library; the 16-iteration placement reads the library and the
-/// utilization.
+/// Cache key of one generated benchmark netlist: exactly what
+/// [`Benchmark::generate`] reads — the benchmark, its scale and the
+/// library it is generated on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WlmKey {
+pub struct NetlistKey {
     pub(crate) bench: Benchmark,
     pub(crate) bench_scale: BenchScale,
     pub(crate) lib: LibraryKey,
+}
+
+impl NetlistKey {
+    /// The netlist `bench` generates at `bench_scale` on the library
+    /// under `lib`.
+    pub fn new(bench: Benchmark, bench_scale: BenchScale, lib: LibraryKey) -> Self {
+        NetlistKey {
+            bench,
+            bench_scale,
+            lib,
+        }
+    }
+}
+
+/// Cache key of one wire-load model: everything its preliminary layout
+/// reads. The netlist generator reads the [`NetlistKey`]; the
+/// 16-iteration placement reads its library and the utilization.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct WlmKey {
+    pub(crate) netlist: NetlistKey,
     /// The effective utilization: an unset target resolves to the
     /// benchmark's, so an explicit equal target shares the entry.
     pub(crate) utilization_bits: u64,
@@ -124,9 +149,7 @@ impl WlmKey {
             LibraryKey::new(cfg.node_id, DesignStyle::TwoD, cfg.lower_metal_rho, 1.0)
         };
         WlmKey {
-            bench,
-            bench_scale: cfg.bench_scale,
-            lib,
+            netlist: NetlistKey::new(bench, cfg.bench_scale, lib),
             utilization_bits: cfg
                 .utilization
                 .unwrap_or_else(|| bench.target_utilization())
@@ -273,6 +296,12 @@ pub struct CacheStats {
     pub wlm_hits: u64,
     /// Cached WLMs evicted by the LRU bound.
     pub wlm_evictions: u64,
+    /// Netlists generated from scratch for their statistics.
+    pub netlist_builds: u64,
+    /// Netlist-statistics requests served from the memory or disk tier.
+    pub netlist_hits: u64,
+    /// Cached netlist statistics evicted by the LRU bound.
+    pub netlist_evictions: u64,
     /// Disk-tier reads served from a verified on-disk entry.
     pub disk_hits: u64,
     /// Disk-tier reads that found no usable entry (including entries
@@ -292,14 +321,14 @@ impl CacheStats {
     /// Every counter as `(name, value)`, in declaration order. The names
     /// are the field names; `m3d_serve` serves its `stats` answer from
     /// this table.
-    pub fn fields(&self) -> [(&'static str, u64); 22] {
+    pub fn fields(&self) -> [(&'static str, u64); 25] {
         let mut s = *self;
         s.fields_mut().map(|(name, v)| (name, *v))
     }
 
     /// The one `(name, counter)` table: `cache::tests` pins it to the
     /// struct's declaration (names, order and count).
-    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 22] {
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 25] {
         [
             ("library_builds", &mut self.library_builds),
             ("library_hits", &mut self.library_hits),
@@ -317,6 +346,9 @@ impl CacheStats {
             ("wlm_builds", &mut self.wlm_builds),
             ("wlm_hits", &mut self.wlm_hits),
             ("wlm_evictions", &mut self.wlm_evictions),
+            ("netlist_builds", &mut self.netlist_builds),
+            ("netlist_hits", &mut self.netlist_hits),
+            ("netlist_evictions", &mut self.netlist_evictions),
             ("disk_hits", &mut self.disk_hits),
             ("disk_misses", &mut self.disk_misses),
             ("disk_stores", &mut self.disk_stores),
@@ -346,7 +378,7 @@ impl std::fmt::Display for CacheStats {
         // Every counter of the table, in declaration order, so the
         // logged summary always agrees with the served snapshot
         // (`cache::tests::display_round_trips_every_counter` pins this).
-        let [lb, lh, le, fs, fh, fm, fe, sb, sh, se, gb, gh, ge, wb, wh, we, dh, dm, ds, de, dq, sd] =
+        let [lb, lh, le, fs, fh, fm, fe, sb, sh, se, gb, gh, ge, wb, wh, we, nb, nh, ne, dh, dm, ds, de, dq, sd] =
             self.fields().map(|(_, v)| v);
         write!(
             f,
@@ -355,6 +387,7 @@ impl std::fmt::Display for CacheStats {
              spice: {sb} built, {sh} hits, {se} evicted; \
              gmi: {gb} built, {gh} hits, {ge} evicted; \
              wlm: {wb} built, {wh} hits, {we} evicted; \
+             netlist: {nb} built, {nh} hits, {ne} evicted; \
              disk: {dh} hits, {dm} misses, {ds} stored, {de} evicted, \
              {dq} quarantined; store degraded: {sd}"
         )
@@ -578,6 +611,8 @@ const DEFAULT_SPICE_CAPACITY: usize = 64;
 const DEFAULT_GMI_CAPACITY: usize = 16;
 /// A WLM is 22 numbers; the small suite measures 28.
 const DEFAULT_WLM_CAPACITY: usize = 128;
+/// Netlist statistics are six numbers; Table 12 reads ten per scale.
+const DEFAULT_NETLIST_CAPACITY: usize = 32;
 
 /// One class's memory tier: its LRU map and its kind's live counters.
 /// `M` is what the map holds: the shared artifact, or a coalesced
@@ -624,13 +659,14 @@ impl<C: MemoClass, M> Memo<C, M> {
 }
 
 /// The shared memo layer for cell libraries, completed flow results,
-/// SPICE characterizations, G-MI sign-off results and wire-load models:
-/// one memo per memo class (`memo::MemoClass`).
+/// SPICE characterizations, G-MI sign-off results, wire-load models and
+/// netlist statistics: one memo per memo class (`memo::MemoClass`).
 ///
 /// Every map is LRU-bounded ([`ArtifactCache::bounded`] sets the library
-/// and result capacities; the SPICE, G-MI and WLM maps always hold
-/// `DEFAULT_SPICE_CAPACITY`, `DEFAULT_GMI_CAPACITY` and
-/// `DEFAULT_WLM_CAPACITY` entries), so an unbounded sweep cannot grow
+/// and result capacities; the SPICE, G-MI, WLM and netlist maps always
+/// hold `DEFAULT_SPICE_CAPACITY`, `DEFAULT_GMI_CAPACITY`,
+/// `DEFAULT_WLM_CAPACITY` and `DEFAULT_NETLIST_CAPACITY` entries), so
+/// an unbounded sweep cannot grow
 /// the process without limit — evictions are counted in [`CacheStats`].
 /// Thread-safe and built for the parallel executor's fan-out: every map
 /// is lock-**sharded**, and each library and WLM entry is a per-key
@@ -640,8 +676,8 @@ impl<C: MemoClass, M> Memo<C, M> {
 /// (counted as hits). The other classes are *not* coalesced: concurrent misses on one [`FlowKey`] each run the
 /// (deterministic) flow and store bit-identical values — the
 /// [`crate::ExperimentPlan`] dedups by `FlowKey` precisely so the
-/// executor never schedules that race — and racing SPICE misses
-/// simulate the same deterministic deck.
+/// executor never schedules that race — and racing SPICE or netlist
+/// misses build the same deterministic artifact.
 #[derive(Debug)]
 pub struct ArtifactCache {
     libraries: Coalesced<LibraryClass>,
@@ -649,6 +685,7 @@ pub struct ArtifactCache {
     spice: Memo<SpiceClass>,
     gmi: Memo<GmiClass>,
     wlms: Coalesced<WlmClass>,
+    netlists: Memo<NetlistClass>,
     /// The optional persistent tier ([`DiskStore`]): probed on memory
     /// misses, published to after builds/stores. `None` keeps the
     /// cache purely in-memory (the seed behavior).
@@ -684,6 +721,7 @@ impl ArtifactCache {
             spice: Memo::new(DEFAULT_SPICE_CAPACITY),
             gmi: Memo::new(DEFAULT_GMI_CAPACITY),
             wlms: Memo::new(DEFAULT_WLM_CAPACITY),
+            netlists: Memo::new(DEFAULT_NETLIST_CAPACITY),
             disk: RwLock::new(None),
             recorder: RwLock::new(observe::null()),
         }
@@ -743,13 +781,14 @@ impl ArtifactCache {
         (self.libraries.map.len(), self.results.map.len())
     }
 
-    /// True when every map (SPICE tables, G-MI results and WLMs
-    /// included) is empty.
+    /// True when every map (SPICE tables, G-MI results, WLMs and
+    /// netlist statistics included) is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == (0, 0)
             && self.spice.map.len() == 0
             && self.gmi.map.len() == 0
             && self.wlms.map.len() == 0
+            && self.netlists.map.len() == 0
     }
 
     /// The generic lookup: memory, else a verified disk entry promoted
@@ -779,6 +818,23 @@ impl ArtifactCache {
         if let Some(d) = self.disk() {
             d.store::<C>(key, &value);
         }
+    }
+
+    /// The generic memo of a class whose builds do not coalesce: a
+    /// [`ArtifactCache::lookup`], else `build` and
+    /// [`ArtifactCache::store`]. A failed build stores nothing.
+    fn lookup_or_build<C: MemoClass>(
+        &self,
+        memo: &Memo<C>,
+        key: &C::Key,
+        build: impl FnOnce() -> Result<C::Value, FlowError>,
+    ) -> Result<Arc<C::Value>, FlowError> {
+        if let Some(hit) = self.lookup(memo, key) {
+            return Ok(hit);
+        }
+        let v = Arc::new(build()?);
+        self.store(memo, key, Arc::clone(&v));
+        Ok(v)
     }
 
     fn insert<C: MemoClass, M>(&self, memo: &Memo<C, M>, key: &C::Key, value: M) {
@@ -894,6 +950,23 @@ impl ArtifactCache {
             FlowStage::Synthesis,
             build,
         )
+    }
+
+    /// The statistics of the netlist under `key`: from memory, else
+    /// from a verified disk entry (promoted into memory), else computed
+    /// by `build` and published to both tiers. `netlist_builds` counts
+    /// builds; every request served without one counts as a
+    /// `netlist_hits` increment. A failed build stores nothing.
+    ///
+    /// # Errors
+    ///
+    /// The error of `build`.
+    pub(crate) fn netlist_stats(
+        &self,
+        key: &NetlistKey,
+        build: impl FnOnce() -> Result<NetlistStats, FlowError>,
+    ) -> Result<Arc<NetlistStats>, FlowError> {
+        self.lookup_or_build(&self.netlists, key, build)
     }
 
     /// The generic coalescing memo: the key's once-cell is fetched (or
@@ -1044,12 +1117,7 @@ impl ArtifactCache {
     /// On a miss, as [`characterize_spice_tables`] does: for sequential
     /// or multi-output functions, and when the output never switches.
     pub fn spice_tables(&self, key: &SpiceKey) -> Result<Arc<SpiceTables>, FlowError> {
-        if let Some(hit) = self.lookup(&self.spice, key) {
-            return Ok(hit);
-        }
-        let t = Arc::new(Self::simulate(key)?);
-        self.store(&self.spice, key, Arc::clone(&t));
-        Ok(t)
+        self.lookup_or_build(&self.spice, key, || Ok(Self::simulate(key)?))
     }
 
     /// The stored G-MI result for the 2D reference point `key`: from
@@ -1094,6 +1162,7 @@ impl ArtifactCache {
         self.spice.clear();
         self.gmi.clear();
         self.wlms.clear();
+        self.netlists.clear();
     }
 
     /// Counter snapshot. The `disk_*` counters are read live from the
@@ -1106,6 +1175,7 @@ impl ArtifactCache {
         let [spice_builds, spice_hits, _, spice_evictions] = self.spice.snapshot();
         let [gmi_builds, gmi_hits, _, gmi_evictions] = self.gmi.snapshot();
         let [wlm_builds, wlm_hits, _, wlm_evictions] = self.wlms.snapshot();
+        let [netlist_builds, netlist_hits, _, netlist_evictions] = self.netlists.snapshot();
         CacheStats {
             library_builds,
             library_hits,
@@ -1123,6 +1193,9 @@ impl ArtifactCache {
             wlm_builds,
             wlm_hits,
             wlm_evictions,
+            netlist_builds,
+            netlist_hits,
+            netlist_evictions,
             disk_hits: disk.hits,
             disk_misses: disk.misses,
             disk_stores: disk.stores,
@@ -1415,12 +1488,15 @@ mod tests {
             wlm_builds: 14,
             wlm_hits: 15,
             wlm_evictions: 16,
-            disk_hits: 17,
-            disk_misses: 18,
-            disk_stores: 19,
-            disk_evictions: 20,
-            disk_quarantined: 21,
-            store_degraded: 22,
+            netlist_builds: 17,
+            netlist_hits: 18,
+            netlist_evictions: 19,
+            disk_hits: 20,
+            disk_misses: 21,
+            disk_stores: 22,
+            disk_evictions: 23,
+            disk_quarantined: 24,
+            store_degraded: 25,
         };
         assert_eq!(
             s.to_string(),
@@ -1429,8 +1505,9 @@ mod tests {
              spice: 8 built, 9 hits, 10 evicted; \
              gmi: 11 built, 12 hits, 13 evicted; \
              wlm: 14 built, 15 hits, 16 evicted; \
-             disk: 17 hits, 18 misses, 19 stored, 20 evicted, \
-             21 quarantined; store degraded: 22"
+             netlist: 17 built, 18 hits, 19 evicted; \
+             disk: 20 hits, 21 misses, 22 stored, 23 evicted, \
+             24 quarantined; store degraded: 25"
         );
     }
 
@@ -1453,6 +1530,9 @@ mod tests {
             wlm_builds: 28,
             wlm_hits: 35,
             wlm_evictions: 0,
+            netlist_builds: 10,
+            netlist_hits: 0,
+            netlist_evictions: 0,
             disk_hits: 3,
             disk_misses: 5,
             disk_stores: 2,
@@ -1477,6 +1557,9 @@ mod tests {
             wlm_builds: 28,
             wlm_hits: 40,
             wlm_evictions: 1,
+            netlist_builds: 10,
+            netlist_hits: 10,
+            netlist_evictions: 1,
             disk_hits: 9,
             disk_misses: 5,
             disk_stores: 2,
@@ -1504,6 +1587,9 @@ mod tests {
         );
         assert_eq!(d.wlm_hits, 5);
         assert_eq!(d.wlm_evictions, 1);
+        assert_eq!(d.netlist_builds, 0, "a warm replay generates no netlist");
+        assert_eq!(d.netlist_hits, 10);
+        assert_eq!(d.netlist_evictions, 1);
         assert_eq!(d.disk_hits, 6);
         assert_eq!(d.disk_misses, 0);
         assert_eq!(d.disk_stores, 0);
@@ -1580,6 +1666,9 @@ mod tests {
             wlm_builds: 155,
             wlm_hits: 166,
             wlm_evictions: 177,
+            netlist_builds: 188,
+            netlist_hits: 199,
+            netlist_evictions: 211,
             disk_hits: 222,
             disk_misses: 333,
             disk_stores: 444,
@@ -1599,10 +1688,10 @@ mod tests {
         assert_eq!(
             nums,
             vec![
-                11, 22, 33, 44, 55, 66, 77, 88, 99, 111, 122, 133, 144, 155, 166, 177, 222, 333,
-                444, 555, 666, 777
+                11, 22, 33, 44, 55, 66, 77, 88, 99, 111, 122, 133, 144, 155, 166, 177, 188, 199,
+                211, 222, 333, 444, 555, 666, 777
             ],
-            "display must carry all 22 counters in declaration order: {text}"
+            "display must carry all 25 counters in declaration order: {text}"
         );
         let round_tripped = CacheStats {
             library_builds: nums[0],
@@ -1621,12 +1710,15 @@ mod tests {
             wlm_builds: nums[13],
             wlm_hits: nums[14],
             wlm_evictions: nums[15],
-            disk_hits: nums[16],
-            disk_misses: nums[17],
-            disk_stores: nums[18],
-            disk_evictions: nums[19],
-            disk_quarantined: nums[20],
-            store_degraded: nums[21],
+            netlist_builds: nums[16],
+            netlist_hits: nums[17],
+            netlist_evictions: nums[18],
+            disk_hits: nums[19],
+            disk_misses: nums[20],
+            disk_stores: nums[21],
+            disk_evictions: nums[22],
+            disk_quarantined: nums[23],
+            store_degraded: nums[24],
         };
         assert_eq!(round_tripped, s);
     }
@@ -1640,7 +1732,8 @@ mod tests {
             flow_misses: 6,
             gmi_evictions: 13,
             wlm_hits: 15,
-            store_degraded: 22,
+            netlist_evictions: 19,
+            store_degraded: 25,
             ..CacheStats::default()
         };
         let listed: Vec<String> = s

@@ -1,12 +1,13 @@
 //! Full-flow layout experiments (Tables 4/5/7/12/13/14/16; Figs. 3, 6).
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use m3d_netlist::{BenchScale, Benchmark};
+use m3d_netlist::{BenchScale, Benchmark, NetlistStats};
 use m3d_tech::{DesignStyle, NodeId};
 
 use super::Row;
-use crate::cache::{ArtifactCache, WlmKey};
+use crate::cache::{ArtifactCache, LibraryKey, NetlistKey, Request, WlmKey};
 use crate::stage::wire_load_model;
 use crate::{FlowConfig, FlowError, FlowResult};
 
@@ -220,8 +221,34 @@ pub fn fig3_circuit_character(node: NodeId, scale: BenchScale) -> Result<String,
     Ok(out)
 }
 
-/// Table 12: the benchmark circuits and their synthesis statistics at
-/// both nodes.
+/// Table 12's rows: each node's benchmarks and the statistics of their
+/// generated netlists, memoized per [`NetlistKey`]. A node's 2D library
+/// is fetched on its first miss only, so a warm table loads no library
+/// and generates no netlist.
+fn table12_rows(
+    cache: &ArtifactCache,
+    scale: BenchScale,
+) -> Result<Vec<(NodeId, Benchmark, Arc<NetlistStats>)>, FlowError> {
+    let mut rows = Vec::new();
+    for node_id in [NodeId::N45, NodeId::N7] {
+        let lib_key = LibraryKey::new(node_id, DesignStyle::TwoD, false, 1.0);
+        let mut lib = None;
+        for bench in Benchmark::ALL {
+            let stats = cache.netlist_stats(&NetlistKey::new(bench, scale, lib_key), || {
+                let lib = match &mut lib {
+                    Some(lib) => lib,
+                    None => lib.insert(cache.library_for(&lib_key, Request::Caller)?),
+                };
+                Ok(bench.generate(lib, scale).stats(lib))
+            })?;
+            rows.push((node_id, bench, stats));
+        }
+    }
+    Ok(rows)
+}
+
+/// Table 12: the benchmark circuits and the statistics of their
+/// generated (pre-synthesis) netlists at both nodes.
 pub fn table12_benchmarks(scale: BenchScale) -> Result<String, FlowError> {
     let mut out = String::new();
     let _ = writeln!(
@@ -229,24 +256,19 @@ pub fn table12_benchmarks(scale: BenchScale) -> Result<String, FlowError> {
         "Table 12 - benchmark circuits and synthesis results\n\
          node circuit  clk(ns)  #cells   area(um2)   #nets   fanout  #flops"
     );
-    for node_id in [NodeId::N45, NodeId::N7] {
-        let lib = ArtifactCache::global().library(node_id, DesignStyle::TwoD, false, 1.0)?;
-        for bench in Benchmark::ALL {
-            let n = bench.generate(&lib, scale);
-            let s = n.stats(&lib);
-            let _ = writeln!(
-                out,
-                "{:4} {:7} {:7.2} {:8} {:11.1} {:7} {:7.2} {:7}",
-                node_id,
-                bench.name(),
-                bench.target_clock_ps(node_id) * 1e-3,
-                s.cell_count,
-                s.cell_area_um2,
-                s.net_count,
-                s.average_fanout,
-                s.flop_count
-            );
-        }
+    for (node_id, bench, s) in table12_rows(&ArtifactCache::global(), scale)? {
+        let _ = writeln!(
+            out,
+            "{:4} {:7} {:7.2} {:8} {:11.1} {:7} {:7.2} {:7}",
+            node_id,
+            bench.name(),
+            bench.target_clock_ps(node_id) * 1e-3,
+            s.cell_count,
+            s.cell_area_um2,
+            s.net_count,
+            s.average_fanout,
+            s.flop_count
+        );
     }
     out.push_str(
         "paper 45nm: FPU 9694/19123, AES 13891/16756, LDPC 38289/60590, DES 51162/85526, M256 202877/293636\n\
@@ -336,12 +358,50 @@ pub fn fig6_wlm_curves(scale: BenchScale) -> Result<String, FlowError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::{MemoClass, NetlistClass};
 
     #[test]
     fn fig6_orders_ldpc_above_des() {
         let t = fig6_wlm_curves(BenchScale::Small).expect("fig6 renders");
         assert!(t.contains("LDPC"));
         assert!(t.contains("DES"));
+    }
+
+    /// Every Table 12 row, built cold and then read back from the disk
+    /// tier by a fresh cache, equals a fresh generation bit for bit.
+    #[test]
+    fn memoized_table12_stats_equal_a_fresh_generation() {
+        let root = std::env::temp_dir().join(format!("m3d-table12-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let caches = [ArtifactCache::default(), ArtifactCache::default()];
+        for cache in &caches {
+            cache.attach_disk(crate::DiskStore::open(&root));
+        }
+        let cold = table12_rows(&caches[0], BenchScale::Small).expect("cold rows");
+        let warm = table12_rows(&caches[1], BenchScale::Small).expect("warm rows");
+        let s = caches[1].stats();
+        assert_eq!((s.netlist_builds, s.netlist_hits, s.disk_hits), (0, 10, 10));
+        assert_eq!(
+            s.library_builds + s.library_hits,
+            0,
+            "a warm table loads no library"
+        );
+        assert_eq!(cold.len(), 10);
+        for ((node_id, bench, built), (.., loaded)) in cold.iter().zip(&warm) {
+            let lib = caches[0]
+                .library(*node_id, DesignStyle::TwoD, false, 1.0)
+                .expect("library builds");
+            let fresh = bench.generate(&lib, BenchScale::Small).stats(&lib);
+            // The class encoding writes every f64 as its bits.
+            for memoized in [built, loaded] {
+                assert_eq!(
+                    NetlistClass::encode(memoized),
+                    NetlistClass::encode(&fresh),
+                    "{node_id} {bench}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

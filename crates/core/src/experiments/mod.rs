@@ -21,7 +21,7 @@
 //! | [`table8_pin_cap`] | Table 8 — pin-cap reduction study |
 //! | [`table9_resistivity`] | Table 9 — lower metal resistivity |
 //! | [`table11_7nm_cells`] | Table 11 — 7 nm cell characterization |
-//! | [`table12_benchmarks`] | Table 12 — benchmark synthesis results |
+//! | [`table12_benchmarks`] | Table 12 — generated benchmark netlist statistics |
 //! | [`table15_wlm_impact`] | Table 15 — T-MI wire-load-model impact |
 //! | [`table16_net_breakdown`] | Table 16 — wire vs pin capacitance |
 //! | [`table17_metal_stack`] | Table 17 — T-MI+M metal stack |

@@ -18,10 +18,11 @@ use std::hash::Hash;
 
 use m3d_cells::characterize::SpiceTables;
 use m3d_cells::{Cell, CellFunction, CellLibrary, Nldm, Pin, PinDir, SeqSpec};
+use m3d_netlist::NetlistStats;
 use m3d_power::PowerReport;
 use m3d_synth::WireLoadModel;
 
-use crate::cache::{FlowKey, LibraryKey, SpiceKey, WlmKey};
+use crate::cache::{FlowKey, LibraryKey, NetlistKey, SpiceKey, WlmKey};
 use crate::codec::{
     dec_benchmark, dec_layer_usage, dec_node, dec_style, enc_benchmark, enc_layer_usage, enc_node,
     enc_scale, enc_stack_kind, enc_style, Dec, DecResult, DecodeError, Enc,
@@ -285,11 +286,11 @@ impl MemoClass for WlmClass {
     type Value = WireLoadModel;
     const KIND: CacheKind = CacheKind::Wlm;
 
+    /// The netlist key's bytes, then the utilization's.
     fn key_bytes(k: &WlmKey) -> Vec<u8> {
-        let mut e = Enc::default();
-        enc_benchmark(&mut e, k.bench);
-        enc_scale(&mut e, k.bench_scale);
-        e.buf.extend(LibraryClass::key_bytes(&k.lib));
+        let mut e = Enc {
+            buf: NetlistClass::key_bytes(&k.netlist),
+        };
         e.u64(k.utilization_bits);
         e.buf
     }
@@ -310,6 +311,56 @@ impl MemoClass for WlmClass {
         d.finish()?;
         WireLoadModel::from_parts(curve, slope)
             .ok_or_else(|| DecodeError("malformed wire-load model".into()))
+    }
+}
+
+/// Generated netlists' statistics, per [`NetlistKey`].
+#[derive(Debug)]
+pub(crate) struct NetlistClass;
+
+impl MemoClass for NetlistClass {
+    type Key = NetlistKey;
+    type Value = NetlistStats;
+    const KIND: CacheKind = CacheKind::Netlist;
+
+    fn key_bytes(k: &NetlistKey) -> Vec<u8> {
+        let mut e = Enc::default();
+        enc_benchmark(&mut e, k.bench);
+        enc_scale(&mut e, k.bench_scale);
+        e.buf.extend(LibraryClass::key_bytes(&k.lib));
+        e.buf
+    }
+
+    fn encode(s: &NetlistStats) -> Vec<u8> {
+        let mut e = Enc::default();
+        e.usize(s.cell_count);
+        e.f64(s.cell_area_um2);
+        e.usize(s.net_count);
+        e.f64(s.average_fanout);
+        e.usize(s.flop_count);
+        e.usize(s.buffer_count);
+        e.buf
+    }
+
+    /// Decodes the statistics; a non-finite or negative area or fanout
+    /// is corruption.
+    fn decode(_: &NetlistKey, bytes: &[u8]) -> DecResult<NetlistStats> {
+        let mut d = Dec::new(bytes);
+        let s = NetlistStats {
+            cell_count: d.usize()?,
+            cell_area_um2: d.f64()?,
+            net_count: d.usize()?,
+            average_fanout: d.f64()?,
+            flop_count: d.usize()?,
+            buffer_count: d.usize()?,
+        };
+        d.finish()?;
+        let plausible = |v: f64| v.is_finite() && v >= 0.0;
+        if plausible(s.cell_area_um2) && plausible(s.average_fanout) {
+            Ok(s)
+        } else {
+            Err(DecodeError("implausible netlist statistics".into()))
+        }
     }
 }
 

@@ -52,16 +52,20 @@ pub enum CacheKind {
     Gmi,
     /// The wire-load-model cache (one preliminary layout's WLM).
     Wlm,
+    /// The netlist-statistics cache (one generated netlist's Table 12
+    /// statistics).
+    Netlist,
 }
 
 impl CacheKind {
     /// Every kind, in declaration order.
-    pub const ALL: [CacheKind; 5] = [
+    pub const ALL: [CacheKind; 6] = [
         CacheKind::Library,
         CacheKind::Flow,
         CacheKind::Spice,
         CacheKind::Gmi,
         CacheKind::Wlm,
+        CacheKind::Netlist,
     ];
 
     /// Stable lowercase name used in JSONL.
@@ -72,6 +76,7 @@ impl CacheKind {
             CacheKind::Spice => "spice",
             CacheKind::Gmi => "gmi",
             CacheKind::Wlm => "wlm",
+            CacheKind::Netlist => "netlist",
         }
     }
 
@@ -83,6 +88,7 @@ impl CacheKind {
             CacheKind::Spice => "spice",
             CacheKind::Gmi => "gmi",
             CacheKind::Wlm => "wlm",
+            CacheKind::Netlist => "netlist",
         }
     }
 
@@ -681,6 +687,15 @@ pub struct StageTotals {
     pub wall_s: f64,
 }
 
+/// One cache kind's traffic in a validated trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheTotals {
+    /// `cache_hit` events of the kind.
+    pub hits: u64,
+    /// `cache_miss` events of the kind.
+    pub misses: u64,
+}
+
 /// What a validated trace contained.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSummary {
@@ -695,6 +710,10 @@ pub struct TraceSummary {
     pub cache_hits: u64,
     /// `cache_miss` events (every cache kind).
     pub cache_misses: u64,
+    /// `cache_hit` and `cache_miss` events per cache kind, indexed in
+    /// [`CacheKind::ALL`] order; they add up to `cache_hits` and
+    /// `cache_misses`.
+    pub caches: [CacheTotals; CacheKind::ALL.len()],
     /// `disk_hit` events (every cache kind).
     pub disk_hits: u64,
     /// `disk_miss` events (every cache kind).
@@ -927,10 +946,16 @@ pub fn validate_jsonl(trace: &str) -> Result<TraceSummary, TraceError> {
                 }
             }
             "cache_hit" | "cache_miss" | "cache_coalesced" => {
-                cache_field(line, lineno)?;
+                let totals = &mut summary.caches[cache_field(line, lineno)? as usize];
                 match kind.as_str() {
-                    "cache_hit" => summary.cache_hits += 1,
-                    "cache_miss" => summary.cache_misses += 1,
+                    "cache_hit" => {
+                        summary.cache_hits += 1;
+                        totals.hits += 1;
+                    }
+                    "cache_miss" => {
+                        summary.cache_misses += 1;
+                        totals.misses += 1;
+                    }
                     _ => {}
                 }
             }
@@ -1067,6 +1092,12 @@ mod tests {
         rec.record(EventKind::DiskHit {
             kind: CacheKind::Wlm,
         });
+        rec.record(EventKind::CacheMiss {
+            kind: CacheKind::Netlist,
+        });
+        rec.record(EventKind::CacheHit {
+            kind: CacheKind::Netlist,
+        });
         rec.record(EventKind::DiskEvicted {
             kind: CacheKind::Flow,
             count: 1,
@@ -1093,10 +1124,23 @@ mod tests {
             trace.push('\n');
         }
         let summary = validate_jsonl(&trace).expect("trace validates");
-        assert_eq!(summary.events, 20);
+        assert_eq!(summary.events, 22);
         assert_eq!(summary.stage_spans, 2);
-        assert_eq!(summary.cache_hits, 2);
-        assert_eq!(summary.cache_misses, 2);
+        assert_eq!(summary.cache_hits, 3);
+        assert_eq!(summary.cache_misses, 3);
+        let per_kind = |hits, misses| CacheTotals { hits, misses };
+        assert_eq!(
+            summary.caches,
+            [
+                per_kind(0, 0),
+                per_kind(0, 1),
+                per_kind(1, 0),
+                per_kind(1, 0),
+                per_kind(0, 1),
+                per_kind(1, 1),
+            ],
+            "per-kind totals in CacheKind::ALL order"
+        );
         assert_eq!(summary.disk_hits, 3);
         assert_eq!(summary.disk_misses, 1);
         assert_eq!(summary.disk_quarantined, 1);

@@ -132,8 +132,8 @@ pub(crate) fn wire_load_model(
         let (lib, raw) = match held {
             Some(held) => held,
             None => {
-                let lib = cache.library_for(&key.lib, Request::Caller)?;
-                let raw = key.bench.generate(&lib, key.bench_scale);
+                let lib = cache.library_for(&key.netlist.lib, Request::Caller)?;
+                let raw = key.netlist.bench.generate(&lib, key.netlist.bench_scale);
                 fetched = (lib, raw);
                 (&*fetched.0, &fetched.1)
             }
@@ -162,7 +162,7 @@ pub(crate) fn synthesize(
     // Table 15 "-n": the T-MI design is synthesized against the WLM
     // measured on the *2D* implementation.
     let key = WlmKey::of(bench, style, cfg);
-    let held = (key.lib.style == style).then_some((&*env.lib, &raw));
+    let held = (key.netlist.lib.style == style).then_some((&*env.lib, &raw));
     let wlm = wire_load_model(cache, &key, held)?;
     check(FlowStage::Synthesis)?;
     let netlist = try_synthesize(raw, &env.lib, &wlm, &SynthConfig::new(env.clock_ps))?;

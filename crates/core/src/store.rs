@@ -4,10 +4,11 @@
 //! The paper's sweeps re-derive the same expensive artifacts across
 //! *processes*: without a store, every fresh `paper_tables` invocation
 //! re-characterizes the same cell libraries, re-simulates the same
-//! SPICE decks, re-runs flows and G-MI implementations and re-places
-//! preliminary layouts an earlier invocation already ran. [`DiskStore`]
-//! persists all five artifact classes under their cache keys so a warm
-//! directory turns a fresh process into a cache hit.
+//! SPICE decks, re-runs flows and G-MI implementations, re-places
+//! preliminary layouts and re-generates netlists an earlier invocation
+//! already ran. [`DiskStore`] persists all six artifact classes under
+//! their cache keys so a warm directory turns a fresh process into a
+//! cache hit.
 //!
 //! A class is one `impl` of the crate-private memo-class trait
 //! (`memo::MemoClass`): its [`CacheKind`], its key bytes and its value
@@ -24,9 +25,10 @@
 //!   `<root>/flow/<2-hex>/<16-hex>.m3d`,
 //!   `<root>/spice/<2-hex>/<16-hex>.m3d`,
 //!   `<root>/gmi/<2-hex>/<16-hex>.m3d` (keyed by the G-MI point's 2D
-//!   reference [`FlowKey`]) and `<root>/wlm/<2-hex>/<16-hex>.m3d`
-//!   (wire-load models), plus `<root>/quarantine/` and a recency
-//!   journal `<root>/index.journal`.
+//!   reference [`FlowKey`]), `<root>/wlm/<2-hex>/<16-hex>.m3d`
+//!   (wire-load models) and `<root>/netlist/<2-hex>/<16-hex>.m3d`
+//!   (generated netlists' statistics), plus `<root>/quarantine/` and a
+//!   recency journal `<root>/index.journal`.
 //! * **Self-verification** — every entry is the durable frame built by
 //!   `codec::frame` (DESIGN.md §9) under the `M3DSTOR1` magic, with a
 //!   key section and an artifact section; embedding the encoded key
@@ -702,9 +704,10 @@ fn acquire_lock(path: &Path) -> io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memo::WlmClass;
+    use crate::cache::NetlistKey;
+    use crate::memo::{NetlistClass, WlmClass};
     use m3d_cells::{Cell, CellFunction, Nldm, Pin, PinDir, SeqSpec};
-    use m3d_netlist::{BenchScale, Benchmark};
+    use m3d_netlist::{BenchScale, Benchmark, NetlistStats};
     use m3d_power::PowerReport;
     use m3d_tech::{DesignStyle, NodeId, TechNode};
     use std::sync::atomic::AtomicU32 as TestCounter;
@@ -1296,6 +1299,115 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    fn netlist_key(bench: Benchmark) -> NetlistKey {
+        let lib = LibraryKey::new(NodeId::N7, DesignStyle::TwoD, false, 1.0);
+        NetlistKey::new(bench, BenchScale::Small, lib)
+    }
+
+    fn sample_stats() -> NetlistStats {
+        NetlistStats {
+            cell_count: 9694,
+            cell_area_um2: 19123.25,
+            net_count: 10012,
+            average_fanout: -0.0,
+            flop_count: 1024,
+            buffer_count: 77,
+        }
+    }
+
+    /// The statistics bits: counts, then each f64's bit pattern.
+    fn stats_bits(s: &NetlistStats) -> [u64; 6] {
+        [
+            s.cell_count as u64,
+            s.cell_area_um2.to_bits(),
+            s.net_count as u64,
+            s.average_fanout.to_bits(),
+            s.flop_count as u64,
+            s.buffer_count as u64,
+        ]
+    }
+
+    #[test]
+    fn netlist_stats_round_trip_bit_exactly() {
+        let st = sample_stats();
+        let key = netlist_key(Benchmark::Fpu);
+        let back = NetlistClass::decode(&key, &NetlistClass::encode(&st)).expect("decodes");
+        // -0.0 survives as -0.0 (bit-exact, not value-equal).
+        assert_eq!(stats_bits(&back), stats_bits(&st));
+
+        let root = temp_root("netrt");
+        let store = DiskStore::open(&root);
+        assert!(
+            store.load::<NetlistClass>(&key).is_none(),
+            "cold store misses"
+        );
+        store.store::<NetlistClass>(&key, &st);
+        let fresh = DiskStore::open(&root);
+        let back = fresh
+            .load::<NetlistClass>(&key)
+            .expect("a fresh instance hits");
+        assert_eq!(stats_bits(&back), stats_bits(&st));
+        assert_eq!(fresh.counters().quarantined, 0);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Pins the netlist entry file image: any change to the frame, the
+    /// netlist key codec (which embeds the library key's) or the
+    /// statistics codec moves this hash.
+    #[test]
+    fn netlist_entry_file_image_is_pinned() {
+        let root = temp_root("netpin");
+        let store = DiskStore::open(&root);
+        let key = netlist_key(Benchmark::Fpu);
+        store.store::<NetlistClass>(&key, &sample_stats());
+        let path = path_of::<NetlistClass>(&store, &key);
+        assert!(path.starts_with(root.join("netlist")));
+        let bytes = fs::read(&path).expect("entry on disk");
+        assert_eq!(content_hash(&bytes), 0x8fe3_d40f_8867_13f0);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A netlist entry copied into another key's slot, a truncated one,
+    /// and well-framed ones with a NaN or negative area or an infinite
+    /// fanout are each quarantined, never served.
+    #[test]
+    fn forged_truncated_or_implausible_netlist_entry_is_quarantined() {
+        let root = temp_root("netforge");
+        let store = DiskStore::open(&root);
+        let (fpu, des) = (netlist_key(Benchmark::Fpu), netlist_key(Benchmark::Des));
+        store.store::<NetlistClass>(&fpu, &sample_stats());
+        let path = |k: &NetlistKey| path_of::<NetlistClass>(&store, k);
+        fs::create_dir_all(path(&des).parent().expect("entry dir")).expect("mkdir");
+        fs::copy(path(&fpu), path(&des)).expect("forge the entry");
+        assert!(store.load::<NetlistClass>(&des).is_none());
+        assert_eq!(store.counters().quarantined, 1);
+        assert!(!path(&des).exists(), "forged entry left the live tree");
+
+        let bytes = fs::read(path(&fpu)).expect("entry on disk");
+        fs::write(path(&fpu), &bytes[..bytes.len() - 3]).expect("truncate the entry");
+        assert!(store.load::<NetlistClass>(&fpu).is_none());
+        assert_eq!(store.counters().quarantined, 2);
+
+        let implausible = [(f64::NAN, 2.5), (-1.0, 2.5), (19123.25, f64::INFINITY)];
+        for (i, (area, fanout)) in implausible.into_iter().enumerate() {
+            let st = NetlistStats {
+                cell_area_um2: area,
+                average_fanout: fanout,
+                ..sample_stats()
+            };
+            let key_bytes = NetlistClass::key_bytes(&fpu);
+            store.publish(CacheKind::Netlist, &key_bytes, &NetlistClass::encode(&st));
+            assert!(store.load::<NetlistClass>(&fpu).is_none());
+            assert_eq!(store.counters().quarantined, 3 + i as u64);
+        }
+        store.store::<NetlistClass>(&fpu, &sample_stats());
+        let back = store
+            .load::<NetlistClass>(&fpu)
+            .expect("a clean publish serves again");
+        assert_eq!(stats_bits(&back), stats_bits(&sample_stats()));
+        let _ = fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn scale_key_changes_flow_key_bytes() {
         // BenchScale is part of the on-disk key: Paper- and Small-scale
@@ -1376,6 +1488,10 @@ mod tests {
             (path_of::<SpiceClass>(&store, &spice), "spice"),
             (path_of::<GmiClass>(&store, &flow), "gmi"),
             (path_of::<WlmClass>(&store, &wlm_key(Benchmark::Aes)), "wlm"),
+            (
+                path_of::<NetlistClass>(&store, &netlist_key(Benchmark::Aes)),
+                "netlist",
+            ),
         ] {
             assert!(
                 path.starts_with(root.join(dir)),

@@ -381,6 +381,16 @@ fn trace_cache_counters_equal_cache_stats() {
     assert_eq!(hits[wlm], s.wlm_hits, "wlm hits: trace vs stats");
     assert_eq!(misses[wlm], s.wlm_builds, "wlm builds: trace vs stats");
     assert_eq!(evicted[wlm], s.wlm_evictions);
+    let netlist = CacheKind::Netlist as usize;
+    assert_eq!(
+        hits[netlist], s.netlist_hits,
+        "netlist hits: trace vs stats"
+    );
+    assert_eq!(
+        misses[netlist], s.netlist_builds,
+        "netlist builds: trace vs stats"
+    );
+    assert_eq!(evicted[netlist], s.netlist_evictions);
     // Serial execution never coalesces: nothing is ever in flight twice.
     assert_eq!(coalesced, 0, "a --jobs 1 run cannot coalesce builds");
 }
@@ -448,7 +458,15 @@ fn jsonl_trace_validates_and_matches_the_vec_recorder() {
             CacheKind::Spice => (s.spice_hits, s.spice_builds),
             CacheKind::Gmi => (s.gmi_hits, s.gmi_builds),
             CacheKind::Wlm => (s.wlm_hits, s.wlm_builds),
+            CacheKind::Netlist => (s.netlist_hits, s.netlist_builds),
         };
+        let totals = summary.caches[kind as usize];
+        assert_eq!(
+            (totals.hits, totals.misses),
+            (h, m),
+            "{} traffic",
+            kind.key()
+        );
         hits += h;
         misses += m;
     }

@@ -92,6 +92,9 @@ fn ping_and_stats_round_trip() {
         "wlm_builds",
         "wlm_hits",
         "wlm_evictions",
+        "netlist_builds",
+        "netlist_hits",
+        "netlist_evictions",
         "disk_hits",
         "disk_misses",
         "disk_stores",
