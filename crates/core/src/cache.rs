@@ -38,25 +38,27 @@
 //! and a hit therefore returns a bit-identical result (the flow itself
 //! is deterministic; `tests/flow_cache.rs` asserts both properties).
 //!
+//! Every class goes through one generic memo (`ArtifactCache::coalesce`):
+//! one LRU map of per-key once-cells, so racing requests on one cold key
+//! of any class — a whole flow included — run one build and share it.
+//!
 //! One process-wide cache ([`ArtifactCache::global`]) serves
 //! [`crate::Flow::try_run`], every `experiments::*` driver and the
 //! `paper_tables` binary; fresh instances (`ArtifactCache::default`)
 //! isolate tests and benchmarks that must measure cold runs.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 
 use m3d_cells::characterize::{characterize_spice_tables, SpiceTables};
 use m3d_cells::layout::generate_layout;
 use m3d_cells::{CellFunction, CellLibrary, LibraryError, Topology};
 use m3d_netlist::{BenchScale, Benchmark, NetlistStats};
-use m3d_spice::SpiceError;
 use m3d_synth::WireLoadModel;
 use m3d_tech::{DesignStyle, LibraryRecipe, MetalClass, NodeId, PdkRegistry, StackKind, TechNode};
 
-use crate::error::{FlowError, FlowStage};
+use crate::error::FlowError;
 use crate::flow::{FlowConfig, FlowResult};
 use crate::gmi::GmiResult;
 use crate::memo::{
@@ -211,7 +213,7 @@ impl SpiceKey {
 
 /// Cache key of one completed flow: the projection of
 /// `(benchmark, style, FlowConfig)` onto the knobs the stages consume
-/// ([`FlowStage::consumes`]). Knobs a given flow never reads are
+/// ([`crate::FlowStage::consumes`]). Knobs a given flow never reads are
 /// canonicalized so they cannot split the key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowKey {
@@ -459,84 +461,8 @@ impl<K: std::hash::Hash + Eq + Clone, V> Lru<K, V> {
     }
 }
 
-/// A lock-sharded [`Lru`]: keys hash to one of several independently
-/// locked per-shard LRU maps, so concurrent lookups on different keys
-/// proceed without contending on one map-wide mutex.
-///
-/// The shard count grows with the capacity (one shard per eight
-/// entries, at most [`MAX_SHARDS`]), so small bounded caches — the unit
-/// tests' two-entry ones included — stay single-sharded and keep exact
-/// global LRU order, while the defaults spread across several shards.
-/// A sharded cache's eviction order is exact only *per shard*; the
-/// capacity bound still holds globally (each shard holds at most
-/// `ceil(capacity / shards)` entries).
-#[derive(Debug)]
-struct ShardedLru<K, V> {
-    shards: Vec<Mutex<Lru<K, V>>>,
-}
-
-const MAX_SHARDS: usize = 16;
-
-impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let count = (capacity / 8).clamp(1, MAX_SHARDS);
-        let per_shard = capacity.div_ceil(count);
-        ShardedLru {
-            shards: (0..count)
-                .map(|_| Mutex::new(Lru::new(per_shard)))
-                .collect(),
-        }
-    }
-
-    #[cfg(test)]
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a key lives in. `DefaultHasher` is deterministic
-    /// within a process, which is all shard routing needs.
-    fn shard(&self, key: &K) -> &Mutex<Lru<K, V>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
-    fn get(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.shard(key)
-            .lock()
-            .expect("cache lock")
-            .get(key)
-            .cloned()
-    }
-
-    /// Inserts, returning how many entries the owning shard evicted.
-    fn insert(&self, key: K, value: V) -> u64 {
-        self.shard(&key)
-            .lock()
-            .expect("cache lock")
-            .insert(key, value)
-    }
-
-    fn clear(&self) {
-        for s in self.shards.iter() {
-            s.lock().expect("cache lock").clear();
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache lock").len())
-            .sum()
-    }
-}
-
-/// The coalescing slot for one key of a coalesced class (libraries and
-/// WLMs): a hand-rolled once-cell whose initializer can fail. The first
+/// The coalescing slot for one key of any class: a hand-rolled
+/// once-cell whose initializer can fail. The first
 /// thread to find the slot `Idle` claims the build and runs it *outside
 /// every lock*; threads arriving meanwhile wait on the condvar instead
 /// of duplicating the build. On success the slot becomes `Ready`
@@ -614,12 +540,15 @@ const DEFAULT_WLM_CAPACITY: usize = 128;
 /// Netlist statistics are six numbers; Table 12 reads ten per scale.
 const DEFAULT_NETLIST_CAPACITY: usize = 32;
 
-/// One class's memory tier: its LRU map and its kind's live counters.
-/// `M` is what the map holds: the shared artifact, or a coalesced
-/// class's [`BuildCell`].
+/// One class's LRU map of per-key once-cells.
+type Cells<C> = Lru<<C as MemoClass>::Key, Arc<BuildCell<<C as MemoClass>::Value>>>;
+
+/// One class's memory tier: one LRU map of per-key [`BuildCell`]s under
+/// one mutex, and its kind's live counters. The mutex guards one map
+/// operation at a time and is never held across a build.
 #[derive(Debug)]
-struct Memo<C: MemoClass, M = Arc<<C as MemoClass>::Value>> {
-    map: ShardedLru<C::Key, M>,
+struct Memo<C: MemoClass> {
+    map: Mutex<Cells<C>>,
     /// Artifacts built (flows: stored) from scratch.
     built: AtomicU64,
     hits: AtomicU64,
@@ -627,18 +556,23 @@ struct Memo<C: MemoClass, M = Arc<<C as MemoClass>::Value>> {
     evictions: AtomicU64,
 }
 
-/// The memory tier of a class whose builds coalesce.
-type Coalesced<C> = Memo<C, Arc<BuildCell<<C as MemoClass>::Value>>>;
-
-impl<C: MemoClass, M> Memo<C, M> {
+impl<C: MemoClass> Memo<C> {
     fn new(capacity: usize) -> Self {
         Memo {
-            map: ShardedLru::new(capacity),
+            map: Mutex::new(Lru::new(capacity)),
             built: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
+    }
+
+    fn lru(&self) -> MutexGuard<'_, Cells<C>> {
+        self.map.lock().expect("cache lock")
+    }
+
+    fn len(&self) -> usize {
+        self.lru().len()
     }
 
     fn counters(&self) -> [&AtomicU64; 4] {
@@ -651,7 +585,7 @@ impl<C: MemoClass, M> Memo<C, M> {
     }
 
     fn clear(&self) {
-        self.map.clear();
+        self.lru().clear();
         for c in self.counters() {
             c.store(0, Ordering::Relaxed);
         }
@@ -666,25 +600,21 @@ impl<C: MemoClass, M> Memo<C, M> {
 /// and result capacities; the SPICE, G-MI, WLM and netlist maps always
 /// hold `DEFAULT_SPICE_CAPACITY`, `DEFAULT_GMI_CAPACITY`,
 /// `DEFAULT_WLM_CAPACITY` and `DEFAULT_NETLIST_CAPACITY` entries), so
-/// an unbounded sweep cannot grow
-/// the process without limit — evictions are counted in [`CacheStats`].
-/// Thread-safe and built for the parallel executor's fan-out: every map
-/// is lock-**sharded**, and each library and WLM entry is a per-key
-/// once-cell, so N workers hitting the same cold [`LibraryKey`] or
-/// [`WlmKey`] perform exactly **one** build — the first claims it, the
+/// an unbounded sweep cannot grow the process without limit —
+/// evictions are counted in [`CacheStats`]. Thread-safe and built for
+/// the parallel executor's and the server's fan-out: every entry of
+/// every class is a per-key once-cell, so N requests racing on one
+/// cold key perform exactly **one** build — the first claims it, the
 /// rest block on the key's condvar and are served the shared artifact
-/// (counted as hits). The other classes are *not* coalesced: concurrent misses on one [`FlowKey`] each run the
-/// (deterministic) flow and store bit-identical values — the
-/// [`crate::ExperimentPlan`] dedups by `FlowKey` precisely so the
-/// executor never schedules that race — and racing SPICE or netlist
-/// misses build the same deterministic artifact.
+/// (counted as hits). That holds for whole flows too: identical
+/// concurrent [`FlowKey`]s run the pipeline once.
 #[derive(Debug)]
 pub struct ArtifactCache {
-    libraries: Coalesced<LibraryClass>,
+    libraries: Memo<LibraryClass>,
     results: Memo<FlowClass>,
     spice: Memo<SpiceClass>,
     gmi: Memo<GmiClass>,
-    wlms: Coalesced<WlmClass>,
+    wlms: Memo<WlmClass>,
     netlists: Memo<NetlistClass>,
     /// The optional persistent tier ([`DiskStore`]): probed on memory
     /// misses, published to after builds/stores. `None` keeps the
@@ -700,6 +630,13 @@ pub struct ArtifactCache {
 impl Default for ArtifactCache {
     fn default() -> Self {
         ArtifactCache::bounded(DEFAULT_LIBRARY_CAPACITY, DEFAULT_RESULT_CAPACITY)
+    }
+}
+
+/// The typed error of a key whose node names no registered PDK.
+fn unregistered(node_id: NodeId) -> LibraryError {
+    LibraryError::UnregisteredNode {
+        node: node_id.label().to_string(),
     }
 }
 
@@ -774,84 +711,21 @@ impl ArtifactCache {
         }
     }
 
-    /// Entries currently held: `(libraries, flow results)`. A library
-    /// entry whose build is still in flight counts — the slot is
-    /// resident even before its artifact is.
+    /// Entries currently held: `(libraries, flow results)`. An entry
+    /// whose build is still in flight (or failed and awaits a retry)
+    /// counts — the slot is resident even before its artifact is.
     pub fn len(&self) -> (usize, usize) {
-        (self.libraries.map.len(), self.results.map.len())
+        (self.libraries.len(), self.results.len())
     }
 
     /// True when every map (SPICE tables, G-MI results, WLMs and
     /// netlist statistics included) is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == (0, 0)
-            && self.spice.map.len() == 0
-            && self.gmi.map.len() == 0
-            && self.wlms.map.len() == 0
-            && self.netlists.map.len() == 0
-    }
-
-    /// The generic lookup: memory, else a verified disk entry promoted
-    /// into memory, else a miss. Hits and misses are counted and traced.
-    /// A memory hit encodes no key and allocates nothing.
-    fn lookup<C: MemoClass>(&self, memo: &Memo<C>, key: &C::Key) -> Option<Arc<C::Value>> {
-        let hit = memo.map.get(key).or_else(|| {
-            let v = Arc::new(self.disk()?.load::<C>(key)?);
-            self.insert(memo, key, Arc::clone(&v));
-            Some(v)
-        });
-        if hit.is_some() {
-            memo.hits.fetch_add(1, Ordering::Relaxed);
-            self.emit(|| EventKind::CacheHit { kind: C::KIND });
-        } else {
-            memo.misses.fetch_add(1, Ordering::Relaxed);
-            self.emit(|| EventKind::CacheMiss { kind: C::KIND });
-        }
-        hit
-    }
-
-    /// The generic store of an artifact built from scratch: counts it,
-    /// inserts it into memory and publishes it to disk.
-    fn store<C: MemoClass>(&self, memo: &Memo<C>, key: &C::Key, value: Arc<C::Value>) {
-        memo.built.fetch_add(1, Ordering::Relaxed);
-        self.insert(memo, key, Arc::clone(&value));
-        if let Some(d) = self.disk() {
-            d.store::<C>(key, &value);
-        }
-    }
-
-    /// The generic memo of a class whose builds do not coalesce: a
-    /// [`ArtifactCache::lookup`], else `build` and
-    /// [`ArtifactCache::store`]. A failed build stores nothing.
-    fn lookup_or_build<C: MemoClass>(
-        &self,
-        memo: &Memo<C>,
-        key: &C::Key,
-        build: impl FnOnce() -> Result<C::Value, FlowError>,
-    ) -> Result<Arc<C::Value>, FlowError> {
-        if let Some(hit) = self.lookup(memo, key) {
-            return Ok(hit);
-        }
-        let v = Arc::new(build()?);
-        self.store(memo, key, Arc::clone(&v));
-        Ok(v)
-    }
-
-    fn insert<C: MemoClass, M>(&self, memo: &Memo<C, M>, key: &C::Key, value: M) {
-        let evicted = memo.map.insert(key.clone(), value);
-        self.note_evictions(memo, evicted);
-    }
-
-    /// Adds `evicted` LRU evictions to the memo's counter and traces
-    /// them.
-    fn note_evictions<C: MemoClass, M>(&self, memo: &Memo<C, M>, evicted: u64) {
-        memo.evictions.fetch_add(evicted, Ordering::Relaxed);
-        if evicted > 0 {
-            self.emit(|| EventKind::CacheEvicted {
-                kind: C::KIND,
-                count: evicted,
-            });
-        }
+            && self.spice.len() == 0
+            && self.gmi.len() == 0
+            && self.wlms.len() == 0
+            && self.netlists.len() == 0
     }
 
     /// The characterized library for the consumed knobs, built at most
@@ -888,9 +762,7 @@ impl ArtifactCache {
         key: &LibraryKey,
         request: Request,
     ) -> Result<Arc<CellLibrary>, FlowError> {
-        self.coalesce(&self.libraries, key, request, FlowStage::Library, || {
-            self.build_library(key)
-        })
+        self.coalesce(&self.libraries, key, request, || self.build_library(key))
     }
 
     /// One library build. Only a native library at unscaled pin caps is
@@ -900,9 +772,7 @@ impl ArtifactCache {
     /// ρ/2 applies to the target node only); either base comes through
     /// this memo, so it is characterized at most once.
     fn build_library(&self, key: &LibraryKey) -> Result<CellLibrary, FlowError> {
-        let node = key.node().ok_or_else(|| LibraryError::UnregisteredNode {
-            node: key.node_id.label().to_string(),
-        })?;
+        let node = key.node().ok_or_else(|| unregistered(key.node_id))?;
         let pin_cap_scale = f64::from_bits(key.pin_cap_scale_bits);
         if pin_cap_scale != 1.0 {
             let unscaled = LibraryKey::new(key.node_id, key.style, key.lower_metal_rho, 1.0);
@@ -930,10 +800,8 @@ impl ArtifactCache {
     }
 
     /// The wire-load model under `key`, measured by `build` at most once
-    /// per key (racing requests coalesce as library requests do): from
-    /// memory, else from a verified disk entry, else built and published
-    /// to both tiers. `wlm_builds` counts builds and `wlm_hits` every
-    /// other successful request. A failed build stores nothing.
+    /// per key, as [`ArtifactCache::flow`] runs a flow. `wlm_builds`
+    /// counts builds and `wlm_hits` every other successful request.
     ///
     /// # Errors
     ///
@@ -943,20 +811,13 @@ impl ArtifactCache {
         key: &WlmKey,
         build: impl FnOnce() -> Result<WireLoadModel, FlowError>,
     ) -> Result<Arc<WireLoadModel>, FlowError> {
-        self.coalesce(
-            &self.wlms,
-            key,
-            Request::Caller,
-            FlowStage::Synthesis,
-            build,
-        )
+        self.coalesce(&self.wlms, key, Request::Caller, build)
     }
 
-    /// The statistics of the netlist under `key`: from memory, else
-    /// from a verified disk entry (promoted into memory), else computed
-    /// by `build` and published to both tiers. `netlist_builds` counts
-    /// builds; every request served without one counts as a
-    /// `netlist_hits` increment. A failed build stores nothing.
+    /// The statistics of the netlist under `key`, computed by `build` at
+    /// most once per key, as [`ArtifactCache::flow`] runs a flow.
+    /// `netlist_builds` counts builds and `netlist_hits` every other
+    /// successful request.
     ///
     /// # Errors
     ///
@@ -966,38 +827,131 @@ impl ArtifactCache {
         key: &NetlistKey,
         build: impl FnOnce() -> Result<NetlistStats, FlowError>,
     ) -> Result<Arc<NetlistStats>, FlowError> {
-        self.lookup_or_build(&self.netlists, key, build)
+        self.coalesce(&self.netlists, key, Request::Caller, build)
     }
 
-    /// The generic coalescing memo: the key's once-cell is fetched (or
-    /// inserted) under its shard lock, and the first request to find it
-    /// `Idle` loads a verified disk entry or runs `build`, outside every
-    /// lock, while later requests wait for its artifact. A caller's
-    /// request counts and traces one hit or one build (a disk load is a
-    /// hit: "zero builds" stays the warm-start signal); a derivation's
-    /// counts nothing, and a build it ran is charged to the key's first
-    /// caller, so the counters do not depend on which request came
-    /// first. A waiter checks its stage's cancel token between bounded
-    /// waits, so it never hangs behind another thread's build.
+    /// The signed-off result of the flow point under `key`, run by
+    /// `build` at most once per key: from memory, else from a verified
+    /// disk entry, else run and published to both tiers. Identical
+    /// concurrent requests share one run, and a failed run stores
+    /// nothing. `flow_misses` counts the requests that ran `build`,
+    /// `flow_stores` the runs that closed and `flow_hits` every other
+    /// successful request.
+    ///
+    /// A request waiting on another's run stops at its own installed
+    /// cancel token ([`crate::govern::install`]) with
+    /// [`FlowError::Cancelled`] naming the library stage: it never
+    /// entered its own pipeline.
+    ///
+    /// # Errors
+    ///
+    /// The error of `build`, or of the wait.
+    pub fn flow(
+        &self,
+        key: &FlowKey,
+        build: impl FnOnce() -> Result<FlowResult, FlowError>,
+    ) -> Result<Arc<FlowResult>, FlowError> {
+        self.coalesce(&self.results, key, Request::Caller, build)
+    }
+
+    /// The G-MI result of the 2D reference point `key`, run by `build`
+    /// at most once per key, as [`ArtifactCache::flow`] runs a flow.
+    /// `gmi_builds` counts the runs and `gmi_hits` every other
+    /// successful request.
+    ///
+    /// # Errors
+    ///
+    /// The error of `build`, or of the wait.
+    pub fn gmi(
+        &self,
+        key: &FlowKey,
+        build: impl FnOnce() -> Result<GmiResult, FlowError>,
+    ) -> Result<Arc<GmiResult>, FlowError> {
+        self.coalesce(&self.gmi, key, Request::Caller, build)
+    }
+
+    /// The SPICE tables for `key`, simulated from the key at most once
+    /// per key, as [`ArtifactCache::flow`] runs a flow. `spice_builds`
+    /// counts simulations and `spice_hits` every other successful
+    /// request. A hit is bit-identical to a rebuild: the deck is
+    /// deterministic and the key carries every input it reads.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::Library`] when the key's node names no registered
+    /// PDK, [`FlowError::Spice`] when a transient of the deck fails to
+    /// converge.
+    ///
+    /// # Panics
+    ///
+    /// On a miss, as [`characterize_spice_tables`] does: for sequential
+    /// or multi-output functions, and when the output never switches.
+    pub fn spice_tables(&self, key: &SpiceKey) -> Result<Arc<SpiceTables>, FlowError> {
+        self.coalesce(&self.spice, key, Request::Caller, || Self::simulate(key))
+    }
+
+    /// One deck built from the key alone and simulated.
+    fn simulate(key: &SpiceKey) -> Result<SpiceTables, FlowError> {
+        let node = TechNode::try_for_id(key.node_id).ok_or_else(|| unregistered(key.node_id))?;
+        let topo = Topology::for_function(key.function);
+        let geometry = generate_layout(&node, &topo, key.style, key.drive);
+        Ok(characterize_spice_tables(
+            &node,
+            key.function,
+            key.drive,
+            &topo,
+            &geometry,
+            key.slews(),
+            key.loads(),
+        )?)
+    }
+
+    /// The one memo: the key's once-cell is fetched (or inserted) under
+    /// the class's map lock, and the first request to find it `Idle`
+    /// loads a verified disk entry or runs `build`, outside every lock,
+    /// while later requests wait for its artifact. A caller's request
+    /// that runs `build` counts and traces one miss, and one build when
+    /// `build` succeeds; every other request it serves counts and
+    /// traces one hit (a disk load is a hit: "zero builds" stays the
+    /// warm-start signal), and a hit that waited also traces
+    /// `cache_coalesced`. A derivation's request counts nothing, and a
+    /// build it ran is charged to the key's first caller, so the
+    /// counters do not depend on which request came first. A waiter
+    /// checks its installed cancel token (its error names the class's
+    /// `STAGE`) between bounded waits, so it never hangs behind another
+    /// thread's build.
+    ///
+    /// Waits cannot deadlock: no lock is held across a build, and a
+    /// build only ever waits on a key of a *different* class (a flow or
+    /// G-MI run on WLMs and libraries, a WLM on libraries) or, within
+    /// the library class, on a base library, and library derivations
+    /// form a DAG (a pin-cap variant on its unscaled library, a scaled
+    /// node on its native base). No wait can close a cycle.
     fn coalesce<C: MemoClass>(
         &self,
-        memo: &Coalesced<C>,
+        memo: &Memo<C>,
         key: &C::Key,
         request: Request,
-        stage: FlowStage,
         build: impl FnOnce() -> Result<C::Value, FlowError>,
     ) -> Result<Arc<C::Value>, FlowError> {
         // An LRU eviction can drop a slot mid-build — waiters hold their
         // own `Arc` to it, so they still coalesce; only future requests
         // rebuild.
         let cell = {
-            let mut shard = memo.map.shard(key).lock().expect("cache lock");
-            match shard.get(key) {
+            let mut map = memo.lru();
+            match map.get(key) {
                 Some(c) => Arc::clone(c),
                 None => {
                     let c = Arc::new(BuildCell::new());
-                    let evicted = shard.insert(key.clone(), Arc::clone(&c));
-                    self.note_evictions(memo, evicted);
+                    let evicted = map.insert(key.clone(), Arc::clone(&c));
+                    drop(map);
+                    memo.evictions.fetch_add(evicted, Ordering::Relaxed);
+                    if evicted > 0 {
+                        self.emit(|| EventKind::CacheEvicted {
+                            kind: C::KIND,
+                            count: evicted,
+                        });
+                    }
                     c
                 }
             }
@@ -1010,10 +964,11 @@ impl ArtifactCache {
                 self.emit(|| EventKind::CacheCoalesced { kind: C::KIND });
             }
         };
-        let built = || {
-            memo.built.fetch_add(1, Ordering::Relaxed);
+        let miss = || {
+            memo.misses.fetch_add(1, Ordering::Relaxed);
             self.emit(|| EventKind::CacheMiss { kind: C::KIND });
         };
+        let built = || memo.built.fetch_add(1, Ordering::Relaxed);
         // Whether this request blocked on another thread's in-flight
         // build — a coalesced hit, traced distinctly from a warm one.
         let mut waited = false;
@@ -1022,12 +977,10 @@ impl ArtifactCache {
             match &mut *state {
                 BuildState::Ready(v, uncharged) => {
                     let v = Arc::clone(v);
-                    let charge_build = counted && *uncharged;
-                    if charge_build {
-                        *uncharged = false;
-                    }
+                    let charge_build = counted && std::mem::take(uncharged);
                     drop(state);
                     if charge_build {
+                        miss();
                         built();
                     } else if counted {
                         hit(waited);
@@ -1036,7 +989,7 @@ impl ArtifactCache {
                 }
                 BuildState::Building => {
                     waited = true;
-                    crate::govern::check(stage)?;
+                    crate::govern::check(C::STAGE)?;
                     let (s, _) = cell
                         .ready
                         .wait_timeout(state, BUILD_WAIT_SLICE)
@@ -1049,6 +1002,9 @@ impl ArtifactCache {
                     let mut claim = Claim(&*cell, false);
                     let loaded = self.disk().and_then(|d| d.load::<C>(key));
                     let from_disk = loaded.is_some();
+                    if counted && !from_disk {
+                        miss();
+                    }
                     let v = Arc::new(match loaded {
                         Some(v) => v,
                         None => build()?,
@@ -1074,80 +1030,6 @@ impl ArtifactCache {
                 }
             }
         }
-    }
-
-    /// The stored sign-off result for this flow point, if any.
-    pub fn lookup_result(
-        &self,
-        bench: Benchmark,
-        style: DesignStyle,
-        cfg: &FlowConfig,
-    ) -> Option<FlowResult> {
-        let key = FlowKey::of(bench, style, cfg);
-        self.lookup(&self.results, &key).map(|r| (*r).clone())
-    }
-
-    /// Stores a completed sign-off result under its consumed-knob key.
-    pub fn store_result(
-        &self,
-        bench: Benchmark,
-        style: DesignStyle,
-        cfg: &FlowConfig,
-        result: &FlowResult,
-    ) {
-        let key = FlowKey::of(bench, style, cfg);
-        self.store(&self.results, &key, Arc::new(result.clone()));
-    }
-
-    /// The SPICE tables for `key`: from memory, else from a verified
-    /// disk entry (promoted into memory), else simulated from the key
-    /// and published to both tiers. `spice_builds` counts simulations;
-    /// every request served without one counts as a `spice_hits`
-    /// increment. A hit is bit-identical to a rebuild: the deck is
-    /// deterministic and the key carries every input it reads. A deck
-    /// that fails stores nothing.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::Spice`] when a transient of the deck fails to
-    /// converge.
-    ///
-    /// # Panics
-    ///
-    /// On a miss, as [`characterize_spice_tables`] does: for sequential
-    /// or multi-output functions, and when the output never switches.
-    pub fn spice_tables(&self, key: &SpiceKey) -> Result<Arc<SpiceTables>, FlowError> {
-        self.lookup_or_build(&self.spice, key, || Ok(Self::simulate(key)?))
-    }
-
-    /// The stored G-MI result for the 2D reference point `key`: from
-    /// memory, else from a verified disk entry (promoted into memory).
-    /// A miss is traced; the caller runs [`crate::gmi::run_gmi`] and
-    /// hands the result to [`ArtifactCache::store_gmi`].
-    pub fn lookup_gmi(&self, key: &FlowKey) -> Option<GmiResult> {
-        self.lookup(&self.gmi, key).map(|r| (*r).clone())
-    }
-
-    /// Stores a G-MI result run from scratch under its 2D reference
-    /// point's key, in memory and on disk.
-    pub fn store_gmi(&self, key: &FlowKey, result: &GmiResult) {
-        self.store(&self.gmi, key, Arc::new(result.clone()));
-    }
-
-    /// One deck built from the key alone and simulated.
-    fn simulate(key: &SpiceKey) -> Result<SpiceTables, SpiceError> {
-        let node = TechNode::for_id(key.node_id);
-        let topo = Topology::for_function(key.function);
-        let geometry = generate_layout(&node, &topo, key.style, key.drive);
-        characterize_spice_tables(
-            &node,
-            key.function,
-            key.drive,
-            &topo,
-            &geometry,
-            key.slews(),
-            key.loads(),
-        )
     }
 
     /// Drops every stored **memory-tier** artifact and resets the
@@ -1209,6 +1091,7 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::FlowStage;
     use crate::observe::CacheKind;
 
     fn cfg45() -> FlowConfig {
@@ -1332,36 +1215,63 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// A build that must not run: the request is served from a tier.
+    fn unbuilt<V>() -> Result<V, FlowError> {
+        panic!("a served request runs no build")
+    }
+
     #[test]
     fn flow_results_promote_from_disk_into_memory() {
         let root = temp_store_root("flow");
         let bench = Benchmark::Des;
-        let cfg = cfg45();
-        let result = {
-            // Fabricate a stored result via a first cache.
+        let key = FlowKey::of(bench, DesignStyle::TwoD, &cfg45());
+        let result = sample_flow_result(bench);
+        {
+            // Publish a result through a first cache.
             let first = ArtifactCache::default();
             first.attach_disk(DiskStore::open(&root));
-            let r = sample_flow_result(bench);
-            first.store_result(bench, DesignStyle::TwoD, &cfg, &r);
-            r
-        };
+            first
+                .flow(&key, || Ok(result.clone()))
+                .expect("the build closes");
+            let s = first.stats();
+            assert_eq!((s.flow_stores, s.flow_misses, s.disk_stores), (1, 1, 1));
+        }
         let fresh = ArtifactCache::default();
         fresh.attach_disk(DiskStore::open(&root));
-        // First lookup: disk hit, promoted into memory.
-        assert_eq!(
-            fresh.lookup_result(bench, DesignStyle::TwoD, &cfg),
-            Some(result.clone())
-        );
+        // First request: disk hit, promoted into memory.
+        assert_eq!(*fresh.flow(&key, unbuilt).expect("disk hit"), result);
         let s = fresh.stats();
         assert_eq!((s.flow_hits, s.flow_misses, s.disk_hits), (1, 0, 1));
-        // Second lookup: memory tier, no further disk traffic.
-        assert_eq!(
-            fresh.lookup_result(bench, DesignStyle::TwoD, &cfg),
-            Some(result)
-        );
+        // Second request: memory tier, no further disk traffic.
+        assert_eq!(*fresh.flow(&key, unbuilt).expect("memory hit"), result);
         let s = fresh.stats();
         assert_eq!((s.flow_hits, s.disk_hits), (2, 1));
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A failed build counts its miss, stores nothing and leaves the key
+    /// to the next request, which runs its own build.
+    #[test]
+    fn a_failed_flow_build_stores_nothing_and_releases_the_key() {
+        let cache = ArtifactCache::default();
+        let key = FlowKey::of(Benchmark::Des, DesignStyle::TwoD, &cfg45());
+        let err = cache
+            .flow(&key, || {
+                Err(FlowError::Cancelled {
+                    stage: FlowStage::Routing,
+                })
+            })
+            .expect_err("the build fails");
+        assert!(matches!(err, FlowError::Cancelled { .. }), "{err}");
+        let s = cache.stats();
+        assert_eq!((s.flow_stores, s.flow_hits, s.flow_misses), (0, 0, 1));
+        let r = sample_flow_result(Benchmark::Des);
+        assert_eq!(
+            *cache.flow(&key, || Ok(r.clone())).expect("retry closes"),
+            r
+        );
+        let s = cache.stats();
+        assert_eq!((s.flow_stores, s.flow_hits, s.flow_misses), (1, 0, 2));
     }
 
     fn sample_flow_result(bench: Benchmark) -> FlowResult {
@@ -1428,6 +1338,28 @@ mod tests {
     }
 
     #[test]
+    fn spice_tables_on_an_unregistered_node_is_a_typed_error() {
+        let cache = ArtifactCache::default();
+        let key = SpiceKey::new(
+            NodeId::intern("unregistered"),
+            DesignStyle::TwoD,
+            CellFunction::Inv,
+            1,
+            &[7.5],
+            &[0.8],
+        );
+        let err = cache.spice_tables(&key).expect_err("no PDK, no deck");
+        assert!(
+            matches!(
+                err,
+                FlowError::Library(LibraryError::UnregisteredNode { .. })
+            ),
+            "{err}"
+        );
+        assert_eq!(cache.stats().spice_builds, 0);
+    }
+
+    #[test]
     fn gmi_results_serve_a_fresh_cache_from_disk() {
         let root = temp_store_root("gmi");
         let key = FlowKey::of(
@@ -1444,18 +1376,19 @@ mod tests {
         };
         let first = ArtifactCache::default();
         first.attach_disk(DiskStore::open(&root));
-        assert_eq!(first.lookup_gmi(&key), None, "cold cache misses");
-        first.store_gmi(&key, &result);
-        assert_eq!(first.lookup_gmi(&key), Some(result.clone()));
+        // A cold cache misses and runs the build; the next request hits.
+        let built = first.gmi(&key, || Ok(result.clone())).expect("G-MI runs");
+        assert_eq!(*built, result);
+        assert_eq!(*first.gmi(&key, unbuilt).expect("memory hit"), result);
         let s = first.stats();
         assert_eq!((s.gmi_builds, s.gmi_hits, s.disk_stores), (1, 1, 1));
 
         // A fresh cache over the same directory runs nothing: the first
-        // lookup is a disk hit, promoted so the second stays in memory.
+        // request is a disk hit, promoted so the second stays in memory.
         let fresh = ArtifactCache::default();
         fresh.attach_disk(DiskStore::open(&root));
-        assert_eq!(fresh.lookup_gmi(&key), Some(result.clone()));
-        assert_eq!(fresh.lookup_gmi(&key), Some(result));
+        assert_eq!(*fresh.gmi(&key, unbuilt).expect("disk hit"), result);
+        assert_eq!(*fresh.gmi(&key, unbuilt).expect("memory hit"), result);
         let s = fresh.stats();
         assert_eq!((s.gmi_builds, s.gmi_hits, s.disk_hits), (0, 2, 1));
 
@@ -1802,44 +1735,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_routing_is_stable_and_in_range() {
-        let map: ShardedLru<u64, u64> = ShardedLru::new(32);
-        assert_eq!(map.shard_count(), 4);
-        for k in 0..100u64 {
-            let a = map.shard(&k) as *const _;
-            let b = map.shard(&k) as *const _;
-            assert_eq!(a, b, "same key must route to the same shard");
-        }
-    }
-
-    #[test]
-    fn zero_capacity_clamps_to_one_shard() {
-        let map: ShardedLru<&str, u32> = ShardedLru::new(0);
-        assert_eq!(map.shard_count(), 1);
-        map.insert("anything", 1);
-        assert_eq!(map.get(&"anything"), Some(1));
-        assert_eq!(map.len(), 1);
-    }
-
-    #[test]
-    fn sharded_map_keeps_its_capacity_bound() {
-        let map: ShardedLru<u64, u64> = ShardedLru::new(64);
-        assert!(map.shard_count() > 1, "a 64-entry map should shard");
-        for k in 0..1000u64 {
-            map.insert(k, k);
-        }
-        let bound = map.shard_count() * 64usize.div_ceil(map.shard_count());
-        assert!(
-            map.len() <= bound,
-            "{} entries resident, bound {bound}",
-            map.len()
-        );
-        // A resident key is still retrievable after the churn.
-        let present = (0..1000u64).filter(|k| map.get(k).is_some()).count();
-        assert_eq!(present, map.len());
-    }
-
-    #[test]
     fn lru_evicts_the_least_recently_used_entry() {
         let mut lru: Lru<u32, &str> = Lru::new(2);
         assert_eq!(lru.insert(1, "one"), 0);
@@ -1855,6 +1750,14 @@ mod tests {
         // Replacing a resident key evicts nothing.
         assert_eq!(lru.insert(3, "III"), 0);
         assert_eq!(lru.get(&3), Some(&"III"));
+        // A zero capacity clamps to one entry, and churn never outgrows
+        // the bound: the survivors are the latest keys, each retrievable.
+        for (capacity, bound) in [(0, 1), (2, 2), (64, 64)] {
+            let mut lru: Lru<u64, u64> = Lru::new(capacity);
+            let evicted: u64 = (0..1000).map(|k| lru.insert(k, k)).sum();
+            assert_eq!((lru.len(), evicted), (bound, 1000 - bound as u64));
+            assert!((1000 - bound as u64..1000).all(|k| lru.get(&k) == Some(&k)));
+        }
     }
 
     #[test]
@@ -2013,7 +1916,6 @@ mod tests {
 
     #[test]
     fn wlm_key_reads_exactly_what_the_preliminary_layout_reads() {
-        use crate::error::FlowStage;
         let small = || cfg45().scale(BenchScale::Small);
         let key = |style: DesignStyle, cfg: &FlowConfig| WlmKey::of(Benchmark::Aes, style, cfg);
         for style in [DesignStyle::TwoD, DesignStyle::Tmi] {

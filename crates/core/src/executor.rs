@@ -7,8 +7,9 @@
 //! [`FlowKey`], so "table 4" and the scorecard don't schedule the same
 //! point twice); a [`ParallelExecutor`] fans the points out across N
 //! workers that share one [`ArtifactCache`], whose per-key coalescing
-//! guarantees each distinct library is still characterized exactly once
-//! no matter how many workers want it at the same instant.
+//! guarantees each distinct artifact — a library, a WLM, a whole flow —
+//! is still built exactly once no matter how many workers want it at
+//! the same instant.
 //!
 //! **Determinism.** Execution order is whatever the schedule produces,
 //! but it cannot leak into the results: every flow is a deterministic
@@ -326,11 +327,12 @@ impl ParallelExecutor {
     /// single-request entry `m3d-serve` dispatches on: the same
     /// cached-run contract ([`crate::Flow::try_run_with_cache`]'s), so
     /// concurrent identical requests from different connections
-    /// coalesce on the cache's per-key build cell and characterize
+    /// coalesce on the cache's per-key build cell and run the flow
     /// exactly once. Cancel `tok` (or arm a deadline on it) to get a
     /// typed [`PointOutcome::Cancelled`] /
-    /// [`PointOutcome::DeadlineExceeded`] back; a rejected config and
-    /// every other error is a plain `Failed`.
+    /// [`PointOutcome::DeadlineExceeded`] back — also while the point
+    /// waits on another request's in-flight run of its key; a rejected
+    /// config and every other error is a plain `Failed`.
     pub fn run_point(&self, p: &PlanPoint, tok: &CancelToken) -> PointOutcome {
         match run_cached(
             p.bench,

@@ -21,10 +21,10 @@ use m3d_route::{LayerUsage, RoutedDesign};
 use m3d_sta::{NetModel, OptMove, TimingConfig};
 use m3d_tech::{DesignStyle, MetalClass, MetalStack, NodeId, StackKind, TechNode, WireRc};
 
-use crate::cache::ArtifactCache;
+use crate::cache::{ArtifactCache, FlowKey};
 use crate::error::{ConfigError, FlowError};
 use crate::faultinject::FaultPlan;
-use crate::govern::CancelToken;
+use crate::govern::{self, CancelToken};
 use crate::supervisor::FlowSupervisor;
 
 /// Configuration of one full-flow run — every knob the paper sweeps.
@@ -307,11 +307,14 @@ impl Flow {
 
 /// The cached-run contract every flow entry point shares — [`Flow`],
 /// the executor's plan points and `m3d-serve` requests: validate the
-/// knobs, return a result-cache hit, else run the supervisor (under
-/// `cancel` and with `faults` planted, when given) and store what
-/// closes.
+/// knobs, then serve the point from the cache's flow memo, which runs
+/// the supervisor (under `cancel` and with `faults` planted, when
+/// given) at most once per key and stores what closes. While it waits
+/// on another request's in-flight run of the same key, `cancel` is the
+/// calling thread's installed token, so the wait stops at this
+/// request's own deadline.
 ///
-/// Validation comes before the lookup so degenerate configs always
+/// Validation comes before the cache so degenerate configs always
 /// surface as errors and never touch the key space. A rejected config
 /// still leaves a trace: it runs the bare supervisor, whose library
 /// stage rejects it inside one `failed` span — no cancel point and no
@@ -328,18 +331,15 @@ pub(crate) fn run_cached(
     if config.validate().is_err() {
         return sup.run();
     }
-    if let Some(hit) = cache.lookup_result(bench, style, config) {
-        return Ok(hit);
-    }
     if let Some(tok) = cancel {
         sup = sup.with_cancel(tok.clone());
     }
     if !faults.is_empty() {
         sup = sup.with_faults(faults.clone());
     }
-    let result = sup.run()?;
-    cache.store_result(bench, style, config, &result);
-    Ok(result)
+    let _installed = cancel.map(|tok| govern::install(tok.clone()));
+    let result = cache.flow(&FlowKey::of(bench, style, config), || sup.run())?;
+    Ok((*result).clone())
 }
 
 /// The tightest-closing clock calibration per benchmark and node (see

@@ -384,14 +384,7 @@ pub fn gmi_comparison(scale: BenchScale) -> Result<String, FlowError> {
         let bench = row.bench;
         let crate::Comparison { two_d, tmi } = row.compare()?;
         let key = FlowKey::of(bench, DesignStyle::TwoD, &row.cfg);
-        let gmi = match cache.lookup_gmi(&key) {
-            Some(hit) => hit,
-            None => {
-                let r = run_gmi(bench, &row.cfg)?;
-                cache.store_gmi(&key, &r);
-                r
-            }
-        };
+        let gmi = cache.gmi(&key, || run_gmi(bench, &row.cfg))?;
         let _ = writeln!(
             out,
             "{:5}-2D   {:13.0} {:9.3} {:10.2}        -",

@@ -27,6 +27,7 @@ use crate::codec::{
     dec_benchmark, dec_layer_usage, dec_node, dec_style, enc_benchmark, enc_layer_usage, enc_node,
     enc_scale, enc_stack_kind, enc_style, Dec, DecResult, DecodeError, Enc,
 };
+use crate::error::FlowStage;
 use crate::flow::FlowResult;
 use crate::gmi::GmiResult;
 use crate::observe::CacheKind;
@@ -40,6 +41,9 @@ pub(crate) trait MemoClass {
     type Value: Debug;
     /// The class's kind.
     const KIND: CacheKind;
+    /// The stage a request for this class serves: a request cancelled
+    /// while it waits on another's build names it.
+    const STAGE: FlowStage;
     /// The key's stable encoding.
     fn key_bytes(key: &Self::Key) -> Vec<u8>;
     /// The artifact's stable encoding.
@@ -71,6 +75,7 @@ impl MemoClass for LibraryClass {
     type Key = LibraryKey;
     type Value = CellLibrary;
     const KIND: CacheKind = CacheKind::Library;
+    const STAGE: FlowStage = FlowStage::Library;
 
     fn key_bytes(k: &LibraryKey) -> Vec<u8> {
         let mut e = Enc::default();
@@ -113,6 +118,7 @@ impl MemoClass for FlowClass {
     type Key = FlowKey;
     type Value = FlowResult;
     const KIND: CacheKind = CacheKind::Flow;
+    const STAGE: FlowStage = FlowStage::Library;
 
     fn key_bytes(k: &FlowKey) -> Vec<u8> {
         let mut e = Enc::default();
@@ -196,6 +202,7 @@ impl MemoClass for SpiceClass {
     type Key = SpiceKey;
     type Value = SpiceTables;
     const KIND: CacheKind = CacheKind::Spice;
+    const STAGE: FlowStage = FlowStage::Library;
 
     fn key_bytes(k: &SpiceKey) -> Vec<u8> {
         let mut e = Enc::default();
@@ -248,6 +255,7 @@ impl MemoClass for GmiClass {
     type Key = FlowKey;
     type Value = GmiResult;
     const KIND: CacheKind = CacheKind::Gmi;
+    const STAGE: FlowStage = FlowStage::Library;
 
     fn key_bytes(k: &FlowKey) -> Vec<u8> {
         FlowClass::key_bytes(k)
@@ -285,6 +293,7 @@ impl MemoClass for WlmClass {
     type Key = WlmKey;
     type Value = WireLoadModel;
     const KIND: CacheKind = CacheKind::Wlm;
+    const STAGE: FlowStage = FlowStage::Synthesis;
 
     /// The netlist key's bytes, then the utilization's.
     fn key_bytes(k: &WlmKey) -> Vec<u8> {
@@ -322,6 +331,7 @@ impl MemoClass for NetlistClass {
     type Key = NetlistKey;
     type Value = NetlistStats;
     const KIND: CacheKind = CacheKind::Netlist;
+    const STAGE: FlowStage = FlowStage::Synthesis;
 
     fn key_bytes(k: &NetlistKey) -> Vec<u8> {
         let mut e = Enc::default();

@@ -7,9 +7,9 @@
 //! TCP. Connections map to client identities in the admission queue,
 //! so per-client quotas and priorities apply per connection, and
 //! identical concurrent requests from different connections coalesce
-//! on the shared artifact cache: the expensive library
-//! characterization runs exactly once and every submitter gets its
-//! own response.
+//! on the shared artifact cache: the flow, and the library
+//! characterization under it, run exactly once and every submitter
+//! gets its own response.
 //!
 //! - [`protocol`] — frame parsing and response rendering.
 //! - [`queue`] — the admission queue that carries each `run` request

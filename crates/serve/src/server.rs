@@ -11,7 +11,9 @@
 //! [`ParallelExecutor::run_point`] against the process-wide
 //! [`ArtifactCache`]. Identical concurrent submissions from different
 //! connections therefore coalesce on the cache's per-key build cell
-//! and characterize exactly once; every waiter gets its own response.
+//! and run the flow exactly once; every waiter gets its own response,
+//! and a waiter whose own deadline passes first gets its own typed
+//! `deadline_exceeded`.
 //!
 //! Shutdown (the `shutdown` op, or [`Server::shutdown`] from a SIGTERM
 //! handler) routes through [`AdmissionQueue::drain`]: in-flight points
@@ -127,7 +129,8 @@ impl Server {
     /// Binds every listener in `cfg` and starts accepting. The
     /// process-wide [`ArtifactCache::global`] backs all requests, so
     /// `run` points, `table` renders and any in-process batch work
-    /// coalesce on the same build cells.
+    /// coalesce on the same build cells: one flow run per distinct
+    /// point, one build per distinct library.
     ///
     /// # Errors
     ///

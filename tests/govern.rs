@@ -35,8 +35,8 @@ use m3d_tech::{DesignStyle, NodeId};
 use monolith3d::observe::{validate_jsonl, write_event_json, StageOutcome, TraceError};
 use monolith3d::{
     json_raw_field, ArtifactCache, CancelToken, DiskStore, EventKind, ExperimentPlan, FaultPlan,
-    FlowConfig, FlowError, FlowResult, FlowStage, FlowSupervisor, JsonlRecorder, ParallelExecutor,
-    PointOutcome, Recorder, StageDeadlines, VecRecorder,
+    Flow, FlowConfig, FlowError, FlowResult, FlowStage, FlowSupervisor, JsonlRecorder,
+    ParallelExecutor, PointOutcome, Recorder, StageDeadlines, VecRecorder,
 };
 use proptest::prelude::*;
 
@@ -302,14 +302,10 @@ fn supervised_run_records_every_event_on_the_calling_thread() {
     let jsonl = Arc::new(JsonlRecorder::new(Box::new(buf.clone())));
     let cache = Arc::new(ArtifactCache::default());
     cache.set_recorder(Arc::clone(&jsonl) as Arc<dyn Recorder>);
-    // A flow-cache lookup from this thread stamps the caller's ordinal.
-    assert!(cache
-        .lookup_result(Benchmark::Des, DesignStyle::TwoD, &cfg())
-        .is_none());
-    FlowSupervisor::new(Benchmark::Des, DesignStyle::TwoD, cfg())
-        .with_cache(Arc::clone(&cache))
-        .with_cancel(CancelToken::new())
-        .run()
+    // The flow memo's miss on this thread stamps the caller's ordinal,
+    // and the supervised run it starts follows inline.
+    Flow::new(Benchmark::Des, DesignStyle::TwoD, cfg())
+        .try_run_with_cache(&cache)
         .expect("the supervised run closes");
     jsonl.flush().expect("trace flushes");
     let trace = buf.contents();
@@ -331,6 +327,49 @@ fn supervised_run_records_every_event_on_the_calling_thread() {
             "recorded off the calling thread: {line}"
         );
     }
+}
+
+/// A request waiting on another's in-flight run of the same key stops
+/// at its own deadline, typed, while the run it waited on closes and is
+/// cached once.
+#[test]
+fn a_waiter_behind_an_inflight_flow_stops_at_its_own_deadline() {
+    let cache = Arc::new(ArtifactCache::default());
+    let p = plan();
+    let point = &p.points()[0];
+    // The builder's synthesis stalls: nothing cancels it, so its run is
+    // still in flight when the waiter's deadline passes.
+    let builder = ParallelExecutor::new(1)
+        .with_cache(Arc::clone(&cache))
+        .with_faults(FaultPlan::new().slow_stage("synth", 1, Duration::from_secs(2)));
+    let waiter = ParallelExecutor::new(1).with_cache(Arc::clone(&cache));
+    thread::scope(|s| {
+        let built = s.spawn(|| builder.run_point(point, &CancelToken::new()));
+        // The builder counts its miss as it claims the key.
+        let t0 = Instant::now();
+        while cache.stats().flow_misses == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(60), "the key is claimed");
+            thread::sleep(Duration::from_millis(1));
+        }
+        let tok = CancelToken::new();
+        tok.arm_deadline_in(Duration::from_millis(60));
+        let t0 = Instant::now();
+        let outcome = waiter.run_point(point, &tok);
+        let waited = t0.elapsed();
+        assert!(
+            matches!(outcome, PointOutcome::DeadlineExceeded),
+            "{outcome:?}"
+        );
+        assert!(waited < Duration::from_secs(1), "stopped after {waited:?}");
+        let done = built.join().expect("the builder returns");
+        assert_eq!(done.result(), Some(&reference()[0]));
+    });
+    let s = cache.stats();
+    assert_eq!((s.flow_misses, s.flow_stores, s.flow_hits), (1, 1, 0));
+    // The builder's result is what the next request is served.
+    let again = waiter.run_point(point, &CancelToken::new());
+    assert_eq!(again.result(), Some(&reference()[0]));
+    assert_eq!(cache.stats().flow_hits, 1);
 }
 
 proptest! {

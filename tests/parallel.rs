@@ -101,8 +101,8 @@ fn library_stats_lose_no_increments_under_contention() {
     assert_eq!(cache.len().0, keys.len());
 }
 
-/// Racing full flows on one `FlowKey` return equal results and leave
-/// the cache with a single coherent entry.
+/// Racing full flows on one `FlowKey` run the pipeline once, return
+/// equal results and leave the cache with a single coherent entry.
 #[test]
 fn racing_flow_runs_agree_bitwise() {
     const THREADS: usize = 4;
@@ -130,6 +130,12 @@ fn racing_flow_runs_agree_bitwise() {
         assert_eq!(&results[0], r, "racing identical flows must agree");
     }
     assert_eq!(cache.len().1, 1, "one coherent entry for the shared key");
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.flow_stores, stats.flow_hits),
+        (1, THREADS as u64 - 1),
+        "racing requests on one key run one flow: {stats:?}"
+    );
 }
 
 /// The executor's parallel fan-out must be indistinguishable from a

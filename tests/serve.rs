@@ -236,7 +236,7 @@ fn two_frames_in_one_write_get_two_responses_in_order() {
 }
 
 #[test]
-fn identical_concurrent_runs_coalesce_to_one_library_build() {
+fn identical_concurrent_runs_coalesce_to_one_flow_run() {
     let (server, sock, cache) = start("coalesce", |cfg| {
         cfg.dispatchers = 4;
     });
@@ -266,8 +266,9 @@ fn identical_concurrent_runs_coalesce_to_one_library_build() {
     }
     let stats = cache.stats();
     assert_eq!(
-        stats.library_builds, 1,
-        "{N} identical concurrent runs must characterize one library: {stats:?}"
+        (stats.library_builds, stats.flow_stores),
+        (1, 1),
+        "{N} identical concurrent runs must run one flow on one library: {stats:?}"
     );
     server.shutdown();
     server.join();
