@@ -112,6 +112,11 @@ fn killed_run_reruns_from_its_store_without_rebuilding_a_completed_flow() {
         .map(|d| d.count())
         .unwrap_or(0);
     assert_eq!(quarantine, 0, "the kill left a corrupt entry behind");
+    assert_eq!(
+        flow_entries(&store),
+        plan.len(),
+        "the rerun left one flow entry per planned point"
+    );
     let summary = validate_jsonl(&std::fs::read_to_string(&trace).expect("trace written"))
         .expect("the rerun's trace validates");
     assert!(summary.events > 0);

@@ -374,14 +374,21 @@ pub(crate) fn unframe<'a, const N: usize>(
     Ok(bodies)
 }
 
-/// The pid-unique temp file [`write_atomic`] writes `path` through, in
-/// the same directory so the rename never crosses a filesystem.
+/// The temp file [`write_atomic`] writes `path` through, in the same
+/// directory so the rename never crosses a filesystem. It is unique per
+/// concurrent writer — pid plus [`crate::observe::thread_ordinal`] — so
+/// two publishers of one file, in separate processes or threads, never
+/// share a temp file: each renames its own complete image into place.
 pub(crate) fn temp_path(path: &Path) -> PathBuf {
     let name = path
         .file_name()
         .map(|n| n.to_string_lossy())
         .unwrap_or_default();
-    path.with_file_name(format!(".{name}.{}.tmp", std::process::id()))
+    path.with_file_name(format!(
+        ".{name}.{}.{}.tmp",
+        std::process::id(),
+        crate::observe::thread_ordinal()
+    ))
 }
 
 /// Writes `bytes` to `path` crash-only: temp file, `sync_all`, then

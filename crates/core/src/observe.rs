@@ -322,7 +322,9 @@ impl Stamps {
 /// A process-stable small integer per OS thread (the main thread is
 /// whichever asked first). Thread *names* are not stamped: they would
 /// bloat every event line, and the ordinal already tells threads apart.
-fn thread_ordinal() -> u64 {
+/// The store's publish temp files carry it too, so two threads of one
+/// process never write the same temp file.
+pub(crate) fn thread_ordinal() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     thread_local! {
         static ORDINAL: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };

@@ -27,8 +27,9 @@
 //!   `<root>/gmi/<2-hex>/<16-hex>.m3d` (keyed by the G-MI point's 2D
 //!   reference [`FlowKey`]), `<root>/wlm/<2-hex>/<16-hex>.m3d`
 //!   (wire-load models) and `<root>/netlist/<2-hex>/<16-hex>.m3d`
-//!   (generated netlists' statistics), plus `<root>/quarantine/` and a
-//!   recency journal `<root>/index.journal`.
+//!   (generated netlists' statistics), plus `<root>/quarantine/`. The
+//!   store writes no other file: the only other names a directory may
+//!   hold are the temp files of publishes in flight or killed.
 //! * **Self-verification** — every entry is the durable frame built by
 //!   `codec::frame` (DESIGN.md §9) under the `M3DSTOR1` magic, with a
 //!   key section and an artifact section; embedding the encoded key
@@ -46,32 +47,32 @@
 //!   ([`StoreFaultKind::TornStoreWrite`] pins this in the chaos
 //!   harness). A temp file that a killed publish left behind is
 //!   deleted by the scan of a later open once it is 30 s old.
-//! * **Multi-process safety** — publishers take a per-entry `.lock`
-//!   file (`create_new`, stolen after 30 s); losers *skip*
-//!   the publish, which is sound because the flow is deterministic and
-//!   both writers would publish byte-identical payloads
-//!   (last-writer-wins idempotence).
+//! * **Multi-process safety** — there is no lock: each publisher, in
+//!   whatever process or thread, writes its own temp file (named by pid
+//!   and thread ordinal) and renames it into place. The rename is
+//!   atomic, and the flow is deterministic, so racing publishers of one
+//!   key rename byte-identical images (last-writer-wins idempotence).
 //! * **Graceful degradation** — any entry-file I/O failure flips the
 //!   store into a degraded mode (a one-way latch): a single
 //!   [`EventKind::StoreDegraded`] is emitted with a stable reason and
 //!   every later operation no-ops, so the memory tier carries the run
 //!   to a correct (just slower) finish. Degradation is *never* an
 //!   error.
-//! * **Byte-budget LRU eviction** — an in-memory index (rebuilt from a
-//!   directory scan at open, with recency replayed from the journal)
-//!   tracks per-entry sizes; publishes that push the store over its
-//!   budget evict least-recently-used entries and emit
-//!   [`EventKind::DiskEvicted`]. The journal is an *optimization*:
-//!   corrupt lines are skipped, append failures are swallowed, and the
-//!   directory scan remains ground truth.
+//! * **Byte-budget LRU eviction** — an in-memory index, rebuilt from a
+//!   directory scan at open, tracks per-entry sizes; publishes that
+//!   push the store over its budget evict least-recently-used entries
+//!   and emit [`EventKind::DiskEvicted`]. The scan orders entries by
+//!   mtime, so across processes recency is "last published"; within a
+//!   process every hit and publish bumps it. A read writes nothing, so
+//!   a warm replay leaves the directory untouched.
 
 use std::collections::HashMap;
-use std::fs::{self, OpenOptions};
+use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::time::{Duration, SystemTime};
 
 use m3d_cells::characterize::SpiceTables;
 use m3d_cells::CellLibrary;
@@ -101,9 +102,9 @@ const SEC_ARTIFACT: u8 = 2;
 /// to well under that) while still bounding a pathological sweep.
 const DEFAULT_BYTE_BUDGET: u64 = 1 << 30;
 
-/// A publisher's `.lock` older than this is presumed crashed and is
-/// stolen.
-const LOCK_STALE: Duration = Duration::from_secs(30);
+/// A publish temp file older than this belongs to a killed publisher
+/// and is reclaimed by the scan at open.
+const TEMP_STALE: Duration = Duration::from_secs(30);
 
 /// Counter snapshot of one [`DiskStore`]'s traffic; the source the
 /// cache's `disk_*` stats are read from.
@@ -129,26 +130,20 @@ struct IndexEntry {
     last_used: u64,
 }
 
-/// The in-memory picture of what is on disk: sizes for the byte budget,
-/// a logical recency clock for LRU eviction, and the journal length
-/// (for compaction). Rebuilt from a directory scan at open.
+/// The in-memory picture of what is on disk: sizes for the byte budget
+/// and a logical recency clock for LRU eviction. Rebuilt from a
+/// directory scan at open.
 #[derive(Debug, Default)]
 struct Index {
     entries: HashMap<(CacheKind, u64), IndexEntry>,
     total_bytes: u64,
     clock: u64,
-    journal_lines: u64,
 }
 
 impl Index {
-    fn touch(&mut self, kind: CacheKind, hash: u64) {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(e) = self.entries.get_mut(&(kind, hash)) {
-            e.last_used = clock;
-        }
-    }
-
+    /// Accounts `bytes` for the entry and makes it the most recent. A
+    /// hit calls it too, so an entry a peer published after this
+    /// instance's scan joins the budget on first use.
     fn insert(&mut self, kind: CacheKind, hash: u64, bytes: u64) {
         self.clock += 1;
         if let Some(old) = self.entries.insert(
@@ -173,7 +168,7 @@ impl Index {
 }
 
 /// The persistent artifact store. See the module docs for the layout,
-/// locking and degradation contracts. Thread-safe; one instance is
+/// multi-process and degradation contracts. Thread-safe; one instance is
 /// meant to be shared (`Arc`) by every cache that fronts the same
 /// directory, and *different processes* open their own instance over
 /// the same directory.
@@ -323,9 +318,11 @@ impl DiskStore {
             Ok(artifact) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.emit(|| EventKind::DiskHit { kind: C::KIND });
-                let mut idx = self.index.lock().expect("store index lock");
-                idx.touch(C::KIND, hash);
-                self.journal(&mut idx, &format!("T {} {hash:016x}", C::KIND.key()));
+                self.index.lock().expect("store index lock").insert(
+                    C::KIND,
+                    hash,
+                    bytes.len() as u64,
+                );
                 Some(artifact)
             }
             Err(_) => {
@@ -405,15 +402,17 @@ impl DiskStore {
                 self.stores.fetch_add(1, Ordering::Relaxed);
                 self.evict_to_budget(kind, content_hash(key_bytes));
             }
-            Ok(false) => {} // lost the lock race, or a torn write
+            Ok(false) => {} // a torn write
             Err(f) => self.degrade(f),
         }
     }
 
-    /// The crash-only publish: lock, then [`write_atomic`]. Returns
+    /// The crash-only publish through [`write_atomic`]. Returns
     /// `Ok(true)` when the entry became visible, `Ok(false)` when the
-    /// publish was skipped (lock held by a live peer) or torn by
-    /// injection.
+    /// publish was torn by injection. A peer publishing the same key
+    /// concurrently renames its own temp file: the flow is
+    /// deterministic, so whichever rename lands last lands the same
+    /// bytes.
     fn try_publish(
         &self,
         kind: CacheKind,
@@ -425,22 +424,14 @@ impl DiskStore {
         let final_path = self.entry_path(kind, hash);
         let shard_dir = final_path
             .parent()
-            .expect("entry path always has a shard parent")
-            .to_path_buf();
-        fs::create_dir_all(&shard_dir)
+            .expect("entry path always has a shard parent");
+        fs::create_dir_all(shard_dir)
             .map_err(|e| StoreFailure::io("create store shard dir", &e))?;
         if fault == Some(StoreFaultKind::StoreDirUnwritable) {
             // Simulate losing write permission mid-run; routes through
             // the same classifier a real `EACCES` would.
             let e = io::Error::from(io::ErrorKind::PermissionDenied);
             return Err(StoreFailure::io("publish store entry", &e));
-        }
-        let lock_path = shard_dir.join(format!("{hash:016x}.lock"));
-        if !acquire_lock(&lock_path).map_err(|e| StoreFailure::io("take store lock", &e))? {
-            // A live peer is publishing this key. The flow is
-            // deterministic, so its bytes equal ours: skipping is the
-            // idempotent last-writer-wins outcome.
-            return Ok(false);
         }
         let bytes = frame(MAGIC, &[(SEC_KEY, key_bytes), (SEC_ARTIFACT, artifact)]);
         let visible = if fault == Some(StoreFaultKind::TornStoreWrite) {
@@ -461,14 +452,11 @@ impl DiskStore {
             if fault == Some(StoreFaultKind::CorruptStoreEntry) {
                 flip_byte(&final_path);
             }
-            let mut idx = self.index.lock().expect("store index lock");
-            idx.insert(kind, hash, bytes.len() as u64);
-            self.journal(
-                &mut idx,
-                &format!("P {} {hash:016x} {}", kind.key(), bytes.len()),
-            );
+            self.index
+                .lock()
+                .expect("store index lock")
+                .insert(kind, hash, bytes.len() as u64);
         }
-        let _ = fs::remove_file(&lock_path);
         visible.map_err(|e| StoreFailure::io("write store entry", &e))
     }
 
@@ -498,7 +486,6 @@ impl DiskStore {
                 let f = freed.entry(kind).or_insert((0, 0));
                 f.0 += 1;
                 f.1 += e.bytes;
-                self.journal(&mut idx, &format!("E {} {hash:016x}", kind.key()));
             }
         }
         drop(idx);
@@ -518,10 +505,10 @@ impl DiskStore {
         if quarantine_file(path, &self.quarantine_dir()).is_err() {
             let _ = fs::remove_file(path);
         }
-        let mut idx = self.index.lock().expect("store index lock");
-        idx.remove(kind, hash);
-        self.journal(&mut idx, &format!("Q {} {hash:016x}", kind.key()));
-        drop(idx);
+        self.index
+            .lock()
+            .expect("store index lock")
+            .remove(kind, hash);
         self.quarantined.fetch_add(1, Ordering::Relaxed);
         self.emit(|| EventKind::DiskQuarantined { what: kind.key() });
     }
@@ -551,45 +538,6 @@ impl DiskStore {
             .join(format!("{hash:016x}.m3d"))
     }
 
-    /// Best-effort journal append (+ compaction). The journal only
-    /// carries recency and byte accounting — losing a line degrades
-    /// eviction *quality*, never correctness — so append failures are
-    /// swallowed rather than degrading the store (which would turn a
-    /// read-only warm directory from a hit source into a no-op).
-    fn journal(&self, idx: &mut Index, line: &str) {
-        idx.journal_lines += 1;
-        let _ = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.root.join("index.journal"))
-            .and_then(|mut f| writeln!(f, "{line}"));
-        let threshold = 1024u64.max(8 * idx.entries.len() as u64);
-        if idx.journal_lines > threshold {
-            self.compact_journal(idx);
-        }
-    }
-
-    /// Rewrites the journal as one `P` line per live entry in recency
-    /// order (so a replay reproduces the LRU order), via the same
-    /// tmp+rename discipline as entries. Best-effort.
-    fn compact_journal(&self, idx: &mut Index) {
-        let mut live: Vec<((CacheKind, u64), IndexEntry)> =
-            idx.entries.iter().map(|(&k, &e)| (k, e)).collect();
-        live.sort_by_key(|(_, e)| e.last_used);
-        let mut text = String::new();
-        for ((kind, hash), e) in &live {
-            text.push_str(&format!("P {} {hash:016x} {}\n", kind.key(), e.bytes));
-        }
-        let tmp = self.root.join(".index.journal.tmp");
-        if fs::write(&tmp, text).is_ok()
-            && fs::rename(&tmp, self.root.join("index.journal")).is_ok()
-        {
-            idx.journal_lines = live.len() as u64;
-        } else {
-            let _ = fs::remove_file(&tmp);
-        }
-    }
-
     /// Records one event iff a live recorder is attached (the same
     /// hot-path guard the cache uses).
     fn emit(&self, kind: impl FnOnce() -> EventKind) {
@@ -600,12 +548,12 @@ impl DiskStore {
     }
 }
 
-/// Rebuilds the index from the directory tree (ground truth for
-/// existence and sizes), then replays the journal for recency. Any
-/// unreadable directory or corrupt journal line is simply skipped: the
-/// index is an optimization, and reads re-verify entries anyway.
+/// Rebuilds the index from the directory tree: each entry's size for
+/// the byte budget, and its recency from its mtime, oldest first (ties
+/// broken by kind and hash, so the order is total). Any unreadable
+/// directory is simply skipped: reads re-verify entries anyway.
 fn scan(root: &Path) -> Index {
-    let mut idx = Index::default();
+    let mut found: Vec<(SystemTime, CacheKind, u64, u64)> = Vec::new();
     for kind in CacheKind::ALL {
         let Ok(shards) = fs::read_dir(root.join(kind.dir())) else {
             continue;
@@ -618,11 +566,11 @@ fn scan(root: &Path) -> Index {
                 let name = f.file_name();
                 let name = name.to_string_lossy();
                 let Some(hex) = name.strip_suffix(".m3d") else {
-                    // A publish's temp file (`.<hash>.m3d.<pid>.tmp`)
+                    // A publish's temp file (`.<hash>.m3d.<pid>.<thread>.tmp`)
                     // is left behind only by a killed publisher: no
                     // rename will claim it and the budget never counts
-                    // it, so reclaim it once it is as old as a stale
-                    // lock. A younger one may be a live peer's publish.
+                    // it, so reclaim it once it is stale. A younger one
+                    // may be a live peer's publish.
                     if name.ends_with(".tmp") && is_stale(&f.path()) {
                         let _ = fs::remove_file(f.path());
                     }
@@ -631,74 +579,31 @@ fn scan(root: &Path) -> Index {
                 let Ok(hash) = u64::from_str_radix(hex, 16) else {
                     continue;
                 };
-                let bytes = f.metadata().map(|m| m.len()).unwrap_or(0);
-                idx.entries.insert(
-                    (kind, hash),
-                    IndexEntry {
-                        bytes,
-                        last_used: 0,
-                    },
-                );
-                idx.total_bytes += bytes;
+                let meta = f.metadata().ok();
+                let bytes = meta.as_ref().map_or(0, |m| m.len());
+                let mtime = meta
+                    .and_then(|m| m.modified().ok())
+                    .unwrap_or(SystemTime::UNIX_EPOCH);
+                found.push((mtime, kind, hash, bytes));
             }
         }
     }
-    if let Ok(text) = fs::read_to_string(root.join("index.journal")) {
-        for line in text.lines() {
-            idx.journal_lines += 1;
-            let mut parts = line.split_whitespace();
-            let (Some(op), Some(kind), Some(hash)) = (parts.next(), parts.next(), parts.next())
-            else {
-                continue;
-            };
-            let Some(kind) = CacheKind::from_key(kind) else {
-                continue;
-            };
-            let Ok(hash) = u64::from_str_radix(hash, 16) else {
-                continue;
-            };
-            match op {
-                // Publishes and touches both count as uses; eviction
-                // and quarantine lines carry no recency (the scan
-                // already decided existence).
-                "P" | "T" => idx.touch(kind, hash),
-                _ => {}
-            }
-        }
+    found.sort_unstable_by_key(|&(mtime, kind, hash, _)| (mtime, kind.key(), hash));
+    let mut idx = Index::default();
+    for (_, kind, hash, bytes) in found {
+        idx.insert(kind, hash, bytes);
     }
     idx
 }
 
-/// True when `path` was last modified more than [`LOCK_STALE`] ago: a
-/// lock or temp file that old belongs to a crashed publisher.
+/// True when `path` was last modified more than [`TEMP_STALE`] ago: a
+/// temp file that old belongs to a killed publisher.
 fn is_stale(path: &Path) -> bool {
     fs::metadata(path)
         .and_then(|m| m.modified())
         .ok()
         .and_then(|t| t.elapsed().ok())
-        .is_some_and(|age| age > LOCK_STALE)
-}
-
-/// Tries to create the `.lock` file. `Ok(true)` — acquired. `Ok(false)`
-/// — a live peer holds it. Stale locks (crashed holders) are stolen.
-fn acquire_lock(path: &Path) -> io::Result<bool> {
-    for _ in 0..4 {
-        match OpenOptions::new().write(true).create_new(true).open(path) {
-            Ok(mut f) => {
-                let _ = write!(f, "{}", std::process::id());
-                return Ok(true);
-            }
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                if is_stale(path) {
-                    let _ = fs::remove_file(path);
-                    continue; // retry the create_new
-                }
-                return Ok(false);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(false)
+        .is_some_and(|age| age > TEMP_STALE)
 }
 
 #[cfg(test)]
@@ -910,19 +815,27 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// Backdates `path`'s mtime to `age` ago.
+    fn backdate(path: &Path, age: Duration) {
+        fs::File::options()
+            .write(true)
+            .open(path)
+            .and_then(|f| f.set_modified(SystemTime::now() - age))
+            .expect("backdate the file");
+    }
+
+    fn n45_2d_key(bench: Benchmark) -> FlowKey {
+        FlowKey::of(
+            bench,
+            DesignStyle::TwoD,
+            &crate::flow::FlowConfig::new(NodeId::N45),
+        )
+    }
+
     #[test]
     fn byte_budget_evicts_least_recently_used() {
         let root = temp_root("evict");
-        let keys: Vec<FlowKey> = [Benchmark::Des, Benchmark::Aes, Benchmark::Fpu]
-            .iter()
-            .map(|&b| {
-                FlowKey::of(
-                    b,
-                    DesignStyle::TwoD,
-                    &crate::flow::FlowConfig::new(NodeId::N45),
-                )
-            })
-            .collect();
+        let keys = [Benchmark::Des, Benchmark::Aes, Benchmark::Fpu].map(n45_2d_key);
         let entry_bytes = {
             let probe = DiskStore::open(temp_root("evict-probe"));
             probe.store_flow(&keys[0], &sample_result());
@@ -946,64 +859,81 @@ mod tests {
     }
 
     #[test]
-    fn journal_replay_restores_recency_across_reopen() {
-        let root = temp_root("journal");
-        let keys: Vec<FlowKey> = [Benchmark::Des, Benchmark::Aes]
-            .iter()
-            .map(|&b| {
-                FlowKey::of(
-                    b,
-                    DesignStyle::TwoD,
-                    &crate::flow::FlowConfig::new(NodeId::N45),
-                )
-            })
-            .collect();
-        let entry_bytes = {
-            let store = DiskStore::open(&root);
-            store.store_flow(&keys[0], &sample_result());
-            store.store_flow(&keys[1], &sample_result());
-            // Make key 0 the most recent.
-            assert!(store.load_flow(&keys[0]).is_some());
-            store.resident_bytes() / 2
-        };
-        // A fresh process inherits the recency: publishing a third entry
-        // under a two-entry budget must evict key 1, not key 0.
-        let store = DiskStore::with_budget(&root, entry_bytes * 2 + entry_bytes / 2);
-        let third = FlowKey::of(
-            Benchmark::Fpu,
-            DesignStyle::TwoD,
-            &crate::flow::FlowConfig::new(NodeId::N45),
+    fn recency_across_reopen_follows_entry_mtime() {
+        let root = temp_root("mtime");
+        let keys = [Benchmark::Des, Benchmark::Aes].map(n45_2d_key);
+        let store = DiskStore::open(&root);
+        for k in &keys {
+            store.store_flow(k, &sample_result());
+        }
+        let entry_bytes = store.resident_bytes() / 2;
+        // Key 0 was published first, but its file is the newer one: a
+        // fresh process orders recency by mtime, not by publish order,
+        // so publishing a third entry under a two-entry budget must
+        // evict key 1, not key 0.
+        backdate(
+            &path_of::<FlowClass>(&store, &keys[0]),
+            Duration::from_secs(100),
         );
-        store.store_flow(&third, &sample_result());
+        backdate(
+            &path_of::<FlowClass>(&store, &keys[1]),
+            Duration::from_secs(200),
+        );
+        let store = DiskStore::with_budget(&root, entry_bytes * 2 + entry_bytes / 2);
+        store.store_flow(&n45_2d_key(Benchmark::Fpu), &sample_result());
+        assert_eq!(store.counters().evictions, 1);
         assert!(
             store.load_flow(&keys[0]).is_some(),
-            "journal kept key 0 warm"
+            "the newer entry survives"
         );
-        assert!(store.load_flow(&keys[1]).is_none());
+        assert!(store.load_flow(&keys[1]).is_none(), "the older is evicted");
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// An entry a peer publishes after this instance's scan joins its
+    /// accounting on the first hit, so the byte budget can evict it.
     #[test]
-    fn stale_lock_is_stolen_fresh_lock_is_respected() {
-        let root = temp_root("lock");
-        fs::create_dir_all(&root).expect("temp root");
-        let lock = root.join("0000000000000001.lock");
-        fs::write(&lock, "held").expect("write lock");
-        // Fresh lock: not acquired.
-        assert!(!acquire_lock(&lock).expect("no io error"));
-        // Backdate it past the stale horizon and it is stolen. (Uses
-        // filetime via touch -d; fall back to skip if unavailable.)
-        let old = std::time::SystemTime::now() - LOCK_STALE - Duration::from_secs(5);
-        let ft = std::fs::File::options()
-            .write(true)
-            .open(&lock)
-            .and_then(|f| f.set_modified(old));
-        if ft.is_ok() {
-            assert!(
-                acquire_lock(&lock).expect("no io error"),
-                "stale lock stolen"
-            );
-        }
+    fn a_hit_on_a_peer_published_entry_counts_toward_the_budget() {
+        let root = temp_root("peerhit");
+        let [own, peers] = [Benchmark::Des, Benchmark::Aes].map(n45_2d_key);
+        let entry_bytes = {
+            let probe_root = temp_root("peerhit-probe");
+            let probe = DiskStore::open(&probe_root);
+            probe.store_flow(&peers, &sample_result());
+            let _ = fs::remove_dir_all(&probe_root);
+            probe.resident_bytes()
+        };
+        let a = DiskStore::with_budget(&root, entry_bytes + entry_bytes / 2);
+        DiskStore::open(&root).store_flow(&peers, &sample_result());
+        assert_eq!(a.load_flow(&peers), Some(sample_result()));
+        assert_eq!(a.resident_bytes(), entry_bytes);
+        a.store_flow(&own, &sample_result());
+        assert_eq!(a.counters().evictions, 1);
+        assert!(
+            !path_of::<FlowClass>(&a, &peers).exists(),
+            "peer's entry evicted"
+        );
+        assert_eq!(a.resident_bytes(), entry_bytes);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A `.lock` file that a publisher of the old store layout left
+    /// behind when it was killed is never consulted: the next publish
+    /// of that key lands, and a later instance hits it.
+    #[test]
+    fn a_killed_publishers_lock_does_not_block_the_next_publish() {
+        let root = temp_root("killedlock");
+        let key = flow_key();
+        let entry = path_of::<FlowClass>(&DiskStore::open(&root), &key);
+        fs::create_dir_all(entry.parent().expect("shard dir")).expect("mkdir");
+        fs::write(entry.with_extension("lock"), "4242").expect("plant a fresh lock");
+        let store = DiskStore::open(&root);
+        store.store_flow(&key, &sample_result());
+        assert_eq!(store.counters().stores, 1);
+        assert_eq!(
+            DiskStore::open(&root).load_flow(&key),
+            Some(sample_result())
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1502,8 +1432,8 @@ mod tests {
     }
 
     /// A killed publish leaves its temp file behind; the scan of a later
-    /// open deletes it once it is as old as a stale lock, and leaves a
-    /// younger one (possibly a live peer's publish) alone.
+    /// open deletes it once it is stale, and leaves a younger one
+    /// (possibly a live peer's publish) alone.
     #[test]
     fn stale_publish_temp_files_are_reclaimed_on_open() {
         let root = temp_root("tmpgc");
@@ -1516,17 +1446,11 @@ mod tests {
             assert!(tmp.exists(), "a torn write leaves its temp file");
             tmp
         });
-        let old = std::time::SystemTime::now() - LOCK_STALE - Duration::from_secs(5);
-        let backdated = fs::File::options()
-            .write(true)
-            .open(&temps[0])
-            .and_then(|f| f.set_modified(old));
-        if backdated.is_ok() {
-            let store = DiskStore::open(&root);
-            assert!(!temps[0].exists(), "stale temp file reclaimed");
-            assert!(temps[1].exists(), "fresh temp file left alone");
-            assert_eq!(store.resident_bytes(), 0);
-        }
+        backdate(&temps[0], TEMP_STALE + Duration::from_secs(5));
+        let store = DiskStore::open(&root);
+        assert!(!temps[0].exists(), "stale temp file reclaimed");
+        assert!(temps[1].exists(), "fresh temp file left alone");
+        assert_eq!(store.resident_bytes(), 0);
         let _ = fs::remove_dir_all(&root);
     }
 }

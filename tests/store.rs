@@ -155,24 +155,26 @@ impl Entry {
     }
 }
 
-/// The one `.m3d` entry file under `root` (excluding quarantine).
-fn entry_file(root: &Path) -> PathBuf {
-    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
-        let Ok(rd) = fs::read_dir(dir) else { return };
-        for e in rd.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                if p.file_name().is_some_and(|n| n == "quarantine") {
-                    continue;
-                }
-                walk(&p, out);
-            } else if p.extension().is_some_and(|x| x == "m3d") {
-                out.push(p);
+/// Every file under `dir`, recursively, excluding `quarantine/`.
+fn walk_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(rd) = fs::read_dir(dir) else { return };
+    for e in rd.flatten() {
+        let p = e.path();
+        if p.is_dir() {
+            if p.file_name().is_some_and(|n| n != "quarantine") {
+                walk_files(&p, out);
             }
+        } else {
+            out.push(p);
         }
     }
+}
+
+/// The one `.m3d` entry file under `root` (excluding quarantine).
+fn entry_file(root: &Path) -> PathBuf {
     let mut found = Vec::new();
-    walk(root, &mut found);
+    walk_files(root, &mut found);
+    found.retain(|p| p.extension().is_some_and(|x| x == "m3d"));
     assert_eq!(found.len(), 1, "expected exactly one entry under {root:?}");
     found.remove(0)
 }
@@ -340,9 +342,11 @@ fn spice_entries_count_toward_the_byte_budget() {
 }
 
 /// Many store instances over one directory — the multi-process case —
-/// publishing and reading the same key concurrently: every load is
-/// either a miss or the correct value, never torn or mixed data, and
-/// the directory ends healthy (a final fresh instance serves the key).
+/// publishing and reading the same key concurrently, each through its
+/// own temp file and rename: every load is either a miss or the correct
+/// value, never torn or mixed data, no `.lock` or `.tmp` file is left,
+/// and the directory ends healthy (a final fresh instance serves the
+/// key).
 #[test]
 fn concurrent_instances_over_one_directory_never_serve_torn_data() {
     let root = temp_root("mproc");
@@ -368,6 +372,13 @@ fn concurrent_instances_over_one_directory_never_serve_torn_data() {
         }
     });
 
+    let mut files = Vec::new();
+    walk_files(&root, &mut files);
+    let strays: Vec<&PathBuf> = files
+        .iter()
+        .filter(|p| p.extension().is_some_and(|x| x == "lock" || x == "tmp"))
+        .collect();
+    assert!(strays.is_empty(), "publishes left {strays:?}");
     let fresh = DiskStore::open(&root);
     assert_eq!(fresh.load_flow(&key), Some(want), "directory ends healthy");
     assert_eq!(fresh.counters().quarantined, 0, "no entry was ever corrupt");
