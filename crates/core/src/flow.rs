@@ -11,10 +11,10 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use m3d_cells::{CellFunction, CellLibrary};
+use m3d_cells::{CellFunction, CellId, CellLibrary};
 use m3d_extract::{try_extract_net, ExtractError};
 use m3d_geom::Point;
-use m3d_netlist::{BenchScale, Benchmark, NetDriver, NetId, Netlist};
+use m3d_netlist::{BenchScale, Benchmark, InstId, NetDriver, NetId, Netlist, PinRef};
 use m3d_place::Placement;
 use m3d_power::PowerReport;
 use m3d_route::{LayerUsage, RoutedDesign};
@@ -429,32 +429,106 @@ pub fn try_extraction_models(
         .collect()
 }
 
+/// One netlist edit [`apply_moves`] made, as much as undoing it needs.
+#[derive(Debug)]
+enum Edit {
+    /// `inst` was resized away from `old`.
+    Resize { inst: InstId, old: CellId },
+    /// A repeater split `net`, whose sink list before the split was
+    /// `sinks`; the repeater is the newest instance and has the newest
+    /// placement position.
+    Repeater { net: NetId, sinks: Vec<PinRef> },
+}
+
+/// The edits [`apply_moves`] made, newest last. An optimization pass
+/// that may be rejected takes a [`EditLog::mark`] before it edits and
+/// [`EditLog::undo_to`]s it on reject, instead of cloning the netlist
+/// and placement; the floorplan loop reverts a second round the same
+/// way.
+#[derive(Debug, Default)]
+pub struct EditLog {
+    edits: Vec<Edit>,
+}
+
+impl EditLog {
+    /// The point the log can later be undone back to.
+    pub fn mark(&self) -> usize {
+        self.edits.len()
+    }
+
+    /// Undoes every edit made since `mark`, newest first, restoring the
+    /// netlist and placement exactly as they were at the mark.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` lies past the log's end, or if the netlist or
+    /// placement was edited other than through [`apply_moves`] on this
+    /// log since the mark.
+    pub fn undo_to(
+        &mut self,
+        mark: usize,
+        netlist: &mut Netlist,
+        placement: &mut Placement,
+        lib: &CellLibrary,
+    ) {
+        for edit in self.edits.drain(mark..).rev() {
+            match edit {
+                Edit::Resize { inst, old } => netlist.resize(inst, old, lib),
+                Edit::Repeater { net, sinks } => {
+                    netlist.undo_repeater(net, sinks);
+                    placement.positions.pop();
+                }
+            }
+        }
+    }
+
+    /// Forgets every edit: none of them can be undone afterwards.
+    pub fn clear(&mut self) {
+        self.edits.clear();
+    }
+}
+
 /// Applies planned moves, keeping placement positions in sync (repeaters
-/// land along the driver-to-sinks span).
-pub(crate) fn apply_moves(
+/// land along the driver-to-sinks span), and records each edit in `log`.
+pub fn apply_moves(
     netlist: &mut Netlist,
     placement: &mut Placement,
     lib: &CellLibrary,
     moves: &[OptMove],
+    log: &mut EditLog,
 ) {
     let buf = lib.smallest(CellFunction::Buf);
     for &m in moves {
-        match m {
-            OptMove::Upsize(inst) => {
-                if let Some((bigger, _)) = lib.upsize(netlist.inst(inst).cell) {
-                    netlist.resize(inst, bigger, lib);
-                }
-            }
-            OptMove::Downsize(inst) => {
-                if let Some((smaller, _)) = lib.downsize(netlist.inst(inst).cell) {
-                    netlist.resize(inst, smaller, lib);
-                }
-            }
+        let (inst, step) = match m {
+            OptMove::Upsize(inst) => (inst, lib.upsize(netlist.inst(inst).cell)),
+            OptMove::Downsize(inst) => (inst, lib.downsize(netlist.inst(inst).cell)),
             OptMove::BufferNet { net, repeaters } => {
-                insert_repeater_chain(netlist, placement, lib, net, repeaters.min(3), buf);
+                insert_repeater_chain(netlist, placement, lib, net, repeaters.min(3), buf, log);
+                continue;
             }
+        };
+        if let Some((cell, _)) = step {
+            let old = netlist.inst(inst).cell;
+            netlist.resize(inst, cell, lib);
+            log.edits.push(Edit::Resize { inst, old });
         }
     }
+}
+
+/// Splits `net` with one repeater, logged. The caller pushes the
+/// repeater's position next, as [`EditLog::undo_to`] expects.
+fn insert_repeater(
+    netlist: &mut Netlist,
+    lib: &CellLibrary,
+    net: NetId,
+    sink_indices: &[usize],
+    buf: CellId,
+    log: &mut EditLog,
+) -> NetId {
+    let sinks = netlist.net(net).sinks.clone();
+    let (_, new_net) = netlist.insert_repeater(net, sink_indices, buf, lib);
+    log.edits.push(Edit::Repeater { net, sinks });
+    new_net
 }
 
 fn insert_repeater_chain(
@@ -463,7 +537,8 @@ fn insert_repeater_chain(
     lib: &CellLibrary,
     net: NetId,
     stages: u32,
-    buf: m3d_cells::CellId,
+    buf: CellId,
+    log: &mut EditLog,
 ) {
     if stages == 0 {
         return;
@@ -541,7 +616,7 @@ fn insert_repeater_chain(
                         continue;
                     }
                     take.sort_unstable();
-                    let (_, _new_net) = netlist.insert_repeater(net, &take, buf, lib);
+                    insert_repeater(netlist, lib, net, &take, buf, log);
                     placement.push_pos(*gpos);
                 }
                 return;
@@ -583,7 +658,7 @@ fn insert_repeater_chain(
     let mut current = net;
     let mut moved = far;
     for k in 0..stages {
-        let (_inst, new_net) = netlist.insert_repeater(current, &moved, buf, lib);
+        let new_net = insert_repeater(netlist, lib, current, &moved, buf, log);
         let t = (k as f64 + 1.0) / (stages as f64 + 1.0);
         let pos = Point::new(
             driver_pos.x + ((far_centroid.x - driver_pos.x) as f64 * t) as i64,

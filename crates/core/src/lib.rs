@@ -100,8 +100,8 @@ pub use faultinject::{
     FaultInjector, FaultKind, FaultPlan, InjectedFault, PlannedFault, PlannedStoreFault,
     StoreFaultKind, StoreFaultPlan,
 };
+pub use flow::{apply_moves, estimate_models, try_extraction_models, EditLog};
 pub use flow::{default_clock_scale_at, Flow, FlowConfig, FlowResult};
-pub use flow::{estimate_models, try_extraction_models};
 pub use govern::{CancelCause, CancelToken, PointOutcome};
 pub use observe::{
     escape_json_into, json_raw_field, json_str_field, unescape_json, CacheKind, CacheTotals, Event,

@@ -29,15 +29,16 @@ use m3d_tech::{DesignStyle, MetalStack};
 use crate::cache::{ArtifactCache, Request, WlmKey};
 use crate::error::{FlowError, FlowStage};
 use crate::flow::{
-    apply_moves, estimate_models, try_extraction_models, FlowConfig, FlowEnv, FlowResult,
+    apply_moves, estimate_models, try_extraction_models, EditLog, FlowConfig, FlowEnv, FlowResult,
 };
 use crate::govern::check;
 
-/// The routed design state: what post-route optimization works on,
-/// what sign-off reports, and the floorplan loop's snapshot unit —
-/// round 1's copy is what sign-off reports when a second round closes
-/// worse.
-#[derive(Debug, Clone)]
+/// The routed design state: what post-route optimization works on and
+/// what sign-off reports. The floorplan loop keeps round 1's design but
+/// its netlist when it runs a second round, and gets that netlist back
+/// by undoing round 2's logged edits. Only tests clone it.
+#[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
 pub(crate) struct Design {
     /// The synthesized, sized and buffered netlist.
     pub(crate) netlist: Netlist,
@@ -71,8 +72,8 @@ fn route_summary(routed: &RoutedDesign) -> (f64, LayerUsage) {
 }
 
 /// Rebuilds `graph` when `moves` changed the netlist's topology
-/// (repeater insertion) and returns the graph it replaced, so a
-/// rollback can restore it. Resizes keep the topology and the graph.
+/// (repeater insertion) and returns the graph it replaced, so an undo
+/// can restore it. Resizes keep the topology and the graph.
 fn refresh_graph(
     graph: &mut TimingGraph,
     netlist: &Netlist,
@@ -183,12 +184,14 @@ pub(crate) fn synthesize(
 
 /// Placement: global placement, then load-based sizing gated on need —
 /// drivers are mapped to their placed loads only while the design
-/// misses its clock (iterated because sizing moves the loads).
+/// misses its clock (iterated because sizing moves the loads). Every
+/// edit goes to `log`, as in the stages after it.
 pub(crate) fn place(
     env: &FlowEnv,
     cfg: &FlowConfig,
     tau_ps: f64,
     netlist: &mut Netlist,
+    log: &mut EditLog,
 ) -> Result<Placement, FlowError> {
     let timing = env.timing();
     let mut placement = Placer::new(&env.lib)
@@ -207,20 +210,22 @@ pub(crate) fn place(
         if moves.is_empty() {
             break;
         }
-        apply_moves(netlist, &mut placement, &env.lib, &moves);
+        apply_moves(netlist, &mut placement, &env.lib, &moves, log);
         refresh_graph(&mut graph, netlist, &env.lib, &moves)?;
     }
     Ok(placement)
 }
 
 /// Pre-route optimization on placement-based estimates. Passes are
-/// accept/reject: a pass that does not improve WNS is rolled back and
-/// the loop stops. An accepted pass's estimates and report carry into
-/// the next pass, which would only recompute them.
+/// accept/reject: a pass that makes WNS worse is undone from `log`
+/// back to the mark taken before it, and the loop stops. An accepted
+/// pass's estimates and report carry into the next pass, which would
+/// only recompute them.
 pub(crate) fn preroute(
     env: &FlowEnv,
     netlist: &mut Netlist,
     placement: &mut Placement,
+    log: &mut EditLog,
 ) -> Result<(), FlowError> {
     let timing = env.timing();
     let mut graph = TimingGraph::build(netlist, &env.lib)?;
@@ -241,8 +246,8 @@ pub(crate) fn preroute(
         if moves.is_empty() {
             break;
         }
-        let saved = (netlist.clone(), placement.clone());
-        apply_moves(netlist, placement, &env.lib, &moves);
+        let mark = log.mark();
+        apply_moves(netlist, placement, &env.lib, &moves, log);
         // A rejected pass ends the stage, so the graph it replaced
         // is never needed again.
         refresh_graph(&mut graph, netlist, &env.lib, &moves)?;
@@ -250,8 +255,7 @@ pub(crate) fn preroute(
         let est2 = estimate_models(netlist, placement, &env.node, &env.stack);
         let report2 = graph.analyze(netlist, &env.lib, &est2, &timing)?;
         if report2.wns < report.wns {
-            *netlist = saved.0;
-            *placement = saved.1;
+            log.undo_to(mark, netlist, placement, &env.lib);
             break;
         }
         est = est2;
@@ -274,6 +278,7 @@ pub(crate) fn route(
     tau_ps: f64,
     netlist: &mut Netlist,
     placement: &mut Placement,
+    log: &mut EditLog,
 ) -> Result<(Vec<NetModel>, (f64, LayerUsage)), FlowError> {
     let timing = env.timing();
     let (models, route) = {
@@ -293,7 +298,7 @@ pub(crate) fn route(
         if moves.is_empty() {
             break;
         }
-        apply_moves(netlist, placement, &env.lib, &moves);
+        apply_moves(netlist, placement, &env.lib, &moves, log);
         refresh_graph(&mut graph, netlist, &env.lib, &moves)?;
     }
     Ok((models, route))
@@ -303,7 +308,8 @@ pub(crate) fn route(
 /// iso-performance power recovery: cells with slack are repeatedly
 /// downsized until nothing more fits ("with a better timing, cells are
 /// downsized", Section 4.1), verified per round. Leaves the final WNS
-/// in [`Design::wns_after_opt`].
+/// in [`Design::wns_after_opt`]. A rejected pass or a failed recovery
+/// round is undone from `log` back to the mark taken before it.
 ///
 /// The current state is timed once up front; every accepted pass and
 /// verified round then carries its report forward, since the next step
@@ -314,6 +320,7 @@ pub(crate) fn postroute(
     env: &FlowEnv,
     cfg: &FlowConfig,
     design: &mut Design,
+    log: &mut EditLog,
 ) -> Result<(), FlowError> {
     let timing = env.timing();
     let router = router(env, cfg.mb1_routing);
@@ -336,8 +343,8 @@ pub(crate) fn postroute(
         if moves.is_empty() {
             break;
         }
-        let saved = (netlist.clone(), placement.clone());
-        apply_moves(netlist, placement, &env.lib, &moves);
+        let mark = log.mark();
+        apply_moves(netlist, placement, &env.lib, &moves, log);
         let saved_graph = refresh_graph(&mut graph, netlist, &env.lib, &moves)?;
         check(FlowStage::PostRouteOpt)?;
         let (new_models, new_route) = {
@@ -349,8 +356,7 @@ pub(crate) fn postroute(
         check(FlowStage::PostRouteOpt)?;
         let report2 = graph.analyze(netlist, &env.lib, &new_models, &timing)?;
         if report2.wns < report.wns {
-            *netlist = saved.0;
-            *placement = saved.1;
+            log.undo_to(mark, netlist, placement, &env.lib);
             if let Some(g) = saved_graph {
                 graph = g;
             }
@@ -372,12 +378,12 @@ pub(crate) fn postroute(
         if moves.is_empty() {
             break;
         }
-        let saved = netlist.clone();
-        apply_moves(netlist, placement, &env.lib, &moves);
+        let mark = log.mark();
+        apply_moves(netlist, placement, &env.lib, &moves, log);
         check(FlowStage::PostRouteOpt)?;
         let verified = graph.analyze(netlist, &env.lib, models, &timing)?;
         if !verified.met() {
-            *netlist = saved;
+            log.undo_to(mark, netlist, placement, &env.lib);
             break;
         }
         report = verified;
@@ -393,7 +399,8 @@ pub(crate) fn postroute(
 /// post-route pass, left the models and route summary of the final
 /// placement, and power recovery only resized cells since, which
 /// changes no route. A floorplan revert restores round 1's models and
-/// summary along with its netlist.
+/// summary along with its placement, and undoes round 2's edits back to
+/// round 1's netlist.
 pub(crate) fn signoff(
     bench: Benchmark,
     style: DesignStyle,

@@ -31,14 +31,15 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use m3d_netlist::Benchmark;
+use m3d_cells::CellLibrary;
+use m3d_netlist::{Benchmark, Netlist};
 use m3d_synth::WireLoadModel;
 use m3d_tech::DesignStyle;
 
 use crate::cache::ArtifactCache;
 use crate::error::{FlowError, FlowStage};
 use crate::faultinject::{FaultInjector, FaultKind, FaultPlan, InjectedFault};
-use crate::flow::{FlowConfig, FlowEnv, FlowResult};
+use crate::flow::{EditLog, FlowConfig, FlowEnv, FlowResult};
 use crate::govern::{self, CancelToken};
 use crate::observe::{EventKind, StageOutcome};
 use crate::stage::{self, Design};
@@ -213,7 +214,9 @@ impl FlowSupervisor {
     /// Library through the floorplan decision. Round 1 of the floorplan
     /// loop sizes the design; a second round re-places at the corrected
     /// floorplan basis when the cell area drifted from it, and keeps
-    /// whichever round closed better.
+    /// whichever round closed better. Round 2 edits round 1's netlist in
+    /// place on an [`EditLog`] that holds its edits alone, so round 1's
+    /// design is kept aside without it.
     fn close(
         &mut self,
         config: &FlowConfig,
@@ -225,17 +228,28 @@ impl FlowSupervisor {
         let (mut netlist, wlm, tau_ps) = self.run_stage(FlowStage::Synthesis, || {
             stage::synthesize(bench, style, config, &cache, &env)
         })?;
+        let mut log = EditLog::default();
         let mut round1 = None;
         let design = loop {
+            // Only round 2 is undone past the stage that edited it (by
+            // the revert), so round 1's records go as each stage ends.
+            let forget_round1 = |log: &mut EditLog| {
+                if round1.is_none() {
+                    log.clear();
+                }
+            };
             let mut placement = self.run_stage(FlowStage::Placement, || {
-                stage::place(&env, config, tau_ps, &mut netlist)
+                stage::place(&env, config, tau_ps, &mut netlist, &mut log)
             })?;
+            forget_round1(&mut log);
             self.run_stage(FlowStage::PreRouteOpt, || {
-                stage::preroute(&env, &mut netlist, &mut placement)
+                stage::preroute(&env, &mut netlist, &mut placement, &mut log)
             })?;
+            forget_round1(&mut log);
             let (models, route) = self.run_stage(FlowStage::Routing, || {
-                stage::route(&env, config, tau_ps, &mut netlist, &mut placement)
+                stage::route(&env, config, tau_ps, &mut netlist, &mut placement, &mut log)
             })?;
+            forget_round1(&mut log);
             let mut design = Design {
                 netlist,
                 placement,
@@ -244,14 +258,15 @@ impl FlowSupervisor {
                 wns_after_opt: 0.0,
             };
             self.run_stage(FlowStage::PostRouteOpt, || {
-                stage::postroute(&env, config, &mut design)
+                stage::postroute(&env, config, &mut design, &mut log)
             })?;
+            forget_round1(&mut log);
             match round1.take() {
-                Some(first) => break keep_better_round(design, first),
+                Some(first) => break decide(design, first, &mut log, &env.lib),
                 None if floorplan_holds(&env, &design) => break design,
                 None => {
-                    round1 = Some(design.clone());
-                    netlist = design.netlist;
+                    netlist = std::mem::replace(&mut design.netlist, Netlist::new(""));
+                    round1 = Some(design);
                 }
             }
         };
@@ -387,26 +402,36 @@ fn floorplan_holds(env: &FlowEnv, design: &Design) -> bool {
     (basis / env.utilization - 1.0).abs() <= 0.10
 }
 
-/// Keeps whichever floorplan round closed better: round 2 can fail on
-/// stubborn designs, and then round 1's whole snapshot — its models and
-/// route summary included — is what sign-off reports.
-fn keep_better_round(round2: Design, round1: Design) -> Design {
-    if round2.wns_after_opt < round1.wns_after_opt.min(0.0) {
-        round1
-    } else {
-        round2
+/// Keeps whichever floorplan round closed better. Round 2 can fail on
+/// stubborn designs: it is dropped iff its WNS is below round 1's and
+/// negative. `round1` is round 1's design with its netlist taken out,
+/// since round 2 edited that netlist in place, and `log` holds round
+/// 2's edits alone: undoing them gives the netlist back, and round 1's
+/// placement, models and route summary are what sign-off reports.
+fn decide(round2: Design, mut round1: Design, log: &mut EditLog, lib: &CellLibrary) -> Design {
+    let worse = round2.wns_after_opt < round1.wns_after_opt.min(0.0);
+    if !worse {
+        return round2;
     }
+    let Design {
+        mut netlist,
+        mut placement,
+        ..
+    } = round2;
+    log.undo_to(0, &mut netlist, &mut placement, lib);
+    round1.netlist = netlist;
+    round1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m3d_netlist::BenchScale;
+    use m3d_netlist::{BenchScale, NetId};
     use m3d_route::LayerUsage;
-    use m3d_sta::NetModel;
+    use m3d_sta::{NetModel, OptMove};
     use m3d_tech::NodeId;
 
-    use crate::flow::try_extraction_models;
+    use crate::flow::{apply_moves, try_extraction_models};
     use crate::observe::{Recorder, VecRecorder};
     use crate::stage::router;
 
@@ -514,24 +539,76 @@ mod tests {
         }
     }
 
-    /// No small-suite flow reverts to round 1, so the revert is pinned
-    /// here: a round 2 that closes worse restores round 1's whole
-    /// snapshot, and sign-off reports round 1's route.
-    #[test]
-    fn decide_reverts_to_the_round_one_snapshot() {
-        let (_, env, wlm, design, _) = close(Benchmark::Aes, DesignStyle::TwoD);
-        let mut round1 = design;
-        round1.wns_after_opt = -1.0;
-        let mut round2 = round1.clone();
-        round2.wns_after_opt = -5.0;
-        for m in &mut round2.models {
+    /// Round 2 built the way the floorplan loop builds it: round 1's
+    /// netlist edited in place through logged moves (upsizes,
+    /// downsizes and repeaters, some on nets of eight sinks or more) on
+    /// a cleared log, a placement of its own, and models, route summary
+    /// and WNS that differ from round 1's.
+    fn round_two(
+        mut netlist: Netlist,
+        round1: &Design,
+        lib: &CellLibrary,
+        wns_after_opt: f64,
+        log: &mut EditLog,
+    ) -> Design {
+        let mut placement = round1.placement.clone();
+        placement.utilization *= 0.5;
+        for p in &mut placement.positions {
+            p.x += 1000;
+        }
+        let mut moves: Vec<OptMove> = netlist.inst_ids().step_by(7).map(OptMove::Upsize).collect();
+        moves.extend(netlist.inst_ids().skip(3).step_by(5).map(OptMove::Downsize));
+        let fanout = |n: &NetId| netlist.net(*n).sinks.len();
+        let wide: Vec<NetId> = netlist.net_ids().filter(|n| fanout(n) >= 8).collect();
+        let narrow = netlist.net_ids().filter(|n| (2..8).contains(&fanout(n)));
+        moves.extend(
+            wide.iter()
+                .copied()
+                .take(4)
+                .chain(narrow.step_by(9))
+                .map(|net| OptMove::BufferNet { net, repeaters: 2 }),
+        );
+        assert!(!wide.is_empty(), "the quadrant split runs");
+        let before = netlist.instance_count();
+        log.clear();
+        apply_moves(&mut netlist, &mut placement, lib, &moves, log);
+        assert!(
+            netlist.instance_count() > before,
+            "round 2 inserts repeaters"
+        );
+        let mut models = round1.models.clone();
+        for m in &mut models {
             m.c_wire += 1.0;
         }
-        round2.route.0 *= 2.0;
-        round2.placement.utilization *= 0.5;
+        models.resize(netlist.net_count(), NetModel::default());
+        Design {
+            netlist,
+            placement,
+            models,
+            route: (round1.route.0 * 2.0, round1.route.1.clone()),
+            wns_after_opt,
+        }
+    }
 
-        let kept = keep_better_round(round2.clone(), round1.clone());
-        assert_same_design(&kept, &round1);
+    /// No small-suite flow reverts to round 1, so the revert is pinned
+    /// here on a round 2 edited through the log: a round 2 that closes
+    /// worse gives back round 1's netlist, placement, models, route
+    /// summary and WNS bit for bit, and sign-off reports round 1's
+    /// route. A round 2 that closes no worse is kept as it is.
+    #[test]
+    fn decide_reverts_to_the_round_one_snapshot() {
+        let (_, env, wlm, mut round1, _) = close(Benchmark::Aes, DesignStyle::TwoD);
+        let lib = &*env.lib;
+        let mut log = EditLog::default();
+        round1.wns_after_opt = -1.0;
+        let want = round1.clone();
+
+        let netlist = std::mem::replace(&mut round1.netlist, Netlist::new(""));
+        let round2 = round_two(netlist, &want, lib, -5.0, &mut log);
+        let first = round1;
+        let kept = decide(round2, first, &mut log, lib);
+        assert_same_design(&kept, &want);
+        kept.netlist.check_consistency(lib);
         let result = stage::signoff(
             Benchmark::Aes,
             DesignStyle::TwoD,
@@ -543,13 +620,18 @@ mod tests {
         .expect("signs off");
         assert_eq!(
             route_bits(&(result.wirelength_um, result.layer_usage)),
-            route_bits(&round1.route)
+            route_bits(&want.route)
         );
 
-        // A round 2 that closed no worse is kept as it is.
-        let mut better = round2;
-        better.wns_after_opt = -0.5;
-        let kept = keep_better_round(better.clone(), round1);
-        assert_same_design(&kept, &better);
+        // A round 2 that closed no worse, at or above min(round 1, 0),
+        // is kept as it is.
+        for wns in [-0.5, -1.0] {
+            let mut first = want.clone();
+            let netlist = std::mem::replace(&mut first.netlist, Netlist::new(""));
+            let round2 = round_two(netlist, &want, lib, wns, &mut log);
+            let expected = round2.clone();
+            let kept = decide(round2, first, &mut log, lib);
+            assert_same_design(&kept, &expected);
+        }
     }
 }

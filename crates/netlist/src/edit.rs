@@ -77,6 +77,30 @@ impl Netlist {
         (inst, new_net)
     }
 
+    /// Undoes the newest [`Netlist::insert_repeater`], which split `net`
+    /// whose sink list was `old_sinks` before the split: pops the
+    /// repeater and its output net, rewires the moved sinks back to
+    /// `net` and restores `net`'s sink list. Undoing repeaters newest
+    /// first restores the netlist exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the newest instance is not a repeater whose input is
+    /// `net` and whose output is the newest net.
+    pub fn undo_repeater(&mut self, net: NetId, old_sinks: Vec<PinRef>) {
+        let inst = self.instances.pop().expect("a repeater to undo");
+        let moved = self.nets.pop().expect("the repeater's output net");
+        assert!(
+            inst.is_repeater && inst.pins == [net, NetId(self.nets.len() as u32)],
+            "newest instance is not the repeater on net {}",
+            net.0
+        );
+        for s in &moved.sinks {
+            self.instances[s.inst.0 as usize].pins[s.pin as usize] = net;
+        }
+        self.nets[net.0 as usize].sinks = old_sinks;
+    }
+
     /// Counts repeaters plus standalone inverters/buffers — the population
     /// the paper's "#buffers" column reports.
     pub fn repeater_count(&self, lib: &CellLibrary) -> usize {
@@ -139,6 +163,38 @@ mod tests {
         assert_eq!(n.net(a).sinks.len(), 4); // 3 kept + the buffer input
         assert_eq!(n.net(new_net).sinks.len(), 3);
         assert_eq!(n.repeater_count(&lib), 1);
+        n.check_consistency(&lib);
+    }
+
+    #[test]
+    fn undo_repeater_restores_one_and_two_chained_insertions() {
+        let lib = lib();
+        let mut b = NetlistBuilder::new(&lib, "t");
+        let x = b.input();
+        let a = b.gate(CellFunction::Inv, &[x]);
+        for _ in 0..6 {
+            b.gate(CellFunction::Inv, &[a]);
+        }
+        let original = b.finish();
+        let (buf, _) = lib.id_named("BUF_X2").expect("BUF_X2");
+
+        let mut n = original.clone();
+        let sinks = n.net(a).sinks.clone();
+        n.insert_repeater(a, &[1, 3, 4], buf, &lib);
+        n.undo_repeater(a, sinks);
+        assert_eq!(n, original);
+        n.check_consistency(&lib);
+
+        // A chain: the second repeater drives all of the first one's
+        // sinks. Undone newest first.
+        let first_sinks = n.net(a).sinks.clone();
+        let (_, mid) = n.insert_repeater(a, &[0, 2, 5], buf, &lib);
+        let second_sinks = n.net(mid).sinks.clone();
+        n.insert_repeater(mid, &[0, 1, 2], buf, &lib);
+        n.check_consistency(&lib);
+        n.undo_repeater(mid, second_sinks);
+        n.undo_repeater(a, first_sinks);
+        assert_eq!(n, original);
         n.check_consistency(&lib);
     }
 }

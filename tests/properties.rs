@@ -1,5 +1,5 @@
 //! Property-based integration tests over randomly generated netlists:
-//! placement containment, activity bounds, edit consistency.
+//! placement containment, activity bounds, edit consistency and undo.
 
 use std::sync::OnceLock;
 
@@ -7,7 +7,7 @@ use m3d_cells::{layout::generate_layout, CellFunction, CellLibrary, Topology};
 use m3d_extract::{extract_cell, TopSiliconModel};
 use m3d_geom::{LayerShape, Point, Rect};
 use m3d_netlist::{BenchScale, Benchmark, NetDriver, NetId, Netlist, NetlistBuilder, PinRef};
-use m3d_place::Placer;
+use m3d_place::{Placement, Placer};
 use m3d_power::propagate_activity;
 use m3d_route::{RoutedDesign, Router};
 use m3d_sta::{
@@ -16,7 +16,7 @@ use m3d_sta::{
 };
 use m3d_tech::{CellLayer, DesignStyle, MetalStack, NodeId, StackKind, TechNode};
 use monolith3d::gmi::{fm_bipartition, Bipartition};
-use monolith3d::{try_extraction_models, Flow, FlowConfig, FlowError};
+use monolith3d::{apply_moves, try_extraction_models, EditLog, Flow, FlowConfig, FlowError};
 use proptest::prelude::*;
 
 fn lib() -> &'static CellLibrary {
@@ -828,6 +828,100 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+/// AES and DES at small scale, in 2D and T-MI, each generated and placed
+/// once: the designs the edit-log property edits.
+fn placed_designs() -> &'static [(CellLibrary, Netlist, Placement)] {
+    static DESIGNS: OnceLock<Vec<(CellLibrary, Netlist, Placement)>> = OnceLock::new();
+    DESIGNS.get_or_init(|| {
+        let mut designs = Vec::new();
+        for bench in [Benchmark::Aes, Benchmark::Des] {
+            for style in [DesignStyle::TwoD, DesignStyle::Tmi] {
+                let l = CellLibrary::build(&TechNode::n45(), style);
+                let n = bench.generate(&l, BenchScale::Small);
+                let p = Placer::new(&l)
+                    .utilization(bench.target_utilization())
+                    .iterations(4)
+                    .try_place(&n)
+                    .expect("small benchmarks place");
+                designs.push((l, n, p));
+            }
+        }
+        designs
+    })
+}
+
+/// A random list of `len` moves on `n`: upsizes, downsizes and repeater
+/// chains of 1–3 stages. The first move and a third of the other chains
+/// go on nets of eight sinks or more, so that `apply_moves`' quadrant
+/// split runs.
+fn random_moves(n: &Netlist, rnd: &mut impl FnMut() -> u64, len: usize) -> Vec<OptMove> {
+    let wide: Vec<NetId> = n
+        .net_ids()
+        .filter(|&id| n.net(id).sinks.len() >= 8)
+        .collect();
+    (0..len)
+        .map(|k| {
+            let inst = m3d_netlist::InstId((rnd() % n.instance_count() as u64) as u32);
+            let repeaters = 1 + (rnd() % 3) as u32;
+            match if k == 0 { 3 } else { rnd() % 6 } {
+                0 | 1 => OptMove::Upsize(inst),
+                2 => OptMove::Downsize(inst),
+                3 if !wide.is_empty() => OptMove::BufferNet {
+                    net: wide[(rnd() % wide.len() as u64) as usize],
+                    repeaters,
+                },
+                _ => OptMove::BufferNet {
+                    net: NetId((rnd() % n.net_count() as u64) as u32),
+                    repeaters,
+                },
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Undoing the edit log back to a mark restores the netlist and the
+    /// placement exactly as they were at the mark, across nested marks:
+    /// each level applies a random move list under its own mark, and the
+    /// levels are undone innermost first.
+    #[test]
+    fn undo_restores_netlist_and_placement_bitwise(
+        seed in 0u64..1000,
+        levels in 2usize..4,
+        len in 1usize..120,
+    ) {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut rnd = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (l, original, placed) in placed_designs() {
+            let (mut n, mut p) = (original.clone(), placed.clone());
+            let mut log = EditLog::default();
+            let mut saved = Vec::new();
+            for _ in 0..levels {
+                saved.push((log.mark(), n.clone(), p.clone()));
+                let moves = random_moves(&n, &mut rnd, len);
+                apply_moves(&mut n, &mut p, l, &moves, &mut log);
+                n.check_consistency(l);
+                prop_assert_eq!(p.positions.len(), n.instance_count());
+            }
+            prop_assert!(n.instance_count() > original.instance_count());
+            while let Some((mark, want_n, want_p)) = saved.pop() {
+                log.undo_to(mark, &mut n, &mut p, l);
+                prop_assert!(n == want_n, "{}: netlist differs at mark {}", n.name, mark);
+                prop_assert!(p == want_p, "{}: placement differs at mark {}", n.name, mark);
+                n.check_consistency(l);
+            }
+            prop_assert_eq!(log.mark(), 0);
         }
     }
 }
