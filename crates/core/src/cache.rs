@@ -957,13 +957,6 @@ impl ArtifactCache {
             }
         };
         let counted = request == Request::Caller;
-        let hit = |coalesced: bool| {
-            memo.hits.fetch_add(1, Ordering::Relaxed);
-            self.emit(|| EventKind::CacheHit { kind: C::KIND });
-            if coalesced {
-                self.emit(|| EventKind::CacheCoalesced { kind: C::KIND });
-            }
-        };
         let miss = || {
             memo.misses.fetch_add(1, Ordering::Relaxed);
             self.emit(|| EventKind::CacheMiss { kind: C::KIND });
@@ -983,7 +976,7 @@ impl ArtifactCache {
                         miss();
                         built();
                     } else if counted {
-                        hit(waited);
+                        self.hit(memo, waited);
                     }
                     return Ok(v);
                 }
@@ -1014,7 +1007,7 @@ impl ArtifactCache {
                     cell.settle(BuildState::Ready(Arc::clone(&v), uncharged));
                     if counted {
                         if from_disk {
-                            hit(false);
+                            self.hit(memo, false);
                         } else {
                             built();
                         }
@@ -1030,6 +1023,40 @@ impl ArtifactCache {
                 }
             }
         }
+    }
+
+    /// Counts and traces one hit of class `C`; a hit that waited on
+    /// another request's build also traces `cache_coalesced`.
+    fn hit<C: MemoClass>(&self, memo: &Memo<C>, coalesced: bool) {
+        memo.hits.fetch_add(1, Ordering::Relaxed);
+        self.emit(|| EventKind::CacheHit { kind: C::KIND });
+        if coalesced {
+            self.emit(|| EventKind::CacheCoalesced { kind: C::KIND });
+        }
+    }
+
+    /// The memo's lookup that never builds: the artifact under `key` iff
+    /// its once-cell is `Ready` and its build already charged, served as
+    /// [`ArtifactCache::coalesce`] serves a warm caller (the LRU touch,
+    /// one counted and traced hit). Anything else is `None` with nothing
+    /// inserted, loaded from disk, counted or waited for.
+    fn if_ready<C: MemoClass>(&self, memo: &Memo<C>, key: &C::Key) -> Option<Arc<C::Value>> {
+        let cell = Arc::clone(memo.lru().get(key)?);
+        let v = match &*cell.state.lock().expect("build cell lock") {
+            BuildState::Ready(v, false) => Arc::clone(v),
+            _ => return None,
+        };
+        self.hit(memo, false);
+        Some(v)
+    }
+
+    /// The flow result under `key` iff it is already in memory: a warm
+    /// [`ArtifactCache::flow`] request that cannot run, load or wait.
+    /// A hit counts in `flow_hits` as that request would; a miss, an
+    /// in-flight run or an entry only on disk is `None` and counts
+    /// nothing.
+    pub fn flow_if_ready(&self, key: &FlowKey) -> Option<Arc<FlowResult>> {
+        self.if_ready(&self.results, key)
     }
 
     /// Drops every stored **memory-tier** artifact and resets the

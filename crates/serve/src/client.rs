@@ -38,15 +38,17 @@ impl ClientStream {
         })
     }
 
-    /// Writes one frame (the newline is appended here).
+    /// Writes one frame (the newline is appended here) in one `write`,
+    /// so the server never wakes on half a frame.
     ///
     /// # Errors
     ///
     /// Write failures, verbatim.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        frame.push('\n');
+        self.send_raw(frame.as_bytes())
     }
 
     /// Writes raw bytes with no framing — the robustness tests use

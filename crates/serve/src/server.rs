@@ -2,14 +2,16 @@
 //!
 //! Architecture: each accepted connection is a *client* with a fresh
 //! identity. A reader thread per connection parses JSONL frames;
-//! control ops (`ping`, `stats`, `shutdown`) and `table` renders are
-//! answered on that thread, while each `run` request — its id, cancel
-//! token, response writer and point — goes whole into the
-//! [`AdmissionQueue`] (per-client quotas, priority classes, every
-//! rejection handed back and answered with a typed error) and a pool
-//! of dispatcher threads pops and executes it over
-//! [`ParallelExecutor::run_point`] against the process-wide
-//! [`ArtifactCache`]. Identical concurrent submissions from different
+//! control ops (`ping`, `stats`, `shutdown`), `table` renders and every
+//! `run` whose result is already in memory
+//! ([`ArtifactCache::flow_if_ready`]) are answered on that thread. Any
+//! other `run` request — its id, cancel token, response writer and
+//! point — goes whole into the [`AdmissionQueue`] (per-client quotas,
+//! priority classes, every rejection handed back and answered with a
+//! typed error) and a pool of dispatcher threads pops and executes it
+//! over [`ParallelExecutor::run_point`] against the process-wide
+//! [`ArtifactCache`]: misses, runs in flight and entries only on disk
+//! all take the queue. Identical concurrent submissions from different
 //! connections therefore coalesce on the cache's per-key build cell
 //! and run the flow exactly once; every waiter gets its own response,
 //! and a waiter whose own deadline passes first gets its own typed
@@ -39,8 +41,8 @@ use m3d_bench::{node_drivers, paper_drivers};
 use m3d_netlist::BenchScale;
 use m3d_tech::NodeId;
 use monolith3d::{
-    ArtifactCache, CancelCause, CancelToken, FlowError, ParallelExecutor, PlanPoint, PointOutcome,
-    Recorder,
+    ArtifactCache, CancelCause, CancelToken, FlowError, FlowKey, ParallelExecutor, PlanPoint,
+    PointOutcome, Recorder,
 };
 
 use crate::protocol::{
@@ -370,18 +372,20 @@ fn drain_input(r: &mut impl Read) {
     }
 }
 
-fn send_line(conn: &ConnWriter, line: &str) {
+/// Writes one frame: `line` and its newline in one `write`, so the
+/// peer never wakes on half a frame. Takes the buffer to append to it.
+fn send_line(conn: &ConnWriter, mut line: String) {
+    line.push('\n');
     let mut w = conn.lock().expect("connection writer lock");
     // A dead peer is not the server's problem; drop the response.
     let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
     let _ = w.flush();
 }
 
 fn send_error(conn: &ConnWriter, id: u64, class: ErrorClass, detail: &str) {
     let mut buf = String::new();
     write_error(&mut buf, id, class, detail);
-    send_line(conn, &buf);
+    send_line(conn, buf);
 }
 
 fn connection_loop(inner: &Arc<Inner>, client: u64, stream: AnyStream) {
@@ -446,7 +450,7 @@ fn handle_request(
         Request::Ping => {
             let mut buf = String::new();
             write_pong(&mut buf, id);
-            send_line(conn, &buf);
+            send_line(conn, buf);
             true
         }
         Request::Stats => {
@@ -459,14 +463,14 @@ fn handle_request(
                 inner.protocol_errors.load(Ordering::Relaxed),
                 inner.queue.is_draining(),
             );
-            send_line(conn, &buf);
+            send_line(conn, buf);
             true
         }
         Request::Shutdown => {
             let pending = shutdown_inner(inner);
             let mut buf = String::new();
             write_shutdown(&mut buf, id, pending);
-            send_line(conn, &buf);
+            send_line(conn, buf);
             false
         }
         Request::Table { name, node, scale } => {
@@ -479,7 +483,7 @@ fn handle_request(
             // concurrent table requests (and any `run` traffic for the
             // same points) coalesce on its build cells.
             let answer = table_answer(id, &name, render_table(&name, node, scale));
-            send_line(conn, &answer);
+            send_line(conn, answer);
             true
         }
         Request::Run {
@@ -501,6 +505,20 @@ fn handle_request(
                 };
                 send_error(conn, id, class, "deadline expired before admission");
                 return true;
+            }
+            // A result already in memory is answered here, as a `ping`
+            // is: no queue slot, no quota, no dispatcher wake-up. A
+            // served point's config is built from a known node and a
+            // scale alone, so it always validates, and the answer is
+            // the one a dispatcher would send.
+            if !inner.queue.is_draining() {
+                let key = FlowKey::of(point.bench, point.style, &point.config);
+                if let Some(result) = inner.cache.flow_if_ready(&key) {
+                    let mut buf = String::new();
+                    write_run_done(&mut buf, id, &result);
+                    send_line(conn, buf);
+                    return true;
+                }
             }
             let run = Queued {
                 id,
@@ -575,7 +593,7 @@ fn dispatch_loop(inner: &Arc<Inner>) {
                 "request deadline exceeded",
             ),
         }
-        send_line(&run.conn, &buf);
+        send_line(&run.conn, buf);
     }
 }
 

@@ -1,21 +1,29 @@
 //! Integration tests for the m3d-serve experiment server: protocol
 //! robustness under hostile frames, the frame cap and pipelined
-//! frames, cross-connection coalescing, served tables identical to the
-//! batch binary, per-client quotas and typed admission events, instant
-//! deadline rejection, graceful drain with exactly one answer per
-//! request, and the TCP listener answering like the unix socket.
+//! frames, cross-connection coalescing, warm runs answered without the
+//! queue, served tables identical to the batch binary, per-client
+//! quotas and typed admission events, instant deadline rejection,
+//! graceful drain with exactly one answer per request, and the TCP
+//! listener answering like the unix socket.
 
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 use m3d_bench::{paper_drivers, SMOKE_SUBSET};
+use m3d_netlist::{BenchScale, Benchmark};
 use m3d_serve::client::{response_error, response_ok, ClientStream};
 use m3d_serve::{
     AdmissionError, AdmissionQueue, Listen, Priority, Server, ServerConfig, MAX_FRAME,
 };
-use monolith3d::{json_raw_field, json_str_field, ArtifactCache, EventKind, Recorder, VecRecorder};
+use m3d_tech::{DesignStyle, NodeId};
+use monolith3d::{
+    json_raw_field, json_str_field, ArtifactCache, CancelToken, EventKind, FlowConfig,
+    ParallelExecutor, PlanPoint, PointOutcome, Recorder, VecRecorder,
+};
 use proptest::prelude::*;
 
 fn scratch_dir(label: &str) -> PathBuf {
@@ -32,17 +40,47 @@ fn start(
     label: &str,
     cfg_tune: impl FnOnce(&mut ServerConfig),
 ) -> (Server, PathBuf, Arc<ArtifactCache>) {
-    let dir = scratch_dir(label);
-    let sock = dir.join("m3d.sock");
     let cache = Arc::new(ArtifactCache::bounded(16, 64));
+    let (server, sock) = start_on(label, Arc::clone(&cache), cfg_tune);
+    (server, sock, cache)
+}
+
+/// [`start`] on a given cache, e.g. one [`prewarm`]ed in-process.
+fn start_on(
+    label: &str,
+    cache: Arc<ArtifactCache>,
+    cfg_tune: impl FnOnce(&mut ServerConfig),
+) -> (Server, PathBuf) {
+    let sock = scratch_dir(label).join("m3d.sock");
     let mut cfg = ServerConfig {
         listen: vec![Listen::Unix(sock.clone())],
         dispatchers: 2,
         ..ServerConfig::default()
     };
     cfg_tune(&mut cfg);
-    let server = Server::start_on(cfg, Arc::clone(&cache)).expect("server starts");
-    (server, sock, cache)
+    let server = Server::start_on(cfg, cache).expect("server starts");
+    (server, sock)
+}
+
+/// The point [`RUN_DES_3D`] asks for.
+fn des_3d() -> PlanPoint {
+    PlanPoint {
+        bench: Benchmark::Des,
+        style: DesignStyle::Tmi,
+        config: FlowConfig::new(NodeId::N45).scale(BenchScale::Small),
+    }
+}
+
+/// Runs `point` into `cache` in-process, the way a dispatcher runs it,
+/// so a server on `cache` finds its result in memory.
+fn prewarm(cache: &Arc<ArtifactCache>, point: &PlanPoint) {
+    let outcome = ParallelExecutor::new(1)
+        .with_cache(Arc::clone(cache))
+        .run_point(point, &CancelToken::new());
+    assert!(
+        matches!(outcome, PointOutcome::Done(_)),
+        "prewarm: {outcome:?}"
+    );
 }
 
 fn connect(sock: &std::path::Path) -> ClientStream {
@@ -315,6 +353,151 @@ fn served_smoke_subset_matches_the_batch_golden() {
     server.join();
 }
 
+/// A raw unix connection whose reads give up after `timeout`: a test
+/// against a server with no dispatchers cannot wait for a queued `run`.
+struct TimedConn {
+    reader: BufReader<UnixStream>,
+    writer: UnixStream,
+}
+
+impl TimedConn {
+    fn open(sock: &std::path::Path, timeout: Duration) -> TimedConn {
+        // `Server::start_on` binds before it returns.
+        let writer = UnixStream::connect(sock).expect("connects");
+        let reader = BufReader::new(writer.try_clone().expect("clone stream"));
+        let c = TimedConn { reader, writer };
+        c.set_timeout(timeout);
+        c
+    }
+
+    fn set_timeout(&self, timeout: Duration) {
+        self.writer
+            .set_read_timeout(Some(timeout))
+            .expect("read timeout");
+    }
+
+    fn send(&mut self, frame: &str) {
+        self.writer
+            .write_all(format!("{frame}\n").as_bytes())
+            .expect("send");
+    }
+
+    /// The next answer, or `None` when none arrives within the timeout.
+    fn recv(&mut self) -> Option<String> {
+        let mut line = String::new();
+        match self.reader.read_line(&mut line) {
+            Ok(0) => panic!("server hung up"),
+            Ok(_) => Some(line.trim_end().to_string()),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => None,
+            Err(e) => panic!("read: {e}"),
+        }
+    }
+
+    fn request(&mut self, frame: &str) -> String {
+        self.send(frame);
+        self.recv()
+            .unwrap_or_else(|| panic!("no answer to {frame} within the timeout"))
+    }
+}
+
+/// The `run` frame for a point with no result in any test's cache
+/// before the test runs it.
+const RUN_FPU_2D: &str =
+    "{\"id\":2,\"op\":\"run\",\"bench\":\"FPU\",\"style\":\"2D\",\"scale\":\"small\"}";
+
+/// A `run` whose result is in memory is answered on the connection
+/// thread — here with no dispatcher at all — byte-identically to a
+/// dispatcher's answer and counted as one flow hit, while a cold key
+/// on the same connection stays queued until the drain answers it.
+#[test]
+fn a_warm_run_is_answered_without_a_dispatcher() {
+    let (server, sock, _cache) = start("warm-reference", |_| {});
+    let want = connect(&sock).request(RUN_DES_3D).expect("run answer");
+    assert!(response_ok(&want), "{want}");
+    server.shutdown();
+    server.join();
+
+    let cache = Arc::new(ArtifactCache::bounded(16, 64));
+    prewarm(&cache, &des_3d());
+    let before = cache.stats();
+    let (server, sock) = start_on("warm", Arc::clone(&cache), |cfg| cfg.dispatchers = 0);
+    let mut c = TimedConn::open(&sock, Duration::from_secs(10));
+    assert_eq!(
+        c.request(RUN_DES_3D),
+        want,
+        "a warm answer is a dispatcher's"
+    );
+    let after = cache.stats();
+    assert_eq!(after.flow_hits, before.flow_hits + 1, "{after:?}");
+    assert_eq!(after.flow_stores, before.flow_stores, "{after:?}");
+
+    // A cold key is queued, and no dispatcher runs it...
+    c.send(RUN_FPU_2D);
+    c.set_timeout(Duration::from_millis(200));
+    assert_eq!(c.recv(), None, "a cold run waits in the queue");
+    // ...while a warm one behind it on the same connection is answered.
+    c.set_timeout(Duration::from_secs(10));
+    let again = RUN_DES_3D.replace("\"id\":1", "\"id\":3");
+    assert!(response_ok(&c.request(&again)));
+    assert_eq!(cache.stats().flow_hits, before.flow_hits + 2);
+    assert_eq!(server.shutdown(), 1, "only the cold run was queued");
+    let drained = c.recv().expect("drain answer");
+    assert_eq!(json_raw_field(&drained, "id"), Some("2"), "{drained}");
+    assert_eq!(
+        response_error(&drained).as_deref(),
+        Some("draining"),
+        "{drained}"
+    );
+    server.join();
+}
+
+/// The expired-deadline rejection still comes first for a warm key.
+#[test]
+fn a_warm_run_with_a_zero_deadline_is_still_rejected() {
+    let cache = Arc::new(ArtifactCache::bounded(16, 64));
+    prewarm(&cache, &des_3d());
+    let hits = cache.stats().flow_hits;
+    let (server, sock) = start_on("warm-deadline0", Arc::clone(&cache), |cfg| {
+        cfg.dispatchers = 0;
+    });
+    let mut c = TimedConn::open(&sock, Duration::from_secs(10));
+    let resp = c.request(
+        "{\"id\":4,\"op\":\"run\",\"bench\":\"DES\",\"style\":\"3D\",\"scale\":\"small\",\"deadline_ms\":0}",
+    );
+    assert_eq!(
+        response_error(&resp).as_deref(),
+        Some("deadline_exceeded"),
+        "{resp}"
+    );
+    assert_eq!(cache.stats().flow_hits, hits, "a rejection is not a hit");
+    server.shutdown();
+    server.join();
+}
+
+/// A warm answer takes no quota: a client whose one slot holds a
+/// queued cold run still gets its warm run answered, and its next cold
+/// run is still over quota.
+#[test]
+fn a_client_at_quota_still_gets_warm_runs_answered() {
+    let cache = Arc::new(ArtifactCache::bounded(16, 64));
+    prewarm(&cache, &des_3d());
+    let (server, sock) = start_on("warm-quota", cache, |cfg| {
+        cfg.dispatchers = 0;
+        cfg.quota = Some(1);
+    });
+    let mut c = TimedConn::open(&sock, Duration::from_secs(10));
+    c.send(RUN_FPU_2D);
+    assert!(response_ok(&c.request(RUN_DES_3D)));
+    let over = c.request(&RUN_FPU_2D.replace("\"id\":2", "\"id\":5"));
+    assert_eq!(
+        response_error(&over).as_deref(),
+        Some("quota_exhausted"),
+        "{over}"
+    );
+    assert_eq!(server.shutdown(), 1);
+    server.join();
+}
+
 #[test]
 fn per_client_quota_rejects_and_drain_answers_every_queued_request() {
     let (server, sock, _cache) = start("quota-drain", |cfg| {
@@ -357,10 +540,11 @@ fn per_client_quota_rejects_and_drain_answers_every_queued_request() {
 }
 
 /// Every pipelined `run` id gets exactly one answer across a drain,
-/// whichever side of it its frame lands on: queued requests are
-/// answered `draining` by the drain, and the rest are rejected at
-/// admission (quota, capacity, or the drain itself). Frames sent while
-/// the drain runs may go unread, but none is answered twice.
+/// whichever side of it its frame lands on: a warm point is answered
+/// from the cache until the drain starts, queued requests are answered
+/// `draining` by the drain, and the rest are rejected at admission
+/// (quota, capacity, or the drain itself). Frames sent while the drain
+/// runs may go unread, but none is answered twice.
 #[test]
 fn every_pipelined_run_is_answered_exactly_once_across_a_drain() {
     const CONNS: usize = 4;
@@ -381,10 +565,14 @@ fn every_pipelined_run_is_answered_exactly_once_across_a_drain() {
              \"scale\":\"small\",\"priority\":\"{priority}\"}}\n"
         )
     };
+    // DES 3D is the warm point: ids 2 and 7 of connection 1, 1 of
+    // connection 2, 5 of connection 3 and 8 of connection 0.
+    let cache = Arc::new(ArtifactCache::bounded(16, 64));
+    prewarm(&cache, &des_3d());
     for round in 0..8u64 {
-        let (server, sock, _cache) = start("exactly-once", |cfg| {
+        let (server, sock) = start_on("exactly-once", Arc::clone(&cache), |cfg| {
             // No dispatchers: nothing runs, so every answer comes from
-            // admission or the drain.
+            // the cache, admission or the drain.
             cfg.dispatchers = 0;
             cfg.queue_capacity = 12;
             cfg.quota = Some(4);
@@ -414,13 +602,19 @@ fn every_pipelined_run_is_answered_exactly_once_across_a_drain() {
                     // Reading stops at the hangup, which is a reset when
                     // late frames were left unread.
                     while let Ok(Some(resp)) = c.recv_line() {
-                        let class = response_error(&resp).expect("a typed error");
-                        assert!(
-                            ["draining", "quota_exhausted", "queue_full"].contains(&class.as_str()),
-                            "{resp}"
-                        );
                         let id = json_raw_field(&resp, "id").and_then(|v| v.parse::<u64>().ok());
-                        answered.push(id.expect("an id"));
+                        let id = id.expect("an id");
+                        if response_ok(&resp) {
+                            assert_eq!(point(conn, id), ("DES", "3D"), "{resp}");
+                        } else {
+                            let class = response_error(&resp).expect("a typed error");
+                            assert!(
+                                ["draining", "quota_exhausted", "queue_full"]
+                                    .contains(&class.as_str()),
+                                "{resp}"
+                            );
+                        }
+                        answered.push(id);
                     }
                     answered
                 })
