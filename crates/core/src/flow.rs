@@ -412,21 +412,26 @@ pub fn try_extraction_models(
     routed: &RoutedDesign,
     node: &TechNode,
 ) -> Result<Vec<NetModel>, ExtractError> {
-    netlist
-        .net_ids()
-        .map(|id| {
-            let rn = routed.net(id);
-            let p = try_extract_net(node, &routed.stack, &rn.segments, rn.via_count)?;
-            // try_extract_net sums all segments in series (trunk model); a
-            // multi-sink net branches, so the driver-to-worst-sink
-            // resistance is closer to total / sqrt(fanout).
-            let sinks = netlist.net(id).sinks.len().max(1) as f64;
-            Ok(NetModel {
-                c_wire: p.c_wire,
-                r_wire: p.r_wire / sinks.sqrt(),
-            })
-        })
-        .collect()
+    // Filled in place: a `collect` through `Result` would start from a
+    // size hint of 0 and grow by doubling.
+    let mut models = Vec::with_capacity(netlist.net_count());
+    for id in netlist.net_ids() {
+        let p = try_extract_net(
+            node,
+            &routed.stack,
+            routed.segments(id),
+            routed.net(id).via_count,
+        )?;
+        // try_extract_net sums all segments in series (trunk model); a
+        // multi-sink net branches, so the driver-to-worst-sink
+        // resistance is closer to total / sqrt(fanout).
+        let sinks = netlist.net(id).sinks.len().max(1) as f64;
+        models.push(NetModel {
+            c_wire: p.c_wire,
+            r_wire: p.r_wire / sinks.sqrt(),
+        });
+    }
+    Ok(models)
 }
 
 /// One netlist edit [`apply_moves`] made, as much as undoing it needs.

@@ -27,7 +27,7 @@
 //! let m2 = stack.by_name("M2").expect("M2 exists").index;
 //! let m7 = stack.by_name("M7").expect("M7 exists").index;
 //! // A net with 12 um on M2 and 80 um on M7, 4 vias.
-//! let p = try_extract_net(&node, &stack, &[(m2, 12.0), (m7, 80.0)], 4).expect("extraction succeeds");
+//! let p = try_extract_net(&node, &stack, [(m2, 12.0), (m7, 80.0)], 4).expect("extraction succeeds");
 //! assert!(p.c_wire > 0.0 && p.r_wire > 0.0);
 //! assert_eq!(p.length_um(), 92.0);
 //! ```

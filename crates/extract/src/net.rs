@@ -102,7 +102,7 @@ fn class_slot(class: MetalClass) -> usize {
 pub fn try_extract_net(
     node: &TechNode,
     stack: &MetalStack,
-    segments: &[(u16, f64)],
+    segments: impl IntoIterator<Item = (u16, f64)>,
     via_count: u32,
 ) -> Result<NetParasitics, ExtractError> {
     let mut p = NetParasitics {
@@ -111,7 +111,7 @@ pub fn try_extract_net(
         ..Default::default()
     };
     let layers = stack.layers();
-    for &(layer_idx, len_um) in segments {
+    for (layer_idx, len_um) in segments {
         let layer = layers
             .get(layer_idx as usize)
             .ok_or(ExtractError::LayerOutOfRange {
@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn empty_net_has_only_via_resistance() {
         let (node, stack) = ctx();
-        let p = try_extract_net(&node, &stack, &[], 3).expect("extraction succeeds");
+        let p = try_extract_net(&node, &stack, [], 3).expect("extraction succeeds");
         assert_eq!(p.c_wire, 0.0);
         assert!((p.r_wire - 3.0 * node.via_resistance).abs() < 1e-12);
         assert_eq!(p.length_um(), 0.0);
@@ -156,8 +156,8 @@ mod tests {
     fn capacitance_scales_linearly_with_length() {
         let (node, stack) = ctx();
         let m2 = stack.by_name("M2").expect("M2").index;
-        let p1 = try_extract_net(&node, &stack, &[(m2, 10.0)], 0).expect("extraction succeeds");
-        let p2 = try_extract_net(&node, &stack, &[(m2, 20.0)], 0).expect("extraction succeeds");
+        let p1 = try_extract_net(&node, &stack, [(m2, 10.0)], 0).expect("extraction succeeds");
+        let p2 = try_extract_net(&node, &stack, [(m2, 20.0)], 0).expect("extraction succeeds");
         assert!((p2.c_wire / p1.c_wire - 2.0).abs() < 1e-9);
         assert!((p2.r_wire / p1.r_wire - 2.0).abs() < 1e-9);
     }
@@ -172,7 +172,7 @@ mod tests {
         let p = try_extract_net(
             &node,
             &stack,
-            &[(mb1, 1.0), (m4, 5.0), (m8, 7.0), (m10, 40.0)],
+            [(mb1, 1.0), (m4, 5.0), (m8, 7.0), (m10, 40.0)],
             6,
         )
         .expect("extraction succeeds");
@@ -185,9 +185,9 @@ mod tests {
         let (node, stack) = ctx();
         let m2 = stack.by_name("M2").expect("M2").index;
         let m10 = stack.by_name("M10").expect("M10").index;
-        let local = try_extract_net(&node, &stack, &[(m2, 100.0)], 0).expect("extraction succeeds");
+        let local = try_extract_net(&node, &stack, [(m2, 100.0)], 0).expect("extraction succeeds");
         let global =
-            try_extract_net(&node, &stack, &[(m10, 100.0)], 0).expect("extraction succeeds");
+            try_extract_net(&node, &stack, [(m10, 100.0)], 0).expect("extraction succeeds");
         assert!(global.r_wire < local.r_wire / 10.0);
     }
 
@@ -195,7 +195,7 @@ mod tests {
     fn elmore_grows_with_load() {
         let (node, stack) = ctx();
         let m4 = stack.by_name("M4").expect("M4").index;
-        let p = try_extract_net(&node, &stack, &[(m4, 50.0)], 2).expect("extraction succeeds");
+        let p = try_extract_net(&node, &stack, [(m4, 50.0)], 2).expect("extraction succeeds");
         assert!(p.elmore_into(5.0) > p.elmore_into(1.0));
         assert!(p.elmore_into(0.0) > 0.0);
     }
@@ -204,8 +204,8 @@ mod tests {
     fn merge_accumulates() {
         let (node, stack) = ctx();
         let m2 = stack.by_name("M2").expect("M2").index;
-        let mut a = try_extract_net(&node, &stack, &[(m2, 10.0)], 1).expect("extraction succeeds");
-        let b = try_extract_net(&node, &stack, &[(m2, 5.0)], 2).expect("extraction succeeds");
+        let mut a = try_extract_net(&node, &stack, [(m2, 10.0)], 1).expect("extraction succeeds");
+        let b = try_extract_net(&node, &stack, [(m2, 5.0)], 2).expect("extraction succeeds");
         a.merge(&b);
         assert_eq!(a.via_count, 3);
         assert!((a.class_len_um[1] - 15.0).abs() < 1e-12);

@@ -1,6 +1,6 @@
 use m3d_cells::{CellFunction, CellLibrary};
 
-use crate::{InstId, Instance, Net, NetDriver, NetId, Netlist, PinRef};
+use crate::{InstId, Instance, Net, NetDriver, NetId, Netlist, PinRef, Pins};
 
 /// Incremental netlist constructor used by the benchmark generators.
 ///
@@ -80,11 +80,10 @@ impl<'l> NetlistBuilder<'l> {
         );
         let cell = self.lib.smallest(function);
         let inst = InstId(self.n.instances.len() as u32);
-        let mut pins = inputs.to_vec();
         let outs: Vec<NetId> = (0..function.output_count())
             .map(|o| self.fresh_net(NetDriver::Cell { inst, pin: o as u8 }))
             .collect();
-        pins.extend(&outs);
+        let pins = Pins::from_slice(&[inputs, &outs].concat());
         for (p, &net) in inputs.iter().enumerate() {
             self.n.nets[net.0 as usize]
                 .sinks
@@ -123,7 +122,7 @@ impl<'l> NetlistBuilder<'l> {
             .push(PinRef { inst, pin: 1 });
         self.n.instances.push(Instance {
             cell,
-            pins: vec![d, clock, q],
+            pins: Pins::from_slice(&[d, clock, q]),
             is_repeater: false,
         });
         q

@@ -3,7 +3,7 @@
 
 use m3d_cells::{CellFunction, CellId, CellLibrary};
 
-use crate::{InstId, Instance, Net, NetDriver, NetId, Netlist, PinRef};
+use crate::{InstId, Instance, Net, NetDriver, NetId, Netlist, PinRef, Pins};
 
 impl Netlist {
     /// Swaps the library cell of `inst` to another drive variant of the
@@ -71,7 +71,7 @@ impl Netlist {
         });
         self.instances.push(Instance {
             cell: buf,
-            pins: vec![net, new_net],
+            pins: Pins::from_slice(&[net, new_net]),
             is_repeater: true,
         });
         (inst, new_net)
@@ -91,7 +91,7 @@ impl Netlist {
         let inst = self.instances.pop().expect("a repeater to undo");
         let moved = self.nets.pop().expect("the repeater's output net");
         assert!(
-            inst.is_repeater && inst.pins == [net, NetId(self.nets.len() as u32)],
+            inst.is_repeater && *inst.pins == [net, NetId(self.nets.len() as u32)],
             "newest instance is not the repeater on net {}",
             net.0
         );
@@ -196,5 +196,20 @@ mod tests {
         n.undo_repeater(a, first_sinks);
         assert_eq!(n, original);
         n.check_consistency(&lib);
+    }
+
+    #[test]
+    #[should_panic(expected = "not the repeater on net 0")]
+    fn undo_repeater_checks_the_repeater_input() {
+        let lib = lib();
+        let mut b = NetlistBuilder::new(&lib, "t");
+        let x = b.input();
+        let a = b.gate(CellFunction::Inv, &[x]);
+        b.gate(CellFunction::Inv, &[a]);
+        let mut n = b.finish();
+        let (buf, _) = lib.id_named("BUF_X2").expect("BUF_X2");
+        let sinks = n.net(a).sinks.clone();
+        n.insert_repeater(a, &[0], buf, &lib);
+        n.undo_repeater(x, sinks);
     }
 }

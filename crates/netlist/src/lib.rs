@@ -45,6 +45,6 @@ mod topo;
 
 pub use builder::NetlistBuilder;
 pub use circuits::{BenchScale, Benchmark};
-pub use netlist::{InstId, Instance, Net, NetDriver, NetId, Netlist, PinRef};
+pub use netlist::{InstId, Instance, Net, NetDriver, NetId, Netlist, PinRef, Pins};
 pub use stats::NetlistStats;
 pub use topo::levelize;

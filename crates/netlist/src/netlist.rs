@@ -35,13 +35,67 @@ pub enum NetDriver {
     None,
 }
 
+/// The nets on one instance's pins, stored inline: no library cell has
+/// more than [`Pins::MAX`] pins (AOI22 has 4 inputs and 1 output, the
+/// full adder 3 and 2). Derefs to `[NetId]`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct Pins {
+    len: u8,
+    nets: [NetId; Pins::MAX],
+}
+
+impl Pins {
+    /// The most pins a cell has.
+    pub const MAX: usize = 5;
+
+    /// The pins `nets`, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nets` holds more than [`Pins::MAX`] nets.
+    pub fn from_slice(nets: &[NetId]) -> Self {
+        assert!(
+            nets.len() <= Pins::MAX,
+            "{} pins, at most {} fit",
+            nets.len(),
+            Pins::MAX
+        );
+        let mut pins = Pins {
+            len: nets.len() as u8,
+            nets: [NetId(0); Pins::MAX],
+        };
+        pins.nets[..nets.len()].copy_from_slice(nets);
+        pins
+    }
+}
+
+impl std::ops::Deref for Pins {
+    type Target = [NetId];
+
+    fn deref(&self) -> &[NetId] {
+        &self.nets[..self.len as usize]
+    }
+}
+
+impl std::ops::DerefMut for Pins {
+    fn deref_mut(&mut self) -> &mut [NetId] {
+        &mut self.nets[..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for Pins {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One placed-netlist instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Instance {
     /// Library cell.
     pub cell: CellId,
     /// Net connected to each input pin (input order), then each output pin.
-    pub pins: Vec<NetId>,
+    pub pins: Pins,
     /// Set for buffers/inverters inserted by optimization — the population
     /// the paper's "#buffers" column counts.
     pub is_repeater: bool,
@@ -270,6 +324,39 @@ mod tests {
         let nand = lib.cell_named("NAND2_X1").expect("nand");
         let expect = inv.input_cap(0) + nand.input_cap(0);
         assert!((n.net_pin_cap(a, &lib) - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pins_hold_up_to_five_nets_inline() {
+        let nets: Vec<NetId> = (0..5).map(NetId).collect();
+        for k in 0..=Pins::MAX {
+            let mut pins = Pins::from_slice(&nets[..k]);
+            assert_eq!(*pins, nets[..k]);
+            if k > 0 {
+                pins[k - 1] = NetId(9);
+                assert_eq!(pins.last(), Some(&NetId(9)));
+            }
+        }
+        // Every cell of both libraries fits.
+        for style in [DesignStyle::TwoD, DesignStyle::Tmi] {
+            let lib = CellLibrary::build(&TechNode::n45(), style);
+            for (_, c) in lib.iter() {
+                assert!(
+                    c.pins.len() <= Pins::MAX,
+                    "{} has {} pins",
+                    c.name,
+                    c.pins.len()
+                );
+            }
+        }
+        assert!(std::mem::size_of::<Instance>() <= 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "6 pins, at most 5 fit")]
+    fn pins_reject_a_sixth_net() {
+        let nets: Vec<NetId> = (0..6).map(NetId).collect();
+        Pins::from_slice(&nets);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use m3d_cells::CellLibrary;
 use m3d_geom::{Nm, Point, Rect};
-use m3d_netlist::{NetDriver, Netlist};
+use m3d_netlist::{NetDriver, NetId, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -133,11 +133,12 @@ impl<'l> Placer<'l> {
                 });
             }
         }
-        Ok(self.place_validated(netlist))
+        Ok(self.place_validated(netlist, &Adjacency::new(netlist)))
     }
 
-    /// The placement proper; inputs validated by [`Placer::try_place`].
-    fn place_validated(&self, netlist: &Netlist) -> Placement {
+    /// The placement proper over `netlist`'s adjacency `adj`; inputs
+    /// validated by [`Placer::try_place`].
+    fn place_validated(&self, netlist: &Netlist, adj: &Adjacency) -> Placement {
         let lib = self.lib;
         let n_inst = netlist.instance_count();
         // Core sizing budgets each cell's *effective* width — footprint
@@ -215,46 +216,14 @@ impl<'l> Placer<'l> {
             );
         }
 
-        // Precompute per-instance net membership, skipping the clock and
-        // other degenerate nets.
-        let clock = netlist.clock;
-        let mut inst_nets: Vec<Vec<u32>> = vec![Vec::new(); n_inst];
-        let mut net_pins: Vec<Vec<u32>> = vec![Vec::new(); netlist.net_count()];
-        let mut net_port: Vec<Option<u32>> = vec![None; netlist.net_count()];
-        for nid in netlist.net_ids() {
-            if Some(nid) == clock {
-                continue;
-            }
-            let net = netlist.net(nid);
-            if net.sinks.len() > 64 {
-                continue; // huge fanout nets carry no placement force
-            }
-            match net.driver {
-                NetDriver::Cell { inst, .. } => net_pins[nid.0 as usize].push(inst.0),
-                NetDriver::Port(p) => net_port[nid.0 as usize] = Some(p),
-                NetDriver::None => {}
-            }
-            for s in &net.sinks {
-                net_pins[nid.0 as usize].push(s.inst.0);
-            }
-            for &i in &net_pins[nid.0 as usize] {
-                inst_nets[i as usize].push(nid.0);
-            }
-        }
-        // Deduplicate membership (a cell can appear twice on one net).
-        for v in &mut inst_nets {
-            v.sort_unstable();
-            v.dedup();
-        }
-
         // Gauss-Seidel toward net centroids with periodic spreading.
         let mut cx: Vec<f64> = vec![0.0; netlist.net_count()];
         let mut cy: Vec<f64> = vec![0.0; netlist.net_count()];
         for iter in 0..self.iterations {
             // Net centroids.
             for nid in 0..netlist.net_count() {
-                let pins = &net_pins[nid];
-                if pins.is_empty() && net_port[nid].is_none() {
+                let pins = adj.pins(nid);
+                if pins.is_empty() && adj.net_port[nid].is_none() {
                     continue;
                 }
                 let mut sx = 0.0;
@@ -265,7 +234,7 @@ impl<'l> Placer<'l> {
                     sy += ys[i as usize];
                     k += 1.0;
                 }
-                if let Some(p) = net_port[nid] {
+                if let Some(p) = adj.net_port[nid] {
                     if let Some(pp) = port_positions.get(p as usize) {
                         // Ports anchor with double weight so designs stay
                         // attached to their pads.
@@ -281,7 +250,7 @@ impl<'l> Placer<'l> {
             }
             // Move cells toward the mean of their nets' centroids.
             for i in 0..n_inst {
-                let nets = &inst_nets[i];
+                let nets = adj.nets(i);
                 if nets.is_empty() {
                     continue;
                 }
@@ -333,16 +302,240 @@ impl<'l> Placer<'l> {
     }
 }
 
+/// The net/instance membership the centroid iterations read, in CSR
+/// (compressed sparse row) form: per direction, one offset array and one
+/// flat id array instead of one `Vec` per net and per instance. The
+/// clock and nets of fanout above 64 carry no placement force, so they
+/// have no pins here.
+#[derive(Debug, PartialEq)]
+struct Adjacency {
+    /// Net `n`'s instances are `pin_ids[pin_start[n]..pin_start[n + 1]]`:
+    /// the driver, then the sinks in sink order (a cell on the net twice
+    /// appears twice).
+    pin_start: Vec<u32>,
+    pin_ids: Vec<u32>,
+    /// The primary input driving each net, if any.
+    net_port: Vec<Option<u32>>,
+    /// Instance `i`'s nets are `net_ids[net_start[i]..net_start[i + 1]]`,
+    /// ascending and each once.
+    net_start: Vec<u32>,
+    net_ids: Vec<u32>,
+}
+
+impl Adjacency {
+    fn new(netlist: &Netlist) -> Self {
+        let n_nets = netlist.net_count();
+        let n_inst = netlist.instance_count();
+        let forced = |nid: NetId| {
+            let net = netlist.net(nid);
+            (Some(nid) != netlist.clock && net.sinks.len() <= 64).then_some(net)
+        };
+        let pin_count: usize = netlist
+            .net_ids()
+            .filter_map(forced)
+            .map(|net| net.sinks.len() + usize::from(matches!(net.driver, NetDriver::Cell { .. })))
+            .sum();
+        let mut pin_start = Vec::with_capacity(n_nets + 1);
+        let mut pin_ids = Vec::with_capacity(pin_count);
+        let mut net_port = vec![None; n_nets];
+        pin_start.push(0);
+        for nid in netlist.net_ids() {
+            if let Some(net) = forced(nid) {
+                match net.driver {
+                    NetDriver::Cell { inst, .. } => pin_ids.push(inst.0),
+                    NetDriver::Port(p) => net_port[nid.0 as usize] = Some(p),
+                    NetDriver::None => {}
+                }
+                pin_ids.extend(net.sinks.iter().map(|s| s.inst.0));
+            }
+            pin_start.push(pin_ids.len() as u32);
+        }
+
+        // Nets are visited in id order, so each instance's list comes out
+        // ascending and a repeat can only follow its own first entry.
+        // Count, then fill.
+        let each_member = |f: &mut dyn FnMut(usize, u32)| {
+            let mut last = vec![u32::MAX; n_inst];
+            for n in 0..n_nets {
+                for &i in &pin_ids[pin_start[n] as usize..pin_start[n + 1] as usize] {
+                    if last[i as usize] != n as u32 {
+                        last[i as usize] = n as u32;
+                        f(i as usize, n as u32);
+                    }
+                }
+            }
+        };
+        let mut net_start = vec![0u32; n_inst + 1];
+        each_member(&mut |i, _| net_start[i + 1] += 1);
+        for i in 0..n_inst {
+            net_start[i + 1] += net_start[i];
+        }
+        let mut net_ids = vec![0u32; net_start[n_inst] as usize];
+        let mut fill = net_start[..n_inst].to_vec();
+        each_member(&mut |i, n| {
+            net_ids[fill[i] as usize] = n;
+            fill[i] += 1;
+        });
+        Adjacency {
+            pin_start,
+            pin_ids,
+            net_port,
+            net_start,
+            net_ids,
+        }
+    }
+
+    /// Net `net`'s instances.
+    fn pins(&self, net: usize) -> &[u32] {
+        &self.pin_ids[self.pin_start[net] as usize..self.pin_start[net + 1] as usize]
+    }
+
+    /// Instance `inst`'s nets.
+    fn nets(&self, inst: usize) -> &[u32] {
+        &self.net_ids[self.net_start[inst] as usize..self.net_start[inst + 1] as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m3d_netlist::{BenchScale, Benchmark};
+    use m3d_cells::CellFunction;
+    use m3d_netlist::{BenchScale, Benchmark, NetlistBuilder};
     use m3d_tech::{DesignStyle, TechNode};
+    use proptest::prelude::*;
 
     fn ctx() -> (CellLibrary, Netlist) {
         let lib = CellLibrary::build(&TechNode::n45(), DesignStyle::TwoD);
         let n = Benchmark::Aes.generate(&lib, BenchScale::Small);
         (lib, n)
+    }
+
+    /// The per-net and per-instance `Vec` build the CSR adjacency
+    /// replaced, kept verbatim as its bit-exact reference and flattened
+    /// list by list.
+    fn reference_adjacency(netlist: &Netlist) -> Adjacency {
+        let n_inst = netlist.instance_count();
+        let clock = netlist.clock;
+        let mut inst_nets: Vec<Vec<u32>> = vec![Vec::new(); n_inst];
+        let mut net_pins: Vec<Vec<u32>> = vec![Vec::new(); netlist.net_count()];
+        let mut net_port: Vec<Option<u32>> = vec![None; netlist.net_count()];
+        for nid in netlist.net_ids() {
+            if Some(nid) == clock {
+                continue;
+            }
+            let net = netlist.net(nid);
+            if net.sinks.len() > 64 {
+                continue; // huge fanout nets carry no placement force
+            }
+            match net.driver {
+                NetDriver::Cell { inst, .. } => net_pins[nid.0 as usize].push(inst.0),
+                NetDriver::Port(p) => net_port[nid.0 as usize] = Some(p),
+                NetDriver::None => {}
+            }
+            for s in &net.sinks {
+                net_pins[nid.0 as usize].push(s.inst.0);
+            }
+            for &i in &net_pins[nid.0 as usize] {
+                inst_nets[i as usize].push(nid.0);
+            }
+        }
+        // Deduplicate membership (a cell can appear twice on one net).
+        for v in &mut inst_nets {
+            v.sort_unstable();
+            v.dedup();
+        }
+        let flatten = |lists: &[Vec<u32>]| {
+            let mut start = vec![0u32];
+            let mut ids = Vec::new();
+            for l in lists {
+                ids.extend_from_slice(l);
+                start.push(ids.len() as u32);
+            }
+            (start, ids)
+        };
+        let (pin_start, pin_ids) = flatten(&net_pins);
+        let (net_start, net_ids) = flatten(&inst_nets);
+        Adjacency {
+            pin_start,
+            pin_ids,
+            net_port,
+            net_start,
+            net_ids,
+        }
+    }
+
+    /// Checks the CSR adjacency, and the placement over it, against the
+    /// reference build.
+    fn assert_matches_reference(lib: &CellLibrary, n: &Netlist, iterations: usize) {
+        let adj = Adjacency::new(n);
+        let reference = reference_adjacency(n);
+        assert_eq!(adj, reference);
+        let placer = Placer::new(lib).iterations(iterations);
+        assert_eq!(
+            placer.place_validated(n, &adj),
+            placer.place_validated(n, &reference)
+        );
+    }
+
+    #[test]
+    fn benchmark_adjacency_and_placement_match_the_reference() {
+        let lib = CellLibrary::build(&TechNode::n45(), DesignStyle::TwoD);
+        for bench in Benchmark::ALL {
+            let n = bench.generate(&lib, BenchScale::Small);
+            assert_matches_reference(&lib, &n, 8);
+        }
+    }
+
+    /// A random netlist with a cell on one net twice, flip-flops on the
+    /// clock, a net of fanout `fanout` (above 64 drops it from the
+    /// adjacency) and port-driven nets.
+    fn random_netlist(lib: &CellLibrary, seed: u64, gates: usize, fanout: usize) -> Netlist {
+        let mut state = seed | 1;
+        let mut rnd = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut b = NetlistBuilder::new(lib, "random");
+        let mut nets: Vec<NetId> = b.inputs(1 + rnd(6));
+        let twice = b.gate(CellFunction::Nand2, &[nets[0], nets[0]]);
+        nets.push(twice);
+        for _ in 0..gates {
+            let function = CellFunction::ALL[rnd(CellFunction::ALL.len())];
+            if function.is_sequential() {
+                let d = nets[rnd(nets.len())];
+                nets.push(b.dff(d));
+                continue;
+            }
+            let ins: Vec<NetId> = (0..function.input_count())
+                .map(|_| nets[rnd(nets.len())])
+                .collect();
+            nets.extend(b.gate_outputs(function, &ins));
+        }
+        let wide = nets[rnd(nets.len())];
+        for _ in 0..fanout {
+            b.gate(CellFunction::Inv, &[wide]);
+        }
+        let last = *nets.last().expect("at least one net");
+        b.output(last);
+        b.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn random_adjacency_and_placement_match_the_reference(
+            seed in 0u64..u64::MAX,
+            gates in 1usize..120,
+            fanout in 0usize..80,
+        ) {
+            static LIB: std::sync::OnceLock<CellLibrary> = std::sync::OnceLock::new();
+            let lib = LIB.get_or_init(|| CellLibrary::build(&TechNode::n45(), DesignStyle::TwoD));
+            let n = random_netlist(lib, seed, gates, fanout);
+            assert_matches_reference(lib, &n, 8);
+        }
     }
 
     #[test]

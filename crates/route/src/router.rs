@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use m3d_cells::CellLibrary;
@@ -8,12 +10,13 @@ use m3d_tech::{MetalClass, MetalStack, TechNode};
 
 use crate::grid::{slot_class, CongestionGrid};
 
-/// One routed net: per-layer segment lengths plus via count, the input to
+/// One routed net: its range of the design's segments (see
+/// [`RoutedDesign::segments`]) plus via count, the input to
 /// `m3d_extract::try_extract_net`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RoutedNet {
-    /// `(stack layer index, length µm)` segments.
-    pub segments: Vec<(u16, f64)>,
+    /// Indices of this net's segments in the design's segment arrays.
+    segments: Range<u32>,
     /// Via cuts.
     pub via_count: u32,
     /// Total routed length, µm.
@@ -27,6 +30,10 @@ pub struct RoutedNet {
 pub struct RoutedDesign {
     /// Per-net routes, indexed by [`NetId`].
     pub nets: Vec<RoutedNet>,
+    /// Every net's segments back to back, in routing order, as two
+    /// arrays: the stack layer index and the length in µm.
+    segment_layers: Vec<u16>,
+    segment_lengths: Vec<f64>,
     /// Final congestion state.
     pub grid: CongestionGrid,
     /// The stack kind that was routed against.
@@ -39,16 +46,30 @@ impl RoutedDesign {
         &self.nets[id.0 as usize]
     }
 
+    /// The `(stack layer index, length µm)` segments of one net.
+    pub fn segments(&self, id: NetId) -> impl ExactSizeIterator<Item = (u16, f64)> + '_ {
+        self.segments_of(self.net(id))
+    }
+
+    fn segments_of(&self, rn: &RoutedNet) -> impl ExactSizeIterator<Item = (u16, f64)> + '_ {
+        let r = rn.segments.start as usize..rn.segments.end as usize;
+        self.segment_layers[r.clone()]
+            .iter()
+            .copied()
+            .zip(self.segment_lengths[r].iter().copied())
+    }
+
     /// Total wirelength, µm.
     pub fn total_wirelength_um(&self) -> f64 {
         self.nets.iter().map(|n| n.wirelength_um).sum()
     }
 
-    /// Total wirelength on one metal class, µm.
+    /// Total wirelength on one metal class, µm, summed net by net in id
+    /// order.
     pub fn class_wirelength_um(&self, class: MetalClass) -> f64 {
         self.nets
             .iter()
-            .flat_map(|n| &n.segments)
+            .flat_map(|n| self.segments_of(n))
             .filter(|(layer, _)| self.stack.layers()[*layer as usize].class == class)
             .map(|(_, len)| len)
             .sum()
@@ -155,9 +176,12 @@ impl<'a> Router<'a> {
             }),
             bins_h: Vec::new(),
             bins_v: Vec::new(),
+            segments: Vec::new(),
         };
         let mut grid = CongestionGrid::new(placement.core, self.stack);
         let mut nets: Vec<RoutedNet> = vec![RoutedNet::default(); netlist.net_count()];
+        let mut segment_layers: Vec<u16> = Vec::new();
+        let mut segment_lengths: Vec<f64> = Vec::new();
 
         // Deterministic order: longest nets first so they grab the upper
         // layers before the grid saturates (routers route critical/global
@@ -172,34 +196,49 @@ impl<'a> Router<'a> {
         order.sort_by(|a, b| b.1.total_cmp(&a.1));
 
         for (id, hpwl) in order {
-            if Some(id) == netlist.clock {
-                nets[id.0 as usize] = self.route_clock(&cx, netlist, placement, id);
-                continue;
-            }
-            let pts = placement.net_points(netlist, id);
-            if pts.len() < 2 || hpwl == 0.0 {
-                // Single-pin or zero-length: pin escape only.
-                nets[id.0 as usize] = self.pin_escape_only(cx.m1, pts.len());
-                continue;
-            }
-            let sinks = netlist.net(id).sinks.len();
-            nets[id.0 as usize] = self.route_net(&mut cx, &pts, &mut grid, sinks, id.0 as usize);
+            // Each route writes its segments into `cx.segments`, then
+            // they move to the end of the arena.
+            cx.segments.clear();
+            let rn = if Some(id) == netlist.clock {
+                self.route_clock(&mut cx, netlist, placement, id)
+            } else {
+                let pts = placement.net_points(netlist, id);
+                if pts.len() < 2 || hpwl == 0.0 {
+                    // Single-pin or zero-length: pin escape only.
+                    self.pin_escape_only(&mut cx, pts.len())
+                } else {
+                    let sinks = netlist.net(id).sinks.len();
+                    self.route_net(&mut cx, &pts, &mut grid, sinks, id.0 as usize)
+                }
+            };
+            let start = segment_layers.len() as u32;
+            segment_layers.extend(cx.segments.iter().map(|&(layer, _)| layer));
+            segment_lengths.extend(cx.segments.iter().map(|&(_, len)| len));
+            nets[id.0 as usize] = RoutedNet {
+                segments: start..segment_layers.len() as u32,
+                ..rn
+            };
         }
         Ok(RoutedDesign {
             nets,
+            segment_layers,
+            segment_lengths,
             grid,
             stack: self.stack.clone(),
         })
     }
 
-    fn pin_escape_only(&self, m1: u16, pins: usize) -> RoutedNet {
+    fn pin_escape_only(&self, cx: &mut NetScratch, pins: usize) -> RoutedNet {
         let escape = 0.5 * self.node.dimension_scale();
         let len = escape * pins as f64;
+        if pins > 0 {
+            cx.segments.push((cx.m1, len));
+        }
         RoutedNet {
-            segments: if pins > 0 { vec![(m1, len)] } else { vec![] },
             via_count: pins as u32,
             wirelength_um: len,
             trunk_class: MetalClass::M1,
+            ..RoutedNet::default()
         }
     }
 
@@ -284,7 +323,6 @@ impl<'a> Router<'a> {
         let detour = self.detour + 0.25 * worst_congestion.max(1.0).ln().max(0.0);
         let routed_len = total_len * detour;
         let total_edges: usize = chosen_slot_hist.iter().sum();
-        let mut segments: Vec<(u16, f64)> = Vec::new();
         let mut trunk_class = MetalClass::Local;
         let mut best_edges = 0;
         for (slot, &slot_edges) in chosen_slot_hist.iter().enumerate() {
@@ -294,13 +332,13 @@ impl<'a> Router<'a> {
             let share = slot_edges as f64 / total_edges.max(1) as f64;
             let (h, v) = cx.layer_pair(slot, salt);
             let len = routed_len * share;
-            segments.push((h, len * 0.5));
+            cx.segments.push((h, len * 0.5));
             if v != h {
-                segments.push((v, len * 0.5));
+                cx.segments.push((v, len * 0.5));
             } else {
                 // Single layer in class: merge.
-                let last = segments.len() - 1;
-                segments[last].1 += len * 0.5;
+                let last = cx.segments.len() - 1;
+                cx.segments[last].1 += len * 0.5;
             }
             if slot_edges > best_edges {
                 best_edges = slot_edges;
@@ -311,17 +349,17 @@ impl<'a> Router<'a> {
         // ~0.3 % of wirelength on MB1, Section 3.3).
         let pins = pts.len();
         let escape = 0.4 * self.node.dimension_scale();
-        segments.push((cx.m1, escape * pins as f64));
+        cx.segments.push((cx.m1, escape * pins as f64));
         if let Some(mb1) = cx.mb1 {
-            segments.push((mb1, 0.03 * escape * pins as f64));
+            cx.segments.push((mb1, 0.03 * escape * pins as f64));
         }
-        let wirelength_um = segments.iter().map(|(_, l)| l).sum();
+        let wirelength_um = cx.segments.iter().map(|(_, l)| l).sum();
 
         RoutedNet {
-            segments,
             via_count: 2 * edges.len() as u32 + 2 * sinks as u32,
             wirelength_um,
             trunk_class,
+            ..RoutedNet::default()
         }
     }
 
@@ -331,7 +369,7 @@ impl<'a> Router<'a> {
     /// contribution without a full tree synthesis.
     fn route_clock(
         &self,
-        cx: &NetScratch,
+        cx: &mut NetScratch,
         netlist: &Netlist,
         placement: &Placement,
         id: NetId,
@@ -345,22 +383,23 @@ impl<'a> Router<'a> {
         let stub = 1.0 * self.node.dimension_scale();
         // Slot 1 holds the intermediate layers.
         let (h, v) = cx.layer_pair(1, 7);
-        let segments = vec![
+        cx.segments.extend([
             (h, tree_len * 0.5),
             (v, tree_len * 0.5),
             (cx.m1, stub * sinks as f64),
-        ];
+        ]);
         RoutedNet {
-            wirelength_um: segments.iter().map(|(_, l)| l).sum(),
-            segments,
+            wirelength_um: cx.segments.iter().map(|(_, l)| l).sum(),
             via_count: 2 * sinks as u32,
             trunk_class: MetalClass::Intermediate,
+            ..RoutedNet::default()
         }
     }
 }
 
 /// Stack lookups every net of one [`Router::try_route`] call shares,
-/// plus the L-path bin buffers its edges reuse.
+/// plus the buffers each net reuses: its edges' L-path bins and its
+/// segments on their way to the arena.
 struct NetScratch {
     m1: u16,
     /// MB1, when the stack has it and escapes onto it are allowed.
@@ -369,6 +408,7 @@ struct NetScratch {
     slot_layers: [Vec<u16>; 3],
     bins_h: Vec<usize>,
     bins_v: Vec<usize>,
+    segments: Vec<(u16, f64)>,
 }
 
 impl NetScratch {
@@ -494,12 +534,11 @@ mod tests {
 
     #[test]
     fn mb1_carries_a_tiny_share_in_tmi() {
-        let (_, _, _, r) = routed(DesignStyle::Tmi);
+        let (_, _, n, r) = routed(DesignStyle::Tmi);
         let mb1 = &r.stack.by_name("MB1").expect("MB1 exists");
-        let mb1_len: f64 = r
-            .nets
-            .iter()
-            .flat_map(|n| &n.segments)
+        let mb1_len: f64 = n
+            .net_ids()
+            .flat_map(|id| r.segments(id))
             .filter(|(l, _)| *l == mb1.index)
             .map(|(_, len)| len)
             .sum();
@@ -516,5 +555,83 @@ mod tests {
         let sinks = n.net(clock).sinks.len();
         assert!(sinks > 10);
         assert!(r.net(clock).wirelength_um > 0.0);
+    }
+
+    /// FNV-1a over 64-bit words.
+    fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Fingerprints of every net's segments, vias, length and trunk
+    /// class, and of the design totals and [`crate::LayerUsage`], bit
+    /// for bit.
+    fn route_fingerprints(n: &Netlist, r: &RoutedDesign) -> (u64, u64) {
+        let nets = fingerprint(n.net_ids().flat_map(|id| {
+            let rn = r.net(id);
+            let segs: Vec<(u16, f64)> = r.segments(id).collect();
+            let head = [
+                segs.len() as u64,
+                rn.via_count as u64,
+                rn.wirelength_um.to_bits(),
+                rn.trunk_class as u64,
+            ];
+            head.into_iter().chain(
+                segs.into_iter()
+                    .flat_map(|(l, len)| [l as u64, len.to_bits()]),
+            )
+        }));
+        let u = crate::LayerUsage::of(r);
+        let totals = fingerprint(
+            [r.total_wirelength_um()]
+                .into_iter()
+                .chain(MetalClass::ALL.map(|c| r.class_wirelength_um(c)))
+                .chain([u.m1_um, u.local_um, u.intermediate_um, u.global_um])
+                .chain(u.peak_utilization)
+                .chain(u.mean_utilization)
+                .chain([u.overflow_ratio])
+                .map(f64::to_bits),
+        );
+        (nets, totals)
+    }
+
+    /// The arena holds exactly the per-net segment lists each net kept
+    /// in its own `Vec` before: the fingerprints were taken from that
+    /// code, for a 2D router, a T-MI router and an MB1-off T-MI router
+    /// over small AES.
+    #[test]
+    fn segments_and_totals_match_the_per_net_lists_bit_for_bit() {
+        let node = TechNode::n45();
+        for (style, mb1, expected) in [
+            (
+                DesignStyle::TwoD,
+                true,
+                (14610421178106934915, 11200598942584615668),
+            ),
+            (
+                DesignStyle::Tmi,
+                true,
+                (17450004353417182532, 13334611242206014379),
+            ),
+            (
+                DesignStyle::Tmi,
+                false,
+                (14148383479411320257, 4180488572160336679),
+            ),
+        ] {
+            let lib = CellLibrary::build(&node, style);
+            let n = Benchmark::Aes.generate(&lib, BenchScale::Small);
+            let p = Placer::new(&lib).try_place(&n).expect("placement succeeds");
+            let stack = MetalStack::new(&node, style.default_stack());
+            let router = Router::new(&node, &stack);
+            let router = if mb1 { router } else { router.without_mb1() };
+            let r = router.try_route(&n, &p, &lib).expect("routing succeeds");
+            assert_eq!(
+                route_fingerprints(&n, &r),
+                expected,
+                "{style:?}, MB1 escapes {mb1}"
+            );
+        }
     }
 }

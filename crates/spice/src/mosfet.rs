@@ -175,12 +175,15 @@ impl MosParams {
         }
     }
 
-    /// Numerical partial derivatives `(d Id/d vg, d Id/d vd, d Id/d vs)`
-    /// used by the Newton linearization.
-    pub fn id_derivs(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64) {
+    /// The drain current [`MosParams::id`] and its numerical partial
+    /// derivatives `(d Id/d vg, d Id/d vd, d Id/d vs)`, as
+    /// `(id, gm, gd, gs)`: what the Newton linearization stamps, from
+    /// four model evaluations.
+    pub fn id_and_derivs(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64, f64) {
         const H: f64 = 1e-5;
         let base = self.id(vg, vd, vs);
         (
+            base,
             (self.id(vg + H, vd, vs) - base) / H,
             (self.id(vg, vd + H, vs) - base) / H,
             (self.id(vg, vd, vs + H) - base) / H,
@@ -253,7 +256,8 @@ mod tests {
     #[test]
     fn derivatives_have_correct_signs() {
         let m = MosParams::nmos45(1.0);
-        let (gm, gd, gs) = m.id_derivs(0.9, 0.6, 0.0);
+        let (id, gm, gd, gs) = m.id_and_derivs(0.9, 0.6, 0.0);
+        assert_eq!(id.to_bits(), m.id(0.9, 0.6, 0.0).to_bits());
         assert!(gm > 0.0);
         assert!(gd > 0.0);
         assert!(gs < 0.0);

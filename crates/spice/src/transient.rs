@@ -257,8 +257,7 @@ impl<'c> Transient<'c> {
             }
             for m in &ckt.mosfets {
                 let (vg, vd, vs) = (v[m.g.index()], v[m.d.index()], v[m.s.index()]);
-                let id0 = m.params.id(vg, vd, vs);
-                let (gm, gd, gs) = m.params.id_derivs(vg, vd, vs);
+                let (id0, gm, gd, gs) = m.params.id_and_derivs(vg, vd, vs);
                 // Current Id leaves node d and enters node s.
                 let ieq = id0 - gm * vg - gd * vd - gs * vs;
                 let (di, gi, si) = (idx(m.d), idx(m.g), idx(m.s));

@@ -681,14 +681,10 @@ fn resizing_leaves_route_and_extraction_bitwise_unchanged() {
         let rerouted = router.try_route(&n, &p, &lib).expect("routing succeeds");
         let remodels = try_extraction_models(&n, &rerouted, &node).expect("extraction succeeds");
         let net_bits = |r: &RoutedDesign| -> Vec<_> {
-            r.nets
-                .iter()
-                .map(|rn| {
-                    let segs: Vec<_> = rn
-                        .segments
-                        .iter()
-                        .map(|&(l, len)| (l, len.to_bits()))
-                        .collect();
+            n.net_ids()
+                .map(|id| {
+                    let rn = r.net(id);
+                    let segs: Vec<_> = r.segments(id).map(|(l, len)| (l, len.to_bits())).collect();
                     (
                         segs,
                         rn.via_count,
