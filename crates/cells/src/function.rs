@@ -145,24 +145,6 @@ impl CellFunction {
         matches!(self, CellFunction::Dff)
     }
 
-    /// `true` when the cell output inverts its single driving stage — used
-    /// by the activity propagator for transition bookkeeping.
-    pub fn is_inverting(self) -> bool {
-        matches!(
-            self,
-            CellFunction::Inv
-                | CellFunction::Nand2
-                | CellFunction::Nand3
-                | CellFunction::Nor2
-                | CellFunction::Nor3
-                | CellFunction::Xnor2
-                | CellFunction::Aoi21
-                | CellFunction::Oai21
-                | CellFunction::Aoi22
-                | CellFunction::Oai22
-        )
-    }
-
     /// Evaluates the combinational function.
     ///
     /// # Panics

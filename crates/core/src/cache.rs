@@ -17,14 +17,13 @@
 //!   [`NetlistKey`]: the benchmark, its scale and the library key, which
 //!   is exactly what the generator reads.
 //! * **Wire-load models** are measured once per [`WlmKey`] — the
-//!   [`NetlistKey`] of the netlist the preliminary placement places,
-//!   plus the utilization it places at (paper Fig. 6, §3.2).
+//!   [`NetlistKey`] of the netlist the preliminary placement places at
+//!   its benchmark's utilization (paper Fig. 6, §3.2).
 //! * **Completed [`FlowResult`]s** are shared per [`FlowKey`] — the
 //!   projection of `(benchmark, style, FlowConfig)` onto the knobs the
 //!   stages consume, with unconsumed knobs canonicalized away so
 //!   they cannot split the key (a 2D flow never reads `tmi_wlm`;
-//!   `stack_kind: None` resolves to the style default; `clock_scale: 0`
-//!   resolves to the per-benchmark calibration).
+//!   `stack_kind: None` resolves to the style default).
 //! * **SPICE characterizations** — the delay, output-slew and energy
 //!   tables of one cell's transient runs — are shared per [`SpiceKey`]:
 //!   `(node_id, style, function, drive, slews, loads)`, exactly what the
@@ -130,13 +129,11 @@ impl NetlistKey {
 
 /// Cache key of one wire-load model: everything its preliminary layout
 /// reads. The netlist generator reads the [`NetlistKey`]; the
-/// 16-iteration placement reads its library and the utilization.
+/// 16-iteration placement reads its library and the benchmark's
+/// utilization, which the netlist key already names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WlmKey {
     pub(crate) netlist: NetlistKey,
-    /// The effective utilization: an unset target resolves to the
-    /// benchmark's, so an explicit equal target shares the entry.
-    pub(crate) utilization_bits: u64,
 }
 
 impl WlmKey {
@@ -152,16 +149,7 @@ impl WlmKey {
         };
         WlmKey {
             netlist: NetlistKey::new(bench, cfg.bench_scale, lib),
-            utilization_bits: cfg
-                .utilization
-                .unwrap_or_else(|| bench.target_utilization())
-                .to_bits(),
         }
-    }
-
-    /// The preliminary placement's utilization.
-    pub(crate) fn utilization(&self) -> f64 {
-        f64::from_bits(self.utilization_bits)
     }
 }
 
@@ -224,7 +212,6 @@ pub struct FlowKey {
     /// Resolved: `stack_kind.unwrap_or(style.default_stack())`.
     pub(crate) stack_kind: StackKind,
     pub(crate) clock_ps_bits: Option<u64>,
-    pub(crate) utilization_bits: Option<u64>,
     /// Canonicalized to `true` for 2D flows — only the T-MI synthesis
     /// path reads this switch (Table 15 "-n").
     pub(crate) tmi_wlm: bool,
@@ -232,11 +219,7 @@ pub struct FlowKey {
     pub(crate) lower_metal_rho: bool,
     pub(crate) alpha_ff_bits: u64,
     pub(crate) mb1_routing: bool,
-    pub(crate) opt_passes: usize,
     pub(crate) place_iterations: usize,
-    /// Resolved: `0.0` selects the per-benchmark calibration, so an
-    /// explicit equal factor shares the entry.
-    pub(crate) clock_scale_bits: u64,
 }
 
 impl FlowKey {
@@ -249,15 +232,12 @@ impl FlowKey {
             bench_scale: cfg.bench_scale,
             stack_kind: cfg.stack_kind.unwrap_or(style.default_stack()),
             clock_ps_bits: cfg.clock_ps.map(f64::to_bits),
-            utilization_bits: cfg.utilization.map(f64::to_bits),
             tmi_wlm: cfg.tmi_wlm || style == DesignStyle::TwoD,
             pin_cap_scale_bits: cfg.pin_cap_scale.to_bits(),
             lower_metal_rho: cfg.lower_metal_rho,
             alpha_ff_bits: cfg.alpha_ff.to_bits(),
             mb1_routing: cfg.mb1_routing,
-            opt_passes: cfg.opt_passes,
             place_iterations: cfg.place_iterations,
-            clock_scale_bits: cfg.effective_clock_scale(bench).to_bits(),
         }
     }
 }
@@ -1153,10 +1133,9 @@ mod tests {
     }
 
     #[test]
-    fn resolved_defaults_share_the_flow_key() {
+    fn resolved_default_stack_shares_the_flow_key() {
         let mut explicit = cfg45();
         explicit.stack_kind = Some(DesignStyle::Tmi.default_stack());
-        explicit.clock_scale = crate::default_clock_scale_at(Benchmark::Aes, NodeId::N45);
         assert_eq!(
             FlowKey::of(Benchmark::Aes, DesignStyle::Tmi, &cfg45()),
             FlowKey::of(Benchmark::Aes, DesignStyle::Tmi, &explicit)
@@ -1949,10 +1928,9 @@ mod tests {
             let base = key(style, &small());
             // Knobs the netlist generator or the preliminary placement
             // read split the key...
-            let splits: [Knob; 5] = [
+            let splits: [Knob; 4] = [
                 ("node_id", |c| c.node_id = NodeId::N7),
                 ("bench_scale", |c| c.bench_scale = BenchScale::Paper),
-                ("utilization", |c| c.utilization = Some(0.5)),
                 ("pin_cap_scale", |c| c.pin_cap_scale = 0.6),
                 ("lower_metal_rho", |c| c.lower_metal_rho = true),
             ];
@@ -1962,17 +1940,12 @@ mod tests {
                 assert_ne!(key(style, &c), base, "{}: {name} must split", style.label());
             }
             // ...and every other knob shares one build.
-            let shares: [Knob; 8] = [
+            let shares: [Knob; 5] = [
                 ("clock_ps", |c| c.clock_ps = Some(777.0)),
-                ("clock_scale", |c| c.clock_scale = 1.25),
                 ("alpha_ff", |c| c.alpha_ff = 0.3),
                 ("stack_kind", |c| c.stack_kind = Some(StackKind::TmiPlusM)),
                 ("mb1_routing", |c| c.mb1_routing = !c.mb1_routing),
-                ("opt_passes", |c| c.opt_passes += 1),
                 ("place_iterations", |c| c.place_iterations += 1),
-                ("utilization", |c| {
-                    c.utilization = Some(Benchmark::Aes.target_utilization())
-                }),
             ];
             for (name, set) in shares {
                 let mut c = small();
@@ -2006,7 +1979,6 @@ mod tests {
         for knob in [
             "node_id",
             "bench_scale",
-            "utilization",
             "pin_cap_scale",
             "lower_metal_rho",
             "tmi_wlm",

@@ -66,11 +66,6 @@ impl Comparison {
         pct(self.tmi.power.leakage_mw, self.two_d.power.leakage_mw)
     }
 
-    /// Buffer-count delta, % (paper: −48.6 % LDPC vs −3.2 % DES).
-    pub fn buffer_pct(&self) -> f64 {
-        pct(self.tmi.buffer_count as f64, self.two_d.buffer_count as f64)
-    }
-
     /// One formatted row in the layout of the paper's Table 4/7.
     pub fn table_row(&self) -> String {
         format!(

@@ -109,9 +109,6 @@ impl FlowStage {
                 "node_id",
                 "stack_kind",
                 "clock_ps",
-                "clock_scale",
-                "utilization",
-                "opt_passes",
                 "pin_cap_scale",
                 "lower_metal_rho",
             ],
@@ -135,17 +132,12 @@ impl std::fmt::Display for FlowStage {
 pub enum ConfigError {
     /// `clock_ps` override non-finite or non-positive.
     BadClock(f64),
-    /// `utilization` override outside `(0, 1]`.
-    BadUtilization(f64),
     /// `pin_cap_scale` non-finite or non-positive.
     BadPinCapScale(f64),
     /// `alpha_ff` outside `[0, 1]`.
     BadAlphaFf(f64),
     /// `place_iterations == 0` — the placer would emit garbage positions.
     ZeroPlaceIterations,
-    /// `clock_scale` negative or non-finite (`0.0` selects the
-    /// per-benchmark calibration and is valid).
-    BadClockScale(f64),
     /// `node_id` names no PDK in the registry, so no stage could build
     /// a library or resolve design rules for it.
     UnknownNode {
@@ -162,9 +154,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadClock(c) => {
                 write!(f, "clock_ps must be a positive finite period, got {c}")
             }
-            ConfigError::BadUtilization(u) => {
-                write!(f, "utilization must be in (0, 1], got {u}")
-            }
             ConfigError::BadPinCapScale(s) => {
                 write!(f, "pin_cap_scale must be positive, got {s}")
             }
@@ -174,10 +163,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroPlaceIterations => {
                 write!(f, "place_iterations must be at least 1")
             }
-            ConfigError::BadClockScale(s) => write!(
-                f,
-                "clock_scale must be 0 (auto-calibrate) or a positive factor, got {s}"
-            ),
             ConfigError::UnknownNode { node, known } => write!(
                 f,
                 "node '{node}' names no registered PDK (registered: {})",

@@ -10,8 +10,8 @@ use super::Row;
 use crate::{FlowConfig, FlowError};
 
 /// Fig. 4 clock sweep points, chosen so both styles close at this
-/// toolkit's library speed (the paper's absolute values are rescaled;
-/// see `FlowConfig::clock_scale`).
+/// toolkit's library speed: the flow multiplies each by the benchmark's
+/// clock calibration (see `FlowConfig::clock_ps`).
 const FIG4_SWEEPS: [(Benchmark, [f64; 3]); 2] = [
     (Benchmark::Aes, [900.0, 850.0, 800.0]),
     (Benchmark::M256, [2500.0, 2400.0, 2300.0]),

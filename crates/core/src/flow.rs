@@ -4,8 +4,9 @@
 //! Stage bodies live in [`crate::stage`]; sequencing and containment
 //! live in [`crate::supervisor`]; memoization lives in
 //! [`crate::cache`]. This module keeps the public entry points
-//! (`Flow::run` / `try_run`) plus the numerical helpers the stages
-//! share (net-model estimation, extraction, move application).
+//! (`Flow::try_run` / `try_run_with_cache`, both through `run_cached`)
+//! plus the numerical helpers the stages share (net-model estimation,
+//! extraction, move application).
 
 use std::sync::Arc;
 
@@ -37,11 +38,15 @@ pub struct FlowConfig {
     /// Metal stack override (`None` = the style's default; `TmiPlusM`
     /// reproduces Table 17).
     pub stack_kind: Option<StackKind>,
-    /// Clock period override, ps (`None` = the benchmark's Table 12
-    /// target; Fig. 4 sweeps this).
+    /// Clock period, ps (`None` = the benchmark's Table 12 target;
+    /// Fig. 4 sweeps an override). The per-benchmark calibration
+    /// ([`default_clock_scale_at`]) multiplies it, an override included:
+    /// the toolkit's library and optimizer differ from the paper's
+    /// Nangate + Encounter setup, so each benchmark's paper clock is
+    /// rescaled to the tightest period the 2D flow still closes,
+    /// reproducing the paper's iso-performance *pressure*. Every
+    /// relative (2D vs T-MI) result is measured at the same period.
     pub clock_ps: Option<f64>,
-    /// Placement utilization override.
-    pub utilization: Option<f64>,
     /// Synthesize T-MI designs with their own (shorter) WLM. Setting this
     /// to `false` reproduces the "-n" rows of Table 15.
     pub tmi_wlm: bool,
@@ -54,18 +59,8 @@ pub struct FlowConfig {
     /// Allow MB1/MIV routing escapes (the supplement's S5 blockage study
     /// turns these off).
     pub mb1_routing: bool,
-    /// Post-route optimization pass budget.
-    pub opt_passes: usize,
     /// Global-placement iterations.
     pub place_iterations: usize,
-    /// Multiplier applied to all clock targets. `0.0` (the default) uses
-    /// a per-benchmark calibration: the toolkit's library and optimizer
-    /// differ from the paper's Nangate + Encounter setup, so each
-    /// benchmark's paper clock is rescaled to the tightest period the 2D
-    /// flow still closes — reproducing the paper's iso-performance
-    /// *pressure*. Every relative (2D vs T-MI) result is measured at the
-    /// same period. Documented in DESIGN.md/EXPERIMENTS.md.
-    pub clock_scale: f64,
 }
 
 impl FlowConfig {
@@ -76,15 +71,12 @@ impl FlowConfig {
             bench_scale: BenchScale::Paper,
             stack_kind: None,
             clock_ps: None,
-            utilization: None,
             tmi_wlm: true,
             pin_cap_scale: 1.0,
             lower_metal_rho: false,
             alpha_ff: 0.1,
             mb1_routing: true,
-            opt_passes: 4,
             place_iterations: 120,
-            clock_scale: 0.0,
         }
     }
 
@@ -102,17 +94,6 @@ impl FlowConfig {
     pub fn clock(mut self, ps: f64) -> Self {
         self.clock_ps = Some(ps);
         self
-    }
-
-    /// The clock multiplier `bench` runs at: [`FlowConfig::clock_scale`]
-    /// when set, else the per-benchmark calibration
-    /// ([`default_clock_scale_at`]).
-    pub(crate) fn effective_clock_scale(&self, bench: Benchmark) -> f64 {
-        if self.clock_scale > 0.0 {
-            self.clock_scale
-        } else {
-            default_clock_scale_at(bench, self.node_id)
-        }
     }
 
     /// Builds the technology node with this config's overrides applied.
@@ -147,11 +128,6 @@ impl FlowConfig {
                 return Err(ConfigError::BadClock(c).into());
             }
         }
-        if let Some(u) = self.utilization {
-            if !u.is_finite() || u <= 0.0 || u > 1.0 {
-                return Err(ConfigError::BadUtilization(u).into());
-            }
-        }
         if !self.pin_cap_scale.is_finite() || self.pin_cap_scale <= 0.0 {
             return Err(ConfigError::BadPinCapScale(self.pin_cap_scale).into());
         }
@@ -160,9 +136,6 @@ impl FlowConfig {
         }
         if self.place_iterations == 0 {
             return Err(ConfigError::ZeroPlaceIterations.into());
-        }
-        if !self.clock_scale.is_finite() || self.clock_scale < 0.0 {
-            return Err(ConfigError::BadClockScale(self.clock_scale).into());
         }
         Ok(())
     }
@@ -214,11 +187,6 @@ impl FlowResult {
     pub fn wirelength_m(&self) -> f64 {
         self.wirelength_um * 1e-6
     }
-
-    /// Longest path delay, ns.
-    pub fn longest_path_ns(&self) -> f64 {
-        (self.clock_ps - self.wns_ps) * 1e-3
-    }
 }
 
 /// The resolved run environment: validated knobs, characterized library
@@ -231,10 +199,8 @@ pub(crate) struct FlowEnv {
     pub(crate) lib: Arc<CellLibrary>,
     /// Effective clock period, ps (override or calibrated target).
     pub(crate) clock_ps: f64,
-    /// Effective placement utilization target.
+    /// Placement utilization target: the benchmark's own.
     pub(crate) utilization: f64,
-    /// Effective optimization pass budget.
-    pub(crate) opt_passes: usize,
 }
 
 impl FlowEnv {
@@ -343,7 +309,7 @@ pub(crate) fn run_cached(
 }
 
 /// The tightest-closing clock calibration per benchmark and node (see
-/// [`FlowConfig::clock_scale`]). The per-benchmark 45 nm base factor is
+/// [`FlowConfig::clock_ps`]). The per-benchmark 45 nm base factor is
 /// multiplied by the node PDK's [`m3d_tech::Pdk::clock_scale_mult`] —
 /// the 7 nm paper targets assume the full ITRS device speed-up under a
 /// commercial optimizer; this toolkit's optimizer needs more headroom

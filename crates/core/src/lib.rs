@@ -104,8 +104,9 @@ pub use flow::{apply_moves, estimate_models, try_extraction_models, EditLog};
 pub use flow::{default_clock_scale_at, Flow, FlowConfig, FlowResult};
 pub use govern::{CancelCause, CancelToken, PointOutcome};
 pub use observe::{
-    escape_json_into, json_raw_field, json_str_field, unescape_json, CacheKind, CacheTotals, Event,
-    EventKind, JsonlRecorder, NullRecorder, Recorder, StageOutcome, TraceSummary, VecRecorder,
+    escape_json_into, json_raw_field, json_str_field, kv_str, unescape_json, CacheKind,
+    CacheTotals, Event, EventKind, JsonlRecorder, NullRecorder, Recorder, StageOutcome,
+    TraceSummary, VecRecorder,
 };
 pub use store::{DiskCounters, DiskStore};
 pub use supervisor::{FlowSupervisor, StageDeadlines};

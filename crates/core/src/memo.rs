@@ -28,9 +28,10 @@ use crate::codec::{
     enc_scale, enc_stack_kind, enc_style, Dec, DecResult, DecodeError, Enc,
 };
 use crate::error::FlowStage;
-use crate::flow::FlowResult;
+use crate::flow::{default_clock_scale_at, FlowResult};
 use crate::gmi::GmiResult;
 use crate::observe::CacheKind;
+use crate::stage::OPT_PASSES;
 
 /// One memoized artifact class.
 pub(crate) trait MemoClass {
@@ -120,6 +121,10 @@ impl MemoClass for FlowClass {
     const KIND: CacheKind = CacheKind::Flow;
     const STAGE: FlowStage = FlowStage::Library;
 
+    /// The consumed knobs in a fixed order. Three slots hold what were
+    /// knobs once and are fixed or derived now, so entries stored
+    /// before keep their keys: a 0 byte (no utilization override),
+    /// [`OPT_PASSES`] and the calibrated clock scale.
     fn key_bytes(k: &FlowKey) -> Vec<u8> {
         let mut e = Enc::default();
         enc_benchmark(&mut e, k.bench);
@@ -128,15 +133,15 @@ impl MemoClass for FlowClass {
         enc_scale(&mut e, k.bench_scale);
         enc_stack_kind(&mut e, k.stack_kind);
         e.opt(&k.clock_ps_bits, |e, v| e.u64(*v));
-        e.opt(&k.utilization_bits, |e, v| e.u64(*v));
+        e.u8(0);
         e.bool(k.tmi_wlm);
         e.u64(k.pin_cap_scale_bits);
         e.bool(k.lower_metal_rho);
         e.u64(k.alpha_ff_bits);
         e.bool(k.mb1_routing);
-        e.usize(k.opt_passes);
+        e.usize(OPT_PASSES);
         e.usize(k.place_iterations);
-        e.u64(k.clock_scale_bits);
+        e.f64(default_clock_scale_at(k.bench, k.node_id));
         e.buf
     }
 
@@ -295,12 +300,13 @@ impl MemoClass for WlmClass {
     const KIND: CacheKind = CacheKind::Wlm;
     const STAGE: FlowStage = FlowStage::Synthesis;
 
-    /// The netlist key's bytes, then the utilization's.
+    /// The netlist key's bytes, then the benchmark's utilization, which
+    /// entries stored before it was fixed keep in their keys.
     fn key_bytes(k: &WlmKey) -> Vec<u8> {
         let mut e = Enc {
             buf: NetlistClass::key_bytes(&k.netlist),
         };
-        e.u64(k.utilization_bits);
+        e.f64(k.netlist.bench.target_utilization());
         e.buf
     }
 
@@ -519,4 +525,39 @@ fn dec_cell(d: &mut Dec) -> DecResult<Cell> {
         miv_count: d.u32()?,
         r_drive: d.f64()?,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use m3d_netlist::BenchScale;
+
+    use super::*;
+    use crate::codec::content_hash;
+    use crate::experiments::plan_for;
+
+    /// Pins the flow and WLM key bytes of every point a flow driver
+    /// plans, at both scales: a key change on any reachable point (a
+    /// Fig. 4 clock, a Table 15 "-n" WLM, a Table 17 stack) would orphan
+    /// its store entries, and moves this hash. The point count tells a
+    /// changed plan from a changed key.
+    #[test]
+    fn every_planned_point_keeps_its_key_bytes() {
+        let mut image = Vec::new();
+        let mut points = 0;
+        for scale in [BenchScale::Small, BenchScale::Paper] {
+            for name in [
+                "table4", "table5", "table7", "table8", "table9", "table15", "table16", "table17",
+                "fig3", "fig4", "fig10", "fig11", "s5", "summary", "gmi",
+            ] {
+                for p in plan_for(name, scale).points() {
+                    let flow = FlowKey::of(p.bench, p.style, &p.config);
+                    let wlm = WlmKey::of(p.bench, p.style, &p.config);
+                    image.extend(FlowClass::key_bytes(&flow));
+                    image.extend(WlmClass::key_bytes(&wlm));
+                    points += 1;
+                }
+            }
+        }
+        assert_eq!((points, content_hash(&image)), (200, 0x7ea1_37ff_8fdd_8641));
+    }
 }

@@ -538,9 +538,10 @@ fn hex4(chars: &mut std::str::Chars<'_>) -> Option<u32> {
     Some(v)
 }
 
-/// Writes `,"name":"value"` with the value escaped — the one way every
-/// string payload field reaches an event line.
-fn kv_str(buf: &mut String, name: &str, value: &str) {
+/// Writes `,"name":"value"` with the value escaped through
+/// [`escape_json_into`] — the one way every string field reaches a
+/// trace event line or an `m3d-serve` response frame.
+pub fn kv_str(buf: &mut String, name: &str, value: &str) {
     let _ = write!(buf, ",\"{name}\":\"");
     escape_json_into(buf, value);
     buf.push('"');

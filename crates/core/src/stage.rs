@@ -29,9 +29,13 @@ use m3d_tech::{DesignStyle, MetalStack};
 use crate::cache::{ArtifactCache, Request, WlmKey};
 use crate::error::{FlowError, FlowStage};
 use crate::flow::{
-    apply_moves, estimate_models, try_extraction_models, EditLog, FlowConfig, FlowEnv, FlowResult,
+    apply_moves, default_clock_scale_at, estimate_models, try_extraction_models, EditLog,
+    FlowConfig, FlowEnv, FlowResult,
 };
 use crate::govern::check;
+
+/// The accept/reject pass budget of pre- and post-route optimization.
+pub(crate) const OPT_PASSES: usize = 4;
 
 /// The routed design state: what post-route optimization works on and
 /// what sign-off reports. The floorplan loop keeps round 1's design but
@@ -88,8 +92,8 @@ fn refresh_graph(
 }
 
 /// Library preparation: validated config, characterized (cached)
-/// library, metal stack, and the effective clock / utilization /
-/// pass-budget targets.
+/// library, metal stack, and the effective clock and utilization
+/// targets.
 pub(crate) fn library(
     bench: Benchmark,
     style: DesignStyle,
@@ -104,17 +108,13 @@ pub(crate) fn library(
     let clock_ps = cfg
         .clock_ps
         .unwrap_or_else(|| bench.target_clock_ps(cfg.node_id))
-        * cfg.effective_clock_scale(bench);
-    let utilization = cfg
-        .utilization
-        .unwrap_or_else(|| bench.target_utilization());
+        * default_clock_scale_at(bench, cfg.node_id);
     Ok(FlowEnv {
         node,
         stack,
         lib,
         clock_ps,
-        utilization,
-        opt_passes: cfg.opt_passes,
+        utilization: bench.target_utilization(),
     })
 }
 
@@ -140,7 +140,7 @@ pub(crate) fn wire_load_model(
             }
         };
         let prelim = Placer::new(lib)
-            .utilization(key.utilization())
+            .utilization(key.netlist.bench.target_utilization())
             .iterations(16)
             .try_place(raw)?;
         Ok(WireLoadModel::from_placement(raw, &prelim))
@@ -232,7 +232,7 @@ pub(crate) fn preroute(
     let mut est = estimate_models(netlist, placement, &env.node, &env.stack);
     let mut report = graph.analyze(netlist, &env.lib, &est, &timing)?;
     let mut last_wns = f64::NEG_INFINITY;
-    for pass in 0..env.opt_passes {
+    for pass in 0..OPT_PASSES {
         check(FlowStage::PreRouteOpt)?;
         if report.met() {
             break;
@@ -333,7 +333,7 @@ pub(crate) fn postroute(
     } = design;
     let mut graph = TimingGraph::build(netlist, &env.lib)?;
     let mut report = graph.analyze(netlist, &env.lib, models, &timing)?;
-    for _ in 0..env.opt_passes {
+    for _ in 0..OPT_PASSES {
         check(FlowStage::PostRouteOpt)?;
         if report.met() {
             break;
@@ -534,15 +534,12 @@ mod tests {
             "bench_scale",
             "stack_kind",
             "clock_ps",
-            "utilization",
             "tmi_wlm",
             "pin_cap_scale",
             "lower_metal_rho",
             "alpha_ff",
             "mb1_routing",
-            "opt_passes",
             "place_iterations",
-            "clock_scale",
         ];
         let consumed: std::collections::BTreeSet<&str> = FlowStage::ALL
             .iter()

@@ -133,7 +133,8 @@ fn silence_contained_panics() {
 /// The supervisor always *executes* its stages — it never consults the
 /// result cache, so planted faults behave identically whether or not an
 /// equivalent flow already completed. Result memoization lives one
-/// level up, in [`crate::Flow::try_run_with_cache`]; the cache passed
+/// level up, in `flow::run_cached`, which every cached entry point
+/// ([`crate::Flow::try_run_with_cache`] among them) calls; the cache passed
 /// here deduplicates cell-library builds inside the library stage and
 /// supplies the event sink ([`ArtifactCache::set_recorder`]).
 #[derive(Debug)]

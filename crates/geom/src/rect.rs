@@ -83,12 +83,6 @@ impl Rect {
         self.width() + self.height()
     }
 
-    /// Centre point, rounded toward the lower-left grid point.
-    #[inline]
-    pub fn center(&self) -> Point {
-        Point::new(self.lo.x + self.width() / 2, self.lo.y + self.height() / 2)
-    }
-
     /// Returns `true` when `p` lies inside or on the boundary.
     #[inline]
     pub fn contains(&self, p: Point) -> bool {
@@ -142,15 +136,6 @@ impl Rect {
             "inflate margin {margin} inverts rectangle"
         );
         r
-    }
-
-    /// Translates the rectangle by the vector `d`.
-    #[inline]
-    pub fn translate(&self, d: Point) -> Rect {
-        Rect {
-            lo: self.lo + d,
-            hi: self.hi + d,
-        }
     }
 
     /// The smallest rectangle containing every point of `points`.

@@ -227,14 +227,6 @@ impl<'l> NetlistBuilder<'l> {
         sum
     }
 
-    /// 2:1 mux of two buses by one select.
-    pub fn mux_bus(&mut self, a: &[NetId], b: &[NetId], sel: NetId) -> Vec<NetId> {
-        assert_eq!(a.len(), b.len(), "bus widths differ");
-        (0..a.len())
-            .map(|i| self.gate(CellFunction::Mux2, &[a[i], b[i], sel]))
-            .collect()
-    }
-
     /// Finalizes the netlist.
     pub fn finish(self) -> Netlist {
         self.n

@@ -66,11 +66,6 @@ impl Placement {
             .sum()
     }
 
-    /// Moves an instance (used when optimization inserts buffers).
-    pub fn set_pos(&mut self, inst: m3d_netlist::InstId, p: Point) {
-        self.positions[inst.0 as usize] = p;
-    }
-
     /// Appends a position for a newly created instance.
     pub fn push_pos(&mut self, p: Point) {
         self.positions.push(p);

@@ -4,7 +4,7 @@
 //! One request is one line — a flat JSON object, newline-terminated —
 //! and every request gets exactly one response line. The codec reuses
 //! the trace recorder's JSON conventions end to end: string values are
-//! escaped with [`monolith3d::escape_json_into`] and read back with
+//! written with [`monolith3d::kv_str`] and read back with
 //! [`monolith3d::json_str_field`]/[`monolith3d::json_raw_field`], the
 //! same helpers `validate_jsonl` trusts, so the trace format and the
 //! wire format cannot drift apart and hostile strings (quotes,
@@ -29,7 +29,7 @@
 use m3d_netlist::{BenchScale, Benchmark};
 use m3d_tech::{DesignStyle, NodeId, PdkRegistry};
 use monolith3d::{
-    escape_json_into, json_raw_field, json_str_field, CacheStats, FlowConfig, FlowResult, PlanPoint,
+    json_raw_field, json_str_field, kv_str, CacheStats, FlowConfig, FlowResult, PlanPoint,
 };
 
 use std::fmt::Write as _;
@@ -279,12 +279,6 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
 // ---------------------------------------------------------------------
 // Response writers (no trailing newline; the transport appends it)
 // ---------------------------------------------------------------------
-
-fn kv_str(buf: &mut String, name: &str, value: &str) {
-    let _ = write!(buf, ",\"{name}\":\"");
-    escape_json_into(buf, value);
-    buf.push('"');
-}
 
 fn open_ok(buf: &mut String, id: u64, op: &str) {
     let _ = write!(buf, "{{\"id\":{id},\"ok\":true,\"op\":\"{op}\"");

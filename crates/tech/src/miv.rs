@@ -46,12 +46,6 @@ impl MivModel {
     pub fn aspect_ratio(&self) -> f64 {
         self.height as f64 / self.diameter as f64
     }
-
-    /// Keep-out footprint edge on the top tier: the silicon area an MIV
-    /// consumes next to the NMOS devices (Section 3.1/3.2).
-    pub fn keepout_edge(&self) -> Nm {
-        self.diameter * 2
-    }
 }
 
 #[cfg(test)]

@@ -144,15 +144,6 @@ impl MetalStack {
         self.layers.iter().find(|l| l.name == name)
     }
 
-    /// Number of routing layers usable for signal routing above M1
-    /// (M1/MB1 are mostly consumed by cell pins and intra-cell wiring).
-    pub fn signal_layer_count(&self) -> usize {
-        self.layers
-            .iter()
-            .filter(|l| l.class != MetalClass::M1)
-            .count()
-    }
-
     /// Total routing track supply per µm of die edge, summed over signal
     /// layers of a class: 1000 / pitch(nm) tracks per µm per layer.
     pub fn track_supply_per_um(&self, class: MetalClass) -> f64 {

@@ -20,8 +20,8 @@ fn main() {
 
     println!("AES power benefit vs target clock (45 nm)\n");
     println!("clock(ns)  2D power   T-MI power   reduction   2D buffers -> T-MI");
-    // The paper sweeps 1.0 / 0.8 / 0.72 ns on AES; the flow rescales these
-    // to this toolkit's library speed (see FlowConfig::clock_scale).
+    // The paper sweeps 1.0 / 0.8 / 0.72 ns on AES; the flow multiplies
+    // each by AES's clock calibration (see FlowConfig::clock_ps).
     for clock_ps in [1000.0, 800.0, 720.0] {
         let cfg = FlowConfig::new(NodeId::N45).scale(scale).clock(clock_ps);
         let cmp = Comparison::try_run(Benchmark::Aes, &cfg).expect("both flows close");

@@ -146,7 +146,7 @@ proptest! {
     fn flow_keys_round_trip_and_never_cross_serve(
         node_idx in 0usize..16,
         cell_count in 1usize..100_000,
-        util_pct in 40u32..90,
+        alpha_pct in 5u32..45,
     ) {
         let ids = registered_nodes();
         let id = ids[node_idx % ids.len()];
@@ -154,7 +154,7 @@ proptest! {
         let store = DiskStore::open(&root);
 
         let mut cfg = FlowConfig::new(id).scale(BenchScale::Small);
-        cfg.utilization = Some(util_pct as f64 / 100.0);
+        cfg.alpha_ff = alpha_pct as f64 / 100.0;
         let key = FlowKey::of(Benchmark::Des, DesignStyle::Tmi, &cfg);
         let want = result_for(id, cell_count);
         store.store_flow(&key, &want);
@@ -164,7 +164,7 @@ proptest! {
 
         for &other in ids.iter().filter(|&&o| o != id) {
             let mut foreign_cfg = FlowConfig::new(other).scale(BenchScale::Small);
-            foreign_cfg.utilization = Some(util_pct as f64 / 100.0);
+            foreign_cfg.alpha_ff = alpha_pct as f64 / 100.0;
             let foreign = FlowKey::of(Benchmark::Des, DesignStyle::Tmi, &foreign_cfg);
             prop_assert!(
                 store.load_flow(&foreign).is_none(),
